@@ -187,11 +187,7 @@ class ChargeMatrix:
 
     def column_lcm(self, q: int) -> int:
         """LCM of the nonzero charges in column q (the cyclic group order)."""
-        acc = 1
-        for c in self.column(q):
-            if c:
-                acc = acc * c // math.gcd(acc, c)
-        return acc
+        return math.lcm(*(c for c in self.column(q) if c))
 
     @property
     def column_lcms(self) -> tuple[int, ...]:
@@ -266,14 +262,17 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _difference_rows(spec: CISpec) -> list[tuple[int, ...]]:
-    """All rows v - indicator(block) whose kernel carries every weight vector."""
+def difference_matrix(spec: CISpec) -> Matrix:
+    """Rows v - indicator, over all blocks in order; the torus embedding exponents.
+
+    Every weight vector lies in its kernel.
+    """
     rows = []
     for blk in spec.blocks:
         ind = blk.indicator(spec.n)
         for v in blk.exponents:
             rows.append(tuple(a - b for a, b in zip(v, ind)))
-    return rows
+    return Matrix.from_rows(rows)
 
 
 def derive_weights(spec: CISpec) -> WeightSystem:
@@ -284,7 +283,7 @@ def derive_weights(spec: CISpec) -> WeightSystem:
     block's product indicator.  The solution per block must be a single
     positive ray, reported primitively.
     """
-    diffs = _difference_rows(spec)
+    diffs = difference_matrix(spec).entries
     vectors = []
     for q in range(1, spec.k + 1):
         cols = [i - 1 for i in spec.block_range(q)]
@@ -326,12 +325,6 @@ def supplied_weights(spec: CISpec) -> WeightSystem | None:
             if i not in rng and g != 0:
                 raise SpecInvalidError(f"weights[{q}]: position {i} must be zero")
     return WeightSystem(spec.weights)
-
-
-def weights_of(spec: CISpec) -> WeightSystem:
-    """Supplied weights when present (even if inconsistent), else derived."""
-    w = supplied_weights(spec)
-    return w if w is not None else derive_weights(spec)
 
 
 def _proportional_int(u: Sequence[int], v: Sequence[int]) -> bool:

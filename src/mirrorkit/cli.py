@@ -28,12 +28,8 @@ def _dump(data: dict, fmt: str, out) -> None:
         out.write("\n")
 
 
-def _load_spec(path: str) -> CISpec:
-    return CISpec.load(path)
-
-
-def _cmd_validate(spec, args, out):
-    report = ci_model.validate(spec)
+def _cmd_validate(pair, args, out):
+    report = ci_model.validate(pair.spec)
     if args.format == "json":
         _dump(report.to_json(), "json", out)
     else:
@@ -49,9 +45,9 @@ def _cmd_validate(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_weights(spec, args, out):
-    w = ci_model.derive_weights(spec)
-    qm = ci_model.charges(spec, w)
+def _cmd_weights(pair, args, out):
+    w = pair.weights
+    qm = ci_model.charges(pair.spec, w)
     data = {"weights": w.to_json(), "charges": qm.to_json()}
     if args.format == "json":
         _dump(data, "json", out)
@@ -63,8 +59,8 @@ def _cmd_weights(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_cayley(spec, args, out):
-    cm = ci_model.build_cayley(spec)
+def _cmd_cayley(pair, args, out):
+    cm = pair.cm
     if args.format == "json":
         _dump(cm.to_json(), "json", out)
     else:
@@ -72,8 +68,8 @@ def _cmd_cayley(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_transpose(spec, args, out):
-    tr = transposition.transpose_spec(spec)
+def _cmd_transpose(pair, args, out):
+    tr = pair.tr
     if args.format == "json":
         _dump(tr.to_json(), "json", out)
     else:
@@ -86,13 +82,11 @@ def _cmd_transpose(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_mellin(spec, args, out):
-    cm = ci_model.build_cayley(spec)
-    tr = transposition.transpose_spec(spec)
-    forms = mellin.solve_xi(cm)
+def _cmd_mellin(pair, args, out):
+    cm, tr, forms = pair.cm, pair.tr, pair.forms
     lemma = mellin.lemma_form(cm, forms)
-    xi = mellin.factorize_xi(spec, tr, forms)
-    t31, product = mellin.verify_theorem_31(spec, tr, xi, forms)
+    xi = mellin.factorize_xi(tr, forms, pair.tweights)
+    t31, product = mellin.verify_theorem_31(cm, tr, xi, forms, pair.tweights)
     data = {
         "delta": mellin.compute_delta(forms),
         "plain_product": lemma.to_json(),
@@ -113,17 +107,14 @@ def _cmd_mellin(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_horn(spec, args, out):
-    cm = ci_model.build_cayley(spec)
-    forms = mellin.solve_xi(cm)
-    ops = horn_system.horn_operators(spec, forms)
-    tr = transposition.transpose_spec(spec)
-    tw = ci_model.derive_weights(tr.tspec)
-    tq = ci_model.charges(tr.tspec, tw)
+def _cmd_horn(pair, args, out):
+    spec = pair.spec
+    ops = horn_system.horn_operators(spec, pair.forms)
+    tw, tq = pair.tweights, pair.tcharges
     pairs = [horn_system.char_polys(tw, tq, q) for q in range(1, spec.k + 1)]
     restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
                   for q in range(1, spec.k + 1)]
-    sym = horn_system.symmetry_report(spec, tr, ci_model.weights_of(spec), tw)
+    sym = horn_system.symmetry_report(pair.effective_weights, pair.charges, tw, tq)
     data = {
         "operators": [op.to_json() for op in ops],
         "char_polys": [p.to_json() for p in pairs],
@@ -144,12 +135,10 @@ def _cmd_horn(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_poincare(spec, args, out):
-    tr = transposition.transpose_spec(spec)
-    w = ci_model.weights_of(spec)
-    qm = ci_model.charges(spec, w)
-    ratio = poincare.poincare_structure(w, qm)
-    duality = poincare.verify_duality(spec, tr)
+def _cmd_poincare(pair, args, out):
+    duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                                      pair.charges, pair.recovered_data)
+    ratio = poincare.poincare_structure(pair.effective_weights, pair.charges)
     series = poincare.series_expand(ratio, args.order)
     table = sorted([list(e) + [c] for e, c in series.items()])
     data = {
@@ -161,7 +150,7 @@ def _cmd_poincare(spec, args, out):
         _dump(data, "json", out)
     else:
         out.write(f"P_A = {ratio}\n")
-        if spec.k == 1:
+        if pair.spec.k == 1:
             coeffs = poincare.series_coefficients_1d(ratio, args.order)
             out.write(f"series to order {args.order}: {coeffs}\n")
         for name, value in duality.identities.items():
@@ -171,11 +160,9 @@ def _cmd_poincare(spec, args, out):
     return pipeline.EXIT_OK
 
 
-def _cmd_nef(spec, args, out):
-    tr = transposition.transpose_spec(spec)
-    cm = ci_model.build_cayley(spec)
-    forms = mellin.solve_xi(cm)
-    nef = nef_partition.solve_dual_partition(spec, tr)
+def _cmd_nef(pair, args, out):
+    tr, cm, forms = pair.tr, pair.cm, pair.forms
+    nef = nef_partition.solve_dual_partition(pair.spec, tr, pair.weights, pair.tweights)
     magic = nef_partition.magic_square_check(cm, forms)
     data = {"nef": nef.to_json(), "magic_square": magic.to_json()}
     if args.format == "json":
@@ -216,8 +203,8 @@ def _render_verify_text(report, out) -> None:
         out.write("verdict: PASS\n")
 
 
-def _cmd_verify(spec, args, out):
-    report = pipeline.run_verify(spec, order=args.order)
+def _cmd_verify(pair, args, out):
+    report = pipeline.run_verify(pair.spec, order=args.order)
     if args.format == "json":
         _dump(report.to_json(), "json", out)
     else:
@@ -252,7 +239,7 @@ def main(argv=None) -> int:
     if not args.input:
         parser.error(f"{args.command} requires --input")
     try:
-        spec = _load_spec(args.input)
+        spec = CISpec.load(args.input)
     except (OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"cannot read specification: {exc}\n")
         return pipeline.EXIT_INVALID
@@ -269,7 +256,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(spec, args, sys.stdout)
+        return handler(pipeline.MirrorPair(spec), args, sys.stdout)
     except transposition.InternalInvariantError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ci_model import ChargeMatrix, charges, CISpec, WeightSystem
+from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta, LinearForm
 from .poincare import CyclotomicRatio
 from .rational_linalg import rat_str
-from .transposition import TransposeResult
 
 EXPANSION_DEGREE_CAP = 64
 
@@ -274,22 +273,21 @@ class SymmetryReport:
         }
 
 
-def symmetry_report(spec: CISpec, tr: TransposeResult,
-                    weights: WeightSystem, tweights: WeightSystem) -> SymmetryReport:
+def symmetry_report(weights: WeightSystem, qm: ChargeMatrix,
+                    tweights: WeightSystem, tqm: ChargeMatrix) -> SymmetryReport:
     """Cyclic group orders: column LCMs of the charge matrices on both sides.
 
-    Also reports, per grading, whether every weight divides the matching
-    cyclic order; this holds in the cleanest examples but not universally,
-    so it is informational.
+    qm and tqm are the charge matrices of weights and tweights.  Also
+    reports, per grading, whether every weight divides the matching cyclic
+    order; this holds in the cleanest examples but not universally, so it
+    is informational.
     """
-    qm = charges(spec, weights)
-    tqm = charges(tr.tspec, tweights)
     divis = {}
-    for q in range(1, spec.k + 1):
+    for q in range(1, qm.k + 1):
         bar = qm.column_lcm(q)
         divis[f"weights_divide_order_{q}"] = all(
             bar % g == 0 for g in weights.support_values(q))
-    for q in range(1, tr.tspec.k + 1):
+    for q in range(1, tqm.k + 1):
         bar = tqm.column_lcm(q)
         divis[f"transposed_weights_divide_order_{q}"] = all(
             bar % g == 0 for g in tweights.support_values(q))

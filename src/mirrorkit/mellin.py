@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ci_model import CayleyMatrix, charges, CISpec, derive_weights, WeightSystem
-from .rational_linalg import Matrix, invert, rat_parse, rat_str
+from .ci_model import CayleyMatrix, charges, WeightSystem
+from .rational_linalg import Matrix, rat_parse, rat_str
 from .transposition import TransposeResult
 
 
@@ -84,9 +84,6 @@ class ZForm:
         """1 - self."""
         return ZForm(tuple(-a for a in self.coeffs), 1 - self.const)
 
-    def is_zero(self) -> bool:
-        return self.const == 0 and all(c == 0 for c in self.coeffs)
-
     def sort_key(self):
         return (self.const, self.coeffs)
 
@@ -99,9 +96,7 @@ class ZForm:
         return ZForm.z(q, k).reflect()
 
     def __str__(self) -> str:
-        d = 1
-        for x in (self.const, *self.coeffs):
-            d = d * x.denominator // math.gcd(d, x.denominator)
+        d = math.lcm(*(x.denominator for x in (self.const, *self.coeffs)))
         terms = []
         c0 = self.const * d
         if c0:
@@ -162,25 +157,9 @@ class LinearForm:
         """Specialization at i = 0, zeta = 0."""
         return ZForm(self.z_coeffs, self.const)
 
-    # coefficient aliases: w pairs with the torus variables, p with the
-    # deformations, q with the hyperplane multipliers
-    @property
-    def w(self) -> tuple[Fraction, ...]:
-        return self.i_coeffs
-
-    @property
-    def p(self) -> tuple[Fraction, ...]:
-        return self.z_coeffs
-
-    @property
-    def q(self) -> tuple[Fraction, ...]:
-        return self.zeta_coeffs
-
     def denominator(self) -> int:
-        d = 1
-        for x in (*self.i_coeffs, *self.zeta_coeffs, *self.z_coeffs):
-            d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
+        return math.lcm(*(x.denominator
+                          for x in (*self.i_coeffs, *self.zeta_coeffs, *self.z_coeffs)))
 
     def numerators(self, delta: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Integer vectors (A, B, D) with respect to a given common modulus."""
@@ -250,9 +229,6 @@ class GammaProduct:
         forms = list(self.numerator) + [d.reflect() for d in self.denominator]
         return tuple(sorted(f.sort_key() for f in forms))
 
-    def reflections(self) -> int:
-        return len(self.denominator)
-
     def __str__(self) -> str:
         def side(forms):
             return "*".join(
@@ -290,21 +266,16 @@ def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve_xi(cm: CayleyMatrix) -> tuple[LinearForm, ...]:
+def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> tuple[LinearForm, ...]:
     """One form per matrix row, read off the columns of the inverse."""
-    inv = invert(cm.matrix)
     n, k = cm.spec.n, cm.spec.k
-    return tuple(LinearForm.from_inverse_column(inv.col(a), n, k)
+    return tuple(LinearForm.from_inverse_column(inverse.col(a), n, k)
                  for a in range(cm.size))
 
 
 def compute_delta(forms) -> int:
     """Smallest positive integer clearing every denominator of every form."""
-    d = 1
-    for f in forms:
-        fd = f.denominator()
-        d = d * fd // math.gcd(d, fd)
-    return d
+    return math.lcm(*(f.denominator() for f in forms))
 
 
 def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
@@ -421,16 +392,13 @@ class XiFactorization:
         }
 
 
-def factorize_xi(spec: CISpec, tr: TransposeResult, forms,
-                 tweights: WeightSystem | None = None) -> XiFactorization:
+def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactorization:
     """Group the monomial-row forms by the transposed blocks and factor them.
 
     The form of matrix row a must equal (transposed weight of its image
     variable) times a common form xi^(nu), where nu is the transposed block
     whose variable range receives the row.
     """
-    if tweights is None:
-        tweights = derive_weights(tr.tspec)
     tsp = tr.tspec
     diag = tweights.diagonal
     xi_forms = []
@@ -452,7 +420,6 @@ def factorize_xi(spec: CISpec, tr: TransposeResult, forms,
         row_groups.append(group_rows)
 
     p_tilde = None
-    k = tsp.k
     if all(sum(f.coeffs) == -f.const for f in xi_forms):
         p_tilde = Matrix.from_rows([[-c for c in f.coeffs] for f in xi_forms])
     return XiFactorization(tuple(xi_forms), tuple(factor_lists),
@@ -496,9 +463,8 @@ def _symbolic_product(xi: "XiFactorization", contraction) -> str:
     return "*".join(parts) + " / [" + "*".join(dens) + "]"
 
 
-def verify_theorem_31(spec: CISpec, tr: TransposeResult, xi: XiFactorization,
-                      forms, tweights: WeightSystem | None = None
-                      ) -> tuple[Theorem31Report, GammaProduct]:
+def verify_theorem_31(cm: CayleyMatrix, tr: TransposeResult, xi: XiFactorization,
+                      forms, tweights: WeightSystem) -> tuple[Theorem31Report, GammaProduct]:
     """Check the charge contraction identity and emit the factorized Gamma product.
 
     For each transposed block q the contraction sum_nu (charge of block q
@@ -507,8 +473,6 @@ def verify_theorem_31(spec: CISpec, tr: TransposeResult, xi: XiFactorization,
     weight entries divided by the k contraction Gammas must reduce to the
     plain product by reflection alone.
     """
-    if tweights is None:
-        tweights = derive_weights(tr.tspec)
     tsp = tr.tspec
     k = tsp.k
     tq = charges(tsp, tweights)
@@ -540,8 +504,7 @@ def verify_theorem_31(spec: CISpec, tr: TransposeResult, xi: XiFactorization,
     if cm_rows != num_rows:
         raise IdentityViolatedError(0, "factor multiset does not match the monomial forms")
 
-    from .ci_model import build_cayley
-    lemma = lemma_form(build_cayley(spec), forms)
+    lemma = lemma_form(cm, forms)
     report = Theorem31Report(
         identity_holds=True,
         block_to_z=tuple(block_to_z),

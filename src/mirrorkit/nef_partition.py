@@ -16,10 +16,11 @@ imposed; the matrix equation is the primary solve path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ci_model import CayleyMatrix, CISpec, derive_weights, WeightSystem
+from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
 from .rational_linalg import (
     Matrix,
     primitive_integer_vector,
@@ -58,20 +59,6 @@ class MinkowskiReport:
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "expected": self.expected, "ok": self.ok}
-
-
-def difference_matrix(spec: CISpec) -> Matrix:
-    """Rows v - indicator, over all blocks in order; the torus embedding exponents."""
-    rows = []
-    for blk in spec.blocks:
-        ind = blk.indicator(spec.n)
-        for v in blk.exponents:
-            rows.append(tuple(a - b for a, b in zip(v, ind)))
-    return Matrix.from_rows(rows)
-
-
-def torus_embedding(spec: CISpec) -> Matrix:
-    return difference_matrix(spec)
 
 
 def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
@@ -144,14 +131,11 @@ def _integral_representative_exists(col, weights: WeightSystem) -> bool:
     congruence c * g_i + p_i in Z over its own support; one period of the
     finest admissible step is searched exhaustively.
     """
-    import math
     for vec in weights.vectors:
         support = [(g, col[i]) for i, g in enumerate(vec) if g]
         if all(p.denominator == 1 for _, p in support):
             continue
-        step = 1
-        for g, p in support:
-            step = step * (g * p.denominator) // math.gcd(step, g * p.denominator)
+        step = math.lcm(*(g * p.denominator for g, p in support))
         found = False
         for j in range(step):
             c = Fraction(j, step)
@@ -179,17 +163,16 @@ def _section_indices(spec: CISpec, weights: WeightSystem) -> list[int]:
     return chosen
 
 
-def solve_dual_partition(spec: CISpec, tr: TransposeResult,
-                         weights: WeightSystem | None = None) -> NefPartitionData:
+def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
+                         tweights: WeightSystem) -> NefPartitionData:
     """Solve for the dual vertices and verify the nef-partition conditions.
 
     The pairing of row i of the difference matrix with dual vertex c is
     prescribed by the transposed difference matrix, transported through the
     recorded row/variable correspondences.  Solutions are taken in the
     fixed coordinate section; integrality is reported, not required.
+    weights and tweights are the derived weights of spec and of tr.tspec.
     """
-    if weights is None:
-        weights = derive_weights(spec)
     n, k = spec.n, spec.k
     notes: list[str] = []
     flags: dict[str, bool] = {}
@@ -307,8 +290,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult,
 
     diag = weights.diagonal
     flags["lemma52_G_identity"] = all(g == 1 for g in diag)
-    flags["lemma52_TG_identity"] = all(
-        g == 1 for g in derive_weights(tr.tspec).diagonal)
+    flags["lemma52_TG_identity"] = all(g == 1 for g in tweights.diagonal)
     flags["lemma52_lambda_identity"] = tr.lam.is_identity()
 
     return NefPartitionData(
@@ -316,11 +298,6 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult,
         sigma_generators=tuple(sigma), sigma_dual_generators=tuple(sigma_dual),
         j_indices=j_indices, flags=flags, notes=tuple(notes),
     )
-
-
-def cone_generators(spec: CISpec, nef: NefPartitionData
-                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    return nef.sigma_generators, nef.sigma_dual_generators
 
 
 @dataclass(frozen=True)

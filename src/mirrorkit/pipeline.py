@@ -7,14 +7,18 @@ are sufficient hypotheses, not necessary ones, so they are soft flags; the
 duality chain and supplied-weight consistency are soft as well, since a
 bad annotation should be reported, not crash the run.  Strict mode turns
 soft failures into a nonzero exit.
+
+Every stage reads one MirrorPair, which builds each derived object of a
+run once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
-from .ci_model import Block, CISpec
+from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
 from .rational_linalg import invert, Matrix
 
 EXIT_OK = 0
@@ -30,9 +34,6 @@ def generate_family(m: int) -> CISpec:
     variables 2..m+1; block two chains each of those against a fresh
     m-th power, with the product over variable 1 and the tail block.
     """
-    if m < 3:
-        # still constructed; validation decides its fate
-        pass
     n = 2 * m + 1
     b1 = Block(
         exponents=tuple(tuple(m if j == i else 0 for j in range(n)) for i in range(m + 1)),
@@ -47,6 +48,96 @@ def generate_family(m: int) -> CISpec:
     b2 = Block(exponents=tuple(b2_rows),
                index_set=tuple([1] + list(range(m + 2, 2 * m + 2))))
     return CISpec(n=n, k=2, blocks=(b1, b2))
+
+
+class MirrorPair:
+    """A spec and its transposed mirror: each derived object built once, lazily.
+
+    A property that raises is not cached, so reading it again raises again.
+    The transposed side is itself a MirrorPair (`mirror`), which holds the
+    objects of the double transpose; sharing never depends on spec equality.
+    """
+
+    def __init__(self, spec: CISpec):
+        self.spec = spec
+
+    @cached_property
+    def cm(self) -> CayleyMatrix:
+        return ci_model.build_cayley(self.spec)
+
+    @cached_property
+    def inverse(self) -> Matrix:
+        return invert(self.cm.matrix)
+
+    @cached_property
+    def forms(self) -> tuple[mellin.LinearForm, ...]:
+        return mellin.solve_xi(self.cm, self.inverse)
+
+    @cached_property
+    def weights(self) -> WeightSystem:
+        """The derived weights."""
+        return ci_model.derive_weights(self.spec)
+
+    @cached_property
+    def effective_weights(self) -> WeightSystem:
+        """Supplied weights when present (even if inconsistent), else derived."""
+        supplied = ci_model.supplied_weights(self.spec)
+        return self.weights if supplied is None else supplied
+
+    @cached_property
+    def charges(self) -> ChargeMatrix:
+        """Charges of the effective weights."""
+        return ci_model.charges(self.spec, self.effective_weights)
+
+    @cached_property
+    def _shape(self) -> transposition.TransposeResult:
+        return transposition.build_transpose(self.cm)
+
+    @cached_property
+    def mirror(self) -> MirrorPair:
+        return MirrorPair(self._shape.tspec)
+
+    @cached_property
+    def tr(self) -> transposition.TransposeResult:
+        return transposition.complete_transpose(self.cm, self._shape, self.mirror.cm,
+                                                self.weights, self.mirror.weights)
+
+    @cached_property
+    def tweights(self) -> WeightSystem:
+        """The derived weights of the transposed spec.
+
+        They are handed out only once the transposition is checked, so a
+        reader meets the transposition's errors first.
+        """
+        self.tr
+        return self.mirror.weights
+
+    @cached_property
+    def tcharges(self) -> ChargeMatrix:
+        return ci_model.charges(self.tr.tspec, self.tweights)
+
+    @cached_property
+    def tr2(self) -> transposition.TransposeResult:
+        return self.mirror.tr
+
+    @cached_property
+    def sigma(self) -> tuple[int, ...]:
+        return transposition.double_transpose_relabel(self.spec, self.tr, self.tr2)
+
+    @cached_property
+    def recovered(self) -> CISpec:
+        """The double transpose relabelled onto the original variables."""
+        return transposition.apply_variable_permutation(self.tr2.tspec, self.sigma)
+
+    @property
+    def involutive(self) -> bool:
+        return transposition.canonical_key(self.recovered) == \
+            transposition.canonical_key(self.spec)
+
+    @cached_property
+    def recovered_data(self) -> tuple[WeightSystem, ChargeMatrix] | None:
+        return poincare.recovered_original_data(self.spec, self.recovered, self.sigma,
+                                                self.mirror.tweights)
 
 
 @dataclass
@@ -104,9 +195,10 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         if not report.checks.get(name, True):
             soft.append(f"validate: {name}")
 
+    pair = MirrorPair(spec)
     try:
-        cm = ci_model.build_cayley(spec)
-        inv_ok = (cm.matrix @ invert(cm.matrix)) == Matrix.identity(cm.size)
+        cm = pair.cm
+        inv_ok = (cm.matrix @ pair.inverse) == Matrix.identity(cm.size)
         stages.append(Stage("cayley", inv_ok, payload=cm.to_json()))
         hard_ok &= inv_ok
     except Exception as exc:  # construction must not fail on a valid spec
@@ -114,20 +206,20 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     tr = None
     try:
-        tr = transposition.transpose_spec(spec)
+        tr = pair.tr
         stages.append(Stage("transpose", True, flags=dict(tr.condition_flags),
                             notes=list(tr.notes), payload=tr.to_json()))
         for name, value in tr.condition_flags.items():
             if not value:
                 soft.append(f"transpose: {name}")
-        if not transposition.check_involution(spec):
+        if not pair.involutive:
             soft.append("transpose: double transposition does not return home")
     except transposition.TranspositionError as exc:
         stages.append(Stage("transpose", True, flags={"transposable": False},
                             notes=[str(exc)]))
         soft.append(f"transpose: {exc}")
 
-    forms = mellin.solve_xi(cm)
+    forms = pair.forms
     delta = mellin.compute_delta(forms)
     sums = mellin.check_sum_rules(forms)
     try:
@@ -160,9 +252,8 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
     theorem_product = None
     if tr is not None:
         try:
-            tweights = ci_model.derive_weights(tr.tspec)
-            xi = mellin.factorize_xi(spec, tr, forms, tweights)
-            t31, theorem_product = mellin.verify_theorem_31(spec, tr, xi, forms, tweights)
+            xi = mellin.factorize_xi(tr, forms, pair.tweights)
+            t31, theorem_product = mellin.verify_theorem_31(cm, tr, xi, forms, pair.tweights)
             flags = {"factorizable": True, **t31.to_json()}
             flags.pop("block_to_z")
             flags.pop("symbolic")
@@ -194,16 +285,15 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         hard_ok = False
 
     if tr is not None:
-        tweights = ci_model.derive_weights(tr.tspec)
-        tcharges = ci_model.charges(tr.tspec, tweights)
-        pairs = [horn_system.char_polys(tweights, tcharges, q)
+        pairs = [horn_system.char_polys(pair.tweights, pair.tcharges, q)
                  for q in range(1, spec.k + 1)]
         chi_ok = all(len(p.at_zero) == len(p.at_infinity) for p in pairs)
         stages.append(Stage("char-polys", chi_ok,
                             payload={"pairs": [p.to_json() for p in pairs]}))
         hard_ok &= chi_ok
 
-        duality = poincare.verify_duality(spec, tr)
+        duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                                          pair.charges, pair.recovered_data)
         stages.append(Stage("duality", True, flags=dict(duality.identities),
                             notes=list(duality.notes),
                             payload=duality.to_json()))
@@ -211,15 +301,12 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
             if not value:
                 soft.append(f"duality: {name}")
 
-        weights = report.weights
-        series = poincare.series_coefficients_1d(
-            poincare.poincare_structure(weights, ci_model.charges(spec, weights)),
-            order) if spec.k == 1 else None
-        if series is not None:
-            stages[-1].payload["structure_series"] = series
+        if spec.k == 1:
+            stages[-1].payload["structure_series"] = poincare.series_coefficients_1d(
+                poincare.poincare_structure(pair.effective_weights, pair.charges), order)
 
         try:
-            nef = nef_partition.solve_dual_partition(spec, tr)
+            nef = nef_partition.solve_dual_partition(spec, tr, pair.weights, pair.tweights)
             stages.append(Stage("nef", True, flags=dict(nef.flags),
                                 notes=list(nef.notes), payload=nef.to_json()))
             for name in ("phi_kronecker", "cone_pairings_nonnegative", "minkowski_dim"):

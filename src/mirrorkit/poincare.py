@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ci_model import ChargeMatrix, charges, CISpec, derive_weights, weights_of, WeightSystem
-from .transposition import transpose_spec, TransposeResult, double_transpose_relabel
+from .ci_model import ChargeMatrix, charges, CISpec, WeightSystem
 
 
 Poly = dict[tuple[int, ...], int]  # exponent vector -> integer coefficient
@@ -193,20 +192,18 @@ class DualityReport:
         return {"identities": dict(self.identities), "notes": list(self.notes), "ok": self.ok}
 
 
-def _recovered_original_data(spec: CISpec, tr: TransposeResult
-                             ) -> tuple[WeightSystem, ChargeMatrix] | None:
+def recovered_original_data(spec: CISpec, recovered: CISpec, sigma: tuple[int, ...],
+                            rec_weights: WeightSystem
+                            ) -> tuple[WeightSystem, ChargeMatrix] | None:
     """Weight data of the double transpose, aligned to the original block order.
 
     Deriving weights from the twice-transposed spec and matching its blocks
     back to the original ones gives an independent reconstruction of the
     original grading data; disagreement with the annotated weights is
-    exactly what the duality check should expose.
+    exactly what the duality check should expose.  recovered is the double
+    transpose relabelled by sigma, and rec_weights are the derived weights
+    of the double transpose before relabelling.
     """
-    from .transposition import _apply_variable_permutation
-    tr2 = transpose_spec(tr.tspec)
-    sigma = double_transpose_relabel(spec, tr, tr2)
-    recovered = _apply_variable_permutation(tr2.tspec, sigma)
-
     match: list[int] = []  # original block j -> recovered block index
     used = set()
     for blk in spec.blocks:
@@ -223,7 +220,6 @@ def _recovered_original_data(spec: CISpec, tr: TransposeResult
         used.add(found)
         match.append(found)
 
-    rec_weights = derive_weights(tr2.tspec)
     # weight vector of recovered block m, expressed over original variables
     vecs = []
     for m in match:
@@ -232,37 +228,33 @@ def _recovered_original_data(spec: CISpec, tr: TransposeResult
         for p, g in enumerate(raw, start=1):
             full[sigma[p - 1] - 1] = g
         vecs.append(tuple(full))
-    qm_rows = []
-    for blk in spec.blocks:
-        v = blk.exponents[0]
-        qm_rows.append(tuple(sum(a * g for a, g in zip(v, vec)) for vec in vecs))
-    return (WeightSystem(tuple(vecs)), ChargeMatrix(tuple(qm_rows)))
+    weights = WeightSystem(tuple(vecs))
+    return weights, charges(spec, weights)
 
 
-def verify_duality(spec: CISpec, tr: TransposeResult) -> DualityReport:
+def verify_duality(tw: WeightSystem, tq: ChargeMatrix, xw: WeightSystem, xq: ChargeMatrix,
+                   recovered: tuple[WeightSystem, ChargeMatrix] | None) -> DualityReport:
     """Check the monodromy / Euler-characteristic / structural-series equalities.
 
     Four named identities: the ratio built from the transposed data must
     equal the mirror partner's Euler and structural series, and the ratio
-    rebuilt from the double transpose must equal the original ones.
+    rebuilt from the double transpose must equal the original ones.  tw, tq
+    are the derived weights of the transposed spec and their charges, xw,
+    xq the spec's weights as annotated and their charges, and recovered is
+    what recovered_original_data gives.
     """
     from .horn_system import m_function
     identities: dict[str, bool] = {}
     notes: list[str] = []
 
-    tw = derive_weights(tr.tspec)
-    tq = charges(tr.tspec, tw)
     m_x = m_function(tw, tq)
     p_a_y = poincare_structure(tw, tq)
     po_y = poincare_euler(tw, tq)
     identities["M_X = PO_Ybar"] = ratio_equal(m_x, po_y)
     identities["PO_Ybar = P_A_Y"] = ratio_equal(po_y, p_a_y)
 
-    xw = weights_of(spec)
-    xq = charges(spec, xw)
     p_a_x = poincare_structure(xw, xq)
     po_x = poincare_euler(xw, xq)
-    recovered = _recovered_original_data(spec, tr)
     if recovered is None:
         identities["M_Y = PO_Xbar"] = False
         identities["PO_Xbar = P_A_X"] = False

@@ -48,8 +48,6 @@ def rat_str(x: Fraction) -> str:
 
 
 def rat_parse(s: str | int) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
     return Fraction(s)
 
 
@@ -256,11 +254,7 @@ def rank(m: Matrix) -> int:
 
 def lcm_of_denominators(m: Matrix) -> int:
     """Smallest positive integer d with d*m integer-valued (1 for the empty matrix)."""
-    d = 1
-    for row in m.entries:
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    return d
+    return math.lcm(*(x.denominator for row in m.entries for x in row))
 
 
 def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -300,9 +294,7 @@ def solve_general(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, .
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping the sign pattern."""
-    d = 1
-    for x in v:
-        d = d * x.denominator // math.gcd(d, x.denominator)
+    d = math.lcm(*(x.denominator for x in v))
     ints = [int(x * d) for x in v]
     g = 0
     for x in ints:

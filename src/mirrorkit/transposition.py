@@ -26,14 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ci_model import (
-    Block,
-    CayleyMatrix,
-    CISpec,
-    build_cayley,
-    derive_weights,
-    SpecError,
-)
+from .ci_model import Block, CayleyMatrix, CISpec, SpecError, WeightSystem
 from .rational_linalg import (
     Matrix,
     PermutationMap,
@@ -75,12 +68,6 @@ class TransposeResult:
     t_rho: PermutationMap | None
     condition_flags: dict[str, bool]
     notes: tuple[str, ...]
-
-    def var_of_row(self, row: int) -> int:
-        for r, v in self.row_to_var:
-            if r == row:
-                return v
-        raise KeyError(row)
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +154,17 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
 
 def transpose_spec(spec: CISpec) -> TransposeResult:
     """Build the transposed specification with all permutation bookkeeping."""
-    cm = build_cayley(spec)
+    from .pipeline import MirrorPair
+    return MirrorPair(spec).tr
+
+
+def build_transpose(cm: CayleyMatrix) -> TransposeResult:
+    """The transposed specification and its permutation bookkeeping, unchecked.
+
+    Only the shape flags are set; `complete_transpose` adds the identities
+    that need the transposed side's Cayley matrix and weights.
+    """
+    spec = cm.spec
     L = cm.matrix
     n, k = spec.n, spec.k
     taus = spec.taus
@@ -253,29 +250,49 @@ def transpose_spec(spec: CISpec) -> TransposeResult:
     tspec = CISpec(n=n, k=k, blocks=tuple(tblocks), weights=tuple(weights))
 
     row_to_var = tuple(sorted((row, var_map[raw_index[row]]) for row in raw_vars))
-    _verify_permuted_transpose(cm, tspec, lam, row_to_var, block_sources)
-    flags["row_multiset_identity"] = True
-
-    flags["lambda_matrix_identity"] = _lambda_matrix_identity(spec, cm, lam)
-    flags["lambda_v_identity"] = _lambda_v_identity(spec, lam, row_to_var)
-
-    nu_star = nu.matrix()
-
-    result = TransposeResult(
-        tspec=tspec, nu=nu, nu_star=nu_star, lam=PermutationMap(tuple(lam)),
+    return TransposeResult(
+        tspec=tspec, nu=nu, nu_star=nu.matrix(), lam=PermutationMap(tuple(lam)),
         row_to_var=row_to_var, block_sources=block_sources,
         rho=None, t_rho=None, condition_flags=flags, notes=tuple(notes),
     )
-    return _attach_symmetry(spec, result)
 
 
-def _verify_permuted_transpose(cm: CayleyMatrix, tspec: CISpec, lam: list[int],
+def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
+                       weights: WeightSystem, tweights: WeightSystem) -> TransposeResult:
+    """Check the construction identities of `build_transpose` and attach rho / t_rho.
+
+    tcm is the Cayley matrix of tr.tspec; weights and tweights are the
+    derived weights of the spec and of tr.tspec.
+    """
+    spec = cm.spec
+    _verify_permuted_transpose(cm, tcm, tr.row_to_var, tr.block_sources)
+    flags = dict(tr.condition_flags)
+    flags["row_multiset_identity"] = True
+    flags["lambda_matrix_identity"] = _lambda_matrix_identity(spec, cm, tr.lam.images)
+    flags["lambda_v_identity"] = _lambda_v_identity(spec, tr.lam.images, tr.row_to_var)
+    notes = list(tr.notes)
+    rho = t_rho = None
+    try:
+        report = check_symmetry_conditions(spec, tr, weights, tweights)
+        rho = report["rho"]
+        t_rho = report["t_rho"]
+        flags["rho_symmetric_3_11"] = report["rho_symmetric_3_11"]
+        flags["t_rho_symmetric_3_11T"] = report["t_rho_symmetric_3_11T"]
+        if report["rho_block_pairing"] != tuple(range(1, spec.k + 1)):
+            notes.append("rho pairs index sets with permuted block ranges")
+    except NoRhoError as exc:
+        flags["rho_symmetric_3_11"] = False
+        flags["t_rho_symmetric_3_11T"] = False
+        notes.append(str(exc))
+    return replace(tr, rho=rho, t_rho=t_rho, condition_flags=flags, notes=tuple(notes))
+
+
+def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
                                row_to_var: tuple[tuple[int, int], ...],
                                block_sources: tuple[int, ...]) -> None:
     """Entrywise check: the new Cayley matrix is a row/column permuted transpose."""
     spec = cm.spec
     n, k = spec.n, spec.k
-    tcm = build_cayley(tspec)
     var_to_row = {v: r for r, v in row_to_var}
 
     # new row index -> old column index (in matrix coordinates)
@@ -304,7 +321,7 @@ def _verify_permuted_transpose(cm: CayleyMatrix, tspec: CISpec, lam: list[int],
                     f"transpose mismatch at new entry ({r + 1},{c + 1})")
 
 
-def _lambda_matrix_identity(spec: CISpec, cm: CayleyMatrix, lam: list[int]) -> bool:
+def _lambda_matrix_identity(spec: CISpec, cm: CayleyMatrix, lam: tuple[int, ...]) -> bool:
     """lambda row-selects t(L_monomial) into the transposed monomial matrix."""
     raw_vars = list(cm.i_lambda)
     l_lambda = [[cm.matrix[row - 1, c] for c in range(spec.n)] for row in raw_vars]
@@ -336,7 +353,7 @@ def _lambda_v_identity(spec, lam, row_to_var) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_key(spec: CISpec):
+def canonical_key(spec: CISpec):
     return sorted((tuple(sorted(b.exponents)), tuple(b.index_set)) for b in spec.blocks)
 
 
@@ -354,7 +371,7 @@ def double_transpose_relabel(spec: CISpec, tr: TransposeResult,
     return tuple(sigma)
 
 
-def _apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
+def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
     """Relabel variable p as sigma[p-1] (weights dropped; order-preserving)."""
     def remap(vec):
         out = [0] * spec.n
@@ -369,14 +386,12 @@ def _apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
 
 def check_involution(spec: CISpec) -> bool:
     """True when transposing twice returns the spec up to recorded permutations."""
-    tr = transpose_spec(spec)
-    tr2 = transpose_spec(tr.tspec)
-    sigma = double_transpose_relabel(spec, tr, tr2)
-    recovered = _apply_variable_permutation(tr2.tspec, sigma)
-    return _canonical_key(recovered) == _canonical_key(spec)
+    from .pipeline import MirrorPair
+    return MirrorPair(spec).involutive
 
 
-def _find_rho(spec: CISpec, weights) -> tuple[PermutationMap, tuple[int, ...], bool] | None:
+def _find_rho(spec: CISpec, weights: WeightSystem
+              ) -> tuple[PermutationMap, tuple[int, ...], bool] | None:
     """Search an involution rho mapping each index set onto a block's variable range.
 
     Returns (rho images, pi block pairing, symmetric) or None.  Tries the
@@ -444,22 +459,27 @@ def _involution_matching(n: int, allowed: dict[int, set[int]]) -> tuple[int, ...
     return None
 
 
-def find_rho(spec: CISpec) -> tuple[PermutationMap, tuple[int, ...], bool]:
+def find_rho(spec: CISpec, weights: WeightSystem
+             ) -> tuple[PermutationMap, tuple[int, ...], bool]:
     """Public wrapper: the permutation relating index sets to weight supports.
 
     Raises NoRhoError when no block pairing has compatible sizes or no
     weight-preserving involution exists for any of them.
     """
-    found = _find_rho(spec, derive_weights(spec))
+    found = _find_rho(spec, weights)
     if found is None:
         raise NoRhoError("no permutation maps index sets onto weight supports")
     return found
 
 
-def check_symmetry_conditions(spec: CISpec, tr: TransposeResult) -> dict:
-    """Find rho / t_rho and report whether the weighted permutations are symmetric."""
-    rho, pi, sym = find_rho(spec)
-    t_found = _find_rho(tr.tspec, derive_weights(tr.tspec))
+def check_symmetry_conditions(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
+                              tweights: WeightSystem) -> dict:
+    """Find rho / t_rho and report whether the weighted permutations are symmetric.
+
+    weights and tweights are the derived weights of spec and of tr.tspec.
+    """
+    rho, pi, sym = find_rho(spec, weights)
+    t_found = _find_rho(tr.tspec, tweights)
     report = {
         "rho": rho,
         "rho_block_pairing": pi,
@@ -469,23 +489,3 @@ def check_symmetry_conditions(spec: CISpec, tr: TransposeResult) -> dict:
         "t_rho_symmetric_3_11T": t_found[2] if t_found else False,
     }
     return report
-
-
-def _attach_symmetry(spec: CISpec, tr: TransposeResult) -> TransposeResult:
-    flags = dict(tr.condition_flags)
-    notes = list(tr.notes)
-    rho = t_rho = None
-    try:
-        report = check_symmetry_conditions(spec, tr)
-        rho = report["rho"]
-        t_rho = report["t_rho"]
-        flags["rho_symmetric_3_11"] = report["rho_symmetric_3_11"]
-        flags["t_rho_symmetric_3_11T"] = report["t_rho_symmetric_3_11T"]
-        if report["rho_block_pairing"] != tuple(range(1, spec.k + 1)):
-            notes.append("rho pairs index sets with permuted block ranges")
-    except NoRhoError as exc:
-        flags["rho_symmetric_3_11"] = False
-        flags["t_rho_symmetric_3_11T"] = False
-        notes.append(str(exc))
-    return replace(tr, rho=rho, t_rho=t_rho,
-                   condition_flags=flags, notes=tuple(notes))

@@ -21,7 +21,7 @@ from mirrorkit.mellin import (
 )
 from mirrorkit.nef_partition import magic_square_check, minkowski_dim, build_deltas, \
     solve_dual_partition, support_phi
-from mirrorkit.pipeline import generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import poincare_structure, series_coefficients_1d, verify_duality
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import (
@@ -58,10 +58,11 @@ def test_criterion_1_golden_matrices(spec_6_1, spec_6_2):
 
 def _theorem_products(spec):
     cm = build_cayley(spec)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     tr = transpose_spec(spec)
-    xi = factorize_xi(spec, tr, forms)
-    rep, product = verify_theorem_31(spec, tr, xi, forms)
+    tweights = derive_weights(tr.tspec)
+    xi = factorize_xi(tr, forms, tweights)
+    rep, product = verify_theorem_31(cm, tr, xi, forms, tweights)
     lemma = lemma_form(cm, forms)
     return rep, product, lemma, tr
 
@@ -107,10 +108,14 @@ def test_criterion_3_duality(spec_6_1, spec_6_2, quadric, corrupted):
              generate_family(3), generate_family(4), generate_family(5)]
     for spec in cases:
         t0 = time.monotonic()
-        rep = verify_duality(spec, transpose_spec(spec))
+        pair = MirrorPair(spec)
+        rep = verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                              pair.charges, pair.recovered_data)
         assert rep.ok, rep
         assert time.monotonic() - t0 < 1.0
-    bad = verify_duality(corrupted, transpose_spec(corrupted))
+    pair = MirrorPair(corrupted)
+    bad = verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                          pair.charges, pair.recovered_data)
     assert not bad.ok
     assert not bad.identities["M_Y = PO_Xbar"]  # the violated identity, named
     report("criterion 3: duality on 6.2, 6.1, quadric, family m=3,4,5 + negative control")
@@ -124,7 +129,7 @@ def test_criterion_4_property_suite():
         cm = build_cayley(spec)
         inv = invert(cm.matrix)
         assert cm.matrix @ inv == Matrix.identity(cm.size)
-        forms = solve_xi(cm)
+        forms = solve_xi(cm, inv)
         assert check_sum_rules(forms).ok
         for nu in range(1, spec.k + 1):
             a = spec.a(nu)
@@ -156,7 +161,7 @@ def test_criterion_6_nef_partition(spec_6_1, quadric):
     """Dual partition solves with nonnegative cone pairings and Kronecker phi."""
     for spec in (quadric, spec_6_1):
         tr = transpose_spec(spec)
-        nef = solve_dual_partition(spec, tr)
+        nef = solve_dual_partition(spec, tr, derive_weights(spec), derive_weights(tr.tspec))
         assert nef.flags["minkowski_dim"]
         assert nef.flags["cone_pairings_nonnegative"]
         assert nef.flags["phi_kronecker"]
@@ -167,7 +172,8 @@ def test_criterion_6_nef_partition(spec_6_1, quadric):
         deltas = build_deltas(spec, derive_weights(spec))
         assert minkowski_dim(deltas, expected=spec.n - spec.k).ok
     # quadric oracle, solved by hand in one dimension
-    nef_q = solve_dual_partition(quadric, transpose_spec(quadric))
+    tr = transpose_spec(quadric)
+    nef_q = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
     assert nef_q.duals == (((F(1), F(0)), (F(-1), F(0))),)
     report("criterion 6: nef partitions on the quadric and 6.1")
 
@@ -175,7 +181,7 @@ def test_criterion_6_nef_partition(spec_6_1, quadric):
 def test_criterion_7_magic_square(spec_6_1):
     """The coefficient-matching bijection exists on the cubic example."""
     cm = build_cayley(spec_6_1)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     rep = magic_square_check(cm, forms)
     assert rep.found
     assert sorted(rep.assignments.values()) == [1, 2]

@@ -13,8 +13,8 @@ from mirrorkit.ci_model import (
     derive_weights,
     supplied_weights,
     validate,
-    weights_of,
 )
+from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
 
 from paper_data import L_8, L_8_INV, L_13, L_13_INV
@@ -78,7 +78,7 @@ def test_supplied_weights_shape_errors(spec_6_2):
 
 
 def test_weights_of_prefers_supplied(corrupted):
-    assert weights_of(corrupted).vectors == ((3, 2, 2, 7, 8),)
+    assert MirrorPair(corrupted).effective_weights.vectors == ((3, 2, 2, 7, 8),)
 
 
 def test_charges_6_2(spec_6_2):

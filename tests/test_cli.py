@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from mirrorkit import cli
+
 PKG_ROOT = Path(__file__).parent.parent
+# Every --input command in both formats on every fixture, pinned by the
+# SHA-256 of stdout and the exit code (the outputs total about 600 KB, too
+# much to keep as text goldens).
+CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
 def run_cli(*args):
@@ -133,3 +142,18 @@ def test_single_stage_precondition_failure_exit_two(tmp_path):
     # the full chain degrades gracefully instead
     result = run_cli("verify", "--input", str(spec))
     assert result.returncode == 0
+
+
+def cli_case_digest(command: str, fmt: str, name: str) -> dict:
+    """SHA-256 of what `mirrorkit <command> --format <fmt>` prints for a fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--input", fixture(f"{name}.json"), "--format", fmt])
+    return {"sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+            "exit_code": code}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_output_digest(case):
+    command, fmt, name = case.split()
+    assert cli_case_digest(command, fmt, name) == CLI_DIGESTS[case]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorkit.ci_model import ChargeMatrix, WeightSystem, build_cayley, charges, derive_weights
+from mirrorkit.ci_model import ChargeMatrix, WeightSystem, charges, derive_weights
 from mirrorkit.horn_system import (
     DegenerateOperatorError,
     char_polys,
@@ -12,7 +12,8 @@ from mirrorkit.horn_system import (
     restricted_operator,
     symmetry_report,
 )
-from mirrorkit.mellin import compute_delta, solve_xi
+from mirrorkit.mellin import compute_delta
+from mirrorkit.pipeline import MirrorPair
 from mirrorkit.poincare import CyclotomicRatio, poincare_euler, ratio_equal
 from mirrorkit.rational_linalg import Matrix
 from mirrorkit.transposition import transpose_spec
@@ -21,7 +22,7 @@ from paper_data import L_8_INV
 
 
 def test_index_partition_quadric(quadric):
-    forms = solve_xi(build_cayley(quadric))
+    forms = MirrorPair(quadric).forms
     assert index_partition(forms, 1) == ((3, 4), (1, 2, 5), ())
 
 
@@ -31,19 +32,19 @@ def test_index_partition_6_2_against_printed_signs(spec_6_2):
     signs = [inv[7, a] for a in range(8)]
     plus = tuple(a + 1 for a, s in enumerate(signs) if s > 0)
     minus = tuple(a + 1 for a, s in enumerate(signs) if s < 0)
-    forms = solve_xi(build_cayley(spec_6_2))
+    forms = MirrorPair(spec_6_2).forms
     assert index_partition(forms, 1) == (plus, minus, ())
 
 
 def test_index_partition_zero_class(spec_6_1):
-    forms = solve_xi(build_cayley(spec_6_1))
+    forms = MirrorPair(spec_6_1).forms
     plus, minus, zero = index_partition(forms, 1)
     assert 1 in zero  # the first cube never sees the first deformation
 
 
 def test_horn_degrees_match(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric):
-        forms = solve_xi(build_cayley(spec))
+        forms = MirrorPair(spec).forms
         delta = compute_delta(forms)
         for op in horn_operators(spec, forms):
             degp, degq = op.degrees
@@ -56,7 +57,7 @@ def test_horn_degrees_match(spec_6_1, spec_6_2, quadric):
 
 
 def test_horn_factor_shape(quadric):
-    forms = solve_xi(build_cayley(quadric))
+    forms = MirrorPair(quadric).forms
     op = horn_operators(quadric, forms)[0]
     # positive side: the two coefficient-one rows, Delta = 4 factors each
     assert op.degrees == (8, 8)
@@ -173,13 +174,14 @@ def test_symmetry_report(spec_6_1, spec_6_2, quadric):
         (spec_6_1, (3, 3), (3, 3)),
     ):
         tr = transpose_spec(spec)
-        rep = symmetry_report(spec, tr, derive_weights(spec), derive_weights(tr.tspec))
+        w, tw = derive_weights(spec), derive_weights(tr.tspec)
+        rep = symmetry_report(w, charges(spec, w), tw, charges(tr.tspec, tw))
         assert rep.q_bars == orders
         assert rep.t_q_bars == torders
 
 
 def test_operator_expansion_quadric(quadric):
-    forms = solve_xi(build_cayley(quadric))
+    forms = MirrorPair(quadric).forms
     op = horn_operators(quadric, forms)[0]
     poly = op.expand("p")
     # leading coefficient is the product of the eight theta coefficients

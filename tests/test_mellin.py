@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorkit.ci_model import build_cayley
+from mirrorkit.ci_model import build_cayley, derive_weights
 from mirrorkit.mellin import (
     GammaProduct,
     LinearForm,
@@ -18,6 +18,7 @@ from mirrorkit.mellin import (
     solve_xi,
     verify_theorem_31,
 )
+from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import transpose_spec
 
@@ -32,13 +33,13 @@ def zf(consts, *coeffs):
 
 def test_solve_xi_quadric(quadric):
     # hand solution of the five scalar equations
-    forms = solve_xi(build_cayley(quadric))
+    forms = MirrorPair(quadric).forms
     assert [f.xi() for f in forms] == [
         zf(F(1, 2), F(-1, 2)), zf(F(1, 2), F(-1, 2)), zf(0, 1), zf(0, 1), zf(1, -1)]
 
 
 def test_solve_xi_6_1_printed_forms(spec_6_1):
-    forms = solve_xi(build_cayley(spec_6_1))
+    forms = MirrorPair(spec_6_1).forms
     # the printed xi^(1) variant with the shifted constant matches (1.6):
     # -(z1-1)/3 + (z2-1)/9, not -(z1-1)/3 + z2/9
     xi1 = zf(F(2, 9), F(-1, 3), F(1, 9))
@@ -50,7 +51,7 @@ def test_solve_xi_6_1_printed_forms(spec_6_1):
 
 def test_forms_match_printed_inverse(spec_6_1, spec_6_2):
     for spec, printed in ((spec_6_1, L_13_INV), (spec_6_2, L_8_INV)):
-        forms = solve_xi(build_cayley(spec))
+        forms = MirrorPair(spec).forms
         inv = Matrix.from_json(printed)
         n, k = spec.n, spec.k
         for a, form in enumerate(forms, start=1):
@@ -64,7 +65,7 @@ def test_sum_at_base_point(spec_6_1, spec_6_2, quadric):
     # forced by the global relation: at i=0, zeta=0 the forms sum to 2k with
     # all z-dependence cancelling
     for spec in (spec_6_1, spec_6_2, quadric):
-        forms = solve_xi(build_cayley(spec))
+        forms = MirrorPair(spec).forms
         total = forms[0].xi()
         for f in forms[1:]:
             total = total + f.xi()
@@ -75,7 +76,7 @@ def test_resubstitution_identity(spec_6_1, spec_6_2, quadric):
     # t(L) . Xi(z) reproduces (1,...,1, z_1,...,z_k) identically in z
     for spec in (spec_6_1, spec_6_2, quadric):
         cm = build_cayley(spec)
-        forms = solve_xi(cm)
+        forms = solve_xi(cm, invert(cm.matrix))
         n, k = spec.n, spec.k
         for c in range(cm.size):
             total = ZForm(tuple(F(0) for _ in range(k)), F(0))
@@ -99,11 +100,11 @@ def test_compute_delta(spec_6_1, spec_6_2, quadric):
             for x in row:
                 d = d * x.denominator // math.gcd(d, x.denominator)
         assert d == expected
-        assert compute_delta(solve_xi(cm)) == expected
+        assert compute_delta(solve_xi(cm, invert(cm.matrix))) == expected
 
 
 def test_reduced_numerators(spec_6_2):
-    forms = solve_xi(build_cayley(spec_6_2))
+    forms = MirrorPair(spec_6_2).forms
     for form in forms:
         a, b, dd, denom = form.reduced_numerators()
         import math
@@ -121,12 +122,12 @@ def test_classify_forms(spec_6_1, spec_6_2, quadric):
         (spec_6_1, ("c",) * 4 + ("a", "c", "b") + ("c",) * 3 + ("a", "c", "b")),
     ):
         cm = build_cayley(spec)
-        assert classify_forms(cm, solve_xi(cm)) == expected
+        assert classify_forms(cm, solve_xi(cm, invert(cm.matrix))) == expected
 
 
 def test_s_row_forms_are_pure(spec_6_1):
     # the s-row columns of the printed inverse are unit vectors at the z slots
-    forms = solve_xi(build_cayley(spec_6_1))
+    forms = MirrorPair(spec_6_1).forms
     assert forms[4].xi() == zf(0, 1, 0)   # a^1 - 2 = 5
     assert forms[10].xi() == zf(0, 0, 1)  # a^2 - 2 = 11
 
@@ -140,12 +141,12 @@ def test_check_sum_rules_against_printed_inverse(spec_6_1, spec_6_2):
             assert sum(inv[j, a] for a in range(inv.cols)) == 0
         for q in range(k):
             assert sum(inv[n + 2 * k + q, a] for a in range(inv.cols)) == 0
-        report = check_sum_rules(solve_xi(build_cayley(spec)))
+        report = check_sum_rules(MirrorPair(spec).forms)
         assert report.ok
 
 
 def test_lemma_form_quadric(quadric):
-    product = lemma_form(build_cayley(quadric), solve_xi(build_cayley(quadric)))
+    product = lemma_form(build_cayley(quadric), MirrorPair(quadric).forms)
     expected = sorted([zf(0, 1), zf(F(1, 2), F(-1, 2)), zf(F(1, 2), F(-1, 2))],
                       key=ZForm.sort_key)
     assert list(product.numerator) == expected
@@ -153,7 +154,7 @@ def test_lemma_form_quadric(quadric):
 
 
 def test_lemma_form_6_2_is_the_printed_formula(spec_6_2):
-    product = lemma_form(build_cayley(spec_6_2), solve_xi(build_cayley(spec_6_2)))
+    product = lemma_form(build_cayley(spec_6_2), MirrorPair(spec_6_2).forms)
     expected = sorted(
         [zf(0, 1)] + [zf(F(1, 7), F(-1, 7))] * 3 + [zf(F(2, 7), F(-2, 7))] * 2,
         key=ZForm.sort_key)
@@ -161,7 +162,7 @@ def test_lemma_form_6_2_is_the_printed_formula(spec_6_2):
 
 
 def test_lemma_form_6_1_is_the_printed_formula(spec_6_1):
-    product = lemma_form(build_cayley(spec_6_1), solve_xi(build_cayley(spec_6_1)))
+    product = lemma_form(build_cayley(spec_6_1), MirrorPair(spec_6_1).forms)
     xi1 = zf(F(2, 9), F(-1, 3), F(1, 9))
     xi2 = zf(F(1, 3), 0, F(-1, 3))
     expected = sorted([zf(0, 1, 0), zf(0, 0, 1)] + [xi1] * 3 + [xi2] * 4,
@@ -171,16 +172,16 @@ def test_lemma_form_6_1_is_the_printed_formula(spec_6_1):
 
 def test_factorize_xi_quadric(quadric):
     tr = transpose_spec(quadric)
-    forms = solve_xi(build_cayley(quadric))
-    xi = factorize_xi(quadric, tr, forms)
+    forms = MirrorPair(quadric).forms
+    xi = factorize_xi(tr, forms, derive_weights(tr.tspec))
     assert xi.factors == ((1, 1),)
     assert xi.xi_forms == (zf(F(1, 2), F(-1, 2)),)
 
 
 def test_factorize_xi_6_2(spec_6_2):
     tr = transpose_spec(spec_6_2)
-    forms = solve_xi(build_cayley(spec_6_2))
-    xi = factorize_xi(spec_6_2, tr, forms)
+    forms = MirrorPair(spec_6_2).forms
+    xi = factorize_xi(tr, forms, derive_weights(tr.tspec))
     assert xi.factors == ((1, 1, 1, 2, 2),)
     assert xi.xi_forms == (zf(F(1, 7), F(-1, 7)),)
     assert xi.p_tilde == Matrix.from_rows([[F(1, 7)]])
@@ -191,18 +192,18 @@ def test_factorize_xi_unequal_ratios():
     from mirrorkit.ci_model import CISpec
     quadric = CISpec.load("src/mirrorkit/fixtures/derived_quadric.json")
     tr = transpose_spec(quadric)
-    forms = list(solve_xi(build_cayley(quadric)))
+    forms = list(MirrorPair(quadric).forms)
     broken = LinearForm(forms[0].i_coeffs, forms[0].zeta_coeffs,
                         (F(1, 3),), forms[0].const)
     forms[0] = broken
     with pytest.raises(NotFactorizableError):
-        factorize_xi(quadric, tr, tuple(forms))
+        factorize_xi(tr, tuple(forms), derive_weights(tr.tspec))
 
 
 def test_classify_rejects_zero_form(quadric):
     from mirrorkit.mellin import ClassificationFailureError
     cm = build_cayley(quadric)
-    forms = list(solve_xi(cm))
+    forms = list(solve_xi(cm, invert(cm.matrix)))
     k = quadric.k
     forms[0] = LinearForm((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k, F(0))
     with pytest.raises(ClassificationFailureError):
@@ -212,7 +213,7 @@ def test_classify_rejects_zero_form(quadric):
 def test_lemma_shape_violation(quadric):
     from mirrorkit.mellin import LemmaShapeViolationError
     cm = build_cayley(quadric)
-    forms = list(solve_xi(cm))
+    forms = list(solve_xi(cm, invert(cm.matrix)))
     # corrupt the s-row form so its base-point value is no longer z_1
     forms[2] = LinearForm(forms[2].i_coeffs, forms[2].zeta_coeffs,
                           (F(1, 2),), forms[2].const)
@@ -223,19 +224,19 @@ def test_lemma_shape_violation(quadric):
 def test_theorem_identity_violated(quadric):
     from mirrorkit.mellin import IdentityViolatedError, XiFactorization
     tr = transpose_spec(quadric)
-    forms = solve_xi(build_cayley(quadric))
-    good = factorize_xi(quadric, tr, forms)
+    forms = MirrorPair(quadric).forms
+    good = factorize_xi(tr, forms, derive_weights(tr.tspec))
     bad = XiFactorization((good.xi_forms[0].scale(F(1, 3)),), good.factors,
                           good.row_groups, None)
     with pytest.raises(IdentityViolatedError):
-        verify_theorem_31(quadric, tr, bad, forms)
+        verify_theorem_31(build_cayley(quadric), tr, bad, forms, derive_weights(tr.tspec))
 
 
 def test_theorem_quadric(quadric):
     tr = transpose_spec(quadric)
-    forms = solve_xi(build_cayley(quadric))
-    xi = factorize_xi(quadric, tr, forms)
-    report, product = verify_theorem_31(quadric, tr, xi, forms)
+    forms, tw = MirrorPair(quadric).forms, derive_weights(tr.tspec)
+    xi = factorize_xi(tr, forms, tw)
+    report, product = verify_theorem_31(build_cayley(quadric), tr, xi, forms, tw)
     assert report.identity_holds and report.reduces_to_lemma_form
     # Gamma(xi)^2 / Gamma(2 xi) with xi = (1-z)/2
     assert list(product.numerator) == [zf(F(1, 2), F(-1, 2))] * 2
@@ -244,9 +245,9 @@ def test_theorem_quadric(quadric):
 
 def test_theorem_6_1_denominators(spec_6_1):
     tr = transpose_spec(spec_6_1)
-    forms = solve_xi(build_cayley(spec_6_1))
-    xi = factorize_xi(spec_6_1, tr, forms)
-    report, product = verify_theorem_31(spec_6_1, tr, xi, forms)
+    forms, tw = MirrorPair(spec_6_1).forms, derive_weights(tr.tspec)
+    xi = factorize_xi(tr, forms, tw)
+    report, product = verify_theorem_31(build_cayley(spec_6_1), tr, xi, forms, tw)
     assert report.identity_holds
     assert report.matches_nu_inverse
     # 3 xi^(1) + xi^(2) = 1 - z1 and 3 xi^(2) = 1 - z2
@@ -264,14 +265,14 @@ def test_gamma_reflection_normalization():
 
 def test_gamma_product_display(spec_6_2):
     cm = build_cayley(spec_6_2)
-    product = lemma_form(cm, solve_xi(cm))
+    product = lemma_form(cm, solve_xi(cm, invert(cm.matrix)))
     assert str(product) == \
         "Gamma(z1)*Gamma((1 - z1)/7)^3*Gamma((2 - 2*z1)/7)^2"
 
 
 def test_json_roundtrips(spec_6_2):
     cm = build_cayley(spec_6_2)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     for form in forms:
         assert LinearForm.from_json(json.loads(json.dumps(form.to_json()))) == form
     product = lemma_form(cm, forms)

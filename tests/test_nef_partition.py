@@ -3,20 +3,18 @@ from itertools import permutations
 
 import pytest
 
-from mirrorkit.ci_model import Block, CISpec, build_cayley, derive_weights
+from mirrorkit.ci_model import Block, CISpec, build_cayley, derive_weights, difference_matrix
 from mirrorkit.mellin import solve_xi
 from mirrorkit.nef_partition import (
     LatticePolytope,
     UnsolvableError,
     build_deltas,
-    cone_generators,
     magic_square_check,
     minkowski_dim,
     solve_dual_partition,
     support_phi,
-    torus_embedding,
 )
-from mirrorkit.rational_linalg import Matrix
+from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import transpose_spec
 
 F = Fraction
@@ -79,7 +77,7 @@ def test_solve_dual_partition_quadric(quadric):
     # one-dimensional hand solve: the pairing of (1,-1) with m must be the
     # transposed difference row, giving m = (1,0) and (-1,0) in the section
     tr = transpose_spec(quadric)
-    nef = solve_dual_partition(quadric, tr)
+    nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
     assert nef.duals == (((F(1), F(0)), (F(-1), F(0))),)
     assert nef.flags["phi_kronecker"]
     assert nef.flags["cone_pairings_nonnegative"]
@@ -90,7 +88,7 @@ def test_solve_dual_partition_quadric(quadric):
 
 def test_solve_dual_partition_6_1(spec_6_1):
     tr = transpose_spec(spec_6_1)
-    nef = solve_dual_partition(spec_6_1, tr)
+    nef = solve_dual_partition(spec_6_1, tr, derive_weights(spec_6_1), derive_weights(tr.tspec))
     assert nef.flags["phi_kronecker"]
     assert nef.flags["cone_pairings_nonnegative"]
     assert nef.flags["minkowski_dim"]
@@ -105,14 +103,15 @@ def test_solve_dual_partition_6_1(spec_6_1):
 
 def test_solve_dual_partition_guard(spec_6_2, quadric):
     # mismatched transposition data is rejected before solving
+    tr = transpose_spec(quadric)
     with pytest.raises(UnsolvableError):
-        solve_dual_partition(spec_6_2, transpose_spec(quadric))
+        solve_dual_partition(spec_6_2, tr, derive_weights(spec_6_2), derive_weights(tr.tspec))
 
 
 def test_cone_generators_quadric(quadric):
     tr = transpose_spec(quadric)
-    nef = solve_dual_partition(quadric, tr)
-    sigma, sigma_dual = cone_generators(quadric, nef)
+    nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
+    sigma, sigma_dual = nef.sigma_generators, nef.sigma_dual_generators
     assert sigma == ((0, 0, 1), (1, -1, 1), (-1, 1, 1))
     assert sigma_dual[0] == (F(0), F(0), F(1))
     # unit pairing of the apex generators
@@ -121,27 +120,27 @@ def test_cone_generators_quadric(quadric):
 
 def test_cone_pairings_6_1(spec_6_1):
     tr = transpose_spec(spec_6_1)
-    nef = solve_dual_partition(spec_6_1, tr)
-    sigma, sigma_dual = cone_generators(spec_6_1, nef)
+    nef = solve_dual_partition(spec_6_1, tr, derive_weights(spec_6_1), derive_weights(tr.tspec))
+    sigma, sigma_dual = nef.sigma_generators, nef.sigma_dual_generators
     for v in sigma:
         for m in sigma_dual:
             assert sum(F(a) * b for a, b in zip(v, m)) >= 0
 
 
 def test_torus_embedding(quadric, spec_6_2):
-    assert torus_embedding(quadric) == Matrix.from_rows([[1, -1], [-1, 1]])
-    rows = torus_embedding(spec_6_2).entries
+    assert difference_matrix(quadric) == Matrix.from_rows([[1, -1], [-1, 1]])
+    rows = difference_matrix(spec_6_2).entries
     deltas = build_deltas(spec_6_2, derive_weights(spec_6_2))
     assert sorted(tuple(int(x) for x in r) for r in rows) == \
         sorted(deltas[0].vertices[1:])
     # identity-difference block gives zero rows
     spec = _indicator_spec()
-    assert all(not any(r) for r in torus_embedding(spec).entries)
+    assert all(not any(r) for r in difference_matrix(spec).entries)
 
 
 def test_magic_square_6_1(spec_6_1):
     cm = build_cayley(spec_6_1)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     report = magic_square_check(cm, forms)
     assert report.found
     # witness really is a bijection matching the coefficients
@@ -158,7 +157,7 @@ def test_magic_square_6_1(spec_6_1):
 
 def test_magic_square_quadric_brute_force(quadric):
     cm = build_cayley(quadric)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     report = magic_square_check(cm, forms)
     # oracle: brute force over the two candidate bijections
     p = [forms[b - 1].z_coeffs[0] for b in cm.i_lambda]
@@ -171,7 +170,7 @@ def test_magic_square_quadric_brute_force(quadric):
 
 def test_magic_square_multiset_mismatch(spec_6_2):
     cm = build_cayley(spec_6_2)
-    forms = solve_xi(cm)
+    forms = solve_xi(cm, invert(cm.matrix))
     # direct multiset comparison oracle
     p = sorted(forms[b - 1].z_coeffs[0] for b in cm.i_lambda)
     w = sorted(forms[spec_6_2.a(1) - 1].i_coeffs)
@@ -181,7 +180,7 @@ def test_magic_square_multiset_mismatch(spec_6_2):
 
 def test_nef_json(quadric):
     tr = transpose_spec(quadric)
-    nef = solve_dual_partition(quadric, tr)
+    nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
     data = nef.to_json()
     assert data["P"] == [["1", "-1"], ["0", "0"]]
     assert data["flags"]["phi_kronecker"]

@@ -1,0 +1,54 @@
+"""One run builds each object of the chain once: call counts of the builders.
+
+`from .ci_model import build_cayley` copies the binding into the importing
+module, so a builder is counted by rebinding it in every mirrorkit module.
+"""
+
+import contextlib
+import io
+import sys
+from collections import Counter
+
+import pytest
+
+from mirrorkit import ci_model, cli, rational_linalg, transposition
+from mirrorkit.pipeline import generate_family, run_verify
+
+BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
+            (rational_linalg, "invert"), (transposition, "build_transpose"))
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mirrorkit"]
+    for owner, attr in BUILDERS:
+        fn = getattr(owner, attr)
+
+        def counted(*args, _fn=fn, _name=attr, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+def test_run_verify_builds_each_object_once(calls):
+    run_verify(generate_family(5))
+    # validate builds and inverts its own Cayley matrix and derives its own
+    # weights; the run shares one of each per side (spec, mirror, double transpose)
+    assert calls["build_transpose"] == 2
+    assert calls["build_cayley"] <= 4
+    assert calls["derive_weights"] <= 4
+    assert calls["invert"] <= 2
+
+
+@pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])
+def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--input", str(fixtures_dir / "example_6_1.json")]) == 0
+    assert calls["build_cayley"] <= bound
+    assert calls["derive_weights"] <= bound

@@ -12,7 +12,7 @@ from mirrorkit.poincare import (
     verify_duality,
 )
 from mirrorkit.transposition import transpose_spec
-from mirrorkit.pipeline import generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.horn_system import m_function
 
 
@@ -147,12 +147,16 @@ def test_degree_balance(spec_6_1, spec_6_2, quadric):
 def test_verify_duality_positive_cases(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric,
                  generate_family(3), generate_family(4), generate_family(5)):
-        report = verify_duality(spec, transpose_spec(spec))
+        pair = MirrorPair(spec)
+        report = verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                                 pair.charges, pair.recovered_data)
         assert report.ok, (spec, report)
 
 
 def test_verify_duality_corrupted_weights(corrupted):
-    report = verify_duality(corrupted, transpose_spec(corrupted))
+    pair = MirrorPair(corrupted)
+    report = verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                             pair.charges, pair.recovered_data)
     assert not report.ok
     assert not report.identities["M_Y = PO_Xbar"]
 

@@ -102,7 +102,8 @@ def test_no_valid_shape():
 
 def test_symmetry_conditions_quadric(quadric):
     tr = transpose_spec(quadric)
-    report = check_symmetry_conditions(quadric, tr)
+    report = check_symmetry_conditions(quadric, tr, derive_weights(quadric),
+                                       derive_weights(tr.tspec))
     assert report["rho"].images == (1, 2)
     assert report["rho_symmetric_3_11"]
     assert report["t_rho_symmetric_3_11T"]
@@ -110,7 +111,8 @@ def test_symmetry_conditions_quadric(quadric):
 
 def test_symmetry_conditions_6_1_nu_twisted(spec_6_1):
     tr = transpose_spec(spec_6_1)
-    report = check_symmetry_conditions(spec_6_1, tr)
+    report = check_symmetry_conditions(spec_6_1, tr, derive_weights(spec_6_1),
+                                       derive_weights(tr.tspec))
     assert report["rho_block_pairing"] == (2, 1)
     assert report["rho_symmetric_3_11"]
 
@@ -128,10 +130,11 @@ def test_no_rho(quadric):
     spec = _no_rho_spec()
     assert validate(spec).ok
     with pytest.raises(NoRhoError):
-        find_rho(spec)
+        find_rho(spec, derive_weights(spec))
     # the combined op hits the same wall on its first side
+    tr = transpose_spec(quadric)
     with pytest.raises(NoRhoError):
-        check_symmetry_conditions(spec, transpose_spec(quadric))
+        check_symmetry_conditions(spec, tr, derive_weights(spec), derive_weights(tr.tspec))
 
 
 def test_family_m3_is_the_cubic_example(spec_6_1):
