@@ -17,6 +17,7 @@ import sys
 
 from . import ci_model, horn_system, mellin, nef_partition, pipeline, poincare, transposition
 from .ci_model import CISpec
+from .rational_linalg import SingularMatrixError
 
 COMMANDS = ("validate", "weights", "cayley", "transpose", "mellin",
             "horn", "poincare", "nef", "verify", "family")
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
             nef_partition.NefError) as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return pipeline.EXIT_SOFT_FAILURE
-    except ci_model.SpecError as exc:
+    except (ci_model.SpecError, SingularMatrixError) as exc:
         sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
 

@@ -7,7 +7,11 @@ pairing of the original difference vectors against the dual vertices must
 reproduce the transposed difference matrix.  The solution is only
 determined modulo the weight lines, so a deterministic coordinate section
 (lowest-index standard basis vectors completing the weights to a basis)
-pins the representatives.
+pins the representatives.  That section is the pivot columns of the
+weight-kernel basis, and all n dual vertices come from a single
+elimination of the sectioned difference matrix against the n right-hand
+sides.  The pairings checked afterwards are integer dot products against
+the dual vertices scaled by their common denominator.
 
 The per-vertex equality clauses printed alongside the matrix equation are
 internally inconsistent, so they are validated and reported rather than
@@ -23,10 +27,11 @@ from fractions import Fraction
 from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
 from .rational_linalg import (
     Matrix,
+    pivot_columns,
     primitive_integer_vector,
     rank,
     right_kernel,
-    solve_general,
+    solve_many,
 )
 from .transposition import TransposeResult
 
@@ -89,11 +94,20 @@ def minkowski_dim(deltas, expected: int | None = None) -> MinkowskiReport:
     return MinkowskiReport(dim=dim, expected=exp, ok=(dim == exp))
 
 
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def support_phi(deltas, q: int, y) -> Fraction:
-    """Value of the block-q support function at y: -min over vertices of <x, y>."""
-    vals = [sum(Fraction(a) * Fraction(b) for a, b in zip(v, y))
-            for v in deltas[q - 1].vertices]
-    return -min(vals)
+    """Value of the block-q support function at y: -min over vertices of <x, y>.
+
+    The vertices are integral, so the pairings are taken in integers
+    against d*y, with d the least common denominator of y.
+    """
+    y = [Fraction(b) for b in y]
+    d = math.lcm(*(b.denominator for b in y))
+    scaled = [b.numerator * (d // b.denominator) for b in y]
+    return Fraction(-min(_dot(v, scaled) for v in deltas[q - 1].vertices), d)
 
 
 @dataclass(frozen=True)
@@ -147,20 +161,14 @@ def _integral_representative_exists(col, weights: WeightSystem) -> bool:
     return True
 
 
-def _section_indices(spec: CISpec, weights: WeightSystem) -> list[int]:
-    """Lowest-index standard basis vectors completing the weights to a basis."""
-    rows = [ [Fraction(x) for x in v] for v in weights.vectors]
-    chosen: list[int] = []
-    for i in range(spec.n):
-        e = [Fraction(0)] * spec.n
-        e[i] = Fraction(1)
-        candidate = rows + [e]
-        if rank(Matrix.from_rows(candidate)) > len(rows):
-            rows = candidate
-            chosen.append(i)
-        if len(chosen) == spec.n - spec.k:
-            break
-    return chosen
+def _section_indices(kernel_basis) -> list[int]:
+    """Lowest-index standard basis vectors completing the weights to a basis.
+
+    A basis of the weight kernel, as rows, maps Q^n onto Q^n / span(weights):
+    column i is the image of e_i.  The greedy lowest-index completion is
+    therefore the pivot columns of that matrix.
+    """
+    return pivot_columns(Matrix.from_rows(kernel_basis))
 
 
 def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
@@ -197,25 +205,30 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         [t_diff[c, var_of[i_lam[i]] - 1] for c in range(n)]
         for i in range(n)])
 
-    section = _section_indices(spec, weights)
+    # all n dual vertices from one elimination of [A_section | target]
+    section = _section_indices(deltas[0].kernel_basis)
     a_cols = Matrix.from_rows([[a_mat[i, j] for j in section] for i in range(n)])
     p_cols = []
-    for c in range(n):
-        rhs = [target[i, c] for i in range(n)]
-        sol = solve_general(a_cols, rhs)
+    for c, sol in enumerate(solve_many(a_cols, target.transpose().entries), start=1):
         if sol is None:
-            raise UnsolvableError(f"dual vertex {c + 1}: inconsistent system")
+            raise UnsolvableError(f"dual vertex {c}: inconsistent system")
         full = [Fraction(0)] * n
         for idx, val in zip(section, sol):
             full[idx] = val
         p_cols.append(tuple(full))
     p_matrix = Matrix.from_rows([[p_cols[c][i] for c in range(n)] for i in range(n)])
-    pairings = a_mat @ p_matrix
-    if pairings != target:
-        raise UnsolvableError("pairing matrix does not reproduce the target")
 
-    flags["integral_P_section"] = all(
-        x.denominator == 1 for row in p_matrix.entries for x in row)
+    # every pairing below is taken in integers against the scaled vertices
+    # scale * P, which preserves signs and maps the value v to scale * v
+    scale = math.lcm(*(x.denominator for col in p_cols for x in col))
+    p_int = [tuple(x.numerator * (scale // x.denominator) for x in col) for col in p_cols]
+    a_rows = [tuple(int(x) for x in row) for row in a_mat.entries]
+    if any(_dot(a_rows[i], p_int[c]) != scale * target[i, c]
+           for i in range(n) for c in range(n)):
+        raise UnsolvableError("pairing matrix does not reproduce the target")
+    pairings = target
+
+    flags["integral_P_section"] = scale == 1
     flags["integral_P_exists"] = all(
         _integral_representative_exists(col, weights) for col in p_cols)
     if not flags["integral_P_section"]:
@@ -226,20 +239,18 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     # dual vertices of block l are the columns of the transposed block sourced
     # from l: that block's monomials are the transposed polynomials realizing
     # the dual polytope, so the grouping follows the block bijection
-    duals = []
+    dual_idx = []   # per block l, the columns of P holding its dual vertices
     for l in range(1, k + 1):
         pos_l = tr.block_sources.index(l) + 1
         base = tr.tspec.b(pos_l - 1)
-        duals.append(tuple(p_cols[base + r] for r in range(tr.tspec.taus[pos_l - 1])))
+        dual_idx.append([base + r for r in range(tr.tspec.taus[pos_l - 1])])
+    duals = tuple(tuple(p_cols[c] for c in cols) for cols in dual_idx)
 
-    # support function values: phi_q(dual vertex of block l) must be delta_{ql}
-    phi_ok = True
-    for l in range(1, k + 1):
-        for m in duals[l - 1]:
-            for q in range(1, k + 1):
-                if support_phi(deltas, q, m) != (1 if q == l else 0):
-                    phi_ok = False
-    flags["phi_kronecker"] = phi_ok
+    # support function values: phi_q(dual vertex of block l) must be delta_{ql};
+    # phi is positively homogeneous, so at scale * m it must be scale * delta_{ql}
+    flags["phi_kronecker"] = all(
+        support_phi(deltas, q, p_int[c]) == (scale if q == l else 0)
+        for l in range(1, k + 1) for c in dual_idx[l - 1] for q in range(1, k + 1))
 
     sigma = []
     for q in range(1, k + 1):
@@ -247,43 +258,39 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         sigma.append(tuple([0] * n) + eps)
         base = spec.b(q - 1)
         for j in range(spec.taus[q - 1]):
-            sigma.append(tuple(int(x) for x in a_mat.row(base + j)) + eps)
-    sigma_dual = []
+            sigma.append(a_rows[base + j] + eps)
+    sigma_dual_int = []   # scale * the dual cone generators
     for l in range(1, k + 1):
-        eps = tuple(Fraction(int(i == l - 1)) for i in range(k))
-        sigma_dual.append(tuple([Fraction(0)] * n) + eps)
-        for m in duals[l - 1]:
-            sigma_dual.append(tuple(m) + eps)
+        eps = tuple(scale * (i == l - 1) for i in range(k))
+        sigma_dual_int.append(tuple([0] * n) + eps)
+        for c in dual_idx[l - 1]:
+            sigma_dual_int.append(p_int[c] + eps)
+    sigma_dual = tuple(tuple(Fraction(x, scale) for x in v) for v in sigma_dual_int)
     flags["cone_pairings_nonnegative"] = all(
-        sum(Fraction(a) * b for a, b in zip(v, m)) >= 0
-        for v in sigma for m in sigma_dual)
+        _dot(v, m) >= 0 for v in sigma for m in sigma_dual_int)
 
     j_indices: dict[tuple[int, int, int], int] = {}
     five_six_1 = True   # within-block pairings -1 with at most one exception
     five_six_2 = True   # the exceptional own-block pairing also -1 (printed clause)
     five_six_34 = True  # cross-block: zeros except at most one nonnegative j_q
-    dual_cols: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for l in range(1, k + 1):
-        for r, m in enumerate(duals[l - 1], start=1):
-            dual_cols[(l, r)] = m
-    for (l, r), m in sorted(dual_cols.items()):
-        for q in range(1, k + 1):
-            base = spec.b(q - 1)
-            vals = [sum(Fraction(a) * b for a, b in zip(a_mat.row(base + j), m))
-                    for j in range(spec.taus[q - 1])]
-            if q == l:
-                exceptional = [(j, v) for j, v in enumerate(vals, start=1) if v != -1]
-                if len(exceptional) > 1:
-                    five_six_1 = False
-                if exceptional:
-                    five_six_2 = False
-                    j_indices[(l, r, q)] = exceptional[0][0]
-            else:
-                nonzero = [(j, v) for j, v in enumerate(vals, start=1) if v != 0]
-                if len(nonzero) > 1 or any(v < 0 for _, v in nonzero):
-                    five_six_34 = False
-                if len(nonzero) == 1:
-                    j_indices[(l, r, q)] = nonzero[0][0]
+        for r, c in enumerate(dual_idx[l - 1], start=1):
+            for q in range(1, k + 1):
+                base = spec.b(q - 1)
+                vals = [_dot(a_rows[base + j], p_int[c]) for j in range(spec.taus[q - 1])]
+                if q == l:
+                    exceptional = [(j, v) for j, v in enumerate(vals, start=1) if v != -scale]
+                    if len(exceptional) > 1:
+                        five_six_1 = False
+                    if exceptional:
+                        five_six_2 = False
+                        j_indices[(l, r, q)] = exceptional[0][0]
+                else:
+                    nonzero = [(j, v) for j, v in enumerate(vals, start=1) if v != 0]
+                    if len(nonzero) > 1 or any(v < 0 for _, v in nonzero):
+                        five_six_34 = False
+                    if len(nonzero) == 1:
+                        j_indices[(l, r, q)] = nonzero[0][0]
     flags["five_six_1_off_vertex"] = five_six_1
     flags["five_six_2_own_vertex"] = five_six_2
     flags["five_six_34_cross_block"] = five_six_34

@@ -80,8 +80,15 @@ class MirrorPair:
 
     @cached_property
     def effective_weights(self) -> WeightSystem:
-        """Supplied weights when present (even if inconsistent), else derived."""
-        supplied = ci_model.supplied_weights(self.spec)
+        """Supplied weights when present and shape-valid (even if inconsistent), else derived.
+
+        A malformed annotation falls back to the derived weights, as in
+        `ci_model.validate`, which reports it as a soft failure.
+        """
+        try:
+            supplied = ci_model.supplied_weights(self.spec)
+        except ci_model.SpecInvalidError:
+            supplied = None
         return self.weights if supplied is None else supplied
 
     @cached_property

@@ -246,10 +246,15 @@ def solve(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(aug[i][n] for i in range(n))
 
 
-def rank(m: Matrix) -> int:
+def pivot_columns(m: Matrix) -> list[int]:
+    """Lowest-index columns of m that are linearly independent (the pivots)."""
     work = [list(row) for row in m.entries]
-    r, _ = _eliminate(work, m.cols)
-    return r
+    _, pivots = _eliminate(work, m.cols)
+    return pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(pivot_columns(m))
 
 
 def lcm_of_denominators(m: Matrix) -> int:
@@ -274,22 +279,34 @@ def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def solve_general(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
-    """One particular solution of m x = rhs, or None when inconsistent.
+def solve_many(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
+               ) -> list[tuple[Fraction, ...] | None]:
+    """Particular solutions of m x = b for each column b of rhs_cols, None when inconsistent.
 
-    m may be rectangular or rank-deficient; free variables are set to zero.
+    One elimination of [m | b_1 ... b_r]: the pivots depend on m alone, so
+    each column gets exactly the solution a one-column solve would.  m may
+    be rectangular or rank-deficient; free variables are set to zero.
     """
-    if len(rhs) != m.rows:
+    if any(len(b) != m.rows for b in rhs_cols):
         raise DimensionMismatchError("right-hand side length mismatch")
-    aug = [list(m.entries[i]) + [Fraction(rhs[i])] for i in range(m.rows)]
-    r, pivots = _eliminate(aug, m.cols)
-    for i in range(r, m.rows):
-        if aug[i][m.cols] != 0:
-            return None
-    x = [ZERO] * m.cols
-    for row_idx, pcol in enumerate(pivots):
-        x[pcol] = aug[row_idx][m.cols]
-    return tuple(x)
+    n = m.cols
+    aug = [list(m.entries[i]) + [Fraction(b[i]) for b in rhs_cols] for i in range(m.rows)]
+    r, pivots = _eliminate(aug, n)
+    out: list[tuple[Fraction, ...] | None] = []
+    for c in range(n, n + len(rhs_cols)):
+        if any(aug[i][c] != 0 for i in range(r, m.rows)):
+            out.append(None)
+            continue
+        x = [ZERO] * n
+        for row_idx, pcol in enumerate(pivots):
+            x[pcol] = aug[row_idx][c]
+        out.append(tuple(x))
+    return out
+
+
+def solve_general(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
+    """One particular solution of m x = rhs, or None when inconsistent (see solve_many)."""
+    return solve_many(m, [rhs])[0]
 
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:

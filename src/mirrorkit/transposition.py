@@ -132,20 +132,12 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
             f"weight kernel splits into {len(classes)} support groups, expected {k}")
     result = []
     for cls in classes:
-        complement = [i for i in range(n) if i not in cls]
-        # kernel vector vanishing outside the class
-        constraints = [list(row) for row in diff.entries]
-        for i in complement:
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            constraints.append(e)
-        sub = right_kernel(Matrix.from_rows(constraints))
+        # kernel vectors vanishing outside the class: the kernel of its columns
+        sub = right_kernel(Matrix.from_rows([[row[i] for i in cls] for row in diff.entries]))
         if len(sub) != 1:
             raise NoValidShapeError("support group does not carry a unique weight ray")
-        gen = primitive_integer_vector(sub[0])
-        vals = [gen[i] for i in cls]
-        if all(v < 0 for v in vals):
-            vals = [-v for v in vals]
+        # the basis vector is 1 at its free column, so a positive ray comes out positive
+        vals = list(primitive_integer_vector(sub[0]))
         if any(v <= 0 for v in vals):
             raise NoValidShapeError("no positive weight vector on a support group")
         result.append((cls, tuple(vals)))

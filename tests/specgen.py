@@ -8,6 +8,7 @@ kept only if its weights re-derive uniquely and its Cayley matrix is
 nonsingular.
 """
 
+import functools
 import random
 
 from mirrorkit.ci_model import (
@@ -105,8 +106,11 @@ def random_spec(rng: random.Random, max_n: int = 8, max_k: int = 2) -> CISpec | 
     return spec
 
 
+@functools.lru_cache(maxsize=None)
 def generate_valid_specs(count: int, seed: int = 20260810, max_n: int = 8,
                          max_k: int = 2) -> list[CISpec]:
+    """The first `count` valid specs of the seeded stream; one shared list per arguments,
+    which callers must not mutate."""
     rng = random.Random(seed)
     specs = []
     attempts = 0

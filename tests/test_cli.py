@@ -144,6 +144,65 @@ def test_single_stage_precondition_failure_exit_two(tmp_path):
     assert result.returncode == 0
 
 
+def run_in_process(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+SINGULAR_CAYLEY = {"n": 2, "k": 1,
+                   "blocks": [{"exponents": [[1, 0], [1, 0]], "index_set": [1, 2]}]}
+
+
+@pytest.mark.parametrize("command, code", [
+    ("validate", 1), ("weights", 1), ("cayley", 0), ("transpose", 2), ("mellin", 2),
+    ("horn", 1), ("poincare", 2), ("nef", 2), ("verify", 1)])
+def test_singular_cayley_matrix_exit_codes(tmp_path, command, code):
+    # structurally valid, but no positive weights and a singular Cayley matrix
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_CAYLEY))
+    got, _, err = run_in_process(command, "--input", str(path))
+    assert got == code, err
+    if command == "horn":
+        assert err == "invalid specification: matrix is singular\n"
+
+
+def test_singular_cayley_matrix_no_traceback(tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_CAYLEY))
+    result = subprocess.run([sys.executable, "-m", "mirrorkit", "horn", "--input", str(path)],
+                            capture_output=True, text=True, cwd=PKG_ROOT)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("invalid specification:")
+
+
+def test_wrong_length_weights_annotation_is_a_soft_failure(tmp_path):
+    data = json.loads(Path(fixture("example_6_2.json")).read_text())
+    data["weights"] = [[3, 2, 2, 7]]
+    path = tmp_path / "short_weights.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_in_process("validate", "--input", str(path))
+    assert code == 0 and "FAIL  weights_supplied_consistent" in out
+    code, out, _ = run_in_process("verify", "--input", str(path))
+    assert code == 0
+    assert "  - validate: weights_supplied_consistent\n" in out
+    assert run_in_process("verify", "--input", str(path), "--strict")[0] == 2
+    # the views fall back to the derived weights, which the fixture's own
+    # annotation equals
+    for command in ("poincare", "horn"):
+        assert run_in_process(command, "--input", str(path)) == \
+            run_in_process(command, "--input", fixture("example_6_2.json"))
+
+
+def test_python_m_mirrorkit_runs_the_cli():
+    result = subprocess.run([sys.executable, "-m", "mirrorkit", "family", "--m", "3"],
+                            capture_output=True, text=True, cwd=PKG_ROOT)
+    assert result.returncode == 0
+    assert result.stdout == run_cli("family", "--m", "3").stdout
+
+
 def cli_case_digest(command: str, fmt: str, name: str) -> dict:
     """SHA-256 of what `mirrorkit <command> --format <fmt>` prints for a fixture."""
     out = io.StringIO()

@@ -8,16 +8,24 @@ from mirrorkit.mellin import solve_xi
 from mirrorkit.nef_partition import (
     LatticePolytope,
     UnsolvableError,
+    _kernel_basis,
+    _section_indices,
     build_deltas,
     magic_square_check,
     minkowski_dim,
     solve_dual_partition,
     support_phi,
 )
-from mirrorkit.rational_linalg import Matrix, invert
-from mirrorkit.transposition import transpose_spec
+from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.rational_linalg import Matrix, invert, rank
+from mirrorkit.transposition import NoValidShapeError, transpose_spec
+
+from specgen import generate_valid_specs
 
 F = Fraction
+
+FAMILIES = [generate_family(m) for m in range(3, 13)]
+SEEDED = generate_valid_specs(200)
 
 
 def test_build_deltas_quadric(quadric):
@@ -71,6 +79,87 @@ def test_support_phi_quadric(quadric):
     deltas = build_deltas(quadric, derive_weights(quadric))
     assert support_phi(deltas, 1, (F(1), F(0))) == 1
     assert support_phi(deltas, 1, (F(0), F(0))) == 0
+
+
+def test_support_phi_rational_argument(spec_6_2):
+    deltas = build_deltas(spec_6_2, derive_weights(spec_6_2))
+    for y in [(F(1, 3), F(-2, 7), F(0), F(5, 2), F(-1)), (1, 0, 0, 0, 0), (0,) * 5]:
+        expected = -min(sum(F(a) * F(b) for a, b in zip(v, y)) for v in deltas[0].vertices)
+        assert support_phi(deltas, 1, y) == expected
+
+
+def _greedy_section(n, k, weights):
+    """Oracle: add e_0, e_1, ... whenever it raises the rank, until n - k are chosen."""
+    rows = [list(v) for v in weights.vectors]
+    chosen = []
+    for i in range(n):
+        candidate = rows + [[int(j == i) for j in range(n)]]
+        if rank(Matrix.from_rows(candidate)) > len(rows):
+            rows = candidate
+            chosen.append(i)
+        if len(chosen) == n - k:
+            break
+    return chosen
+
+
+def test_section_indices_match_greedy_completion():
+    for spec in FAMILIES + SEEDED:
+        weights = derive_weights(spec)
+        assert _section_indices(_kernel_basis(weights)) == \
+            _greedy_section(spec.n, spec.k, weights)
+
+
+def _fraction_flags(spec, nef):
+    """Oracle for the pairing flags: the clauses evaluated on the rational vertices."""
+    a_rows = difference_matrix(spec).entries
+    flags = {
+        "phi_kronecker": all(
+            -min(sum(F(a) * b for a, b in zip(v, m)) for v in nef.deltas[q - 1].vertices)
+            == (1 if q == l else 0)
+            for l, grp in enumerate(nef.duals, start=1) for m in grp
+            for q in range(1, spec.k + 1)),
+        "cone_pairings_nonnegative": all(
+            sum(F(a) * b for a, b in zip(v, m)) >= 0
+            for v in nef.sigma_generators for m in nef.sigma_dual_generators),
+    }
+    off, own, cross = True, True, True
+    j_indices = {}
+    for l, grp in enumerate(nef.duals, start=1):
+        for r, m in enumerate(grp, start=1):
+            for q in range(1, spec.k + 1):
+                vals = [sum(a * b for a, b in zip(a_rows[spec.b(q - 1) + j], m))
+                        for j in range(spec.taus[q - 1])]
+                if q == l:
+                    odd = [j for j, v in enumerate(vals, start=1) if v != -1]
+                    off &= len(odd) <= 1
+                    own &= not odd
+                else:
+                    odd = [j for j, v in enumerate(vals, start=1) if v != 0]
+                    cross &= len(odd) <= 1 and all(vals[j - 1] > 0 for j in odd)
+                if odd:
+                    j_indices[(l, r, q)] = odd[0]
+    flags["five_six_1_off_vertex"] = off
+    flags["five_six_2_own_vertex"] = own
+    flags["five_six_34_cross_block"] = cross
+    return flags, j_indices
+
+
+def test_integer_pairings_match_rational_evaluation():
+    checked = 0
+    non_integral = 0
+    for spec in FAMILIES[:6] + SEEDED:
+        pair = MirrorPair(spec)
+        try:
+            nef = solve_dual_partition(spec, pair.tr, pair.weights, pair.tweights)
+        except NoValidShapeError:
+            continue
+        flags, j_indices = _fraction_flags(spec, nef)
+        assert {name: nef.flags[name] for name in flags} == flags
+        assert nef.j_indices == j_indices
+        assert nef.pairings == difference_matrix(spec) @ nef.p_matrix
+        checked += 1
+        non_integral += not nef.flags["integral_P_section"]
+    assert checked >= 50 and non_integral >= 1
 
 
 def test_solve_dual_partition_quadric(quadric):

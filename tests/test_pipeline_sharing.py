@@ -11,8 +11,8 @@ from collections import Counter
 
 import pytest
 
-from mirrorkit import ci_model, cli, rational_linalg, transposition
-from mirrorkit.pipeline import generate_family, run_verify
+from mirrorkit import ci_model, cli, nef_partition, rational_linalg, transposition
+from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (rational_linalg, "invert"), (transposition, "build_transpose"))
@@ -52,3 +52,21 @@ def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
         assert cli.main([command, "--input", str(fixtures_dir / "example_6_1.json")]) == 0
     assert calls["build_cayley"] <= bound
     assert calls["derive_weights"] <= bound
+
+
+@pytest.mark.parametrize("m", [3, 7, 12])
+def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
+    # the dual vertices come from one multi-column solve, whatever n is
+    # (one solve per vertex and a rank loop for the section made 15, 31 and 51)
+    pair = MirrorPair(generate_family(m))
+    tr, weights, tweights = pair.tr, pair.weights, pair.tweights
+    count = Counter()
+    real = rational_linalg._eliminate
+
+    def counted(*args):
+        count["eliminate"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
+    assert count["eliminate"] <= 5

@@ -16,10 +16,13 @@ from mirrorkit.rational_linalg import (
     right_kernel,
     solve,
     solve_general,
+    solve_many,
     vectors_proportional,
 )
 
 from paper_data import L_8, L_8_INV, L_13, L_13_INV
+
+F = Fraction
 
 
 def _rank_by_minors(rows):
@@ -163,6 +166,115 @@ def test_right_kernel_and_general_solve():
         assert m.mul_vector(vec) == (0, 0)
     assert solve_general(m, [1, 2]) is not None
     assert solve_general(m, [1, 3]) is None
+
+
+def test_solve_many_matches_per_column_solve_general():
+    # rank 2: row 3 = row 1 + row 2, column 3 = column 1 + column 2
+    m = Matrix.from_rows([[1, 2, 3, 0], [0, 1, 1, 2], [1, 3, 4, 2]])
+    cols = [
+        [1, 2, 3],    # consistent
+        [1, 2, 4],    # inconsistent
+        [0, 0, 0],    # zero right-hand side
+        [F(1, 3), F(-2, 7), F(1, 21)],
+        [0, 0, 1],    # inconsistent
+    ]
+    got = solve_many(m, cols)
+    assert got == [solve_general(m, b) for b in cols]
+    assert [x is None for x in got] == [False, True, False, False, True]
+    assert got[2] == (0, 0, 0, 0)
+    for x, b in zip(got, cols):
+        if x is not None:
+            assert m.mul_vector(x) == tuple(F(v) for v in b)
+            assert x[2] == 0 and x[3] == 0   # free columns set to zero
+    assert solve_many(m, []) == []
+
+
+def test_solve_many_random_columns():
+    rng = random.Random(5)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+        rhs = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(rng.randint(1, 4))]
+        # a column in the range of m is always consistent
+        rhs.append(list(m.mul_vector([F(rng.randint(-3, 3)) for _ in range(cols)])))
+        got = solve_many(m, rhs)
+        assert got == [solve_general(m, b) for b in rhs]
+        assert got[-1] is not None
+        for x, b in zip(got, rhs):
+            consistent = rank(Matrix.from_rows([list(r) + [v] for r, v in
+                                                zip(m.entries, b)])) == rank(m)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert m.mul_vector(x) == tuple(F(v) for v in b)
+
+
+def test_solve_many_shape_mismatch():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatchError):
+        solve_many(m, [[1, 2], [1, 2, 3]])
+
+
+def _random_integer_matrix(rng, rows, cols):
+    """Entries in [-4, 4]; about a third get a row that combines two others."""
+    data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.35:
+        a, b, c = rng.sample(range(rows), 3)
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        data[a] = [s * x + t * y for x, y in zip(data[b], data[c])]
+    return data
+
+
+def _sympy_cases(count, seed, square=False):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(1, 12)
+        cols = rows if square else rng.randint(1, 12)
+        yield rng, _random_integer_matrix(rng, rows, cols)
+
+
+def test_invert_and_rank_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    singular = 0
+    for _, data in _sympy_cases(40, 2024, square=True):
+        m = Matrix.from_rows(data)
+        ref = sympy.Matrix(data)
+        assert rank(m) == ref.rank()
+        if ref.det() == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+        else:
+            inv = ref.inv()
+            assert invert(m) == Matrix.from_rows(
+                [[F(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)])
+    assert singular >= 5
+
+
+def test_right_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for _, data in _sympy_cases(40, 2025):
+        ref = [tuple(F(int(x.p), int(x.q)) for x in v) for v in sympy.Matrix(data).nullspace()]
+        # both take one vector per free column, with a 1 there and 0 at other free columns
+        assert right_kernel(Matrix.from_rows(data)) == ref
+
+
+def test_solve_many_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    inconsistent = 0
+    for rng, data in _sympy_cases(30, 2026):
+        rows = len(data)
+        rhs = [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(3)]
+        ref = sympy.Matrix(data)
+        for b, got in zip(rhs, solve_many(Matrix.from_rows(data), rhs)):
+            try:
+                sol, params = ref.gauss_jordan_solve(sympy.Matrix(b))
+            except ValueError:
+                inconsistent += 1
+                assert got is None
+                continue
+            sol = sol.subs({p: 0 for p in params})
+            assert got == tuple(F(int(x.p), int(x.q)) for x in sol)
+    assert inconsistent >= 5
 
 
 def test_primitive_and_proportional():

@@ -1,7 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
+from mirrorkit import transposition
 from mirrorkit.ci_model import Block, CISpec, build_cayley, derive_weights, validate
-from mirrorkit.rational_linalg import Matrix
+from mirrorkit.rational_linalg import (
+    Matrix,
+    primitive_integer_vector,
+    right_kernel,
+    vectors_proportional,
+)
 from mirrorkit.transposition import (
     NoRhoError,
     NoValidShapeError,
@@ -11,6 +19,8 @@ from mirrorkit.transposition import (
     transpose_spec,
 )
 from mirrorkit.pipeline import generate_family
+
+from specgen import generate_valid_specs
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
@@ -159,3 +169,75 @@ def test_transpose_json(spec_6_2):
     data = tr.to_json()
     again = CISpec.from_json(data["tspec"])
     assert again == tr.tspec
+
+
+def _weight_classes_padded(diff, k):
+    """Oracle: each group's weight ray from the whole difference matrix with one
+    unit row per variable outside the group."""
+    kernel = right_kernel(diff)
+    if len(kernel) != k:
+        raise NoValidShapeError(
+            f"weight kernel has dimension {len(kernel)}, expected {k}")
+    n = diff.cols
+    basis_rows = [tuple(vec[i] for vec in kernel) for i in range(n)]
+    classes = []
+    for i, row in enumerate(basis_rows):
+        if all(x == 0 for x in row):
+            raise NoValidShapeError(f"variable {i + 1} carries no weight")
+        for cls in classes:
+            if vectors_proportional(basis_rows[cls[0]], row):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    if len(classes) != k:
+        raise NoValidShapeError(
+            f"weight kernel splits into {len(classes)} support groups, expected {k}")
+    result = []
+    for cls in classes:
+        constraints = [list(row) for row in diff.entries]
+        for i in range(n):
+            if i not in cls:
+                constraints.append([Fraction(int(j == i)) for j in range(n)])
+        sub = right_kernel(Matrix.from_rows(constraints))
+        if len(sub) != 1:
+            raise NoValidShapeError("support group does not carry a unique weight ray")
+        gen = primitive_integer_vector(sub[0])
+        vals = [gen[i] for i in cls]
+        if all(v < 0 for v in vals):
+            vals = [-v for v in vals]
+        if any(v <= 0 for v in vals):
+            raise NoValidShapeError("no positive weight vector on a support group")
+        result.append((cls, tuple(vals)))
+    return result
+
+
+def _outcome(fn, diff, k):
+    try:
+        return fn(diff, k)
+    except NoValidShapeError as exc:
+        return f"NoValidShapeError: {exc}"
+
+
+def test_weight_classes_match_padded_kernel(monkeypatch):
+    seen = []
+    real = transposition._weight_classes
+
+    def recording(diff, k):
+        seen.append((diff, k))
+        return real(diff, k)
+
+    monkeypatch.setattr(transposition, "_weight_classes", recording)
+    specs = [generate_family(m) for m in range(2, 13)] + generate_valid_specs(200)
+    for spec in specs:
+        try:
+            # the spec and its transpose
+            transposition.build_transpose(build_cayley(
+                transposition.build_transpose(build_cayley(spec)).tspec))
+        except transposition.TranspositionError:
+            pass
+    outcomes = [_outcome(real, diff, k) for diff, k in seen]
+    assert outcomes == [_outcome(_weight_classes_padded, diff, k) for diff, k in seen]
+    assert len(seen) > len(specs)
+    # the per-group ray is what changed; its failure is among the outcomes
+    assert "NoValidShapeError: no positive weight vector on a support group" in outcomes
