@@ -49,6 +49,48 @@ class AmbiguousWeightsError(SpecError):
     """The weight solution space has dimension > 1; refusing to guess."""
 
 
+def _invalid(path: str, expected: str, value) -> SpecInvalidError:
+    if isinstance(value, (dict, list)):
+        got = "an object" if isinstance(value, dict) else "a list"
+    else:
+        got = json.dumps(value, default=repr)
+    return SpecInvalidError(f"{path}: expected {expected}, got {got}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise SpecInvalidError(f"{path}: missing")
+    return obj[key]
+
+
+def _positive_int(obj: dict, key: str) -> int:
+    x = _field(obj, key, key)
+    if not _is_int(x) or x < 1:
+        raise _invalid(key, "a positive integer", x)
+    return x
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise _invalid(path, "a list", x)
+    return x
+
+
+def _int_list(x, path: str) -> tuple[int, ...]:
+    for j, e in enumerate(_list(x, path)):
+        if not _is_int(e):
+            raise _invalid(f"{path}[{j}]", "an integer", e)
+    return tuple(x)
+
+
+def _int_rows(x, path: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_int_list(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path)))
+
+
 @dataclass(frozen=True)
 class Block:
     """One block: exponent rows of its monomial sum plus its product index set."""
@@ -124,18 +166,31 @@ class CISpec:
         return data
 
     @staticmethod
-    def from_json(data: dict) -> "CISpec":
-        blocks = tuple(
-            Block(
-                exponents=tuple(tuple(int(x) for x in row) for row in blk["exponents"]),
-                index_set=tuple(sorted(int(i) for i in blk["index_set"])),
-            )
-            for blk in data["blocks"]
-        )
+    def from_json(data) -> "CISpec":
+        """Parse decoded JSON strictly: every count and entry a JSON integer, n, k >= 1.
+
+        Raises SpecInvalidError naming the JSON path of the first value of
+        the wrong shape (for example ``blocks[0].exponents[1][0]``); a
+        fraction or a boolean is never read as an integer.  Keys other than
+        n, k, blocks and weights are ignored.
+        """
+        if not isinstance(data, dict):
+            raise _invalid("specification", "a JSON object", data)
+        n, k = _positive_int(data, "n"), _positive_int(data, "k")
+        blocks = []
+        for i, blk in enumerate(_list(_field(data, "blocks", "blocks"), "blocks")):
+            path = f"blocks[{i}]"
+            if not isinstance(blk, dict):
+                raise _invalid(path, "an object", blk)
+            exponents = _int_rows(_field(blk, "exponents", f"{path}.exponents"),
+                                  f"{path}.exponents")
+            index_set = _int_list(_field(blk, "index_set", f"{path}.index_set"),
+                                  f"{path}.index_set")
+            blocks.append(Block(exponents=exponents, index_set=tuple(sorted(index_set))))
         weights = None
         if data.get("weights") is not None:
-            weights = tuple(tuple(int(x) for x in w) for w in data["weights"])
-        return CISpec(n=int(data["n"]), k=int(data["k"]), blocks=blocks, weights=weights)
+            weights = _int_rows(data["weights"], "weights")
+        return CISpec(n=n, k=k, blocks=tuple(blocks), weights=weights)
 
     @staticmethod
     def load(path) -> "CISpec":

@@ -241,8 +241,11 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --input")
     try:
         spec = CISpec.load(args.input)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"cannot read specification: {exc}\n")
+        return pipeline.EXIT_INVALID
+    except ci_model.SpecInvalidError as exc:
+        sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
 
     handler = {

@@ -5,7 +5,8 @@ series of the classical quotient shape prod (1 - t^{charge}) over
 prod (1 - t^{weight}); the Euler-characteristic generating function and the
 monodromy ratio take the same shape over the transposed data.  All of them
 live here as multisets of (variable, exponent) factors, with equality
-decided by exact cross-multiplied polynomial expansion.
+decided by exact cross-multiplied polynomial expansion after cancelling
+common factors.
 
 A charge of zero contributes no factor: such a pairing couples a block to a
 grading it does not touch, and the product formula skips it (the degree
@@ -14,6 +15,7 @@ count, which must balance per grading, is unaffected).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -123,12 +125,19 @@ def _expand_product(factors, k: int, order: int | None = None) -> Poly:
 
 
 def ratio_equal(a: CyclotomicRatio, b: CyclotomicRatio) -> bool:
-    """Exact equality as rational functions via cross-multiplied expansion."""
+    """Exact equality as rational functions via cross-multiplied expansion.
+
+    A factor (1 - t_q^d) with d != 0 is a nonzero element of an integral
+    domain, so the factors a.num + b.den and b.num + a.den have in common
+    are cancelled before expanding.  Zero exponents are never cancelled.
+    """
     if a.k != b.k:
         raise PoincareError("variable counts differ")
-    left = _expand_product(tuple(a.num) + tuple(b.den), a.k)
-    right = _expand_product(tuple(b.num) + tuple(a.den), a.k)
-    return left == right
+    left = Counter(tuple(a.num) + tuple(b.den))
+    right = Counter(tuple(b.num) + tuple(a.den))
+    common = Counter({f: m for f, m in (left & right).items() if f[1]})
+    return (_expand_product((left - common).elements(), a.k)
+            == _expand_product((right - common).elements(), a.k))
 
 
 def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:

@@ -7,6 +7,15 @@ exact -- denominators like 147 compound under elimination and no float
 mode exists -- so matrices carry ``fractions.Fraction`` entries and every
 operation returns fresh immutable values.
 
+The arithmetic inside the kernels runs on Python integers.  Elimination
+scales each row to integers by the LCM of its denominators and keeps it
+integral (``row <- a*row - b*pivot_row``, then divided by its gcd); every
+row stays a nonzero multiple of the row the same Gauss-Jordan steps give
+in ``Fraction``s, so the pivots are the same, and dividing each pivot row
+by its pivot gives the reduced row echelon form, which is unique.  The
+product of two matrices scales each left row and each right column to
+integers the same way and divides each integer dot product once.
+
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
 the denominator is 1; a matrix is a list of rows of such strings.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -40,8 +50,7 @@ class NotAPermutationError(RationalLinalgError):
     """The image sequence is not a bijection on {1..size}."""
 
 
-def rat_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rat_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -121,9 +130,12 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return Matrix(tuple(tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in cols)
-                            for row in self.entries))
+        cols = [_integer_row(col) for col in zip(*other.entries)]
+        out = []
+        for row in self.entries:
+            a, da = _integer_row(row)
+            out.append(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols))
+        return Matrix(tuple(out))
 
     def mul_vector(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(v):
@@ -191,30 +203,55 @@ class PermutationMap:
         return list(self.images)
 
 
+def _integer_row(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """(d*xs as integers, d) with d the LCM of the denominators of xs."""
+    xs = list(xs)
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by the gcd of its entries (unchanged when that is 0 or 1)."""
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[int]]:
-    """In-place forward elimination; returns (rank, pivot column list).
+    """In-place Gauss-Jordan elimination on the first ncols columns; returns (rank, pivots).
 
     Pivot choice is the first row with a nonzero entry in the pivot column
-    (lowest row index), which keeps golden outputs deterministic.
+    (lowest row index), which keeps golden outputs deterministic.  The
+    work is in integers (see the module docstring); on return rows[:rank]
+    is the reduced row echelon form in Fractions, pivot row i divided by
+    its pivot.  rows[rank:] come back as lists of integers, nonzero
+    multiples of what Fraction elimination leaves there: only their zero
+    pattern (which augmented columns are inconsistent) means anything.
     """
+    work = [_primitive(_integer_row(row)[0]) for row in rows]
     rank = 0
     pivots = []
-    nrows = len(rows)
+    nrows = len(work)
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        p = prow[col]
         for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            c = work[r][col]
+            if r != rank and c:
+                g = math.gcd(p, c)
+                a, b = p // g, c // g
+                work[r] = _primitive([a * x - b * y for x, y in zip(work[r], prow)])
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
+    for i, col in enumerate(pivots):
+        p = work[i][col]
+        work[i] = [Fraction(x, p) for x in work[i]]
+    rows[:] = work
     return rank, pivots
 
 
@@ -311,14 +348,7 @@ def solve_general(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, .
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping the sign pattern."""
-    d = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * d) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return tuple(_primitive(_integer_row(v)[0]))
 
 
 def vectors_proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:

@@ -158,6 +158,44 @@ def test_spec_json_roundtrip(spec_6_1, quadric):
         assert again == spec
 
 
+def _quadric_data(**changes):
+    data = {"n": 2, "k": 1, "blocks": [{"exponents": [[2, 0], [0, 2]], "index_set": [2, 1]}]}
+    data.update(changes)
+    return data
+
+
+def test_from_json_reads_integers_and_sorts_index_sets(quadric):
+    spec = CISpec.from_json(_quadric_data(comment="ignored", weights=None))
+    assert spec == CISpec.from_json(quadric.to_json())
+    assert spec.blocks[0].index_set == (1, 2)
+    assert CISpec.from_json(_quadric_data(weights=[[1, 1]])).weights == ((1, 1),)
+
+
+@pytest.mark.parametrize("data, message", [
+    ("spec", "specification: expected a JSON object, got \"spec\""),
+    (_quadric_data(n=None), "n: expected a positive integer, got null"),
+    (_quadric_data(n=2.0), "n: expected a positive integer, got 2.0"),
+    (_quadric_data(k=-1), "k: expected a positive integer, got -1"),
+    ({"k": 1, "blocks": []}, "n: missing"),
+    ({"n": 2, "k": 1}, "blocks: missing"),
+    (_quadric_data(blocks=[[1, 2]]), "blocks[0]: expected an object, got a list"),
+    (_quadric_data(blocks=[{"exponents": [[2, 0]]}]), "blocks[0].index_set: missing"),
+    (_quadric_data(blocks=[{"index_set": [1]}]), "blocks[0].exponents: missing"),
+    (_quadric_data(blocks=[{"exponents": [[2, 0], 7], "index_set": [1, 2]}]),
+     "blocks[0].exponents[1]: expected a list, got 7"),
+    (_quadric_data(blocks=[{"exponents": [[2, False]], "index_set": [1, 2]}]),
+     "blocks[0].exponents[0][1]: expected an integer, got false"),
+    (_quadric_data(blocks=[{"exponents": [[2, 0]], "index_set": [1, "2"]}]),
+     "blocks[0].index_set[1]: expected an integer, got \"2\""),
+    (_quadric_data(weights=[[1, 1.5]]), "weights[0][1]: expected an integer, got 1.5"),
+    (_quadric_data(weights={"a": 1}), "weights: expected a list, got an object"),
+])
+def test_from_json_rejects_wrong_shapes_with_json_path(data, message):
+    with pytest.raises(SpecInvalidError) as info:
+        CISpec.from_json(data)
+    assert str(info.value) == message
+
+
 def test_row_labels(quadric):
     cm = build_cayley(quadric)
     kinds = [lbl[1] for lbl in cm.row_labels]

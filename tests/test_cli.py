@@ -216,3 +216,41 @@ def cli_case_digest(command: str, fmt: str, name: str) -> dict:
 def test_cli_output_digest(case):
     command, fmt, name = case.split()
     assert cli_case_digest(command, fmt, name) == CLI_DIGESTS[case]
+
+
+QUADRIC_BLOCK = {"exponents": [[2, 0], [0, 2]], "index_set": [1, 2]}
+MALFORMED_SPECS = {
+    "top-level list": ([1, 2], "specification: expected a JSON object, got a list"),
+    "blocks object": ({"n": 2, "k": 1, "blocks": {"a": 1}},
+                      "blocks: expected a list, got an object"),
+    "exponents number": ({"n": 2, "k": 1, "blocks": [{"exponents": 5, "index_set": [1, 2]}]},
+                         "blocks[0].exponents: expected a list, got 5"),
+    "fractional exponent": ({"n": 2, "k": 1, "blocks": [
+                                {"exponents": [[2, 0], [0, 2.5]], "index_set": [1, 2]}]},
+                            "blocks[0].exponents[1][1]: expected an integer, got 2.5"),
+    "boolean k": ({"n": 2, "k": True, "blocks": [QUADRIC_BLOCK]},
+                  "k: expected a positive integer, got true"),
+    "empty spec": ({"n": 0, "k": 0, "blocks": []},
+                   "n: expected a positive integer, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_invalid_with_json_path(tmp_path, case):
+    data, message = MALFORMED_SPECS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "verify"):
+        assert run_in_process(command, "--input", str(path)) == \
+            (1, "", f"invalid specification: {message}\n")
+
+
+def test_malformed_spec_no_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "blocks": [
+        {"exponents": [[2, 0], [0, 2.5]], "index_set": [1, 2]}]}))
+    result = subprocess.run([sys.executable, "-m", "mirrorkit", "verify", "--input", str(path)],
+                            capture_output=True, text=True, cwd=PKG_ROOT)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("invalid specification: "
+                             "blocks[0].exponents[1][1]: expected an integer, got 2.5\n")

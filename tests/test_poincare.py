@@ -3,6 +3,7 @@ import random
 
 from mirrorkit.ci_model import ChargeMatrix, WeightSystem, charges, derive_weights
 from mirrorkit.poincare import (
+    _expand_product,
     CyclotomicRatio,
     poincare_euler,
     poincare_structure,
@@ -101,6 +102,73 @@ def test_ratio_equal_equivalence_properties():
             assert ratio_equal(b, a)
         if ratio_equal(a, b) and ratio_equal(b, c):
             assert ratio_equal(a, c)
+
+
+def _uncancelled_ratio_equal(a, b):
+    """Reference: expand every factor of both cross-multiplied sides, no cancelling."""
+    return (_expand_product(tuple(a.num) + tuple(b.den), a.k)
+            == _expand_product(tuple(b.num) + tuple(a.den), a.k))
+
+
+def test_ratio_equal_cancels_to_the_uncancelled_answer_on_factor_lists():
+    rng = random.Random(17)
+    outcomes = []
+    for _ in range(300):
+        k = rng.randint(1, 3)
+
+        def factors(count):
+            return tuple((rng.randint(1, k), rng.choice((-2, -1, 0, 1, 1, 2, 3, 4, 6)))
+                         for _ in range(count))
+
+        # hand-built, so zero exponents and repeated factors survive
+        a = CyclotomicRatio(k, factors(rng.randint(0, 4)), factors(rng.randint(0, 4)))
+        shared = factors(rng.randint(0, 3))
+        if rng.random() < 0.5:   # the same function with extra common factors
+            b = CyclotomicRatio(k, a.num + shared, a.den + shared)
+        else:
+            b = CyclotomicRatio(k, factors(rng.randint(0, 4)) + shared,
+                                factors(rng.randint(0, 4)) + shared)
+        got = ratio_equal(a, b)
+        assert got == _uncancelled_ratio_equal(a, b), (a, b)
+        outcomes.append(got)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def test_ratio_equal_with_different_factor_multisets():
+    # (1-t^-1)(1-t^-3)/(1-t^-2)^2 = (1-t)(1-t^3)/(1-t^2)^2: no factor in common
+    a = CyclotomicRatio.build(1, [(1, -1), (1, -3)], [(1, -2), (1, -2)])
+    b = CyclotomicRatio.build(1, [(1, 1), (1, 3)], [(1, 2), (1, 2)])
+    assert a != b
+    assert ratio_equal(a, b) and _uncancelled_ratio_equal(a, b)
+    # one sign off: (1-t^-1)/(1-t^-2) = t (1-t)/(1-t^2)
+    c = CyclotomicRatio.build(1, [(1, -1)], [(1, -2)])
+    d = CyclotomicRatio.build(1, [(1, 1)], [(1, 2)])
+    assert not ratio_equal(c, d) and not _uncancelled_ratio_equal(c, d)
+    # an uncancelled hand-built ratio against its canonical form
+    e = CyclotomicRatio(2, ((1, 1), (2, 3), (1, 2)), ((1, 1),))
+    f = CyclotomicRatio.build(2, [(2, 3), (1, 2)], [])
+    assert e != f and ratio_equal(e, f)
+
+
+def _duality_ratio_pairs(spec):
+    """The two sides of the four identities verify_duality checks."""
+    pair = MirrorPair(spec)
+    tw, tq = pair.tweights, pair.tcharges
+    xw, xq = pair.effective_weights, pair.charges
+    rw, rq = pair.recovered_data
+    po_y, po_x = poincare_euler(tw, tq), poincare_euler(xw, xq)
+    return [(m_function(tw, tq), po_y), (po_y, poincare_structure(tw, tq)),
+            (m_function(rw, rq), po_x), (po_x, poincare_structure(xw, xq))]
+
+
+def test_ratio_equal_matches_uncancelled_expansion_on_duality_ratios(corrupted):
+    for m in range(3, 13):
+        for a, b in _duality_ratio_pairs(generate_family(m)):
+            assert ratio_equal(a, b) is True
+            assert _uncancelled_ratio_equal(a, b)
+    got = [ratio_equal(a, b) for a, b in _duality_ratio_pairs(corrupted)]
+    assert got == [_uncancelled_ratio_equal(a, b) for a, b in _duality_ratio_pairs(corrupted)]
+    assert got == [True, True, False, True]
 
 
 def test_series_expand_geometric():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mirrorkit.rational_linalg import (
+    _eliminate,
     DimensionMismatchError,
     Matrix,
     SingularMatrixError,
@@ -214,28 +215,44 @@ def test_solve_many_shape_mismatch():
         solve_many(m, [[1, 2], [1, 2, 3]])
 
 
-def _random_integer_matrix(rng, rows, cols):
-    """Entries in [-4, 4]; about a third get a row that combines two others."""
-    data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+def _random_matrix(rng, rows, cols, max_den=1):
+    """Entries in [-4, 4], over denominators up to max_den when it is above 1;
+    about a third get a row that combines two others."""
+    def den():
+        return rng.randint(1, max_den) if max_den > 1 else 1
+
+    data = [[F(rng.randint(-4, 4), den()) for _ in range(cols)] for _ in range(rows)]
     if rows > 2 and rng.random() < 0.35:
         a, b, c = rng.sample(range(rows), 3)
-        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        s, t = F(rng.randint(-2, 2), den()), rng.randint(-2, 2)
         data[a] = [s * x + t * y for x, y in zip(data[b], data[c])]
     return data
 
 
-def _sympy_cases(count, seed, square=False):
+def _sympy_cases(count, seed, square=False, max_den=1):
     rng = random.Random(seed)
     for _ in range(count):
         rows = rng.randint(1, 12)
         cols = rows if square else rng.randint(1, 12)
-        yield rng, _random_integer_matrix(rng, rows, cols)
+        yield rng, _random_matrix(rng, rows, cols, max_den)
+
+
+def _sympy_fraction(x):
+    return F(int(x.p), int(x.q))
 
 
 def test_invert_and_rank_match_sympy():
+    _check_invert_and_rank_against_sympy(_sympy_cases(40, 2024, square=True))
+
+
+def test_invert_and_rank_match_sympy_rational_entries():
+    _check_invert_and_rank_against_sympy(_sympy_cases(40, 2034, square=True, max_den=6))
+
+
+def _check_invert_and_rank_against_sympy(cases):
     sympy = pytest.importorskip("sympy")
     singular = 0
-    for _, data in _sympy_cases(40, 2024, square=True):
+    for _, data in cases:
         m = Matrix.from_rows(data)
         ref = sympy.Matrix(data)
         assert rank(m) == ref.rank()
@@ -246,24 +263,41 @@ def test_invert_and_rank_match_sympy():
         else:
             inv = ref.inv()
             assert invert(m) == Matrix.from_rows(
-                [[F(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)])
+                [[_sympy_fraction(x) for x in inv.row(i)] for i in range(inv.rows)])
     assert singular >= 5
 
 
 def test_right_kernel_matches_sympy():
+    _check_right_kernel_against_sympy(_sympy_cases(40, 2025))
+
+
+def test_right_kernel_matches_sympy_rational_entries():
+    _check_right_kernel_against_sympy(_sympy_cases(40, 2035, max_den=6))
+
+
+def _check_right_kernel_against_sympy(cases):
     sympy = pytest.importorskip("sympy")
-    for _, data in _sympy_cases(40, 2025):
-        ref = [tuple(F(int(x.p), int(x.q)) for x in v) for v in sympy.Matrix(data).nullspace()]
+    for _, data in cases:
+        ref = [tuple(_sympy_fraction(x) for x in v) for v in sympy.Matrix(data).nullspace()]
         # both take one vector per free column, with a 1 there and 0 at other free columns
         assert right_kernel(Matrix.from_rows(data)) == ref
 
 
 def test_solve_many_matches_sympy():
+    _check_solve_many_against_sympy(_sympy_cases(30, 2026), max_den=1)
+
+
+def test_solve_many_matches_sympy_rational_entries():
+    _check_solve_many_against_sympy(_sympy_cases(30, 2036, max_den=6), max_den=6)
+
+
+def _check_solve_many_against_sympy(cases, max_den):
     sympy = pytest.importorskip("sympy")
     inconsistent = 0
-    for rng, data in _sympy_cases(30, 2026):
+    for rng, data in cases:
         rows = len(data)
-        rhs = [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(3)]
+        rhs = [[F(rng.randint(-5, 5), rng.randint(1, max_den) if max_den > 1 else 1)
+                for _ in range(rows)] for _ in range(3)]
         ref = sympy.Matrix(data)
         for b, got in zip(rhs, solve_many(Matrix.from_rows(data), rhs)):
             try:
@@ -273,8 +307,104 @@ def test_solve_many_matches_sympy():
                 assert got is None
                 continue
             sol = sol.subs({p: 0 for p in params})
-            assert got == tuple(F(int(x.p), int(x.q)) for x in sol)
+            assert got == tuple(_sympy_fraction(x) for x in sol)
     assert inconsistent >= 5
+
+
+def _fraction_gauss_jordan(rows, ncols):
+    """Reference elimination in Fractions: the loop the integer kernel replaced.
+
+    Same pivot rule (first nonzero row at or below the rank) and the same
+    early stop once every row holds a pivot.
+    """
+    rank = 0
+    pivots = []
+    nrows = len(rows)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots
+
+
+def _elimination_cases(seed, count):
+    """(rows, ncols): rational entries, rectangular and rank-deficient shapes,
+    zero rows, and augmented columns (ncols below the width)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rows, width = rng.randint(1, 9), rng.randint(1, 9)
+        data = _random_matrix(rng, rows, width, max_den=rng.choice((1, 3, 12)))
+        if rng.random() < 0.3:
+            data[rng.randrange(rows)] = [F(0)] * width
+        if rows > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(rows), 2)
+            data[a] = [F(rng.randint(-3, 3), rng.randint(1, 5)) * x for x in data[b]]
+        yield data, rng.randint(0, width) if i % 3 == 0 else width
+
+
+def test_eliminate_matches_fraction_gauss_jordan():
+    deficient = augmented = 0
+    for data, ncols in _elimination_cases(7, 400):
+        got = [list(r) for r in data]
+        ref = [list(r) for r in data]
+        rank_got, pivots_got = _eliminate(got, ncols)
+        rank_ref, pivots_ref = _fraction_gauss_jordan(ref, ncols)
+        assert (rank_got, pivots_got) == (rank_ref, pivots_ref)
+        assert got[:rank_got] == ref[:rank_ref]
+        # rows past the rank are scaled: only their zero pattern is kept
+        assert [[x != 0 for x in r] for r in got[rank_got:]] == \
+            [[x != 0 for x in r] for r in ref[rank_ref:]]
+        deficient += rank_ref < min(len(data), ncols)
+        augmented += any(any(x != 0 for x in r) for r in ref[rank_ref:])
+    assert deficient >= 50 and augmented >= 20
+
+
+def test_eliminate_on_the_paper_matrices():
+    for data in (L_8, L_13):
+        width = len(data) * 2
+        got = [[F(x) for x in row] + [F(i == j) for j in range(len(data))]
+               for i, row in enumerate(data)]
+        ref = [list(r) for r in got]
+        assert _eliminate(got, width) == _fraction_gauss_jordan(ref, width)
+        assert got == ref
+
+
+def test_matmul_matches_fraction_product():
+    rng = random.Random(9)
+    for _ in range(60):
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(inner)]
+             for _ in range(rows)]
+        b = [[F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(cols)]
+             for _ in range(inner)]
+        if rng.random() < 0.3:
+            b[rng.randrange(inner)] = [rng.randint(-3, 3) for _ in range(cols)]  # int entries
+        got = Matrix.from_rows(a) @ Matrix(tuple(map(tuple, b)))
+        naive = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(inner)), F(0))
+                            for j in range(cols)) for i in range(rows))
+        assert got.entries == naive
+        assert all(isinstance(x, F) for row in got.entries for x in row)
+
+
+def test_matmul_empty_shapes():
+    # a matrix without rows has no columns either, so these are all the empty shapes
+    empty = Matrix(())
+    assert empty @ empty == empty
+    assert Matrix(((), ())) @ empty == Matrix(((), ()))
+    assert Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[], []]) == Matrix(((),))
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[1, 2]])
 
 
 def test_primitive_and_proportional():
@@ -301,6 +431,8 @@ def test_permutation_map():
 def test_rational_serialization():
     assert rat_str(Fraction(19, 147)) == "19/147"
     assert rat_str(Fraction(-3)) == "-3"
+    assert rat_str(Fraction(-1, 2)) == "-1/2"
+    assert rat_str(5) == "5" and rat_str(0) == "0"
     assert rat_parse("19/147") == Fraction(19, 147)
     m = Matrix.from_json(L_8_INV)
     assert Matrix.from_json(m.to_json()) == m
