@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except (ci_model.SpecError, SingularMatrixError) as exc:
         sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
+    except horn_system.HornError as exc:
+        sys.stderr.write(f"cannot build the Horn operators: {exc}\n")
+        return pipeline.EXIT_INVALID
 
 
 if __name__ == "__main__":

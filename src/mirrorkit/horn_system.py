@@ -6,6 +6,12 @@ factor product, the negative side the right one, and the two degrees agree
 because the column sums vanish.  Operators stay in factored symbolic form;
 expansion into a theta-polynomial is available but capped, since factored
 form is canonical and the examples reach degree 21.
+
+A form contributes Delta*|c| factors to a side, one per shift j, that
+differ only in j: they share the form's negated z-coefficient tuple and
+its constant, and an operator's JSON formats that shared data once per
+form.  The factor count of each side is bounded by ``FACTOR_COUNT_CAP``,
+checked in integers before any factor is built.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
-from .mellin import compute_delta, LinearForm
+from .mellin import compute_delta
 from .poincare import CyclotomicRatio
 from .rational_linalg import rat_str
 
 EXPANSION_DEGREE_CAP = 64
+FACTOR_COUNT_CAP = 10**6
 
 
 class HornError(Exception):
@@ -27,6 +34,10 @@ class HornError(Exception):
 
 class DegenerateOperatorError(HornError):
     """A variable with an empty positive or negative index side."""
+
+
+class FactorLimitError(HornError):
+    """An operator side would have more than FACTOR_COUNT_CAP factors."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +112,25 @@ class HornOperator:
     def to_json(self) -> dict:
         return {
             "q": self.q,
-            "p_factors": [f.to_json() for f in self.p_factors],
-            "q_factors": [f.to_json() for f in self.q_factors],
+            "p_factors": _factors_json(self.p_factors),
+            "q_factors": _factors_json(self.q_factors),
             "delta_power": self.delta_power,
             "variable": self.variable,
         }
+
+
+def _factors_json(factors) -> list[dict]:
+    """Each factor's JSON, formatting a run of factors that share one
+    coefficient tuple and constant (one form's shifts) only once."""
+    out = []
+    coeffs = const = None
+    for f in factors:
+        if f.coeffs is not coeffs or f.const is not const:
+            coeffs, const, base = f.coeffs, f.const, f.to_json()
+            out.append(base)
+        else:
+            out.append({"coeffs": dict(base["coeffs"]), "const": base["const"], "shift": f.shift})
+    return out
 
 
 def index_partition(forms, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -117,30 +142,37 @@ def index_partition(forms, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tu
     return tuple(plus), tuple(minus), tuple(zero)
 
 
-def _theta_factor(form: LinearForm, shift: int) -> ThetaFactor:
-    """The form at i = 0, zeta = 0 with z replaced by -theta, plus an integer shift."""
-    return ThetaFactor(tuple(-c for c in form.z_coeffs), form.const, shift)
-
-
 def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
     """One operator per deformation variable, factors counted by the integer
-    z-numerators with respect to the global modulus."""
+    z-numerators with respect to the global modulus.
+
+    Form a with z-coefficients z_a contributes the factors
+    const_a + j - <z_a, theta> for j < Delta*|z_aq|; every side's count is
+    checked against FACTOR_COUNT_CAP before any factor is built.
+    """
     delta = compute_delta(forms)
-    ops = []
+    sides = []
     for q in range(1, spec.k + 1):
         plus, minus, _ = index_partition(forms, q)
         if not plus or not minus:
             raise DegenerateOperatorError(f"variable {q}: empty sign class")
-        p_factors = []
-        for a in plus:
-            b = int(forms[a - 1].z_coeffs[q - 1] * delta)
-            p_factors.extend(_theta_factor(forms[a - 1], j) for j in range(b))
-        q_factors = []
-        for a in minus:
-            b = -int(forms[a - 1].z_coeffs[q - 1] * delta)
-            q_factors.extend(_theta_factor(forms[a - 1], j) for j in range(b))
-        ops.append(HornOperator(q, tuple(p_factors), tuple(q_factors), delta))
-    return tuple(ops)
+        counts = []
+        for name, rows in (("p", plus), ("q", minus)):
+            side = [(a, abs(int(forms[a - 1].z_coeffs[q - 1] * delta))) for a in rows]
+            total = sum(b for _, b in side)
+            if total > FACTOR_COUNT_CAP:
+                raise FactorLimitError(f"variable {q}: {total} {name}-factors "
+                                       f"exceed the cap of {FACTOR_COUNT_CAP}")
+            counts.append(side)
+        sides.append(counts)
+    negated = [tuple(-c for c in form.z_coeffs) for form in forms]
+
+    def factors(side) -> tuple[ThetaFactor, ...]:
+        return tuple(ThetaFactor(negated[a - 1], forms[a - 1].const, j)
+                     for a, b in side for j in range(b))
+
+    return tuple(HornOperator(q, factors(p_side), factors(q_side), delta)
+                 for q, (p_side, q_side) in enumerate(sides, start=1))
 
 
 @dataclass(frozen=True)

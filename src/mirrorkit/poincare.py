@@ -112,6 +112,9 @@ def _poly_mul(a: Poly, b: Poly, k: int, order: int | None = None) -> Poly:
 
 
 def _factor_poly(q: int, d: int, k: int) -> Poly:
+    """The polynomial 1 - t_q^d, which is zero when d == 0."""
+    if d == 0:
+        return {}
     zero = tuple(0 for _ in range(k))
     e = tuple(d if i == q - 1 else 0 for i in range(k))
     return {zero: 1, e: -1}

@@ -60,6 +60,14 @@ def rat_parse(s: str | int) -> Fraction:
     return Fraction(s)
 
 
+def _as_fraction(x: Fraction | int) -> Fraction:
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"matrix entry must be an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of rationals (row-major tuple of tuples)."""
@@ -76,7 +84,9 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Fraction | int]]) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        """Fraction entries are kept as they are, ints become Fractions, and
+        anything else (float, bool, str) raises TypeError."""
+        return Matrix(tuple(tuple(map(_as_fraction, row)) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "Matrix":

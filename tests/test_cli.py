@@ -2,13 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mirrorkit import cli
+from mirrorkit import cli, horn_system
 
 PKG_ROOT = Path(__file__).parent.parent
 # Every --input command in both formats on every fixture, pinned by the
@@ -17,9 +18,15 @@ PKG_ROOT = Path(__file__).parent.parent
 CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
+def run_module(module, *args):
+    """`python -m <module> <args>` in a child process that imports this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                          text=True, cwd=PKG_ROOT, env=dict(os.environ, PYTHONPATH=path))
+
+
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "mirrorkit.cli", *args],
-                          capture_output=True, text=True, cwd=PKG_ROOT)
+    return run_module("mirrorkit.cli", *args)
 
 
 def fixture(name: str) -> str:
@@ -171,11 +178,22 @@ def test_singular_cayley_matrix_exit_codes(tmp_path, command, code):
 def test_singular_cayley_matrix_no_traceback(tmp_path):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(SINGULAR_CAYLEY))
-    result = subprocess.run([sys.executable, "-m", "mirrorkit", "horn", "--input", str(path)],
-                            capture_output=True, text=True, cwd=PKG_ROOT)
+    result = run_module("mirrorkit", "horn", "--input", str(path))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("invalid specification:")
+
+
+def test_horn_factor_limit_exit_one(monkeypatch):
+    # the quadric's operator has 8 factors per side
+    monkeypatch.setattr(horn_system, "FACTOR_COUNT_CAP", 7)
+    for fmt in ("text", "json"):
+        assert run_in_process("horn", "--input", fixture("derived_quadric.json"),
+                              "--format", fmt) == \
+            (1, "", "cannot build the Horn operators: "
+                    "variable 1: 8 p-factors exceed the cap of 7\n")
+    code, out, _ = run_in_process("verify", "--input", fixture("derived_quadric.json"))
+    assert code == 1 and "8 p-factors exceed the cap of 7" in out
 
 
 def test_wrong_length_weights_annotation_is_a_soft_failure(tmp_path):
@@ -197,8 +215,7 @@ def test_wrong_length_weights_annotation_is_a_soft_failure(tmp_path):
 
 
 def test_python_m_mirrorkit_runs_the_cli():
-    result = subprocess.run([sys.executable, "-m", "mirrorkit", "family", "--m", "3"],
-                            capture_output=True, text=True, cwd=PKG_ROOT)
+    result = run_module("mirrorkit", "family", "--m", "3")
     assert result.returncode == 0
     assert result.stdout == run_cli("family", "--m", "3").stdout
 
@@ -249,8 +266,7 @@ def test_malformed_spec_no_traceback(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "k": 1, "blocks": [
         {"exponents": [[2, 0], [0, 2.5]], "index_set": [1, 2]}]}))
-    result = subprocess.run([sys.executable, "-m", "mirrorkit", "verify", "--input", str(path)],
-                            capture_output=True, text=True, cwd=PKG_ROOT)
+    result = run_module("mirrorkit", "verify", "--input", str(path))
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == ("invalid specification: "
                              "blocks[0].exponents[1][1]: expected an integer, got 2.5\n")

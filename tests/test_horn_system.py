@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from mirrorkit import horn_system
 from mirrorkit.ci_model import ChargeMatrix, WeightSystem, charges, derive_weights
 from mirrorkit.horn_system import (
     DegenerateOperatorError,
+    FactorLimitError,
+    HornError,
+    HornOperator,
+    ThetaFactor,
     char_polys,
     horn_operators,
     index_partition,
@@ -13,12 +18,13 @@ from mirrorkit.horn_system import (
     symmetry_report,
 )
 from mirrorkit.mellin import compute_delta
-from mirrorkit.pipeline import MirrorPair
+from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import CyclotomicRatio, poincare_euler, ratio_equal
 from mirrorkit.rational_linalg import Matrix
 from mirrorkit.transposition import transpose_spec
 
 from paper_data import L_8_INV
+from specgen import generate_valid_specs
 
 
 def test_index_partition_quadric(quadric):
@@ -73,6 +79,57 @@ def test_horn_degenerate_guard():
     forms = (LinearForm((), (Fraction(0), Fraction(0)), (Fraction(1),), Fraction(0)),)
     with pytest.raises(DegenerateOperatorError):
         horn_operators(type("S", (), {"k": 1})(), forms)
+
+
+def _per_factor_operators(spec, forms):
+    """Reference: every factor negates its form's z-coefficients afresh, and
+    the operator's JSON formats every factor on its own."""
+    delta = compute_delta(forms)
+    ops = []
+    for q in range(1, spec.k + 1):
+        plus, minus, _ = index_partition(forms, q)
+        sides = [[ThetaFactor(tuple(-c for c in forms[a - 1].z_coeffs), forms[a - 1].const, j)
+                  for a in rows for j in range(abs(int(forms[a - 1].z_coeffs[q - 1] * delta)))]
+                 for rows in (plus, minus)]
+        op = HornOperator(q, tuple(sides[0]), tuple(sides[1]), delta)
+        ops.append((op, {"q": q, "p_factors": [f.to_json() for f in sides[0]],
+                         "q_factors": [f.to_json() for f in sides[1]],
+                         "delta_power": delta, "variable": "s"}))
+    return ops
+
+
+def test_horn_operators_match_per_factor_construction(spec_6_1, spec_6_2, quadric, corrupted):
+    specs = ([generate_family(m) for m in range(2, 13)]
+             + [spec_6_1, spec_6_2, quadric, corrupted] + list(generate_valid_specs(200)))
+    for spec in specs:
+        forms = MirrorPair(spec).forms
+        ops = horn_operators(spec, forms)
+        reference = _per_factor_operators(spec, forms)
+        assert len(ops) == len(reference) == spec.k
+        for op, (ref, ref_json) in zip(ops, reference):
+            assert op == ref
+            js = op.to_json()
+            assert js == ref_json
+            assert str(op) == str(ref)
+            # every factor gets a dict of its own
+            dicts = [f["coeffs"] for f in js["p_factors"] + js["q_factors"]]
+            assert len({id(d) for d in dicts}) == len(dicts)
+
+
+def test_horn_factor_count_guard(quadric, monkeypatch):
+    assert horn_system.FACTOR_COUNT_CAP == 10**6
+    assert issubclass(FactorLimitError, HornError)
+    m12 = generate_family(12)
+    assert max(d for op in horn_operators(m12, MirrorPair(m12).forms) for d in op.degrees) == 1800
+    forms = MirrorPair(quadric).forms
+    monkeypatch.setattr(horn_system, "FACTOR_COUNT_CAP", 8)  # the quadric's 8 per side
+    assert horn_operators(quadric, forms)[0].degrees == (8, 8)
+    built = []
+    monkeypatch.setattr(horn_system, "ThetaFactor", lambda *args: built.append(args))
+    monkeypatch.setattr(horn_system, "FACTOR_COUNT_CAP", 7)
+    with pytest.raises(FactorLimitError, match="variable 1: 8 p-factors exceed the cap of 7"):
+        horn_operators(quadric, forms)
+    assert built == []  # raised before any factor was built
 
 
 def test_restricted_operator_quadric(quadric):

@@ -12,6 +12,8 @@ from collections import Counter
 import pytest
 
 from mirrorkit import ci_model, cli, nef_partition, rational_linalg, transposition
+from mirrorkit.horn_system import horn_operators, index_partition
+from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
@@ -70,3 +72,24 @@ def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
     assert count["eliminate"] <= 5
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_horn_factors_of_one_form_share_its_data(m):
+    # a form's Delta*|c| factors differ only in their shift: one negated
+    # coefficient tuple and one constant per form, in every operator
+    spec = generate_family(m)
+    forms = MirrorPair(spec).forms
+    delta = compute_delta(forms)
+    shared: dict[int, set] = {}
+    for op in horn_operators(spec, forms):
+        plus, minus, _ = index_partition(forms, op.q)
+        for rows, factors in ((plus, op.p_factors), (minus, op.q_factors)):
+            it = iter(factors)
+            for a in rows:
+                for j in range(abs(int(forms[a - 1].z_coeffs[op.q - 1] * delta))):
+                    f = next(it)
+                    assert f.shift == j and f.const is forms[a - 1].const
+                    shared.setdefault(a, set()).add(id(f.coeffs))
+            assert next(it, None) is None
+    assert shared and all(len(ids) == 1 for ids in shared.values())

@@ -180,6 +180,14 @@ def test_series_expand_constant():
     assert series_expand(CyclotomicRatio.one(1), 5) == {(0,): 1}
 
 
+def test_zero_exponent_factor_is_the_zero_polynomial():
+    # 1 - t^0 = 0, not -1
+    assert _expand_product([(1, 0)], 1) == {}
+    assert _expand_product([(2, 3), (1, 0)], 2) == {}
+    zero = CyclotomicRatio(1, ((1, 0),), ((1, 1),))  # bypasses canonical construction
+    assert series_expand(zero, 4) == {}
+
+
 def test_series_expand_rejects_degenerate_denominator():
     from mirrorkit.poincare import NotExpandableError
     import pytest

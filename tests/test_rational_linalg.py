@@ -436,3 +436,25 @@ def test_rational_serialization():
     assert rat_parse("19/147") == Fraction(19, 147)
     m = Matrix.from_json(L_8_INV)
     assert Matrix.from_json(m.to_json()) == m
+
+
+def test_from_rows_keeps_fractions_and_converts_ints():
+    x = F(3, 7)
+    m = Matrix.from_rows([[x, 2], [0, F(-1)]])
+    assert m[0, 0] is x
+    assert m[0, 1] == 2 and type(m[0, 1]) is Fraction
+    assert all(type(e) is Fraction for row in m.entries for e in row)
+
+
+def test_from_rows_cayley_entries_are_fractions(spec_6_1, spec_6_2, quadric):
+    from mirrorkit.ci_model import build_cayley
+    for spec in (spec_6_1, spec_6_2, quadric):
+        assert all(type(e) is Fraction for row in build_cayley(spec).matrix.entries for e in row)
+
+
+@pytest.mark.parametrize("entry", [0.5, True, False, "1", 1.0])
+def test_from_rows_rejects_other_entry_types(entry):
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[entry]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1, 2], [3, entry]])
