@@ -21,15 +21,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .rational_linalg import (
+    integer_kernel,
     Matrix,
-    SingularMatrixError,
-    invert,
     primitive_integer_vector,
-    right_kernel,
+    SingularMatrixError,
 )
 
 
@@ -116,13 +116,21 @@ class CISpec:
 
     # -- block layout --------------------------------------------------------
 
-    @property
+    @cached_property
     def taus(self) -> tuple[int, ...]:
         return tuple(b.tau for b in self.blocks)
 
+    @cached_property
+    def _prefix(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.taus, initial=0))
+
     def b(self, q: int) -> int:
-        """Cumulative monomial count b^q = tau_1 + ... + tau_q (q in 0..k)."""
-        return sum(self.taus[:q])
+        """Cumulative monomial count b^q = tau_1 + ... + tau_q (q in 0..k).
+
+        A q past the last block (a spec whose k exceeds its block count)
+        counts every block.
+        """
+        return self._prefix[min(q, len(self.blocks))]
 
     def block_range(self, q: int) -> tuple[int, ...]:
         """1-based variable positions owned by block q."""
@@ -246,7 +254,10 @@ class ChargeMatrix:
 
     @property
     def column_lcms(self) -> tuple[int, ...]:
-        return tuple(self.column_lcm(q) for q in range(1, self.k + 1))
+        """One LCM per weight vector (column); a spec whose block count differs
+        from its k gives a non-square matrix."""
+        width = len(self.entries[0]) if self.entries else 0
+        return tuple(self.column_lcm(q) for q in range(1, width + 1))
 
     def to_json(self) -> dict:
         return {"entries": [list(r) for r in self.entries], "column_lcms": list(self.column_lcms)}
@@ -336,22 +347,23 @@ def derive_weights(spec: CISpec) -> WeightSystem:
     Block q's vector is supported on its own variable range; the pairing of
     every monomial of every block against it must match the pairing of that
     block's product indicator.  The solution per block must be a single
-    positive ray, reported primitively.
+    positive ray, reported primitively.  A structurally invalid spec raises
+    SpecInvalidError, as in build_cayley.
     """
-    diffs = difference_matrix(spec).entries
+    _check_structure(spec)
+    diffs = difference_matrix(spec).num
     vectors = []
     for q in range(1, spec.k + 1):
         cols = [i - 1 for i in spec.block_range(q)]
         if not cols:
             raise NoPositiveSolutionError(f"block {q} owns no variables")
-        system = Matrix.from_rows([[row[c] for c in cols] for row in diffs])
-        kernel = right_kernel(system)
+        kernel = integer_kernel(Matrix(tuple(tuple(row[c] for c in cols) for row in diffs)))
         if len(kernel) == 0:
             raise NoPositiveSolutionError(f"block {q}: only the zero weight solves the system")
         if len(kernel) > 1:
             raise AmbiguousWeightsError(
                 f"block {q}: weight solution space has dimension {len(kernel)}")
-        gen = primitive_integer_vector(kernel[0])
+        gen = kernel[0]
         if all(x <= 0 for x in gen):
             gen = tuple(-x for x in gen)
         if any(x <= 0 for x in gen):
@@ -383,8 +395,7 @@ def supplied_weights(spec: CISpec) -> WeightSystem | None:
 
 
 def _proportional_int(u: Sequence[int], v: Sequence[int]) -> bool:
-    return primitive_integer_vector([Fraction(x) for x in u]) == \
-        primitive_integer_vector([Fraction(x) for x in v])
+    return primitive_integer_vector(u) == primitive_integer_vector(v)
 
 
 def charges(spec: CISpec, w: WeightSystem) -> ChargeMatrix:
@@ -485,8 +496,16 @@ def _structure_problems(spec: CISpec) -> list[str]:
     return problems
 
 
-def validate(spec: CISpec) -> ValidationReport:
-    """Run every structural and arithmetic check; failures land in the report."""
+def validate(spec: CISpec, pair=None) -> ValidationReport:
+    """Run every structural and arithmetic check; failures land in the report.
+
+    The derived weights, the charges and the Cayley inverse are read from
+    `pair`, the run's `pipeline.MirrorPair` of spec (a fresh one if none
+    is given), so a run that goes on to use them builds each once.
+    """
+    if pair is None:
+        from .pipeline import MirrorPair
+        pair = MirrorPair(spec)
     checks: dict[str, bool] = {}
     notes: list[str] = []
 
@@ -501,7 +520,7 @@ def validate(spec: CISpec) -> ValidationReport:
     derived: WeightSystem | None = None
     if checks["partition"] and checks["tau_sum"] and checks["exponent_shape"]:
         try:
-            derived = derive_weights(spec)
+            derived = pair.weights
             checks["weights_solvable"] = True
         except (NoPositiveSolutionError, AmbiguousWeightsError) as exc:
             checks["weights_solvable"] = False
@@ -526,7 +545,7 @@ def validate(spec: CISpec) -> ValidationReport:
 
     effective = supplied if supplied is not None else derived
     if effective is not None:
-        qm = charges(spec, effective)
+        qm = pair.charges
         cy_ok = True
         for q in range(1, spec.k + 1):
             lhs = sum(qm.column(q))
@@ -541,7 +560,7 @@ def validate(spec: CISpec) -> ValidationReport:
 
     if checks["partition"] and checks["tau_sum"] and checks["exponent_shape"]:
         try:
-            invert(build_cayley(spec).matrix)
+            pair.inverse
             checks["cayley_nonsingular"] = True
         except SingularMatrixError:
             checks["cayley_nonsingular"] = False

@@ -30,7 +30,7 @@ def _dump(data: dict, fmt: str, out) -> None:
 
 
 def _cmd_validate(pair, args, out):
-    report = ci_model.validate(pair.spec)
+    report = ci_model.validate(pair.spec, pair)
     if args.format == "json":
         _dump(report.to_json(), "json", out)
     else:

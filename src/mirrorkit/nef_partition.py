@@ -10,8 +10,9 @@ determined modulo the weight lines, so a deterministic coordinate section
 pins the representatives.  That section is the pivot columns of the
 weight-kernel basis, and all n dual vertices come from a single
 elimination of the sectioned difference matrix against the n right-hand
-sides.  The pairings checked afterwards are integer dot products against
-the dual vertices scaled by their common denominator.
+sides.  That solve returns them as integer columns over their least
+common denominator, scale * P and scale, and every pairing checked
+afterwards is an integer dot product against those columns.
 
 The per-vertex equality clauses printed alongside the matrix equation are
 internally inconsistent, so they are validated and reported rather than
@@ -23,16 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
-from .rational_linalg import (
-    Matrix,
-    pivot_columns,
-    primitive_integer_vector,
-    rank,
-    right_kernel,
-    solve_many,
-)
+from .rational_linalg import integer_kernel, Matrix, pivot_columns, rank, solve_den
 from .transposition import TransposeResult
 
 
@@ -67,8 +62,7 @@ class MinkowskiReport:
 
 
 def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    w = Matrix.from_rows([list(v) for v in weights.vectors])
-    return tuple(primitive_integer_vector(v) for v in right_kernel(w))
+    return tuple(integer_kernel(Matrix(weights.vectors)))
 
 
 def build_deltas(spec: CISpec, weights: WeightSystem) -> tuple[LatticePolytope, ...]:
@@ -98,6 +92,11 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _phi(deltas, q: int, y: Sequence[int]) -> int:
+    """The block-q support function at an integer point y."""
+    return -min(_dot(v, y) for v in deltas[q - 1].vertices)
+
+
 def support_phi(deltas, q: int, y) -> Fraction:
     """Value of the block-q support function at y: -min over vertices of <x, y>.
 
@@ -106,8 +105,7 @@ def support_phi(deltas, q: int, y) -> Fraction:
     """
     y = [Fraction(b) for b in y]
     d = math.lcm(*(b.denominator for b in y))
-    scaled = [b.numerator * (d // b.denominator) for b in y]
-    return Fraction(-min(_dot(v, scaled) for v in deltas[q - 1].vertices), d)
+    return Fraction(_phi(deltas, q, [b.numerator * (d // b.denominator) for b in y]), d)
 
 
 @dataclass(frozen=True)
@@ -138,26 +136,34 @@ class NefPartitionData:
         }
 
 
-def _integral_representative_exists(col, weights: WeightSystem) -> bool:
-    """Can the column be shifted by real multiples of the weight vectors into Z^n?
+def _integral_representative_exists(col: Sequence[int], scale: int,
+                                    weights: WeightSystem) -> bool:
+    """Can col / scale be shifted by real multiples of the weight vectors into Z^n?
 
-    Supports are disjoint, so each block contributes an independent
-    congruence c * g_i + p_i in Z over its own support; one period of the
-    finest admissible step is searched exhaustively.
+    Supports are disjoint, so each block asks on its own support whether
+    some real c makes every c * g_i + col_i / scale an integer.  Then
+    c * scale * g_i is an integer for each i, hence so is c * scale * h for
+    h = gcd(g_i): c = x / (h * scale) with x an integer, and the question
+    is whether the congruences (g_i / h) x = -col_i (mod scale) have a
+    common solution.  Each is solved by gcd and the solutions are merged
+    by the Chinese remainder theorem.
     """
     for vec in weights.vectors:
-        support = [(g, col[i]) for i, g in enumerate(vec) if g]
-        if all(p.denominator == 1 for _, p in support):
-            continue
-        step = math.lcm(*(g * p.denominator for g, p in support))
-        found = False
-        for j in range(step):
-            c = Fraction(j, step)
-            if all((c * g + p).denominator == 1 for g, p in support):
-                found = True
-                break
-        if not found:
-            return False
+        h = math.gcd(*vec)
+        r, modulus = 0, 1   # the x solving the congruences so far: r mod modulus
+        for g, y in zip(vec, col):
+            if not g:
+                continue
+            d = math.gcd(g // h, scale)
+            if y % d:
+                return False
+            m = scale // d
+            x = -y // d * pow(g // h // d, -1, m) % m   # this congruence: x mod m
+            e = math.gcd(modulus, m)
+            if (x - r) % e:
+                return False
+            step = (x - r) // e * pow(modulus // e, -1, m // e) % (m // e)
+            r, modulus = r + modulus * step, modulus // e * m
     return True
 
 
@@ -193,7 +199,8 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
             f"Minkowski sum has dimension {mink.dim}, expected {n - k}")
 
     a_mat = difference_matrix(spec)
-    t_diff = difference_matrix(tr.tspec)
+    a_rows = a_mat.num
+    t_diff = difference_matrix(tr.tspec).num
     if tr.tspec.taus != spec.taus:
         raise UnsolvableError("transposed block sizes do not mirror the original order")
 
@@ -201,36 +208,30 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     # variable carrying original monomial i
     i_lam = spec.i_lambda()
     var_of = {r: v for r, v in tr.row_to_var}
-    target = Matrix.from_rows([
-        [t_diff[c, var_of[i_lam[i]] - 1] for c in range(n)]
-        for i in range(n)])
+    target_cols = [tuple(t_diff[c][var_of[i_lam[i]] - 1] for i in range(n)) for c in range(n)]
+    pairings = Matrix(tuple(zip(*target_cols)))
 
-    # all n dual vertices from one elimination of [A_section | target]
+    # all n dual vertices from one elimination of [A_section | target], as
+    # scale * P: every pairing below is taken in integers against those
+    # columns, which preserves signs and maps the value v to scale * v
     section = _section_indices(deltas[0].kernel_basis)
-    a_cols = Matrix.from_rows([[a_mat[i, j] for j in section] for i in range(n)])
-    p_cols = []
-    for c, sol in enumerate(solve_many(a_cols, target.transpose().entries), start=1):
+    a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_rows))
+    sols, scale = solve_den(a_cols, target_cols)
+    p_int = []
+    for c, sol in enumerate(sols, start=1):
         if sol is None:
             raise UnsolvableError(f"dual vertex {c}: inconsistent system")
-        full = [Fraction(0)] * n
+        full = [0] * n
         for idx, val in zip(section, sol):
             full[idx] = val
-        p_cols.append(tuple(full))
-    p_matrix = Matrix.from_rows([[p_cols[c][i] for c in range(n)] for i in range(n)])
-
-    # every pairing below is taken in integers against the scaled vertices
-    # scale * P, which preserves signs and maps the value v to scale * v
-    scale = math.lcm(*(x.denominator for col in p_cols for x in col))
-    p_int = [tuple(x.numerator * (scale // x.denominator) for x in col) for col in p_cols]
-    a_rows = [tuple(int(x) for x in row) for row in a_mat.entries]
-    if any(_dot(a_rows[i], p_int[c]) != scale * target[i, c]
-           for i in range(n) for c in range(n)):
+        p_int.append(tuple(full))
+    p_matrix = Matrix(tuple(zip(*p_int)), scale)
+    if a_mat @ p_matrix != pairings:
         raise UnsolvableError("pairing matrix does not reproduce the target")
-    pairings = target
 
     flags["integral_P_section"] = scale == 1
     flags["integral_P_exists"] = all(
-        _integral_representative_exists(col, weights) for col in p_cols)
+        _integral_representative_exists(col, scale, weights) for col in p_int)
     if not flags["integral_P_section"]:
         notes.append("dual vertices are not integral in the chosen section"
                      + ("" if not flags["integral_P_exists"]
@@ -244,12 +245,12 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         pos_l = tr.block_sources.index(l) + 1
         base = tr.tspec.b(pos_l - 1)
         dual_idx.append([base + r for r in range(tr.tspec.taus[pos_l - 1])])
-    duals = tuple(tuple(p_cols[c] for c in cols) for cols in dual_idx)
+    duals = tuple(tuple(p_matrix.col(c) for c in cols) for cols in dual_idx)
 
     # support function values: phi_q(dual vertex of block l) must be delta_{ql};
     # phi is positively homogeneous, so at scale * m it must be scale * delta_{ql}
     flags["phi_kronecker"] = all(
-        support_phi(deltas, q, p_int[c]) == (scale if q == l else 0)
+        _phi(deltas, q, p_int[c]) == (scale if q == l else 0)
         for l in range(1, k + 1) for c in dual_idx[l - 1] for q in range(1, k + 1))
 
     sigma = []

@@ -191,7 +191,8 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
     soft: list[str] = []
     hard_ok = True
 
-    report = ci_model.validate(spec)
+    pair = MirrorPair(spec)
+    report = ci_model.validate(spec, pair)
     stage = Stage("validate", report.hard_ok,
                   flags=dict(report.checks), notes=list(report.notes),
                   payload=report.to_json())
@@ -202,7 +203,6 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         if not report.checks.get(name, True):
             soft.append(f"validate: {name}")
 
-    pair = MirrorPair(spec)
     try:
         cm = pair.cm
         inv_ok = (cm.matrix @ pair.inverse) == Matrix.identity(cm.size)

@@ -4,17 +4,27 @@ Everything in this package reduces to linear algebra over the rationals:
 inverting the Cayley matrix, solving for the linear forms, kernel
 computations for weight systems and dual polytopes.  All of it must be
 exact -- denominators like 147 compound under elimination and no float
-mode exists -- so matrices carry ``fractions.Fraction`` entries and every
-operation returns fresh immutable values.
+mode exists -- and every operation returns fresh immutable values.
 
-The arithmetic inside the kernels runs on Python integers.  Elimination
-scales each row to integers by the LCM of its denominators and keeps it
-integral (``row <- a*row - b*pivot_row``, then divided by its gcd); every
-row stays a nonzero multiple of the row the same Gauss-Jordan steps give
-in ``Fraction``s, so the pivots are the same, and dividing each pivot row
-by its pivot gives the reduced row echelon form, which is unique.  The
-product of two matrices scales each left row and each right column to
-integers the same way and divides each integer dot product once.
+A matrix is integer rows ``num`` over one positive denominator ``den``,
+kept canonical: gcd(den, every entry) = 1, so ``den`` is the least common
+denominator of the entries and ``==`` and ``hash`` are structural.  Every
+matrix built from a specification is integral (den = 1); only inverses,
+kernels and solutions carry a denominator, and it is one small number
+(the modulus Delta for the Cayley inverse).  ``Fraction``s appear only in
+the entry view (``entries``, ``col``, ``m[i, j]``), built on first use for
+the callers that want rational entries.
+
+Elimination is fraction-free Gauss-Jordan on integer rows (Bareiss 1968;
+sympy's ``rref_den`` is the same idea): ``row <- a*row - b*pivot_row``,
+then divided by the gcd of its entries.  Every row stays a nonzero
+multiple of the row the same steps give over the rationals, so the pivots
+are the same, and the result is the integer reduced row echelon form with
+each pivot row left undivided: pivot row i divided by its pivot is row i
+of the unique rational RREF.  Inverses, solutions and kernel vectors are
+read off it over the LCM of the pivots and then reduced to canonical
+form.  A product multiplies the integer rows and puts the result over the
+product of the two denominators.
 
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
 the denominator is 1; a matrix is a list of rows of such strings.
@@ -25,13 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
-
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RationalLinalgError(Exception):
@@ -60,58 +67,73 @@ def rat_parse(s: str | int) -> Fraction:
     return Fraction(s)
 
 
-def _as_fraction(x: Fraction | int) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    raise TypeError(f"matrix entry must be an int or a Fraction, got {type(x).__name__} {x!r}")
+def _ratio_str(p: int, q: int) -> str:
+    """rat_str of p/q for q > 0, without building a Fraction."""
+    g = math.gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of rationals (row-major tuple of tuples)."""
+    """Immutable dense rational matrix: integer rows ``num`` over one denominator ``den``.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The constructor takes num and den as given and expects them canonical
+    (den > 0, gcd(den, every entry) = 1); integer rows with den = 1 always
+    are.  from_rows builds a matrix from int or Fraction rows.
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
+        if self.num:
+            width = len(self.num[0])
+            if any(len(row) != width for row in self.num):
                 raise DimensionMismatchError("ragged rows")
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Fraction | int]]) -> "Matrix":
-        """Fraction entries are kept as they are, ints become Fractions, and
-        anything else (float, bool, str) raises TypeError."""
-        return Matrix(tuple(tuple(map(_as_fraction, row)) for row in rows))
+        """Int rows are kept as they are, Fraction entries are scaled by the LCM of
+        the denominators, and anything else (float, bool, str) raises TypeError."""
+        num = tuple(map(tuple, rows))
+        kinds = set(map(type, chain.from_iterable(num)))
+        if kinds <= {int}:
+            return Matrix(num)
+        if not kinds <= {int, Fraction}:
+            x = next(x for x in chain.from_iterable(num) if type(x) not in (int, Fraction))
+            raise TypeError(
+                f"matrix entry must be an int or a Fraction, got {type(x).__name__} {x!r}")
+        den = math.lcm(*(x.denominator for x in chain.from_iterable(num)))
+        return Matrix(tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                            for row in num), den)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     # -- shape and access --------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.num[0]) if self.num else 0
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on first use."""
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         i, j = idx
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
@@ -122,52 +144,36 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix addition shape mismatch")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix subtraction shape mismatch")
-        return Matrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(tuple(zip(*self.num)), self.den) if self.num else self
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [_integer_row(col) for col in zip(*other.entries)]
-        out = []
-        for row in self.entries:
-            a, da = _integer_row(row)
-            out.append(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols))
-        return Matrix(tuple(out))
-
-    def mul_vector(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise DimensionMismatchError("matrix-vector shape mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.entries)
+        cols = list(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        return _canonical(num, self.den * other.den)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
-        return [[rat_str(x) for x in row] for row in self.entries]
-
-    @staticmethod
-    def from_json(data: Sequence[Sequence[str | int]]) -> "Matrix":
-        return Matrix.from_rows([[rat_parse(x) for x in row] for row in data])
+        return [[_ratio_str(x, self.den) for x in row] for row in self.num]
 
     def __str__(self) -> str:
-        widths = [max(len(rat_str(self.entries[i][j])) for i in range(self.rows))
-                  for j in range(self.cols)] if self.entries else []
-        lines = []
-        for row in self.entries:
-            lines.append("[ " + "  ".join(rat_str(x).rjust(w) for x, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
+        cells = self.to_json()
+        widths = [max(len(row[j]) for row in cells) for j in range(self.cols)] if cells else []
+        return "\n".join("[ " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]"
+                         for row in cells)
+
+
+def _canonical(num: tuple[tuple[int, ...], ...], den: int) -> Matrix:
+    """num / den (den > 0) with the common factor of den and the entries cancelled."""
+    if den > 1:
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    return Matrix(num, den)
 
 
 @dataclass(frozen=True)
@@ -199,15 +205,11 @@ class PermutationMap:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.size + 1))
 
-    def compose(self, other: "PermutationMap") -> "PermutationMap":
-        """self after other: i -> self(other(i))."""
-        return PermutationMap(tuple(self(other(i)) for i in range(1, self.size + 1)))
-
     def matrix(self) -> Matrix:
         """Permutation matrix P with P e_j = e_{images[j]}."""
         n = self.size
-        return Matrix.from_rows([[1 if self.images[j] == i + 1 else 0
-                                  for j in range(n)] for i in range(n)])
+        return Matrix(tuple(tuple(int(self.images[j] == i + 1) for j in range(n))
+                            for i in range(n)))
 
     def to_json(self) -> list[int]:
         return list(self.images)
@@ -226,18 +228,19 @@ def _primitive(ints: list[int]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[int]]:
-    """In-place Gauss-Jordan elimination on the first ncols columns; returns (rank, pivots).
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """In-place fraction-free Gauss-Jordan elimination of integer rows on the
+    first ncols columns; returns (rank, pivots).
 
     Pivot choice is the first row with a nonzero entry in the pivot column
-    (lowest row index), which keeps golden outputs deterministic.  The
-    work is in integers (see the module docstring); on return rows[:rank]
-    is the reduced row echelon form in Fractions, pivot row i divided by
-    its pivot.  rows[rank:] come back as lists of integers, nonzero
-    multiples of what Fraction elimination leaves there: only their zero
-    pattern (which augmented columns are inconsistent) means anything.
+    (lowest row index), which keeps golden outputs deterministic.  On
+    return rows[:rank] is the integer RREF (see the module docstring):
+    primitive rows, zero in every other pivot column, pivot rows not
+    divided by their pivots.  rows[rank:] are nonzero multiples of what
+    rational elimination leaves there: only their zero pattern (which
+    augmented columns are inconsistent) means anything.
     """
-    work = [_primitive(_integer_row(row)[0]) for row in rows]
+    work = [_primitive(row) for row in rows]
     rank = 0
     pivots = []
     nrows = len(work)
@@ -258,44 +261,28 @@ def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[int]]:
         rank += 1
         if rank == nrows:
             break
-    for i, col in enumerate(pivots):
-        p = work[i][col]
-        work[i] = [Fraction(x, p) for x in work[i]]
     rows[:] = work
     return rank, pivots
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan elimination on [m | I]."""
+    """Exact inverse: one elimination of [num | I], read off over the LCM of the pivots."""
     if not m.is_square():
         raise DimensionMismatchError("can only invert a square matrix")
     n = m.rows
-    aug = [list(m.entries[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    rank, pivots = _eliminate(aug, n)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
+    rank, _ = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError("matrix is singular")
-    assert pivots == list(range(n))
-    return Matrix(tuple(tuple(aug[i][n:]) for i in range(n)))
-
-
-def solve(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Solve m x = rhs exactly for square nonsingular m."""
-    if not m.is_square():
-        raise DimensionMismatchError("solve requires a square matrix")
-    if len(rhs) != m.rows:
-        raise DimensionMismatchError("right-hand side length mismatch")
-    n = m.rows
-    aug = [list(m.entries[i]) + [Fraction(rhs[i])] for i in range(n)]
-    rank, pivots = _eliminate(aug, n)
-    if rank < n:
-        raise SingularMatrixError("matrix is singular")
-    assert pivots == list(range(n))
-    return tuple(aug[i][n] for i in range(n))
+    # the pivots are the diagonal; (num/den)^-1 = den * num^-1
+    d = math.lcm(*(aug[i][i] for i in range(n)))
+    return _canonical(tuple(tuple(x * (m.den * d // aug[i][i]) for x in aug[i][n:])
+                            for i in range(n)), d)
 
 
 def pivot_columns(m: Matrix) -> list[int]:
     """Lowest-index columns of m that are linearly independent (the pivots)."""
-    work = [list(row) for row in m.entries]
+    work = [list(row) for row in m.num]
     _, pivots = _eliminate(work, m.cols)
     return pivots
 
@@ -304,64 +291,90 @@ def rank(m: Matrix) -> int:
     return len(pivot_columns(m))
 
 
-def lcm_of_denominators(m: Matrix) -> int:
-    """Smallest positive integer d with d*m integer-valued (1 for the empty matrix)."""
-    return math.lcm(*(x.denominator for row in m.entries for x in row))
+def _kernel_columns(m: Matrix) -> list[tuple[int, tuple[int, ...]]]:
+    """(free column f, primitive integer kernel vector) for each free column of m.
 
-
-def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : m x = 0}, one vector per free column, deterministic order."""
-    work = [list(row) for row in m.entries]
-    r, pivots = _eliminate(work, m.cols)
+    The vector is a positive multiple of the one that is 1 at f and 0 at
+    the other free columns.
+    """
+    work = [list(row) for row in m.num]
+    _, pivots = _eliminate(work, m.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        vec = [ZERO] * m.cols
-        vec[free] = ONE
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -work[row_idx][free]
-        basis.append(tuple(vec))
+        d = math.lcm(*(work[i][pcol] for i, pcol in enumerate(pivots) if work[i][free]))
+        vec = [0] * m.cols
+        vec[free] = d
+        for i, pcol in enumerate(pivots):
+            vec[pcol] = -work[i][free] * (d // work[i][pcol])
+        basis.append((free, tuple(_primitive(vec))))
     return basis
 
 
-def solve_many(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
-               ) -> list[tuple[Fraction, ...] | None]:
-    """Particular solutions of m x = b for each column b of rhs_cols, None when inconsistent.
+def integer_kernel(m: Matrix) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : m x = 0}: right_kernel's vectors, each
+    scaled by a positive factor to coprime integers."""
+    return [vec for _, vec in _kernel_columns(m)]
+
+
+def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : m x = 0}, one vector per free column, deterministic order:
+    each is 1 at its free column and 0 at the other free columns."""
+    return [tuple(Fraction(x, vec[free]) for x in vec) for free, vec in _kernel_columns(m)]
+
+
+def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
+              ) -> tuple[list[tuple[int, ...] | None], int]:
+    """Particular solutions of m x = b for each column b, as integer vectors over
+    one common denominator: (d*x per column, or None when inconsistent; d).
 
     One elimination of [m | b_1 ... b_r]: the pivots depend on m alone, so
     each column gets exactly the solution a one-column solve would.  m may
-    be rectangular or rank-deficient; free variables are set to zero.
+    be rectangular or rank-deficient; free variables are set to zero.  d
+    is the least common denominator of the consistent solutions.
     """
     if any(len(b) != m.rows for b in rhs_cols):
         raise DimensionMismatchError("right-hand side length mismatch")
     n = m.cols
-    aug = [list(m.entries[i]) + [Fraction(b[i]) for b in rhs_cols] for i in range(m.rows)]
+    aug = []
+    for i, row in enumerate(m.num):
+        # num x = den * b; row i scaled by the LCM e of its right-hand denominators
+        rhs, e = _integer_row(b[i] for b in rhs_cols)
+        aug.append([x * e for x in row] + [m.den * y for y in rhs])
     r, pivots = _eliminate(aug, n)
-    out: list[tuple[Fraction, ...] | None] = []
+    d = math.lcm(*(aug[i][pcol] for i, pcol in enumerate(pivots)))
+    out: list[tuple[int, ...] | None] = []
     for c in range(n, n + len(rhs_cols)):
-        if any(aug[i][c] != 0 for i in range(r, m.rows)):
+        if any(aug[i][c] for i in range(r, m.rows)):
             out.append(None)
             continue
-        x = [ZERO] * n
-        for row_idx, pcol in enumerate(pivots):
-            x[pcol] = aug[row_idx][c]
+        x = [0] * n
+        for i, pcol in enumerate(pivots):
+            x[pcol] = aug[i][c] * (d // aug[i][pcol])
         out.append(tuple(x))
-    return out
+    g = math.gcd(d, *chain.from_iterable(x for x in out if x is not None))
+    if g > 1:
+        out = [None if x is None else tuple(v // g for v in x) for x in out]
+        d //= g
+    return out, d
 
 
-def solve_general(m: Matrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
-    """One particular solution of m x = rhs, or None when inconsistent (see solve_many)."""
-    return solve_many(m, [rhs])[0]
+def solve_many(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
+               ) -> list[tuple[Fraction, ...] | None]:
+    """Particular solutions of m x = b for each column b of rhs_cols, None when
+    inconsistent (solve_den's solutions as Fractions)."""
+    cols, d = solve_den(m, rhs_cols)
+    return [None if x is None else tuple(Fraction(v, d) for v in x) for x in cols]
 
 
-def primitive_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+def primitive_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping the sign pattern."""
     return tuple(_primitive(_integer_row(v)[0]))
 
 
-def vectors_proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
+def vectors_proportional(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> bool:
     """True when u and v span the same line (2x2 minors all vanish), both nonzero."""
     if all(x == 0 for x in u) or all(x == 0 for x in v):
         return False

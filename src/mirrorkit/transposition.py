@@ -24,16 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .ci_model import Block, CayleyMatrix, CISpec, SpecError, WeightSystem
-from .rational_linalg import (
-    Matrix,
-    PermutationMap,
-    primitive_integer_vector,
-    right_kernel,
-    vectors_proportional,
-)
+from .rational_linalg import integer_kernel, Matrix, PermutationMap, vectors_proportional
 
 
 class TranspositionError(SpecError):
@@ -111,7 +104,7 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
     Returns (0-based positions, primitive positive weights) per group, or raises
     NoValidShapeError when the kernel does not decompose that way.
     """
-    kernel = right_kernel(diff)
+    kernel = integer_kernel(diff)
     if len(kernel) != k:
         raise NoValidShapeError(
             f"weight kernel has dimension {len(kernel)}, expected {k}")
@@ -133,11 +126,11 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
     result = []
     for cls in classes:
         # kernel vectors vanishing outside the class: the kernel of its columns
-        sub = right_kernel(Matrix.from_rows([[row[i] for i in cls] for row in diff.entries]))
+        sub = integer_kernel(Matrix(tuple(tuple(row[i] for i in cls) for row in diff.num)))
         if len(sub) != 1:
             raise NoValidShapeError("support group does not carry a unique weight ray")
-        # the basis vector is 1 at its free column, so a positive ray comes out positive
-        vals = list(primitive_integer_vector(sub[0]))
+        # the basis vector is positive at its free column, so a positive ray comes out positive
+        vals = sub[0]
         if any(v <= 0 for v in vals):
             raise NoValidShapeError("no positive weight vector on a support group")
         result.append((cls, tuple(vals)))
@@ -157,7 +150,7 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
     that need the transposed side's Cayley matrix and weights.
     """
     spec = cm.spec
-    L = cm.matrix
+    L = cm.matrix.num
     n, k = spec.n, spec.k
     taus = spec.taus
     tilde_taus = tuple(len(b.index_set) for b in spec.blocks)
@@ -178,8 +171,8 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
     raw_index = {row: i for i, row in enumerate(raw_vars)}
 
     # raw exponents of the new monomials: column i of L restricted to monomial rows
-    def raw_monomial(col: int) -> tuple[Fraction, ...]:
-        return tuple(L[row - 1, col - 1] for row in raw_vars)
+    def raw_monomial(col: int) -> tuple[int, ...]:
+        return tuple(L[row - 1][col - 1] for row in raw_vars)
 
     new_blocks_raw = []  # per position: (source block, monomial columns, raw exponents)
     for q in range(1, k + 1):
@@ -195,10 +188,11 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
 
     diff_rows = []
     for (src, cols, exps), iset in zip(new_blocks_raw, raw_index_sets):
-        ind = [Fraction(1) if i in set(iset) else Fraction(0) for i in range(n)]
+        members = set(iset)
+        ind = [int(i in members) for i in range(n)]
         for v in exps:
             diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
-    classes = _weight_classes(Matrix.from_rows(diff_rows), k)
+    classes = _weight_classes(Matrix(tuple(diff_rows)), k)
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class
@@ -228,7 +222,7 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
     def relabel(vec) -> tuple[int, ...]:
         out = [0] * n
         for raw_pos, val in enumerate(vec):
-            out[var_map[raw_pos] - 1] = int(val)
+            out[var_map[raw_pos] - 1] = val
         return tuple(out)
 
     tblocks = []
@@ -306,9 +300,10 @@ def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
         old_row_of_col.append(spec.a(block_sources[q - 1]))  # s_q
 
     size = spec.total_rows
+    old, new = cm.matrix.num, tcm.matrix.num
     for r in range(size):
         for c in range(size):
-            if tcm.matrix[r, c] != cm.matrix[old_row_of_col[c] - 1, old_col_of_row[r] - 1]:
+            if new[r][c] != old[old_row_of_col[c] - 1][old_col_of_row[r] - 1]:
                 raise InternalInvariantError(
                     f"transpose mismatch at new entry ({r + 1},{c + 1})")
 
@@ -316,9 +311,10 @@ def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
 def _lambda_matrix_identity(spec: CISpec, cm: CayleyMatrix, lam: tuple[int, ...]) -> bool:
     """lambda row-selects t(L_monomial) into the transposed monomial matrix."""
     raw_vars = list(cm.i_lambda)
-    l_lambda = [[cm.matrix[row - 1, c] for c in range(spec.n)] for row in raw_vars]
+    L = cm.matrix.num
+    l_lambda = [[L[row - 1][c] for c in range(spec.n)] for row in raw_vars]
     t_l = [list(col) for col in zip(*l_lambda)]  # rows = old variables
-    new_rows = [[cm.matrix[row - 1, old_col - 1] for row in raw_vars] for old_col in lam]
+    new_rows = [[L[row - 1][old_col - 1] for row in raw_vars] for old_col in lam]
     return all(t_l[lam[r] - 1] == new_rows[r] for r in range(spec.n))
 
 
@@ -395,10 +391,7 @@ def _find_rho(spec: CISpec, weights: WeightSystem
     for q, blk in enumerate(spec.blocks, start=1):
         for i in blk.index_set:
             owner_set[i] = q
-    owner_range = {}
-    for q in range(1, k + 1):
-        for i in spec.block_range(q):
-            owner_range[i] = q
+    ranges = {q: set(spec.block_range(q)) for q in range(1, k + 1)}
 
     sizes_ok = []
     for perm in itertools.permutations(range(1, k + 1)):
@@ -410,9 +403,9 @@ def _find_rho(spec: CISpec, weights: WeightSystem
     for pi in sizes_ok:
         allowed = {}
         for i in range(1, n + 1):
-            targets = set(spec.block_range(pi[owner_set[i] - 1]))
+            targets = ranges[pi[owner_set[i] - 1]]
             allowed[i] = {j for j in targets if diag[j - 1] == diag[i - 1]
-                          and i in set(spec.block_range(pi[owner_set[j] - 1]))}
+                          and i in ranges[pi[owner_set[j] - 1]]}
         rho = _involution_matching(n, allowed)
         if rho is not None:
             perm = PermutationMap(rho)

@@ -17,7 +17,7 @@ from mirrorkit.ci_model import (
 from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
 
-from paper_data import L_8, L_8_INV, L_13, L_13_INV
+from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 
 def test_validate_6_2(spec_6_2):
@@ -103,7 +103,7 @@ def test_charges_zero_pairing(spec_6_1):
 def test_build_cayley_6_1_printed_matrix(spec_6_1):
     cm = build_cayley(spec_6_1)
     assert cm.matrix == Matrix.from_rows(L_13)
-    assert invert(cm.matrix) == Matrix.from_json(L_13_INV)
+    assert invert(cm.matrix) == matrix_from_json(L_13_INV)
     assert cm.a_indices == (7, 13)
     assert cm.i_lambda == (1, 2, 3, 4, 8, 9, 10)
 
@@ -111,7 +111,7 @@ def test_build_cayley_6_1_printed_matrix(spec_6_1):
 def test_build_cayley_6_2_printed_matrix(spec_6_2):
     cm = build_cayley(spec_6_2)
     assert cm.matrix == Matrix.from_rows(L_8)
-    assert invert(cm.matrix) == Matrix.from_json(L_8_INV)
+    assert invert(cm.matrix) == matrix_from_json(L_8_INV)
     assert cm.a_indices == (8,)
 
 

@@ -214,6 +214,21 @@ def test_wrong_length_weights_annotation_is_a_soft_failure(tmp_path):
             run_in_process(command, "--input", fixture("example_6_2.json"))
 
 
+def test_structurally_invalid_spec_exits_one_from_every_reader(tmp_path):
+    # exponent vectors longer than n, and one block more than k: the weight
+    # derivation and the charge LCMs indexed past the end of a row on these
+    data = json.loads(Path(fixture("example_6_2.json")).read_text())
+    for spec, problem in ((dict(data, n=4), "exponent vector of length 5"),
+                          (dict(data, blocks=data["blocks"] * 2), "k=1 but 2 blocks given")):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_in_process("weights", "--input", str(path))
+        assert code == 1 and err.startswith("invalid specification:") and problem in err
+        for command in ("validate", "verify"):
+            code, out, _ = run_in_process(command, "--input", str(path), "--format", "json")
+            assert code == 1 and json.loads(out)
+
+
 def test_python_m_mirrorkit_runs_the_cli():
     result = run_module("mirrorkit", "family", "--m", "3")
     assert result.returncode == 0

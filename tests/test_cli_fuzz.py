@@ -1,0 +1,116 @@
+"""Property test: every `--input` command survives fuzzed spec-shaped JSON.
+
+Each document starts from a fixture or a small valid spec and takes a few
+mutations (an exponent, index set, count or weight changed, a block
+dropped or duplicated), then sometimes a key removed or one value
+replaced by a value of the wrong type.  Whatever the result, each command
+must return an exit code in 0-3 and raise nothing.  The search is
+derandomized and bounded, so the test is deterministic.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from mirrorkit import cli  # noqa: E402
+from mirrorkit.pipeline import generate_family  # noqa: E402
+
+from specgen import generate_valid_specs  # noqa: E402
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mirrorkit" / "fixtures"
+BASES = ([json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+         + [generate_family(2).to_json()]
+         + [spec.to_json() for spec in generate_valid_specs(200)[:8]])
+COMMANDS = [c for c in cli.COMMANDS if c != "family"]
+JUNK = st.sampled_from([None, True, 1.5, "1", [], {}, -1, 0])
+
+
+def _set_exponent(draw, data):
+    blk = draw(st.sampled_from(data["blocks"]))
+    row = draw(st.sampled_from(blk["exponents"]))
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(-1, 4))
+
+
+def _move_index(draw, data):
+    src, dst = draw(st.sampled_from(data["blocks"])), draw(st.sampled_from(data["blocks"]))
+    if src["index_set"]:
+        dst["index_set"].append(src["index_set"].pop())
+
+
+def _set_index(draw, data):
+    iset = draw(st.sampled_from(data["blocks"]))["index_set"]
+    if iset:
+        iset[draw(st.integers(0, len(iset) - 1))] = draw(st.integers(0, data["n"] + 1))
+
+
+def _change_count(draw, data):
+    key = draw(st.sampled_from(["n", "k"]))
+    data[key] = max(1, data[key] + draw(st.sampled_from([-1, 1])))
+
+
+def _drop_or_duplicate_block(draw, data):
+    i = draw(st.integers(0, len(data["blocks"]) - 1))
+    if draw(st.booleans()) and len(data["blocks"]) > 1:
+        del data["blocks"][i]
+    else:
+        data["blocks"].append(copy.deepcopy(data["blocks"][i]))
+
+
+def _set_weights(draw, data):
+    n, k = data["n"], data["k"]
+    data["weights"] = [[draw(st.integers(0, 3)) for _ in range(draw(st.sampled_from([n, n - 1])))]
+                       for _ in range(draw(st.sampled_from([k, k + 1])))]
+
+
+def _drop_key(draw, data):
+    obj = draw(st.sampled_from([data, *data["blocks"]]))
+    if obj:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+
+
+def _junk_value(draw, data):
+    blk = draw(st.sampled_from(data["blocks"]))
+    target = draw(st.sampled_from(["n", "k", "blocks", "exponents", "entry", "index_set"]))
+    if target in ("n", "k", "blocks"):
+        data[target] = draw(JUNK)
+    elif target == "entry":
+        blk["exponents"][0][0] = draw(JUNK)
+    else:
+        blk[target] = draw(JUNK)
+
+
+# these keep the document's shape, so any number of them can follow each other
+SHAPE_KEEPING = [_set_exponent, _move_index, _set_index, _change_count,
+                 _drop_or_duplicate_block, _set_weights]
+
+
+@st.composite
+def spec_documents(draw):
+    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for mutation in draw(st.lists(st.sampled_from(SHAPE_KEEPING), max_size=3)):
+        mutation(draw, data)
+    if draw(st.integers(0, 3)) == 0:
+        draw(st.sampled_from([_drop_key, _junk_value]))(draw, data)
+    return data
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec_documents(), st.sampled_from(["text", "json"]))
+def test_every_command_exits_0_to_3_on_fuzzed_specs(data, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(data))
+        for command in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--input", str(path), "--format", fmt])
+            assert code in (0, 1, 2, 3), (command, data)

@@ -20,10 +20,9 @@ from mirrorkit.horn_system import (
 from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import CyclotomicRatio, poincare_euler, ratio_equal
-from mirrorkit.rational_linalg import Matrix
 from mirrorkit.transposition import transpose_spec
 
-from paper_data import L_8_INV
+from paper_data import L_8_INV, matrix_from_json
 from specgen import generate_valid_specs
 
 
@@ -34,7 +33,7 @@ def test_index_partition_quadric(quadric):
 
 def test_index_partition_6_2_against_printed_signs(spec_6_2):
     # oracle: signs in the z-row of the printed inverse
-    inv = Matrix.from_json(L_8_INV)
+    inv = matrix_from_json(L_8_INV)
     signs = [inv[7, a] for a in range(8)]
     plus = tuple(a + 1 for a, s in enumerate(signs) if s > 0)
     minus = tuple(a + 1 for a, s in enumerate(signs) if s < 0)

@@ -22,7 +22,7 @@ from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import transpose_spec
 
-from paper_data import L_8_INV, L_13_INV
+from paper_data import L_8_INV, L_13_INV, matrix_from_json
 
 F = Fraction
 
@@ -52,7 +52,7 @@ def test_solve_xi_6_1_printed_forms(spec_6_1):
 def test_forms_match_printed_inverse(spec_6_1, spec_6_2):
     for spec, printed in ((spec_6_1, L_13_INV), (spec_6_2, L_8_INV)):
         forms = MirrorPair(spec).forms
-        inv = Matrix.from_json(printed)
+        inv = matrix_from_json(printed)
         n, k = spec.n, spec.k
         for a, form in enumerate(forms, start=1):
             col = inv.col(a - 1)
@@ -135,7 +135,7 @@ def test_s_row_forms_are_pure(spec_6_1):
 def test_check_sum_rules_against_printed_inverse(spec_6_1, spec_6_2):
     # oracle: explicit column sums of the transcribed matrices
     for spec, printed in ((spec_6_1, L_13_INV), (spec_6_2, L_8_INV)):
-        inv = Matrix.from_json(printed)
+        inv = matrix_from_json(printed)
         n, k = spec.n, spec.k
         for j in range(n):
             assert sum(inv[j, a] for a in range(inv.cols)) == 0

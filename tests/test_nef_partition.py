@@ -1,13 +1,24 @@
+import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from mirrorkit.ci_model import Block, CISpec, build_cayley, derive_weights, difference_matrix
+from mirrorkit.ci_model import (
+    Block,
+    CISpec,
+    WeightSystem,
+    build_cayley,
+    derive_weights,
+    difference_matrix,
+)
 from mirrorkit.mellin import solve_xi
 from mirrorkit.nef_partition import (
     LatticePolytope,
+    NefError,
     UnsolvableError,
+    _integral_representative_exists,
     _kernel_basis,
     _section_indices,
     build_deltas,
@@ -18,7 +29,7 @@ from mirrorkit.nef_partition import (
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.rational_linalg import Matrix, invert, rank
-from mirrorkit.transposition import NoValidShapeError, transpose_spec
+from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
 from specgen import generate_valid_specs
 
@@ -160,6 +171,55 @@ def test_integer_pairings_match_rational_evaluation():
         checked += 1
         non_integral += not nef.flags["integral_P_section"]
     assert checked >= 50 and non_integral >= 1
+
+
+def _shift_exists_by_search(col, weights):
+    """Oracle for _integral_representative_exists on a Fraction column: per block,
+    one period of the finest admissible step c searched exhaustively."""
+    for vec in weights.vectors:
+        support = [(g, col[i]) for i, g in enumerate(vec) if g]
+        if all(p.denominator == 1 for _, p in support):
+            continue
+        step = math.lcm(*(g * p.denominator for g, p in support))
+        if not any(all((F(j, step) * g + p).denominator == 1 for g, p in support)
+                   for j in range(step)):
+            return False
+    return True
+
+
+def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, quadric,
+                                                             corrupted):
+    reached = 0
+    for spec in SEEDED + [generate_family(2)] + FAMILIES + [spec_6_1, spec_6_2, quadric,
+                                                            corrupted]:
+        pair = MirrorPair(spec)
+        try:
+            nef = solve_dual_partition(spec, pair.tr, pair.weights, pair.tweights)
+        except (TranspositionError, NefError):
+            continue
+        reached += 1
+        p = nef.p_matrix
+        for c, col in enumerate(zip(*p.num)):
+            assert _integral_representative_exists(col, p.den, pair.weights) == \
+                _shift_exists_by_search(p.col(c), pair.weights)
+    assert reached == 75
+    # hand-built columns: c = 1/2 shifts (1/2, 0) to (1, 1); nothing shifts (1/2, 1/2)
+    w = WeightSystem(((1, 2),))
+    assert _integral_representative_exists((1, 0), 2, w)
+    assert not _integral_representative_exists((1, 1), 2, w)
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        cut = rng.randint(0, n)
+        vectors = tuple(tuple(rng.randint(1, 6) if lo <= i < hi else 0 for i in range(n))
+                        for lo, hi in ((0, cut), (cut, n)) if hi > lo)
+        scale = rng.randint(1, 12)
+        col = tuple(rng.randint(-15, 15) for _ in range(n))
+        got = _integral_representative_exists(col, scale, WeightSystem(vectors))
+        assert got == _shift_exists_by_search([F(x, scale) for x in col], WeightSystem(vectors))
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_solve_dual_partition_quadric(quadric):

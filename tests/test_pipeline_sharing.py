@@ -40,12 +40,12 @@ def calls(monkeypatch) -> Counter:
 
 def test_run_verify_builds_each_object_once(calls):
     run_verify(generate_family(5))
-    # validate builds and inverts its own Cayley matrix and derives its own
-    # weights; the run shares one of each per side (spec, mirror, double transpose)
+    # validation reads the run's pair, which builds one Cayley matrix and one
+    # weight system per side (spec, mirror, double transpose) and one inverse
     assert calls["build_transpose"] == 2
-    assert calls["build_cayley"] <= 4
-    assert calls["derive_weights"] <= 4
-    assert calls["invert"] <= 2
+    assert calls["build_cayley"] == 3
+    assert calls["derive_weights"] == 3
+    assert calls["invert"] == 1
 
 
 @pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,24 +7,45 @@ import pytest
 from mirrorkit.rational_linalg import (
     _eliminate,
     DimensionMismatchError,
+    integer_kernel,
     Matrix,
     SingularMatrixError,
     invert,
-    lcm_of_denominators,
     primitive_integer_vector,
     rank,
     rat_parse,
     rat_str,
     right_kernel,
-    solve,
-    solve_general,
+    solve_den,
     solve_many,
     vectors_proportional,
 )
 
-from paper_data import L_8, L_8_INV, L_13, L_13_INV
+from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction
+
+
+def _mul_vector(m, v):
+    """m v in Fractions, entry by entry: the oracle for a solution or kernel vector."""
+    return tuple(sum((a * F(b) for a, b in zip(row, v)), F(0)) for row in m.entries)
+
+
+def _integer_rows(data):
+    """Each row scaled by the LCM of its denominators (the rows _eliminate takes)."""
+    out = []
+    for row in data:
+        d = math.lcm(*(F(x).denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
+
+
+def _assert_integer_rref(got, ref, rank):
+    """got[:rank] is the rational RREF ref[:rank] with each row times its pivot."""
+    for g, r in zip(got[:rank], ref[:rank]):
+        assert all(type(x) is int for x in g)
+        pivot = next(x for x in g if x)
+        assert g == [x * pivot for x in r]
 
 
 def _rank_by_minors(rows):
@@ -55,14 +77,14 @@ def test_invert_identity():
 
 def test_invert_printed_8x8():
     m = Matrix.from_rows(L_8)
-    expected = Matrix.from_json(L_8_INV)
+    expected = matrix_from_json(L_8_INV)
     assert m @ expected == Matrix.identity(8)  # the transcription itself
     assert invert(m) == expected
 
 
 def test_invert_printed_13x13():
     m = Matrix.from_rows(L_13)
-    expected = Matrix.from_json(L_13_INV)
+    expected = matrix_from_json(L_13_INV)
     assert m @ expected == Matrix.identity(13)
     assert invert(m) == expected
 
@@ -86,7 +108,7 @@ def test_invert_singular():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(3), [1, 2, 3]) == (1, 2, 3)
+    assert solve_many(Matrix.identity(3), [[1, 2, 3]]) == [(1, 2, 3)]
 
 
 def test_solve_quadric_transpose_per_z_coefficient():
@@ -98,17 +120,15 @@ def test_solve_quadric_transpose_per_z_coefficient():
         [1, 1, 0, 1, 0],
         [0, 0, 0, 1, 0],
     ]).transpose()
-    constants = solve(lt, [1, 1, 1, 1, 0])
-    z_coeffs = solve(lt, [0, 0, 0, 0, 1])
+    constants, z_coeffs = solve_many(lt, [[1, 1, 1, 1, 0], [0, 0, 0, 0, 1]])
     assert constants == (Fraction(1, 2), Fraction(1, 2), 0, 0, 1)
     assert z_coeffs == (Fraction(-1, 2), Fraction(-1, 2), 1, 1, -1)
 
 
 def test_solve_errors():
-    with pytest.raises(SingularMatrixError):
-        solve(Matrix.from_rows([[1, 1], [1, 1]]), [1, 0])
+    assert solve_many(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == [None]
     with pytest.raises(DimensionMismatchError):
-        solve(Matrix.identity(2), [1, 2, 3])
+        solve_many(Matrix.identity(2), [[1, 2, 3]])
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -131,13 +151,15 @@ def test_rank_row_permutation_invariant():
 
 
 def test_lcm_of_denominators():
-    assert lcm_of_denominators(Matrix.from_json(L_8_INV)) == 147
-    assert lcm_of_denominators(Matrix.from_json(L_13_INV)) == 27
-    assert lcm_of_denominators(Matrix.from_rows([[1, 2], [3, 4]])) == 1
+    # den is the least common denominator of the entries
+    assert matrix_from_json(L_8_INV).den == 147
+    assert matrix_from_json(L_13_INV).den == 27
+    assert Matrix.from_rows([[1, 2], [3, 4]]).den == 1
     # normalized matrix needs no further scaling
     scaled = Matrix.from_rows([[x * 147 for x in row]
-                               for row in Matrix.from_json(L_8_INV).entries])
-    assert lcm_of_denominators(scaled) == 1
+                               for row in matrix_from_json(L_8_INV).entries])
+    assert scaled.den == 1
+    assert scaled.num == matrix_from_json(L_8_INV).num
 
 
 def test_invert_random_roundtrip():
@@ -154,8 +176,8 @@ def test_invert_random_roundtrip():
         assert m @ inv == Matrix.identity(n)
         assert inv @ m == Matrix.identity(n)
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        x = solve(m, rhs)
-        assert m.mul_vector(x) == tuple(rhs)
+        [x] = solve_many(m, [rhs])
+        assert _mul_vector(m, x) == tuple(rhs)
         done += 1
 
 
@@ -164,9 +186,10 @@ def test_right_kernel_and_general_solve():
     basis = right_kernel(m)
     assert len(basis) == 2
     for vec in basis:
-        assert m.mul_vector(vec) == (0, 0)
-    assert solve_general(m, [1, 2]) is not None
-    assert solve_general(m, [1, 3]) is None
+        assert _mul_vector(m, vec) == (0, 0)
+    assert integer_kernel(m) == [(-2, 1, 0), (-3, 0, 1)]
+    assert solve_many(m, [[1, 2], [1, 3]])[1] is None
+    assert solve_many(m, [[1, 2]])[0] is not None
 
 
 def test_solve_many_matches_per_column_solve_general():
@@ -180,12 +203,12 @@ def test_solve_many_matches_per_column_solve_general():
         [0, 0, 1],    # inconsistent
     ]
     got = solve_many(m, cols)
-    assert got == [solve_general(m, b) for b in cols]
+    assert got == [solve_many(m, [b])[0] for b in cols]
     assert [x is None for x in got] == [False, True, False, False, True]
     assert got[2] == (0, 0, 0, 0)
     for x, b in zip(got, cols):
         if x is not None:
-            assert m.mul_vector(x) == tuple(F(v) for v in b)
+            assert _mul_vector(m, x) == tuple(F(v) for v in b)
             assert x[2] == 0 and x[3] == 0   # free columns set to zero
     assert solve_many(m, []) == []
 
@@ -197,16 +220,16 @@ def test_solve_many_random_columns():
         m = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
         rhs = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(rng.randint(1, 4))]
         # a column in the range of m is always consistent
-        rhs.append(list(m.mul_vector([F(rng.randint(-3, 3)) for _ in range(cols)])))
+        rhs.append(list(_mul_vector(m, [F(rng.randint(-3, 3)) for _ in range(cols)])))
         got = solve_many(m, rhs)
-        assert got == [solve_general(m, b) for b in rhs]
+        assert got == [solve_many(m, [b])[0] for b in rhs]
         assert got[-1] is not None
         for x, b in zip(got, rhs):
             consistent = rank(Matrix.from_rows([list(r) + [v] for r, v in
                                                 zip(m.entries, b)])) == rank(m)
             assert (x is not None) == consistent
             if x is not None:
-                assert m.mul_vector(x) == tuple(F(v) for v in b)
+                assert _mul_vector(m, x) == tuple(F(v) for v in b)
 
 
 def test_solve_many_shape_mismatch():
@@ -356,12 +379,12 @@ def _elimination_cases(seed, count):
 def test_eliminate_matches_fraction_gauss_jordan():
     deficient = augmented = 0
     for data, ncols in _elimination_cases(7, 400):
-        got = [list(r) for r in data]
+        got = _integer_rows(data)
         ref = [list(r) for r in data]
         rank_got, pivots_got = _eliminate(got, ncols)
         rank_ref, pivots_ref = _fraction_gauss_jordan(ref, ncols)
         assert (rank_got, pivots_got) == (rank_ref, pivots_ref)
-        assert got[:rank_got] == ref[:rank_ref]
+        _assert_integer_rref(got, ref, rank_got)
         # rows past the rank are scaled: only their zero pattern is kept
         assert [[x != 0 for x in r] for r in got[rank_got:]] == \
             [[x != 0 for x in r] for r in ref[rank_ref:]]
@@ -373,11 +396,11 @@ def test_eliminate_matches_fraction_gauss_jordan():
 def test_eliminate_on_the_paper_matrices():
     for data in (L_8, L_13):
         width = len(data) * 2
-        got = [[F(x) for x in row] + [F(i == j) for j in range(len(data))]
+        got = [list(row) + [int(i == j) for j in range(len(data))]
                for i, row in enumerate(data)]
-        ref = [list(r) for r in got]
+        ref = [[F(x) for x in r] for r in got]
         assert _eliminate(got, width) == _fraction_gauss_jordan(ref, width)
-        assert got == ref
+        _assert_integer_rref(got, ref, len(data))
 
 
 def test_matmul_matches_fraction_product():
@@ -390,9 +413,10 @@ def test_matmul_matches_fraction_product():
              for _ in range(inner)]
         if rng.random() < 0.3:
             b[rng.randrange(inner)] = [rng.randint(-3, 3) for _ in range(cols)]  # int entries
-        got = Matrix.from_rows(a) @ Matrix(tuple(map(tuple, b)))
+        got = Matrix.from_rows(a) @ Matrix.from_rows(b)
         naive = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(inner)), F(0))
                             for j in range(cols)) for i in range(rows))
+        assert got == Matrix.from_rows(naive)   # canonical num / den
         assert got.entries == naive
         assert all(isinstance(x, F) for row in got.entries for x in row)
 
@@ -420,7 +444,6 @@ def test_permutation_map():
     assert p(1) == 2 and p(3) == 3
     assert p.is_involution() and not p.is_identity()
     assert p.inverse() == p
-    assert p.compose(p).is_identity()
     assert p.matrix() @ p.matrix() == Matrix.identity(3)
     with pytest.raises(NotAPermutationError):
         PermutationMap((1, 1, 3))
@@ -434,16 +457,70 @@ def test_rational_serialization():
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(5) == "5" and rat_str(0) == "0"
     assert rat_parse("19/147") == Fraction(19, 147)
-    m = Matrix.from_json(L_8_INV)
-    assert Matrix.from_json(m.to_json()) == m
+    m = matrix_from_json(L_8_INV)
+    assert matrix_from_json(m.to_json()) == m
+    assert m.to_json() == [[str(x) for x in row] for row in L_8_INV]
 
 
-def test_from_rows_keeps_fractions_and_converts_ints():
-    x = F(3, 7)
-    m = Matrix.from_rows([[x, 2], [0, F(-1)]])
-    assert m[0, 0] is x
-    assert m[0, 1] == 2 and type(m[0, 1]) is Fraction
-    assert all(type(e) is Fraction for row in m.entries for e in row)
+def test_from_rows_gives_integer_rows_over_the_least_denominator():
+    rows = [[F(3, 7), 2], [0, F(-1, 14)]]
+    m = Matrix.from_rows(rows)
+    assert (m.num, m.den) == (((6, 28), (0, -1)), 14)
+    assert m.entries == ((F(3, 7), F(2)), (F(0), F(-1, 14)))   # the view equals the input
+    assert m[1, 1] == F(-1, 14) and m.col(0) == (F(3, 7), 0)
+    ints = [[1, -2], [3, 0]]
+    assert Matrix.from_rows(ints).num == ((1, -2), (3, 0)) and Matrix.from_rows(ints).den == 1
+    # equal rationals, however written, give equal matrices and hashes
+    same = Matrix.from_rows([[F(6, 14), F(4, 2)], [F(0, 5), F(2, -28)]])
+    assert same == m and hash(same) == hash(m)
+    assert Matrix.from_rows([[F(2), 4]]) == Matrix.from_rows([[2, 4]])
+    assert Matrix.from_rows([[F(1, 2)]]) != Matrix.from_rows([[F(1, 3)]])
+    rng = random.Random(3)
+    for _ in range(200):
+        data = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)] for _ in range(2)]
+        m = Matrix.from_rows(data)
+        assert m.entries == tuple(map(tuple, data))
+        assert m.den == math.lcm(*(x.denominator for row in data for x in row))
+        assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+        assert all(type(x) is int for row in m.num for x in row)
+
+
+def test_invert_of_a_cayley_matrix_builds_no_fraction(monkeypatch, spec_6_1, spec_6_2, quadric):
+    from mirrorkit.ci_model import build_cayley
+    count = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    for spec in (spec_6_1, spec_6_2, quadric):
+        matrix = build_cayley(spec).matrix
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        inverse = invert(matrix)
+        assert count == 0
+        Fraction(1, 2)   # the counter does see a construction
+        assert count == 1
+        monkeypatch.undo()
+        count = 0
+        assert matrix @ inverse == Matrix.identity(matrix.rows)
+
+
+def test_kernel_and_solution_denominators():
+    m = Matrix.from_rows([[2, 4, 1], [0, 3, 3]])
+    # integer_kernel is right_kernel scaled to coprime integers, positive at the free column
+    for vec, ints in zip(right_kernel(m), integer_kernel(m)):
+        assert primitive_integer_vector(vec) == ints
+    rhs = [[1, 1], [F(1, 2), 0], [2, 7]]
+    cols, den = solve_den(m, rhs)
+    solutions = solve_many(m, rhs)
+    assert den == math.lcm(*(x.denominator for col in solutions for x in col)) == 12
+    assert [tuple(F(x, den) for x in c) for c in cols] == solutions
+    assert solve_den(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == ([None], 1)
+    assert solve_den(Matrix.identity(2), [[2, 4]]) == ([(2, 4)], 1)
+    # the pivot 2 does not survive into the denominator of x = (1, 0)
+    assert solve_den(Matrix.from_rows([[2, 1]]), [[2]]) == ([(1, 0)], 1)
 
 
 def test_from_rows_cayley_entries_are_fractions(spec_6_1, spec_6_2, quadric):
