@@ -221,7 +221,8 @@ def main(argv=None) -> int:
     parser.add_argument("--input", help="specification JSON file")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--order", type=int, default=8,
-                        help="series expansion order (default 8)")
+                        help="series expansion order (default 8); at most "
+                             f"{poincare.SERIES_TERM_CAP} terms, C(N+k, k)")
     parser.add_argument("--strict", action="store_true",
                         help="condition-flag failures abort instead of annotating")
     parser.add_argument("--m", type=int, default=3,
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
         return pipeline.EXIT_INVALID
     except horn_system.HornError as exc:
         sys.stderr.write(f"cannot build the Horn operators: {exc}\n")
+        return pipeline.EXIT_INVALID
+    except poincare.PoincareError as exc:
+        sys.stderr.write(f"cannot expand the series: {exc}\n")
         return pipeline.EXIT_INVALID
 
 

@@ -8,10 +8,14 @@ expansion into a theta-polynomial is available but capped, since factored
 form is canonical and the examples reach degree 21.
 
 A form contributes Delta*|c| factors to a side, one per shift j, that
-differ only in j: they share the form's negated z-coefficient tuple and
-its constant, and an operator's JSON formats that shared data once per
-form.  The factor count of each side is bounded by ``FACTOR_COUNT_CAP``,
-checked in integers before any factor is built.
+differ only in j.  A side is therefore stored as runs (coeffs, const,
+count), one per form: a run stands for the factors
+ThetaFactor(coeffs, const, j) for j < count.  Building an operator is
+O(forms), its degree is the sum of the counts, and its JSON formats each
+run's coefficients once.  ``p_factors``/``q_factors`` expand the runs for
+the readers that want single factors.  The factor count of each side is
+bounded by ``FACTOR_COUNT_CAP``, checked in integers before any run is
+built.
 """
 
 from __future__ import annotations
@@ -65,29 +69,60 @@ class ThetaFactor:
         return "(" + " ".join(parts) + ")"
 
     def to_json(self) -> dict:
-        return {"coeffs": {f"th{q}": rat_str(c) for q, c in enumerate(self.coeffs, start=1) if c},
-                "const": rat_str(self.const), "shift": self.shift}
+        return {"coeffs": _coeffs_json(self.coeffs), "const": rat_str(self.const),
+                "shift": self.shift}
+
+
+# (coeffs, const, count): the factors ThetaFactor(coeffs, const, j) for j < count
+Run = tuple[tuple[Fraction, ...], Fraction, int]
+
+
+def _coeffs_json(coeffs) -> dict[str, str]:
+    return {f"th{q}": rat_str(c) for q, c in enumerate(coeffs, start=1) if c}
+
+
+def _expand_runs(runs: tuple[Run, ...]) -> tuple[ThetaFactor, ...]:
+    return tuple(ThetaFactor(coeffs, const, j) for coeffs, const, count in runs
+                 for j in range(count))
+
+
+def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
+    """One dict per factor; each run's coefficients and constant are formatted once."""
+    out = []
+    for coeffs, const, count in runs:
+        cj, cs = _coeffs_json(coeffs), rat_str(const)
+        out.extend({"coeffs": dict(cj), "const": cs, "shift": j} for j in range(count))
+    return out
 
 
 @dataclass(frozen=True)
 class HornOperator:
-    """Factored operator P - (variable)^delta_power * Q."""
+    """Factored operator P - (variable)^delta_power * Q, each side as factor runs."""
 
     q: int
-    p_factors: tuple[ThetaFactor, ...]
-    q_factors: tuple[ThetaFactor, ...]
+    p_runs: tuple[Run, ...]
+    q_runs: tuple[Run, ...]
     delta_power: int
     variable: str = "s"
 
     @property
     def degrees(self) -> tuple[int, int]:
-        return len(self.p_factors), len(self.q_factors)
+        return sum(r[2] for r in self.p_runs), sum(r[2] for r in self.q_runs)
+
+    @property
+    def p_factors(self) -> tuple[ThetaFactor, ...]:
+        return _expand_runs(self.p_runs)
+
+    @property
+    def q_factors(self) -> tuple[ThetaFactor, ...]:
+        return _expand_runs(self.q_runs)
 
     def expand(self, side: str) -> dict[tuple[int, ...], Fraction]:
         """Expanded theta-polynomial of one side; refuses degrees above the cap."""
+        degree = self.degrees[0 if side == "p" else 1]
+        if degree > EXPANSION_DEGREE_CAP:
+            raise HornError(f"degree {degree} exceeds expansion cap")
         factors = self.p_factors if side == "p" else self.q_factors
-        if len(factors) > EXPANSION_DEGREE_CAP:
-            raise HornError(f"degree {len(factors)} exceeds expansion cap")
         k = len(factors[0].coeffs) if factors else 1
         poly: dict[tuple[int, ...], Fraction] = {tuple(0 for _ in range(k)): Fraction(1)}
         for f in factors:
@@ -112,25 +147,11 @@ class HornOperator:
     def to_json(self) -> dict:
         return {
             "q": self.q,
-            "p_factors": _factors_json(self.p_factors),
-            "q_factors": _factors_json(self.q_factors),
+            "p_factors": _runs_json(self.p_runs),
+            "q_factors": _runs_json(self.q_runs),
             "delta_power": self.delta_power,
             "variable": self.variable,
         }
-
-
-def _factors_json(factors) -> list[dict]:
-    """Each factor's JSON, formatting a run of factors that share one
-    coefficient tuple and constant (one form's shifts) only once."""
-    out = []
-    coeffs = const = None
-    for f in factors:
-        if f.coeffs is not coeffs or f.const is not const:
-            coeffs, const, base = f.coeffs, f.const, f.to_json()
-            out.append(base)
-        else:
-            out.append({"coeffs": dict(base["coeffs"]), "const": base["const"], "shift": f.shift})
-    return out
 
 
 def index_partition(forms, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -146,9 +167,9 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
     """One operator per deformation variable, factors counted by the integer
     z-numerators with respect to the global modulus.
 
-    Form a with z-coefficients z_a contributes the factors
+    Form a with z-coefficients z_a contributes the run of factors
     const_a + j - <z_a, theta> for j < Delta*|z_aq|; every side's count is
-    checked against FACTOR_COUNT_CAP before any factor is built.
+    checked against FACTOR_COUNT_CAP before any run is built.
     """
     delta = compute_delta(forms)
     sides = []
@@ -167,11 +188,10 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
         sides.append(counts)
     negated = [tuple(-c for c in form.z_coeffs) for form in forms]
 
-    def factors(side) -> tuple[ThetaFactor, ...]:
-        return tuple(ThetaFactor(negated[a - 1], forms[a - 1].const, j)
-                     for a, b in side for j in range(b))
+    def runs(side) -> tuple[Run, ...]:
+        return tuple((negated[a - 1], forms[a - 1].const, b) for a, b in side)
 
-    return tuple(HornOperator(q, factors(p_side), factors(q_side), delta)
+    return tuple(HornOperator(q, runs(p_side), runs(q_side), delta)
                  for q, (p_side, q_side) in enumerate(sides, start=1))
 
 
@@ -191,30 +211,27 @@ def restricted_operator(tweights: WeightSystem, tcharges: ChargeMatrix,
     Left factors run over the transposed weight entries g: (-g*theta + r)
     for r < g.  Right factors run over the per-block charges c under weight
     nu: (c*theta - r) for r < c, with theta contracted against the full
-    charge row in the unrestricted version.
+    charge row in the unrestricted version.  Each factor is a run of one.
     """
     k = tcharges.k
-    left = []
-    for g in tweights.support_values(nu):
-        for r in range(g):
-            left.append(ThetaFactor(
-                tuple(Fraction(-g) if i == nu - 1 else Fraction(0) for i in range(k)),
-                Fraction(r), 0))
+
+    def axis(c: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c) if i == nu - 1 else Fraction(0) for i in range(k))
+
+    left = tuple((axis(-g), Fraction(r), 1)
+                 for g in tweights.support_values(nu) for r in range(g))
     right_restricted = []
     right_full = []
     for q in range(1, k + 1):
         c = tcharges.entries[q - 1][nu - 1]
-        row = tcharges.entries[q - 1]
+        row = tuple(Fraction(tcharges.entries[q - 1][i]) for i in range(k))
         for r in range(c):
-            right_restricted.append(ThetaFactor(
-                tuple(Fraction(c) if i == nu - 1 else Fraction(0) for i in range(k)),
-                Fraction(-r), 0))
-            right_full.append(ThetaFactor(
-                tuple(Fraction(row[i]) for i in range(k)), Fraction(-r), 0))
+            right_restricted.append((axis(c), Fraction(-r), 1))
+            right_full.append((row, Fraction(-r), 1))
     return RestrictedOperator(
         nu=nu,
-        restricted=HornOperator(nu, tuple(left), tuple(right_restricted), 1, variable="t"),
-        full=HornOperator(nu, tuple(left), tuple(right_full), 1, variable="t"),
+        restricted=HornOperator(nu, left, tuple(right_restricted), 1, variable="t"),
+        full=HornOperator(nu, left, tuple(right_full), 1, variable="t"),
     )
 
 

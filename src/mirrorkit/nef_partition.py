@@ -11,8 +11,15 @@ pins the representatives.  That section is the pivot columns of the
 weight-kernel basis, and all n dual vertices come from a single
 elimination of the sectioned difference matrix against the n right-hand
 sides.  That solve returns them as integer columns over their least
-common denominator, scale * P and scale, and every pairing checked
-afterwards is an integer dot product against those columns.
+common denominator, scale * P and scale, and one integer product checks
+A * (scale * P) == scale * T against the target matrix T.
+
+Once that check holds, every pairing of a difference row with a dual
+vertex is an entry of T, so the pairing conditions are lookups in T
+(``pairing_flags``).  Block q's polytope is the origin and block q's
+difference rows, so its support function at dual vertex c is
+-min(0, min over block-q rows i of T[i, c]); the cone pairings are
+T[i, c] + delta and delta.
 
 The per-vertex equality clauses printed alongside the matrix equation are
 internally inconsistent, so they are validated and reported rather than
@@ -88,24 +95,51 @@ def minkowski_dim(deltas, expected: int | None = None) -> MinkowskiReport:
     return MinkowskiReport(dim=dim, expected=exp, ok=(dim == exp))
 
 
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _phi(deltas, q: int, y: Sequence[int]) -> int:
-    """The block-q support function at an integer point y."""
-    return -min(_dot(v, y) for v in deltas[q - 1].vertices)
-
-
 def support_phi(deltas, q: int, y) -> Fraction:
-    """Value of the block-q support function at y: -min over vertices of <x, y>.
-
-    The vertices are integral, so the pairings are taken in integers
-    against d*y, with d the least common denominator of y.
-    """
+    """Value of the block-q support function at y: -min over vertices of <x, y>."""
     y = [Fraction(b) for b in y]
-    d = math.lcm(*(b.denominator for b in y))
-    return Fraction(_phi(deltas, q, [b.numerator * (d // b.denominator) for b in y]), d)
+    return -min(sum(a * b for a, b in zip(v, y)) for v in deltas[q - 1].vertices)
+
+
+def pairing_flags(t_rows, taus: Sequence[int], dual_idx: Sequence[Sequence[int]]
+                  ) -> tuple[dict[str, bool], dict[tuple[int, int, int], int]]:
+    """The pairing conditions of the dual vertices, read off the target matrix T.
+
+    t_rows[i][c] is the pairing of difference row i with dual vertex c; the
+    rows come in blocks of sizes taus, and dual_idx[l - 1] lists, in order,
+    the columns holding block l's dual vertices.  Returns the flags and the
+    j indices, keyed (block l, vertex r, other block q).
+    """
+    starts = [sum(taus[:q]) for q in range(len(taus))]
+    cols = list(zip(*t_rows))
+    phi_kronecker = cone = True
+    five_six_1 = True   # within-block pairings -1 with at most one exception
+    five_six_2 = True   # the exceptional own-block pairing also -1 (printed clause)
+    five_six_34 = True  # cross-block: zeros except at most one nonnegative j_q
+    j_indices: dict[tuple[int, int, int], int] = {}
+    for l, idx in enumerate(dual_idx, start=1):
+        for r, c in enumerate(idx, start=1):
+            for q, (start, tau) in enumerate(zip(starts, taus), start=1):
+                vals = cols[c][start:start + tau]
+                low = min(0, *vals)
+                # phi_q at the vertex is -low; the cone pairings are vals + delta_ql
+                phi_kronecker &= -low == (q == l)
+                cone &= low + (q == l) >= 0
+                if q == l:
+                    exceptional = [j for j, v in enumerate(vals, start=1) if v != -1]
+                    five_six_1 &= len(exceptional) <= 1
+                    five_six_2 &= not exceptional
+                    if exceptional:
+                        j_indices[(l, r, q)] = exceptional[0]
+                else:
+                    nonzero = [j for j, v in enumerate(vals, start=1) if v]
+                    five_six_34 &= len(nonzero) <= 1 and all(vals[j - 1] > 0 for j in nonzero)
+                    if len(nonzero) == 1:
+                        j_indices[(l, r, q)] = nonzero[0]
+    flags = {"phi_kronecker": phi_kronecker, "cone_pairings_nonnegative": cone,
+             "five_six_1_off_vertex": five_six_1, "five_six_2_own_vertex": five_six_2,
+             "five_six_34_cross_block": five_six_34}
+    return flags, j_indices
 
 
 @dataclass(frozen=True)
@@ -212,8 +246,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     pairings = Matrix(tuple(zip(*target_cols)))
 
     # all n dual vertices from one elimination of [A_section | target], as
-    # scale * P: every pairing below is taken in integers against those
-    # columns, which preserves signs and maps the value v to scale * v
+    # scale * P; once A * P == T holds, every pairing below is an entry of T
     section = _section_indices(deltas[0].kernel_basis)
     a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_rows))
     sols, scale = solve_den(a_cols, target_cols)
@@ -247,11 +280,8 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         dual_idx.append([base + r for r in range(tr.tspec.taus[pos_l - 1])])
     duals = tuple(tuple(p_matrix.col(c) for c in cols) for cols in dual_idx)
 
-    # support function values: phi_q(dual vertex of block l) must be delta_{ql};
-    # phi is positively homogeneous, so at scale * m it must be scale * delta_{ql}
-    flags["phi_kronecker"] = all(
-        _phi(deltas, q, p_int[c]) == (scale if q == l else 0)
-        for l in range(1, k + 1) for c in dual_idx[l - 1] for q in range(1, k + 1))
+    pair_flags, j_indices = pairing_flags(pairings.num, spec.taus, dual_idx)
+    flags.update(pair_flags)
 
     sigma = []
     for q in range(1, k + 1):
@@ -260,41 +290,11 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         base = spec.b(q - 1)
         for j in range(spec.taus[q - 1]):
             sigma.append(a_rows[base + j] + eps)
-    sigma_dual_int = []   # scale * the dual cone generators
-    for l in range(1, k + 1):
-        eps = tuple(scale * (i == l - 1) for i in range(k))
-        sigma_dual_int.append(tuple([0] * n) + eps)
-        for c in dual_idx[l - 1]:
-            sigma_dual_int.append(p_int[c] + eps)
-    sigma_dual = tuple(tuple(Fraction(x, scale) for x in v) for v in sigma_dual_int)
-    flags["cone_pairings_nonnegative"] = all(
-        _dot(v, m) >= 0 for v in sigma for m in sigma_dual_int)
-
-    j_indices: dict[tuple[int, int, int], int] = {}
-    five_six_1 = True   # within-block pairings -1 with at most one exception
-    five_six_2 = True   # the exceptional own-block pairing also -1 (printed clause)
-    five_six_34 = True  # cross-block: zeros except at most one nonnegative j_q
-    for l in range(1, k + 1):
-        for r, c in enumerate(dual_idx[l - 1], start=1):
-            for q in range(1, k + 1):
-                base = spec.b(q - 1)
-                vals = [_dot(a_rows[base + j], p_int[c]) for j in range(spec.taus[q - 1])]
-                if q == l:
-                    exceptional = [(j, v) for j, v in enumerate(vals, start=1) if v != -scale]
-                    if len(exceptional) > 1:
-                        five_six_1 = False
-                    if exceptional:
-                        five_six_2 = False
-                        j_indices[(l, r, q)] = exceptional[0][0]
-                else:
-                    nonzero = [(j, v) for j, v in enumerate(vals, start=1) if v != 0]
-                    if len(nonzero) > 1 or any(v < 0 for _, v in nonzero):
-                        five_six_34 = False
-                    if len(nonzero) == 1:
-                        j_indices[(l, r, q)] = nonzero[0][0]
-    flags["five_six_1_off_vertex"] = five_six_1
-    flags["five_six_2_own_vertex"] = five_six_2
-    flags["five_six_34_cross_block"] = five_six_34
+    sigma_dual = []
+    for l, grp in enumerate(duals, start=1):
+        eps = tuple(Fraction(i == l - 1) for i in range(k))
+        sigma_dual.append((Fraction(0),) * n + eps)
+        sigma_dual.extend(m + eps for m in grp)
 
     diag = weights.diagonal
     flags["lemma52_G_identity"] = all(g == 1 for g in diag)

@@ -282,10 +282,11 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     try:
         ops = horn_system.horn_operators(spec, forms)
-        degree_ok = all(len(op.p_factors) == len(op.q_factors) for op in ops)
+        degrees = [op.degrees for op in ops]
+        degree_ok = all(p == q for p, q in degrees)
         stages.append(Stage("horn", degree_ok,
                             payload={"operators": [op.to_json() for op in ops],
-                                     "degrees": [op.degrees for op in ops]}))
+                                     "degrees": degrees}))
         hard_ok &= degree_ok
     except horn_system.HornError as exc:
         stages.append(Stage("horn", False, notes=[str(exc)]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorkit import cli, horn_system
+from mirrorkit import cli, horn_system, poincare
 
 PKG_ROOT = Path(__file__).parent.parent
 # Every --input command in both formats on every fixture, pinned by the
@@ -194,6 +194,25 @@ def test_horn_factor_limit_exit_one(monkeypatch):
                     "variable 1: 8 p-factors exceed the cap of 7\n")
     code, out, _ = run_in_process("verify", "--input", fixture("derived_quadric.json"))
     assert code == 1 and "8 p-factors exceed the cap of 7" in out
+
+
+def test_series_term_limit_exit_one(monkeypatch):
+    # the default order 8 gives C(9, 1) = 9 terms at k = 1 and 45 at k = 2
+    monkeypatch.setattr(poincare, "SERIES_TERM_CAP", 8)
+    for fmt in ("text", "json"):
+        assert run_in_process("poincare", "--input", fixture("derived_quadric.json"),
+                              "--format", fmt) == \
+            (1, "", "cannot expand the series: order 8 in 1 variable(s) allows 9 series "
+                    "terms, above the cap of 8\n")
+    code, out, err = run_in_process("verify", "--input", fixture("derived_quadric.json"))
+    assert (code, out) == (1, "") and err.startswith("cannot expand the series: ")
+    assert run_in_process("poincare", "--input", fixture("derived_quadric.json"),
+                          "--order", "7")[0] == 0
+    code, _, err = run_in_process("poincare", "--input", fixture("example_6_1.json"),
+                                  "--order", "2")
+    assert code == 0, err
+    code, _, err = run_in_process("poincare", "--input", fixture("example_6_1.json"))
+    assert code == 1 and "order 8 in 2 variable(s) allows 45 series terms" in err
 
 
 def test_wrong_length_weights_annotation_is_a_soft_failure(tmp_path):

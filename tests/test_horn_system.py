@@ -8,7 +8,6 @@ from mirrorkit.horn_system import (
     DegenerateOperatorError,
     FactorLimitError,
     HornError,
-    HornOperator,
     ThetaFactor,
     char_polys,
     horn_operators,
@@ -18,7 +17,7 @@ from mirrorkit.horn_system import (
     symmetry_report,
 )
 from mirrorkit.mellin import compute_delta
-from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.poincare import CyclotomicRatio, poincare_euler, ratio_equal
 from mirrorkit.transposition import transpose_spec
 
@@ -82,7 +81,7 @@ def test_horn_degenerate_guard():
 
 def _per_factor_operators(spec, forms):
     """Reference: every factor negates its form's z-coefficients afresh, and
-    the operator's JSON formats every factor on its own."""
+    the operator's JSON and text format every factor on its own."""
     delta = compute_delta(forms)
     ops = []
     for q in range(1, spec.k + 1):
@@ -90,10 +89,12 @@ def _per_factor_operators(spec, forms):
         sides = [[ThetaFactor(tuple(-c for c in forms[a - 1].z_coeffs), forms[a - 1].const, j)
                   for a in rows for j in range(abs(int(forms[a - 1].z_coeffs[q - 1] * delta)))]
                  for rows in (plus, minus)]
-        op = HornOperator(q, tuple(sides[0]), tuple(sides[1]), delta)
-        ops.append((op, {"q": q, "p_factors": [f.to_json() for f in sides[0]],
-                         "q_factors": [f.to_json() for f in sides[1]],
-                         "delta_power": delta, "variable": "s"}))
+        p, qq = ("".join(str(f) for f in side) or "1" for side in sides)
+        text = f"{p} - s{q}{f'^{delta}' if delta != 1 else ''} * {qq}"
+        ops.append((tuple(sides[0]), tuple(sides[1]), text,
+                    {"q": q, "p_factors": [f.to_json() for f in sides[0]],
+                     "q_factors": [f.to_json() for f in sides[1]],
+                     "delta_power": delta, "variable": "s"}))
     return ops
 
 
@@ -105,11 +106,12 @@ def test_horn_operators_match_per_factor_construction(spec_6_1, spec_6_2, quadri
         ops = horn_operators(spec, forms)
         reference = _per_factor_operators(spec, forms)
         assert len(ops) == len(reference) == spec.k
-        for op, (ref, ref_json) in zip(ops, reference):
-            assert op == ref
+        for op, (ref_p, ref_q, ref_str, ref_json) in zip(ops, reference):
+            assert (op.p_factors, op.q_factors) == (ref_p, ref_q)
+            assert op.degrees == (len(ref_p), len(ref_q))
             js = op.to_json()
             assert js == ref_json
-            assert str(op) == str(ref)
+            assert str(op) == ref_str
             # every factor gets a dict of its own
             dicts = [f["coeffs"] for f in js["p_factors"] + js["q_factors"]]
             assert len({id(d) for d in dicts}) == len(dicts)
@@ -129,6 +131,26 @@ def test_horn_factor_count_guard(quadric, monkeypatch):
     with pytest.raises(FactorLimitError, match="variable 1: 8 p-factors exceed the cap of 7"):
         horn_operators(quadric, forms)
     assert built == []  # raised before any factor was built
+
+
+def test_horn_operators_hold_one_run_per_form(quadric):
+    forms = MirrorPair(quadric).forms
+    op = horn_operators(quadric, forms)[0]
+    assert op.p_runs == (((Fraction(-1),), Fraction(0), 4), ((Fraction(-1),), Fraction(0), 4))
+    assert op.degrees == (8, 8)
+    assert len(op.q_runs) == len(index_partition(forms, 1)[1])
+
+
+def test_verify_builds_no_theta_factor(monkeypatch):
+    # the verify path reads degrees and JSON off the runs; only the text
+    # views and expand() build single factors
+    built = []
+    real = horn_system.ThetaFactor
+    monkeypatch.setattr(horn_system, "ThetaFactor", lambda *args: built.append(args) or real(*args))
+    report = run_verify(generate_family(7))
+    horn = next(s for s in report.stages if s.name == "horn")
+    assert horn.ok and horn.payload["degrees"] == [(686, 686), (735, 735)]
+    assert built == []
 
 
 def test_restricted_operator_quadric(quadric):

@@ -24,6 +24,7 @@ from mirrorkit.nef_partition import (
     build_deltas,
     magic_square_check,
     minkowski_dim,
+    pairing_flags,
     solve_dual_partition,
     support_phi,
 )
@@ -171,6 +172,109 @@ def test_integer_pairings_match_rational_evaluation():
         checked += 1
         non_integral += not nef.flags["integral_P_section"]
     assert checked >= 50 and non_integral >= 1
+
+
+# (false, true) counts of every nef flag over the specs that reach the nef
+# stage; a change to any flag's truth table shows up here as a reviewed diff
+NEF_FLAG_CENSUS = {
+    "seeded": (60, {
+        "minkowski_dim": (0, 60), "integral_P_section": (1, 59),
+        "integral_P_exists": (0, 60), "phi_kronecker": (55, 5),
+        "cone_pairings_nonnegative": (0, 60), "five_six_1_off_vertex": (3, 57),
+        "five_six_2_own_vertex": (60, 0), "five_six_34_cross_block": (0, 60),
+        "lemma52_G_identity": (1, 59), "lemma52_TG_identity": (1, 59),
+        "lemma52_lambda_identity": (9, 51)}),
+    "families": (11, {
+        "minkowski_dim": (0, 11), "integral_P_section": (0, 11),
+        "integral_P_exists": (0, 11), "phi_kronecker": (0, 11),
+        "cone_pairings_nonnegative": (0, 11), "five_six_1_off_vertex": (0, 11),
+        "five_six_2_own_vertex": (11, 0), "five_six_34_cross_block": (0, 11),
+        "lemma52_G_identity": (0, 11), "lemma52_TG_identity": (0, 11),
+        "lemma52_lambda_identity": (11, 0)}),
+    "fixtures": (4, {
+        "minkowski_dim": (0, 4), "integral_P_section": (2, 2),
+        "integral_P_exists": (0, 4), "phi_kronecker": (0, 4),
+        "cone_pairings_nonnegative": (0, 4), "five_six_1_off_vertex": (2, 2),
+        "five_six_2_own_vertex": (4, 0), "five_six_34_cross_block": (0, 4),
+        "lemma52_G_identity": (2, 2), "lemma52_TG_identity": (2, 2),
+        "lemma52_lambda_identity": (1, 3)}),
+}
+
+
+def test_nef_flag_census(spec_6_1, spec_6_2, quadric, corrupted):
+    sets = {"seeded": SEEDED, "families": [generate_family(2)] + FAMILIES,
+            "fixtures": [spec_6_1, spec_6_2, quadric, corrupted]}
+    for name, specs in sets.items():
+        reached, counts = 0, {}
+        for spec in specs:
+            pair = MirrorPair(spec)
+            try:
+                nef = solve_dual_partition(spec, pair.tr, pair.weights, pair.tweights)
+            except (TranspositionError, NefError):
+                continue
+            reached += 1
+            for flag, value in nef.flags.items():
+                false_true = counts.setdefault(flag, [0, 0])
+                false_true[value] += 1
+        assert (reached, {f: tuple(c) for f, c in counts.items()}) == NEF_FLAG_CENSUS[name]
+
+
+# hand-built targets: rows in blocks of 3 and 2, dual vertices 0-2 owned by
+# block 1 and 3-4 by block 2; T[i][c] = -1 on the own block, 0 across
+HAND_TAUS = (3, 2)
+HAND_DUALS = ((0, 1, 2), (3, 4))
+FLAG_NAMES = ("phi_kronecker", "cone_pairings_nonnegative", "five_six_1_off_vertex",
+              "five_six_2_own_vertex", "five_six_34_cross_block")
+
+
+def _hand_target(**entries):
+    t = [[-1 if (i < 3) == (c < 3) else 0 for c in range(5)] for i in range(5)]
+    for key, value in entries.items():   # t<i><c>=value
+        t[int(key[1])][int(key[2])] = value
+    return t
+
+
+def _hand_flags(t):
+    flags, j_indices = pairing_flags(t, HAND_TAUS, HAND_DUALS)
+    assert tuple(flags) == FLAG_NAMES
+    return {name for name, value in flags.items() if not value}, j_indices
+
+
+def test_pairing_flags_all_hold_on_the_kronecker_target():
+    assert _hand_flags(_hand_target()) == (set(), {})
+
+
+def test_pairing_flags_negative_own_pairing():
+    # <diff_0, dual_0> = -2: the cone pairing -2 + 1 is negative and phi_1 is 2
+    assert _hand_flags(_hand_target(t00=-2)) == (
+        {"cone_pairings_nonnegative", "phi_kronecker", "five_six_2_own_vertex"},
+        {(1, 1, 1): 1})
+
+
+def test_pairing_flags_negative_cross_pairing():
+    # row 3 (block 2) pairs to -1 with a vertex of block 1: a negative cone
+    # pairing, phi_2 = 1 off the diagonal and a negative cross-block j
+    assert _hand_flags(_hand_target(t30=-1)) == (
+        {"cone_pairings_nonnegative", "phi_kronecker", "five_six_34_cross_block"},
+        {(1, 1, 2): 1})
+
+
+def test_pairing_flags_two_cross_block_nonzeros():
+    # two positive cross-block pairings: no single j_q, the cone still holds
+    assert _hand_flags(_hand_target(t31=1, t41=2)) == ({"five_six_34_cross_block"}, {})
+
+
+def test_pairing_flags_two_own_block_exceptions():
+    # vertex 1 of block 1 pairs (0, -1, 2) with its own rows: phi_1 is still 1
+    assert _hand_flags(_hand_target(t01=0, t21=2)) == (
+        {"five_six_1_off_vertex", "five_six_2_own_vertex"}, {(1, 2, 1): 1})
+
+
+def test_pairing_flags_phi_not_kronecker():
+    # vertex 0 of block 2 pairs to 0 with both of its own rows: phi_2 is 0, not 1
+    assert _hand_flags(_hand_target(t33=0, t43=0)) == (
+        {"phi_kronecker", "five_six_1_off_vertex", "five_six_2_own_vertex"},
+        {(2, 1, 2): 1})
 
 
 def _shift_exists_by_search(col, weights):

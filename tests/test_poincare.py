@@ -196,6 +196,27 @@ def test_series_expand_rejects_degenerate_denominator():
         series_expand(bad, 3)
 
 
+def test_series_expand_term_cap(monkeypatch):
+    import pytest
+    from mirrorkit import poincare
+    assert poincare.SERIES_TERM_CAP == 2000
+    assert issubclass(poincare.SeriesLimitError, poincare.PoincareError)
+    k1 = CyclotomicRatio.build(1, [(1, 2)], [(1, 1), (1, 1)])
+    k2 = CyclotomicRatio.build(2, [], [(1, 1), (2, 1)])   # every monomial appears
+    monkeypatch.setattr(poincare, "SERIES_TERM_CAP", 45)
+    assert series_coefficients_1d(k1, 44) == [1, 2] + [2] * 43   # C(45, 1) = 45 terms
+    assert len(series_expand(k2, 8)) == 45                        # C(10, 2) = 45 terms
+    expanded = []
+    monkeypatch.setattr(poincare, "_poly_mul", lambda *args: expanded.append(args))
+    with pytest.raises(poincare.SeriesLimitError,
+                       match=r"order 45 in 1 variable\(s\) allows 46 series terms, "
+                             r"above the cap of 45"):
+        series_expand(k1, 45)
+    with pytest.raises(poincare.SeriesLimitError, match="order 9 in 2 variable"):
+        series_expand(k2, 9)
+    assert expanded == []   # refused before any product was taken
+
+
 def test_series_expand_6_2_matches_enumeration(spec_6_2):
     w = derive_weights(spec_6_2)
     ratio = poincare_structure(w, charges(spec_6_2, w))
