@@ -491,7 +491,8 @@ def _structure_problems(spec: CISpec) -> list[str]:
                 problems.append(f"block {q}: exponent vector of length {len(v)}")
             elif any(e < 0 for e in v):
                 problems.append(f"block {q}: negative exponent")
-    if seen != set(range(1, spec.n + 1)) and not problems:
+    # with every index in range and none repeated, covering means counting n
+    if not problems and len(seen) != spec.n:
         problems.append("index sets do not cover {1..n}")
     return problems
 

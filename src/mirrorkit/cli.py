@@ -87,7 +87,7 @@ def _cmd_mellin(pair, args, out):
     cm, tr, forms = pair.cm, pair.tr, pair.forms
     lemma = mellin.lemma_form(cm, forms)
     xi = mellin.factorize_xi(tr, forms, pair.tweights)
-    t31, product = mellin.verify_theorem_31(cm, tr, xi, forms, pair.tweights)
+    t31, product = mellin.verify_theorem_31(tr, xi, forms, pair.tcharges, lemma)
     data = {
         "delta": mellin.compute_delta(forms),
         "plain_product": lemma.to_json(),
@@ -120,7 +120,7 @@ def _cmd_horn(pair, args, out):
         "operators": [op.to_json() for op in ops],
         "char_polys": [p.to_json() for p in pairs],
         "restricted_operators": restricted,
-        "m_function": horn_system.m_function(tw, tq).to_json(),
+        "m_function": poincare.poincare_structure(tw, tq).to_json(),
         "symmetry": sym.to_json(),
     }
     if args.format == "json":
@@ -131,7 +131,7 @@ def _cmd_horn(pair, args, out):
         for p in pairs:
             out.write(f"grading {p.q}: chi={p.chi}  zero={p.factored('zero')}  "
                       f"infinity={p.factored('infinity')}\n")
-        out.write(f"M = {horn_system.m_function(tw, tq)}\n")
+        out.write(f"M = {poincare.poincare_structure(tw, tq)}\n")
         out.write(f"quantum orders: {list(sym.q_bars)} <-> {list(sym.t_q_bars)}\n")
     return pipeline.EXIT_OK
 
@@ -152,7 +152,7 @@ def _cmd_poincare(pair, args, out):
     else:
         out.write(f"P_A = {ratio}\n")
         if pair.spec.k == 1:
-            coeffs = poincare.series_coefficients_1d(ratio, args.order)
+            coeffs = poincare.series_coefficients_1d(series, args.order)
             out.write(f"series to order {args.order}: {coeffs}\n")
         for name, value in duality.identities.items():
             out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
@@ -233,6 +233,8 @@ def main(argv=None) -> int:
         parser.error("--order must be nonnegative")
 
     if args.command == "family":
+        if args.m < 1:
+            parser.error("--m must be at least 1")
         spec = pipeline.generate_family(args.m)
         json.dump(spec.to_json(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

@@ -10,12 +10,11 @@ form is canonical and the examples reach degree 21.
 A form contributes Delta*|c| factors to a side, one per shift j, that
 differ only in j.  A side is therefore stored as runs (coeffs, const,
 count), one per form: a run stands for the factors
-ThetaFactor(coeffs, const, j) for j < count.  Building an operator is
-O(forms), its degree is the sum of the counts, and its JSON formats each
-run's coefficients once.  ``p_factors``/``q_factors`` expand the runs for
-the readers that want single factors.  The factor count of each side is
-bounded by ``FACTOR_COUNT_CAP``, checked in integers before any run is
-built.
+const + j + sum_q coeffs_q * theta_q for j < count.  Building an operator
+is O(forms), its degree is the sum of the counts, and its JSON formats
+each run's coefficients once; the text form and the expansion walk the
+runs shift by shift.  The factor count of each side is bounded by
+``FACTOR_COUNT_CAP``, checked in integers before any run is built.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from fractions import Fraction
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
-from .poincare import CyclotomicRatio
 from .rational_linalg import rat_str
 
 EXPANSION_DEGREE_CAP = 64
@@ -44,53 +42,39 @@ class FactorLimitError(HornError):
     """An operator side would have more than FACTOR_COUNT_CAP factors."""
 
 
-@dataclass(frozen=True)
-class ThetaFactor:
-    """Affine factor c0 + shift + sum_q c_q * theta_q."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-    shift: int
-
-    def __str__(self) -> str:
-        parts = []
-        total = self.const + self.shift
-        if total or not any(self.coeffs):
-            parts.append(rat_str(total))
-        for q, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            mag = rat_str(abs(c))
-            body = f"th{q}" if mag == "1" else f"{mag}*th{q}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return "(" + " ".join(parts) + ")"
-
-    def to_json(self) -> dict:
-        return {"coeffs": _coeffs_json(self.coeffs), "const": rat_str(self.const),
-                "shift": self.shift}
-
-
-# (coeffs, const, count): the factors ThetaFactor(coeffs, const, j) for j < count
+# (coeffs, const, count): the factors const + j + sum_q coeffs_q * theta_q for j < count
 Run = tuple[tuple[Fraction, ...], Fraction, int]
 
 
-def _coeffs_json(coeffs) -> dict[str, str]:
-    return {f"th{q}": rat_str(c) for q, c in enumerate(coeffs, start=1) if c}
+def _shifted(runs: tuple[Run, ...]):
+    """(coeffs, const + j) for every factor of the runs, in order."""
+    for coeffs, const, count in runs:
+        for j in range(count):
+            yield coeffs, const + j
 
 
-def _expand_runs(runs: tuple[Run, ...]) -> tuple[ThetaFactor, ...]:
-    return tuple(ThetaFactor(coeffs, const, j) for coeffs, const, count in runs
-                 for j in range(count))
+def _factor_str(coeffs: tuple[Fraction, ...], total: Fraction) -> str:
+    parts = []
+    if total or not any(coeffs):
+        parts.append(rat_str(total))
+    for q, c in enumerate(coeffs, start=1):
+        if c == 0:
+            continue
+        mag = rat_str(abs(c))
+        body = f"th{q}" if mag == "1" else f"{mag}*th{q}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return "(" + " ".join(parts) + ")"
 
 
 def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
     """One dict per factor; each run's coefficients and constant are formatted once."""
     out = []
     for coeffs, const, count in runs:
-        cj, cs = _coeffs_json(coeffs), rat_str(const)
+        cj = {f"th{q}": rat_str(c) for q, c in enumerate(coeffs, start=1) if c}
+        cs = rat_str(const)
         out.extend({"coeffs": dict(cj), "const": cs, "shift": j} for j in range(count))
     return out
 
@@ -109,26 +93,18 @@ class HornOperator:
     def degrees(self) -> tuple[int, int]:
         return sum(r[2] for r in self.p_runs), sum(r[2] for r in self.q_runs)
 
-    @property
-    def p_factors(self) -> tuple[ThetaFactor, ...]:
-        return _expand_runs(self.p_runs)
-
-    @property
-    def q_factors(self) -> tuple[ThetaFactor, ...]:
-        return _expand_runs(self.q_runs)
-
     def expand(self, side: str) -> dict[tuple[int, ...], Fraction]:
         """Expanded theta-polynomial of one side; refuses degrees above the cap."""
         degree = self.degrees[0 if side == "p" else 1]
         if degree > EXPANSION_DEGREE_CAP:
             raise HornError(f"degree {degree} exceeds expansion cap")
-        factors = self.p_factors if side == "p" else self.q_factors
-        k = len(factors[0].coeffs) if factors else 1
+        runs = self.p_runs if side == "p" else self.q_runs
+        k = len(runs[0][0]) if runs else 1
         poly: dict[tuple[int, ...], Fraction] = {tuple(0 for _ in range(k)): Fraction(1)}
-        for f in factors:
+        for coeffs, total in _shifted(runs):
             term: dict[tuple[int, ...], Fraction] = {}
-            base = {tuple(0 for _ in range(k)): f.const + f.shift}
-            for q, c in enumerate(f.coeffs):
+            base = {tuple(0 for _ in range(k)): total}
+            for q, c in enumerate(coeffs):
                 if c:
                     base[tuple(1 if i == q else 0 for i in range(k))] = c
             for e1, c1 in poly.items():
@@ -139,8 +115,8 @@ class HornOperator:
         return poly
 
     def __str__(self) -> str:
-        p = "".join(str(f) for f in self.p_factors) or "1"
-        qq = "".join(str(f) for f in self.q_factors) or "1"
+        p = "".join(_factor_str(*f) for f in _shifted(self.p_runs)) or "1"
+        qq = "".join(_factor_str(*f) for f in _shifted(self.q_runs)) or "1"
         power = f"^{self.delta_power}" if self.delta_power != 1 else ""
         return f"{p} - {self.variable}{self.q}{power} * {qq}"
 
@@ -290,14 +266,6 @@ def char_polys(tweights: WeightSystem, tcharges: ChargeMatrix, q: int) -> CharPo
         infinity_exponents=inf_exps,
     )
     return pair
-
-
-def m_function(tweights: WeightSystem, tcharges: ChargeMatrix) -> CyclotomicRatio:
-    """Product over gradings of the infinity polynomial over the origin one."""
-    k = tcharges.k
-    num = [(q, c) for q in range(1, k + 1) for c in tcharges.column(q)]
-    den = [(q, g) for q in range(1, k + 1) for g in tweights.support_values(q)]
-    return CyclotomicRatio.build(k, num, den)
 
 
 @dataclass(frozen=True)

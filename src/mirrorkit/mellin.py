@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ci_model import CayleyMatrix, charges, WeightSystem
+from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import Matrix, rat_parse, rat_str
 from .transposition import TransposeResult
 
@@ -463,19 +463,19 @@ def _symbolic_product(xi: "XiFactorization", contraction) -> str:
     return "*".join(parts) + " / [" + "*".join(dens) + "]"
 
 
-def verify_theorem_31(cm: CayleyMatrix, tr: TransposeResult, xi: XiFactorization,
-                      forms, tweights: WeightSystem) -> tuple[Theorem31Report, GammaProduct]:
+def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: ChargeMatrix,
+                      lemma: GammaProduct) -> tuple[Theorem31Report, GammaProduct]:
     """Check the charge contraction identity and emit the factorized Gamma product.
 
-    For each transposed block q the contraction sum_nu (charge of block q
-    under weight nu) * xi^(nu) must equal 1 - z_m for some m, bijectively.
-    The resulting product of Gamma((weight) * xi^(nu)) over all transposed
-    weight entries divided by the k contraction Gammas must reduce to the
-    plain product by reflection alone.
+    tq holds the charges of the transposed spec under its derived weights
+    and lemma is the plain product (lemma_form).  For each transposed block
+    q the contraction sum_nu (charge of block q under weight nu) * xi^(nu)
+    must equal 1 - z_m for some m, bijectively.  The resulting product of
+    Gamma((weight) * xi^(nu)) over all transposed weight entries divided by
+    the k contraction Gammas must reduce to the plain product by reflection
+    alone.
     """
-    tsp = tr.tspec
-    k = tsp.k
-    tq = charges(tsp, tweights)
+    k = tr.tspec.k
     block_to_z = []
     used = set()
     for q in range(1, k + 1):
@@ -504,7 +504,6 @@ def verify_theorem_31(cm: CayleyMatrix, tr: TransposeResult, xi: XiFactorization
     if cm_rows != num_rows:
         raise IdentityViolatedError(0, "factor multiset does not match the monomial forms")
 
-    lemma = lemma_form(cm, forms)
     report = Theorem31Report(
         identity_holds=True,
         block_to_z=tuple(block_to_z),

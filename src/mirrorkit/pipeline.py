@@ -34,6 +34,8 @@ def generate_family(m: int) -> CISpec:
     variables 2..m+1; block two chains each of those against a fresh
     m-th power, with the product over variable 1 and the tail block.
     """
+    if m < 1:
+        raise ValueError(f"family parameter m must be at least 1, got {m}")
     n = 2 * m + 1
     b1 = Block(
         exponents=tuple(tuple(m if j == i else 0 for j in range(n)) for i in range(m + 1)),
@@ -256,11 +258,10 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         stages.append(Stage("mellin-plain", False, notes=[str(exc)]))
         hard_ok = False
 
-    theorem_product = None
-    if tr is not None:
+    if tr is not None and lemma is not None:
         try:
             xi = mellin.factorize_xi(tr, forms, pair.tweights)
-            t31, theorem_product = mellin.verify_theorem_31(cm, tr, xi, forms, pair.tweights)
+            t31, theorem_product = mellin.verify_theorem_31(tr, xi, forms, pair.tcharges, lemma)
             flags = {"factorizable": True, **t31.to_json()}
             flags.pop("block_to_z")
             flags.pop("symbolic")
@@ -310,8 +311,9 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
                 soft.append(f"duality: {name}")
 
         if spec.k == 1:
+            ratio = poincare.poincare_structure(pair.effective_weights, pair.charges)
             stages[-1].payload["structure_series"] = poincare.series_coefficients_1d(
-                poincare.poincare_structure(pair.effective_weights, pair.charges), order)
+                poincare.series_expand(ratio, order), order)
 
         try:
             nef = nef_partition.solve_dual_partition(spec, tr, pair.weights, pair.tweights)

@@ -253,8 +253,11 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
     spec = cm.spec
     _verify_permuted_transpose(cm, tcm, tr.row_to_var, tr.block_sources)
     flags = dict(tr.condition_flags)
+    # the entrywise check raises unless the new matrix is the row/column permuted
+    # transpose, which implies both identities: its monomial rows are the old
+    # monomial columns, selected by lambda
     flags["row_multiset_identity"] = True
-    flags["lambda_matrix_identity"] = _lambda_matrix_identity(spec, cm, tr.lam.images)
+    flags["lambda_matrix_identity"] = True
     flags["lambda_v_identity"] = _lambda_v_identity(spec, tr.lam.images, tr.row_to_var)
     notes = list(tr.notes)
     rho = t_rho = None
@@ -306,16 +309,6 @@ def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
             if new[r][c] != old[old_row_of_col[c] - 1][old_col_of_row[r] - 1]:
                 raise InternalInvariantError(
                     f"transpose mismatch at new entry ({r + 1},{c + 1})")
-
-
-def _lambda_matrix_identity(spec: CISpec, cm: CayleyMatrix, lam: tuple[int, ...]) -> bool:
-    """lambda row-selects t(L_monomial) into the transposed monomial matrix."""
-    raw_vars = list(cm.i_lambda)
-    L = cm.matrix.num
-    l_lambda = [[L[row - 1][c] for c in range(spec.n)] for row in raw_vars]
-    t_l = [list(col) for col in zip(*l_lambda)]  # rows = old variables
-    new_rows = [[L[row - 1][old_col - 1] for row in raw_vars] for old_col in lam]
-    return all(t_l[lam[r] - 1] == new_rows[r] for r in range(spec.n))
 
 
 def _lambda_v_identity(spec, lam, row_to_var) -> bool:

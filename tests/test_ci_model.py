@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,21 @@ def test_validate_overlapping_index_sets():
     ))
     report = validate(spec)
     assert not report.checks["partition"]
+
+
+def test_validate_memory_does_not_grow_with_declared_n():
+    # one exponent vector of length 1 against n = 10**6: the structure check
+    # fails at once and must not build anything of size n
+    spec = CISpec.from_json({"n": 10**6, "k": 1,
+                             "blocks": [{"exponents": [[2]], "index_set": [1]}]})
+    tracemalloc.start()
+    try:
+        report = validate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.hard_ok
+    assert peak < 5 * 2**20
 
 
 def test_validate_square_forces_zero_weight():

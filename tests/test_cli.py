@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mirrorkit import cli, horn_system, poincare
+from mirrorkit.pipeline import generate_family
 
 PKG_ROOT = Path(__file__).parent.parent
 # Every --input command in both formats on every fixture, pinned by the
@@ -98,6 +99,22 @@ def test_family_command_matches_6_1_blocks():
     assert data["n"] == 7 and data["k"] == 2
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_family_rejects_m_below_one(m, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["family", "--m", m])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--m must be at least 1" in err
+
+
+def test_generate_family_rejects_m_below_one():
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            generate_family(m)
+    assert generate_family(1).n == 3
+
+
 def test_json_output_parses_and_is_deterministic():
     a = run_cli("verify", "--input", fixture("example_6_2.json"), "--format", "json")
     b = run_cli("verify", "--input", fixture("example_6_2.json"), "--format", "json")
@@ -125,6 +142,26 @@ def test_poincare_series_order_flag():
     result = run_cli("poincare", "--input", fixture("example_6_2.json"),
                      "--order", "7")
     assert "series to order 7: [1, 0, 2, 1, 3, 2, 5, 5]" in result.stdout
+
+
+def test_poincare_text_expands_the_series_once(monkeypatch):
+    calls = []
+    real = poincare.series_expand
+    monkeypatch.setattr(poincare, "series_expand", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run_in_process("poincare", "--input", fixture("example_6_2.json"),
+                                  "--order", "8")
+    assert code == 0 and "series to order 8: [1, 0, 2, 1, 3, 2, 5, 5, 7]" in out
+    assert len(calls) == 1
+
+
+def test_readme_library_imports_run():
+    readme = (PKG_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("from mirrorkit")]
+    assert len(lines) >= 7
+    for line in lines:
+        exec(line, {})
 
 
 def test_missing_input_is_an_error():

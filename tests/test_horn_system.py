@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,16 @@ from mirrorkit.horn_system import (
     DegenerateOperatorError,
     FactorLimitError,
     HornError,
-    ThetaFactor,
     char_polys,
     horn_operators,
     index_partition,
-    m_function,
     restricted_operator,
     symmetry_report,
 )
 from mirrorkit.mellin import compute_delta
-from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
-from mirrorkit.poincare import CyclotomicRatio, poincare_euler, ratio_equal
+from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.poincare import CyclotomicRatio, poincare_structure, ratio_equal
+from mirrorkit.rational_linalg import rat_str
 from mirrorkit.transposition import transpose_spec
 
 from paper_data import L_8_INV, matrix_from_json
@@ -65,9 +65,9 @@ def test_horn_factor_shape(quadric):
     op = horn_operators(quadric, forms)[0]
     # positive side: the two coefficient-one rows, Delta = 4 factors each
     assert op.degrees == (8, 8)
-    shifts = sorted(f.shift for f in op.p_factors)
-    assert shifts == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert all(f.coeffs == (Fraction(-1),) for f in op.p_factors)
+    factors = _factors(op.p_runs)
+    assert sorted(f.shift for f in factors) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert all(f.coeffs == (Fraction(-1),) for f in factors)
 
 
 def test_horn_degenerate_guard():
@@ -79,6 +79,40 @@ def test_horn_degenerate_guard():
         horn_operators(type("S", (), {"k": 1})(), forms)
 
 
+@dataclass(frozen=True)
+class _Factor:
+    """Reference single factor c0 + shift + sum_q c_q * theta_q, formatted on its own."""
+
+    coeffs: tuple[Fraction, ...]
+    const: Fraction
+    shift: int
+
+    def __str__(self) -> str:
+        parts = []
+        total = self.const + self.shift
+        if total or not any(self.coeffs):
+            parts.append(rat_str(total))
+        for q, c in enumerate(self.coeffs, start=1):
+            if c == 0:
+                continue
+            mag = rat_str(abs(c))
+            body = f"th{q}" if mag == "1" else f"{mag}*th{q}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return "(" + " ".join(parts) + ")"
+
+    def to_json(self) -> dict:
+        return {"coeffs": {f"th{q}": rat_str(c) for q, c in enumerate(self.coeffs, start=1) if c},
+                "const": rat_str(self.const), "shift": self.shift}
+
+
+def _factors(runs):
+    """The single factors a side's runs stand for."""
+    return tuple(_Factor(coeffs, const, j) for coeffs, const, count in runs for j in range(count))
+
+
 def _per_factor_operators(spec, forms):
     """Reference: every factor negates its form's z-coefficients afresh, and
     the operator's JSON and text format every factor on its own."""
@@ -86,7 +120,7 @@ def _per_factor_operators(spec, forms):
     ops = []
     for q in range(1, spec.k + 1):
         plus, minus, _ = index_partition(forms, q)
-        sides = [[ThetaFactor(tuple(-c for c in forms[a - 1].z_coeffs), forms[a - 1].const, j)
+        sides = [[_Factor(tuple(-c for c in forms[a - 1].z_coeffs), forms[a - 1].const, j)
                   for a in rows for j in range(abs(int(forms[a - 1].z_coeffs[q - 1] * delta)))]
                  for rows in (plus, minus)]
         p, qq = ("".join(str(f) for f in side) or "1" for side in sides)
@@ -107,7 +141,7 @@ def test_horn_operators_match_per_factor_construction(spec_6_1, spec_6_2, quadri
         reference = _per_factor_operators(spec, forms)
         assert len(ops) == len(reference) == spec.k
         for op, (ref_p, ref_q, ref_str, ref_json) in zip(ops, reference):
-            assert (op.p_factors, op.q_factors) == (ref_p, ref_q)
+            assert (_factors(op.p_runs), _factors(op.q_runs)) == (ref_p, ref_q)
             assert op.degrees == (len(ref_p), len(ref_q))
             js = op.to_json()
             assert js == ref_json
@@ -125,12 +159,9 @@ def test_horn_factor_count_guard(quadric, monkeypatch):
     forms = MirrorPair(quadric).forms
     monkeypatch.setattr(horn_system, "FACTOR_COUNT_CAP", 8)  # the quadric's 8 per side
     assert horn_operators(quadric, forms)[0].degrees == (8, 8)
-    built = []
-    monkeypatch.setattr(horn_system, "ThetaFactor", lambda *args: built.append(args))
     monkeypatch.setattr(horn_system, "FACTOR_COUNT_CAP", 7)
     with pytest.raises(FactorLimitError, match="variable 1: 8 p-factors exceed the cap of 7"):
         horn_operators(quadric, forms)
-    assert built == []  # raised before any factor was built
 
 
 def test_horn_operators_hold_one_run_per_form(quadric):
@@ -139,18 +170,6 @@ def test_horn_operators_hold_one_run_per_form(quadric):
     assert op.p_runs == (((Fraction(-1),), Fraction(0), 4), ((Fraction(-1),), Fraction(0), 4))
     assert op.degrees == (8, 8)
     assert len(op.q_runs) == len(index_partition(forms, 1)[1])
-
-
-def test_verify_builds_no_theta_factor(monkeypatch):
-    # the verify path reads degrees and JSON off the runs; only the text
-    # views and expand() build single factors
-    built = []
-    real = horn_system.ThetaFactor
-    monkeypatch.setattr(horn_system, "ThetaFactor", lambda *args: built.append(args) or real(*args))
-    report = run_verify(generate_family(7))
-    horn = next(s for s in report.stages if s.name == "horn")
-    assert horn.ok and horn.payload["degrees"] == [(686, 686), (735, 735)]
-    assert built == []
 
 
 def test_restricted_operator_quadric(quadric):
@@ -212,7 +231,7 @@ def test_m_function_quadric(quadric):
     tr = transpose_spec(quadric)
     tw = derive_weights(tr.tspec)
     tq = charges(tr.tspec, tw)
-    assert m_function(tw, tq) == CyclotomicRatio.build(1, [(1, 2)], [(1, 1), (1, 1)])
+    assert poincare_structure(tw, tq) == CyclotomicRatio.build(1, [(1, 2)], [(1, 1), (1, 1)])
 
 
 def test_m_function_formal_cancellation():
@@ -221,9 +240,9 @@ def test_m_function_formal_cancellation():
     # charges formally equal to weights cancel to one
     w2 = WeightSystem(((2, 3),))
     q2 = ChargeMatrix(((2,),))
-    ratio = m_function(w2, q2)
+    ratio = poincare_structure(w2, q2)
     assert ratio == CyclotomicRatio.build(1, [(1, 2)], [(1, 2), (1, 3)])
-    full_cancel = m_function(WeightSystem(((5,),)), ChargeMatrix(((5,),)))
+    full_cancel = poincare_structure(WeightSystem(((5,),)), ChargeMatrix(((5,),)))
     assert full_cancel == CyclotomicRatio.one(1)
 
 
@@ -240,9 +259,8 @@ def test_m_function_is_char_poly_ratio(spec_6_1, spec_6_2, quadric):
             pair = char_polys(tw, tq, q)
             num.extend((q, d) for d in pair.infinity_exponents)
             den.extend((q, d) for d in pair.zero_exponents)
-        assert ratio_equal(m_function(tw, tq),
+        assert ratio_equal(poincare_structure(tw, tq),
                            CyclotomicRatio.build(spec.k, num, den))
-        assert ratio_equal(m_function(tw, tq), poincare_euler(tw, tq))
 
 
 def test_symmetry_report(spec_6_1, spec_6_2, quadric):
@@ -266,3 +284,33 @@ def test_operator_expansion_quadric(quadric):
     assert poly[(8,)] == Fraction(1)
     # constant term: prod over both rows of (0 + j) for j = 0..3 vanishes
     assert poly.get((0,), Fraction(0)) == 0
+
+
+def test_operator_expansion_matches_the_factor_product(spec_6_1, spec_6_2, quadric):
+    # the expanded polynomial, evaluated at integer points, against the
+    # product of its single factors evaluated there
+    points = [(-2, 3), (1, 1), (5, -1), (0, 7)]
+    checked = 0
+    for spec in [spec_6_1, spec_6_2, quadric] + list(generate_valid_specs(200))[:40]:
+        forms = MirrorPair(spec).forms
+        for op in horn_operators(spec, forms):
+            for side, runs in (("p", op.p_runs), ("q", op.q_runs)):
+                if op.degrees[side == "q"] > horn_system.EXPANSION_DEGREE_CAP:
+                    continue
+                poly = op.expand(side)
+                for point in points:
+                    theta = point[:spec.k]
+                    value = sum(c * _monomial(e, theta) for e, c in poly.items())
+                    product = Fraction(1)
+                    for f in _factors(runs):
+                        product *= f.const + f.shift + sum(c * t for c, t in zip(f.coeffs, theta))
+                    assert value == product
+                checked += 1
+    assert checked > 50
+
+
+def _monomial(exponents, theta):
+    out = 1
+    for e, t in zip(exponents, theta):
+        out *= t ** e
+    return out

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorkit.ci_model import build_cayley, derive_weights
+from mirrorkit import ci_model, mellin
+from mirrorkit.ci_model import build_cayley, charges, derive_weights
 from mirrorkit.mellin import (
     GammaProduct,
     LinearForm,
@@ -18,7 +19,7 @@ from mirrorkit.mellin import (
     solve_xi,
     verify_theorem_31,
 )
-from mirrorkit.pipeline import MirrorPair
+from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import transpose_spec
 
@@ -229,14 +230,16 @@ def test_theorem_identity_violated(quadric):
     bad = XiFactorization((good.xi_forms[0].scale(F(1, 3)),), good.factors,
                           good.row_groups, None)
     with pytest.raises(IdentityViolatedError):
-        verify_theorem_31(build_cayley(quadric), tr, bad, forms, derive_weights(tr.tspec))
+        verify_theorem_31(tr, bad, forms, charges(tr.tspec, derive_weights(tr.tspec)),
+                          lemma_form(build_cayley(quadric), forms))
 
 
 def test_theorem_quadric(quadric):
     tr = transpose_spec(quadric)
     forms, tw = MirrorPair(quadric).forms, derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tw)
-    report, product = verify_theorem_31(build_cayley(quadric), tr, xi, forms, tw)
+    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw),
+                                        lemma_form(build_cayley(quadric), forms))
     assert report.identity_holds and report.reduces_to_lemma_form
     # Gamma(xi)^2 / Gamma(2 xi) with xi = (1-z)/2
     assert list(product.numerator) == [zf(F(1, 2), F(-1, 2))] * 2
@@ -247,12 +250,43 @@ def test_theorem_6_1_denominators(spec_6_1):
     tr = transpose_spec(spec_6_1)
     forms, tw = MirrorPair(spec_6_1).forms, derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tw)
-    report, product = verify_theorem_31(build_cayley(spec_6_1), tr, xi, forms, tw)
+    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw),
+                                        lemma_form(build_cayley(spec_6_1), forms))
     assert report.identity_holds
     assert report.matches_nu_inverse
     # 3 xi^(1) + xi^(2) = 1 - z1 and 3 xi^(2) = 1 - z2
     assert sorted(product.denominator, key=ZForm.sort_key) == sorted(
         [zf(1, -1, 0), zf(1, 0, -1)], key=ZForm.sort_key)
+
+
+def test_theorem_31_reads_the_charges_and_plain_product_it_is_given(monkeypatch):
+    pair = MirrorPair(generate_family(5))
+    tr, forms, tq = pair.tr, pair.forms, pair.tcharges
+    xi = factorize_xi(tr, forms, pair.tweights)
+    lemma = lemma_form(pair.cm, forms)
+    expected = verify_theorem_31(tr, xi, forms, tq, lemma)
+
+    def rebuilt(*args):
+        raise AssertionError("verify_theorem_31 rebuilt what it was handed")
+
+    monkeypatch.setattr(mellin, "lemma_form", rebuilt)
+    monkeypatch.setattr(mellin, "charges", rebuilt, raising=False)
+    monkeypatch.setattr(ci_model, "charges", rebuilt)
+    assert verify_theorem_31(tr, xi, forms, tq, lemma) == expected
+
+
+def test_run_verify_skips_theorem_31_without_a_plain_product(monkeypatch, quadric):
+    # a broken plain product is a hard failure; the factorized stage, which
+    # compares against it, is left out instead of raising
+    def broken(cm, forms):
+        raise mellin.LemmaShapeViolationError(1, "expected z1")
+
+    monkeypatch.setattr(mellin, "lemma_form", broken)
+    report = run_verify(quadric)
+    names = [s.name for s in report.stages]
+    assert not report.hard_ok
+    assert "mellin-plain" in names and "mellin-factorized" not in names
+    assert "duality" in names
 
 
 def test_gamma_reflection_normalization():

@@ -84,12 +84,10 @@ def test_horn_factors_of_one_form_share_its_data(m):
     shared: dict[int, set] = {}
     for op in horn_operators(spec, forms):
         plus, minus, _ = index_partition(forms, op.q)
-        for rows, factors in ((plus, op.p_factors), (minus, op.q_factors)):
-            it = iter(factors)
-            for a in rows:
-                for j in range(abs(int(forms[a - 1].z_coeffs[op.q - 1] * delta))):
-                    f = next(it)
-                    assert f.shift == j and f.const is forms[a - 1].const
-                    shared.setdefault(a, set()).add(id(f.coeffs))
-            assert next(it, None) is None
+        for rows, runs in ((plus, op.p_runs), (minus, op.q_runs)):
+            assert len(runs) == len(rows)
+            for a, (coeffs, const, count) in zip(rows, runs):
+                assert count == abs(int(forms[a - 1].z_coeffs[op.q - 1] * delta))
+                assert const is forms[a - 1].const
+                shared.setdefault(a, set()).add(id(coeffs))
     assert shared and all(len(ids) == 1 for ids in shared.values())

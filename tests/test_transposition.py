@@ -18,7 +18,8 @@ from mirrorkit.transposition import (
     find_rho,
     transpose_spec,
 )
-from mirrorkit.pipeline import generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.poincare import verify_duality
 
 from specgen import generate_valid_specs
 
@@ -241,3 +242,37 @@ def test_weight_classes_match_padded_kernel(monkeypatch):
     assert len(seen) > len(specs)
     # the per-group ray is what changed; its failure is among the outcomes
     assert "NoValidShapeError: no positive weight vector on a support group" in outcomes
+
+
+# (specs that transpose, flag -> (false, true)) per spec set: every transpose
+# condition flag and every duality identity.  Only M_Y = PO_Xbar compares two
+# different ratios, and it is false only on the corrupted fixture.
+_TRUE = {"size_multisets_1_11", "involution_nu", "row_multiset_identity",
+         "lambda_matrix_identity", "rho_symmetric_3_11", "t_rho_symmetric_3_11T",
+         "M_X = PO_Ybar", "PO_Ybar = P_A_Y", "M_Y = PO_Xbar", "PO_Xbar = P_A_X"}
+TRANSPOSE_FLAG_CENSUS = {
+    "seeded": (60, {**{f: (0, 60) for f in _TRUE}, "lambda_v_identity": (2, 58)}),
+    "families": (11, {**{f: (0, 11) for f in _TRUE}, "lambda_v_identity": (11, 0)}),
+    "fixtures": (4, {**{f: (0, 4) for f in _TRUE}, "lambda_v_identity": (1, 3),
+                     "M_Y = PO_Xbar": (1, 3)}),
+}
+
+
+def test_transpose_and_duality_flag_census(spec_6_1, spec_6_2, quadric, corrupted):
+    sets = {"seeded": generate_valid_specs(200),
+            "families": [generate_family(m) for m in range(2, 13)],
+            "fixtures": [spec_6_1, spec_6_2, quadric, corrupted]}
+    for name, specs in sets.items():
+        reached, counts = 0, {}
+        for spec in specs:
+            pair = MirrorPair(spec)
+            try:
+                flags = dict(pair.tr.condition_flags)
+            except transposition.TranspositionError:
+                continue
+            reached += 1
+            flags.update(verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
+                                        pair.charges, pair.recovered_data).identities)
+            for flag, value in flags.items():
+                counts.setdefault(flag, [0, 0])[value] += 1
+        assert (reached, {f: tuple(c) for f, c in counts.items()}) == TRANSPOSE_FLAG_CENSUS[name]
