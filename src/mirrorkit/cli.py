@@ -137,9 +137,10 @@ def _cmd_horn(pair, args, out):
 
 
 def _cmd_poincare(pair, args, out):
-    duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
-                                      pair.charges, pair.recovered_data)
-    ratio = poincare.poincare_structure(pair.effective_weights, pair.charges)
+    # the transposed data is read first, so a transposition error comes first
+    duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
+                                      pair.recovered_data)
+    ratio = pair.structure_ratio
     series = poincare.series_expand(ratio, args.order)
     table = sorted([list(e) + [c] for e, c in series.items()])
     data = {
@@ -226,16 +227,18 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="condition-flag failures abort instead of annotating")
     parser.add_argument("--m", type=int, default=3,
-                        help="family parameter for the `family` command")
+                        help="family parameter for the `family` command, "
+                             f"1 to {pipeline.FAMILY_M_MAX}")
     args = parser.parse_args(argv)
 
     if args.order < 0:
         parser.error("--order must be nonnegative")
 
     if args.command == "family":
-        if args.m < 1:
-            parser.error("--m must be at least 1")
-        spec = pipeline.generate_family(args.m)
+        try:
+            spec = pipeline.generate_family(args.m)
+        except ValueError as exc:
+            parser.error(f"--{exc}")   # "--m must be ..."
         json.dump(spec.to_json(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return pipeline.EXIT_OK

@@ -134,7 +134,7 @@ def index_partition(forms, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tu
     """Row indices split by the sign of the z_q coefficient."""
     plus, minus, zero = [], [], []
     for a, form in enumerate(forms, start=1):
-        c = form.z_coeffs[q - 1]
+        c = form.z_num(q)
         (plus if c > 0 else minus if c < 0 else zero).append(a)
     return tuple(plus), tuple(minus), tuple(zero)
 
@@ -144,8 +144,9 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
     z-numerators with respect to the global modulus.
 
     Form a with z-coefficients z_a contributes the run of factors
-    const_a + j - <z_a, theta> for j < Delta*|z_aq|; every side's count is
-    checked against FACTOR_COUNT_CAP before any run is built.
+    const_a + j - <z_a, theta> for j < Delta*|z_aq|, counted in integers as
+    |z_aq numerator| * (Delta / den_a); every side's count is checked
+    against FACTOR_COUNT_CAP before any run is built.
     """
     delta = compute_delta(forms)
     sides = []
@@ -155,17 +156,19 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
             raise DegenerateOperatorError(f"variable {q}: empty sign class")
         counts = []
         for name, rows in (("p", plus), ("q", minus)):
-            side = [(a, abs(int(forms[a - 1].z_coeffs[q - 1] * delta))) for a in rows]
+            side = [(a, abs(forms[a - 1].z_num(q)) * (delta // forms[a - 1].den))
+                    for a in rows]
             total = sum(b for _, b in side)
             if total > FACTOR_COUNT_CAP:
                 raise FactorLimitError(f"variable {q}: {total} {name}-factors "
                                        f"exceed the cap of {FACTOR_COUNT_CAP}")
             counts.append(side)
         sides.append(counts)
-    negated = [tuple(-c for c in form.z_coeffs) for form in forms]
+    xis = [form.xi() for form in forms]
+    negated = [tuple(-c for c in xi.coeffs) for xi in xis]
 
     def runs(side) -> tuple[Run, ...]:
-        return tuple((negated[a - 1], forms[a - 1].const, b) for a, b in side)
+        return tuple((negated[a - 1], xis[a - 1].const, b) for a, b in side)
 
     return tuple(HornOperator(q, runs(p_side), runs(q_side), delta)
                  for q, (p_side, q_side) in enumerate(sides, start=1))

@@ -8,6 +8,14 @@ the two closed-form Gamma products (the plain one with a Gamma(z) prefactor
 per block, and the factorized one expressed through the transposed weight
 data) as exact argument-multiset identities.
 
+A form is a column of the inverse, which is integer rows over one
+denominator: the form keeps that column's integer numerators over its own
+least denominator, and Delta, the LCM of the form denominators, is the
+inverse's denominator.  The sum rules, the classification, the Horn counts
+and the magic square compare those integers scaled to Delta; Fractions
+appear only in the views a form builds on first read, and the run reads
+just xi(), k + 1 of them per form.
+
 Gamma products are compared up to reflection: a denominator factor
 Gamma(1-x) and a numerator factor Gamma(x) differ by pi/sin(pi x), which is
 precisely the periodic ambiguity the identities allow.  Canonicalization
@@ -20,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
-from .rational_linalg import Matrix, rat_parse, rat_str
+from .rational_linalg import Matrix, rat_parse, rat_str, ratio_str
 from .transposition import TransposeResult
 
 
@@ -128,74 +137,101 @@ class ZForm:
 class LinearForm:
     """One affine form with formal arguments i_1..i_n, z_1..z_k, zeta_1..zeta_2k.
 
-    Coefficients are read off a column of the inverse Cayley matrix; the
-    constant collects the +1 shifts attached to the i and zeta slots, so the
-    base-point value (all i and zeta at zero) is const + <z-part, z>.
+    Coefficients are read off a column of the inverse Cayley matrix and kept
+    as integer numerators ``num`` over one positive denominator ``den``, in
+    the column's order (i | zeta | z), canonical: gcd(den, every numerator)
+    = 1, so ``den`` is the form's own denominator and ``==`` and ``hash``
+    are structural.  The constant collects the +1 shifts attached to the i
+    and zeta slots, so the base-point value (all i and zeta at zero) is
+    const + <z-part, z>.  The Fraction views (i_coeffs, zeta_coeffs,
+    z_coeffs, const, xi()) are built on first use, each once per form.
+    The constructor expects canonical num and den; from_coeffs builds a form
+    from rational coefficients.
     """
 
-    i_coeffs: tuple[Fraction, ...]
-    zeta_coeffs: tuple[Fraction, ...]
-    z_coeffs: tuple[Fraction, ...]
-    const: Fraction
+    num: tuple[int, ...]
+    den: int
+    k: int
 
     @staticmethod
-    def from_inverse_column(col, n: int, k: int) -> "LinearForm":
-        i_c = tuple(col[:n])
-        zeta_c = tuple(col[n:n + 2 * k])
-        z_c = tuple(col[n + 2 * k:])
-        return LinearForm(i_c, zeta_c, z_c, sum(i_c) + sum(zeta_c))
+    def from_coeffs(i_coeffs, zeta_coeffs, z_coeffs) -> "LinearForm":
+        """The form with these int or Fraction coefficients; const is their i and zeta sum."""
+        # over the LCM of the reduced denominators the numerators are already coprime to it
+        xs = (*i_coeffs, *zeta_coeffs, *z_coeffs)
+        den = math.lcm(*(x.denominator for x in xs))
+        return LinearForm(tuple(x.numerator * (den // x.denominator) for x in xs), den,
+                          len(z_coeffs))
 
     @property
     def n(self) -> int:
-        return len(self.i_coeffs)
+        return len(self.num) - 3 * self.k
+
+    def z_num(self, q: int) -> int:
+        """The numerator of the z_q coefficient."""
+        return self.num[len(self.num) - self.k + q - 1]
+
+    def _fractions(self, start: int, stop: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num[start:stop])
+
+    @cached_property
+    def i_coeffs(self) -> tuple[Fraction, ...]:
+        return self._fractions(0, self.n)
+
+    @cached_property
+    def zeta_coeffs(self) -> tuple[Fraction, ...]:
+        return self._fractions(self.n, self.n + 2 * self.k)
 
     @property
-    def k(self) -> int:
-        return len(self.z_coeffs)
+    def z_coeffs(self) -> tuple[Fraction, ...]:
+        return self._xi.coeffs
+
+    @property
+    def const(self) -> Fraction:
+        return self._xi.const
+
+    @cached_property
+    def _xi(self) -> ZForm:
+        z = len(self.num) - self.k
+        return ZForm(self._fractions(z, None), Fraction(sum(self.num[:z]), self.den))
 
     def xi(self) -> ZForm:
         """Specialization at i = 0, zeta = 0."""
-        return ZForm(self.z_coeffs, self.const)
+        return self._xi
 
     def denominator(self) -> int:
-        return math.lcm(*(x.denominator
-                          for x in (*self.i_coeffs, *self.zeta_coeffs, *self.z_coeffs)))
+        return self.den
 
     def numerators(self, delta: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Integer vectors (A, B, D) with respect to a given common modulus."""
-        def ints(xs):
-            out = []
-            for x in xs:
-                y = x * delta
-                if y.denominator != 1:
-                    raise MellinError(f"{delta} is not a common modulus")
-                out.append(int(y))
-            return tuple(out)
-        return ints(self.i_coeffs), ints(self.z_coeffs), ints(self.zeta_coeffs)
+        if delta % self.den:
+            raise MellinError(f"{delta} is not a common modulus")
+        v = [x * (delta // self.den) for x in self.num]
+        n, z = self.n, len(v) - self.k
+        return tuple(v[:n]), tuple(v[z:]), tuple(v[n:z])
 
     def reduced_numerators(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
         """(A, B, D, d) over the form's own denominator; gcd of all entries is 1."""
-        d = self.denominator()
-        a, b, dd = self.numerators(d)
-        return a, b, dd, d
+        a, b, dd = self.numerators(self.den)
+        return a, b, dd, self.den
 
     def to_json(self) -> dict:
+        d, n, z = self.den, self.n, len(self.num) - self.k
+        strs = [ratio_str(x, d) for x in self.num]
         return {
-            "i_coeffs": [rat_str(c) for c in self.i_coeffs],
-            "zeta_coeffs": [rat_str(c) for c in self.zeta_coeffs],
-            "z_coeffs": [rat_str(c) for c in self.z_coeffs],
-            "const": rat_str(self.const),
+            "i_coeffs": strs[:n],
+            "zeta_coeffs": strs[n:z],
+            "z_coeffs": strs[z:],
+            "const": ratio_str(sum(self.num[:z]), d),
         }
 
     @staticmethod
     def from_json(data: dict) -> "LinearForm":
-        form = LinearForm(
+        form = LinearForm.from_coeffs(
             tuple(rat_parse(c) for c in data["i_coeffs"]),
             tuple(rat_parse(c) for c in data["zeta_coeffs"]),
             tuple(rat_parse(c) for c in data["z_coeffs"]),
-            rat_parse(data["const"]),
         )
-        if form.const != sum(form.i_coeffs) + sum(form.zeta_coeffs):
+        if form.const != rat_parse(data["const"]):
             raise MellinError("constant term inconsistent with coefficient sums")
         return form
 
@@ -267,15 +303,22 @@ def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
 
 
 def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> tuple[LinearForm, ...]:
-    """One form per matrix row, read off the columns of the inverse."""
-    n, k = cm.spec.n, cm.spec.k
-    return tuple(LinearForm.from_inverse_column(inverse.col(a), n, k)
-                 for a in range(cm.size))
+    """One form per matrix row, read off the integer columns of the inverse."""
+    k, d = cm.spec.k, inverse.den
+    forms = []
+    for col in zip(*inverse.num):
+        g = math.gcd(d, *col)
+        forms.append(LinearForm(tuple(x // g for x in col) if g > 1 else col, d // g, k))
+    return tuple(forms)
 
 
 def compute_delta(forms) -> int:
-    """Smallest positive integer clearing every denominator of every form."""
-    return math.lcm(*(f.denominator() for f in forms))
+    """Smallest positive integer clearing every denominator of every form.
+
+    For the forms of an inverse this is the inverse's denominator.
+    """
+    return math.lcm(*(f.den for f in forms))
+
 
 
 def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
@@ -285,32 +328,32 @@ def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
     signature zeta_{2nu-1} + zeta_{2nu} - z_nu (type b); monomial and
     product rows pair each z_l against -zeta_{2l-1} only (type c).
     """
-    spec = cm.spec
-    k = spec.k
+    k = cm.spec.k
     tags = []
     for a, form in enumerate(forms, start=1):
-        block, kind, _ = cm.row_labels[a - 1]
-        if not any((*form.i_coeffs, *form.zeta_coeffs, *form.z_coeffs, form.const)):
+        _, kind, _ = cm.row_labels[a - 1]
+        num, one = form.num, form.den
+        z0 = len(num) - k          # the z numerators are num[z0:]
+        zeta = num[form.n:z0]
+        if not any(num):
             # impossible for a nonsingular matrix
             raise ClassificationFailureError(f"form {a} is identically zero")
         tag = None
-        if all(c == 0 for c in form.i_coeffs) and all(c == 0 for c in form.zeta_coeffs):
-            nz = [q for q, c in enumerate(form.z_coeffs, start=1) if c != 0]
-            if len(nz) == 1 and form.z_coeffs[nz[0] - 1] == 1 and form.const == 0:
+        if not any(num[:z0]):
+            nz = [c for c in num[z0:] if c]
+            if nz == [one]:
                 tag = "a"
         if tag is None:
             for nu in range(1, k + 1):
-                zc = [Fraction(0)] * k
-                zc[nu - 1] = Fraction(-1)
-                zetac = [Fraction(0)] * (2 * k)
-                zetac[2 * nu - 2] = Fraction(1)
-                zetac[2 * nu - 1] = Fraction(1)
-                if list(form.z_coeffs) == zc and list(form.zeta_coeffs) == zetac:
+                zc = [0] * k
+                zc[nu - 1] = -one
+                zetac = [0] * (2 * k)
+                zetac[2 * nu - 2] = zetac[2 * nu - 1] = one
+                if list(num[z0:]) == zc and list(zeta) == zetac:
                     tag = "b"
                     break
         if tag is None:
-            if all(form.zeta_coeffs[2 * l - 1] == 0
-                   and form.zeta_coeffs[2 * l - 2] == -form.z_coeffs[l - 1]
+            if all(zeta[2 * l - 1] == 0 and zeta[2 * l - 2] == -num[z0 + l - 1]
                    for l in range(1, k + 1)):
                 tag = "c"
         if tag is None:
@@ -337,17 +380,20 @@ class SumRuleReport:
 
 
 def check_sum_rules(forms) -> SumRuleReport:
-    """Column sums of the inverse vanish and the forms sum to zeta_1+..+zeta_2k+2k."""
-    n = forms[0].n
-    k = forms[0].k
+    """Column sums of the inverse vanish and the forms sum to zeta_1+..+zeta_2k+2k.
+
+    Compared in integers over the common modulus Delta: the sums are 0, Delta
+    and 2k * Delta.
+    """
+    n, k = forms[0].n, forms[0].k
+    delta = compute_delta(forms)
+    sums = [sum(col) for col in zip(*([x * (delta // f.den) for x in f.num] for f in forms))]
+    z0 = n + 2 * k
     checks = {}
-    checks["i_column_sums_vanish"] = all(
-        sum(f.i_coeffs[j] for f in forms) == 0 for j in range(n))
-    checks["z_column_sums_vanish"] = all(
-        sum(f.z_coeffs[q] for f in forms) == 0 for q in range(k))
-    checks["zeta_column_sums_one"] = all(
-        sum(f.zeta_coeffs[l] for f in forms) == 1 for l in range(2 * k))
-    checks["constants_sum_2k"] = sum(f.const for f in forms) == 2 * k
+    checks["i_column_sums_vanish"] = not any(sums[:n])
+    checks["z_column_sums_vanish"] = not any(sums[z0:])
+    checks["zeta_column_sums_one"] = all(x == delta for x in sums[n:z0])
+    checks["constants_sum_2k"] = sum(sums[:z0]) == 2 * k * delta
     return SumRuleReport(checks)
 
 

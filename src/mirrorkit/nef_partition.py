@@ -31,9 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
+from .mellin import compute_delta
 from .rational_linalg import integer_kernel, Matrix, pivot_columns, rank, solve_den
 from .transposition import TransposeResult
 
@@ -142,28 +144,50 @@ def pairing_flags(t_rows, taus: Sequence[int], dual_idx: Sequence[Sequence[int]]
     return flags, j_indices
 
 
+def _with_block_axes(groups, n: int, zero, one) -> tuple[tuple, ...]:
+    """Per block l, (0, e_l) and then (m, e_l) for each vertex m of groups[l - 1]."""
+    k = len(groups)
+    out = []
+    for l, grp in enumerate(groups):
+        eps = tuple(one if i == l else zero for i in range(k))
+        out.append((zero,) * n + eps)
+        out.extend(tuple(m) + eps for m in grp)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class NefPartitionData:
     deltas: tuple[LatticePolytope, ...]
-    duals: tuple[tuple[tuple[Fraction, ...], ...], ...]  # per block, its dual vertices
+    dual_idx: tuple[tuple[int, ...], ...]  # per block, the columns of P holding its dual vertices
     p_matrix: Matrix
     pairings: Matrix                       # <diff_i, dual_c>
     sigma_generators: tuple[tuple[int, ...], ...]
-    sigma_dual_generators: tuple[tuple[Fraction, ...], ...]
     j_indices: dict[tuple[int, int, int], int]   # (block l, vertex r, other block q) -> j_q
     flags: dict[str, bool]
     notes: tuple[str, ...]
 
+    @cached_property
+    def duals(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Per block, its dual vertices (columns of P) as Fractions."""
+        return tuple(tuple(self.p_matrix.col(c) for c in cols) for cols in self.dual_idx)
+
+    @cached_property
+    def sigma_dual_generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _with_block_axes(self.duals, self.p_matrix.rows, Fraction(0), Fraction(1))
+
     def to_json(self) -> dict:
-        from .rational_linalg import rat_str
+        # the dual vertices and their generators are the columns of P's strings
+        p_json = self.p_matrix.to_json()
+        cols = list(zip(*p_json))
+        groups = [[cols[c] for c in idx] for idx in self.dual_idx]
         return {
             "deltas": [d.to_json() for d in self.deltas],
-            "duals": [[[rat_str(x) for x in m] for m in grp] for grp in self.duals],
-            "P": self.p_matrix.to_json(),
+            "duals": [[list(m) for m in grp] for grp in groups],
+            "P": p_json,
             "pairings": self.pairings.to_json(),
             "sigma_generators": [list(v) for v in self.sigma_generators],
-            "sigma_dual_generators": [[rat_str(x) for x in v]
-                                      for v in self.sigma_dual_generators],
+            "sigma_dual_generators": [list(v) for v in _with_block_axes(
+                groups, self.p_matrix.rows, "0", "1")],
             "j_indices": {f"{l},{r},{q}": j for (l, r, q), j in self.j_indices.items()},
             "flags": dict(self.flags),
             "notes": list(self.notes),
@@ -263,7 +287,8 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         raise UnsolvableError("pairing matrix does not reproduce the target")
 
     flags["integral_P_section"] = scale == 1
-    flags["integral_P_exists"] = all(
+    # with scale 1 every column is its own integral representative
+    flags["integral_P_exists"] = scale == 1 or all(
         _integral_representative_exists(col, scale, weights) for col in p_int)
     if not flags["integral_P_section"]:
         notes.append("dual vertices are not integral in the chosen section"
@@ -277,24 +302,13 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     for l in range(1, k + 1):
         pos_l = tr.block_sources.index(l) + 1
         base = tr.tspec.b(pos_l - 1)
-        dual_idx.append([base + r for r in range(tr.tspec.taus[pos_l - 1])])
-    duals = tuple(tuple(p_matrix.col(c) for c in cols) for cols in dual_idx)
+        dual_idx.append(tuple(base + r for r in range(tr.tspec.taus[pos_l - 1])))
 
     pair_flags, j_indices = pairing_flags(pairings.num, spec.taus, dual_idx)
     flags.update(pair_flags)
 
-    sigma = []
-    for q in range(1, k + 1):
-        eps = tuple(1 if i == q - 1 else 0 for i in range(k))
-        sigma.append(tuple([0] * n) + eps)
-        base = spec.b(q - 1)
-        for j in range(spec.taus[q - 1]):
-            sigma.append(a_rows[base + j] + eps)
-    sigma_dual = []
-    for l, grp in enumerate(duals, start=1):
-        eps = tuple(Fraction(i == l - 1) for i in range(k))
-        sigma_dual.append((Fraction(0),) * n + eps)
-        sigma_dual.extend(m + eps for m in grp)
+    blocks = [a_rows[spec.b(q):spec.b(q) + tau] for q, tau in enumerate(spec.taus)]
+    sigma = _with_block_axes(blocks, n, 0, 1)
 
     diag = weights.diagonal
     flags["lemma52_G_identity"] = all(g == 1 for g in diag)
@@ -302,8 +316,8 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     flags["lemma52_lambda_identity"] = tr.lam.is_identity()
 
     return NefPartitionData(
-        deltas=deltas, duals=tuple(duals), p_matrix=p_matrix, pairings=pairings,
-        sigma_generators=tuple(sigma), sigma_dual_generators=tuple(sigma_dual),
+        deltas=deltas, dual_idx=tuple(dual_idx), p_matrix=p_matrix, pairings=pairings,
+        sigma_generators=sigma,
         j_indices=j_indices, flags=flags, notes=tuple(notes),
     )
 
@@ -334,10 +348,13 @@ def magic_square_check(cm: CayleyMatrix, forms) -> MagicSquareReport:
     spec = cm.spec
     k, n = spec.k, spec.n
     i_lam = cm.i_lambda
+    delta = compute_delta(forms)
 
     def witness(q, qq):
-        pvals = sorted(((forms[b - 1].z_coeffs[q - 1], b) for b in i_lam))
-        wvals = sorted(((forms[spec.a(qq) - 1].i_coeffs[i], i + 1) for i in range(n)))
+        # the coefficients compared as numerators over the common modulus delta
+        pvals = sorted((forms[b - 1].z_num(q) * (delta // forms[b - 1].den), b) for b in i_lam)
+        wform = forms[spec.a(qq) - 1]
+        wvals = sorted((x * (delta // wform.den), i) for i, x in enumerate(wform.num[:n], start=1))
         if [v for v, _ in pvals] != [v for v, _ in wvals]:
             return None
         return tuple((b, i) for (_, b), (_, i) in zip(pvals, wvals))

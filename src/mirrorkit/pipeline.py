@@ -27,15 +27,23 @@ EXIT_SOFT_FAILURE = 2
 EXIT_INTERNAL = 3
 
 
+# generate_family refuses m above this: the spec holds (2m+1)^2 exponents,
+# and building and dumping it at m = 400 already peaks at 61 MB
+FAMILY_M_MAX = 200
+
+
 def generate_family(m: int) -> CISpec:
     """The two-block family on 2m+1 variables generalizing the cubic example.
 
     Block one is the sum of (m+1) m-th powers with the product over
     variables 2..m+1; block two chains each of those against a fresh
     m-th power, with the product over variable 1 and the tail block.
+    Raises ValueError, before building anything, unless 1 <= m <= FAMILY_M_MAX.
     """
     if m < 1:
-        raise ValueError(f"family parameter m must be at least 1, got {m}")
+        raise ValueError(f"m must be at least 1, got {m}")
+    if m > FAMILY_M_MAX:
+        raise ValueError(f"m must be at most {FAMILY_M_MAX}, got {m}")
     n = 2 * m + 1
     b1 = Block(
         exponents=tuple(tuple(m if j == i else 0 for j in range(n)) for i in range(m + 1)),
@@ -97,6 +105,11 @@ class MirrorPair:
     def charges(self) -> ChargeMatrix:
         """Charges of the effective weights."""
         return ci_model.charges(self.spec, self.effective_weights)
+
+    @cached_property
+    def structure_ratio(self) -> poincare.CyclotomicRatio:
+        """The structural series P_A of the effective weights and their charges."""
+        return poincare.poincare_structure(self.effective_weights, self.charges)
 
     @cached_property
     def _shape(self) -> transposition.TransposeResult:
@@ -301,8 +314,8 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
                             payload={"pairs": [p.to_json() for p in pairs]}))
         hard_ok &= chi_ok
 
-        duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.effective_weights,
-                                          pair.charges, pair.recovered_data)
+        duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
+                                          pair.recovered_data)
         stages.append(Stage("duality", True, flags=dict(duality.identities),
                             notes=list(duality.notes),
                             payload=duality.to_json()))
@@ -311,9 +324,8 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
                 soft.append(f"duality: {name}")
 
         if spec.k == 1:
-            ratio = poincare.poincare_structure(pair.effective_weights, pair.charges)
             stages[-1].payload["structure_series"] = poincare.series_coefficients_1d(
-                poincare.series_expand(ratio, order), order)
+                poincare.series_expand(pair.structure_ratio, order), order)
 
         try:
             nef = nef_partition.solve_dual_partition(spec, tr, pair.weights, pair.tweights)

@@ -258,19 +258,19 @@ def recovered_original_data(spec: CISpec, recovered: CISpec, sigma: tuple[int, .
     return weights, charges(spec, weights)
 
 
-def verify_duality(tw: WeightSystem, tq: ChargeMatrix, xw: WeightSystem, xq: ChargeMatrix,
+def verify_duality(tw: WeightSystem, tq: ChargeMatrix, p_a_x: CyclotomicRatio,
                    recovered: tuple[WeightSystem, ChargeMatrix] | None) -> DualityReport:
     """Check the monodromy / Euler-characteristic / structural-series equalities.
 
     tw, tq are the derived weights of the transposed spec and their charges,
-    xw, xq the spec's weights as annotated and their charges, and recovered
-    is what recovered_original_data gives.  M, PO and P_A are one formula
-    (poincare_structure), so M_X = PO_Ybar, PO_Ybar = P_A_Y and
-    PO_Xbar = P_A_X hold by construction: each side is the ratio of the
-    transposed data, or of the annotated data.  M_Y = PO_Xbar is the one
-    real comparison: the ratio rebuilt from the double transpose against
-    the annotated one.  Without a recovered original both of the X-side
-    identities are False.
+    p_a_x is poincare_structure of the spec's weights as annotated and their
+    charges, and recovered is what recovered_original_data gives.  M, PO
+    and P_A are one formula (poincare_structure), so M_X = PO_Ybar,
+    PO_Ybar = P_A_Y and PO_Xbar = P_A_X hold by construction: each side is
+    the ratio of the transposed data, or of the annotated data.
+    M_Y = PO_Xbar is the one real comparison: the ratio rebuilt from the
+    double transpose against the annotated one.  Without a recovered
+    original both of the X-side identities are False.
     """
     identities: dict[str, bool] = {}
     notes: list[str] = []
@@ -279,7 +279,6 @@ def verify_duality(tw: WeightSystem, tq: ChargeMatrix, xw: WeightSystem, xq: Cha
     identities["M_X = PO_Ybar"] = True
     identities["PO_Ybar = P_A_Y"] = True
 
-    p_a_x = poincare_structure(xw, xq)
     if recovered is None:
         identities["M_Y = PO_Xbar"] = False
         identities["PO_Xbar = P_A_X"] = False

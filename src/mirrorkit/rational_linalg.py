@@ -67,7 +67,7 @@ def rat_parse(s: str | int) -> Fraction:
     return Fraction(s)
 
 
-def _ratio_str(p: int, q: int) -> str:
+def ratio_str(p: int, q: int) -> str:
     """rat_str of p/q for q > 0, without building a Fraction."""
     g = math.gcd(p, q)
     if g == q:
@@ -157,7 +157,7 @@ class Matrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
-        return [[_ratio_str(x, self.den) for x in row] for row in self.num]
+        return [[ratio_str(x, self.den) for x in row] for row in self.num]
 
     def __str__(self) -> str:
         cells = self.to_json()

@@ -115,6 +115,31 @@ def test_generate_family_rejects_m_below_one():
     assert generate_family(1).n == 3
 
 
+def test_generate_family_bounds_m_before_building(monkeypatch):
+    # the guard is checked by lowering the bound: no large spec is built
+    from mirrorkit import pipeline
+    assert pipeline.FAMILY_M_MAX == 200
+    monkeypatch.setattr(pipeline, "FAMILY_M_MAX", 3)
+    assert generate_family(3).n == 7
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(pipeline, "Block", refuse)
+    for m in (4, 10**9):
+        with pytest.raises(ValueError, match="must be at most 3"):
+            generate_family(m)
+
+
+@pytest.mark.parametrize("m", ["201", "100000"])
+def test_family_rejects_m_above_the_bound(m, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["family", "--m", m])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(f"--m must be at most 200, got {m}")
+
+
 def test_json_output_parses_and_is_deterministic():
     a = run_cli("verify", "--input", fixture("example_6_2.json"), "--format", "json")
     b = run_cli("verify", "--input", fixture("example_6_2.json"), "--format", "json")

@@ -3,15 +3,19 @@
 Each document starts from a fixture or a small valid spec and takes a few
 mutations (an exponent, index set, count or weight changed, a block
 dropped or duplicated), then sometimes a key removed or one value
-replaced by a value of the wrong type.  Whatever the result, each command
-must return an exit code in 0-3 and raise nothing.  The search is
-derandomized and bounded, so the test is deterministic.
+replaced by a value of the wrong type.  Each command also gets a drawn
+`--order`: a small one, or one just above the series term cap for two or
+three variables, which `poincare` must refuse before expanding anything.
+Whatever the result, each command must return an exit code in 0-3 and
+raise nothing, and a refused expansion is one line on stderr and exit 1.
+The search is derandomized and bounded, so the test is deterministic.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,15 +26,47 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from mirrorkit import cli  # noqa: E402
 from mirrorkit.pipeline import generate_family  # noqa: E402
+from mirrorkit.poincare import SERIES_TERM_CAP  # noqa: E402
 
 from specgen import generate_valid_specs  # noqa: E402
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mirrorkit" / "fixtures"
+
+
+def _direct_sum(*specs) -> dict:
+    """The specs' blocks side by side on disjoint variables."""
+    n = sum(d["n"] for d in specs)
+    blocks, offset = [], 0
+    for d in specs:
+        for blk in d["blocks"]:
+            blocks.append({"exponents": [[0] * offset + row + [0] * (n - offset - d["n"])
+                                         for row in blk["exponents"]],
+                           "index_set": [i + offset for i in blk["index_set"]]})
+        offset += d["n"]
+    return {"n": n, "k": sum(d["k"] for d in specs), "blocks": blocks}
+
+
+QUADRIC = json.loads((FIXTURES / "derived_quadric.json").read_text())
 BASES = ([json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
-         + [generate_family(2).to_json()]
+         + [generate_family(2).to_json(), _direct_sum(QUADRIC, QUADRIC, QUADRIC)]
          + [spec.to_json() for spec in generate_valid_specs(200)[:8]])
 COMMANDS = [c for c in cli.COMMANDS if c != "family"]
 JUNK = st.sampled_from([None, True, 1.5, "1", [], {}, -1, 0])
+
+
+def _largest_order(k: int) -> int:
+    """The largest order whose C(order + k, k) series terms fit under the cap."""
+    order = 0
+    while math.comb(order + 1 + k, k) <= SERIES_TERM_CAP:
+        order += 1
+    return order
+
+
+# small orders, and the boundary of the term cap for k = 2 and 3 (61 and 20
+# today): the orders just above it are refused before any expansion runs,
+# and at k = 1 they are still cheap
+ORDERS = st.one_of(st.integers(0, 8),
+                   st.sampled_from([_largest_order(k) + d for k in (2, 3) for d in (1, 2)]))
 
 
 def _set_exponent(draw, data):
@@ -104,13 +140,37 @@ def spec_documents(draw):
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(spec_documents(), st.sampled_from(["text", "json"]))
-def test_every_command_exits_0_to_3_on_fuzzed_specs(data, fmt):
+@given(spec_documents(), st.sampled_from(["text", "json"]), ORDERS)
+def test_every_command_exits_0_to_3_on_fuzzed_specs(data, fmt, order):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(data))
         for command in COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, "--input", str(path), "--format", fmt])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--input", str(path), "--format", fmt,
+                                 "--order", str(order)])
             assert code in (0, 1, 2, 3), (command, data)
+            if err.getvalue().startswith("cannot expand the series"):
+                assert code == 1 and err.getvalue().count("\n") == 1, (command, data, order)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(BASES), ORDERS)
+def test_poincare_refuses_exactly_the_orders_past_the_term_cap(data, order):
+    # on the unmutated (valid) documents exit 1 can only be the refusal, and it
+    # comes exactly when C(order + k, k) exceeds the cap, before any expansion
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["poincare", "--input", str(path), "--order", str(order)])
+    refused = code == 1
+    assert refused == err.getvalue().startswith("cannot expand the series")
+    if refused:
+        assert err.getvalue().count("\n") == 1
+        assert math.comb(order + data["k"], data["k"]) > SERIES_TERM_CAP
+    elif code == 0:
+        assert math.comb(order + data["k"], data["k"]) <= SERIES_TERM_CAP

@@ -74,7 +74,7 @@ def test_horn_degenerate_guard():
     # a form set with an empty negative class cannot occur for valid specs;
     # feed a doctored list to exercise the guard
     from mirrorkit.mellin import LinearForm
-    forms = (LinearForm((), (Fraction(0), Fraction(0)), (Fraction(1),), Fraction(0)),)
+    forms = (LinearForm.from_coeffs((), (Fraction(0), Fraction(0)), (Fraction(1),)),)
     with pytest.raises(DegenerateOperatorError):
         horn_operators(type("S", (), {"k": 1})(), forms)
 

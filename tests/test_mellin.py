@@ -114,6 +114,10 @@ def test_reduced_numerators(spec_6_2):
             g = math.gcd(g, abs(x))
         assert g == 1
         assert denom in (1, 3, 7, 21, 49, 147)
+        assert form.numerators(2 * denom) == tuple(tuple(2 * x for x in v) for v in (a, b, dd))
+        if denom > 1:
+            with pytest.raises(mellin.MellinError, match="not a common modulus"):
+                form.numerators(denom + 1)
 
 
 def test_classify_forms(spec_6_1, spec_6_2, quadric):
@@ -194,11 +198,20 @@ def test_factorize_xi_unequal_ratios():
     quadric = CISpec.load("src/mirrorkit/fixtures/derived_quadric.json")
     tr = transpose_spec(quadric)
     forms = list(MirrorPair(quadric).forms)
-    broken = LinearForm(forms[0].i_coeffs, forms[0].zeta_coeffs,
-                        (F(1, 3),), forms[0].const)
+    broken = LinearForm.from_coeffs(forms[0].i_coeffs, forms[0].zeta_coeffs, (F(1, 3),))
     forms[0] = broken
     with pytest.raises(NotFactorizableError):
         factorize_xi(tr, tuple(forms), derive_weights(tr.tspec))
+
+
+def test_classify_rejects_a_fractional_pure_z_form(quadric):
+    # an s-row form must be exactly z_nu; z_nu / 2 has the shape but not the value
+    cm = build_cayley(quadric)
+    forms = list(MirrorPair(quadric).forms)
+    assert forms[2] == LinearForm.from_coeffs((0, 0), (0, 0), (1,))
+    forms[2] = LinearForm.from_coeffs((0, 0), (0, 0), (F(1, 2),))
+    with pytest.raises(mellin.ClassificationFailureError, match="form 3 matches no pattern"):
+        classify_forms(cm, tuple(forms))
 
 
 def test_classify_rejects_zero_form(quadric):
@@ -206,7 +219,7 @@ def test_classify_rejects_zero_form(quadric):
     cm = build_cayley(quadric)
     forms = list(solve_xi(cm, invert(cm.matrix)))
     k = quadric.k
-    forms[0] = LinearForm((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k, F(0))
+    forms[0] = LinearForm.from_coeffs((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k)
     with pytest.raises(ClassificationFailureError):
         classify_forms(cm, tuple(forms))
 
@@ -216,8 +229,7 @@ def test_lemma_shape_violation(quadric):
     cm = build_cayley(quadric)
     forms = list(solve_xi(cm, invert(cm.matrix)))
     # corrupt the s-row form so its base-point value is no longer z_1
-    forms[2] = LinearForm(forms[2].i_coeffs, forms[2].zeta_coeffs,
-                          (F(1, 2),), forms[2].const)
+    forms[2] = LinearForm.from_coeffs(forms[2].i_coeffs, forms[2].zeta_coeffs, (F(1, 2),))
     with pytest.raises(LemmaShapeViolationError):
         lemma_form(cm, tuple(forms))
 
@@ -311,3 +323,73 @@ def test_json_roundtrips(spec_6_2):
         assert LinearForm.from_json(json.loads(json.dumps(form.to_json()))) == form
     product = lemma_form(cm, forms)
     assert GammaProduct.from_json(json.loads(json.dumps(product.to_json()))) == product
+
+
+def _oracle_specs():
+    from specgen import generate_valid_specs
+    fixtures = [ci_model.CISpec.load(f"src/mirrorkit/fixtures/{name}.json")
+                for name in ("example_6_1", "example_6_2", "derived_quadric")]
+    return (list(generate_valid_specs(200)) + [generate_family(m) for m in range(2, 13)]
+            + fixtures)
+
+
+def test_integer_forms_match_the_fraction_oracle():
+    # every integer form against the Fraction split of its inverse column
+    import math
+    for spec in _oracle_specs():
+        pair = MirrorPair(spec)
+        inverse, forms = pair.inverse, pair.forms
+        n, k = spec.n, spec.k
+        for a, form in enumerate(forms):
+            col = inverse.col(a)
+            assert (form.i_coeffs, form.zeta_coeffs, form.z_coeffs) == \
+                (col[:n], col[n:n + 2 * k], col[n + 2 * k:])
+            assert form.const == sum(col[:n + 2 * k])
+            assert form.xi() == ZForm(col[n + 2 * k:], sum(col[:n + 2 * k]))
+            assert form.denominator() == math.lcm(*(x.denominator for x in col))
+            assert math.gcd(form.den, *form.num) == 1
+            assert LinearForm.from_json(json.loads(json.dumps(form.to_json()))) == form
+            assert form == LinearForm.from_coeffs(col[:n], col[n:n + 2 * k], col[n + 2 * k:])
+        assert compute_delta(forms) == inverse.den
+        cols = [inverse.col(a) for a in range(len(forms))]
+        assert check_sum_rules(forms).checks == {
+            "i_column_sums_vanish": all(sum(c[j] for c in cols) == 0 for j in range(n)),
+            "z_column_sums_vanish": all(sum(c[n + 2 * k + q] for c in cols) == 0
+                                        for q in range(k)),
+            "zeta_column_sums_one": all(sum(c[n + l] for c in cols) == 1 for l in range(2 * k)),
+            "constants_sum_2k": sum(sum(c[:n + 2 * k]) for c in cols) == 2 * k,
+        }
+
+
+def test_sum_rules_fail_on_a_doctored_form(quadric):
+    # the integer sums see a change that keeps every other form
+    forms = list(MirrorPair(quadric).forms)
+    f = forms[0]
+    forms[0] = LinearForm.from_coeffs(f.i_coeffs, f.zeta_coeffs, (f.z_coeffs[0] + F(1, 3),))
+    assert check_sum_rules(tuple(forms)).checks == {
+        "i_column_sums_vanish": True, "z_column_sums_vanish": False,
+        "zeta_column_sums_one": True, "constants_sum_2k": True}
+    forms[0] = LinearForm.from_coeffs((f.i_coeffs[0] + 1, *f.i_coeffs[1:]), f.zeta_coeffs,
+                                      f.z_coeffs)
+    assert check_sum_rules(tuple(forms)).checks == {
+        "i_column_sums_vanish": False, "z_column_sums_vanish": True,
+        "zeta_column_sums_one": True, "constants_sum_2k": False}
+
+
+def test_run_verify_builds_no_entry_view(monkeypatch):
+    # the forms, Delta, sum rules, classification, Horn counts, magic square
+    # and the nef JSON all read integer rows; no Fraction per matrix entry
+    from mirrorkit import rational_linalg
+    specs = [generate_family(7)] + _oracle_specs()[-3:]
+    before = [json.dumps(run_verify(spec).to_json()) for spec in specs]
+
+    def refuse(self):
+        raise AssertionError("the Fraction entry view was built")
+
+    monkeypatch.setattr(rational_linalg.Matrix, "entries", property(refuse))
+    with pytest.raises(AssertionError, match="entry view"):
+        invert(Matrix(((2,),))).col(0)
+    for spec, expected in zip(specs, before):
+        report = run_verify(spec)
+        assert report.internal_error is None
+        assert json.dumps(report.to_json()) == expected

@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from mirrorkit import ci_model, cli, nef_partition, rational_linalg, transposition
+from mirrorkit import ci_model, cli, nef_partition, poincare, rational_linalg, transposition
+from mirrorkit.ci_model import CISpec
 from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
@@ -91,3 +92,18 @@ def test_horn_factors_of_one_form_share_its_data(m):
                 assert const is forms[a - 1].const
                 shared.setdefault(a, set()).add(id(coeffs))
     assert shared and all(len(ids) == 1 for ids in shared.values())
+
+
+def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir):
+    # the transposed data, the annotated data (read by the duality check and
+    # the one-block series) and the double transpose: three ratios, not four
+    built = []
+    real = poincare.poincare_structure
+
+    def counted(weights, qm):
+        built.append((weights, qm))
+        return real(weights, qm)
+
+    monkeypatch.setattr(poincare, "poincare_structure", counted)
+    run_verify(CISpec.load(fixtures_dir / "example_6_2.json"))
+    assert len(built) == 3
