@@ -116,11 +116,12 @@ def _cmd_horn(pair, args, out):
     restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
                   for q in range(1, spec.k + 1)]
     sym = horn_system.symmetry_report(pair.effective_weights, pair.charges, tw, tq)
+    m_function = poincare.poincare_structure(tw, tq)
     data = {
         "operators": [op.to_json() for op in ops],
         "char_polys": [p.to_json() for p in pairs],
         "restricted_operators": restricted,
-        "m_function": poincare.poincare_structure(tw, tq).to_json(),
+        "m_function": m_function.to_json(),
         "symmetry": sym.to_json(),
     }
     if args.format == "json":
@@ -131,7 +132,7 @@ def _cmd_horn(pair, args, out):
         for p in pairs:
             out.write(f"grading {p.q}: chi={p.chi}  zero={p.factored('zero')}  "
                       f"infinity={p.factored('infinity')}\n")
-        out.write(f"M = {poincare.poincare_structure(tw, tq)}\n")
+        out.write(f"M = {m_function}\n")
         out.write(f"quantum orders: {list(sym.q_bars)} <-> {list(sym.t_q_bars)}\n")
     return pipeline.EXIT_OK
 

@@ -7,8 +7,9 @@ pairing of the original difference vectors against the dual vertices must
 reproduce the transposed difference matrix.  The solution is only
 determined modulo the weight lines, so a deterministic coordinate section
 (lowest-index standard basis vectors completing the weights to a basis)
-pins the representatives.  That section is the pivot columns of the
-weight-kernel basis, and all n dual vertices come from a single
+pins the representatives.  The weights have disjoint supports, so that
+section has a closed form, every position but the last of each support
+(``coordinate_section``), and all n dual vertices come from a single
 elimination of the sectioned difference matrix against the n right-hand
 sides.  That solve returns them as integer columns over their least
 common denominator, scale * P and scale, and one integer product checks
@@ -36,7 +37,7 @@ from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
 from .mellin import compute_delta
-from .rational_linalg import integer_kernel, Matrix, pivot_columns, rank, solve_den
+from .rational_linalg import integer_kernel, Matrix, rank, solve_den
 from .transposition import TransposeResult
 
 
@@ -225,14 +226,16 @@ def _integral_representative_exists(col: Sequence[int], scale: int,
     return True
 
 
-def _section_indices(kernel_basis) -> list[int]:
+def coordinate_section(weights: WeightSystem) -> list[int]:
     """Lowest-index standard basis vectors completing the weights to a basis.
 
-    A basis of the weight kernel, as rows, maps Q^n onto Q^n / span(weights):
-    column i is the image of e_i.  The greedy lowest-index completion is
-    therefore the pivot columns of that matrix.
+    Adding e_i in index order, e_i is dependent on the weights and the
+    earlier choices exactly when some weight vector's support would be
+    covered, and the supports are disjoint: the completion is every
+    position except the last of each weight vector's support.
     """
-    return pivot_columns(Matrix.from_rows(kernel_basis))
+    last = {max(i for i, g in enumerate(vec) if g) for vec in weights.vectors}
+    return [i for i in range(len(weights.vectors[0])) if i not in last]
 
 
 def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
@@ -242,7 +245,9 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     The pairing of row i of the difference matrix with dual vertex c is
     prescribed by the transposed difference matrix, transported through the
     recorded row/variable correspondences.  Solutions are taken in the
-    fixed coordinate section; integrality is reported, not required.
+    fixed coordinate section, read off the weights in closed form (every
+    position but the last of each support, see `coordinate_section`) with
+    no elimination; integrality is reported, not required.
     weights and tweights are the derived weights of spec and of tr.tspec.
     """
     n, k = spec.n, spec.k
@@ -271,7 +276,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
 
     # all n dual vertices from one elimination of [A_section | target], as
     # scale * P; once A * P == T holds, every pairing below is an entry of T
-    section = _section_indices(deltas[0].kernel_basis)
+    section = coordinate_section(weights)
     a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_rows))
     sols, scale = solve_den(a_cols, target_cols)
     p_int = []

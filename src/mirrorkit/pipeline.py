@@ -66,6 +66,8 @@ class MirrorPair:
     A property that raises is not cached, so reading it again raises again.
     The transposed side is itself a MirrorPair (`mirror`), which holds the
     objects of the double transpose; sharing never depends on spec equality.
+    Its derived weights are the transposition's weight classes
+    (`tspec.weights`), so only the original spec's weights are solved for.
     """
 
     def __init__(self, spec: CISpec):
@@ -117,7 +119,16 @@ class MirrorPair:
 
     @cached_property
     def mirror(self) -> MirrorPair:
-        return MirrorPair(self._shape.tspec)
+        """The transposed side, whose derived weights are the transposition's own.
+
+        `build_transpose` takes the kernel of each weight class's columns of
+        the transposed difference matrix, in ascending order: the submatrix
+        `derive_weights` would eliminate for that block, so its primitive
+        positive ray is the same and is not solved for again.
+        """
+        mirror = MirrorPair(self._shape.tspec)
+        mirror.weights = WeightSystem(self._shape.tspec.weights)
+        return mirror
 
     @cached_property
     def tr(self) -> transposition.TransposeResult:

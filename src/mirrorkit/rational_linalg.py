@@ -21,10 +21,14 @@ then divided by the gcd of its entries.  Every row stays a nonzero
 multiple of the row the same steps give over the rationals, so the pivots
 are the same, and the result is the integer reduced row echelon form with
 each pivot row left undivided: pivot row i divided by its pivot is row i
-of the unique rational RREF.  Inverses, solutions and kernel vectors are
-read off it over the LCM of the pivots and then reduced to canonical
-form.  A product multiplies the integer rows and puts the result over the
-product of the two denominators.
+of the unique rational RREF.  Each update touches only the columns where
+the pivot row is nonzero (elsewhere the row is just scaled by a, or
+copied when a = 1): the same arithmetic as the dense update, so the same
+rows, for less work on the sparse Cayley and difference matrices and on
+the identity half of ``[num | I]``.  Inverses, solutions and kernel
+vectors are read off the result over the LCM of the pivots and then
+reduced to canonical form.  A product multiplies the integer rows and
+puts the result over the product of the two denominators.
 
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
 the denominator is 1; a matrix is a list of rows of such strings.
@@ -239,11 +243,17 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
     divided by their pivots.  rows[rank:] are nonzero multiples of what
     rational elimination leaves there: only their zero pattern (which
     augmented columns are inconsistent) means anything.
+
+    The pivot row is zero left of the pivot column, so ``a*row - b*pivot_row``
+    is ``a*row`` outside the pivot row's support: only the support columns
+    are updated, and the row is copied rather than scaled when a = 1.  The
+    arithmetic, and so every row, is that of the dense update.
     """
     work = [_primitive(row) for row in rows]
     rank = 0
     pivots = []
     nrows = len(work)
+    width = len(work[0]) if work else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
         if pivot is None:
@@ -251,12 +261,17 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
         p = prow[col]
+        support = [(j, prow[j]) for j in range(col, width) if prow[j]]
         for r in range(nrows):
             c = work[r][col]
             if r != rank and c:
                 g = math.gcd(p, c)
                 a, b = p // g, c // g
-                work[r] = _primitive([a * x - b * y for x, y in zip(work[r], prow)])
+                row = work[r]
+                new = row[:] if a == 1 else [a * x for x in row]
+                for j, y in support:
+                    new[j] -= b * y
+                work[r] = _primitive(new)
         pivots.append(col)
         rank += 1
         if rank == nrows:

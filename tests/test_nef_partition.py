@@ -20,8 +20,8 @@ from mirrorkit.nef_partition import (
     UnsolvableError,
     _integral_representative_exists,
     _kernel_basis,
-    _section_indices,
     build_deltas,
+    coordinate_section,
     magic_square_check,
     minkowski_dim,
     pairing_flags,
@@ -29,7 +29,7 @@ from mirrorkit.nef_partition import (
     support_phi,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
-from mirrorkit.rational_linalg import Matrix, invert, rank
+from mirrorkit.rational_linalg import Matrix, invert, pivot_columns, rank
 from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
 from specgen import generate_valid_specs
@@ -117,8 +117,25 @@ def _greedy_section(n, k, weights):
 def test_section_indices_match_greedy_completion():
     for spec in FAMILIES + SEEDED:
         weights = derive_weights(spec)
-        assert _section_indices(_kernel_basis(weights)) == \
-            _greedy_section(spec.n, spec.k, weights)
+        assert coordinate_section(weights) == _greedy_section(spec.n, spec.k, weights)
+
+
+def _pivot_section(kernel_basis):
+    """Oracle: the pivot columns of the weight-kernel basis, as rows.
+
+    The basis maps Q^n onto Q^n / span(weights), column i being the image
+    of e_i, so its pivot columns are the greedy lowest-index completion.
+    """
+    return pivot_columns(Matrix.from_rows(kernel_basis))
+
+
+def test_coordinate_section_is_the_pivot_columns_of_the_kernel_basis(fixtures_dir):
+    specs = (SEEDED + [generate_family(m) for m in range(1, 13)]
+             + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])
+    for spec in specs:
+        weights = derive_weights(spec)
+        assert coordinate_section(weights) == _pivot_section(_kernel_basis(weights))
+    assert len(specs) == 216
 
 
 def _fraction_flags(spec, nef):

@@ -41,12 +41,31 @@ def calls(monkeypatch) -> Counter:
 
 def test_run_verify_builds_each_object_once(calls):
     run_verify(generate_family(5))
-    # validation reads the run's pair, which builds one Cayley matrix and one
-    # weight system per side (spec, mirror, double transpose) and one inverse
+    # validation reads the run's pair, which builds one Cayley matrix per side
+    # (spec, mirror, double transpose) and one inverse; only the spec's weights
+    # are solved for, the other sides take theirs from the transposition
     assert calls["build_transpose"] == 2
     assert calls["build_cayley"] == 3
-    assert calls["derive_weights"] == 3
+    assert calls["derive_weights"] == 1
     assert calls["invert"] == 1
+
+
+@pytest.mark.parametrize("m", [5, 7, 12])
+def test_run_verify_eliminates_twelve_times(calls, monkeypatch, m):
+    # the spec's two weight blocks, the inverse, each transposition's weight
+    # classes (the whole kernel and one per class, twice), the weight-kernel
+    # basis, the Minkowski rank and the dual-vertex solve
+    count = Counter()
+    real = rational_linalg._eliminate
+
+    def counted(*args):
+        count["eliminate"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    run_verify(generate_family(m))
+    assert count["eliminate"] == 12
+    assert calls["derive_weights"] == 1
 
 
 @pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])
@@ -72,7 +91,9 @@ def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
-    assert count["eliminate"] <= 5
+    # the weight-kernel basis, the Minkowski rank and the solve; the coordinate
+    # section is read off the weights
+    assert count["eliminate"] == 3
 
 
 @pytest.mark.parametrize("m", [3, 7])
@@ -107,3 +128,20 @@ def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir)
     monkeypatch.setattr(poincare, "poincare_structure", counted)
     run_verify(CISpec.load(fixtures_dir / "example_6_2.json"))
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_horn_builds_the_monodromy_ratio_once(monkeypatch, fixtures_dir, fmt):
+    # the JSON m_function and the text "M = ..." line are one ratio
+    built = []
+    real = poincare.poincare_structure
+
+    def counted(weights, qm):
+        built.append((weights, qm))
+        return real(weights, qm)
+
+    monkeypatch.setattr(poincare, "poincare_structure", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["horn", "--input", str(fixtures_dir / "example_6_1.json"),
+                         "--format", fmt]) == 0
+    assert len(built) == 1

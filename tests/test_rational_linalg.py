@@ -393,6 +393,95 @@ def test_eliminate_matches_fraction_gauss_jordan():
     assert deficient >= 50 and augmented >= 20
 
 
+def _dense_eliminate(rows, ncols):
+    """Reference: the dense fraction-free update, every column of every row.
+
+    The kernel restricts ``a*row - b*pivot_row`` to the pivot row's support;
+    the rows must come out the same, entry for entry.
+    """
+    work = [_primitive_ref(row) for row in rows]
+    rank = 0
+    pivots = []
+    nrows = len(work)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for r in range(nrows):
+            c = work[r][col]
+            if r != rank and c:
+                g = math.gcd(p, c)
+                a, b = p // g, c // g
+                work[r] = _primitive_ref([a * x - b * y for x, y in zip(work[r], prow)])
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    rows[:] = work
+    return rank, pivots
+
+
+def _primitive_ref(ints):
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else list(ints)
+
+
+def _dense_oracle_cases(seed):
+    """(name, integer rows, ncols) covering the shapes the kernel meets."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        # tall and rank-deficient: a random (rows x r) times (r x width) product
+        r, width = rng.randint(1, 4), rng.randint(2, 8)
+        rows = rng.randint(width, width + 6)
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(r)]
+        yield "tall", [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)]
+                       for lr in left], width
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        yield "identity-augmented", [row + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(m)], n
+        rhs = rng.randint(1, 4)
+        yield "rhs-augmented", [row + [rng.randint(-9, 9) for _ in range(rhs)]
+                                for row in m], n
+    for _ in range(60):
+        rows, width = rng.randint(1, 12), rng.randint(1, 12)
+        yield "sparse", [[rng.choice((0,) * 6 + (1, -1)) for _ in range(width)]
+                         for _ in range(rows)], width
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        yield "dense", [[rng.randint(-10**6, 10**6) for _ in range(n + 2)]
+                        for _ in range(n)], n
+    for _ in range(30):
+        rows, width = rng.randint(2, 8), rng.randint(1, 8)
+        data = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(1, rows - 1)):
+            data[i] = [0] * width
+        yield "zero-rows", data, rng.randint(0, width)
+    for rows, width in ((1, 1), (3, 5), (6, 2)):
+        yield "all-zero", [[0] * width for _ in range(rows)], width
+
+
+def test_eliminate_matches_the_dense_update():
+    seen = set()
+    for name, data, ncols in _dense_oracle_cases(11):
+        got, ref = [list(r) for r in data], [list(r) for r in data]
+        assert _eliminate(got, ncols) == _dense_eliminate(ref, ncols), name
+        assert got == ref, name
+        seen.add(name)
+    for data in (L_8, L_13):
+        n = len(data)
+        got = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(data)]
+        ref = [list(r) for r in got]
+        assert _eliminate(got, n) == _dense_eliminate(ref, n)
+        assert got == ref
+    assert len(seen) == 7
+
+
 def test_eliminate_on_the_paper_matrices():
     for data in (L_8, L_13):
         width = len(data) * 2

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from mirrorkit import transposition
-from mirrorkit.ci_model import Block, CISpec, build_cayley, derive_weights, validate
+from mirrorkit.ci_model import (
+    Block,
+    CISpec,
+    WeightSystem,
+    build_cayley,
+    derive_weights,
+    validate,
+)
 from mirrorkit.rational_linalg import (
     Matrix,
     primitive_integer_vector,
@@ -276,3 +283,24 @@ def test_transpose_and_duality_flag_census(spec_6_1, spec_6_2, quadric, corrupte
             for flag, value in flags.items():
                 counts.setdefault(flag, [0, 0])[value] += 1
         assert (reached, {f: tuple(c) for f, c in counts.items()}) == TRANSPOSE_FLAG_CENSUS[name]
+
+
+def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
+    # the transposition's ray for each weight class is the kernel of the
+    # submatrix derive_weights eliminates for that block, so a MirrorPair's
+    # transposed side and double transpose take tspec.weights unsolved
+    specs = (generate_valid_specs(200) + [generate_family(m) for m in range(1, 13)]
+             + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])
+    sides = 0
+    for spec in specs:
+        pair = MirrorPair(spec)
+        for _ in range(2):
+            try:
+                tspec = transposition.build_transpose(pair.cm).tspec
+            except transposition.TranspositionError:
+                break
+            assert derive_weights(tspec) == WeightSystem(tspec.weights)
+            pair = pair.mirror
+            assert pair.weights == WeightSystem(tspec.weights)
+            sides += 1
+    assert sides == 152
