@@ -467,33 +467,35 @@ def build_cayley(spec: CISpec) -> CayleyMatrix:
 def _check_structure(spec: CISpec) -> None:
     problems = _structure_problems(spec)
     if problems:
-        raise SpecInvalidError("; ".join(problems))
+        raise SpecInvalidError("; ".join(message for _, message in problems))
 
 
-def _structure_problems(spec: CISpec) -> list[str]:
+def _structure_problems(spec: CISpec) -> list[tuple[str, str]]:
+    """(failed check, message) for each structural defect, in message order."""
     problems = []
     if spec.k != len(spec.blocks):
-        problems.append(f"k={spec.k} but {len(spec.blocks)} blocks given")
+        problems.append(("tau_sum", f"k={spec.k} but {len(spec.blocks)} blocks given"))
     if sum(spec.taus) != spec.n:
-        problems.append(f"sum of block sizes {sum(spec.taus)} != n={spec.n}")
+        problems.append(("tau_sum", f"sum of block sizes {sum(spec.taus)} != n={spec.n}"))
     seen: set[int] = set()
     for q, blk in enumerate(spec.blocks, start=1):
         if not blk.index_set:
-            problems.append(f"block {q}: empty index set")
+            problems.append(("partition", f"block {q}: empty index set"))
         for i in blk.index_set:
             if not 1 <= i <= spec.n:
-                problems.append(f"block {q}: index {i} out of range")
+                problems.append(("partition", f"block {q}: index {i} out of range"))
             if i in seen:
-                problems.append(f"index {i} appears in two index sets")
+                problems.append(("partition", f"index {i} appears in two index sets"))
             seen.add(i)
         for v in blk.exponents:
             if len(v) != spec.n:
-                problems.append(f"block {q}: exponent vector of length {len(v)}")
+                problems.append(("exponent_shape",
+                                 f"block {q}: exponent vector of length {len(v)}"))
             elif any(e < 0 for e in v):
-                problems.append(f"block {q}: negative exponent")
+                problems.append(("exponent_shape", f"block {q}: negative exponent"))
     # with every index in range and none repeated, covering means counting n
     if not problems and len(seen) != spec.n:
-        problems.append("index sets do not cover {1..n}")
+        problems.append(("partition", "index sets do not cover {1..n}"))
     return problems
 
 
@@ -511,12 +513,10 @@ def validate(spec: CISpec, pair=None) -> ValidationReport:
     notes: list[str] = []
 
     problems = _structure_problems(spec)
-    duplicates = any("two index sets" in p or "cover" in p or "out of range" in p
-                     or "empty" in p for p in problems)
-    checks["partition"] = not duplicates
-    checks["tau_sum"] = sum(spec.taus) == spec.n and spec.k == len(spec.blocks)
-    checks["exponent_shape"] = not any("exponent" in p for p in problems)
-    notes.extend(problems)
+    failed = {check for check, _ in problems}
+    for check in ("partition", "tau_sum", "exponent_shape"):
+        checks[check] = check not in failed
+    notes.extend(message for _, message in problems)
 
     derived: WeightSystem | None = None
     if checks["partition"] and checks["tau_sum"] and checks["exponent_shape"]:

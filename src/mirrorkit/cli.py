@@ -23,19 +23,22 @@ COMMANDS = ("validate", "weights", "cayley", "transpose", "mellin",
             "horn", "poincare", "nef", "verify", "family")
 
 
-def _dump(data: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(data, out, indent=2, sort_keys=True)
-        out.write("\n")
+def _dump(data: dict, out) -> None:
+    json.dump(data, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
+def _write_flags(flags: dict[str, bool], out) -> None:
+    for name, value in flags.items():
+        out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
 
 
 def _cmd_validate(pair, args, out):
     report = ci_model.validate(pair.spec, pair)
     if args.format == "json":
-        _dump(report.to_json(), "json", out)
+        _dump(report.to_json(), out)
     else:
-        for name, value in report.checks.items():
-            out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
+        _write_flags(report.checks, out)
         for note in report.notes:
             out.write(f"note: {note}\n")
     if not report.hard_ok:
@@ -51,7 +54,7 @@ def _cmd_weights(pair, args, out):
     qm = ci_model.charges(pair.spec, w)
     data = {"weights": w.to_json(), "charges": qm.to_json()}
     if args.format == "json":
-        _dump(data, "json", out)
+        _dump(data, out)
     else:
         for q, vec in enumerate(w.vectors, start=1):
             out.write(f"block {q}: weights {list(vec)}\n")
@@ -63,7 +66,7 @@ def _cmd_weights(pair, args, out):
 def _cmd_cayley(pair, args, out):
     cm = pair.cm
     if args.format == "json":
-        _dump(cm.to_json(), "json", out)
+        _dump(cm.to_json(), out)
     else:
         out.write(str(cm.matrix) + "\n")
     return pipeline.EXIT_OK
@@ -72,12 +75,11 @@ def _cmd_cayley(pair, args, out):
 def _cmd_transpose(pair, args, out):
     tr = pair.tr
     if args.format == "json":
-        _dump(tr.to_json(), "json", out)
+        _dump(tr.to_json(), out)
     else:
-        out.write(json.dumps(tr.tspec.to_json(), indent=2, sort_keys=True) + "\n")
+        _dump(tr.tspec.to_json(), out)
         out.write(f"nu: {tr.nu.to_json()}\n")
-        for name, value in tr.condition_flags.items():
-            out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
+        _write_flags(tr.condition_flags, out)
     if args.strict and not all(tr.condition_flags.values()):
         return pipeline.EXIT_SOFT_FAILURE
     return pipeline.EXIT_OK
@@ -95,7 +97,7 @@ def _cmd_mellin(pair, args, out):
         "theorem": t31.to_json(),
     }
     if args.format == "json":
-        _dump(data, "json", out)
+        _dump(data, out)
     else:
         out.write(f"Delta = {data['delta']}\n")
         out.write(f"plain form: {lemma}\n")
@@ -125,7 +127,7 @@ def _cmd_horn(pair, args, out):
         "symmetry": sym.to_json(),
     }
     if args.format == "json":
-        _dump(data, "json", out)
+        _dump(data, out)
     else:
         for op in ops:
             out.write(f"L_{op.q}: degrees {op.degrees}\n  {op}\n")
@@ -150,14 +152,13 @@ def _cmd_poincare(pair, args, out):
         "duality": duality.to_json(),
     }
     if args.format == "json":
-        _dump(data, "json", out)
+        _dump(data, out)
     else:
         out.write(f"P_A = {ratio}\n")
         if pair.spec.k == 1:
             coeffs = poincare.series_coefficients_1d(series, args.order)
             out.write(f"series to order {args.order}: {coeffs}\n")
-        for name, value in duality.identities.items():
-            out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
+        _write_flags(duality.identities, out)
     if args.strict and not duality.ok:
         return pipeline.EXIT_SOFT_FAILURE
     return pipeline.EXIT_OK
@@ -169,10 +170,9 @@ def _cmd_nef(pair, args, out):
     magic = nef_partition.magic_square_check(cm, forms)
     data = {"nef": nef.to_json(), "magic_square": magic.to_json()}
     if args.format == "json":
-        _dump(data, "json", out)
+        _dump(data, out)
     else:
-        for name, value in nef.flags.items():
-            out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
+        _write_flags(nef.flags, out)
         out.write(f"P =\n{nef.p_matrix}\n")
         out.write(f"magic square: {'found' if magic.found else 'not found'}\n")
     if args.strict and not all(nef.flags.values()):
@@ -209,7 +209,7 @@ def _render_verify_text(report, out) -> None:
 def _cmd_verify(pair, args, out):
     report = pipeline.run_verify(pair.spec, order=args.order)
     if args.format == "json":
-        _dump(report.to_json(), "json", out)
+        _dump(report.to_json(), out)
     else:
         _render_verify_text(report, out)
     return report.exit_code(args.strict)
@@ -240,8 +240,7 @@ def main(argv=None) -> int:
             spec = pipeline.generate_family(args.m)
         except ValueError as exc:
             parser.error(f"--{exc}")   # "--m must be ..."
-        json.dump(spec.to_json(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _dump(spec.to_json(), sys.stdout)
         return pipeline.EXIT_OK
 
     if not args.input:

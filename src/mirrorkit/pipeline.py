@@ -121,19 +121,25 @@ class MirrorPair:
     def mirror(self) -> MirrorPair:
         """The transposed side, whose derived weights are the transposition's own.
 
-        `build_transpose` takes the kernel of each weight class's columns of
-        the transposed difference matrix, in ascending order: the submatrix
-        `derive_weights` would eliminate for that block, so its primitive
-        positive ray is the same and is not solved for again.
+        `build_transpose` reads each weight class's ray off the full kernel of
+        the transposed difference matrix.  It spans the kernel of the class's
+        columns, in ascending order: the submatrix `derive_weights` would
+        eliminate for that block, so its primitive positive ray is the same
+        and is not solved for again.
         """
         mirror = MirrorPair(self._shape.tspec)
         mirror.weights = WeightSystem(self._shape.tspec.weights)
         return mirror
 
     @cached_property
+    def rho(self) -> transposition.RhoFound | None:
+        """`find_rho` of the spec and its derived weights; the mirror's is t_rho."""
+        return transposition.find_rho(self.spec, self.weights)
+
+    @cached_property
     def tr(self) -> transposition.TransposeResult:
         return transposition.complete_transpose(self.cm, self._shape, self.mirror.cm,
-                                                self.weights, self.mirror.weights)
+                                                self.rho, self.mirror.rho)
 
     @cached_property
     def tweights(self) -> WeightSystem:

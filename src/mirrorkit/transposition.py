@@ -41,12 +41,12 @@ class NoInvolutiveNuError(TranspositionError):
     """Every shape-valid block matching fails the involution requirement."""
 
 
-class NoRhoError(TranspositionError):
-    """No permutation satisfies the weight-column defining relation."""
-
-
 class InternalInvariantError(TranspositionError):
     """A construction identity that must hold was violated (implementation bug)."""
+
+
+# find_rho's answer: (rho, pi block pairing, whether the weighted rho is symmetric)
+RhoFound = tuple[PermutationMap, tuple[int, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -83,26 +83,31 @@ class TransposeResult:
 
 
 def _choose_nu(taus: tuple[int, ...], tilde_taus: tuple[int, ...]) -> PermutationMap:
-    """Smallest involution nu with tau_{nu(j)} = tilde_tau_j for every j."""
+    """Smallest involution nu with tau_{nu(j)} = tilde_tau_j for every j.
+
+    Each unset j takes its smallest compatible unset partner m >= j: a compatible
+    pair keeps the (tau, tilde_tau) type counts balanced, so greedy never dead-ends.
+    """
     k = len(taus)
-    best = None
-    for perm in itertools.permutations(range(1, k + 1)):
-        if any(taus[perm[j] - 1] != tilde_taus[j] for j in range(k)):
+    images = [0] * k
+    for j in range(k):
+        if images[j]:
             continue
-        if any(perm[perm[j] - 1] != j + 1 for j in range(k)):
-            continue
-        if best is None or perm < best:
-            best = perm
-    if best is None:
-        raise NoInvolutiveNuError("no involutive block matching exists")
-    return PermutationMap(best)
+        m = next((m for m in range(j, k) if not images[m] and taus[m] == tilde_taus[j]
+                  and taus[j] == tilde_taus[m]), None)
+        if m is None:
+            raise NoInvolutiveNuError("no involutive block matching exists")
+        images[j], images[m] = m + 1, j + 1
+    return PermutationMap(tuple(images))
 
 
 def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ...]]]:
     """Partition columns of `diff` into k groups each carrying a positive kernel vector.
 
     Returns (0-based positions, primitive positive weights) per group, or raises
-    NoValidShapeError when the kernel does not decompose that way.
+    NoValidShapeError when the kernel does not decompose that way.  Each group
+    holds one free column, whose full-kernel basis vector vanishes off the group:
+    that vector is the group's ray, and it spans the kernel of the group's columns.
     """
     kernel = integer_kernel(diff)
     if len(kernel) != k:
@@ -125,15 +130,12 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
             f"weight kernel splits into {len(classes)} support groups, expected {k}")
     result = []
     for cls in classes:
-        # kernel vectors vanishing outside the class: the kernel of its columns
-        sub = integer_kernel(Matrix(tuple(tuple(row[i] for i in cls) for row in diff.num)))
-        if len(sub) != 1:
-            raise NoValidShapeError("support group does not carry a unique weight ray")
-        # the basis vector is positive at its free column, so a positive ray comes out positive
-        vals = sub[0]
+        # the group's rows are multiples of its free column's unit row
+        ray = kernel[next(t for t, x in enumerate(basis_rows[cls[0]]) if x)]
+        vals = tuple(ray[i] for i in cls)
         if any(v <= 0 for v in vals):
             raise NoValidShapeError("no positive weight vector on a support group")
-        result.append((cls, tuple(vals)))
+        result.append((cls, vals))
     return result
 
 
@@ -244,11 +246,11 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
 
 
 def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
-                       weights: WeightSystem, tweights: WeightSystem) -> TransposeResult:
+                       found: RhoFound | None, t_found: RhoFound | None) -> TransposeResult:
     """Check the construction identities of `build_transpose` and attach rho / t_rho.
 
-    tcm is the Cayley matrix of tr.tspec; weights and tweights are the
-    derived weights of the spec and of tr.tspec.
+    tcm is the Cayley matrix of tr.tspec; found and t_found are `find_rho` of
+    the spec and of tr.tspec, each with its derived weights.
     """
     spec = cm.spec
     _verify_permuted_transpose(cm, tcm, tr.row_to_var, tr.block_sources)
@@ -261,18 +263,16 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
     flags["lambda_v_identity"] = _lambda_v_identity(spec, tr.lam.images, tr.row_to_var)
     notes = list(tr.notes)
     rho = t_rho = None
-    try:
-        report = check_symmetry_conditions(spec, tr, weights, tweights)
-        rho = report["rho"]
-        t_rho = report["t_rho"]
-        flags["rho_symmetric_3_11"] = report["rho_symmetric_3_11"]
-        flags["t_rho_symmetric_3_11T"] = report["t_rho_symmetric_3_11T"]
-        if report["rho_block_pairing"] != tuple(range(1, spec.k + 1)):
-            notes.append("rho pairs index sets with permuted block ranges")
-    except NoRhoError as exc:
+    if found is None:
         flags["rho_symmetric_3_11"] = False
         flags["t_rho_symmetric_3_11T"] = False
-        notes.append(str(exc))
+        notes.append("no permutation maps index sets onto weight supports")
+    else:
+        rho, pi, flags["rho_symmetric_3_11"] = found
+        t_rho = t_found[0] if t_found else None
+        flags["t_rho_symmetric_3_11T"] = t_found[2] if t_found else False
+        if pi != tuple(range(1, spec.k + 1)):
+            notes.append("rho pairs index sets with permuted block ranges")
     return replace(tr, rho=rho, t_rho=t_rho, condition_flags=flags, notes=tuple(notes))
 
 
@@ -371,8 +371,7 @@ def check_involution(spec: CISpec) -> bool:
     return MirrorPair(spec).involutive
 
 
-def _find_rho(spec: CISpec, weights: WeightSystem
-              ) -> tuple[PermutationMap, tuple[int, ...], bool] | None:
+def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:
     """Search an involution rho mapping each index set onto a block's variable range.
 
     Returns (rho images, pi block pairing, symmetric) or None.  Tries the
@@ -435,35 +434,3 @@ def _involution_matching(n: int, allowed: dict[int, set[int]]) -> tuple[int, ...
     if place(1):
         return tuple(images[i] for i in range(1, n + 1))
     return None
-
-
-def find_rho(spec: CISpec, weights: WeightSystem
-             ) -> tuple[PermutationMap, tuple[int, ...], bool]:
-    """Public wrapper: the permutation relating index sets to weight supports.
-
-    Raises NoRhoError when no block pairing has compatible sizes or no
-    weight-preserving involution exists for any of them.
-    """
-    found = _find_rho(spec, weights)
-    if found is None:
-        raise NoRhoError("no permutation maps index sets onto weight supports")
-    return found
-
-
-def check_symmetry_conditions(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
-                              tweights: WeightSystem) -> dict:
-    """Find rho / t_rho and report whether the weighted permutations are symmetric.
-
-    weights and tweights are the derived weights of spec and of tr.tspec.
-    """
-    rho, pi, sym = find_rho(spec, weights)
-    t_found = _find_rho(tr.tspec, tweights)
-    report = {
-        "rho": rho,
-        "rho_block_pairing": pi,
-        "rho_symmetric_3_11": sym,
-        "t_rho": t_found[0] if t_found else None,
-        "t_rho_block_pairing": t_found[1] if t_found else None,
-        "t_rho_symmetric_3_11T": t_found[2] if t_found else False,
-    }
-    return report

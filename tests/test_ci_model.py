@@ -37,6 +37,28 @@ def test_validate_overlapping_index_sets():
     assert not report.checks["partition"]
 
 
+@pytest.mark.parametrize("defect, check, note", [
+    ("negative exponent", "exponent_shape", "block 1: negative exponent"),
+    ("index out of range", "partition", "block 1: index 3 out of range"),
+    ("k != block count", "tau_sum", "k=2 but 1 blocks given"),
+])
+def test_validate_single_defect_fails_only_its_check(quadric, defect, check, note):
+    (blk,) = quadric.blocks
+    spec = {
+        "negative exponent": CISpec(n=2, k=1, blocks=(
+            Block(exponents=((2, -1), blk.exponents[1]), index_set=blk.index_set),)),
+        "index out of range": CISpec(n=2, k=1, blocks=(
+            Block(exponents=blk.exponents, index_set=(1, 3)),)),
+        "k != block count": CISpec(n=2, k=2, blocks=quadric.blocks),
+    }[defect]
+    report = validate(spec)
+    structural = {name: report.checks[name] for name in ("partition", "tau_sum", "exponent_shape")}
+    assert structural == {name: name != check for name in structural}
+    assert report.notes == (note,)
+    with pytest.raises(SpecInvalidError, match=f"^{note}$"):
+        build_cayley(spec)
+
+
 def test_validate_memory_does_not_grow_with_declared_n():
     # one exponent vector of length 1 against n = 10**6: the structure check
     # fails at once and must not build anything of size n

@@ -51,9 +51,9 @@ def test_run_verify_builds_each_object_once(calls):
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_eliminates_twelve_times(calls, monkeypatch, m):
-    # the spec's two weight blocks, the inverse, each transposition's weight
-    # classes (the whole kernel and one per class, twice), the weight-kernel
+def test_run_verify_eliminates_eight_times(calls, monkeypatch, m):
+    # the spec's two weight blocks, the inverse, one kernel per transposition
+    # (twice: its weight classes' rays come off that kernel), the weight-kernel
     # basis, the Minkowski rank and the dual-vertex solve
     count = Counter()
     real = rational_linalg._eliminate
@@ -64,8 +64,24 @@ def test_run_verify_eliminates_twelve_times(calls, monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     run_verify(generate_family(m))
-    assert count["eliminate"] == 12
+    assert count["eliminate"] == 8
     assert calls["derive_weights"] == 1
+
+
+@pytest.mark.parametrize("m", [5, 7, 12])
+def test_run_verify_searches_rho_three_times(monkeypatch, m):
+    # one search per side (spec, mirror, double transpose): the mirror's rho
+    # is the spec's t_rho
+    searched = []
+    real = transposition.find_rho
+
+    def counted(spec, weights):
+        searched.append(spec)
+        return real(spec, weights)
+
+    monkeypatch.setattr(transposition, "find_rho", counted)
+    run_verify(generate_family(m))
+    assert len(searched) == 3
 
 
 @pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])

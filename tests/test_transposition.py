@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,10 +20,9 @@ from mirrorkit.rational_linalg import (
     vectors_proportional,
 )
 from mirrorkit.transposition import (
-    NoRhoError,
+    NoInvolutiveNuError,
     NoValidShapeError,
     check_involution,
-    check_symmetry_conditions,
     find_rho,
     transpose_spec,
 )
@@ -120,19 +121,32 @@ def test_no_valid_shape():
 
 def test_symmetry_conditions_quadric(quadric):
     tr = transpose_spec(quadric)
-    report = check_symmetry_conditions(quadric, tr, derive_weights(quadric),
-                                       derive_weights(tr.tspec))
-    assert report["rho"].images == (1, 2)
-    assert report["rho_symmetric_3_11"]
-    assert report["t_rho_symmetric_3_11T"]
+    assert tr.rho.images == (1, 2)
+    assert tr.condition_flags["rho_symmetric_3_11"]
+    assert tr.condition_flags["t_rho_symmetric_3_11T"]
 
 
 def test_symmetry_conditions_6_1_nu_twisted(spec_6_1):
     tr = transpose_spec(spec_6_1)
-    report = check_symmetry_conditions(spec_6_1, tr, derive_weights(spec_6_1),
-                                       derive_weights(tr.tspec))
-    assert report["rho_block_pairing"] == (2, 1)
-    assert report["rho_symmetric_3_11"]
+    assert find_rho(spec_6_1, derive_weights(spec_6_1))[1] == (2, 1)
+    assert "rho pairs index sets with permuted block ranges" in tr.notes
+    assert tr.condition_flags["rho_symmetric_3_11"]
+
+
+def test_t_rho_is_the_mirror_rho():
+    # t_rho is searched once, as the mirror's own rho, with the weights
+    # derive_weights finds for the transposed spec
+    differ = 0
+    for spec in generate_valid_specs(200):
+        pair = MirrorPair(spec)
+        try:
+            tr = pair.tr
+        except transposition.TranspositionError:
+            continue
+        assert tr.t_rho == find_rho(tr.tspec, derive_weights(tr.tspec))[0]
+        assert pair.tr2.rho == tr.t_rho
+        differ += tr.rho != tr.t_rho
+    assert differ == 8
 
 
 def _no_rho_spec() -> CISpec:
@@ -147,12 +161,55 @@ def _no_rho_spec() -> CISpec:
 def test_no_rho(quadric):
     spec = _no_rho_spec()
     assert validate(spec).ok
-    with pytest.raises(NoRhoError):
-        find_rho(spec, derive_weights(spec))
-    # the combined op hits the same wall on its first side
-    tr = transpose_spec(quadric)
-    with pytest.raises(NoRhoError):
-        check_symmetry_conditions(spec, tr, derive_weights(spec), derive_weights(tr.tspec))
+    assert find_rho(spec, derive_weights(spec)) is None
+    # without a rho on the spec's side, both symmetry flags fail and say why
+    pair = MirrorPair(quadric)
+    tr = transposition.complete_transpose(pair.cm, transposition.build_transpose(pair.cm),
+                                          pair.mirror.cm, None, pair.mirror.rho)
+    assert pair.mirror.rho is not None
+    assert tr.rho is None and tr.t_rho is None
+    assert not tr.condition_flags["rho_symmetric_3_11"]
+    assert not tr.condition_flags["t_rho_symmetric_3_11T"]
+    assert "no permutation maps index sets onto weight supports" in tr.notes
+
+
+def _choose_nu_scan(taus, tilde_taus):
+    """Oracle: the smallest involution over all k! permutations."""
+    k = len(taus)
+    best = None
+    for perm in itertools.permutations(range(1, k + 1)):
+        if any(taus[perm[j] - 1] != tilde_taus[j] for j in range(k)):
+            continue
+        if any(perm[perm[j] - 1] != j + 1 for j in range(k)):
+            continue
+        if best is None or perm < best:
+            best = perm
+    return best
+
+
+def test_choose_nu_matches_the_permutation_scan():
+    cases = 0
+    for k in range(1, 6):
+        for taus in itertools.product((1, 2, 3), repeat=k):
+            for tilde_taus in sorted(set(itertools.permutations(taus))):
+                expected = _choose_nu_scan(taus, tilde_taus)
+                if expected is None:
+                    with pytest.raises(NoInvolutiveNuError):
+                        transposition._choose_nu(taus, tilde_taus)
+                else:
+                    assert transposition._choose_nu(taus, tilde_taus).images == expected
+                cases += 1
+    assert cases == 5403
+
+
+def test_choose_nu_is_immediate_at_twenty_blocks():
+    # 20! permutations would never finish; pairs (1, 2) <-> (2, 1) and fixed 3s
+    taus = (1, 2, 3, 3) * 5
+    tilde_taus = (2, 1, 3, 3) * 5
+    start = time.perf_counter()
+    nu = transposition._choose_nu(taus, tilde_taus)
+    assert time.perf_counter() - start < 1.0
+    assert nu.images == sum(((j + 2, j + 1, j + 3, j + 4) for j in range(0, 20, 4)), ())
 
 
 def test_family_m3_is_the_cubic_example(spec_6_1):
