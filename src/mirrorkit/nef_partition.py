@@ -4,8 +4,9 @@ Shifting each block's monomials by its product indicator puts the block
 polytopes into the common weight-kernel sublattice; their Minkowski sum
 should fill it.  The dual vertices come from one exact linear solve: the
 pairing of the original difference vectors against the dual vertices must
-reproduce the transposed difference matrix.  The solution is only
-determined modulo the weight lines, so a deterministic coordinate section
+reproduce the transposed difference matrix, which the transposition built
+(``TransposeResult.diff``).  The solution is only determined modulo the
+weight lines, so a deterministic coordinate section
 (lowest-index standard basis vectors completing the weights to a basis)
 pins the representatives.  The weights have disjoint supports, so that
 section has a closed form, every position but the last of each support
@@ -13,7 +14,10 @@ section has a closed form, every position but the last of each support
 elimination of the sectioned difference matrix against the n right-hand
 sides.  That solve returns them as integer columns over their least
 common denominator, scale * P and scale, and one integer product checks
-A * (scale * P) == scale * T against the target matrix T.
+A * (scale * P) == scale * T against the target matrix T.  Its rank is
+the Minkowski dimension: the weights lie in ker A with disjoint supports,
+so the last column of each support depends on the others and the section
+has the rank of A, whose nonzero rows span the Minkowski sum.
 
 Once that check holds, every pairing of a difference row with a dual
 vertex is an entry of T, so the pairing conditions are lookups in T
@@ -243,42 +247,40 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     """Solve for the dual vertices and verify the nef-partition conditions.
 
     The pairing of row i of the difference matrix with dual vertex c is
-    prescribed by the transposed difference matrix, transported through the
-    recorded row/variable correspondences.  Solutions are taken in the
+    prescribed by the transposed difference matrix: entry (c, i) of tr.diff,
+    whose columns are the original variables.  Solutions are taken in the
     fixed coordinate section, read off the weights in closed form (every
     position but the last of each support, see `coordinate_section`) with
     no elimination; integrality is reported, not required.
     weights and tweights are the derived weights of spec and of tr.tspec.
+
+    The solve's rank is the Minkowski dimension (module docstring).  It is
+    n - k whenever the Cayley matrix L is nonsingular: ker L is isomorphic
+    to ker A cut by the k conditions <ind_nu, x> = 0, so dim ker A <= k,
+    and the k weight vectors lie in it.
     """
     n, k = spec.n, spec.k
     notes: list[str] = []
     flags: dict[str, bool] = {}
 
     deltas = build_deltas(spec, weights)
-    mink = minkowski_dim(deltas, expected=n - k)
-    flags["minkowski_dim"] = mink.ok
-    if not mink.ok:
-        raise UnsolvableError(
-            f"Minkowski sum has dimension {mink.dim}, expected {n - k}")
-
     a_mat = difference_matrix(spec)
     a_rows = a_mat.num
-    t_diff = difference_matrix(tr.tspec).num
-    if tr.tspec.taus != spec.taus:
-        raise UnsolvableError("transposed block sizes do not mirror the original order")
-
-    # pairing target: entry (i, c) = transposed difference of monomial c at the
-    # variable carrying original monomial i
-    i_lam = spec.i_lambda()
-    var_of = {r: v for r, v in tr.row_to_var}
-    target_cols = [tuple(t_diff[c][var_of[i_lam[i]] - 1] for i in range(n)) for c in range(n)]
-    pairings = Matrix(tuple(zip(*target_cols)))
+    pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
 
     # all n dual vertices from one elimination of [A_section | target], as
     # scale * P; once A * P == T holds, every pairing below is an entry of T
     section = coordinate_section(weights)
     a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_rows))
-    sols, scale = solve_den(a_cols, target_cols)
+    # another spec's transposition has another shape: rank A_section alone, then reject it
+    same_shape = tr.tspec.taus == spec.taus
+    sols, scale, dim = solve_den(a_cols, tr.diff.num if same_shape else ())
+    flags["minkowski_dim"] = dim == n - k
+    if not flags["minkowski_dim"]:
+        raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
+    if not same_shape:
+        raise UnsolvableError("transposed block sizes do not mirror the original order")
+
     p_int = []
     for c, sol in enumerate(sols, start=1):
         if sol is None:

@@ -165,18 +165,35 @@ class MirrorPair:
 
     @cached_property
     def recovered(self) -> CISpec:
-        """The double transpose relabelled onto the original variables."""
+        """The double transpose, blocks and weights relabelled onto the original variables."""
         return transposition.apply_variable_permutation(self.tr2.tspec, self.sigma)
+
+    @cached_property
+    def block_match(self) -> tuple[int, ...] | None:
+        """Per original block, the first unused recovered block with its exponents and
+        index set; None when some block has none (the double transpose is not home)."""
+        match: list[int] = []
+        for blk in self.spec.blocks:
+            key = (sorted(blk.exponents), tuple(blk.index_set))
+            m = next((m for m, rblk in enumerate(self.recovered.blocks) if m not in match
+                      and (sorted(rblk.exponents), rblk.index_set) == key), None)
+            if m is None:
+                return None
+            match.append(m)
+        return tuple(match)
 
     @property
     def involutive(self) -> bool:
-        return transposition.canonical_key(self.recovered) == \
-            transposition.canonical_key(self.spec)
+        return self.block_match is not None
 
     @cached_property
     def recovered_data(self) -> tuple[WeightSystem, ChargeMatrix] | None:
-        return poincare.recovered_original_data(self.spec, self.recovered, self.sigma,
-                                                self.mirror.tweights)
+        """The double transpose's weights in the original block order, and their charges:
+        the grading data rebuilt independently, for the duality check to compare."""
+        if self.block_match is None:
+            return None
+        weights = WeightSystem(tuple(self.recovered.weights[m] for m in self.block_match))
+        return weights, ci_model.charges(self.spec, weights)
 
 
 @dataclass

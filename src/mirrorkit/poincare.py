@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ci_model import ChargeMatrix, charges, CISpec, WeightSystem
+from .ci_model import ChargeMatrix, WeightSystem
 
 
 Poly = dict[tuple[int, ...], int]  # exponent vector -> integer coefficient
@@ -218,53 +218,14 @@ class DualityReport:
         return {"identities": dict(self.identities), "notes": list(self.notes), "ok": self.ok}
 
 
-def recovered_original_data(spec: CISpec, recovered: CISpec, sigma: tuple[int, ...],
-                            rec_weights: WeightSystem
-                            ) -> tuple[WeightSystem, ChargeMatrix] | None:
-    """Weight data of the double transpose, aligned to the original block order.
-
-    Deriving weights from the twice-transposed spec and matching its blocks
-    back to the original ones gives an independent reconstruction of the
-    original grading data; disagreement with the annotated weights is
-    exactly what the duality check should expose.  recovered is the double
-    transpose relabelled by sigma, and rec_weights are the derived weights
-    of the double transpose before relabelling.
-    """
-    match: list[int] = []  # original block j -> recovered block index
-    used = set()
-    for blk in spec.blocks:
-        key = (sorted(blk.exponents), tuple(blk.index_set))
-        found = None
-        for m, rblk in enumerate(recovered.blocks, start=1):
-            if m in used:
-                continue
-            if (sorted(rblk.exponents), tuple(rblk.index_set)) == key:
-                found = m
-                break
-        if found is None:
-            return None
-        used.add(found)
-        match.append(found)
-
-    # weight vector of recovered block m, expressed over original variables
-    vecs = []
-    for m in match:
-        raw = rec_weights.vectors[m - 1]
-        full = [0] * spec.n
-        for p, g in enumerate(raw, start=1):
-            full[sigma[p - 1] - 1] = g
-        vecs.append(tuple(full))
-    weights = WeightSystem(tuple(vecs))
-    return weights, charges(spec, weights)
-
-
 def verify_duality(tw: WeightSystem, tq: ChargeMatrix, p_a_x: CyclotomicRatio,
                    recovered: tuple[WeightSystem, ChargeMatrix] | None) -> DualityReport:
     """Check the monodromy / Euler-characteristic / structural-series equalities.
 
     tw, tq are the derived weights of the transposed spec and their charges,
     p_a_x is poincare_structure of the spec's weights as annotated and their
-    charges, and recovered is what recovered_original_data gives.  M, PO
+    charges, and recovered is `MirrorPair.recovered_data`: the double
+    transpose's weights in the original block order and their charges.  M, PO
     and P_A are one formula (poincare_structure), so M_X = PO_Ybar,
     PO_Ybar = P_A_Y and PO_Xbar = P_A_X hold by construction: each side is
     the ratio of the transposed data, or of the annotated data.

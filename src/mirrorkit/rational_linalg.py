@@ -341,9 +341,9 @@ def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
-              ) -> tuple[list[tuple[int, ...] | None], int]:
+              ) -> tuple[list[tuple[int, ...] | None], int, int]:
     """Particular solutions of m x = b for each column b, as integer vectors over
-    one common denominator: (d*x per column, or None when inconsistent; d).
+    one common denominator: (d*x per column, or None when inconsistent; d; rank m).
 
     One elimination of [m | b_1 ... b_r]: the pivots depend on m alone, so
     each column gets exactly the solution a one-column solve would.  m may
@@ -373,14 +373,14 @@ def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
     if g > 1:
         out = [None if x is None else tuple(v // g for v in x) for x in out]
         d //= g
-    return out, d
+    return out, d, r
 
 
 def solve_many(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
                ) -> list[tuple[Fraction, ...] | None]:
     """Particular solutions of m x = b for each column b of rhs_cols, None when
     inconsistent (solve_den's solutions as Fractions)."""
-    cols, d = solve_den(m, rhs_cols)
+    cols, d, _ = solve_den(m, rhs_cols)
     return [None if x is None else tuple(Fraction(v, d) for v in x) for x in cols]
 
 

@@ -57,6 +57,7 @@ class TransposeResult:
     lam: PermutationMap            # lam(r) = old column feeding new monomial r
     row_to_var: tuple[tuple[int, int], ...]  # (old matrix row, new variable position)
     block_sources: tuple[int, ...]  # position q -> old block index
+    diff: Matrix                   # new difference rows over the old monomial rows, ascending
     rho: PermutationMap | None
     t_rho: PermutationMap | None
     condition_flags: dict[str, bool]
@@ -165,7 +166,6 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
             f"monomial counts {taus} and index-set sizes {tilde_taus} differ as multisets")
 
     nu = _choose_nu(taus, tilde_taus)
-    flags["involution_nu"] = nu.is_involution()
     position_of = {j: nu(j) for j in range(1, k + 1)}
     block_sources = tuple(sorted(position_of, key=lambda j: position_of[j]))
 
@@ -194,7 +194,8 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
         ind = [int(i in members) for i in range(n)]
         for v in exps:
             diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
-    classes = _weight_classes(Matrix(tuple(diff_rows)), k)
+    diff = Matrix(tuple(diff_rows))
+    classes = _weight_classes(diff, k)
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class
@@ -240,7 +241,7 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
     row_to_var = tuple(sorted((row, var_map[raw_index[row]]) for row in raw_vars))
     return TransposeResult(
         tspec=tspec, nu=nu, nu_star=nu.matrix(), lam=PermutationMap(tuple(lam)),
-        row_to_var=row_to_var, block_sources=block_sources,
+        row_to_var=row_to_var, block_sources=block_sources, diff=diff,
         rho=None, t_rho=None, condition_flags=flags, notes=tuple(notes),
     )
 
@@ -255,6 +256,8 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
     spec = cm.spec
     _verify_permuted_transpose(cm, tcm, tr.row_to_var, tr.block_sources)
     flags = dict(tr.condition_flags)
+    # _choose_nu pairs the images two at a time or raises NoInvolutiveNuError
+    flags["involution_nu"] = True
     # the entrywise check raises unless the new matrix is the row/column permuted
     # transpose, which implies both identities: its monomial rows are the old
     # monomial columns, selected by lambda
@@ -334,10 +337,6 @@ def _lambda_v_identity(spec, lam, row_to_var) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def canonical_key(spec: CISpec):
-    return sorted((tuple(sorted(b.exponents)), tuple(b.index_set)) for b in spec.blocks)
-
-
 def double_transpose_relabel(spec: CISpec, tr: TransposeResult,
                              tr2: TransposeResult) -> tuple[int, ...]:
     """sigma[p-1] = original variable recovered at position p of tr2.tspec."""
@@ -353,7 +352,10 @@ def double_transpose_relabel(spec: CISpec, tr: TransposeResult,
 
 
 def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
-    """Relabel variable p as sigma[p-1] (weights dropped; order-preserving)."""
+    """Relabel variable p as sigma[p-1], in the blocks and in the weights if any.
+
+    Blocks and weight vectors keep their order; only the variables move.
+    """
     def remap(vec):
         out = [0] * spec.n
         for p, val in enumerate(vec, start=1):
@@ -362,7 +364,8 @@ def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
     blocks = tuple(Block(exponents=tuple(remap(v) for v in b.exponents),
                          index_set=tuple(sorted(sigma[i - 1] for i in b.index_set)))
                    for b in spec.blocks)
-    return CISpec(n=spec.n, k=spec.k, blocks=blocks, weights=None)
+    weights = None if spec.weights is None else tuple(map(remap, spec.weights))
+    return CISpec(n=spec.n, k=spec.k, blocks=blocks, weights=weights)
 
 
 def check_involution(spec: CISpec) -> bool:
@@ -409,28 +412,30 @@ def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:
 
 
 def _involution_matching(n: int, allowed: dict[int, set[int]]) -> tuple[int, ...] | None:
+    """First involution, depth first, with each i placed in ascending order as a
+    fixed point or paired with an unplaced j in allowed[i] that allows i back.
+
+    The backtracking keeps an explicit stack, so n is not bounded by the
+    interpreter's recursion limit.
+    """
     images: dict[int, int] = {}
-
-    def place(i: int) -> bool:
+    stack = []  # per open variable: (i, iterator over its untried images)
+    i = 1
+    while True:
+        while i in images:
+            i += 1
         if i > n:
-            return True
-        if i in images:
-            return place(i + 1)
-        for j in sorted(allowed[i]):
-            if j in images and images[j] != i:
-                continue
-            if j == i:
-                images[i] = i
-                if place(i + 1):
-                    return True
-                del images[i]
-            elif j not in images and i in allowed[j]:
+            return tuple(images[x] for x in range(1, n + 1))
+        stack.append((i, iter(sorted(allowed[i]))))
+        while stack:
+            i, untried = stack[-1]
+            images.pop(images.pop(i, i), None)  # undo i's previous choice, if any
+            j = next((j for j in untried if j == i or (j not in images and i in allowed[j])),
+                     None)
+            if j is not None:
                 images[i], images[j] = j, i
-                if place(i + 1):
-                    return True
-                del images[i], images[j]
-        return False
-
-    if place(1):
-        return tuple(images[i] for i in range(1, n + 1))
-    return None
+                break
+            stack.pop()
+        else:
+            return None
+        i += 1

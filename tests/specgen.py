@@ -122,3 +122,10 @@ def generate_valid_specs(count: int, seed: int = 20260810, max_n: int = 8,
     if len(specs) < count:
         raise RuntimeError(f"only generated {len(specs)} specs in {attempts} attempts")
     return specs
+
+
+def oracle_specs(fixtures_dir) -> list[CISpec]:
+    """The 216-spec oracle set: 200 seeded specs, families m = 1..12 and the fixtures."""
+    from mirrorkit.pipeline import generate_family
+    return (generate_valid_specs(200) + [generate_family(m) for m in range(1, 13)]
+            + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])

@@ -29,10 +29,10 @@ from mirrorkit.nef_partition import (
     support_phi,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
-from mirrorkit.rational_linalg import Matrix, invert, pivot_columns, rank
+from mirrorkit.rational_linalg import Matrix, invert, pivot_columns, rank, solve_den
 from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
-from specgen import generate_valid_specs
+from specgen import generate_valid_specs, oracle_specs
 
 F = Fraction
 
@@ -130,12 +130,52 @@ def _pivot_section(kernel_basis):
 
 
 def test_coordinate_section_is_the_pivot_columns_of_the_kernel_basis(fixtures_dir):
-    specs = (SEEDED + [generate_family(m) for m in range(1, 13)]
-             + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])
+    specs = oracle_specs(fixtures_dir)
     for spec in specs:
         weights = derive_weights(spec)
         assert coordinate_section(weights) == _pivot_section(_kernel_basis(weights))
     assert len(specs) == 216
+
+
+def _transported_target(spec, tr) -> Matrix:
+    """Oracle: the transposed difference matrix carried back onto the original rows.
+
+    Entry (i, c) is row c of difference_matrix(tr.tspec) at the variable that
+    carries original monomial i, through row_to_var and i_lambda.
+    """
+    t_diff = difference_matrix(tr.tspec).num
+    i_lam = spec.i_lambda()
+    var_of = dict(tr.row_to_var)
+    return Matrix(tuple(tuple(t_diff[c][var_of[i_lam[i]] - 1] for c in range(spec.n))
+                        for i in range(spec.n)))
+
+
+def test_nef_target_is_the_transpositions_matrix(fixtures_dir):
+    transposable = 0
+    for spec in oracle_specs(fixtures_dir):
+        try:
+            tr = MirrorPair(spec).tr
+        except TranspositionError:
+            continue
+        assert tr.diff.transpose() == _transported_target(spec, tr)
+        transposable += 1
+    assert transposable == 76
+
+
+def test_solve_rank_is_the_minkowski_dimension(fixtures_dir):
+    # the rank of the sectioned solve, with or without the nef target, is
+    # the dimension minkowski_dim finds by its own elimination
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            target = pair.tr.diff.num
+        except TranspositionError:
+            target = ()
+        section = coordinate_section(pair.weights)
+        a_cols = Matrix(tuple(tuple(row[j] for j in section)
+                              for row in difference_matrix(spec).num))
+        dim = minkowski_dim(build_deltas(spec, pair.weights)).dim
+        assert solve_den(a_cols, target)[2] == dim == spec.n - spec.k
 
 
 def _fraction_flags(spec, nef):
@@ -369,6 +409,21 @@ def test_solve_dual_partition_6_1(spec_6_1):
         for m in grp:
             for q in range(1, spec_6_1.k + 1):
                 assert support_phi(deltas, q, m) == (1 if q == l else 0)
+
+
+def test_degenerate_minkowski_sum_is_rejected_first(quadric):
+    # the difference rows (1,-1,0), (-1,1,0), 0 span one dimension, not n - k = 2;
+    # the Minkowski check comes before the block-size check
+    spec = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
+    weights = WeightSystem(((1, 1, 1),))
+    fermat = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
+    assert minkowski_dim(build_deltas(spec, weights), expected=2).dim == 1
+    for other in (fermat, quadric):
+        tr = transpose_spec(other)
+        with pytest.raises(UnsolvableError, match="Minkowski sum has dimension 1, expected 2"):
+            solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
 
 
 def test_solve_dual_partition_guard(spec_6_2, quadric):

@@ -18,7 +18,8 @@ from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
-            (rational_linalg, "invert"), (transposition, "build_transpose"))
+            (ci_model, "difference_matrix"), (rational_linalg, "invert"),
+            (transposition, "build_transpose"))
 
 
 @pytest.fixture
@@ -48,13 +49,16 @@ def test_run_verify_builds_each_object_once(calls):
     assert calls["build_cayley"] == 3
     assert calls["derive_weights"] == 1
     assert calls["invert"] == 1
+    # the spec's difference matrix, for its weights and for the nef solve; the
+    # nef target is the transposition's own matrix
+    assert calls["difference_matrix"] == 2
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_eliminates_eight_times(calls, monkeypatch, m):
+def test_run_verify_eliminates_seven_times(calls, monkeypatch, m):
     # the spec's two weight blocks, the inverse, one kernel per transposition
     # (twice: its weight classes' rays come off that kernel), the weight-kernel
-    # basis, the Minkowski rank and the dual-vertex solve
+    # basis and the dual-vertex solve, whose rank is the Minkowski dimension
     count = Counter()
     real = rational_linalg._eliminate
 
@@ -64,7 +68,7 @@ def test_run_verify_eliminates_eight_times(calls, monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     run_verify(generate_family(m))
-    assert count["eliminate"] == 8
+    assert count["eliminate"] == 7
     assert calls["derive_weights"] == 1
 
 
@@ -107,9 +111,9 @@ def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
-    # the weight-kernel basis, the Minkowski rank and the solve; the coordinate
-    # section is read off the weights
-    assert count["eliminate"] == 3
+    # the weight-kernel basis and the solve, whose rank is the Minkowski
+    # dimension; the coordinate section is read off the weights
+    assert count["eliminate"] == 2
 
 
 @pytest.mark.parametrize("m", [3, 7])

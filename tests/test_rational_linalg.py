@@ -602,14 +602,16 @@ def test_kernel_and_solution_denominators():
     for vec, ints in zip(right_kernel(m), integer_kernel(m)):
         assert primitive_integer_vector(vec) == ints
     rhs = [[1, 1], [F(1, 2), 0], [2, 7]]
-    cols, den = solve_den(m, rhs)
+    cols, den, r = solve_den(m, rhs)
     solutions = solve_many(m, rhs)
     assert den == math.lcm(*(x.denominator for col in solutions for x in col)) == 12
     assert [tuple(F(x, den) for x in c) for c in cols] == solutions
-    assert solve_den(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == ([None], 1)
-    assert solve_den(Matrix.identity(2), [[2, 4]]) == ([(2, 4)], 1)
+    assert r == rank(m) == 2
+    # the third value is the rank of m, whatever the right-hand sides
+    assert solve_den(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == ([None], 1, 1)
+    assert solve_den(Matrix.identity(2), [[2, 4]]) == ([(2, 4)], 1, 2)
     # the pivot 2 does not survive into the denominator of x = (1, 0)
-    assert solve_den(Matrix.from_rows([[2, 1]]), [[2]]) == ([(1, 0)], 1)
+    assert solve_den(Matrix.from_rows([[2, 1]]), [[2]]) == ([(1, 0)], 1, 1)
 
 
 def test_from_rows_cayley_entries_are_fractions(spec_6_1, spec_6_2, quadric):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mirrorkit.ci_model import (
     CISpec,
     WeightSystem,
     build_cayley,
+    charges,
     derive_weights,
     validate,
 )
@@ -22,6 +24,7 @@ from mirrorkit.rational_linalg import (
 from mirrorkit.transposition import (
     NoInvolutiveNuError,
     NoValidShapeError,
+    apply_variable_permutation,
     check_involution,
     find_rho,
     transpose_spec,
@@ -29,7 +32,7 @@ from mirrorkit.transposition import (
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import verify_duality
 
-from specgen import generate_valid_specs
+from specgen import generate_valid_specs, oracle_specs
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
@@ -147,6 +150,148 @@ def test_t_rho_is_the_mirror_rho():
         assert pair.tr2.rho == tr.t_rho
         differ += tr.rho != tr.t_rho
     assert differ == 8
+
+
+def _involution_matching_recursive(n, allowed):
+    """Oracle: the recursive backtracking the iterative matching replaced."""
+    images = {}
+
+    def place(i):
+        if i > n:
+            return True
+        if i in images:
+            return place(i + 1)
+        for j in sorted(allowed[i]):
+            if j in images and images[j] != i:
+                continue
+            if j == i:
+                images[i] = i
+                if place(i + 1):
+                    return True
+                del images[i]
+            elif j not in images and i in allowed[j]:
+                images[i], images[j] = j, i
+                if place(i + 1):
+                    return True
+                del images[i], images[j]
+        return False
+
+    if place(1):
+        return tuple(images[i] for i in range(1, n + 1))
+    return None
+
+
+def test_involution_matching_matches_the_recursive_search():
+    rng = random.Random(7)
+    found = missing = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        allowed = {i: {j for j in range(1, n + 1) if rng.random() < 0.35}
+                   for i in range(1, n + 1)}
+        expected = _involution_matching_recursive(n, allowed)
+        assert transposition._involution_matching(n, allowed) == expected
+        found += expected is not None
+        missing += expected is None
+    assert found > 100 and missing > 100
+
+
+def test_find_rho_on_a_thousand_variables():
+    # one Fermat block x_i^1010 over all 1010 variables: one backtracking
+    # level per variable, past the interpreter's default recursion limit
+    n = 1010
+    spec = CISpec(n=n, k=1, blocks=(Block(
+        exponents=tuple(tuple(n if j == i else 0 for j in range(n)) for i in range(n)),
+        index_set=tuple(range(1, n + 1))),))
+    rho, pi, symmetric = find_rho(spec, WeightSystem(((1,) * n,)))
+    assert rho.is_identity() and pi == (1,) and symmetric
+
+
+def _canonical_key(spec):
+    """Oracle: the block multiset the double transpose was compared by."""
+    return sorted((tuple(sorted(b.exponents)), tuple(b.index_set)) for b in spec.blocks)
+
+
+def _recovered_original_data(spec, recovered, sigma, rec_weights):
+    """Oracle: the double transpose's weights matched back to the original blocks.
+
+    rec_weights are the weights of the double transpose before relabelling
+    by sigma; recovered is the relabelled double transpose.
+    """
+    match = []
+    used = set()
+    for blk in spec.blocks:
+        key = (sorted(blk.exponents), tuple(blk.index_set))
+        found = None
+        for m, rblk in enumerate(recovered.blocks, start=1):
+            if m in used:
+                continue
+            if (sorted(rblk.exponents), tuple(rblk.index_set)) == key:
+                found = m
+                break
+        if found is None:
+            return None
+        used.add(found)
+        match.append(found)
+    vecs = []
+    for m in match:
+        raw = rec_weights.vectors[m - 1]
+        full = [0] * spec.n
+        for p, g in enumerate(raw, start=1):
+            full[sigma[p - 1] - 1] = g
+        vecs.append(tuple(full))
+    weights = WeightSystem(tuple(vecs))
+    return weights, charges(spec, weights)
+
+
+def _assert_block_match_agrees(pair, rec_spec):
+    """involutive and recovered_data against the oracles, for pair.recovered
+    set to rec_spec (a double transpose before relabelling)."""
+    pair.recovered = apply_variable_permutation(rec_spec, pair.sigma)
+    pair.__dict__.pop("block_match", None)
+    pair.__dict__.pop("recovered_data", None)
+    assert pair.involutive == (_canonical_key(pair.recovered) == _canonical_key(pair.spec))
+    assert pair.recovered_data == _recovered_original_data(
+        pair.spec, pair.recovered, pair.sigma, WeightSystem(rec_spec.weights))
+    assert (pair.recovered_data is None) == (not pair.involutive)
+
+
+def test_block_match_agrees_with_the_block_key_and_recovered_data(fixtures_dir):
+    transposable = reordered = broken = 0
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            tspec2 = pair.tr2.tspec
+        except transposition.TranspositionError:
+            continue
+        transposable += 1
+        assert pair.involutive
+        _assert_block_match_agrees(pair, tspec2)
+        if spec.k < 2:
+            continue
+        # the same double transpose with its blocks and weights listed in reverse,
+        # and with the index sets of two blocks swapped
+        _assert_block_match_agrees(pair, CISpec(
+            n=spec.n, k=spec.k, blocks=tspec2.blocks[::-1], weights=tspec2.weights[::-1]))
+        reordered += pair.block_match == tuple(range(spec.k - 1, -1, -1))
+        first, last = tspec2.blocks[0], tspec2.blocks[-1]
+        swapped = (Block(first.exponents, last.index_set),) + tspec2.blocks[1:-1] + (
+            Block(last.exponents, first.index_set),)
+        _assert_block_match_agrees(pair, CISpec(
+            n=spec.n, k=spec.k, blocks=swapped, weights=tspec2.weights))
+        broken += not pair.involutive
+    assert transposable == 76 and reordered > 0 and broken > 0
+
+
+def test_apply_variable_permutation_moves_weights_with_blocks(spec_6_2):
+    sigma = (2, 3, 1, 5, 4)
+    moved = apply_variable_permutation(spec_6_2, sigma)
+    assert moved.weights is not None
+    for before, after in zip(spec_6_2.weights, moved.weights):
+        assert all(after[sigma[p] - 1] == before[p] for p in range(spec_6_2.n))
+    assert moved.blocks == apply_variable_permutation(
+        CISpec(spec_6_2.n, spec_6_2.k, spec_6_2.blocks), sigma).blocks
+    assert apply_variable_permutation(
+        CISpec(spec_6_2.n, spec_6_2.k, spec_6_2.blocks), sigma).weights is None
 
 
 def _no_rho_spec() -> CISpec:
