@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -31,6 +30,7 @@ from .rational_linalg import (
     primitive_integer_vector,
     SingularMatrixError,
 )
+from .record import field, record
 
 
 class SpecError(Exception):
@@ -91,7 +91,7 @@ def _int_rows(x, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path)))
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One block: exponent rows of its monomial sum plus its product index set."""
 
@@ -107,7 +107,7 @@ class Block:
         return tuple(1 if i + 1 in members else 0 for i in range(n))
 
 
-@dataclass(frozen=True)
+@record
 class CISpec:
     n: int
     k: int
@@ -156,6 +156,11 @@ class CISpec:
         """Row indices a^{nu-1}+1 .. a^{nu-1}+tau_nu of block nu's monomials."""
         start = self.a(nu - 1)
         return tuple(range(start + 1, start + 1 + self.taus[nu - 1]))
+
+    @cached_property
+    def diff(self) -> Matrix:
+        """The spec's difference_matrix, built once: the weights and the nef solve read it."""
+        return difference_matrix(self)
 
     # -- serialization ---------------------------------------------------------
 
@@ -206,7 +211,7 @@ class CISpec:
             return CISpec.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
+@record
 class WeightSystem:
     """One nonnegative integer weight vector per block, supported on its own range."""
 
@@ -235,7 +240,7 @@ class WeightSystem:
         return [list(v) for v in self.vectors]
 
 
-@dataclass(frozen=True)
+@record
 class ChargeMatrix:
     """entries[j][q] = pairing of block j+1's first monomial with weight vector q+1."""
 
@@ -269,7 +274,7 @@ ROW_PRODUCT = "product-row"
 ROW_CONSTANT = "constant-row"
 
 
-@dataclass(frozen=True)
+@record
 class CayleyMatrix:
     matrix: Matrix
     row_labels: tuple[tuple[int, str, int], ...]  # (block, kind, monomial index or 0)
@@ -292,7 +297,7 @@ class CayleyMatrix:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     checks: dict[str, bool]
     notes: tuple[str, ...]
@@ -351,7 +356,7 @@ def derive_weights(spec: CISpec) -> WeightSystem:
     SpecInvalidError, as in build_cayley.
     """
     _check_structure(spec)
-    diffs = difference_matrix(spec).num
+    diffs = spec.diff.num
     vectors = []
     for q in range(1, spec.k + 1):
         cols = [i - 1 for i in spec.block_range(q)]

@@ -19,12 +19,12 @@ runs shift by shift.  The factor count of each side is bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import rat_str
+from .record import record
 
 EXPANSION_DEGREE_CAP = 64
 FACTOR_COUNT_CAP = 10**6
@@ -79,7 +79,7 @@ def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class HornOperator:
     """Factored operator P - (variable)^delta_power * Q, each side as factor runs."""
 
@@ -174,7 +174,7 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
                  for q, (p_side, q_side) in enumerate(sides, start=1))
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedOperator:
     """Single-variable restriction together with the full multi-variable form."""
 
@@ -214,7 +214,7 @@ def restricted_operator(tweights: WeightSystem, tcharges: ChargeMatrix,
     )
 
 
-@dataclass(frozen=True)
+@record
 class CharPolyPair:
     """Monodromy characteristic polynomials around the origin and infinity."""
 
@@ -271,7 +271,7 @@ def char_polys(tweights: WeightSystem, tcharges: ChargeMatrix, q: int) -> CharPo
     return pair
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryReport:
     """Cyclic symmetry orders on both sides of the mirror pair."""
 

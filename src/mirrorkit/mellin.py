@@ -26,12 +26,12 @@ compares multisets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import Matrix, rat_parse, rat_str, ratio_str
+from .record import record
 from .transposition import TransposeResult
 
 
@@ -66,7 +66,7 @@ class IdentityViolatedError(MellinError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ZForm:
     """Affine form c0 + sum_q c_q z_q over the k deformation variables."""
 
@@ -133,7 +133,7 @@ class ZForm:
         return ZForm(tuple(rat_parse(c) for c in data["coeffs"]), rat_parse(data["const"]))
 
 
-@dataclass(frozen=True)
+@record
 class LinearForm:
     """One affine form with formal arguments i_1..i_n, z_1..z_k, zeta_1..zeta_2k.
 
@@ -209,11 +209,6 @@ class LinearForm:
         n, z = self.n, len(v) - self.k
         return tuple(v[:n]), tuple(v[z:]), tuple(v[n:z])
 
-    def reduced_numerators(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-        """(A, B, D, d) over the form's own denominator; gcd of all entries is 1."""
-        a, b, dd = self.numerators(self.den)
-        return a, b, dd, self.den
-
     def to_json(self) -> dict:
         d, n, z = self.den, self.n, len(self.num) - self.k
         strs = [ratio_str(x, d) for x in self.num]
@@ -251,7 +246,7 @@ def _grouped(forms) -> list[tuple[ZForm, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GammaProduct:
     """Product of Gamma factors, canonical up to the periodic reflection ambiguity."""
 
@@ -367,7 +362,7 @@ def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
     return tuple(tags)
 
 
-@dataclass(frozen=True)
+@record
 class SumRuleReport:
     checks: dict[str, bool]
 
@@ -420,7 +415,7 @@ def lemma_form(cm: CayleyMatrix, forms) -> GammaProduct:
                         compute_delta(forms))
 
 
-@dataclass(frozen=True)
+@record
 class XiFactorization:
     """Common forms xi^(nu) with the transposed weights as proportionality factors."""
 
@@ -472,7 +467,7 @@ def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactor
                            tuple(row_groups), p_tilde)
 
 
-@dataclass(frozen=True)
+@record
 class Theorem31Report:
     identity_holds: bool
     block_to_z: tuple[int, ...]       # block q's charge contraction equals 1 - z_{block_to_z[q-1]}

@@ -34,14 +34,14 @@ imposed; the matrix equation is the primary solve path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .ci_model import CayleyMatrix, CISpec, difference_matrix, WeightSystem
+from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import integer_kernel, Matrix, rank, solve_den
+from .record import record
 from .transposition import TransposeResult
 
 
@@ -53,7 +53,7 @@ class UnsolvableError(NefError):
     """The dual-vertex matrix equation is inconsistent."""
 
 
-@dataclass(frozen=True)
+@record
 class LatticePolytope:
     ambient_dim: int
     vertices: tuple[tuple[int, ...], ...]      # origin first, then distinct shifts
@@ -65,7 +65,7 @@ class LatticePolytope:
                 "kernel_basis": [list(v) for v in self.kernel_basis]}
 
 
-@dataclass(frozen=True)
+@record
 class MinkowskiReport:
     dim: int
     expected: int
@@ -100,12 +100,6 @@ def minkowski_dim(deltas, expected: int | None = None) -> MinkowskiReport:
     dim = rank(Matrix.from_rows(rows)) if rows else 0
     exp = expected if expected is not None else dim
     return MinkowskiReport(dim=dim, expected=exp, ok=(dim == exp))
-
-
-def support_phi(deltas, q: int, y) -> Fraction:
-    """Value of the block-q support function at y: -min over vertices of <x, y>."""
-    y = [Fraction(b) for b in y]
-    return -min(sum(a * b for a, b in zip(v, y)) for v in deltas[q - 1].vertices)
 
 
 def pairing_flags(t_rows, taus: Sequence[int], dual_idx: Sequence[Sequence[int]]
@@ -160,7 +154,7 @@ def _with_block_axes(groups, n: int, zero, one) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class NefPartitionData:
     deltas: tuple[LatticePolytope, ...]
     dual_idx: tuple[tuple[int, ...], ...]  # per block, the columns of P holding its dual vertices
@@ -264,7 +258,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     flags: dict[str, bool] = {}
 
     deltas = build_deltas(spec, weights)
-    a_mat = difference_matrix(spec)
+    a_mat = spec.diff
     a_rows = a_mat.num
     pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
 
@@ -329,7 +323,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     )
 
 
-@dataclass(frozen=True)
+@record
 class MagicSquareReport:
     found: bool
     assignments: dict[int, int]                       # variable block q -> constant row block

@@ -14,12 +14,12 @@ run once, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
 from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
 from .rational_linalg import invert, Matrix
+from .record import field, record
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -196,7 +196,7 @@ class MirrorPair:
         return weights, ci_model.charges(self.spec, weights)
 
 
-@dataclass
+@record
 class Stage:
     name: str
     ok: bool
@@ -209,7 +209,7 @@ class Stage:
                 "notes": list(self.notes), "payload": self.payload}
 
 
-@dataclass
+@record
 class PipelineReport:
     stages: list[Stage]
     hard_ok: bool

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 from .ci_model import ChargeMatrix, WeightSystem
+from .record import record
 
 
 Poly = dict[tuple[int, ...], int]  # exponent vector -> integer coefficient
@@ -43,7 +43,7 @@ class SeriesLimitError(PoincareError):
     """A series expansion would have more than SERIES_TERM_CAP terms."""
 
 
-@dataclass(frozen=True)
+@record
 class CyclotomicRatio:
     """Ratio of products of factors (1 - lambda_q^d), canonically cancelled."""
 
@@ -205,7 +205,7 @@ def poincare_structure(weights: WeightSystem, qm: ChargeMatrix) -> CyclotomicRat
     return CyclotomicRatio.build(k, num, den)
 
 
-@dataclass(frozen=True)
+@record
 class DualityReport:
     identities: dict[str, bool]
     notes: tuple[str, ...]

@@ -37,12 +37,13 @@ the denominator is 1; a matrix is a list of rows of such strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
+
+from .record import record
 
 
 class RationalLinalgError(Exception):
@@ -79,7 +80,7 @@ def ratio_str(p: int, q: int) -> str:
     return f"{p // g}/{q // g}"
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """Immutable dense rational matrix: integer rows ``num`` over one denominator ``den``.
 
@@ -180,7 +181,7 @@ def _canonical(num: tuple[tuple[int, ...], ...], den: int) -> Matrix:
     return Matrix(num, den)
 
 
-@dataclass(frozen=True)
+@record
 class PermutationMap:
     """Bijection on {1..size}, stored as the 1-based image sequence."""
 
@@ -329,15 +330,10 @@ def _kernel_columns(m: Matrix) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def integer_kernel(m: Matrix) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {x : m x = 0}: right_kernel's vectors, each
-    scaled by a positive factor to coprime integers."""
+    """Primitive integer basis of {x : m x = 0}, one vector per free column: the
+    rational basis vector that is 1 at its free column and 0 at the other free
+    columns, scaled by a positive factor to coprime integers."""
     return [vec for _, vec in _kernel_columns(m)]
-
-
-def right_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : m x = 0}, one vector per free column, deterministic order:
-    each is 1 at its free column and 0 at the other free columns."""
-    return [tuple(Fraction(x, vec[free]) for x in vec) for free, vec in _kernel_columns(m)]
 
 
 def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
@@ -374,14 +370,6 @@ def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
         out = [None if x is None else tuple(v // g for v in x) for x in out]
         d //= g
     return out, d, r
-
-
-def solve_many(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
-               ) -> list[tuple[Fraction, ...] | None]:
-    """Particular solutions of m x = b for each column b of rhs_cols, None when
-    inconsistent (solve_den's solutions as Fractions)."""
-    cols, d, _ = solve_den(m, rhs_cols)
-    return [None if x is None else tuple(Fraction(v, d) for v in x) for x in cols]
 
 
 def primitive_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:

@@ -23,10 +23,10 @@ order.  Both paper examples reproduce verbatim under these rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .ci_model import Block, CayleyMatrix, CISpec, SpecError, WeightSystem
 from .rational_linalg import integer_kernel, Matrix, PermutationMap, vectors_proportional
+from .record import record, replace
 
 
 class TranspositionError(SpecError):
@@ -49,7 +49,7 @@ class InternalInvariantError(TranspositionError):
 RhoFound = tuple[PermutationMap, tuple[int, ...], bool]
 
 
-@dataclass(frozen=True)
+@record
 class TransposeResult:
     tspec: CISpec
     nu: PermutationMap             # nu(j) = position of old block j in the new order
@@ -403,12 +403,17 @@ def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:
                           and i in ranges[pi[owner_set[j] - 1]]}
         rho = _involution_matching(n, allowed)
         if rho is not None:
-            perm = PermutationMap(rho)
-            g_rho = Matrix.from_rows(
-                [[diag[i] if rho[j] == i + 1 else 0 for j in range(n)] for i in range(n)])
-            symmetric = g_rho == g_rho.transpose()
-            return perm, pi, symmetric
+            return PermutationMap(rho), pi, _weighted_symmetric(rho, diag)
     return None
+
+
+def _weighted_symmetric(rho: tuple[int, ...], diag: tuple[int, ...]) -> bool:
+    """Whether G*rho is symmetric, G = diag(diag), for an involution rho (1-based images).
+
+    Entry (i, j) of G*rho is diag[i] when rho(j) = i and 0 otherwise; as rho
+    is an involution, that holds exactly when rho pairs only equal weights.
+    """
+    return all(diag[r - 1] == g for r, g in zip(rho, diag))
 
 
 def _involution_matching(n: int, allowed: dict[int, set[int]]) -> tuple[int, ...] | None:

@@ -20,7 +20,7 @@ from mirrorkit.mellin import (
     verify_theorem_31,
 )
 from mirrorkit.nef_partition import magic_square_check, minkowski_dim, build_deltas, \
-    solve_dual_partition, support_phi
+    solve_dual_partition
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import (
     poincare_structure,
@@ -36,6 +36,7 @@ from mirrorkit.transposition import (
     transpose_spec,
 )
 
+from oracles import support_phi
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 

@@ -19,11 +19,16 @@ PKG_ROOT = Path(__file__).parent.parent
 CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
-def run_module(module, *args):
-    """`python -m <module> <args>` in a child process that imports this checkout's src/."""
+def run_python(*args, text=True):
+    """`python <args>` in a child process that imports this checkout's src/."""
     path = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
-                          text=True, cwd=PKG_ROOT, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=text, cwd=PKG_ROOT, env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_module(module, *args):
+    """`python -m <module> <args>` in a child process."""
+    return run_python("-m", module, *args)
 
 
 def run_cli(*args):
@@ -187,6 +192,25 @@ def test_readme_library_imports_run():
     assert len(lines) >= 7
     for line in lines:
         exec(line, {})
+
+
+def test_console_script_prints_what_the_module_prints():
+    # the form the installed `mirrorkit` script (and the benchmark) runs
+    console = "import sys; from mirrorkit.cli import main; sys.exit(main())"
+    argv = ("verify", "--format", "json", "--input", fixture("example_6_1.json"))
+    script = run_python("-c", console, *argv, text=False)
+    module = run_python("-m", "mirrorkit", *argv, text=False)
+    assert script.returncode == module.returncode == 0
+    assert script.stdout == module.stdout and script.stdout.startswith(b"{")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the value classes are defined without code generation (mirrorkit.record):
+    # importing dataclasses pulls in inspect, dis, ast and tokenize at start-up
+    result = run_python("-c", "import sys, mirrorkit.cli; "
+                              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"
 
 
 def test_missing_input_is_an_error():

@@ -23,6 +23,7 @@ from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import transpose_spec
 
+from oracles import reduced_numerators
 from paper_data import L_8_INV, L_13_INV, matrix_from_json
 
 F = Fraction
@@ -107,7 +108,7 @@ def test_compute_delta(spec_6_1, spec_6_2, quadric):
 def test_reduced_numerators(spec_6_2):
     forms = MirrorPair(spec_6_2).forms
     for form in forms:
-        a, b, dd, denom = form.reduced_numerators()
+        a, b, dd, denom = reduced_numerators(form)
         import math
         g = 0
         for x in (*a, *b, *dd):

@@ -26,12 +26,12 @@ from mirrorkit.nef_partition import (
     minkowski_dim,
     pairing_flags,
     solve_dual_partition,
-    support_phi,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.rational_linalg import Matrix, invert, pivot_columns, rank, solve_den
 from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
+from oracles import support_phi
 from specgen import generate_valid_specs, oracle_specs
 
 F = Fraction

@@ -15,12 +15,11 @@ from mirrorkit.rational_linalg import (
     rank,
     rat_parse,
     rat_str,
-    right_kernel,
     solve_den,
-    solve_many,
     vectors_proportional,
 )
 
+from oracles import right_kernel, solve_many
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction

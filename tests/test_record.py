@@ -1,0 +1,241 @@
+"""mirrorkit.record against dataclasses, the behaviour it replaces.
+
+The same classes are defined with both decorators, and every operation is
+run on both: the dataclass result is the oracle.  This module does not use
+``from __future__ import annotations``, so the fields here are read from
+evaluated annotations, where those of ``src`` are strings.
+"""
+
+import dataclasses
+from functools import cached_property
+
+import pytest
+
+from mirrorkit import record
+
+
+def define(decorate, field):
+    """Five classes built with one decorator; each class's methods read only its fields."""
+
+    @decorate
+    class Point:
+        x: int
+        y: int = 0
+
+    @decorate
+    class Vector:
+        x: int
+        y: int = 0
+
+    @decorate
+    class Tagged:
+        value: int
+        source: object = field(repr=False)
+        notes: list = field(default_factory=list)
+
+    @decorate
+    class Interval:
+        lo: int
+        hi: int
+
+        def __post_init__(self):
+            if self.lo > self.hi:
+                raise ValueError("empty interval")
+
+    @decorate
+    class Lazy:
+        n: tuple
+        computed = []   # not a field: no annotation
+
+        @cached_property
+        def total(self):
+            self.computed.append(self.n)
+            return sum(self.n)
+
+    return {c.__name__: c for c in (Point, Vector, Tagged, Interval, Lazy)}
+
+
+ORACLE = define(dataclasses.dataclass(frozen=True), dataclasses.field)
+RECORD = define(record.record, record.field)
+
+CALLS = [
+    ("Point", (1, 2), {}), ("Point", (1,), {}), ("Point", (), {"y": 3, "x": 1}),
+    ("Vector", (1, 2), {}), ("Tagged", (5, "src"), {}), ("Tagged", (5,), {"source": None}),
+    ("Tagged", (), {"value": 5, "source": "s", "notes": [1]}), ("Interval", (1, 2), {}),
+    ("Lazy", ((1, 2, 3),), {}),
+    # the TypeError and __post_init__ cases
+    ("Point", (), {}), ("Point", (1, 2, 3), {}), ("Point", (1,), {"z": 2}),
+    ("Point", (1,), {"x": 2}), ("Tagged", (1,), {}), ("Interval", (3, 2), {}),
+    ("Tagged", (), {"value": 1, "source": 2, "extra": 0}),
+]
+
+
+def outcome(fn):
+    """fn()'s value, or the kind of exception it raised."""
+    try:
+        return "ok", fn()
+    except (AttributeError, TypeError, ValueError) as exc:
+        return "raises", next(k for k in (AttributeError, TypeError, ValueError)
+                              if isinstance(exc, k))
+
+
+def fields(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+@pytest.mark.parametrize("name, args, kwargs", CALLS)
+def test_construction_repr_eq_and_hash(name, args, kwargs):
+    oracle, rec = ORACLE, RECORD
+    made = outcome(lambda: oracle[name](*args, **kwargs))
+    got = outcome(lambda: rec[name](*args, **kwargs))
+    assert got[0] == made[0]
+    if made[0] == "raises":
+        assert got == made
+        return
+    d, r = made[1], got[1]
+    assert repr(r) == repr(d)
+    assert tuple(getattr(r, f) for f in r._fields) == fields(d)
+    twin = rec[name](*args, **kwargs)
+    assert r == twin and not r != twin
+    # hash is that of the field tuple, or raises exactly when the dataclass's does
+    assert outcome(lambda: hash(r)) == outcome(lambda: hash(d))
+    if outcome(lambda: hash(d))[0] == "ok":
+        assert hash(r) == hash(fields(d))
+    assert (r == d) is False  # a record never equals the dataclass of the same shape
+
+
+def test_eq_is_not_implemented_across_classes():
+    for ns in (ORACLE, RECORD):
+        p, v = ns["Point"](1, 2), ns["Vector"](1, 2)
+        assert p.__eq__(v) is NotImplemented
+        assert p != v and not p == v
+        assert p != ns["Point"](1, 3)
+        assert p.__eq__((1, 2)) is NotImplemented
+
+
+def test_assignment_and_deletion():
+    oracle, rec = ORACLE, RECORD
+    ops = [lambda p: setattr(p, "x", 5), lambda p: delattr(p, "y"),
+           lambda p: setattr(p, "new", 1)]
+    for op in ops:
+        d, r = oracle["Point"](1, 2), rec["Point"](1, 2)
+        made, got = outcome(lambda: op(d)), outcome(lambda: op(r))
+        assert got == made == ("raises", AttributeError)
+        assert outcome(lambda: fields(d)) == outcome(lambda: tuple(getattr(r, f) for f in r._fields))
+    with pytest.raises(record.FrozenInstanceError, match="cannot assign to field 'x'"):
+        rec["Point"](1, 2).x = 3
+
+
+def test_defaults_and_default_factory():
+    oracle, rec = ORACLE, RECORD
+    a, b = rec["Tagged"](1, "s"), rec["Tagged"](1, "s")
+    assert a.notes == [] and a.notes is not b.notes
+    assert rec["Point"](4).y == oracle["Point"](4).y == 0
+    assert rec["Point"].y == oracle["Point"].y == 0   # a plain default stays a class attribute
+    assert not hasattr(rec["Tagged"], "notes") and not hasattr(oracle["Tagged"], "notes")
+
+
+def test_replace():
+    oracle, rec = ORACLE, RECORD
+    d, r = oracle["Tagged"](1, "s", [2]), rec["Tagged"](1, "s", [2])
+    for changes in ({"value": 7}, {"source": "t", "notes": []}, {}, {"missing": 1}):
+        made = outcome(lambda: dataclasses.replace(d, **changes))
+        got = outcome(lambda: record.replace(r, **changes))
+        assert got[0] == made[0]
+        if made[0] == "ok":
+            assert repr(got[1]) == repr(made[1]) and got[1].source == made[1].source
+        else:
+            assert got == made
+    # replace builds through __init__, so __post_init__ checks the copy
+    i = rec["Interval"](1, 2)
+    assert record.replace(i, hi=5) == rec["Interval"](1, 5)
+    assert outcome(lambda: record.replace(i, lo=3)) == ("raises", ValueError)
+    assert outcome(lambda: dataclasses.replace(oracle["Interval"](1, 2), lo=3)) == (
+        "raises", ValueError)
+
+
+def test_cached_property_on_a_frozen_record():
+    lazy_cls = RECORD["Lazy"]
+    lazy_cls.computed.clear()
+    lazy = lazy_cls((1, 2, 3))
+    assert lazy.total == 6 and lazy.total == 6
+    assert lazy_cls.computed == [(1, 2, 3)]
+    # the cached value is not a field: equality, hash and repr ignore it
+    assert lazy == lazy_cls((1, 2, 3)) and hash(lazy) == hash(((1, 2, 3),))
+    assert repr(lazy) == repr(ORACLE["Lazy"]((1, 2, 3)))
+    with pytest.raises(AttributeError):
+        lazy.n = ()
+
+
+def define_shapes(decorate, field):
+    """Class shapes the decorator must reject, or treat as dataclasses do: each entry
+    is a function that defines one class."""
+
+    def empty():
+        @decorate
+        class Empty:
+            pass
+        return Empty
+
+    def mutable_default():
+        @decorate
+        class Notes:
+            notes: list = []
+        return Notes
+
+    def required_after_default():
+        @decorate
+        class Span:
+            lo: int = 0
+            hi: int
+        return Span
+
+    def own_repr():
+        @decorate
+        class Named:
+            name: str
+
+            def __repr__(self):
+                return f"<{self.name}>"
+        return Named
+
+    def own_setattr():
+        @decorate
+        class Loose:
+            x: int
+
+            def __setattr__(self, name, value):
+                object.__setattr__(self, name, value)
+        return Loose
+
+    return {fn.__name__: fn for fn in (empty, mutable_default, required_after_default,
+                                       own_repr, own_setattr)}
+
+
+SHAPES = define_shapes(dataclasses.dataclass(frozen=True), dataclasses.field)
+RECORD_SHAPES = define_shapes(record.record, record.field)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_class_shapes(shape):
+    made = outcome(SHAPES[shape])
+    got = outcome(RECORD_SHAPES[shape])
+    if shape in ("own_repr", "own_setattr"):   # a method record provides: always rejected
+        assert got == ("raises", TypeError)
+        return
+    assert got[0] == made[0]
+    if made[0] == "raises":
+        assert got == made
+        return
+    d_cls, r_cls = made[1], got[1]
+    for call in [(), ("a",), ("a", 2)]:
+        d, r = outcome(lambda: d_cls(*call)), outcome(lambda: r_cls(*call))
+        assert r[0] == d[0]
+        if d[0] == "raises":
+            assert r == d
+            continue
+        d, r = d[1], r[1]
+        assert repr(r) == repr(d)
+        assert outcome(lambda: hash(r)) == outcome(lambda: hash(d))
+        assert (r == r_cls(*call)) == (d == d_cls(*call))
+        assert outcome(lambda: setattr(r, "x", 0)) == outcome(lambda: setattr(d, "x", 0))

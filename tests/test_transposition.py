@@ -18,7 +18,6 @@ from mirrorkit.ci_model import (
 from mirrorkit.rational_linalg import (
     Matrix,
     primitive_integer_vector,
-    right_kernel,
     vectors_proportional,
 )
 from mirrorkit.transposition import (
@@ -32,6 +31,7 @@ from mirrorkit.transposition import (
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import verify_duality
 
+from oracles import right_kernel
 from specgen import generate_valid_specs, oracle_specs
 
 
@@ -204,6 +204,47 @@ def test_find_rho_on_a_thousand_variables():
         index_set=tuple(range(1, n + 1))),))
     rho, pi, symmetric = find_rho(spec, WeightSystem(((1,) * n,)))
     assert rho.is_identity() and pi == (1,) and symmetric
+
+
+def _g_rho_symmetric(rho, diag):
+    """Oracle: G*rho built as a matrix, G = diag(diag), and compared with its transpose."""
+    n = len(rho)
+    g_rho = Matrix.from_rows(
+        [[diag[i] if rho[j] == i + 1 else 0 for j in range(n)] for i in range(n)])
+    return g_rho == g_rho.transpose()
+
+
+def test_weighted_symmetric_matches_the_matrix_test():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        rho = list(range(1, n + 1))
+        for a, b in zip(order[::2][:rng.randint(0, n // 2)], order[1::2]):
+            rho[a - 1], rho[b - 1] = b, a
+        diag = tuple(rng.randint(1, 3) for _ in range(n))
+        expected = _g_rho_symmetric(tuple(rho), diag)
+        assert transposition._weighted_symmetric(tuple(rho), diag) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
+    checked = 0
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            pair.tr
+        except transposition.TranspositionError:
+            continue
+        for side in (pair, pair.mirror):
+            if side.rho is not None:
+                rho, _, symmetric = side.rho
+                assert symmetric == _g_rho_symmetric(rho.images, side.weights.diagonal)
+                checked += 1
+    assert checked == 152  # both sides of the 76 transposable specs
 
 
 def _canonical_key(spec):
