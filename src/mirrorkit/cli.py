@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --input")
     try:
         spec = CISpec.load(args.input)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # RecursionError: nesting too deep
         sys.stderr.write(f"cannot read specification: {exc}\n")
         return pipeline.EXIT_INVALID
     except ci_model.SpecInvalidError as exc:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
-from .rational_linalg import integer_kernel, Matrix, rank, solve_den
+from .rational_linalg import Matrix, rank, solve_den
 from .record import record
 from .transposition import TransposeResult
 
@@ -76,7 +76,24 @@ class MinkowskiReport:
 
 
 def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(integer_kernel(Matrix(weights.vectors)))
+    """The basis `integer_kernel` gives of the weights' kernel, in closed form.
+
+    The weight vectors are positive on disjoint supports that cover every
+    position, so elimination pivots on the first position p of each support;
+    the basis vector of each other position i, in ascending i, is
+    (w_p e_i - w_i e_p) / gcd(w_p, w_i).
+    """
+    pivot = {}   # non-pivot position -> (the first position of its support, its weight vector)
+    for vec in weights.vectors:
+        support = [i for i, g in enumerate(vec) if g]
+        pivot.update((i, (support[0], vec)) for i in support[1:])
+    basis = []
+    for i, (p, vec) in sorted(pivot.items()):
+        g = math.gcd(vec[p], vec[i])
+        v = [0] * len(vec)
+        v[i], v[p] = vec[p] // g, -(vec[i] // g)
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def build_deltas(spec: CISpec, weights: WeightSystem) -> tuple[LatticePolytope, ...]:

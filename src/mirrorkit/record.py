@@ -1,4 +1,4 @@
-"""Value classes without code generation: the ``record`` class decorator.
+"""Value classes without ``dataclasses``: the ``record`` class decorator.
 
 ``@record`` turns a class whose body annotates its fields into a value
 class with the behaviour ``@dataclass(frozen=True)`` gives it: an
@@ -19,30 +19,23 @@ without a default after one with a default raises ``TypeError``.  Unlike
 ``dataclasses``, which would keep such a method, a class that defines one
 of the six methods ``record`` provides raises ``TypeError``.
 
-The methods are closures over each class's field names, so defining a
-class compiles nothing: ``dataclasses`` builds its methods as source text
-and ``exec``s it, about 1 ms a class, and importing it pulls in
-``inspect``.  That is the whole reason this module exists: every
-``mirrorkit`` process defines these classes before it reads its input.
+Each class compiles one small ``__init__`` when it is defined, from source
+built off its fields (``def __init__(self, a, b=__default_b, c=__factory)``),
+so CPython binds the arguments and raises its own ``TypeError``s.  The other
+five methods are closures over the class's field names and compile nothing.
+That is still cheap next to ``dataclasses``, which compiles six methods a
+class through ``exec``, about 1 ms a class, and whose import pulls in
+``inspect``: one function takes about 50 to 150 us to compile, some 3 ms
+for the 27 classes of ``mirrorkit``.  Start-up is the whole reason this
+module exists: every ``mirrorkit`` process defines these classes before it
+reads its input.
 
-Two conditions keep instances about as fast as the generated ones; the
-code must keep both (measured on CPython 3.11):
-
-* ``__init__`` sets each field with ``object.__setattr__(self, name,
-  value)`` and never reads or writes ``self.__dict__``.  Touching
-  ``__dict__`` materialises the instance dictionary, and every later
-  attribute read on that instance is then about twice as slow (5.1
-  against 11.6 us per 200 reads); an ``__init__`` that updated
-  ``self.__dict__`` made a verify run about 8% slower.
-* ``__init__`` has a fast path: when every argument is positional and
-  there is one per field, it sets them directly; only other calls go
-  through ``bind``, which answers the other two shapes hot code uses
-  (positional fields followed by defaults, every field by keyword)
-  without a loop.  Even so a record costs about 0.4 us more to build than
-  a dataclass instance inside a verify run (0.1 to 0.2 us in a loop that
-  builds only one class).  A run of the ``random-small`` pool builds about
-  60 records in about 0.65 ms, so it is about 4% slower than with
-  dataclasses; a ``family-scaling`` run, at about 8 ms, hardly notices.
+``__init__`` sets each field with ``object.__setattr__(self, name, value)``
+and never reads or writes ``self.__dict__``, and the code must keep it so.
+Touching ``__dict__`` materialises the instance dictionary, and every later
+attribute read on that instance is then about twice as slow (5.1 against
+11.6 us per 200 reads, CPython 3.11); an ``__init__`` that updated
+``self.__dict__`` made a verify run about 8% slower.
 
 ``functools.cached_property`` works on frozen records: it stores its value
 in the instance dictionary without calling ``__setattr__``.
@@ -50,9 +43,19 @@ in the instance dictionary without calling ``__setattr__``.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 _MISSING = object()
+
+
+class _Factory:
+    """The default __init__ shows for a field with a default_factory, as dataclasses does."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
 
 
 class FrozenInstanceError(AttributeError):
@@ -77,29 +80,23 @@ def replace(obj, **changes):
     return obj.__class__(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
-def _tuple_getter(getter, names):
-    """getter(*names) as a function that returns a tuple, also for one name or none."""
-    if len(names) > 1:
-        return getter(*names)
-    if names:
-        get = getter(*names)
-        return lambda obj: (get(obj),)
-    return lambda obj: ()
-
-
 def record(cls):
     """Class decorator: make cls a frozen value class over its annotated fields
     (module docstring)."""
     names = tuple(cls.__annotations__)
-    count = len(names)
-    fallbacks: dict = {}   # per field that has one: its default, or its _Field if a factory
     shown = []
+    # the source of __init__: def __init__(self, a, b=__default_b, c=__factory):
+    # with c built by its factory when left out, then __setattr(self, "a", a), ...
+    namespace = {"__setattr": object.__setattr__, "__factory": _FACTORY}
+    params, body = ["self"], []
     for name in names:
-        value = cls.__dict__.get(name, _MISSING)
+        value, param = cls.__dict__.get(name, _MISSING), name
         if isinstance(value, _Field):
             delattr(cls, name)
             if value.default_factory is not None:
-                fallbacks[name] = value
+                namespace[f"__factory_{name}"] = value.default_factory
+                param = f"{name}=__factory"
+                body.append(f"    if {name} is __factory: {name} = __factory_{name}()\n")
             if value.repr:
                 shown.append(name)
         else:
@@ -107,64 +104,26 @@ def record(cls):
                 if value.__class__.__hash__ is None:
                     raise ValueError(f"mutable default {value.__class__} for field {name} "
                                      "is not allowed: use default_factory")
-                fallbacks[name] = value
+                namespace[f"__default_{name}"] = value
+                param = f"{name}=__default_{name}"
             shown.append(name)
-        if name not in fallbacks and fallbacks:
+        if param == name and "=" in params[-1]:
             raise TypeError(f"non-default argument {name!r} follows default argument")
-    # rest[n]: (name, fallback) for each field after n positional arguments, the
-    # fallback being its default, its _Field (call the factory) or _MISSING
-    rest = [tuple((name, fallbacks.get(name, _MISSING)) for name in names[n:])
-            for n in range(count + 1)]
-    # tails[n]: the defaults of names[n:], for each n past which every field has one
-    tails = {n: tuple(fb for _, fb in rest[n]) for n in range(count + 1)
-             if all(fb is not _MISSING and fb.__class__ is not _Field for _, fb in rest[n])}
-    by_keyword = _tuple_getter(itemgetter, names)
-    indexed = tuple(enumerate(names))
-    post_init = cls.__dict__.get("__post_init__")
-    setattr_ = object.__setattr__
-    where = f"{cls.__qualname__}.__init__()"
-
-    def bind(args, kwargs):
-        """The field values in order, from a call that is not one positional per field."""
-        if not kwargs and len(args) in tails:
-            return args + tails[len(args)]
-        if not args and len(kwargs) == count:
-            try:
-                return by_keyword(kwargs)
-            except KeyError:
-                pass
-        if len(args) > count:
-            raise TypeError(f"{where} takes {count + 1} positional arguments "
-                            f"but {len(args) + 1} were given")
-        bound = list(args)
-        missing = []
-        for name, fallback in rest[len(args)]:
-            if name in kwargs:
-                bound.append(kwargs.pop(name))
-            elif fallback is _MISSING:
-                missing.append(name)
-            elif fallback.__class__ is _Field:
-                bound.append(fallback.default_factory())
-            else:
-                bound.append(fallback)
-        for name in kwargs:
-            if name in names:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if missing:
-            raise TypeError(f"{where} missing required arguments: "
-                            + ", ".join(map(repr, missing)))
-        return bound
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = bind(args, kwargs)
-        for i, name in indexed:
-            setattr_(self, name, args[i])
-        if post_init is not None:
-            post_init(self)
-
-    values = _tuple_getter(attrgetter, names)
+        params.append(param)
+    body += [f"    __setattr(self, {name!r}, {name})\n" for name in names]
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init"] = cls.__post_init__
+        body.append("    __post_init(self)\n")
+    exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}", namespace)
+    __init__ = namespace["__init__"]
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    if len(names) > 1:
+        values = attrgetter(*names)
+    elif names:   # attrgetter of one name returns the bare value, not a 1-tuple
+        get = attrgetter(*names)
+        values = lambda obj: (get(obj),)
+    else:
+        values = lambda obj: ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -378,33 +378,33 @@ def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:
     """Search an involution rho mapping each index set onto a block's variable range.
 
     Returns (rho images, pi block pairing, symmetric) or None.  Tries the
-    identity block pairing first, then all size-compatible pairings.
+    size-compatible block pairings in lexicographic order, so the identity
+    first, and stops at the first that admits a rho; the pairings are
+    generated one at a time, never all k! of them.
     """
-    n, k = spec.n, spec.k
     diag = weights.diagonal
-    owner_set = {}
-    for q, blk in enumerate(spec.blocks, start=1):
-        for i in blk.index_set:
-            owner_set[i] = q
-    ranges = {q: set(spec.block_range(q)) for q in range(1, k + 1)}
-
-    sizes_ok = []
-    for perm in itertools.permutations(range(1, k + 1)):
-        if all(len(spec.blocks[q - 1].index_set) == spec.taus[perm[q - 1] - 1]
-               for q in range(1, k + 1)):
-            sizes_ok.append(perm)
-    sizes_ok.sort(key=lambda p: (p != tuple(range(1, k + 1)), p))
-
-    for pi in sizes_ok:
-        allowed = {}
-        for i in range(1, n + 1):
-            targets = ranges[pi[owner_set[i] - 1]]
-            allowed[i] = {j for j in targets if diag[j - 1] == diag[i - 1]
-                          and i in ranges[pi[owner_set[j] - 1]]}
-        rho = _involution_matching(n, allowed)
-        if rho is not None:
-            return PermutationMap(rho), pi, _weighted_symmetric(rho, diag)
+    for pi in itertools.permutations(range(1, spec.k + 1)):
+        if all(len(blk.index_set) == spec.taus[p - 1] for blk, p in zip(spec.blocks, pi)):
+            rho = _involution_matching(spec.n, _allowed_images(spec, pi, diag))
+            if rho is not None:
+                return PermutationMap(rho), pi, _weighted_symmetric(rho, diag)
     return None
+
+
+def _allowed_images(spec: CISpec, pi: tuple[int, ...],
+                    diag: tuple[int, ...]) -> dict[int, set[int]]:
+    """allowed[i] under the block pairing pi: the j of i's weight in i's target range
+    (the range of block pi[q] for i in block q's index set) whose target range holds i.
+
+    The sets come from one index of the variables by (range, target range, weight).
+    """
+    target = {i: p for blk, p in zip(spec.blocks, pi) for i in blk.index_set}
+    range_of = {j: q for q in range(1, spec.k + 1) for j in spec.block_range(q)}
+    index: dict[tuple[int, int, int], set[int]] = {}
+    for j, r in range_of.items():
+        index.setdefault((r, target[j], diag[j - 1]), set()).add(j)
+    return {i: index.get((target[i], range_of[i], diag[i - 1]), set())
+            for i in range(1, spec.n + 1)}
 
 
 def _weighted_symmetric(rho: tuple[int, ...], diag: tuple[int, ...]) -> bool:

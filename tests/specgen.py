@@ -129,3 +129,16 @@ def oracle_specs(fixtures_dir) -> list[CISpec]:
     from mirrorkit.pipeline import generate_family
     return (generate_valid_specs(200) + [generate_family(m) for m in range(1, 13)]
             + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])
+
+
+def direct_sum(*specs) -> dict:
+    """The specs' blocks side by side on disjoint variables (specs as JSON dicts)."""
+    n = sum(d["n"] for d in specs)
+    blocks, offset = [], 0
+    for d in specs:
+        for blk in d["blocks"]:
+            blocks.append({"exponents": [[0] * offset + row + [0] * (n - offset - d["n"])
+                                         for row in blk["exponents"]],
+                           "index_set": [i + offset for i in blk["index_set"]]})
+        offset += d["n"]
+    return {"n": n, "k": sum(d["k"] for d in specs), "blocks": blocks}

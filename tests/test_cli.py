@@ -390,3 +390,18 @@ def test_malformed_spec_no_traceback(tmp_path):
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == ("invalid specification: "
                              "blocks[0].exponents[1][1]: expected an integer, got 2.5\n")
+
+
+def test_deeply_nested_json_is_one_line_and_exit_one(tmp_path):
+    # json.load raises RecursionError on nesting past the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for command in (c for c in cli.COMMANDS if c != "family"):
+        code, out, err = run_in_process(command, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("cannot read specification: ") and err.count("\n") == 1
+    result = run_module("mirrorkit", "verify", "--input", str(path))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("cannot read specification: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")

@@ -28,27 +28,14 @@ from mirrorkit import cli  # noqa: E402
 from mirrorkit.pipeline import generate_family  # noqa: E402
 from mirrorkit.poincare import SERIES_TERM_CAP  # noqa: E402
 
-from specgen import generate_valid_specs  # noqa: E402
+from specgen import direct_sum, generate_valid_specs  # noqa: E402
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mirrorkit" / "fixtures"
 
 
-def _direct_sum(*specs) -> dict:
-    """The specs' blocks side by side on disjoint variables."""
-    n = sum(d["n"] for d in specs)
-    blocks, offset = [], 0
-    for d in specs:
-        for blk in d["blocks"]:
-            blocks.append({"exponents": [[0] * offset + row + [0] * (n - offset - d["n"])
-                                         for row in blk["exponents"]],
-                           "index_set": [i + offset for i in blk["index_set"]]})
-        offset += d["n"]
-    return {"n": n, "k": sum(d["k"] for d in specs), "blocks": blocks}
-
-
 QUADRIC = json.loads((FIXTURES / "derived_quadric.json").read_text())
 BASES = ([json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
-         + [generate_family(2).to_json(), _direct_sum(QUADRIC, QUADRIC, QUADRIC)]
+         + [generate_family(2).to_json(), direct_sum(QUADRIC, QUADRIC, QUADRIC)]
          + [spec.to_json() for spec in generate_valid_specs(200)[:8]])
 COMMANDS = [c for c in cli.COMMANDS if c != "family"]
 JUNK = st.sampled_from([None, True, 1.5, "1", [], {}, -1, 0])

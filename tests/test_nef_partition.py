@@ -28,7 +28,14 @@ from mirrorkit.nef_partition import (
     solve_dual_partition,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
-from mirrorkit.rational_linalg import Matrix, invert, pivot_columns, rank, solve_den
+from mirrorkit.rational_linalg import (
+    Matrix,
+    integer_kernel,
+    invert,
+    pivot_columns,
+    rank,
+    solve_den,
+)
 from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
 from oracles import support_phi
@@ -135,6 +142,23 @@ def test_coordinate_section_is_the_pivot_columns_of_the_kernel_basis(fixtures_di
         weights = derive_weights(spec)
         assert coordinate_section(weights) == _pivot_section(_kernel_basis(weights))
     assert len(specs) == 216
+
+
+def test_kernel_basis_is_the_integer_kernel_of_the_weights(fixtures_dir):
+    # the closed form against the elimination it replaces, on both sides of
+    # every spec whose transposition succeeds
+    specs, checked = oracle_specs(fixtures_dir), 0
+    for spec in specs:
+        pair = MirrorPair(spec)
+        sides = [pair.weights]
+        try:
+            sides.append(pair.tweights)
+        except TranspositionError:
+            pass
+        for weights in sides:
+            assert _kernel_basis(weights) == tuple(integer_kernel(Matrix(weights.vectors)))
+            checked += 1
+    assert len(specs) == 216 and checked == 216 + 76
 
 
 def _transported_target(spec, tr) -> Matrix:

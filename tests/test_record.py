@@ -7,11 +7,14 @@ evaluated annotations, where those of ``src`` are strings.
 """
 
 import dataclasses
+import inspect
+import sys
 from functools import cached_property
 
 import pytest
 
 from mirrorkit import record
+from mirrorkit.pipeline import Stage
 
 
 def define(decorate, field):
@@ -102,6 +105,67 @@ def test_construction_repr_eq_and_hash(name, args, kwargs):
     if outcome(lambda: hash(d))[0] == "ok":
         assert hash(r) == hash(fields(d))
     assert (r == d) is False  # a record never equals the dataclass of the same shape
+
+
+def bare_signature(fn):
+    """fn's signature without annotations: dataclasses annotates its __init__, record does not."""
+    sig = inspect.signature(fn)
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_init_signature(name):
+    # parameter names, kinds and defaults, "<factory>" for a default_factory;
+    # the generic binder this replaced showed (*args, **kwargs)
+    d, r = ORACLE[name], RECORD[name]
+    assert bare_signature(r.__init__) == bare_signature(d.__init__)
+    assert bare_signature(r) == bare_signature(d)
+    assert r.__init__.__qualname__ == f"{r.__qualname__}.__init__"
+
+
+def define_stage(decorate, field):
+    @decorate
+    class Stage:
+        name: str
+        ok: bool
+        flags: dict = field(default_factory=dict)
+        notes: list = field(default_factory=list)
+        payload: dict = field(default_factory=dict)
+    return Stage
+
+
+def test_keywords_after_a_factory_field_left_out():
+    # Stage(name, ok, payload=...) as run_verify builds it: flags and notes
+    # come from their factories, one new object per instance
+    d_cls = define_stage(dataclasses.dataclass(frozen=True), dataclasses.field)
+    r_cls = define_stage(record.record, record.field)
+    assert bare_signature(r_cls) == bare_signature(d_cls)
+    calls = [(("x", True), {"payload": {"a": 1}}), (("x",), {"ok": False, "notes": ["n"]}),
+             ((), {"payload": {}, "name": "x", "ok": True}),
+             (("x",), {"payload": {}}), (("x", True), {"flags": {}, "ok": True})]
+    for args, kwargs in calls:
+        made = outcome(lambda: d_cls(*args, **kwargs))
+        got = outcome(lambda: r_cls(*args, **kwargs))
+        assert got[0] == made[0]
+        if made[0] == "raises":
+            assert got == made
+        else:
+            assert repr(got[1]) == repr(made[1])
+    a, b = r_cls("x", True, payload={}), r_cls("x", True, payload={})
+    assert a.flags == {} and a.notes == [] and a.flags is not b.flags and a.notes is not b.notes
+    stage = Stage("cayley", True, payload={"rows": 2})
+    assert (stage.flags, stage.notes, stage.payload) == ({}, [], {"rows": 2})
+
+
+def test_generated_init_leaves_the_instance_dict_alone():
+    import mirrorkit.cli  # noqa: F401  (defines every value class)
+    classes = {obj for name, mod in list(sys.modules.items()) if name.startswith("mirrorkit.")
+               for obj in vars(mod).values() if isinstance(obj, type) and "_fields" in vars(obj)}
+    assert len(classes) == 27
+    for cls in [*classes, *RECORD.values()]:
+        assert "__dict__" not in cls.__init__.__code__.co_names
 
 
 def test_eq_is_not_implemented_across_classes():

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +34,7 @@ from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import verify_duality
 
 from oracles import right_kernel
-from specgen import generate_valid_specs, oracle_specs
+from specgen import direct_sum, generate_valid_specs, oracle_specs
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
@@ -204,6 +206,62 @@ def test_find_rho_on_a_thousand_variables():
         index_set=tuple(range(1, n + 1))),))
     rho, pi, symmetric = find_rho(spec, WeightSystem(((1,) * n,)))
     assert rho.is_identity() and pi == (1,) and symmetric
+
+
+def test_find_rho_generates_one_pairing_on_eight_quadrics(fixtures_dir, monkeypatch):
+    # the identity pairing admits a rho, and the pairings are generated one at
+    # a time, so none of the other 8! - 1 = 40,319 is built
+    quadric = json.loads((fixtures_dir / "derived_quadric.json").read_text())
+    spec = CISpec.from_json(direct_sum(*[quadric] * 8))
+    generated = []
+
+    def counted(*args):
+        for pi in itertools.permutations(*args):
+            generated.append(pi)
+            yield pi
+
+    monkeypatch.setattr(transposition, "itertools", SimpleNamespace(permutations=counted))
+    rho, pi, symmetric = find_rho(spec, derive_weights(spec))
+    assert pi == tuple(range(1, 9)) and len(generated) == 1
+    assert rho.is_identity() and symmetric
+
+
+def _allowed_by_scan(spec, pi, diag):
+    """Oracle: allowed[i] by scanning all of i's target range, for each i."""
+    owner_set = {i: q for q, blk in enumerate(spec.blocks, start=1) for i in blk.index_set}
+    ranges = {q: set(spec.block_range(q)) for q in range(1, spec.k + 1)}
+    return {i: {j for j in ranges[pi[owner_set[i] - 1]] if diag[j - 1] == diag[i - 1]
+                and i in ranges[pi[owner_set[j] - 1]]}
+            for i in range(1, spec.n + 1)}
+
+
+def test_allowed_images_match_the_scan_and_rho_the_sorted_search(fixtures_dir):
+    # on both sides of every transposable spec, under every size-compatible
+    # pairing; the first pairing that admits a rho, with the pairings sorted
+    # identity first and then lexicographically, is the one find_rho returns
+    checked = 0
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            pair.tr
+        except transposition.TranspositionError:
+            continue
+        for side in (pair, pair.mirror):
+            s, diag = side.spec, side.weights.diagonal
+            identity = tuple(range(1, s.k + 1))
+            pairings = sorted((pi for pi in itertools.permutations(identity)
+                               if all(len(s.blocks[q - 1].index_set) == s.taus[pi[q - 1] - 1]
+                                      for q in identity)),
+                              key=lambda p: (p != identity, p))
+            first = None
+            for pi in pairings:
+                expected = _allowed_by_scan(s, pi, diag)
+                assert transposition._allowed_images(s, pi, diag) == expected
+                if first is None and transposition._involution_matching(s.n, expected):
+                    first = pi
+            assert (side.rho and side.rho[1]) == first
+            checked += 1
+    assert checked == 152  # both sides of the 76 transposable specs
 
 
 def _g_rho_symmetric(rho, diag):
