@@ -315,9 +315,6 @@ class ValidationReport:
     def hard_ok(self) -> bool:
         return all(self.checks.get(name, False) for name in self.HARD)
 
-    def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, passed in self.checks.items() if not passed)
-
     def to_json(self) -> dict:
         return {
             "checks": dict(self.checks),

@@ -3,10 +3,11 @@
     mirrorkit <command> --input spec.json [--format json|text] [--order N] [--strict]
 
 Commands run one pipeline stage or the full verification chain on a
-specification file.  Output is deterministic: identical input bytes give
-identical output bytes.  Exit codes: 0 all hard checks pass (and soft ones
-too under --strict), 1 invalid specification, 2 a condition flag failed in
-strict mode, 3 internal inconsistency.
+specification file, each a view of one `pipeline.MirrorPair`.  Output is
+deterministic: identical input bytes give identical output bytes.  Exit codes:
+0 all hard checks pass (and soft ones too under --strict), 1 invalid
+specification, 2 under --strict a soft failure `verify` lists for the stage
+(`pipeline.soft_failures`), 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from . import ci_model, horn_system, mellin, nef_partition, pipeline, poincare, 
 from .ci_model import CISpec
 from .rational_linalg import SingularMatrixError
 
-COMMANDS = ("validate", "weights", "cayley", "transpose", "mellin",
-            "horn", "poincare", "nef", "verify", "family")
-
 
 def _dump(data: dict, out) -> None:
     json.dump(data, out, indent=2, sort_keys=True)
@@ -31,6 +29,12 @@ def _dump(data: dict, out) -> None:
 def _write_flags(flags: dict[str, bool], out) -> None:
     for name, value in flags.items():
         out.write(f"{'PASS' if value else 'FAIL'}  {name}\n")
+
+
+def _strict_exit(args, stage: str, flags: dict[str, bool]) -> int:
+    """Exit 2 under --strict when the stage's flags hold a soft failure, else 0."""
+    failed = args.strict and pipeline.soft_failures(stage, flags)
+    return pipeline.EXIT_SOFT_FAILURE if failed else pipeline.EXIT_OK
 
 
 def _cmd_validate(pair, args, out):
@@ -43,10 +47,7 @@ def _cmd_validate(pair, args, out):
             out.write(f"note: {note}\n")
     if not report.hard_ok:
         return pipeline.EXIT_INVALID
-    soft_bad = [n for n in ci_model.ValidationReport.SOFT if not report.checks.get(n, True)]
-    if args.strict and soft_bad:
-        return pipeline.EXIT_SOFT_FAILURE
-    return pipeline.EXIT_OK
+    return _strict_exit(args, "validate", report.checks)
 
 
 def _cmd_weights(pair, args, out):
@@ -80,18 +81,14 @@ def _cmd_transpose(pair, args, out):
         _dump(tr.tspec.to_json(), out)
         out.write(f"nu: {tr.nu.to_json()}\n")
         _write_flags(tr.condition_flags, out)
-    if args.strict and not all(tr.condition_flags.values()):
-        return pipeline.EXIT_SOFT_FAILURE
-    return pipeline.EXIT_OK
+    return _strict_exit(args, "transpose", tr.condition_flags)
 
 
 def _cmd_mellin(pair, args, out):
-    cm, tr, forms = pair.cm, pair.tr, pair.forms
-    lemma = mellin.lemma_form(cm, forms)
-    xi = mellin.factorize_xi(tr, forms, pair.tweights)
-    t31, product = mellin.verify_theorem_31(tr, xi, forms, pair.tcharges, lemma)
+    pair.tr   # the transposition's errors come first
+    lemma, xi, (t31, product) = pair.lemma, pair.xi, pair.theorem31
     data = {
-        "delta": mellin.compute_delta(forms),
+        "delta": mellin.compute_delta(pair.forms),
         "plain_product": lemma.to_json(),
         "factorized_product": product.to_json(),
         "theorem": t31.to_json(),
@@ -111,12 +108,10 @@ def _cmd_mellin(pair, args, out):
 
 
 def _cmd_horn(pair, args, out):
-    spec = pair.spec
-    ops = horn_system.horn_operators(spec, pair.forms)
+    ops, pairs = pair.horn, pair.char_polys
     tw, tq = pair.tweights, pair.tcharges
-    pairs = [horn_system.char_polys(tw, tq, q) for q in range(1, spec.k + 1)]
     restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
-                  for q in range(1, spec.k + 1)]
+                  for q in range(1, pair.spec.k + 1)]
     sym = horn_system.symmetry_report(pair.effective_weights, pair.charges, tw, tq)
     m_function = poincare.poincare_structure(tw, tq)
     data = {
@@ -141,9 +136,7 @@ def _cmd_horn(pair, args, out):
 
 def _cmd_poincare(pair, args, out):
     # the transposed data is read first, so a transposition error comes first
-    duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                      pair.recovered_data)
-    ratio = pair.structure_ratio
+    duality, ratio = pair.duality, pair.structure_ratio
     series = poincare.series_expand(ratio, args.order)
     table = sorted([list(e) + [c] for e, c in series.items()])
     data = {
@@ -159,15 +152,12 @@ def _cmd_poincare(pair, args, out):
             coeffs = poincare.series_coefficients_1d(series, args.order)
             out.write(f"series to order {args.order}: {coeffs}\n")
         _write_flags(duality.identities, out)
-    if args.strict and not duality.ok:
-        return pipeline.EXIT_SOFT_FAILURE
-    return pipeline.EXIT_OK
+    return _strict_exit(args, "duality", duality.identities)
 
 
 def _cmd_nef(pair, args, out):
-    tr, cm, forms = pair.tr, pair.cm, pair.forms
-    nef = nef_partition.solve_dual_partition(pair.spec, tr, pair.weights, pair.tweights)
-    magic = nef_partition.magic_square_check(cm, forms)
+    pair.tr, pair.forms   # a transposition, then a singular matrix, fails before nef
+    nef, magic = pair.nef, pair.magic
     data = {"nef": nef.to_json(), "magic_square": magic.to_json()}
     if args.format == "json":
         _dump(data, out)
@@ -175,9 +165,7 @@ def _cmd_nef(pair, args, out):
         _write_flags(nef.flags, out)
         out.write(f"P =\n{nef.p_matrix}\n")
         out.write(f"magic square: {'found' if magic.found else 'not found'}\n")
-    if args.strict and not all(nef.flags.values()):
-        return pipeline.EXIT_SOFT_FAILURE
-    return pipeline.EXIT_OK
+    return _strict_exit(args, "nef", nef.flags)
 
 
 def _render_verify_text(report, out) -> None:
@@ -213,6 +201,12 @@ def _cmd_verify(pair, args, out):
     else:
         _render_verify_text(report, out)
     return report.exit_code(args.strict)
+
+
+HANDLERS = {"validate": _cmd_validate, "weights": _cmd_weights, "cayley": _cmd_cayley,
+            "transpose": _cmd_transpose, "mellin": _cmd_mellin, "horn": _cmd_horn,
+            "poincare": _cmd_poincare, "nef": _cmd_nef, "verify": _cmd_verify}
+COMMANDS = (*HANDLERS, "family")
 
 
 def main(argv=None) -> int:
@@ -254,19 +248,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
 
-    handler = {
-        "validate": _cmd_validate,
-        "weights": _cmd_weights,
-        "cayley": _cmd_cayley,
-        "transpose": _cmd_transpose,
-        "mellin": _cmd_mellin,
-        "horn": _cmd_horn,
-        "poincare": _cmd_poincare,
-        "nef": _cmd_nef,
-        "verify": _cmd_verify,
-    }[args.command]
     try:
-        return handler(pipeline.MirrorPair(spec), args, sys.stdout)
+        return HANDLERS[args.command](pipeline.MirrorPair(spec), args, sys.stdout)
     except transposition.InternalInvariantError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL

@@ -81,10 +81,6 @@ class ZForm:
         return ZForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
                      self.const + other.const)
 
-    def __sub__(self, other: "ZForm") -> "ZForm":
-        return ZForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                     self.const - other.const)
-
     def scale(self, c) -> "ZForm":
         c = Fraction(c)
         return ZForm(tuple(c * a for a in self.coeffs), c * self.const)

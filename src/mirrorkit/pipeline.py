@@ -8,8 +8,9 @@ duality chain and supplied-weight consistency are soft as well, since a
 bad annotation should be reported, not crash the run.  Strict mode turns
 soft failures into a nonzero exit.
 
-Every stage reads one MirrorPair, which builds each derived object of a
-run once, on first use.
+Every stage reads one MirrorPair, which builds each derived object and
+stage result of a run once, on first use; `run_verify` and the CLI commands
+are views of one pair, and `soft_failures` is their one soft-failure rule.
 """
 
 from __future__ import annotations
@@ -195,6 +196,57 @@ class MirrorPair:
         weights = WeightSystem(tuple(self.recovered.weights[m] for m in self.block_match))
         return weights, ci_model.charges(self.spec, weights)
 
+    # the stage results, wired here once for run_verify and the CLI commands
+    @cached_property
+    def lemma(self) -> mellin.GammaProduct:
+        """The plain Gamma product."""
+        return mellin.lemma_form(self.cm, self.forms)
+
+    @cached_property
+    def xi(self) -> mellin.XiFactorization:
+        return mellin.factorize_xi(self.tr, self.forms, self.tweights)
+
+    @cached_property
+    def theorem31(self) -> tuple[mellin.Theorem31Report, mellin.GammaProduct]:
+        """Theorem 3.1's report and the factorized product; a plain-product error comes first."""
+        lemma = self.lemma
+        return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges, lemma)
+
+    @cached_property
+    def horn(self) -> tuple[horn_system.HornOperator, ...]:
+        return horn_system.horn_operators(self.spec, self.forms)
+
+    @cached_property
+    def char_polys(self) -> tuple[horn_system.CharPolyPair, ...]:
+        """Per grading q, the characteristic polynomials of the transposed data."""
+        return tuple(horn_system.char_polys(self.tweights, self.tcharges, q)
+                     for q in range(1, self.spec.k + 1))
+
+    @cached_property
+    def duality(self) -> poincare.DualityReport:
+        return poincare.verify_duality(self.tweights, self.tcharges, self.structure_ratio,
+                                       self.recovered_data)
+
+    @cached_property
+    def nef(self) -> nef_partition.NefPartitionData:
+        return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights, self.tweights)
+
+    @cached_property
+    def magic(self) -> nef_partition.MagicSquareReport:
+        return nef_partition.magic_square_check(self.cm, self.forms)
+
+
+# per stage, the flags whose failure is a soft failure (empty: every flag); the
+# other nef flags (five_six_*, lemma52_*, integral_P_*) are informational
+SOFT_FLAGS = {"validate": ci_model.ValidationReport.SOFT, "transpose": (), "duality": (),
+              "nef": ("phi_kronecker", "cone_pairings_nonnegative", "minkowski_dim")}
+
+
+def soft_failures(stage: str, flags: dict[str, bool]) -> list[str]:
+    """The soft failures among a stage's flags: what `verify` lists, and `--strict` fails on."""
+    return [f"{stage}: {name}" for name in (SOFT_FLAGS[stage] or flags)
+            if not flags.get(name, True)]
+
 
 @record
 class Stage:
@@ -242,15 +294,11 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     pair = MirrorPair(spec)
     report = ci_model.validate(spec, pair)
-    stage = Stage("validate", report.hard_ok,
-                  flags=dict(report.checks), notes=list(report.notes),
-                  payload=report.to_json())
-    stages.append(stage)
+    stages.append(Stage("validate", report.hard_ok, flags=dict(report.checks),
+                        notes=list(report.notes), payload=report.to_json()))
     if not report.hard_ok:
         return PipelineReport(stages, False, soft)
-    for name in ci_model.ValidationReport.SOFT:
-        if not report.checks.get(name, True):
-            soft.append(f"validate: {name}")
+    soft += soft_failures("validate", report.checks)
 
     try:
         cm = pair.cm
@@ -265,9 +313,7 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         tr = pair.tr
         stages.append(Stage("transpose", True, flags=dict(tr.condition_flags),
                             notes=list(tr.notes), payload=tr.to_json()))
-        for name, value in tr.condition_flags.items():
-            if not value:
-                soft.append(f"transpose: {name}")
+        soft += soft_failures("transpose", tr.condition_flags)
         if not pair.involutive:
             soft.append("transpose: double transposition does not return home")
     except transposition.TranspositionError as exc:
@@ -276,30 +322,23 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         soft.append(f"transpose: {exc}")
 
     forms = pair.forms
-    delta = mellin.compute_delta(forms)
     sums = mellin.check_sum_rules(forms)
     try:
         tags = mellin.classify_forms(cm, forms)
-        classify_ok = True
+        stages.append(Stage("forms", sums.ok, flags=dict(sums.checks),
+                            payload={"delta": mellin.compute_delta(forms),
+                                     "forms": [f.to_json() for f in forms],
+                                     "xi": [str(f.xi()) for f in forms],
+                                     "tags": list(tags)}))
+        hard_ok &= sums.ok
     except mellin.ClassificationFailureError as exc:
-        tags = ()
-        classify_ok = False
         stages.append(Stage("forms", False, notes=[str(exc)]))
-    if classify_ok:
-        stage = Stage("forms", sums.ok,
-                      flags=dict(sums.checks),
-                      payload={"delta": delta,
-                               "forms": [f.to_json() for f in forms],
-                               "xi": [str(f.xi()) for f in forms],
-                               "tags": list(tags)})
-        stages.append(stage)
-    hard_ok &= sums.ok and classify_ok
+        hard_ok = False
 
     try:
-        lemma = mellin.lemma_form(cm, forms)
+        lemma = pair.lemma
         stages.append(Stage("mellin-plain", True,
-                            payload={"product": lemma.to_json(),
-                                     "display": str(lemma)}))
+                            payload={"product": lemma.to_json(), "display": str(lemma)}))
     except mellin.LemmaShapeViolationError as exc:
         lemma = None
         stages.append(Stage("mellin-plain", False, notes=[str(exc)]))
@@ -307,8 +346,7 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     if tr is not None and lemma is not None:
         try:
-            xi = mellin.factorize_xi(tr, forms, pair.tweights)
-            t31, theorem_product = mellin.verify_theorem_31(tr, xi, forms, pair.tcharges, lemma)
+            xi, (t31, theorem_product) = pair.xi, pair.theorem31
             flags = {"factorizable": True, **t31.to_json()}
             flags.pop("block_to_z")
             flags.pop("symbolic")
@@ -329,7 +367,7 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
             soft.append(f"mellin: {exc}")
 
     try:
-        ops = horn_system.horn_operators(spec, forms)
+        ops = pair.horn
         degrees = [op.degrees for op in ops]
         degree_ok = all(p == q for p, q in degrees)
         stages.append(Stage("horn", degree_ok,
@@ -341,40 +379,34 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         hard_ok = False
 
     if tr is not None:
-        pairs = [horn_system.char_polys(pair.tweights, pair.tcharges, q)
-                 for q in range(1, spec.k + 1)]
+        pairs = pair.char_polys
         chi_ok = all(len(p.at_zero) == len(p.at_infinity) for p in pairs)
         stages.append(Stage("char-polys", chi_ok,
                             payload={"pairs": [p.to_json() for p in pairs]}))
         hard_ok &= chi_ok
 
-        duality = poincare.verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                          pair.recovered_data)
+        duality = pair.duality
         stages.append(Stage("duality", True, flags=dict(duality.identities),
                             notes=list(duality.notes),
                             payload=duality.to_json()))
-        for name, value in duality.identities.items():
-            if not value:
-                soft.append(f"duality: {name}")
+        soft += soft_failures("duality", duality.identities)
 
         if spec.k == 1:
             stages[-1].payload["structure_series"] = poincare.series_coefficients_1d(
                 poincare.series_expand(pair.structure_ratio, order), order)
 
         try:
-            nef = nef_partition.solve_dual_partition(spec, tr, pair.weights, pair.tweights)
+            nef = pair.nef
             stages.append(Stage("nef", True, flags=dict(nef.flags),
                                 notes=list(nef.notes), payload=nef.to_json()))
-            for name in ("phi_kronecker", "cone_pairings_nonnegative", "minkowski_dim"):
-                if not nef.flags.get(name, False):
-                    soft.append(f"nef: {name}")
+            soft += soft_failures("nef", nef.flags)
         except nef_partition.NefError as exc:
             stages.append(Stage("nef", True, flags={"solvable": False}, notes=[str(exc)]))
             soft.append(f"nef: {exc}")
 
     # found/not-found is a property report, not a condition flag: absence is a
     # fact about the spec, not a failed hypothesis
-    magic = nef_partition.magic_square_check(cm, forms)
+    magic = pair.magic
     stages.append(Stage("magic-square", True, flags={"found": magic.found},
                         payload=magic.to_json()))
 

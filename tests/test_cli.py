@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from mirrorkit import cli, horn_system, poincare
-from mirrorkit.pipeline import generate_family
+from mirrorkit.pipeline import generate_family, run_verify, soft_failures
+from specgen import oracle_specs
 
 PKG_ROOT = Path(__file__).parent.parent
-# Every --input command in both formats on every fixture, pinned by the
-# SHA-256 of stdout and the exit code (the outputs total about 600 KB, too
-# much to keep as text goldens).
+# Every --input command in both formats on every fixture, and in text with
+# --strict, pinned by the SHA-256 of stdout and the exit code (the outputs
+# total about 600 KB, too much to keep as text goldens).
 CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
@@ -340,19 +341,54 @@ def test_python_m_mirrorkit_runs_the_cli():
     assert result.stdout == run_cli("family", "--m", "3").stdout
 
 
-def cli_case_digest(command: str, fmt: str, name: str) -> dict:
-    """SHA-256 of what `mirrorkit <command> --format <fmt>` prints for a fixture."""
+def cli_case_digest(command: str, fmt: str, name: str, *flags: str) -> dict:
+    """SHA-256 of what `mirrorkit <command> --format <fmt> <flags>` prints for a fixture."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([command, "--input", fixture(f"{name}.json"), "--format", fmt])
+        code = cli.main([command, "--input", fixture(f"{name}.json"), "--format", fmt, *flags])
     return {"sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
             "exit_code": code}
 
 
 @pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
 def test_cli_output_digest(case):
-    command, fmt, name = case.split()
-    assert cli_case_digest(command, fmt, name) == CLI_DIGESTS[case]
+    assert cli_case_digest(*case.split()) == CLI_DIGESTS[case]
+
+
+@pytest.mark.parametrize("command, stage", [("validate", "validate"), ("transpose", "transpose"),
+                                            ("poincare", "duality"), ("nef", "nef")])
+def test_strict_fails_on_the_soft_failures_verify_lists(tmp_path, fixtures_dir, command, stage):
+    # verify is the oracle: a command's --strict exits 2 exactly when verify
+    # lists a soft failure among the flags of the command's stage
+    specs = oracle_specs(fixtures_dir)
+    outcomes = []
+    for i, spec in enumerate(specs[::7] + specs[-4:]):
+        report = run_verify(spec)
+        flags = next((s.flags for s in report.stages if s.name == stage), {})
+        if not flags or "transposable" in flags or "solvable" in flags:
+            continue   # not reached, or the command stops with a precondition error
+        listed = [f for f in report.soft_failures if f in {f"{stage}: {n}" for n in flags}]
+        assert listed == soft_failures(stage, flags)
+        path = tmp_path / f"spec_{i}.json"
+        path.write_text(json.dumps(spec.to_json()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--input", str(path)]) == 0
+            code = cli.main([command, "--input", str(path), "--strict"])
+        assert code == (2 if listed else 0)
+        outcomes.append(code)
+    assert len(outcomes) >= 15   # 18 of the 35 specs reach each of these stages
+
+
+def test_nef_informational_flags_are_not_soft_failures():
+    # five_six_2_own_vertex is false on every spec that reaches nef, the
+    # self-mirror quadric included; it, lemma52_* and integral_P_* only inform
+    flags = {"minkowski_dim": True, "integral_P_section": False, "phi_kronecker": True,
+             "cone_pairings_nonnegative": True, "five_six_2_own_vertex": False,
+             "lemma52_G_identity": False}
+    assert soft_failures("nef", flags) == []
+    assert soft_failures("nef", {**flags, "phi_kronecker": False}) == ["nef: phi_kronecker"]
+    assert soft_failures("duality", {"a": True, "b": False, "c": False}) == \
+        ["duality: b", "duality: c"]
 
 
 QUADRIC_BLOCK = {"exponents": [[2, 0], [0, 2]], "index_set": [1, 2]}

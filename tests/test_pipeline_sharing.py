@@ -6,8 +6,10 @@ module, so a builder is counted by rebinding it in every mirrorkit module.
 
 import contextlib
 import io
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,21 @@ def test_run_verify_searches_rho_three_times(monkeypatch, m):
     monkeypatch.setattr(transposition, "find_rho", counted)
     run_verify(generate_family(m))
     assert len(searched) == 3
+
+
+STAGE_FUNCTIONS = ("lemma_form", "factorize_xi", "verify_theorem_31", "horn_operators",
+                   "char_polys", "verify_duality", "solve_dual_partition", "magic_square_check")
+
+
+@pytest.mark.parametrize("name", STAGE_FUNCTIONS)
+def test_each_stage_is_wired_once(name):
+    # run_verify and the CLI commands read the MirrorPair property that calls
+    # the stage function; nothing else in the package calls it
+    src = Path(cli.__file__).parent
+    calls = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if re.search(rf"\b{name}\(", line) and not line.lstrip().startswith("def ")]
+    assert len(calls) == 1 and calls[0][0] == "pipeline.py", calls
 
 
 @pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])
