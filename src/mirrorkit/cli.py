@@ -7,18 +7,24 @@ specification file, each a view of one `pipeline.MirrorPair`.  Output is
 deterministic: identical input bytes give identical output bytes.  Exit codes:
 0 all hard checks pass (and soft ones too under --strict), 1 invalid
 specification, 2 under --strict a soft failure `verify` lists for the stage
-(`pipeline.soft_failures`), 3 internal inconsistency.
+(`pipeline.soft_failures`), 3 internal inconsistency, 141 (128 + SIGPIPE, the
+status a shell shows for a process that SIGPIPE ended) the reader closed
+stdout before the output was written, as `| head` does: the rest of the
+output is dropped, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ci_model, horn_system, mellin, nef_partition, pipeline, poincare, transposition
 from .ci_model import CISpec
 from .rational_linalg import SingularMatrixError
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _dump(data: dict, out) -> None:
@@ -210,6 +216,19 @@ COMMANDS = (*HANDLERS, "family")
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the interpreter's
+        # final flush cannot raise again (the recipe of the `signal` module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="mirrorkit",
         description="Exact verification of transposition mirror constructions.")

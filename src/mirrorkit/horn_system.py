@@ -8,13 +8,15 @@ expansion into a theta-polynomial is available but capped, since factored
 form is canonical and the examples reach degree 21.
 
 A form contributes Delta*|c| factors to a side, one per shift j, that
-differ only in j.  A side is therefore stored as runs (coeffs, const,
-count), one per form: a run stands for the factors
-const + j + sum_q coeffs_q * theta_q for j < count.  Building an operator
-is O(forms), its degree is the sum of the counts, and its JSON formats
-each run's coefficients once; the text form and the expansion walk the
-runs shift by shift.  The factor count of each side is bounded by
-``FACTOR_COUNT_CAP``, checked in integers before any run is built.
+differ only in j.  A side is therefore stored as runs (coeffs, const, den,
+count), one per form, in integers: the negated z-numerators and the
+constant numerator of the form's ZForm over its denominator.  A run stands
+for the factors (const + sum_q coeffs_q * theta_q) / den + j for j < count.
+Building an operator is O(forms), its degree is the sum of the counts, and
+its JSON formats each run's numerators once, with no Fraction; the text
+form and the expansion walk the runs shift by shift, as Fractions.  The
+factor count of each side is bounded by ``FACTOR_COUNT_CAP``, checked in
+integers before any run is built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
-from .rational_linalg import rat_str
+from .rational_linalg import rat_str, ratio_str
 from .record import record
 
 EXPANSION_DEGREE_CAP = 64
@@ -42,15 +44,17 @@ class FactorLimitError(HornError):
     """An operator side would have more than FACTOR_COUNT_CAP factors."""
 
 
-# (coeffs, const, count): the factors const + j + sum_q coeffs_q * theta_q for j < count
-Run = tuple[tuple[Fraction, ...], Fraction, int]
+# (coeffs, const, den, count): the factors (const + sum_q coeffs_q * theta_q) / den + j
+# for j < count, with integer coeffs and const over den > 0
+Run = tuple[tuple[int, ...], int, int, int]
 
 
 def _shifted(runs: tuple[Run, ...]):
-    """(coeffs, const + j) for every factor of the runs, in order."""
-    for coeffs, const, count in runs:
+    """(coeffs, const + j) as Fractions for every factor of the runs, in order."""
+    for coeffs, const, den, count in runs:
+        cs = tuple(Fraction(c, den) for c in coeffs)
         for j in range(count):
-            yield coeffs, const + j
+            yield cs, Fraction(const + j * den, den)
 
 
 def _factor_str(coeffs: tuple[Fraction, ...], total: Fraction) -> str:
@@ -72,9 +76,9 @@ def _factor_str(coeffs: tuple[Fraction, ...], total: Fraction) -> str:
 def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
     """One dict per factor; each run's coefficients and constant are formatted once."""
     out = []
-    for coeffs, const, count in runs:
-        cj = {f"th{q}": rat_str(c) for q, c in enumerate(coeffs, start=1) if c}
-        cs = rat_str(const)
+    for coeffs, const, den, count in runs:
+        cj = {f"th{q}": ratio_str(c, den) for q, c in enumerate(coeffs, start=1) if c}
+        cs = ratio_str(const, den)
         out.extend({"coeffs": dict(cj), "const": cs, "shift": j} for j in range(count))
     return out
 
@@ -91,7 +95,7 @@ class HornOperator:
 
     @property
     def degrees(self) -> tuple[int, int]:
-        return sum(r[2] for r in self.p_runs), sum(r[2] for r in self.q_runs)
+        return sum(r[3] for r in self.p_runs), sum(r[3] for r in self.q_runs)
 
     def expand(self, side: str) -> dict[tuple[int, ...], Fraction]:
         """Expanded theta-polynomial of one side; refuses degrees above the cap."""
@@ -164,11 +168,12 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
                                        f"exceed the cap of {FACTOR_COUNT_CAP}")
             counts.append(side)
         sides.append(counts)
-    xis = [form.xi() for form in forms]
-    negated = [tuple(-c for c in xi.coeffs) for xi in xis]
+    # per form, its run without the count: (negated z-numerators, const numerator, den)
+    heads = [(tuple(-c for c in xi.num[:-1]), xi.num[-1], xi.den)
+             for xi in (form.xi() for form in forms)]
 
     def runs(side) -> tuple[Run, ...]:
-        return tuple((negated[a - 1], xis[a - 1].const, b) for a, b in side)
+        return tuple((*heads[a - 1], b) for a, b in side)
 
     return tuple(HornOperator(q, runs(p_side), runs(q_side), delta)
                  for q, (p_side, q_side) in enumerate(sides, start=1))
@@ -194,19 +199,19 @@ def restricted_operator(tweights: WeightSystem, tcharges: ChargeMatrix,
     """
     k = tcharges.k
 
-    def axis(c: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) if i == nu - 1 else Fraction(0) for i in range(k))
+    def axis(c: int) -> tuple[int, ...]:
+        return tuple(c if i == nu - 1 else 0 for i in range(k))
 
-    left = tuple((axis(-g), Fraction(r), 1)
+    left = tuple((axis(-g), r, 1, 1)
                  for g in tweights.support_values(nu) for r in range(g))
     right_restricted = []
     right_full = []
     for q in range(1, k + 1):
         c = tcharges.entries[q - 1][nu - 1]
-        row = tuple(Fraction(tcharges.entries[q - 1][i]) for i in range(k))
+        row = tcharges.entries[q - 1]
         for r in range(c):
-            right_restricted.append((axis(c), Fraction(-r), 1))
-            right_full.append((row, Fraction(-r), 1))
+            right_restricted.append((axis(c), -r, 1, 1))
+            right_full.append((row, -r, 1, 1))
     return RestrictedOperator(
         nu=nu,
         restricted=HornOperator(nu, left, tuple(right_restricted), 1, variable="t"),

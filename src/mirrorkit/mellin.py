@@ -12,9 +12,12 @@ A form is a column of the inverse, which is integer rows over one
 denominator: the form keeps that column's integer numerators over its own
 least denominator, and Delta, the LCM of the form denominators, is the
 inverse's denominator.  The sum rules, the classification, the Horn counts
-and the magic square compare those integers scaled to Delta; Fractions
-appear only in the views a form builds on first read, and the run reads
-just xi(), k + 1 of them per form.
+and the magic square compare those integers scaled to Delta.  A Gamma
+argument (ZForm, a form's xi()) is integer numerators over one denominator
+as well, so the plain and factorized products, their sort order and
+Theorem 3.1's contraction are integer arithmetic, and a verify run builds no
+Fraction: the Fraction views of both kinds of form exist for the callers
+that read them, and are built only then.
 
 Gamma products are compared up to reflection: a denominator factor
 Gamma(1-x) and a numerator factor Gamma(x) differ by pi/sin(pi x), which is
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
-from .rational_linalg import Matrix, rat_parse, rat_str, ratio_str
+from .rational_linalg import _canonical, Matrix, rat_parse, ratio_str
 from .record import record
 from .transposition import TransposeResult
 
@@ -68,46 +71,68 @@ class IdentityViolatedError(MellinError):
 
 @record
 class ZForm:
-    """Affine form c0 + sum_q c_q z_q over the k deformation variables."""
+    """Affine form c_0 + sum_q c_q z_q over the k deformation variables.
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    Kept as integer numerators ``num = (c_1, ..., c_k, c_0)`` over one
+    positive denominator ``den``, canonical: gcd(den, every numerator) = 1,
+    so ``==`` and ``hash`` are structural.  Sums, scaling, reflection, the
+    sort order (sort_forms), str and JSON all work in these integers; the
+    Fraction views ``coeffs`` and ``const`` are built only when read.  The
+    constructor expects canonical num and den; reduced cancels a common
+    factor and from_coeffs builds a form from rational coefficients.
+    """
 
-    @property
-    def k(self) -> int:
-        return len(self.coeffs)
+    num: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def reduced(num: tuple[int, ...], den: int) -> "ZForm":
+        """num / den (den > 0) with the common factor of den and num cancelled."""
+        g = math.gcd(den, *num)
+        if g > 1:
+            return ZForm(tuple(x // g for x in num), den // g)
+        return ZForm(num, den)
+
+    @staticmethod
+    def from_coeffs(coeffs, const) -> "ZForm":
+        """The form with these int or Fraction coefficients and constant."""
+        xs = (*coeffs, const)
+        den = math.lcm(*(x.denominator for x in xs))
+        return ZForm(tuple(x.numerator * (den // x.denominator) for x in xs), den)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num[:-1])
+
+    @cached_property
+    def const(self) -> Fraction:
+        return Fraction(self.num[-1], self.den)
 
     def __add__(self, other: "ZForm") -> "ZForm":
-        return ZForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                     self.const + other.const)
+        d = math.lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return ZForm.reduced(tuple(a * x + b * y for x, y in zip(self.num, other.num)), d)
 
-    def scale(self, c) -> "ZForm":
-        c = Fraction(c)
-        return ZForm(tuple(c * a for a in self.coeffs), c * self.const)
+    def scale(self, p: int, q: int = 1) -> "ZForm":
+        """(p/q) * self, for integers p and q > 0."""
+        return ZForm.reduced(tuple(p * x for x in self.num), q * self.den)
 
     def reflect(self) -> "ZForm":
         """1 - self."""
-        return ZForm(tuple(-a for a in self.coeffs), 1 - self.const)
-
-    def sort_key(self):
-        return (self.const, self.coeffs)
+        return ZForm((*(-c for c in self.num[:-1]), self.den - self.num[-1]), self.den)
 
     @staticmethod
     def z(q: int, k: int) -> "ZForm":
-        return ZForm(tuple(Fraction(int(i == q - 1)) for i in range(k)), Fraction(0))
+        return ZForm((*(int(i == q - 1) for i in range(k)), 0))
 
     @staticmethod
     def one_minus_z(q: int, k: int) -> "ZForm":
         return ZForm.z(q, k).reflect()
 
     def __str__(self) -> str:
-        d = math.lcm(*(x.denominator for x in (self.const, *self.coeffs)))
-        terms = []
-        c0 = self.const * d
-        if c0:
-            terms.append(str(c0.numerator))
-        for q, c in enumerate(self.coeffs, start=1):
-            ci = int(c * d)
+        c0, d = self.num[-1], self.den
+        terms = [str(c0)] if c0 else []
+        for q, ci in enumerate(self.num[:-1], start=1):
             if ci == 0:
                 continue
             mag = abs(ci)
@@ -122,11 +147,27 @@ class ZForm:
         return f"({num})/{d}" if " " in num else f"{num}/{d}"
 
     def to_json(self) -> dict:
-        return {"coeffs": [rat_str(c) for c in self.coeffs], "const": rat_str(self.const)}
+        d = self.den
+        return {"coeffs": [ratio_str(c, d) for c in self.num[:-1]],
+                "const": ratio_str(self.num[-1], d)}
 
     @staticmethod
     def from_json(data: dict) -> "ZForm":
-        return ZForm(tuple(rat_parse(c) for c in data["coeffs"]), rat_parse(data["const"]))
+        return ZForm.from_coeffs(tuple(rat_parse(c) for c in data["coeffs"]),
+                                 rat_parse(data["const"]))
+
+
+def sort_forms(forms) -> tuple[ZForm, ...]:
+    """The forms ordered by (const, coeffs) as rationals: compared as integer
+    numerators over the LCM of their denominators."""
+    forms = tuple(forms)
+    d = math.lcm(*(f.den for f in forms))
+
+    def key(f: ZForm) -> tuple[int, ...]:
+        m = d // f.den
+        return (f.num[-1] * m, *[x * m for x in f.num[:-1]])
+
+    return tuple(sorted(forms, key=key))
 
 
 @record
@@ -188,7 +229,7 @@ class LinearForm:
     @cached_property
     def _xi(self) -> ZForm:
         z = len(self.num) - self.k
-        return ZForm(self._fractions(z, None), Fraction(sum(self.num[:z]), self.den))
+        return ZForm.reduced((*self.num[z:], sum(self.num[:z])), self.den)
 
     def xi(self) -> ZForm:
         """Specialization at i = 0, zeta = 0."""
@@ -234,7 +275,7 @@ class LinearForm:
 
 def _grouped(forms) -> list[tuple[ZForm, int]]:
     out: list[tuple[ZForm, int]] = []
-    for f in sorted(forms, key=ZForm.sort_key):
+    for f in sort_forms(forms):
         if out and out[-1][0] == f:
             out[-1] = (f, out[-1][1] + 1)
         else:
@@ -251,10 +292,9 @@ class GammaProduct:
     delta: int
     note: str = "up to a Delta-periodic factor"
 
-    def canonical_multiset(self) -> tuple[tuple, ...]:
+    def canonical_multiset(self) -> tuple[ZForm, ...]:
         """All arguments as numerator factors, denominators reflected through 1-x."""
-        forms = list(self.numerator) + [d.reflect() for d in self.denominator]
-        return tuple(sorted(f.sort_key() for f in forms))
+        return sort_forms((*self.numerator, *(d.reflect() for d in self.denominator)))
 
     def __str__(self) -> str:
         def side(forms):
@@ -407,8 +447,7 @@ def lemma_form(cm: CayleyMatrix, forms) -> GammaProduct:
             raise LemmaShapeViolationError(a, f"expected 1 - z{nu}")
     numerator = [ZForm.z(nu, k) for nu in range(1, k + 1)]
     numerator.extend(forms[j - 1].xi() for j in cm.i_lambda)
-    return GammaProduct(tuple(sorted(numerator, key=ZForm.sort_key)), (),
-                        compute_delta(forms))
+    return GammaProduct(sort_forms(numerator), (), compute_delta(forms))
 
 
 @record
@@ -447,7 +486,7 @@ def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactor
         group_rows = tuple(r for _, r in rows)
         factors = tuple(diag[v - 1] for v, _ in rows)
         base_row, base_factor = group_rows[0], factors[0]
-        xi_nu = forms[base_row - 1].xi().scale(Fraction(1, base_factor))
+        xi_nu = forms[base_row - 1].xi().scale(1, base_factor)
         for r, c in zip(group_rows, factors):
             if forms[r - 1].xi() != xi_nu.scale(c):
                 raise NotFactorizableError(
@@ -457,8 +496,10 @@ def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactor
         row_groups.append(group_rows)
 
     p_tilde = None
-    if all(sum(f.coeffs) == -f.const for f in xi_forms):
-        p_tilde = Matrix.from_rows([[-c for c in f.coeffs] for f in xi_forms])
+    if not any(sum(f.num) for f in xi_forms):   # every xi^(nu) vanishes at z = (1, ..., 1)
+        d = math.lcm(*(f.den for f in xi_forms))
+        p_tilde = _canonical(tuple(tuple(-c * (d // f.den) for c in f.num[:-1])
+                                   for f in xi_forms), d)
     return XiFactorization(tuple(xi_forms), tuple(factor_lists),
                            tuple(row_groups), p_tilde)
 
@@ -513,12 +554,15 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     alone.
     """
     k = tr.tspec.k
+    # the xi^(nu) numerators over their common denominator
+    den = math.lcm(*(f.den for f in xi.xi_forms))
+    scaled = [[x * (den // f.den) for x in f.num] for f in xi.xi_forms]
     block_to_z = []
     used = set()
     for q in range(1, k + 1):
-        d = ZForm(tuple(Fraction(0) for _ in range(k)), Fraction(0))
-        for nu in range(1, k + 1):
-            d = d + xi.xi_forms[nu - 1].scale(tq.entries[q - 1][nu - 1])
+        row = tq.entries[q - 1]
+        d = ZForm.reduced(tuple(sum(t * v[i] for t, v in zip(row, scaled))
+                                for i in range(k + 1)), den)
         match = next((m for m in range(1, k + 1)
                       if m not in used and d == ZForm.one_minus_z(m, k)), None)
         if match is None:
@@ -532,13 +576,11 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     for xi_nu, factors in zip(xi.xi_forms, xi.factors):
         numerator.extend(xi_nu.scale(c) for c in factors)
     denominator = [ZForm.one_minus_z(m, k) for m in block_to_z]
-    product = GammaProduct(tuple(sorted(numerator, key=ZForm.sort_key)),
-                           tuple(sorted(denominator, key=ZForm.sort_key)),
+    product = GammaProduct(sort_forms(numerator), sort_forms(denominator),
                            compute_delta(forms))
 
-    cm_rows = {tuple(forms[r - 1].xi().sort_key()) for g in xi.row_groups for r in g}
-    num_rows = {tuple(f.sort_key()) for f in numerator}
-    if cm_rows != num_rows:
+    cm_rows = {forms[r - 1].xi() for g in xi.row_groups for r in g}
+    if cm_rows != set(numerator):
         raise IdentityViolatedError(0, "factor multiset does not match the monomial forms")
 
     report = Theorem31Report(

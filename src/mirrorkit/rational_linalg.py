@@ -204,9 +204,6 @@ class PermutationMap:
             inv[j - 1] = i
         return PermutationMap(tuple(inv))
 
-    def is_involution(self) -> bool:
-        return all(self.images[j - 1] == i + 1 for i, j in enumerate(self.images))
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.size + 1))
 

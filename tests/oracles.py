@@ -5,9 +5,11 @@ helpers give the same results as Fractions, so tests can compare them with
 sympy and with hand-computed values.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from mirrorkit.rational_linalg import _kernel_columns, solve_den
+from mirrorkit.rational_linalg import _kernel_columns, rat_str, solve_den
 
 
 def right_kernel(m):
@@ -33,3 +35,57 @@ def reduced_numerators(form):
     """(A, B, D, d) of a LinearForm over its own denominator; gcd of all entries is 1."""
     a, b, dd = form.numerators(form.den)
     return a, b, dd, form.den
+
+
+def is_involution(p):
+    """True when the PermutationMap p is its own inverse."""
+    return all(p.images[j - 1] == i + 1 for i, j in enumerate(p.images))
+
+
+@dataclass(frozen=True)
+class FractionZForm:
+    """The affine form const + sum_q coeffs_q z_q in Fraction arithmetic: the
+    oracle for the integer numerators of mellin.ZForm, whose sums, scalings,
+    reflections, text, JSON and (const, coeffs) order must agree with it."""
+
+    coeffs: tuple[Fraction, ...]
+    const: Fraction
+
+    def __add__(self, other):
+        return FractionZForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+                             self.const + other.const)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return FractionZForm(tuple(c * a for a in self.coeffs), c * self.const)
+
+    def reflect(self):
+        """1 - self."""
+        return FractionZForm(tuple(-a for a in self.coeffs), 1 - self.const)
+
+    def sort_key(self):
+        return (self.const, self.coeffs)
+
+    def __str__(self) -> str:
+        d = math.lcm(*(x.denominator for x in (self.const, *self.coeffs)))
+        terms = []
+        c0 = self.const * d
+        if c0:
+            terms.append(str(c0.numerator))
+        for q, c in enumerate(self.coeffs, start=1):
+            ci = int(c * d)
+            if ci == 0:
+                continue
+            mag = abs(ci)
+            body = f"z{q}" if mag == 1 else f"{mag}*z{q}"
+            if not terms:
+                terms.append(body if ci > 0 else f"-{body}")
+            else:
+                terms.append(f"+ {body}" if ci > 0 else f"- {body}")
+        num = " ".join(terms) if terms else "0"
+        if d == 1:
+            return num
+        return f"({num})/{d}" if " " in num else f"{num}/{d}"
+
+    def to_json(self) -> dict:
+        return {"coeffs": [rat_str(c) for c in self.coeffs], "const": rat_str(self.const)}

@@ -17,6 +17,7 @@ from mirrorkit.mellin import (
     gamma_equal,
     lemma_form,
     solve_xi,
+    sort_forms,
     verify_theorem_31,
 )
 from mirrorkit.nef_partition import magic_square_check, minkowski_dim, build_deltas, \
@@ -73,36 +74,32 @@ def _theorem_products(spec):
     return rep, product, lemma, tr
 
 
-def _multiset(forms):
-    return sorted(f.sort_key() for f in forms)
-
-
 def test_criterion_2_mellin_forms(spec_6_1, spec_6_2):
     """Gamma-argument multisets match the printed closed forms exactly."""
     # original 6.2: Gamma(xi)^3 Gamma(2 xi)^2 / Gamma(7 xi), xi = (1-z)/7
     rep, product, lemma, tr = _theorem_products(spec_6_2)
-    xi = ZForm((F(-1, 7),), F(1, 7))
-    assert _multiset(product.numerator) == _multiset([xi] * 3 + [xi.scale(2)] * 2)
-    assert _multiset(product.denominator) == _multiset([xi.scale(7)])
+    xi = ZForm.from_coeffs((F(-1, 7),), F(1, 7))
+    assert sort_forms(product.numerator) == sort_forms([xi] * 3 + [xi.scale(2)] * 2)
+    assert sort_forms(product.denominator) == sort_forms([xi.scale(7)])
     assert rep.identity_holds and rep.reduces_to_lemma_form
     assert gamma_equal(product, lemma)
 
     # transposed 6.2: Gamma(3 xi) Gamma(2 xi)^2 Gamma(7 xi)^2 / Gamma(21 xi),
     # xi = (1-z)/21
     rep_t, product_t, lemma_t, _ = _theorem_products(tr.tspec)
-    xi_t = ZForm((F(-1, 21),), F(1, 21))
-    assert _multiset(product_t.numerator) == _multiset(
+    xi_t = ZForm.from_coeffs((F(-1, 21),), F(1, 21))
+    assert sort_forms(product_t.numerator) == sort_forms(
         [xi_t.scale(3)] + [xi_t.scale(2)] * 2 + [xi_t.scale(7)] * 2)
-    assert _multiset(product_t.denominator) == _multiset([xi_t.scale(21)])
+    assert sort_forms(product_t.denominator) == sort_forms([xi_t.scale(21)])
     assert gamma_equal(product_t, lemma_t)
 
     # 6.1: Gamma(xi1)^3 Gamma(xi2)^4 / (Gamma(3 xi1 + xi2) Gamma(3 xi2))
     rep1, product1, lemma1, _ = _theorem_products(spec_6_1)
-    xi1 = ZForm((F(-1, 3), F(1, 9)), F(2, 9))
-    xi2 = ZForm((F(0), F(-1, 3)), F(1, 3))
-    assert _multiset(product1.numerator) == _multiset([xi1] * 3 + [xi2] * 4)
+    xi1 = ZForm.from_coeffs((F(-1, 3), F(1, 9)), F(2, 9))
+    xi2 = ZForm.from_coeffs((F(0), F(-1, 3)), F(1, 3))
+    assert sort_forms(product1.numerator) == sort_forms([xi1] * 3 + [xi2] * 4)
     three_xi1_plus_xi2 = xi1.scale(3) + xi2
-    assert _multiset(product1.denominator) == _multiset(
+    assert sort_forms(product1.denominator) == sort_forms(
         [three_xi1_plus_xi2, xi2.scale(3)])
     assert gamma_equal(product1, lemma1)
     report("criterion 2: Mellin Gamma products for 6.2, its mirror, and 6.1")

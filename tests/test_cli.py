@@ -20,11 +20,16 @@ PKG_ROOT = Path(__file__).parent.parent
 CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args, text=True):
     """`python <args>` in a child process that imports this checkout's src/."""
-    path = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=text, cwd=PKG_ROOT, env=dict(os.environ, PYTHONPATH=path))
+                          text=text, cwd=PKG_ROOT, env=child_env())
 
 
 def run_module(module, *args):
@@ -339,6 +344,23 @@ def test_python_m_mirrorkit_runs_the_cli():
     result = run_module("mirrorkit", "family", "--m", "3")
     assert result.returncode == 0
     assert result.stdout == run_cli("family", "--m", "3").stdout
+
+
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    # `mirrorkit verify --format json ... | head -1`: the report (about 0.6 MB)
+    # is far larger than a pipe holds, so the writer meets the closed pipe
+    path = tmp_path / "family_7.json"
+    path.write_text(json.dumps(generate_family(7).to_json()))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mirrorkit", "verify", "--format", "json", "--input", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT, env=child_env())
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert first == b"{\n"
+    assert err == b""
 
 
 def cli_case_digest(command: str, fmt: str, name: str, *flags: str) -> dict:

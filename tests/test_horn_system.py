@@ -110,7 +110,8 @@ class _Factor:
 
 def _factors(runs):
     """The single factors a side's runs stand for."""
-    return tuple(_Factor(coeffs, const, j) for coeffs, const, count in runs for j in range(count))
+    return tuple(_Factor(tuple(Fraction(c, den) for c in coeffs), Fraction(const, den), j)
+                 for coeffs, const, den, count in runs for j in range(count))
 
 
 def _per_factor_operators(spec, forms):
@@ -167,7 +168,7 @@ def test_horn_factor_count_guard(quadric, monkeypatch):
 def test_horn_operators_hold_one_run_per_form(quadric):
     forms = MirrorPair(quadric).forms
     op = horn_operators(quadric, forms)[0]
-    assert op.p_runs == (((Fraction(-1),), Fraction(0), 4), ((Fraction(-1),), Fraction(0), 4))
+    assert op.p_runs == (((-1,), 0, 1, 4), ((-1,), 0, 1, 4))
     assert op.degrees == (8, 8)
     assert len(op.q_runs) == len(index_partition(forms, 1)[1])
 

@@ -17,6 +17,7 @@ from mirrorkit.mellin import (
     gamma_equal,
     lemma_form,
     solve_xi,
+    sort_forms,
     verify_theorem_31,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
@@ -30,7 +31,7 @@ F = Fraction
 
 
 def zf(consts, *coeffs):
-    return ZForm(tuple(F(c) for c in coeffs), F(consts))
+    return ZForm.from_coeffs(tuple(F(c) for c in coeffs), F(consts))
 
 
 def test_solve_xi_quadric(quadric):
@@ -71,7 +72,7 @@ def test_sum_at_base_point(spec_6_1, spec_6_2, quadric):
         total = forms[0].xi()
         for f in forms[1:]:
             total = total + f.xi()
-        assert total == ZForm(tuple(F(0) for _ in range(spec.k)), F(2 * spec.k))
+        assert total == ZForm.from_coeffs(tuple(F(0) for _ in range(spec.k)), F(2 * spec.k))
 
 
 def test_resubstitution_identity(spec_6_1, spec_6_2, quadric):
@@ -81,11 +82,12 @@ def test_resubstitution_identity(spec_6_1, spec_6_2, quadric):
         forms = solve_xi(cm, invert(cm.matrix))
         n, k = spec.n, spec.k
         for c in range(cm.size):
-            total = ZForm(tuple(F(0) for _ in range(k)), F(0))
+            total = ZForm.from_coeffs(tuple(F(0) for _ in range(k)), F(0))
             for a in range(cm.size):
-                total = total + forms[a].xi().scale(cm.matrix[a, c])
+                assert cm.matrix[a, c] == cm.matrix.num[a][c]   # an integral matrix
+                total = total + forms[a].xi().scale(cm.matrix.num[a][c])
             if c < n + 2 * k:
-                assert total == ZForm(tuple(F(0) for _ in range(k)), F(1))
+                assert total == ZForm.from_coeffs(tuple(F(0) for _ in range(k)), F(1))
             else:
                 assert total == ZForm.z(c - n - 2 * k + 1, k)
 
@@ -153,27 +155,24 @@ def test_check_sum_rules_against_printed_inverse(spec_6_1, spec_6_2):
 
 def test_lemma_form_quadric(quadric):
     product = lemma_form(build_cayley(quadric), MirrorPair(quadric).forms)
-    expected = sorted([zf(0, 1), zf(F(1, 2), F(-1, 2)), zf(F(1, 2), F(-1, 2))],
-                      key=ZForm.sort_key)
-    assert list(product.numerator) == expected
+    expected = sort_forms([zf(0, 1), zf(F(1, 2), F(-1, 2)), zf(F(1, 2), F(-1, 2))])
+    assert product.numerator == expected
     assert product.denominator == ()
 
 
 def test_lemma_form_6_2_is_the_printed_formula(spec_6_2):
     product = lemma_form(build_cayley(spec_6_2), MirrorPair(spec_6_2).forms)
-    expected = sorted(
-        [zf(0, 1)] + [zf(F(1, 7), F(-1, 7))] * 3 + [zf(F(2, 7), F(-2, 7))] * 2,
-        key=ZForm.sort_key)
-    assert list(product.numerator) == expected
+    expected = sort_forms(
+        [zf(0, 1)] + [zf(F(1, 7), F(-1, 7))] * 3 + [zf(F(2, 7), F(-2, 7))] * 2)
+    assert product.numerator == expected
 
 
 def test_lemma_form_6_1_is_the_printed_formula(spec_6_1):
     product = lemma_form(build_cayley(spec_6_1), MirrorPair(spec_6_1).forms)
     xi1 = zf(F(2, 9), F(-1, 3), F(1, 9))
     xi2 = zf(F(1, 3), 0, F(-1, 3))
-    expected = sorted([zf(0, 1, 0), zf(0, 0, 1)] + [xi1] * 3 + [xi2] * 4,
-                      key=ZForm.sort_key)
-    assert list(product.numerator) == expected
+    expected = sort_forms([zf(0, 1, 0), zf(0, 0, 1)] + [xi1] * 3 + [xi2] * 4)
+    assert product.numerator == expected
 
 
 def test_factorize_xi_quadric(quadric):
@@ -240,7 +239,7 @@ def test_theorem_identity_violated(quadric):
     tr = transpose_spec(quadric)
     forms = MirrorPair(quadric).forms
     good = factorize_xi(tr, forms, derive_weights(tr.tspec))
-    bad = XiFactorization((good.xi_forms[0].scale(F(1, 3)),), good.factors,
+    bad = XiFactorization((good.xi_forms[0].scale(1, 3),), good.factors,
                           good.row_groups, None)
     with pytest.raises(IdentityViolatedError):
         verify_theorem_31(tr, bad, forms, charges(tr.tspec, derive_weights(tr.tspec)),
@@ -268,8 +267,7 @@ def test_theorem_6_1_denominators(spec_6_1):
     assert report.identity_holds
     assert report.matches_nu_inverse
     # 3 xi^(1) + xi^(2) = 1 - z1 and 3 xi^(2) = 1 - z2
-    assert sorted(product.denominator, key=ZForm.sort_key) == sorted(
-        [zf(1, -1, 0), zf(1, 0, -1)], key=ZForm.sort_key)
+    assert sort_forms(product.denominator) == sort_forms([zf(1, -1, 0), zf(1, 0, -1)])
 
 
 def test_theorem_31_reads_the_charges_and_plain_product_it_is_given(monkeypatch):
@@ -346,7 +344,7 @@ def test_integer_forms_match_the_fraction_oracle():
             assert (form.i_coeffs, form.zeta_coeffs, form.z_coeffs) == \
                 (col[:n], col[n:n + 2 * k], col[n + 2 * k:])
             assert form.const == sum(col[:n + 2 * k])
-            assert form.xi() == ZForm(col[n + 2 * k:], sum(col[:n + 2 * k]))
+            assert form.xi() == ZForm.from_coeffs(col[n + 2 * k:], sum(col[:n + 2 * k]))
             assert form.denominator() == math.lcm(*(x.denominator for x in col))
             assert math.gcd(form.den, *form.num) == 1
             assert LinearForm.from_json(json.loads(json.dumps(form.to_json()))) == form
@@ -375,6 +373,28 @@ def test_sum_rules_fail_on_a_doctored_form(quadric):
     assert check_sum_rules(tuple(forms)).checks == {
         "i_column_sums_vanish": False, "z_column_sums_vanish": True,
         "zeta_column_sums_one": True, "constants_sum_2k": False}
+
+
+def test_run_verify_builds_no_fraction(monkeypatch):
+    # the forms, both Gamma products, Theorem 3.1 and the Horn runs are
+    # integer numerators over one denominator; no Fraction anywhere in a run
+    specs = [generate_family(7)] + _oracle_specs()[-3:]
+    before = [json.dumps(run_verify(spec).to_json()) for spec in specs]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    Fraction(1, 2)   # the counter does see a construction
+    assert built == [(1, 2)]
+    for spec, expected in zip(specs, before):
+        built.clear()
+        report = run_verify(spec)
+        assert json.dumps(report.to_json()) == expected
+        assert built == []
 
 
 def test_run_verify_builds_no_entry_view(monkeypatch):

@@ -9,6 +9,7 @@ import io
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -137,7 +138,8 @@ def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
 @pytest.mark.parametrize("m", [3, 7])
 def test_horn_factors_of_one_form_share_its_data(m):
     # a form's Delta*|c| factors differ only in their shift: one negated
-    # coefficient tuple and one constant per form, in every operator
+    # coefficient tuple per form, in every operator, and the constant and
+    # denominator of its xi()
     spec = generate_family(m)
     forms = MirrorPair(spec).forms
     delta = compute_delta(forms)
@@ -146,9 +148,11 @@ def test_horn_factors_of_one_form_share_its_data(m):
         plus, minus, _ = index_partition(forms, op.q)
         for rows, runs in ((plus, op.p_runs), (minus, op.q_runs)):
             assert len(runs) == len(rows)
-            for a, (coeffs, const, count) in zip(rows, runs):
+            for a, (coeffs, const, den, count) in zip(rows, runs):
                 assert count == abs(int(forms[a - 1].z_coeffs[op.q - 1] * delta))
-                assert const is forms[a - 1].const
+                xi = forms[a - 1].xi()
+                assert (const, den) == (xi.num[-1], xi.den)
+                assert Fraction(const, den) == forms[a - 1].const
                 shared.setdefault(a, set()).add(id(coeffs))
     assert shared and all(len(ids) == 1 for ids in shared.values())
 

@@ -19,7 +19,7 @@ from mirrorkit.rational_linalg import (
     vectors_proportional,
 )
 
-from oracles import right_kernel, solve_many
+from oracles import is_involution, right_kernel, solve_many
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction
@@ -530,7 +530,8 @@ def test_permutation_map():
     from mirrorkit.rational_linalg import NotAPermutationError, PermutationMap
     p = PermutationMap((2, 1, 3))
     assert p(1) == 2 and p(3) == 3
-    assert p.is_involution() and not p.is_identity()
+    assert is_involution(p) and not p.is_identity()
+    assert not is_involution(PermutationMap((2, 3, 1)))
     assert p.inverse() == p
     assert p.matrix() @ p.matrix() == Matrix.identity(3)
     with pytest.raises(NotAPermutationError):
