@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .rational_linalg import (
     primitive_integer_vector,
     SingularMatrixError,
 )
-from .record import field, record
+from .record import field, lazy, record
 
 
 class SpecError(Exception):
@@ -116,11 +115,11 @@ class CISpec:
 
     # -- block layout --------------------------------------------------------
 
-    @cached_property
+    @lazy
     def taus(self) -> tuple[int, ...]:
         return tuple(b.tau for b in self.blocks)
 
-    @cached_property
+    @lazy
     def _prefix(self) -> tuple[int, ...]:
         return tuple(accumulate(self.taus, initial=0))
 
@@ -157,7 +156,7 @@ class CISpec:
         start = self.a(nu - 1)
         return tuple(range(start + 1, start + 1 + self.taus[nu - 1]))
 
-    @cached_property
+    @lazy
     def diff(self) -> Matrix:
         """The spec's difference_matrix, built once: the weights and the nef solve read it."""
         return difference_matrix(self)
@@ -351,6 +350,10 @@ def derive_weights(spec: CISpec) -> WeightSystem:
     block's product indicator.  The solution per block must be a single
     positive ray, reported primitively.  A structurally invalid spec raises
     SpecInvalidError, as in build_cayley.
+
+    This is the definition of the derived weights and the oracle of
+    `read_weights`; a run solves for them here only when the Cayley matrix
+    is singular or the read fails, and every error comes from here.
     """
     _check_structure(spec)
     diffs = spec.diff.num
@@ -373,6 +376,50 @@ def derive_weights(spec: CISpec) -> WeightSystem:
                 f"block {q}: no strictly positive weight vector exists")
         full = [0] * spec.n
         for c, g in zip(cols, gen):
+            full[c] = g
+        vectors.append(tuple(full))
+    return WeightSystem(tuple(vectors))
+
+
+def certified_ray(diff: Matrix, cols: Sequence[int], vals: Sequence[int]
+                  ) -> tuple[int, ...] | None:
+    """vals made primitive and positive, if the vector with entries vals at the
+    0-based columns cols (and zero elsewhere) lies in the kernel of the
+    integral matrix diff and vals are nonzero and of one sign; else None."""
+    if not vals or not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
+        return None
+    if any(sum(row[c] * v for c, v in zip(cols, vals)) for row in diff.num):
+        return None
+    g = math.gcd(*vals) * (1 if vals[0] > 0 else -1)
+    return tuple(v // g for v in vals)
+
+
+def read_weights(spec: CISpec, inverse: Matrix) -> WeightSystem | None:
+    """The weights `derive_weights` solves for, read off the Cayley inverse and
+    certified; None when a read fails the certificate.
+
+    Write c_nu for the column of L^-1 at block nu's constant row a(nu).  Block
+    q's vector is the restriction to its range of the first c_nu that is
+    nonzero there, accepted by `certified_ray` against spec.diff.  Accepted
+    reads are exact: as L is nonsingular, a vector of the per-block kernels
+    that pairs to zero with every index-set indicator is zero (L sends it,
+    padded with zeros, to zero), so the k per-block kernel dimensions sum to
+    at most k; a certified nonzero ray in each makes every one a line, and
+    its primitive positive ray is the one `derive_weights` finds.
+    """
+    n, k = spec.n, spec.k
+    vectors = []
+    for q in range(1, k + 1):
+        cols = [i - 1 for i in spec.block_range(q)]
+        for nu in range(1, k + 1):
+            vals = [inverse.num[i][spec.a(nu) - 1] for i in cols]
+            if any(vals):
+                break
+        ray = certified_ray(spec.diff, cols, vals)
+        if ray is None:
+            return None
+        full = [0] * n
+        for c, g in zip(cols, ray):
             full[c] = g
         vectors.append(tuple(full))
     return WeightSystem(tuple(vectors))

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import _canonical, Matrix, rat_parse, ratio_str
-from .record import record
+from .record import lazy, record
 from .transposition import TransposeResult
 
 
@@ -100,11 +99,11 @@ class ZForm:
         den = math.lcm(*(x.denominator for x in xs))
         return ZForm(tuple(x.numerator * (den // x.denominator) for x in xs), den)
 
-    @cached_property
+    @lazy
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num[:-1])
 
-    @cached_property
+    @lazy
     def const(self) -> Fraction:
         return Fraction(self.num[-1], self.den)
 
@@ -210,11 +209,11 @@ class LinearForm:
     def _fractions(self, start: int, stop: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num[start:stop])
 
-    @cached_property
+    @lazy
     def i_coeffs(self) -> tuple[Fraction, ...]:
         return self._fractions(0, self.n)
 
-    @cached_property
+    @lazy
     def zeta_coeffs(self) -> tuple[Fraction, ...]:
         return self._fractions(self.n, self.n + 2 * self.k)
 
@@ -226,7 +225,7 @@ class LinearForm:
     def const(self) -> Fraction:
         return self._xi.const
 
-    @cached_property
+    @lazy
     def _xi(self) -> ZForm:
         z = len(self.num) - self.k
         return ZForm.reduced((*self.num[z:], sum(self.num[:z])), self.den)

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import Matrix, rank, solve_den
-from .record import record
+from .record import lazy, record
 from .transposition import TransposeResult
 
 
@@ -182,12 +181,12 @@ class NefPartitionData:
     flags: dict[str, bool]
     notes: tuple[str, ...]
 
-    @cached_property
+    @lazy
     def duals(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Per block, its dual vertices (columns of P) as Fractions."""
         return tuple(tuple(self.p_matrix.col(c) for c in cols) for cols in self.dual_idx)
 
-    @cached_property
+    @lazy
     def sigma_dual_generators(self) -> tuple[tuple[Fraction, ...], ...]:
         return _with_block_axes(self.duals, self.p_matrix.rows, Fraction(0), Fraction(1))
 

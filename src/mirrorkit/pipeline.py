@@ -15,12 +15,12 @@ are views of one pair, and `soft_failures` is their one soft-failure rule.
 
 from __future__ import annotations
 
-from functools import cached_property
+import weakref
 
 from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
 from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
-from .rational_linalg import invert, Matrix
-from .record import field, record
+from .rational_linalg import invert, Matrix, SingularMatrixError
+from .record import field, lazy, record
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -64,34 +64,60 @@ def generate_family(m: int) -> CISpec:
 class MirrorPair:
     """A spec and its transposed mirror: each derived object built once, lazily.
 
-    A property that raises is not cached, so reading it again raises again.
-    The transposed side is itself a MirrorPair (`mirror`), which holds the
-    objects of the double transpose; sharing never depends on spec equality.
-    Its derived weights are the transposition's weight classes
-    (`tspec.weights`), so only the original spec's weights are solved for.
+    A property that raises is not cached, so reading it again raises again;
+    only the inversion of L holds a failure, so that a singular L is
+    eliminated once whichever reader comes first.  The transposed side is
+    itself a MirrorPair (`mirror`, whose origin is this pair, held by a weak
+    reference so that no reference cycle outlives a run), which holds the
+    objects of the double transpose; sharing never depends on spec
+    equality.  The one inverse L^-1 serves every side: the spec's weights
+    and the mirror's weight classes are read off it, and the double
+    transpose's classes off the spec's weights, each read certified, with
+    `ci_model.derive_weights` and `transposition._weight_classes` as the
+    fallback; so a run whose reads certify eliminates L and nothing else
+    for its weights.
     """
 
-    def __init__(self, spec: CISpec):
+    def __init__(self, spec: CISpec, origin: MirrorPair | None = None):
         self.spec = spec
+        self._origin = None if origin is None else weakref.ref(origin)
 
-    @cached_property
+    @lazy
     def cm(self) -> CayleyMatrix:
         return ci_model.build_cayley(self.spec)
 
-    @cached_property
-    def inverse(self) -> Matrix:
-        return invert(self.cm.matrix)
+    @lazy
+    def _inversion(self) -> Matrix | SingularMatrixError:
+        """L^-1, or the error inverting a singular L raised."""
+        try:
+            return invert(self.cm.matrix)
+        except SingularMatrixError as exc:
+            return exc
 
-    @cached_property
+    @property
+    def inverse(self) -> Matrix:
+        """L^-1; raises SingularMatrixError when L is singular."""
+        inverse = self._inversion
+        if isinstance(inverse, SingularMatrixError):
+            raise inverse.with_traceback(None)
+        return inverse
+
+    @lazy
     def forms(self) -> tuple[mellin.LinearForm, ...]:
         return mellin.solve_xi(self.cm, self.inverse)
 
-    @cached_property
+    @lazy
     def weights(self) -> WeightSystem:
-        """The derived weights."""
+        """The derived weights: read off L^-1 and certified (`ci_model.read_weights`),
+        or solved for by `ci_model.derive_weights` when L is singular or the read fails."""
+        inverse = self._inversion
+        if not isinstance(inverse, SingularMatrixError):
+            weights = ci_model.read_weights(self.spec, inverse)
+            if weights is not None:
+                return weights
         return ci_model.derive_weights(self.spec)
 
-    @cached_property
+    @lazy
     def effective_weights(self) -> WeightSystem:
         """Supplied weights when present and shape-valid (even if inconsistent), else derived.
 
@@ -104,45 +130,68 @@ class MirrorPair:
             supplied = None
         return self.weights if supplied is None else supplied
 
-    @cached_property
+    @lazy
     def charges(self) -> ChargeMatrix:
         """Charges of the effective weights."""
         return ci_model.charges(self.spec, self.effective_weights)
 
-    @cached_property
+    @lazy
     def structure_ratio(self) -> poincare.CyclotomicRatio:
         """The structural series P_A of the effective weights and their charges."""
         return poincare.poincare_structure(self.effective_weights, self.charges)
 
-    @cached_property
-    def _shape(self) -> transposition.TransposeResult:
-        return transposition.build_transpose(self.cm)
+    def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows `build_transpose` reads the weight classes off, or None to eliminate.
 
-    @cached_property
+        A spec's come off L^-1 (`transposition.inverse_hint`).  A mirror's come
+        off its origin's weights (`transposition.mirror_hint`), and only once the
+        origin's transposition is checked on a nonsingular L: that bounds the
+        weight kernel the read is certified against.
+        """
+        if self._origin is None:
+            inverse = self._inversion
+            if isinstance(inverse, SingularMatrixError):
+                return None
+            return transposition.inverse_hint(self.cm, inverse)
+        origin = self._origin()
+        if origin is None or isinstance(origin._inversion, SingularMatrixError):
+            return None
+        try:
+            tr = origin.tr
+        except ci_model.SpecError:
+            return None
+        return transposition.mirror_hint(tr, origin.weights)
+
+    @lazy
+    def _shape(self) -> transposition.TransposeResult:
+        return transposition.build_transpose(self.cm, self._class_hint())
+
+    @lazy
     def mirror(self) -> MirrorPair:
         """The transposed side, whose derived weights are the transposition's own.
 
-        `build_transpose` reads each weight class's ray off the full kernel of
-        the transposed difference matrix.  It spans the kernel of the class's
-        columns, in ascending order: the submatrix `derive_weights` would
-        eliminate for that block, so its primitive positive ray is the same
-        and is not solved for again.
+        `build_transpose` takes each weight class's ray from the kernel of the
+        transposed difference matrix, read off the class hint and certified,
+        or eliminated.  It spans the kernel of the class's columns, in
+        ascending order: the submatrix `derive_weights` would eliminate for
+        that block, so its primitive positive ray is the same and is not
+        solved for again.
         """
-        mirror = MirrorPair(self._shape.tspec)
+        mirror = MirrorPair(self._shape.tspec, origin=self)
         mirror.weights = WeightSystem(self._shape.tspec.weights)
         return mirror
 
-    @cached_property
+    @lazy
     def rho(self) -> transposition.RhoFound | None:
         """`find_rho` of the spec and its derived weights; the mirror's is t_rho."""
         return transposition.find_rho(self.spec, self.weights)
 
-    @cached_property
+    @lazy
     def tr(self) -> transposition.TransposeResult:
         return transposition.complete_transpose(self.cm, self._shape, self.mirror.cm,
                                                 self.rho, self.mirror.rho)
 
-    @cached_property
+    @lazy
     def tweights(self) -> WeightSystem:
         """The derived weights of the transposed spec.
 
@@ -152,24 +201,24 @@ class MirrorPair:
         self.tr
         return self.mirror.weights
 
-    @cached_property
+    @lazy
     def tcharges(self) -> ChargeMatrix:
         return ci_model.charges(self.tr.tspec, self.tweights)
 
-    @cached_property
+    @lazy
     def tr2(self) -> transposition.TransposeResult:
         return self.mirror.tr
 
-    @cached_property
+    @lazy
     def sigma(self) -> tuple[int, ...]:
         return transposition.double_transpose_relabel(self.spec, self.tr, self.tr2)
 
-    @cached_property
+    @lazy
     def recovered(self) -> CISpec:
         """The double transpose, blocks and weights relabelled onto the original variables."""
         return transposition.apply_variable_permutation(self.tr2.tspec, self.sigma)
 
-    @cached_property
+    @lazy
     def block_match(self) -> tuple[int, ...] | None:
         """Per original block, the first unused recovered block with its exponents and
         index set; None when some block has none (the double transpose is not home)."""
@@ -187,7 +236,7 @@ class MirrorPair:
     def involutive(self) -> bool:
         return self.block_match is not None
 
-    @cached_property
+    @lazy
     def recovered_data(self) -> tuple[WeightSystem, ChargeMatrix] | None:
         """The double transpose's weights in the original block order, and their charges:
         the grading data rebuilt independently, for the duality check to compare."""
@@ -197,41 +246,41 @@ class MirrorPair:
         return weights, ci_model.charges(self.spec, weights)
 
     # the stage results, wired here once for run_verify and the CLI commands
-    @cached_property
+    @lazy
     def lemma(self) -> mellin.GammaProduct:
         """The plain Gamma product."""
         return mellin.lemma_form(self.cm, self.forms)
 
-    @cached_property
+    @lazy
     def xi(self) -> mellin.XiFactorization:
         return mellin.factorize_xi(self.tr, self.forms, self.tweights)
 
-    @cached_property
+    @lazy
     def theorem31(self) -> tuple[mellin.Theorem31Report, mellin.GammaProduct]:
         """Theorem 3.1's report and the factorized product; a plain-product error comes first."""
         lemma = self.lemma
         return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges, lemma)
 
-    @cached_property
+    @lazy
     def horn(self) -> tuple[horn_system.HornOperator, ...]:
         return horn_system.horn_operators(self.spec, self.forms)
 
-    @cached_property
+    @lazy
     def char_polys(self) -> tuple[horn_system.CharPolyPair, ...]:
         """Per grading q, the characteristic polynomials of the transposed data."""
         return tuple(horn_system.char_polys(self.tweights, self.tcharges, q)
                      for q in range(1, self.spec.k + 1))
 
-    @cached_property
+    @lazy
     def duality(self) -> poincare.DualityReport:
         return poincare.verify_duality(self.tweights, self.tcharges, self.structure_ratio,
                                        self.recovered_data)
 
-    @cached_property
+    @lazy
     def nef(self) -> nef_partition.NefPartitionData:
         return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights, self.tweights)
 
-    @cached_property
+    @lazy
     def magic(self) -> nef_partition.MagicSquareReport:
         return nef_partition.magic_square_check(self.cm, self.forms)
 

@@ -23,8 +23,9 @@ order.  Both paper examples reproduce verbatim under these rules.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
-from .ci_model import Block, CayleyMatrix, CISpec, SpecError, WeightSystem
+from .ci_model import Block, CayleyMatrix, certified_ray, CISpec, SpecError, WeightSystem
 from .rational_linalg import integer_kernel, Matrix, PermutationMap, vectors_proportional
 from .record import record, replace
 
@@ -102,6 +103,28 @@ def _choose_nu(taus: tuple[int, ...], tilde_taus: tuple[int, ...]) -> Permutatio
     return PermutationMap(tuple(images))
 
 
+def _rays_by_class(rows: Sequence[Sequence[int]]
+                   ) -> list[tuple[list[int], tuple[int, ...]]] | None:
+    """Positions grouped by proportional rows, in order of first appearance (members
+    ascending), each with the entries at its positions of the column where its first
+    row is first nonzero; None when some row is zero."""
+    classes: list[list[int]] = []
+    for i, row in enumerate(rows):
+        if not any(row):
+            return None
+        for cls in classes:
+            if vectors_proportional(rows[cls[0]], row):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    result = []
+    for cls in classes:
+        t = next(t for t, x in enumerate(rows[cls[0]]) if x)
+        result.append((cls, tuple(rows[i][t] for i in cls)))
+    return result
+
+
 def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ...]]]:
     """Partition columns of `diff` into k groups each carrying a positive kernel vector.
 
@@ -109,35 +132,80 @@ def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ..
     NoValidShapeError when the kernel does not decompose that way.  Each group
     holds one free column, whose full-kernel basis vector vanishes off the group:
     that vector is the group's ray, and it spans the kernel of the group's columns.
+
+    This eliminates diff: it is the definition of the classes, the oracle of
+    `_read_classes`, and the path when no read is given or a read fails, so
+    every error of the transposition's weights comes from here.
     """
     kernel = integer_kernel(diff)
     if len(kernel) != k:
         raise NoValidShapeError(
             f"weight kernel has dimension {len(kernel)}, expected {k}")
-    n = diff.cols
-    basis_rows = [tuple(vec[i] for vec in kernel) for i in range(n)]
-    classes: list[list[int]] = []
-    for i, row in enumerate(basis_rows):
-        if all(x == 0 for x in row):
-            raise NoValidShapeError(f"variable {i + 1} carries no weight")
-        for cls in classes:
-            if vectors_proportional(basis_rows[cls[0]], row):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
+    # row i: the i-th entries of the basis vectors
+    basis_rows = list(zip(*kernel))
+    classes = _rays_by_class(basis_rows)
+    if classes is None:
+        i = next(i for i, row in enumerate(basis_rows) if not any(row))
+        raise NoValidShapeError(f"variable {i + 1} carries no weight")
     if len(classes) != k:
         raise NoValidShapeError(
             f"weight kernel splits into {len(classes)} support groups, expected {k}")
-    result = []
-    for cls in classes:
-        # the group's rows are multiples of its free column's unit row
-        ray = kernel[next(t for t, x in enumerate(basis_rows[cls[0]]) if x)]
-        vals = tuple(ray[i] for i in cls)
-        if any(v <= 0 for v in vals):
-            raise NoValidShapeError("no positive weight vector on a support group")
-        result.append((cls, vals))
-    return result
+    # the group's rows are multiples of its free column's unit row, so its ray
+    # is that basis vector
+    if any(v <= 0 for _, vals in classes for v in vals):
+        raise NoValidShapeError("no positive weight vector on a support group")
+    return classes
+
+
+def _read_classes(diff: Matrix, k: int, hint: Sequence[Sequence[int]]
+                  ) -> list[tuple[list[int], tuple[int, ...]]] | None:
+    """`_weight_classes(diff, k)` read off the hint rows (one per column of diff)
+    and certified; None when the read fails the certificate.
+
+    The rows are grouped by proportionality and each group's ray read as
+    `_weight_classes` reads them off the kernel basis, then accepted by
+    `ci_model.certified_ray`.  The hint must come with dim ker diff <= k (see
+    `inverse_hint` and `mirror_hint`): k certified rays on disjoint groups that
+    cover every column then span the kernel, so the kernel basis groups the
+    columns the same way, in the same order, with the same rays.
+    """
+    classes = _rays_by_class(hint)
+    if classes is None or len(classes) != k:
+        return None
+    certified = []
+    for cls, vals in classes:
+        ray = certified_ray(diff, cls, vals)
+        if ray is None:
+            return None
+        certified.append((cls, ray))
+    return certified
+
+
+def inverse_hint(cm: CayleyMatrix, inverse: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The hint for `build_transpose(cm)` read off L^-1 = inverse: row p holds, per
+    block nu, the entry of L^-1 in the row of the column s_nu of L and the column
+    of the p-th monomial row of L (cm.i_lambda[p]).
+
+    A kernel vector z of the transposed difference matrix, with block sums S_nu
+    over each block's monomial rows, extends to a row vector u with u L =
+    -sum_nu S_nu e_{s_nu}; so z is a combination of these k columns, and the
+    kernel has dimension at most k.
+    """
+    n, k = cm.spec.n, cm.spec.k
+    s_rows = inverse.num[n + 2 * k:n + 3 * k]
+    return tuple(tuple(row[r - 1] for row in s_rows) for r in cm.i_lambda)
+
+
+def mirror_hint(tr: TransposeResult, weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
+    """The hint for transposing tr.tspec back, from the spec's weights: row p is the
+    weights at lam(p), the old variable behind the p-th new monomial.
+
+    Once `complete_transpose` has checked that the new Cayley matrix is a
+    permuted transpose of a nonsingular L, the double transpose's difference
+    matrix is the spec's with rows and columns permuted, whose kernel has
+    dimension at most k (`ci_model.read_weights`).
+    """
+    return tuple(tuple(w[i - 1] for w in weights.vectors) for i in tr.lam.images)
 
 
 def transpose_spec(spec: CISpec) -> TransposeResult:
@@ -146,11 +214,14 @@ def transpose_spec(spec: CISpec) -> TransposeResult:
     return MirrorPair(spec).tr
 
 
-def build_transpose(cm: CayleyMatrix) -> TransposeResult:
+def build_transpose(cm: CayleyMatrix, hint: Sequence[Sequence[int]] | None = None
+                    ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
 
     Only the shape flags are set; `complete_transpose` adds the identities
-    that need the transposed side's Cayley matrix and weights.
+    that need the transposed side's Cayley matrix and weights.  The weight
+    classes are read off hint (`inverse_hint`, `mirror_hint`) when it is
+    given and the read certifies, and found by `_weight_classes` otherwise.
     """
     spec = cm.spec
     L = cm.matrix.num
@@ -195,7 +266,9 @@ def build_transpose(cm: CayleyMatrix) -> TransposeResult:
         for v in exps:
             diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
     diff = Matrix(tuple(diff_rows))
-    classes = _weight_classes(diff, k)
+    classes = None if hint is None else _read_classes(diff, k, hint)
+    if classes is None:
+        classes = _weight_classes(diff, k)
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class

@@ -8,8 +8,9 @@ sympy and with hand-computed values.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from mirrorkit.rational_linalg import _kernel_columns, rat_str, solve_den
+from mirrorkit.rational_linalg import _canonical, _kernel_columns, rat_str, solve_den
 
 
 def right_kernel(m):
@@ -23,6 +24,14 @@ def solve_many(m, rhs_cols):
     inconsistent (solve_den's solutions as Fractions)."""
     cols, d, _ = solve_den(m, rhs_cols)
     return [None if x is None else tuple(Fraction(v, d) for v in x) for x in cols]
+
+
+def dense_matmul(a, b):
+    """a @ b as every column's dot product with every row, zeros included: the
+    product `Matrix.__matmul__` forms over the nonzero entries only."""
+    cols = list(zip(*b.num))
+    num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.num)
+    return _canonical(num, a.den * b.den)
 
 
 def support_phi(deltas, q, y):

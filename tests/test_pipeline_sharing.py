@@ -5,9 +5,12 @@ module, so a builder is counted by rebinding it in every mirrorkit module.
 """
 
 import contextlib
+import gc
 import io
+import json
 import re
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +22,8 @@ from mirrorkit.ci_model import CISpec
 from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
+
+from specgen import oracle_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
@@ -46,11 +51,11 @@ def calls(monkeypatch) -> Counter:
 def test_run_verify_builds_each_object_once(calls):
     run_verify(generate_family(5))
     # validation reads the run's pair, which builds one Cayley matrix per side
-    # (spec, mirror, double transpose) and one inverse; only the spec's weights
-    # are solved for, the other sides take theirs from the transposition
+    # (spec, mirror, double transpose) and one inverse; the spec's weights are
+    # read off the inverse, the other sides take theirs from the transposition
     assert calls["build_transpose"] == 2
     assert calls["build_cayley"] == 3
-    assert calls["derive_weights"] == 1
+    assert calls["derive_weights"] == 0
     assert calls["invert"] == 1
     # the spec's difference matrix, once for its weights and the nef solve; the
     # nef target is the transposition's own matrix
@@ -58,11 +63,11 @@ def test_run_verify_builds_each_object_once(calls):
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_eliminates_six_times(calls, monkeypatch, m):
-    # the spec's two weight blocks, the inverse, one kernel per transposition
-    # (twice: its weight classes' rays come off that kernel) and the dual-vertex
-    # solve, whose rank is the Minkowski dimension; the weight-kernel basis has
-    # a closed form
+def test_run_verify_eliminates_twice(calls, monkeypatch, m):
+    # the inverse and the dual-vertex solve, whose rank is the Minkowski
+    # dimension: the weights of every side and the transpositions' weight
+    # classes are certified reads of the inverse, and the weight-kernel basis
+    # has a closed form
     count = Counter()
     real = rational_linalg._eliminate
 
@@ -72,8 +77,64 @@ def test_run_verify_eliminates_six_times(calls, monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     run_verify(generate_family(m))
-    assert count["eliminate"] == 6
+    assert count["eliminate"] == 2
+    assert calls["derive_weights"] == 0
+
+
+def test_a_singular_cayley_matrix_is_inverted_once(calls):
+    # the weights ask for the inverse before validation does: the failed
+    # inversion is held, not repeated, and the weights are solved for
+    spec = CISpec.from_json({"n": 2, "k": 1,
+                             "blocks": [{"exponents": [[1, 0], [1, 0]], "index_set": [1, 2]}]})
+    report = run_verify(spec)
+    assert report.stages[0].flags["cayley_nonsingular"] is False
+    assert "Cayley matrix is singular" in report.stages[0].notes
+    assert calls["invert"] == 1
     assert calls["derive_weights"] == 1
+    pair = MirrorPair(spec)
+    for _ in range(2):
+        with pytest.raises(rational_linalg.SingularMatrixError, match="^matrix is singular$"):
+            pair.inverse
+    assert calls["invert"] == 2
+
+
+def test_a_pair_is_freed_by_reference_counting():
+    # the mirror refers back to its origin weakly: no cycle keeps a run's
+    # inverse, forms and stage results alive until the cyclic collector runs
+    pair = MirrorPair(generate_family(3))
+    pair.tr2
+    ref = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_dir):
+    # with every certificate refused, the weights and the weight classes come
+    # from derive_weights and _weight_classes: every report and exit code is
+    # the same as with the reads
+    specs = oracle_specs(fixtures_dir)
+
+    def reports():
+        return [(json.dumps(report.to_json(), sort_keys=True), report.exit_code(True))
+                for report in map(run_verify, specs)]
+
+    read = reports()
+    solved = Counter()
+    real = ci_model.derive_weights
+
+    def counted(spec):
+        solved["derive_weights"] += 1
+        return real(spec)
+
+    monkeypatch.setattr(ci_model, "derive_weights", counted)
+    for module in (ci_model, transposition):
+        monkeypatch.setattr(module, "certified_ray", lambda diff, cols, vals: None)
+    assert reports() == read
+    assert solved["derive_weights"] == len(specs)
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])

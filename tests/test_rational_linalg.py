@@ -15,6 +15,7 @@ from mirrorkit.rational_linalg import (
     rank,
     rat_parse,
     rat_str,
+    ratio_str,
     solve_den,
     vectors_proportional,
 )
@@ -545,6 +546,8 @@ def test_rational_serialization():
     assert rat_str(Fraction(-3)) == "-3"
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(5) == "5" and rat_str(0) == "0"
+    assert all(ratio_str(p, q) == rat_str(Fraction(p, q))
+               for p in range(-13, 14) for q in range(1, 13))
     assert rat_parse("19/147") == Fraction(19, 147)
     m = matrix_from_json(L_8_INV)
     assert matrix_from_json(m.to_json()) == m

@@ -231,6 +231,50 @@ def test_cached_property_on_a_frozen_record():
         lazy.n = ()
 
 
+def test_lazy_stores_what_it_computes_and_nothing_when_it_raises():
+    class Half:
+        def __init__(self, n):
+            self.n, self.calls = n, 0
+
+        @record.lazy
+        def half(self):
+            """n / 2, for an even n."""
+            self.calls += 1
+            if self.n % 2:
+                raise ValueError("odd")
+            return self.n // 2
+
+    even = Half(4)
+    assert even.half == 2 and even.half == 2 and even.calls == 1
+    assert vars(even)["half"] == 2
+    odd = Half(3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            odd.half
+    assert odd.calls == 2 and "half" not in vars(odd)
+    odd.half = 1   # an assigned value stands in for the method's
+    assert odd.half == 1 and odd.calls == 2
+    assert isinstance(Half.half, record.lazy) and Half.half.__doc__ == "n / 2, for an even n."
+
+
+def test_lazy_on_a_frozen_record():
+    @record.record
+    class Total:
+        n: tuple
+
+        @record.lazy
+        def total(self):
+            return sum(self.n)
+
+    t = Total((1, 2, 3))
+    assert t.total == 6 and vars(t)["total"] == 6
+    # the stored value is not a field: equality, hash and repr ignore it
+    assert t == Total((1, 2, 3)) and hash(t) == hash(((1, 2, 3),))
+    assert repr(t).endswith("Total(n=(1, 2, 3))")
+    with pytest.raises(record.FrozenInstanceError):
+        t.total = 7
+
+
 def define_shapes(decorate, field):
     """Class shapes the decorator must reject, or treat as dataclasses do: each entry
     is a function that defines one class."""

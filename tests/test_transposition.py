@@ -15,6 +15,7 @@ from mirrorkit.ci_model import (
     build_cayley,
     charges,
     derive_weights,
+    read_weights,
     validate,
 )
 from mirrorkit.rational_linalg import (
@@ -605,3 +606,35 @@ def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
             assert pair.weights == WeightSystem(tspec.weights)
             sides += 1
     assert sides == 152
+
+
+def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
+    # the weights read off L^-1 are the ones derive_weights solves for, on both
+    # sides; the weight classes read off a hint are the ones _weight_classes
+    # finds, on both sides of every spec that transposes; and a read fails
+    # only where the elimination raises, which is then the outcome
+    hinted = []
+    real = transposition._read_classes
+
+    def recording(diff, k, hint):
+        hinted.append((diff, k, hint))
+        return real(diff, k, hint)
+
+    monkeypatch.setattr(transposition, "_read_classes", recording)
+    mirrors = 0
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        assert read_weights(spec, pair.inverse) == derive_weights(spec) == pair.weights
+        try:
+            pair.tr2
+        except transposition.TranspositionError:
+            continue
+        tspec = pair.mirror.spec
+        assert read_weights(tspec, MirrorPair(tspec).inverse) == derive_weights(tspec)
+        mirrors += 1
+    outcomes = [(real(diff, k, hint), _outcome(transposition._weight_classes, diff, k))
+                for diff, k, hint in hinted]
+    assert all(read == classes for read, classes in outcomes if read is not None)
+    assert all(isinstance(classes, str) for read, classes in outcomes if read is None)
+    assert sum(read is not None for read, _ in outcomes) == 2 * mirrors == 152
+    assert len(outcomes) == 268
