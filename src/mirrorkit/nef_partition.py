@@ -2,26 +2,35 @@
 
 Shifting each block's monomials by its product indicator puts the block
 polytopes into the common weight-kernel sublattice; their Minkowski sum
-should fill it.  The dual vertices come from one exact linear solve: the
-pairing of the original difference vectors against the dual vertices must
+should fill it.  The dual vertices P solve A * P = T: the pairing of the
+original difference vectors (the rows of A) against the dual vertices must
 reproduce the transposed difference matrix, which the transposition built
-(``TransposeResult.diff``).  The solution is only determined modulo the
-weight lines, so a deterministic coordinate section
+(``TransposeResult.diff``, T its transpose).  The solution is only
+determined modulo the weight lines, so a deterministic coordinate section
 (lowest-index standard basis vectors completing the weights to a basis)
 pins the representatives.  The weights have disjoint supports, so that
 section has a closed form, every position but the last of each support
-(``coordinate_section``), and all n dual vertices come from a single
-elimination of the sectioned difference matrix against the n right-hand
-sides.  That solve returns them as integer columns over their least
-common denominator, scale * P and scale, and one integer product checks
-A * (scale * P) == scale * T against the target matrix T.  Its rank is
-the Minkowski dimension: the weights lie in ker A with disjoint supports,
-so the last column of each support depends on the others and the section
-has the rank of A, whose nonzero rows span the Minkowski sum.
+(``coordinate_section``), and the solution is unique when the section has
+the rank of A: the weights lie in ker A, so the last column of each support
+depends on the others, and A's nonzero rows span the Minkowski sum, whose
+dimension is therefore the rank of A.
 
-Once that check holds, every pairing of a difference row with a dual
-vertex is an entry of T, so the pairing conditions are lookups in T
-(``pairing_flags``).  Block q's polytope is the origin and block q's
+No elimination is needed to find P.  T is A with its columns permuted by
+lambda, T[i][c] = A[i][lambda(c) - 1] (the proof is in
+``solve_dual_partition``), so A * Pi_lambda = T for lambda's permutation
+matrix, and P is Pi_lambda moved into the section along the weight lines:
+column c is e_j, j = lambda(c) - 1, or e_j - w_q / w_q[j] when j is the last
+support position of w_q.  The identity and ker A are certified entry by
+entry, and the rank is n - k whenever the Cayley matrix is nonsingular,
+which the caller that holds its inverse vouches for.  Otherwise, one
+elimination of the sectioned difference matrix against the n right-hand
+sides (``solve_den``) gives P as integer columns over their least common
+denominator, scale * P and scale, its rank the Minkowski dimension, and one
+integer product checks A * (scale * P) == scale * T.
+
+Once A * P == T holds, by either path, every pairing of a difference row
+with a dual vertex is an entry of T, so the pairing conditions are lookups
+in T (``pairing_flags``).  Block q's polytope is the origin and block q's
 difference rows, so its support function at dual vertex c is
 -min(0, min over block-q rows i of T[i, c]); the cone pairings are
 T[i, c] + delta and delta.
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
@@ -252,41 +262,42 @@ def coordinate_section(weights: WeightSystem) -> list[int]:
     return [i for i in range(len(weights.vectors[0])) if i not in last]
 
 
-def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
-                         tweights: WeightSystem) -> NefPartitionData:
-    """Solve for the dual vertices and verify the nef-partition conditions.
-
-    The pairing of row i of the difference matrix with dual vertex c is
-    prescribed by the transposed difference matrix: entry (c, i) of tr.diff,
-    whose columns are the original variables.  Solutions are taken in the
-    fixed coordinate section, read off the weights in closed form (every
-    position but the last of each support, see `coordinate_section`) with
-    no elimination; integrality is reported, not required.
-    weights and tweights are the derived weights of spec and of tr.tspec.
-
-    The solve's rank is the Minkowski dimension (module docstring).  It is
-    n - k whenever the Cayley matrix L is nonsingular: ker L is isomorphic
-    to ker A cut by the k conditions <ind_nu, x> = 0, so dim ker A <= k,
-    and the k weight vectors lie in it.
+def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Matrix | None:
+    """P in the coordinate section, read off lambda and the weights
+    (`solve_dual_partition`); None unless row c of tr.diff is column lambda(c)
+    of A and every weight vector lies in ker A.  The caller vouches that
+    A_section has full column rank, so this is the P `_solved_duals` finds.
     """
+    lam = tr.lam.images
+    a_cols = list(zip(*a_rows))
+    if len(lam) != len(a_cols) or tr.diff.num != tuple(a_cols[i - 1] for i in lam):
+        return None
+    if any(sum(map(mul, row, w)) for w in weights.vectors for row in a_rows):
+        return None
+    last = {max(i for i, g in enumerate(w) if g): w for w in weights.vectors}
+    scale = math.lcm(*(w[j] // math.gcd(*w) for j, w in last.items()))
+    cols = []
+    for j in (i - 1 for i in lam):
+        w = last.get(j)
+        if w is None:
+            col = [0] * len(lam)
+            col[j] = scale
+        else:
+            col = [0 if i == j else -(scale * g // w[j]) for i, g in enumerate(w)]
+        cols.append(col)
+    return Matrix(tuple(zip(*cols)), scale)
+
+
+def _solved_duals(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
+                  same_shape: bool) -> Matrix:
+    """P from one elimination of [A_section | T], checked by A * P == T."""
     n, k = spec.n, spec.k
-    notes: list[str] = []
-    flags: dict[str, bool] = {}
-
-    deltas = build_deltas(spec, weights)
     a_mat = spec.diff
-    a_rows = a_mat.num
-    pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
-
-    # all n dual vertices from one elimination of [A_section | target], as
-    # scale * P; once A * P == T holds, every pairing below is an entry of T
     section = coordinate_section(weights)
-    a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_rows))
+    a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_mat.num))
     # another spec's transposition has another shape: rank A_section alone, then reject it
-    same_shape = tr.tspec.taus == spec.taus
     sols, scale, dim = solve_den(a_cols, tr.diff.num if same_shape else ())
-    flags["minkowski_dim"] = dim == n - k
-    if not flags["minkowski_dim"]:
+    if dim != n - k:
         raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
     if not same_shape:
         raise UnsolvableError("transposed block sizes do not mirror the original order")
@@ -300,8 +311,63 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
             full[idx] = val
         p_int.append(tuple(full))
     p_matrix = Matrix(tuple(zip(*p_int)), scale)
-    if a_mat @ p_matrix != pairings:
+    if a_mat @ p_matrix != tr.diff.transpose():
         raise UnsolvableError("pairing matrix does not reproduce the target")
+    return p_matrix
+
+
+def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
+                         tweights: WeightSystem, nonsingular: bool = False
+                         ) -> NefPartitionData:
+    """Solve for the dual vertices and verify the nef-partition conditions.
+
+    The pairing of row i of the difference matrix A with dual vertex c is
+    prescribed by the transposed difference matrix: T[i][c] is entry (c, i)
+    of tr.diff, whose columns are the original variables.  Solutions are
+    taken in the fixed coordinate section, every position but the last of
+    each weight support (`coordinate_section`); integrality is reported,
+    not required.  weights and tweights are the derived weights of spec and
+    of tr.tspec.
+
+    T is A with its columns permuted by lambda: T[i][c] = A[i][lambda(c) - 1].
+    New monomial c is column lambda(c) of L on the monomial rows, so its
+    entry at row i is the exponent E[i][lambda(c) - 1]; its block's indicator
+    is 1 exactly on the monomial rows of its source block, and lambda(c) lies
+    in that block's index set.  The index sets partition the variables, so
+    both indicator terms are [block of row i = source block of c], and they
+    cancel.  With every weight vector in ker A, the dual vertices then have
+    a closed form (`_closed_form_duals`): column c of P is e_j, j = lambda(c) - 1,
+    unless j is the last support position of some w_q, where it is
+    e_j - w_q / w_q[j], zero at j and -w_q[i] / w_q[j] elsewhere on the
+    support; scale is the least common denominator.
+
+    That form needs A_section of full column rank, so the Minkowski dimension
+    (the rank of A, module docstring) must be n - k.  It is whenever the
+    Cayley matrix L is nonsingular: ker L is isomorphic to ker A cut by the
+    k conditions <ind_nu, x> = 0, so dim ker A <= k, and the k weight vectors
+    lie in it.  A caller that holds the inverse of L passes nonsingular=True
+    and, when T and the weights certify, eliminates nothing; otherwise P
+    comes from one elimination of [A_section | T] (`_solved_duals`), which
+    raises every error of this stage.
+    """
+    n, k = spec.n, spec.k
+    notes: list[str] = []
+    flags: dict[str, bool] = {}
+
+    deltas = build_deltas(spec, weights)
+    a_rows = spec.diff.num
+    pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
+
+    # once A * P == T holds, every pairing below is an entry of T
+    same_shape = tr.tspec.taus == spec.taus
+    p_matrix = None
+    if nonsingular and same_shape:
+        p_matrix = _closed_form_duals(a_rows, tr, weights)
+    if p_matrix is None:
+        p_matrix = _solved_duals(spec, tr, weights, same_shape)
+    # either path raises unless the rank is n - k
+    flags["minkowski_dim"] = True
+    p_int, scale = list(zip(*p_matrix.num)), p_matrix.den
 
     flags["integral_P_section"] = scale == 1
     # with scale 1 every column is its own integral representative

@@ -278,7 +278,11 @@ class MirrorPair:
 
     @lazy
     def nef(self) -> nef_partition.NefPartitionData:
-        return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights, self.tweights)
+        """The dual vertices in closed form when L is nonsingular, which bounds the
+        weight kernel (`nef_partition.solve_dual_partition`)."""
+        nonsingular = not isinstance(self._inversion, SingularMatrixError)
+        return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights,
+                                                  self.tweights, nonsingular=nonsingular)
 
     @lazy
     def magic(self) -> nef_partition.MagicSquareReport:

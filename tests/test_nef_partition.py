@@ -18,6 +18,7 @@ from mirrorkit.nef_partition import (
     LatticePolytope,
     NefError,
     UnsolvableError,
+    _closed_form_duals,
     _integral_representative_exists,
     _kernel_basis,
     build_deltas,
@@ -28,6 +29,7 @@ from mirrorkit.nef_partition import (
     solve_dual_partition,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.record import replace
 from mirrorkit.rational_linalg import (
     Matrix,
     integer_kernel,
@@ -200,6 +202,78 @@ def test_solve_rank_is_the_minkowski_dimension(fixtures_dir):
                               for row in difference_matrix(spec).num))
         dim = minkowski_dim(build_deltas(spec, pair.weights)).dim
         assert solve_den(a_cols, target)[2] == dim == spec.n - spec.k
+
+
+
+def _nef_sides(fixtures_dir):
+    """(spec, pair) for every oracle spec whose run reaches the nef stage."""
+    sides = []
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            pair.tr
+        except TranspositionError:
+            continue
+        sides.append((spec, pair))
+    assert len(sides) == 76
+    return sides
+
+
+def test_target_is_the_difference_matrix_with_columns_permuted_by_lambda(fixtures_dir):
+    # T[i][c] = A[i][lambda(c) - 1], against the transported oracle as well
+    for spec, pair in _nef_sides(fixtures_dir):
+        a_rows, lam = difference_matrix(spec).num, pair.tr.lam.images
+        permuted = Matrix(tuple(tuple(row[j - 1] for j in lam) for row in a_rows))
+        assert pair.tr.diff.transpose() == permuted == _transported_target(spec, pair.tr)
+
+
+def test_closed_form_duals_are_the_solved_ones(fixtures_dir):
+    # the closed form against one elimination of [A_section | T]: the same
+    # integer columns over the same least common denominator
+    for spec, pair in _nef_sides(fixtures_dir):
+        section = coordinate_section(pair.weights)
+        a_rows = difference_matrix(spec).num
+        sols, scale, dim = solve_den(
+            Matrix(tuple(tuple(row[j] for j in section) for row in a_rows)), pair.tr.diff.num)
+        assert dim == spec.n - spec.k
+        cols = []
+        for sol in sols:
+            full = [0] * spec.n
+            for j, x in zip(section, sol):
+                full[j] = x
+            cols.append(full)
+        closed = _closed_form_duals(a_rows, pair.tr, pair.weights)
+        assert closed == Matrix(tuple(zip(*cols)), scale)
+        assert closed == pair.nef.p_matrix
+
+
+def test_integral_section_exactly_when_the_last_support_weights_are_one(fixtures_dir):
+    # the closed form's denominator is the LCM of w_q at its last support
+    # position, over the gcd of w_q
+    outcomes = set()
+    for _, pair in _nef_sides(fixtures_dir):
+        lasts = [w[max(i for i, g in enumerate(w) if g)] for w in pair.weights.vectors]
+        integral = pair.nef.flags["integral_P_section"]
+        assert integral == all(g == 1 for g in lasts)
+        outcomes.add(integral)
+    assert outcomes == {True, False}
+
+
+def test_closed_form_refuses_data_that_does_not_certify(spec_6_1):
+    # a target other than A with permuted columns, or weights outside ker A
+    pair = MirrorPair(spec_6_1)
+    tr, weights, a_rows = pair.tr, pair.weights, spec_6_1.diff.num
+    assert _closed_form_duals(a_rows, tr, weights) is not None
+    num = [list(row) for row in tr.diff.num]
+    num[0][0] += 1
+    assert _closed_form_duals(a_rows, replace(tr, diff=Matrix(tuple(map(tuple, num)))),
+                              weights) is None
+    w = [list(v) for v in weights.vectors]
+    w[0][0] += 1
+    assert _closed_form_duals(a_rows, tr, WeightSystem(tuple(map(tuple, w)))) is None
+    # P does not depend on how the weight lines are scaled
+    doubled = WeightSystem(tuple(tuple(2 * g for g in v) for v in weights.vectors))
+    assert _closed_form_duals(a_rows, tr, doubled) == _closed_form_duals(a_rows, tr, weights)
 
 
 def _fraction_flags(spec, nef):
@@ -533,3 +607,23 @@ def test_nef_json(quadric):
     data = nef.to_json()
     assert data["P"] == [["1", "-1"], ["0", "0"]]
     assert data["flags"]["phi_kronecker"]
+
+
+def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
+    # the closed form does not certify on mismatched data, and the solve then
+    # raises exactly what it raises for a caller that does not vouch for L
+    spec = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
+    fermat = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
+    cases = [(spec, transpose_spec(fermat), WeightSystem(((1, 1, 1),))),
+             (spec, transpose_spec(quadric), WeightSystem(((1, 1, 1),))),
+             (spec_6_2, transpose_spec(quadric), derive_weights(spec_6_2))]
+    for spec, tr, weights in cases:
+        messages = []
+        for nonsingular in (False, True):
+            with pytest.raises(UnsolvableError) as exc:
+                solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights),
+                                     nonsingular=nonsingular)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]

@@ -63,11 +63,10 @@ def test_run_verify_builds_each_object_once(calls):
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_eliminates_twice(calls, monkeypatch, m):
-    # the inverse and the dual-vertex solve, whose rank is the Minkowski
-    # dimension: the weights of every side and the transpositions' weight
-    # classes are certified reads of the inverse, and the weight-kernel basis
-    # has a closed form
+def test_run_verify_eliminates_once(calls, monkeypatch, m):
+    # the inverse: the weights of every side and the transpositions' weight
+    # classes are certified reads of it, and the weight-kernel basis and the
+    # dual vertices have closed forms once L is known to be nonsingular
     count = Counter()
     real = rational_linalg._eliminate
 
@@ -77,7 +76,7 @@ def test_run_verify_eliminates_twice(calls, monkeypatch, m):
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     run_verify(generate_family(m))
-    assert count["eliminate"] == 2
+    assert count["eliminate"] == 1
     assert calls["derive_weights"] == 0
 
 
@@ -135,6 +134,29 @@ def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_di
         monkeypatch.setattr(module, "certified_ray", lambda diff, cols, vals: None)
     assert reports() == read
     assert solved["derive_weights"] == len(specs)
+
+
+def test_run_verify_is_unchanged_when_the_closed_form_is_refused(monkeypatch, fixtures_dir):
+    # with the closed-form dual vertices refused, every nef stage solves for
+    # them: every report and exit code is the same
+    specs = oracle_specs(fixtures_dir)
+
+    def reports():
+        return [(json.dumps(report.to_json(), sort_keys=True), report.exit_code(True))
+                for report in map(run_verify, specs)]
+
+    closed = reports()
+    solved = Counter()
+    real = nef_partition._solved_duals
+
+    def counted(*args):
+        solved["solve"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nef_partition, "_closed_form_duals", lambda a_rows, tr, weights: None)
+    monkeypatch.setattr(nef_partition, "_solved_duals", counted)
+    assert reports() == closed
+    assert len(specs) == 216 and solved["solve"] == 76
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
@@ -195,6 +217,46 @@ def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
     # basis and the coordinate section are read off the weights
     assert count["eliminate"] == 1
 
+
+@pytest.mark.parametrize("m", [3, 7, 12])
+def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
+    # a caller that holds L^-1 vouches for its rank: the dual vertices are
+    # read off lambda and the weights, and they are the solved ones
+    pair = MirrorPair(generate_family(m))
+    tr, weights, tweights = pair.tr, pair.weights, pair.tweights
+    solved = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
+    count = Counter()
+    real = rational_linalg._eliminate
+
+    def counted(*args):
+        count["eliminate"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    nef = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights, nonsingular=True)
+    assert count["eliminate"] == 0
+    assert nef == solved == pair.nef
+
+
+
+def test_nef_solves_when_the_pair_holds_a_singular_inversion(monkeypatch):
+    # only a pair whose L inverted vouches for the rank of A
+    solved = Counter()
+    real = nef_partition._solved_duals
+
+    def counted(*args):
+        solved["solve"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nef_partition, "_solved_duals", counted)
+    pair = MirrorPair(generate_family(3))
+    closed = pair.nef
+    assert solved["solve"] == 0
+    pair = MirrorPair(generate_family(3))
+    pair.tr
+    pair._inversion = rational_linalg.SingularMatrixError("matrix is singular")
+    assert pair.nef == closed
+    assert solved["solve"] == 1
 
 @pytest.mark.parametrize("m", [3, 7])
 def test_horn_factors_of_one_form_share_its_data(m):

@@ -32,6 +32,7 @@ from mirrorkit.transposition import (
     transpose_spec,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.record import replace
 from mirrorkit.poincare import verify_duality
 
 from oracles import right_kernel
@@ -638,3 +639,20 @@ def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
     assert all(isinstance(classes, str) for read, classes in outcomes if read is None)
     assert sum(read is not None for read, _ in outcomes) == 2 * mirrors == 152
     assert len(outcomes) == 268
+
+
+@pytest.mark.parametrize("entries", [[(0, 0)], [(4, 7)], [(-1, -1)], [(3, 9), (3, 2), (8, 0)]])
+def test_a_corrupted_mirror_cayley_matrix_names_its_first_mismatch(spec_6_1, entries):
+    # the mirror's Cayley matrix moved by one at some 0-based (r, c): the
+    # permuted-transpose check names the first in row-major order, 1-based
+    pair = MirrorPair(spec_6_1)
+    tcm = pair.mirror.cm
+    num = [list(row) for row in tcm.matrix.num]
+    entries = [(r % tcm.size, c % tcm.size) for r, c in entries]
+    for r, c in entries:
+        num[r][c] += 1
+    pair.mirror.cm = replace(tcm, matrix=Matrix(tuple(map(tuple, num))))
+    r, c = min(entries)
+    with pytest.raises(transposition.InternalInvariantError,
+                       match=rf"^transpose mismatch at new entry \({r + 1},{c + 1}\)$"):
+        pair.tr
