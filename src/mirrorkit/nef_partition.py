@@ -21,16 +21,13 @@ lambda, T[i][c] = A[i][lambda(c) - 1] (the proof is in
 matrix, and P is Pi_lambda moved into the section along the weight lines:
 column c is e_j, j = lambda(c) - 1, or e_j - w_q / w_q[j] when j is the last
 support position of w_q.  The identity and ker A are certified entry by
-entry, and the rank is n - k whenever the Cayley matrix is nonsingular,
-which the caller that holds its inverse vouches for.  Otherwise, one
-elimination of the sectioned difference matrix against the n right-hand
-sides (``solve_den``) gives P as integer columns over their least common
-denominator, scale * P and scale, its rank the Minkowski dimension, and one
-integer product checks A * (scale * P) == scale * T.
+entry, and the identity also proves the rank n - k that makes P the one
+solution in the section (``solve_dual_partition``); only another spec's
+data fails the certificate, and the stage then raises.
 
-Once A * P == T holds, by either path, every pairing of a difference row
-with a dual vertex is an entry of T, so the pairing conditions are lookups
-in T (``pairing_flags``).  Block q's polytope is the origin and block q's
+Once A * P == T holds, every pairing of a difference row with a dual
+vertex is an entry of T, so the pairing conditions are lookups in T
+(``pairing_flags``).  Block q's polytope is the origin and block q's
 difference rows, so its support function at dual vertex c is
 -min(0, min over block-q rows i of T[i, c]); the cone pairings are
 T[i, c] + delta and delta.
@@ -49,7 +46,7 @@ from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
-from .rational_linalg import Matrix, rank, solve_den
+from .rational_linalg import Matrix, rank
 from .record import lazy, record
 from .transposition import TransposeResult
 
@@ -265,8 +262,9 @@ def coordinate_section(weights: WeightSystem) -> list[int]:
 def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Matrix | None:
     """P in the coordinate section, read off lambda and the weights
     (`solve_dual_partition`); None unless row c of tr.diff is column lambda(c)
-    of A and every weight vector lies in ker A.  The caller vouches that
-    A_section has full column rank, so this is the P `_solved_duals` finds.
+    of A and every weight vector lies in ker A.  That identity makes
+    rank A = rank tr.diff = n - k, so A_section has full column rank and P
+    is the one solution of A * P = T in the section.
     """
     lam = tr.lam.images
     a_cols = list(zip(*a_rows))
@@ -288,37 +286,8 @@ def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Ma
     return Matrix(tuple(zip(*cols)), scale)
 
 
-def _solved_duals(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
-                  same_shape: bool) -> Matrix:
-    """P from one elimination of [A_section | T], checked by A * P == T."""
-    n, k = spec.n, spec.k
-    a_mat = spec.diff
-    section = coordinate_section(weights)
-    a_cols = Matrix(tuple(tuple(row[j] for j in section) for row in a_mat.num))
-    # another spec's transposition has another shape: rank A_section alone, then reject it
-    sols, scale, dim = solve_den(a_cols, tr.diff.num if same_shape else ())
-    if dim != n - k:
-        raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
-    if not same_shape:
-        raise UnsolvableError("transposed block sizes do not mirror the original order")
-
-    p_int = []
-    for c, sol in enumerate(sols, start=1):
-        if sol is None:
-            raise UnsolvableError(f"dual vertex {c}: inconsistent system")
-        full = [0] * n
-        for idx, val in zip(section, sol):
-            full[idx] = val
-        p_int.append(tuple(full))
-    p_matrix = Matrix(tuple(zip(*p_int)), scale)
-    if a_mat @ p_matrix != tr.diff.transpose():
-        raise UnsolvableError("pairing matrix does not reproduce the target")
-    return p_matrix
-
-
 def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSystem,
-                         tweights: WeightSystem, nonsingular: bool = False
-                         ) -> NefPartitionData:
+                         tweights: WeightSystem) -> NefPartitionData:
     """Solve for the dual vertices and verify the nef-partition conditions.
 
     The pairing of row i of the difference matrix A with dual vertex c is
@@ -342,13 +311,14 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     support; scale is the least common denominator.
 
     That form needs A_section of full column rank, so the Minkowski dimension
-    (the rank of A, module docstring) must be n - k.  It is whenever the
-    Cayley matrix L is nonsingular: ker L is isomorphic to ker A cut by the
-    k conditions <ind_nu, x> = 0, so dim ker A <= k, and the k weight vectors
-    lie in it.  A caller that holds the inverse of L passes nonsingular=True
-    and, when T and the weights certify, eliminates nothing; otherwise P
-    comes from one elimination of [A_section | T] (`_solved_duals`), which
-    raises every error of this stage.
+    (the rank of A, module docstring) must be n - k, and the certificate
+    proves it: the rows of tr.diff are the columns of A, so rank A is the
+    rank of tr.diff, which is n - k because `build_transpose` returns only a
+    transposition whose weight kernel has dimension k (`_weight_classes`
+    checks the dimension; `_read_classes` certifies k nonzero rays on
+    disjoint supports against a kernel of dimension at most k).  Only data
+    of another spec fails the certificate, and the stage then raises: on the
+    Minkowski dimension first, then on the block sizes, then on the target.
     """
     n, k = spec.n, spec.k
     notes: list[str] = []
@@ -359,13 +329,15 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
 
     # once A * P == T holds, every pairing below is an entry of T
-    same_shape = tr.tspec.taus == spec.taus
-    p_matrix = None
-    if nonsingular and same_shape:
-        p_matrix = _closed_form_duals(a_rows, tr, weights)
+    p_matrix = _closed_form_duals(a_rows, tr, weights)
     if p_matrix is None:
-        p_matrix = _solved_duals(spec, tr, weights, same_shape)
-    # either path raises unless the rank is n - k
+        dim = minkowski_dim(deltas).dim
+        if dim != n - k:
+            raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
+        if tr.tspec.taus != spec.taus:
+            raise UnsolvableError("transposed block sizes do not mirror the original order")
+        raise UnsolvableError("pairing matrix does not reproduce the target")
+    # the certificate makes rank A = rank tr.diff = n - k
     flags["minkowski_dim"] = True
     p_int, scale = list(zip(*p_matrix.num)), p_matrix.den
 

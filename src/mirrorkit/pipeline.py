@@ -74,8 +74,9 @@ class MirrorPair:
     and the mirror's weight classes are read off it, and the double
     transpose's classes off the spec's weights, each read certified, with
     `ci_model.derive_weights` and `transposition._weight_classes` as the
-    fallback; so a run whose reads certify eliminates L and nothing else
-    for its weights.
+    fallback; so a run whose reads certify eliminates L and nothing else.
+    The double transpose's read and the nef stage need no L^-1: the
+    transposition bounds the kernels they rely on.
     """
 
     def __init__(self, spec: CISpec, origin: MirrorPair | None = None):
@@ -144,9 +145,9 @@ class MirrorPair:
         """The rows `build_transpose` reads the weight classes off, or None to eliminate.
 
         A spec's come off L^-1 (`transposition.inverse_hint`).  A mirror's come
-        off its origin's weights (`transposition.mirror_hint`), and only once the
-        origin's transposition is checked on a nonsingular L: that bounds the
-        weight kernel the read is certified against.
+        off its origin's weights (`transposition.mirror_hint`), once the origin's
+        transposition is checked: its weight kernel has dimension k, which
+        bounds the kernel the read is certified against, whether or not L inverts.
         """
         if self._origin is None:
             inverse = self._inversion
@@ -154,7 +155,7 @@ class MirrorPair:
                 return None
             return transposition.inverse_hint(self.cm, inverse)
         origin = self._origin()
-        if origin is None or isinstance(origin._inversion, SingularMatrixError):
+        if origin is None:
             return None
         try:
             tr = origin.tr
@@ -278,11 +279,9 @@ class MirrorPair:
 
     @lazy
     def nef(self) -> nef_partition.NefPartitionData:
-        """The dual vertices in closed form when L is nonsingular, which bounds the
-        weight kernel (`nef_partition.solve_dual_partition`)."""
-        nonsingular = not isinstance(self._inversion, SingularMatrixError)
-        return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights,
-                                                  self.tweights, nonsingular=nonsingular)
+        """The dual vertices in closed form: the transposition proves the rank
+        they need (`nef_partition.solve_dual_partition`)."""
+        return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights, self.tweights)
 
     @lazy
     def magic(self) -> nef_partition.MagicSquareReport:

@@ -343,42 +343,6 @@ def integer_kernel(m: Matrix) -> list[tuple[int, ...]]:
     return [vec for _, vec in _kernel_columns(m)]
 
 
-def solve_den(m: Matrix, rhs_cols: Sequence[Sequence[Fraction | int]]
-              ) -> tuple[list[tuple[int, ...] | None], int, int]:
-    """Particular solutions of m x = b for each column b, as integer vectors over
-    one common denominator: (d*x per column, or None when inconsistent; d; rank m).
-
-    One elimination of [m | b_1 ... b_r]: the pivots depend on m alone, so
-    each column gets exactly the solution a one-column solve would.  m may
-    be rectangular or rank-deficient; free variables are set to zero.  d
-    is the least common denominator of the consistent solutions.
-    """
-    if any(len(b) != m.rows for b in rhs_cols):
-        raise DimensionMismatchError("right-hand side length mismatch")
-    n = m.cols
-    aug = []
-    for i, row in enumerate(m.num):
-        # num x = den * b; row i scaled by the LCM e of its right-hand denominators
-        rhs, e = _integer_row(b[i] for b in rhs_cols)
-        aug.append([x * e for x in row] + [m.den * y for y in rhs])
-    r, pivots = _eliminate(aug, n)
-    d = math.lcm(*(aug[i][pcol] for i, pcol in enumerate(pivots)))
-    out: list[tuple[int, ...] | None] = []
-    for c in range(n, n + len(rhs_cols)):
-        if any(aug[i][c] for i in range(r, m.rows)):
-            out.append(None)
-            continue
-        x = [0] * n
-        for i, pcol in enumerate(pivots):
-            x[pcol] = aug[i][c] * (d // aug[i][pcol])
-        out.append(tuple(x))
-    g = math.gcd(d, *chain.from_iterable(x for x in out if x is not None))
-    if g > 1:
-        out = [None if x is None else tuple(v // g for v in x) for x in out]
-        d //= g
-    return out, d, r
-
-
 def primitive_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping the sign pattern."""
     return tuple(_primitive(_integer_row(v)[0]))

@@ -200,10 +200,11 @@ def mirror_hint(tr: TransposeResult, weights: WeightSystem) -> tuple[tuple[int, 
     """The hint for transposing tr.tspec back, from the spec's weights: row p is the
     weights at lam(p), the old variable behind the p-th new monomial.
 
-    Once `complete_transpose` has checked that the new Cayley matrix is a
-    permuted transpose of a nonsingular L, the double transpose's difference
-    matrix is the spec's with rows and columns permuted, whose kernel has
-    dimension at most k (`ci_model.read_weights`).
+    tr.tspec's difference matrix is tr.diff with its columns relabelled, and
+    the double transpose's is that matrix transposed with its rows permuted
+    (the identity `nef_partition.solve_dual_partition` proves).  Both are
+    square, so the double transpose's weight kernel has the dimension k of
+    the weight kernel of tr.diff, which `build_transpose` checked or certified.
     """
     return tuple(tuple(w[i - 1] for w in weights.vectors) for i in tr.lam.images)
 

@@ -8,15 +8,59 @@ sympy and with hand-computed values.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
-from mirrorkit.rational_linalg import _canonical, _kernel_columns, rat_str, solve_den
+from mirrorkit.rational_linalg import (
+    DimensionMismatchError,
+    _canonical,
+    _eliminate,
+    _integer_row,
+    _kernel_columns,
+    rat_str,
+)
 
 
 def right_kernel(m):
     """Basis of {x : m x = 0}, one vector per free column, deterministic order:
     each is 1 at its free column and 0 at the other free columns."""
     return [tuple(Fraction(x, vec[free]) for x in vec) for free, vec in _kernel_columns(m)]
+
+
+def solve_den(m, rhs_cols):
+    """Particular solutions of m x = b for each column b, as integer vectors over
+    one common denominator: (d*x per column, or None when inconsistent; d; rank m).
+
+    One elimination of [m | b_1 ... b_r]: the pivots depend on m alone, so
+    each column gets exactly the solution a one-column solve would.  m may
+    be rectangular or rank-deficient; free variables are set to zero.  d
+    is the least common denominator of the consistent solutions.  The
+    reference the nef stage's closed-form dual vertices are tested against.
+    """
+    if any(len(b) != m.rows for b in rhs_cols):
+        raise DimensionMismatchError("right-hand side length mismatch")
+    n = m.cols
+    aug = []
+    for i, row in enumerate(m.num):
+        # num x = den * b; row i scaled by the LCM e of its right-hand denominators
+        rhs, e = _integer_row(b[i] for b in rhs_cols)
+        aug.append([x * e for x in row] + [m.den * y for y in rhs])
+    r, pivots = _eliminate(aug, n)
+    d = math.lcm(*(aug[i][pcol] for i, pcol in enumerate(pivots)))
+    out = []
+    for c in range(n, n + len(rhs_cols)):
+        if any(aug[i][c] for i in range(r, m.rows)):
+            out.append(None)
+            continue
+        x = [0] * n
+        for i, pcol in enumerate(pivots):
+            x[pcol] = aug[i][c] * (d // aug[i][pcol])
+        out.append(tuple(x))
+    g = math.gcd(d, *chain.from_iterable(x for x in out if x is not None))
+    if g > 1:
+        out = [None if x is None else tuple(v // g for v in x) for x in out]
+        d //= g
+    return out, d, r
 
 
 def solve_many(m, rhs_cols):

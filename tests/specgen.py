@@ -131,6 +131,35 @@ def oracle_specs(fixtures_dir) -> list[CISpec]:
             + [CISpec.load(f) for f in sorted(fixtures_dir.glob("*.json"))])
 
 
+# Specs with a singular Cayley matrix that still transpose, twice: the distinct
+# specs among the first 20000 candidates of random_spec(random.Random(20260810),
+# max_k=3) that fail validate only on the Cayley check.  They reach the
+# transposition and the double transpose (the transpose and poincare commands)
+# but never the nef stage, which needs the forms and so L^-1.
+SINGULAR_CAYLEY_JSON = (
+    {"n": 4, "k": 3, "blocks": [{"exponents": [[1, 0, 0, 1]], "index_set": [1, 4]},
+                                {"exponents": [[0, 0, 1, 0], [0, 1, 0, 0]], "index_set": [2]},
+                                {"exponents": [[0, 1, 0, 0]], "index_set": [3]}]},
+    {"n": 4, "k": 3, "blocks": [{"exponents": [[0, 0, 0, 1]], "index_set": [3]},
+                                {"exponents": [[1, 1, 0, 0]], "index_set": [1, 2]},
+                                {"exponents": [[0, 0, 0, 1], [0, 0, 1, 0]], "index_set": [4]}]},
+    {"n": 4, "k": 3, "blocks": [{"exponents": [[1, 1, 0, 0]], "index_set": [1, 2]},
+                                {"exponents": [[0, 0, 0, 1]], "index_set": [3]},
+                                {"exponents": [[0, 0, 0, 1], [0, 0, 1, 0]], "index_set": [4]}]},
+    {"n": 4, "k": 3, "blocks": [{"exponents": [[1, 1, 0, 0]], "index_set": [1, 2]},
+                                {"exponents": [[0, 0, 1, 0]], "index_set": [4]},
+                                {"exponents": [[0, 0, 0, 1], [0, 0, 1, 0]], "index_set": [3]}]},
+    {"n": 4, "k": 3, "blocks": [{"exponents": [[1, 0, 0, 1]], "index_set": [1, 4]},
+                                {"exponents": [[0, 0, 1, 0], [0, 1, 0, 0]], "index_set": [3]},
+                                {"exponents": [[0, 0, 1, 0]], "index_set": [2]}]},
+)
+
+
+def singular_cayley_specs() -> list[CISpec]:
+    """The SINGULAR_CAYLEY_JSON specs."""
+    return [CISpec.from_json(d) for d in SINGULAR_CAYLEY_JSON]
+
+
 def direct_sum(*specs) -> dict:
     """The specs' blocks side by side on disjoint variables (specs as JSON dicts)."""
     n = sum(d["n"] for d in specs)

@@ -36,12 +36,11 @@ from mirrorkit.rational_linalg import (
     invert,
     pivot_columns,
     rank,
-    solve_den,
 )
 from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
 
-from oracles import support_phi
-from specgen import generate_valid_specs, oracle_specs
+from oracles import solve_den, support_phi
+from specgen import generate_valid_specs, oracle_specs, singular_cayley_specs
 
 F = Fraction
 
@@ -203,6 +202,28 @@ def test_solve_rank_is_the_minkowski_dimension(fixtures_dir):
         dim = minkowski_dim(build_deltas(spec, pair.weights)).dim
         assert solve_den(a_cols, target)[2] == dim == spec.n - spec.k
 
+
+def test_every_side_of_a_transposition_has_rank_n_minus_k(fixtures_dir):
+    # the lemma the closed form rests on: build_transpose returns only a
+    # transposition whose weight kernel has dimension k, and its difference
+    # matrix is the spec's transposed with rows permuted, so the spec, the
+    # transposed spec and the double transpose all have rank n - k, singular
+    # Cayley matrix or not
+    transposed = 0
+    for spec in oracle_specs(fixtures_dir) + singular_cayley_specs():
+        pair = MirrorPair(spec)
+        try:
+            tr = pair.tr
+        except TranspositionError:
+            continue
+        tspec2 = pair.tr2.tspec
+        assert rank(tr.diff) == rank(pair.tr2.diff) == spec.n - spec.k
+        for side, weights in ((spec, pair.weights), (tr.tspec, pair.tweights),
+                              (tspec2, WeightSystem(tspec2.weights))):
+            dim = minkowski_dim(build_deltas(side, weights)).dim
+            assert rank(side.diff) == dim == side.n - side.k
+        transposed += 1
+    assert transposed == 76 + len(singular_cayley_specs())
 
 
 def _nef_sides(fixtures_dir):
@@ -524,11 +545,28 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
             solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
 
 
-def test_solve_dual_partition_guard(spec_6_2, quadric):
-    # mismatched transposition data is rejected before solving
-    tr = transpose_spec(quadric)
-    with pytest.raises(UnsolvableError):
-        solve_dual_partition(spec_6_2, tr, derive_weights(spec_6_2), derive_weights(tr.tspec))
+def test_solve_dual_partition_guard(spec_6_1, spec_6_2, quadric):
+    # data of another spec fails the closed form's certificate and is rejected,
+    # on the Minkowski dimension first, then the block sizes, then the target
+    spec = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
+    fermat = CISpec(n=3, k=1, blocks=(Block(
+        exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
+    pair = MirrorPair(spec_6_1)
+    num = [list(row) for row in pair.tr.diff.num]
+    num[0][0] += 1
+    cases = [(spec, transpose_spec(fermat), WeightSystem(((1, 1, 1),)),
+              "Minkowski sum has dimension 1, expected 2"),
+             (spec, transpose_spec(quadric), WeightSystem(((1, 1, 1),)),
+              "Minkowski sum has dimension 1, expected 2"),
+             (spec_6_2, transpose_spec(quadric), derive_weights(spec_6_2),
+              "transposed block sizes do not mirror the original order"),
+             (spec_6_1, replace(pair.tr, diff=Matrix(tuple(map(tuple, num)))), pair.weights,
+              "pairing matrix does not reproduce the target")]
+    for spec, tr, weights, message in cases:
+        with pytest.raises(UnsolvableError) as exc:
+            solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
+        assert str(exc.value) == message
 
 
 def test_cone_generators_quadric(quadric):
@@ -607,23 +645,3 @@ def test_nef_json(quadric):
     data = nef.to_json()
     assert data["P"] == [["1", "-1"], ["0", "0"]]
     assert data["flags"]["phi_kronecker"]
-
-
-def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
-    # the closed form does not certify on mismatched data, and the solve then
-    # raises exactly what it raises for a caller that does not vouch for L
-    spec = CISpec(n=3, k=1, blocks=(Block(
-        exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
-    fermat = CISpec(n=3, k=1, blocks=(Block(
-        exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
-    cases = [(spec, transpose_spec(fermat), WeightSystem(((1, 1, 1),))),
-             (spec, transpose_spec(quadric), WeightSystem(((1, 1, 1),))),
-             (spec_6_2, transpose_spec(quadric), derive_weights(spec_6_2))]
-    for spec, tr, weights in cases:
-        messages = []
-        for nonsingular in (False, True):
-            with pytest.raises(UnsolvableError) as exc:
-                solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights),
-                                     nonsingular=nonsingular)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]

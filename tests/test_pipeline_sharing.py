@@ -23,7 +23,7 @@ from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 
-from specgen import oracle_specs
+from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
@@ -66,7 +66,7 @@ def test_run_verify_builds_each_object_once(calls):
 def test_run_verify_eliminates_once(calls, monkeypatch, m):
     # the inverse: the weights of every side and the transpositions' weight
     # classes are certified reads of it, and the weight-kernel basis and the
-    # dual vertices have closed forms once L is known to be nonsingular
+    # dual vertices have closed forms
     count = Counter()
     real = rational_linalg._eliminate
 
@@ -136,27 +136,44 @@ def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_di
     assert solved["derive_weights"] == len(specs)
 
 
-def test_run_verify_is_unchanged_when_the_closed_form_is_refused(monkeypatch, fixtures_dir):
-    # with the closed-form dual vertices refused, every nef stage solves for
-    # them: every report and exit code is the same
-    specs = oracle_specs(fixtures_dir)
+def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch, tmp_path):
+    # a spec with a singular L still transposes, and its double transpose
+    # reads its weight classes off the spec's weights, bounded by the spec's
+    # transposition and not by L^-1: the transpose and poincare output is the
+    # same as with every certificate refused, and only the spec's side
+    # eliminates for its classes
+    paths = []
+    for i, spec in enumerate(singular_cayley_specs()):
+        path = tmp_path / f"singular_{i}.json"
+        path.write_text(json.dumps(spec.to_json()))
+        paths.append(path)
+    calls = []
+    real = transposition._weight_classes
+    monkeypatch.setattr(transposition, "_weight_classes",
+                        lambda diff, k: calls.append(k) or real(diff, k))
 
-    def reports():
-        return [(json.dumps(report.to_json(), sort_keys=True), report.exit_code(True))
-                for report in map(run_verify, specs)]
+    def outputs():
+        runs, eliminated = [], Counter()
+        for path in paths:
+            for command in ("transpose", "poincare"):
+                for fmt in ("text", "json"):
+                    out, err = io.StringIO(), io.StringIO()
+                    before = len(calls)
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main([command, "--input", str(path), "--format", fmt])
+                    runs.append((out.getvalue(), err.getvalue(), code))
+                    eliminated[command] += len(calls) - before
+        return runs, eliminated
 
-    closed = reports()
-    solved = Counter()
-    real = nef_partition._solved_duals
-
-    def counted(*args):
-        solved["solve"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(nef_partition, "_closed_form_duals", lambda a_rows, tr, weights: None)
-    monkeypatch.setattr(nef_partition, "_solved_duals", counted)
-    assert reports() == closed
-    assert len(specs) == 216 and solved["solve"] == 76
+    # one elimination per run, for the spec's classes: transpose builds no
+    # double transpose, and poincare reads its classes
+    read, eliminated = outputs()
+    assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
+    for module in (ci_model, transposition):
+        monkeypatch.setattr(module, "certified_ray", lambda diff, cols, vals: None)
+    refused, eliminated = outputs()
+    assert refused == read
+    assert eliminated == {"transpose": 2 * len(paths), "poincare": 4 * len(paths)}
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])
@@ -199,32 +216,11 @@ def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
 
 
 @pytest.mark.parametrize("m", [3, 7, 12])
-def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
-    # the dual vertices come from one multi-column solve, whatever n is
-    # (one solve per vertex and a rank loop for the section made 15, 31 and 51)
-    pair = MirrorPair(generate_family(m))
-    tr, weights, tweights = pair.tr, pair.weights, pair.tweights
-    count = Counter()
-    real = rational_linalg._eliminate
-
-    def counted(*args):
-        count["eliminate"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
-    nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
-    # the solve, whose rank is the Minkowski dimension; the weight-kernel
-    # basis and the coordinate section are read off the weights
-    assert count["eliminate"] == 1
-
-
-@pytest.mark.parametrize("m", [3, 7, 12])
 def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
-    # a caller that holds L^-1 vouches for its rank: the dual vertices are
-    # read off lambda and the weights, and they are the solved ones
+    # a direct call reads the dual vertices off lambda and the weights: the
+    # transposition proves the rank they need
     pair = MirrorPair(generate_family(m))
     tr, weights, tweights = pair.tr, pair.weights, pair.tweights
-    solved = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
     count = Counter()
     real = rational_linalg._eliminate
 
@@ -233,30 +229,29 @@ def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
         return real(*args)
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
-    nef = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights, nonsingular=True)
+    nef = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
     assert count["eliminate"] == 0
-    assert nef == solved == pair.nef
-
+    assert nef == pair.nef
 
 
 def test_nef_solves_when_the_pair_holds_a_singular_inversion(monkeypatch):
-    # only a pair whose L inverted vouches for the rank of A
-    solved = Counter()
-    real = nef_partition._solved_duals
-
-    def counted(*args):
-        solved["solve"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(nef_partition, "_solved_duals", counted)
-    pair = MirrorPair(generate_family(3))
-    closed = pair.nef
-    assert solved["solve"] == 0
+    # the nef stage does not ask whether L inverted: with a failed inversion
+    # held, the dual vertices are the same and nothing is eliminated for them
+    closed = MirrorPair(generate_family(3)).nef
     pair = MirrorPair(generate_family(3))
     pair.tr
     pair._inversion = rational_linalg.SingularMatrixError("matrix is singular")
+    count = Counter()
+    real = rational_linalg._eliminate
+
+    def counted(*args):
+        count["eliminate"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
     assert pair.nef == closed
-    assert solved["solve"] == 1
+    assert count["eliminate"] == 0
+
 
 @pytest.mark.parametrize("m", [3, 7])
 def test_horn_factors_of_one_form_share_its_data(m):

@@ -16,11 +16,10 @@ from mirrorkit.rational_linalg import (
     rat_parse,
     rat_str,
     ratio_str,
-    solve_den,
     vectors_proportional,
 )
 
-from oracles import is_involution, right_kernel, solve_many
+from oracles import is_involution, right_kernel, solve_den, solve_many
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction
