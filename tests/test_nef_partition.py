@@ -546,23 +546,35 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
 
 
 def test_solve_dual_partition_guard(spec_6_1, spec_6_2, quadric):
-    # data of another spec fails the closed form's certificate and is rejected,
-    # on the Minkowski dimension first, then the block sizes, then the target
+    # mismatched transposition data fails the closed form's certificate and is
+    # rejected: on the block sizes, or on a target that A does not reproduce
+    tr = transpose_spec(quadric)
+    with pytest.raises(UnsolvableError) as exc:
+        solve_dual_partition(spec_6_2, tr, derive_weights(spec_6_2), derive_weights(tr.tspec))
+    assert str(exc.value) == "transposed block sizes do not mirror the original order"
+    pair = MirrorPair(spec_6_1)
+    num = [list(row) for row in pair.tr.diff.num]
+    num[0][0] += 1
+    tr = replace(pair.tr, diff=Matrix(tuple(map(tuple, num))))
+    with pytest.raises(UnsolvableError) as exc:
+        solve_dual_partition(spec_6_1, tr, pair.weights, WeightSystem(tr.tspec.weights))
+    assert str(exc.value) == "pairing matrix does not reproduce the target"
+
+
+def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
+    # no caller vouches for L any more: on mismatched data every caller meets
+    # the messages a caller that did not vouch met, on the Minkowski dimension
+    # first, then the block sizes
     spec = CISpec(n=3, k=1, blocks=(Block(
         exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
     fermat = CISpec(n=3, k=1, blocks=(Block(
         exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
-    pair = MirrorPair(spec_6_1)
-    num = [list(row) for row in pair.tr.diff.num]
-    num[0][0] += 1
     cases = [(spec, transpose_spec(fermat), WeightSystem(((1, 1, 1),)),
               "Minkowski sum has dimension 1, expected 2"),
              (spec, transpose_spec(quadric), WeightSystem(((1, 1, 1),)),
               "Minkowski sum has dimension 1, expected 2"),
              (spec_6_2, transpose_spec(quadric), derive_weights(spec_6_2),
-              "transposed block sizes do not mirror the original order"),
-             (spec_6_1, replace(pair.tr, diff=Matrix(tuple(map(tuple, num)))), pair.weights,
-              "pairing matrix does not reproduce the target")]
+              "transposed block sizes do not mirror the original order")]
     for spec, tr, weights, message in cases:
         with pytest.raises(UnsolvableError) as exc:
             solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))

@@ -216,9 +216,10 @@ def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
 
 
 @pytest.mark.parametrize("m", [3, 7, 12])
-def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
-    # a direct call reads the dual vertices off lambda and the weights: the
-    # transposition proves the rank they need
+def test_nef_solve_eliminates_a_fixed_number_of_times(monkeypatch, m):
+    # a direct call reads the dual vertices off lambda and the weights, whatever
+    # n is: the transposition proves the rank they need, so nothing is solved
+    # (an elimination fallback made 1; one solve per vertex made 15, 31 and 51)
     pair = MirrorPair(generate_family(m))
     tr, weights, tweights = pair.tr, pair.weights, pair.tweights
     count = Counter()
@@ -229,9 +230,30 @@ def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
         return real(*args)
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
-    nef = nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
+    nef_partition.solve_dual_partition(pair.spec, tr, weights, tweights)
     assert count["eliminate"] == 0
-    assert nef == pair.nef
+
+
+@pytest.mark.parametrize("m", [3, 7, 12])
+def test_nef_closed_form_eliminates_nothing(monkeypatch, m):
+    # the run path takes the same closed form: once the pair holds its
+    # transposition and weights, its nef stage eliminates nothing and equals a
+    # direct call
+    direct = MirrorPair(generate_family(m))
+    solved = nef_partition.solve_dual_partition(direct.spec, direct.tr, direct.weights,
+                                                direct.tweights)
+    pair = MirrorPair(generate_family(m))
+    pair.tr, pair.weights, pair.tweights
+    count = Counter()
+    real = rational_linalg._eliminate
+
+    def counted(*args):
+        count["eliminate"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    assert pair.nef == solved
+    assert count["eliminate"] == 0
 
 
 def test_nef_solves_when_the_pair_holds_a_singular_inversion(monkeypatch):
