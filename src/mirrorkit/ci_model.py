@@ -158,7 +158,7 @@ class CISpec:
 
     @lazy
     def diff(self) -> Matrix:
-        """The spec's difference_matrix, built once: the weights and the nef solve read it."""
+        """The spec's difference_matrix, built once: `derive_weights` and the nef solve read it."""
         return difference_matrix(self)
 
     # -- serialization ---------------------------------------------------------
@@ -353,7 +353,8 @@ def derive_weights(spec: CISpec) -> WeightSystem:
 
     This is the definition of the derived weights and the oracle of
     `read_weights`; a run solves for them here only when the Cayley matrix
-    is singular or the read fails, and every error comes from here.
+    is singular, and otherwise only to raise the error of a spec that
+    `read_weights` finds without weights.
     """
     _check_structure(spec)
     diffs = spec.diff.num
@@ -381,48 +382,71 @@ def derive_weights(spec: CISpec) -> WeightSystem:
     return WeightSystem(tuple(vectors))
 
 
-def certified_ray(diff: Matrix, cols: Sequence[int], vals: Sequence[int]
-                  ) -> tuple[int, ...] | None:
-    """vals made primitive and positive, if the vector with entries vals at the
-    0-based columns cols (and zero elsewhere) lies in the kernel of the
-    integral matrix diff and vals are nonzero and of one sign; else None."""
-    if not vals or not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
-        return None
-    if any(sum(row[c] * v for c, v in zip(cols, vals)) for row in diff.num):
-        return None
-    g = math.gcd(*vals) * (1 if vals[0] > 0 else -1)
-    return tuple(v // g for v in vals)
+def weight_hint(spec: CISpec, inverse: Matrix
+                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(C, M), den times the matrices with ker spec.diff = C·ker M, for L^-1 = inverse
+    (C injective).
+
+    C[i][nu] = L^-1[x_i, a(nu)] and M[j][nu] = delta_{j nu} - L^-1[y_{2j-1}, a(nu)],
+    a(nu) block nu's constant row.  Column a(nu) of L^-1 solves L u = e_{a(nu)},
+    whose rows of block j give spec.diff C = M (row j once per monomial of
+    block j) and ind_j . C = -e_j.  Conversely a w in ker spec.diff, with
+    t_j = ind_j . w, is the x-part of a u with L u = -sum_j t_j e_{a(j)}.
+    """
+    n, k, den = spec.n, spec.k, inverse.den
+    cols = [spec.a(nu) - 1 for nu in range(1, k + 1)]
+    c = tuple(tuple(inverse.num[i][a] for a in cols) for i in range(n))
+    m = tuple(tuple(den * (j == nu) - inverse.num[n + 2 * j][a] for nu, a in enumerate(cols))
+              for j in range(k))
+    return c, m
+
+
+def rays_by_class(rows: Sequence[Sequence[int]]
+                  ) -> list[tuple[list[int], tuple[int, ...]]] | None:
+    """Positions grouped by proportional rows, in order of first appearance (members
+    ascending), each with its ray: the entries at its positions of the column where
+    its first row is first nonzero, made primitive with the first one positive;
+    None when some row is zero.  For the rows of a basis of a kernel, one per
+    coordinate, they are the kernel's, whichever basis is given."""
+    classes: list[tuple[int, list[int]]] = []  # (t, members)
+    for i, row in enumerate(rows):
+        if not any(row):
+            return None
+        for t, cls in classes:
+            first = rows[cls[0]]
+            a, b = row[t], first[t]
+            if a and all(a * x == b * y for x, y in zip(first, row)):
+                cls.append(i)
+                break
+        else:
+            classes.append((next(t for t, x in enumerate(row) if x), [i]))
+    result = []
+    for t, cls in classes:
+        vals = [rows[i][t] for i in cls]
+        g = math.gcd(*vals) * (1 if vals[0] > 0 else -1)
+        result.append((cls, tuple(v // g for v in vals)))
+    return result
 
 
 def read_weights(spec: CISpec, inverse: Matrix) -> WeightSystem | None:
-    """The weights `derive_weights` solves for, read off the Cayley inverse and
-    certified; None when a read fails the certificate.
+    """The weights `derive_weights` solves for, read off L^-1 = inverse; None when
+    there are none.
 
-    Write c_nu for the column of L^-1 at block nu's constant row a(nu).  Block
-    q's vector is the restriction to its range of the first c_nu that is
-    nonzero there, accepted by `certified_ray` against spec.diff.  Accepted
-    reads are exact: as L is nonsingular, a vector of the per-block kernels
-    that pairs to zero with every index-set indicator is zero (L sends it,
-    padded with zeros, to zero), so the k per-block kernel dimensions sum to
-    at most k; a certified nonzero ray in each makes every one a line, and
-    its primitive positive ray is the one `derive_weights` finds.
+    ker spec.diff = C·ker M (`weight_hint`) has dimension k - rank M, so the
+    weights need M = 0, and C's k columns then span the kernel.  They are the
+    classes of C's rows (`rays_by_class`) when these are the block ranges
+    with positive rays: each block's kernel is then the line of its ray.
+    Otherwise `derive_weights` raises, as its k rays would span the kernel.
     """
-    n, k = spec.n, spec.k
-    vectors = []
-    for q in range(1, k + 1):
-        cols = [i - 1 for i in spec.block_range(q)]
-        for nu in range(1, k + 1):
-            vals = [inverse.num[i][spec.a(nu) - 1] for i in cols]
-            if any(vals):
-                break
-        ray = certified_ray(spec.diff, cols, vals)
-        if ray is None:
-            return None
-        full = [0] * n
-        for c, g in zip(cols, ray):
-            full[c] = g
-        vectors.append(tuple(full))
-    return WeightSystem(tuple(vectors))
+    k, n = spec.k, spec.n
+    c, m = weight_hint(spec, inverse)
+    classes = None if any(map(any, m)) else rays_by_class(c)
+    ranges = [list(range(spec.b(q - 1), spec.b(q))) for q in range(1, k + 1)]
+    if (classes is None or [cls for cls, _ in classes] != ranges
+            or any(v <= 0 for _, ray in classes for v in ray)):
+        return None
+    return WeightSystem(tuple((0,) * cls[0] + ray + (0,) * (n - 1 - cls[-1])
+                              for cls, ray in classes))
 
 
 def supplied_weights(spec: CISpec) -> WeightSystem | None:

@@ -70,13 +70,16 @@ class MirrorPair:
     itself a MirrorPair (`mirror`, whose origin is this pair, held by a weak
     reference so that no reference cycle outlives a run), which holds the
     objects of the double transpose; sharing never depends on spec
-    equality.  The one inverse L^-1 serves every side: the spec's weights
-    and the mirror's weight classes are read off it, and the double
-    transpose's classes off the spec's weights, each read certified, with
-    `ci_model.derive_weights` and `transposition._weight_classes` as the
-    fallback; so a run whose reads certify eliminates L and nothing else.
-    The double transpose's read and the nef stage need no L^-1: the
-    transposition bounds the kernels they rely on.
+    equality.  The one inverse L^-1 serves every side: k x k blocks of it
+    give a basis of the spec's weight kernel (`ci_model.weight_hint`) and
+    one of the transposition's (`transposition.inverse_hint`), the spec's
+    weights give the double transpose's (`transposition.mirror_hint`), and
+    the weights and weight classes of every side are the classes of these
+    bases.  So a run eliminates L and a k x k matrix, and nothing else, on
+    a nonsingular L.  `ci_model.derive_weights` runs only on a singular L or
+    to name the error of a spec without weights, and `build_transpose`
+    eliminates only where no basis is known: for a spec with a singular L,
+    and for a mirror whose origin is gone or fails to transpose.
     """
 
     def __init__(self, spec: CISpec, origin: MirrorPair | None = None):
@@ -109,14 +112,13 @@ class MirrorPair:
 
     @lazy
     def weights(self) -> WeightSystem:
-        """The derived weights: read off L^-1 and certified (`ci_model.read_weights`),
-        or solved for by `ci_model.derive_weights` when L is singular or the read fails."""
+        """The derived weights, read off L^-1 (`ci_model.read_weights`);
+        `ci_model.derive_weights` solves for them when L is singular, and
+        raises the error when the read finds none."""
         inverse = self._inversion
-        if not isinstance(inverse, SingularMatrixError):
-            weights = ci_model.read_weights(self.spec, inverse)
-            if weights is not None:
-                return weights
-        return ci_model.derive_weights(self.spec)
+        weights = (None if isinstance(inverse, SingularMatrixError)
+                   else ci_model.read_weights(self.spec, inverse))
+        return ci_model.derive_weights(self.spec) if weights is None else weights
 
     @lazy
     def effective_weights(self) -> WeightSystem:
@@ -142,18 +144,20 @@ class MirrorPair:
         return poincare.poincare_structure(self.effective_weights, self.charges)
 
     def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
-        """The rows `build_transpose` reads the weight classes off, or None to eliminate.
+        """The rows of a basis of the weight kernel `build_transpose` reads the
+        classes off, or None to eliminate.
 
-        A spec's come off L^-1 (`transposition.inverse_hint`).  A mirror's come
-        off its origin's weights (`transposition.mirror_hint`), once the origin's
-        transposition is checked: its weight kernel has dimension k, which
-        bounds the kernel the read is certified against, whether or not L inverts.
+        A spec's are H·ker M' (`transposition.inverse_hint`), None when L is
+        singular.  A mirror's are its origin's weights moved by lambda
+        (`transposition.mirror_hint`), once the origin's transposition is
+        checked, whether or not L inverts; None when the origin is gone or its
+        transposition fails.
         """
         if self._origin is None:
             inverse = self._inversion
             if isinstance(inverse, SingularMatrixError):
                 return None
-            return transposition.inverse_hint(self.cm, inverse)
+            return transposition.kernel_rows(*transposition.inverse_hint(self.cm, inverse))
         origin = self._origin()
         if origin is None:
             return None
@@ -172,11 +176,10 @@ class MirrorPair:
         """The transposed side, whose derived weights are the transposition's own.
 
         `build_transpose` takes each weight class's ray from the kernel of the
-        transposed difference matrix, read off the class hint and certified,
-        or eliminated.  It spans the kernel of the class's columns, in
-        ascending order: the submatrix `derive_weights` would eliminate for
-        that block, so its primitive positive ray is the same and is not
-        solved for again.
+        transposed difference matrix, read off the basis `_class_hint` gives.
+        It spans the kernel of the class's columns, in ascending order: the
+        submatrix `derive_weights` would eliminate for that block, so its
+        primitive positive ray is the same and is not solved for again.
         """
         mirror = MirrorPair(self._shape.tspec, origin=self)
         mirror.weights = WeightSystem(self._shape.tspec.weights)

@@ -346,14 +346,3 @@ def integer_kernel(m: Matrix) -> list[tuple[int, ...]]:
 def primitive_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping the sign pattern."""
     return tuple(_primitive(_integer_row(v)[0]))
-
-
-def vectors_proportional(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> bool:
-    """True when u and v span the same line (2x2 minors all vanish), both nonzero."""
-    if all(x == 0 for x in u) or all(x == 0 for x in v):
-        return False
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True

@@ -23,10 +23,11 @@ order.  Both paper examples reproduce verbatim under these rules.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Sequence
 
-from .ci_model import Block, CayleyMatrix, certified_ray, CISpec, SpecError, WeightSystem
-from .rational_linalg import integer_kernel, Matrix, PermutationMap, vectors_proportional
+from .ci_model import Block, CayleyMatrix, CISpec, rays_by_class, SpecError, WeightSystem
+from .rational_linalg import integer_kernel, Matrix, PermutationMap
 from .record import record, replace
 
 
@@ -103,108 +104,70 @@ def _choose_nu(taus: tuple[int, ...], tilde_taus: tuple[int, ...]) -> Permutatio
     return PermutationMap(tuple(images))
 
 
-def _rays_by_class(rows: Sequence[Sequence[int]]
-                   ) -> list[tuple[list[int], tuple[int, ...]]] | None:
-    """Positions grouped by proportional rows, in order of first appearance (members
-    ascending), each with the entries at its positions of the column where its first
-    row is first nonzero; None when some row is zero."""
-    classes: list[list[int]] = []
-    for i, row in enumerate(rows):
-        if not any(row):
-            return None
-        for cls in classes:
-            if vectors_proportional(rows[cls[0]], row):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    result = []
-    for cls in classes:
-        t = next(t for t, x in enumerate(rows[cls[0]]) if x)
-        result.append((cls, tuple(rows[i][t] for i in cls)))
-    return result
-
-
-def _weight_classes(diff: Matrix, k: int) -> list[tuple[list[int], tuple[int, ...]]]:
+def _weight_classes(diff: Matrix, k: int, basis: Sequence[Sequence[int]] | None = None
+                    ) -> list[tuple[list[int], tuple[int, ...]]]:
     """Partition columns of `diff` into k groups each carrying a positive kernel vector.
 
     Returns (0-based positions, primitive positive weights) per group, or raises
-    NoValidShapeError when the kernel does not decompose that way.  Each group
-    holds one free column, whose full-kernel basis vector vanishes off the group:
-    that vector is the group's ray, and it spans the kernel of the group's columns.
-
-    This eliminates diff: it is the definition of the classes, the oracle of
-    `_read_classes`, and the path when no read is given or a read fails, so
-    every error of the transposition's weights comes from here.
+    NoValidShapeError when the kernel does not decompose that way.  basis holds
+    the rows of a basis of ker diff, one per column; diff is eliminated only
+    when none is given.  Each check reads the kernel, whichever basis: its
+    dimension, its zero coordinates, its classes and their rays' signs.
     """
-    kernel = integer_kernel(diff)
-    if len(kernel) != k:
+    if basis is None:
+        kernel = integer_kernel(diff)
+        basis = [tuple(vec[i] for vec in kernel) for i in range(diff.cols)]
+    if len(basis[0]) != k:
         raise NoValidShapeError(
-            f"weight kernel has dimension {len(kernel)}, expected {k}")
-    # row i: the i-th entries of the basis vectors
-    basis_rows = list(zip(*kernel))
-    classes = _rays_by_class(basis_rows)
+            f"weight kernel has dimension {len(basis[0])}, expected {k}")
+    classes = rays_by_class(basis)
     if classes is None:
-        i = next(i for i, row in enumerate(basis_rows) if not any(row))
+        i = next(i for i, row in enumerate(basis) if not any(row))
         raise NoValidShapeError(f"variable {i + 1} carries no weight")
     if len(classes) != k:
         raise NoValidShapeError(
             f"weight kernel splits into {len(classes)} support groups, expected {k}")
-    # the group's rows are multiples of its free column's unit row, so its ray
-    # is that basis vector
     if any(v <= 0 for _, vals in classes for v in vals):
         raise NoValidShapeError("no positive weight vector on a support group")
     return classes
 
 
-def _read_classes(diff: Matrix, k: int, hint: Sequence[Sequence[int]]
-                  ) -> list[tuple[list[int], tuple[int, ...]]] | None:
-    """`_weight_classes(diff, k)` read off the hint rows (one per column of diff)
-    and certified; None when the read fails the certificate.
+def inverse_hint(cm: CayleyMatrix, inverse: Matrix
+                 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(H, M'), den times the matrices with ker tr.diff = H·ker M', for L^-1 = inverse
+    and tr.diff the difference matrix of `build_transpose(cm)`.
 
-    The rows are grouped by proportionality and each group's ray read as
-    `_weight_classes` reads them off the kernel basis, then accepted by
-    `ci_model.certified_ray`.  The hint must come with dim ker diff <= k (see
-    `inverse_hint` and `mirror_hint`): k certified rays on disjoint groups that
-    cover every column then span the kernel, so the kernel basis groups the
-    columns the same way, in the same order, with the same rays.
+    H[p][nu] = L^-1[s_nu, cm.i_lambda[p]] (the p-th monomial row) and M'[J][nu] =
+    delta_{J nu} - L^-1[s_nu, a(J) - 1] (block J's product row).  A z in
+    ker tr.diff with block sums S over the monomial rows extends to a row
+    vector u with u L = -sum_nu S_nu e_{s_nu}, so z = H(-S); conversely
+    tr.diff H = M' (row J once per index of block J), and H c has block sums -c.
     """
-    classes = _rays_by_class(hint)
-    if classes is None or len(classes) != k:
-        return None
-    certified = []
-    for cls, vals in classes:
-        ray = certified_ray(diff, cls, vals)
-        if ray is None:
-            return None
-        certified.append((cls, ray))
-    return certified
-
-
-def inverse_hint(cm: CayleyMatrix, inverse: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The hint for `build_transpose(cm)` read off L^-1 = inverse: row p holds, per
-    block nu, the entry of L^-1 in the row of the column s_nu of L and the column
-    of the p-th monomial row of L (cm.i_lambda[p]).
-
-    A kernel vector z of the transposed difference matrix, with block sums S_nu
-    over each block's monomial rows, extends to a row vector u with u L =
-    -sum_nu S_nu e_{s_nu}; so z is a combination of these k columns, and the
-    kernel has dimension at most k.
-    """
-    n, k = cm.spec.n, cm.spec.k
+    n, k, den = cm.spec.n, cm.spec.k, inverse.den
     s_rows = inverse.num[n + 2 * k:n + 3 * k]
-    return tuple(tuple(row[r - 1] for row in s_rows) for r in cm.i_lambda)
+    h = tuple(tuple(row[r - 1] for row in s_rows) for r in cm.i_lambda)
+    m = tuple(tuple(den * (j == nu) - row[a - 2] for nu, row in enumerate(s_rows))
+              for j, a in enumerate(cm.a_indices))
+    return h, m
+
+
+def kernel_rows(factor: Sequence[Sequence[int]], relations: tuple[tuple[int, ...], ...]
+                ) -> tuple[tuple[int, ...], ...]:
+    """The rows of factor·K, K an integer basis of ker relations (k x k, from
+    `inverse_hint`): the rows of a basis of factor·ker relations, factor injective."""
+    kernel = integer_kernel(Matrix(relations))
+    return tuple(tuple(sum(map(mul, row, vec)) for vec in kernel) for row in factor)
 
 
 def mirror_hint(tr: TransposeResult, weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    """The hint for transposing tr.tspec back, from the spec's weights: row p is the
-    weights at lam(p), the old variable behind the p-th new monomial.
+    """The rows of a basis of the double transpose's weight kernel: row p is the
+    spec's weights at lam(p), the old variable behind the p-th new monomial.
 
-    tr.tspec's difference matrix is tr.diff with its columns relabelled, and
-    the double transpose's is that matrix transposed with its rows permuted
-    (the identity `nef_partition.solve_dual_partition` proves).  Both are
-    square, so the double transpose's weight kernel has the dimension k of
-    the weight kernel of tr.diff, which `build_transpose` checked or certified.
+    Row c of tr.diff is column lam(c) of the spec's A (`nef_partition` proves
+    it), so the double transpose's difference matrix (tr.tspec's, transposed,
+    rows permuted) is A Pi_lam with its rows permuted: its kernel is ker A
+    moved by lam.  Once tr exists, ker A has the dimension k of ker tr.diff,
+    and the spec's weights span it.
     """
     return tuple(tuple(w[i - 1] for w in weights.vectors) for i in tr.lam.images)
 
@@ -215,14 +178,15 @@ def transpose_spec(spec: CISpec) -> TransposeResult:
     return MirrorPair(spec).tr
 
 
-def build_transpose(cm: CayleyMatrix, hint: Sequence[Sequence[int]] | None = None
+def build_transpose(cm: CayleyMatrix, basis: Sequence[Sequence[int]] | None = None
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
 
     Only the shape flags are set; `complete_transpose` adds the identities
     that need the transposed side's Cayley matrix and weights.  The weight
-    classes are read off hint (`inverse_hint`, `mirror_hint`) when it is
-    given and the read certifies, and found by `_weight_classes` otherwise.
+    classes are read off basis, the rows of a basis of the weight kernel
+    (`inverse_hint`, `mirror_hint`), by `_weight_classes`, which eliminates
+    the transposed difference matrix only when no basis is given.
     """
     spec = cm.spec
     L = cm.matrix.num
@@ -267,9 +231,7 @@ def build_transpose(cm: CayleyMatrix, hint: Sequence[Sequence[int]] | None = Non
         for v in exps:
             diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
     diff = Matrix(tuple(diff_rows))
-    classes = None if hint is None else _read_classes(diff, k, hint)
-    if classes is None:
-        classes = _weight_classes(diff, k)
+    classes = _weight_classes(diff, k, basis)
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class

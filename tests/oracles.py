@@ -142,3 +142,15 @@ class FractionZForm:
 
     def to_json(self) -> dict:
         return {"coeffs": [rat_str(c) for c in self.coeffs], "const": rat_str(self.const)}
+
+
+def vectors_proportional(u, v) -> bool:
+    """True when u and v span the same line (2x2 minors all vanish), both nonzero:
+    the reference for the one-pass grouping of `ci_model.rays_by_class`."""
+    if all(x == 0 for x in u) or all(x == 0 for x in v):
+        return False
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if u[i] * v[j] != u[j] * v[i]:
+                return False
+    return True

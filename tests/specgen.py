@@ -14,11 +14,13 @@ import random
 from mirrorkit.ci_model import (
     AmbiguousWeightsError,
     Block,
+    build_cayley,
     CISpec,
     NoPositiveSolutionError,
     derive_weights,
     validate,
 )
+from mirrorkit.rational_linalg import invert, SingularMatrixError
 
 MAX_EXPONENT = 7
 
@@ -121,6 +123,74 @@ def generate_valid_specs(count: int, seed: int = 20260810, max_n: int = 8,
             specs.append(spec)
     if len(specs) < count:
         raise RuntimeError(f"only generated {len(specs)} specs in {attempts} attempts")
+    return specs
+
+
+def random_cayley_spec(rng: random.Random, max_k: int = 3, max_tau: int = 3) -> CISpec | None:
+    """A spec whose index-set sizes are a permutation of its block sizes, drawn to
+    fail the weights and the weight classes in every way they can; None when its
+    Cayley matrix is singular.
+
+    Each variable gets a weight in 1..3 and a group: at random (mode 0), half
+    of its block range (1), its block range (2), or, for k > 1, with one
+    block's range cut in two and another's free (3; else as 2).  A monomial is random with
+    probability 0.15, and otherwise has, on every group, the weighted degree
+    of its block's index set, with random entries at the free variables.
+    """
+    k = rng.randint(1, max_k)
+    taus = [rng.randint(1, max_tau) for _ in range(k)]
+    n = sum(taus)
+    positions = rng.sample(range(n), n)
+    index_sets, cut = [], 0
+    for size in rng.sample(taus, k):
+        index_sets.append(positions[cut:cut + size])
+        cut += size
+    owner = [q for q, tau in enumerate(taus) for _ in range(tau)]
+    mode = rng.randrange(4)
+    if mode == 3 and k > 1:
+        halved, free = rng.sample(range(k), 2)
+        labels = [None if owner[i] == free else 2 * owner[i] + (owner[i] == halved and i % 2)
+                  for i in range(n)]
+    else:
+        labels = [rng.randrange(k + 1) if mode == 0
+                  else 2 * owner[i] + (mode == 1 and rng.randrange(2)) for i in range(n)]
+    diag = [rng.randint(1, 3) for _ in range(n)]
+    groups = [[i for i in range(n) if labels[i] == g]
+              for g in sorted(set(labels) - {None}, key=str)]
+    blocks = []
+    for tau, members in zip(taus, index_sets):
+        rows = []
+        for _ in range(tau):
+            if rng.random() < 0.15:
+                rows.append(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)))
+                continue
+            vec = [rng.choice((0, 0, 1, 2)) if g is None else 0 for g in labels]
+            for group in groups:
+                target = sum(diag[i] for i in members if i in group)
+                pick = rng.choice(_degree_vectors([diag[i] for i in group], target, rng, cap=200))
+                for i, e in zip(group, pick):
+                    vec[i] = e
+            rows.append(tuple(vec))
+        blocks.append(Block(exponents=tuple(rows), index_set=tuple(sorted(i + 1 for i in members))))
+    spec = CISpec(n=n, k=k, blocks=tuple(blocks))
+    try:
+        invert(build_cayley(spec).matrix)
+    except SingularMatrixError:
+        return None
+    return spec
+
+
+@functools.lru_cache(maxsize=None)
+def nonsingular_cayley_specs(count: int, seed: int = 20261019) -> list[CISpec]:
+    """The first `count` specs of random_cayley_spec's seeded stream; one shared list
+    per arguments, which callers must not mutate.  Most have no weights or do
+    not transpose."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        spec = random_cayley_spec(rng)
+        if spec is not None:
+            specs.append(spec)
     return specs
 
 

@@ -62,21 +62,60 @@ def test_run_verify_builds_each_object_once(calls):
     assert calls["difference_matrix"] == 1
 
 
-@pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_eliminates_once(calls, monkeypatch, m):
-    # the inverse: the weights of every side and the transpositions' weight
-    # classes are certified reads of it, and the weight-kernel basis and the
-    # dual vertices have closed forms
-    count = Counter()
+def _count_eliminations(monkeypatch) -> list:
+    """Record (rows, columns eliminated, width) of every elimination."""
+    shapes = []
     real = rational_linalg._eliminate
 
-    def counted(*args):
-        count["eliminate"] += 1
-        return real(*args)
+    def counted(rows, ncols):
+        shapes.append((len(rows), ncols, len(rows[0]) if rows else 0))
+        return real(rows, ncols)
 
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
-    run_verify(generate_family(m))
-    assert count["eliminate"] == 1
+    return shapes
+
+
+@pytest.mark.parametrize("m", [5, 7, 12])
+def test_run_verify_eliminates_once(calls, monkeypatch, m):
+    # one elimination of [L | I] for the inverse, and otherwise only k x k
+    # ones: the kernel relations M' of the transposition's classes (k = 2);
+    # the spec's weights need M = 0, and the double transpose's classes, the
+    # other sides' weights and the dual vertices are read without one
+    shapes = _count_eliminations(monkeypatch)
+    spec = generate_family(m)
+    run_verify(spec)
+    size = spec.total_rows
+    assert sorted(shapes) == [(2, 2, 2), (size, size, 2 * size)]
+    assert calls["derive_weights"] == 0
+
+
+def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
+        monkeypatch, calls, fixtures_dir):
+    # on every oracle spec that does not transpose, 116 of them in the weight
+    # classes, the error is read off the kernel basis: nothing eliminates
+    # tr.diff or a block's columns of spec.diff, only [L | I] and the k x k
+    # relations M' (the spec's weights need M = 0 and no elimination)
+    eliminated = []
+    real = transposition._weight_classes
+    monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis: (
+        basis is None and eliminated.append(diff)) or real(diff, k, basis))
+    shapes = _count_eliminations(monkeypatch)
+    specs = oracle_specs(fixtures_dir)
+    calls.clear()  # building the oracle set solves for weights
+    failed = in_classes = 0
+    for spec in specs:
+        del shapes[:]
+        report = run_verify(spec)
+        transpose = next(s for s in report.stages if s.name == "transpose")
+        if transpose.flags.get("transposable", True):
+            continue
+        failed += 1
+        in_classes += "weight" in transpose.notes[0]
+        size, k = spec.total_rows, spec.k
+        assert spec.n > k
+        assert sorted(shapes) == [(k, k, k), (size, size, 2 * size)]
+    assert (failed, in_classes) == (140, 116)
+    assert eliminated == []
     assert calls["derive_weights"] == 0
 
 
@@ -111,10 +150,17 @@ def test_a_pair_is_freed_by_reference_counting():
         gc.enable()
 
 
+def _withhold_the_kernel_bases(monkeypatch):
+    # no weight kernel is read off L^-1 or the weights: derive_weights solves
+    # for the spec's weights and _weight_classes eliminates tr.diff on every side
+    monkeypatch.setattr(ci_model, "read_weights", lambda spec, inverse: None)
+    monkeypatch.setattr(MirrorPair, "_class_hint", lambda self: None)
+
+
 def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_dir):
-    # with every certificate refused, the weights and the weight classes come
-    # from derive_weights and _weight_classes: every report and exit code is
-    # the same as with the reads
+    # with every kernel basis withheld, the weights and the weight classes come
+    # from derive_weights and the elimination in _weight_classes: every report
+    # and exit code is the same as with the reads
     specs = oracle_specs(fixtures_dir)
 
     def reports():
@@ -130,8 +176,7 @@ def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_di
         return real(spec)
 
     monkeypatch.setattr(ci_model, "derive_weights", counted)
-    for module in (ci_model, transposition):
-        monkeypatch.setattr(module, "certified_ray", lambda diff, cols, vals: None)
+    _withhold_the_kernel_bases(monkeypatch)
     assert reports() == read
     assert solved["derive_weights"] == len(specs)
 
@@ -140,7 +185,7 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
     # a spec with a singular L still transposes, and its double transpose
     # reads its weight classes off the spec's weights, bounded by the spec's
     # transposition and not by L^-1: the transpose and poincare output is the
-    # same as with every certificate refused, and only the spec's side
+    # same as with every kernel basis withheld, and only the spec's side
     # eliminates for its classes
     paths = []
     for i, spec in enumerate(singular_cayley_specs()):
@@ -149,8 +194,8 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
         paths.append(path)
     calls = []
     real = transposition._weight_classes
-    monkeypatch.setattr(transposition, "_weight_classes",
-                        lambda diff, k: calls.append(k) or real(diff, k))
+    monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis: (
+        basis is None and calls.append(k)) or real(diff, k, basis))
 
     def outputs():
         runs, eliminated = [], Counter()
@@ -169,8 +214,7 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
     # double transpose, and poincare reads its classes
     read, eliminated = outputs()
     assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
-    for module in (ci_model, transposition):
-        monkeypatch.setattr(module, "certified_ray", lambda diff, cols, vals: None)
+    _withhold_the_kernel_bases(monkeypatch)
     refused, eliminated = outputs()
     assert refused == read
     assert eliminated == {"transpose": 2 * len(paths), "poincare": 4 * len(paths)}

@@ -16,10 +16,9 @@ from mirrorkit.rational_linalg import (
     rat_parse,
     rat_str,
     ratio_str,
-    vectors_proportional,
 )
 
-from oracles import is_involution, right_kernel, solve_den, solve_many
+from oracles import is_involution, right_kernel, solve_den, solve_many, vectors_proportional
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction

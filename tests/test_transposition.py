@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,17 +12,20 @@ from mirrorkit import transposition
 from mirrorkit.ci_model import (
     Block,
     CISpec,
+    SpecError,
     WeightSystem,
     build_cayley,
     charges,
     derive_weights,
     read_weights,
     validate,
+    weight_hint,
 )
 from mirrorkit.rational_linalg import (
     Matrix,
+    integer_kernel,
     primitive_integer_vector,
-    vectors_proportional,
+    rank,
 )
 from mirrorkit.transposition import (
     NoInvolutiveNuError,
@@ -35,8 +39,8 @@ from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.record import replace
 from mirrorkit.poincare import verify_duality
 
-from oracles import right_kernel
-from specgen import direct_sum, generate_valid_specs, oracle_specs
+from oracles import right_kernel, vectors_proportional
+from specgen import direct_sum, generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
@@ -523,18 +527,20 @@ def _weight_classes_padded(diff, k):
     return result
 
 
-def _outcome(fn, diff, k):
+def _outcome(fn, *args):
     try:
-        return fn(diff, k)
-    except NoValidShapeError as exc:
-        return f"NoValidShapeError: {exc}"
+        return fn(*args)
+    except SpecError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_weight_classes_match_padded_kernel(monkeypatch):
     seen = []
     real = transposition._weight_classes
 
-    def recording(diff, k):
+    def recording(diff, k, basis):
+        # build_transpose without a basis: _weight_classes eliminates diff
+        assert basis is None
         seen.append((diff, k))
         return real(diff, k)
 
@@ -609,19 +615,27 @@ def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
     assert sides == 152
 
 
+def _record_bases(monkeypatch) -> list:
+    """Record (diff, k, basis) of every _weight_classes call that is given a basis."""
+    given = []
+    real = transposition._weight_classes
+
+    def recording(diff, k, basis=None):
+        if basis is not None:
+            given.append((diff, k, basis))
+        return real(diff, k, basis)
+
+    monkeypatch.setattr(transposition, "_weight_classes", recording)
+    return given
+
+
 def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
     # the weights read off L^-1 are the ones derive_weights solves for, on both
-    # sides; the weight classes read off a hint are the ones _weight_classes
-    # finds, on both sides of every spec that transposes; and a read fails
-    # only where the elimination raises, which is then the outcome
-    hinted = []
-    real = transposition._read_classes
-
-    def recording(diff, k, hint):
-        hinted.append((diff, k, hint))
-        return real(diff, k, hint)
-
-    monkeypatch.setattr(transposition, "_read_classes", recording)
+    # sides; the weight classes read off a kernel basis are the ones the
+    # elimination finds, on both sides of every spec that transposes; and where
+    # the read fails, it raises the elimination's message
+    real = transposition._weight_classes
+    given = _record_bases(monkeypatch)
     mirrors = 0
     for spec in oracle_specs(fixtures_dir):
         pair = MirrorPair(spec)
@@ -633,12 +647,101 @@ def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
         tspec = pair.mirror.spec
         assert read_weights(tspec, MirrorPair(tspec).inverse) == derive_weights(tspec)
         mirrors += 1
-    outcomes = [(real(diff, k, hint), _outcome(transposition._weight_classes, diff, k))
-                for diff, k, hint in hinted]
-    assert all(read == classes for read, classes in outcomes if read is not None)
-    assert all(isinstance(classes, str) for read, classes in outcomes if read is None)
-    assert sum(read is not None for read, _ in outcomes) == 2 * mirrors == 152
+    outcomes = [(_outcome(real, diff, k, basis), _outcome(real, diff, k))
+                for diff, k, basis in given]
+    assert all(read == eliminated for read, eliminated in outcomes)
+    assert sum(not isinstance(read, str) for read, _ in outcomes) == 2 * mirrors == 152
     assert len(outcomes) == 268
+
+
+WEIGHT_MESSAGES = {
+    "NoPositiveSolutionError: block N: only the zero weight solves the system",
+    "NoPositiveSolutionError: block N: no strictly positive weight vector exists",
+    "AmbiguousWeightsError: block N: weight solution space has dimension N",
+}
+CLASS_MESSAGES = {
+    "NoValidShapeError: weight kernel has dimension N, expected N",
+    "NoValidShapeError: variable N carries no weight",
+    "NoValidShapeError: weight kernel splits into N support groups, expected N",
+    "NoValidShapeError: no positive weight vector on a support group",
+}
+
+
+def test_kernel_reads_raise_the_eliminations_messages(monkeypatch):
+    # on random nonsingular specs, most without weights or classes, the closed
+    # form reads give exactly what derive_weights and the elimination of
+    # tr.diff give, message for message, and every message of theirs that a
+    # nonsingular L can reach is reached ("block q owns no variables" needs an
+    # empty block range, whose y and s columns make L singular)
+    real = transposition._weight_classes
+    given = _record_bases(monkeypatch)
+    weight_seen, class_seen = set(), set()
+    for spec in nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        derived = _outcome(derive_weights, spec)
+        # the read finds no weights exactly where derive_weights raises
+        assert read_weights(spec, pair.inverse) == (None if isinstance(derived, str) else derived)
+        assert _outcome(lambda: pair.weights) == derived
+        del given[:]
+        _outcome(lambda: pair._shape)
+        outcomes = [(derived, weight_seen)]
+        if given:  # the transposition reached its classes
+            (diff, k, basis), = given
+            eliminated = _outcome(real, diff, k)
+            assert _outcome(real, diff, k, basis) == eliminated
+            outcomes.append((eliminated, class_seen))
+        for outcome, seen in outcomes:
+            if isinstance(outcome, str):
+                seen.add(re.sub(r"\d+", "N", outcome))
+    assert weight_seen == WEIGHT_MESSAGES
+    assert class_seen == CLASS_MESSAGES
+
+
+def _repeated(rows, sizes):
+    return [tuple(row) for row, size in zip(rows, sizes) for _ in range(size)]
+
+
+def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
+    # (1) spec.diff C = M and (2) tr.diff H = M', each row of M repeated per
+    # monomial of its block and each row of M' per index of its block, so
+    # ker spec.diff = C ker M and ker tr.diff = H ker M' (C and H are
+    # injective): both have dimension k - rank M = k - rank M'.  (3) the
+    # double transpose's kernel is spanned by the k rows mirror_hint gives
+    given = _record_bases(monkeypatch)
+    specs = oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
+    transposed = short = 0
+    for spec in specs:
+        pair = MirrorPair(spec)
+        k, taus = spec.k, spec.taus
+        c, m = weight_hint(spec, pair.inverse)
+        assert [tuple(row) for row in (spec.diff @ Matrix(c)).num] == _repeated(m, taus)
+        dim = len(integer_kernel(spec.diff))
+        assert dim == k - rank(Matrix(m)) == len(transposition.kernel_rows(c, m)[0])
+        short += dim < k
+        del given[:]
+        try:
+            pair.tr2
+        except SpecError:
+            pass
+        if not given:
+            continue
+        (diff, _, basis), *mirror = given
+        h, m2 = transposition.inverse_hint(pair.cm, pair.inverse)
+        assert basis == transposition.kernel_rows(h, m2)
+        nu = transposition._choose_nu(taus, tuple(len(b.index_set) for b in spec.blocks))
+        sources = sorted(range(1, k + 1), key=nu)
+        sizes = [len(spec.blocks[src - 1].index_set) for src in sources]
+        assert ([tuple(row) for row in (diff @ Matrix(h)).num]
+                == _repeated([m2[src - 1] for src in sources], sizes))
+        assert len(integer_kernel(diff)) == dim == k - rank(Matrix(m2))
+        transposed += 1
+        if mirror:
+            (diff2, _, basis2), = mirror
+            assert basis2 == transposition.mirror_hint(pair.tr, pair.weights)
+            assert not any(any(row) for row in (diff2 @ Matrix(basis2)).num)
+            assert len(integer_kernel(diff2)) == rank(Matrix(basis2)) == k
+    # every oracle spec has weights; 100 random ones have a kernel below k
+    assert (len(specs), transposed, short) == (516, 489, 100)
 
 
 @pytest.mark.parametrize("entries", [[(0, 0)], [(4, 7)], [(-1, -1)], [(3, 9), (3, 2), (8, 0)]])
