@@ -315,10 +315,10 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     proves it: the rows of tr.diff are the columns of A, so rank A is the
     rank of tr.diff, which is n - k because `build_transpose` returns only a
     transposition whose weight kernel has dimension k (`_weight_classes`
-    checks it on an exact basis, read off L^-1 or the spec's weights, or
-    eliminated).  Only data of another spec fails the certificate, and the
-    stage then raises: on the Minkowski dimension first, then on the block
-    sizes, then on the target.
+    checks it on an exact basis: read off L^-1, handed to a mirror as the
+    spec's kernel basis moved by lambda, or eliminated).  Only data of
+    another spec fails the certificate, and the stage then raises: on the
+    Minkowski dimension first, then on the block sizes, then on the target.
     """
     n, k = spec.n, spec.k
     notes: list[str] = []

@@ -15,8 +15,6 @@ are views of one pair, and `soft_failures` is their one soft-failure rule.
 
 from __future__ import annotations
 
-import weakref
-
 from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
 from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
 from .rational_linalg import invert, Matrix, SingularMatrixError
@@ -67,24 +65,23 @@ class MirrorPair:
     A property that raises is not cached, so reading it again raises again;
     only the inversion of L holds a failure, so that a singular L is
     eliminated once whichever reader comes first.  The transposed side is
-    itself a MirrorPair (`mirror`, whose origin is this pair, held by a weak
-    reference so that no reference cycle outlives a run), which holds the
-    objects of the double transpose; sharing never depends on spec
-    equality.  The one inverse L^-1 serves every side: k x k blocks of it
-    give a basis of the spec's weight kernel (`ci_model.weight_hint`) and
-    one of the transposition's (`transposition.inverse_hint`), the spec's
-    weights give the double transpose's (`transposition.mirror_hint`), and
-    the weights and weight classes of every side are the classes of these
-    bases.  So a run eliminates L and a k x k matrix, and nothing else, on
-    a nonsingular L.  `ci_model.derive_weights` runs only on a singular L or
-    to name the error of a spec without weights, and `build_transpose`
-    eliminates only where no basis is known: for a spec with a singular L,
-    and for a mirror whose origin is gone or fails to transpose.
+    itself a MirrorPair (`mirror`), which holds the objects of the double
+    transpose.  It is handed its weights and kernel bases when it is built
+    and holds no reference back, so no cycle outlives a run; sharing never
+    depends on spec equality.  The one inverse L^-1 serves every side: k x k
+    blocks of it give a basis C of the spec's weight kernel
+    (`ci_model.weight_hint`) and one of the transposition's
+    (`transposition.inverse_hint`), C moved by lambda is the double
+    transpose's, and the weights and weight classes of every side are the
+    classes of these bases.  So a run eliminates L and a k x k matrix, and
+    nothing else, on a nonsingular L.  `ci_model.derive_weights` runs only
+    on a singular L or to name the error of a spec without weights, and
+    `build_transpose` eliminates only where no basis is known: on the spec's
+    side of a singular L, and on its mirror's when the spec has no weights.
     """
 
-    def __init__(self, spec: CISpec, origin: MirrorPair | None = None):
+    def __init__(self, spec: CISpec):
         self.spec = spec
-        self._origin = None if origin is None else weakref.ref(origin)
 
     @lazy
     def cm(self) -> CayleyMatrix:
@@ -143,46 +140,55 @@ class MirrorPair:
         """The structural series P_A of the effective weights and their charges."""
         return poincare.poincare_structure(self.effective_weights, self.charges)
 
-    def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
-        """The rows of a basis of the weight kernel `build_transpose` reads the
-        classes off, or None to eliminate.
-
-        A spec's are H·ker M' (`transposition.inverse_hint`), None when L is
-        singular.  A mirror's are its origin's weights moved by lambda
-        (`transposition.mirror_hint`), once the origin's transposition is
-        checked, whether or not L inverts; None when the origin is gone or its
-        transposition fails.
-        """
-        if self._origin is None:
-            inverse = self._inversion
-            if isinstance(inverse, SingularMatrixError):
-                return None
-            return transposition.kernel_rows(*transposition.inverse_hint(self.cm, inverse))
-        origin = self._origin()
-        if origin is None:
-            return None
+    @lazy
+    def _kernel_basis(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows of a basis of ker spec.diff, one per variable, once `_shape` exists:
+        C (`ci_model.weight_hint`) on a nonsingular L, as M = 0 then (`mirror`),
+        else the derived weights' rows, None without weights.  A mirror is handed
+        its tspec.weights' rows, so the double transpose never inverts its L."""
+        inverse = self._inversion
+        if not isinstance(inverse, SingularMatrixError):
+            return ci_model.weight_hint(self.spec, inverse)[0]
         try:
-            tr = origin.tr
+            return tuple(zip(*self.weights.vectors))
         except ci_model.SpecError:
             return None
-        return transposition.mirror_hint(tr, origin.weights)
+
+    @lazy
+    def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows of a basis of the weight kernel `build_transpose` reads the classes
+        off, or None to eliminate: H·ker M' (`transposition.inverse_hint`), None
+        when L is singular.  A mirror is handed its own, its origin's
+        `_kernel_basis` moved by lambda."""
+        inverse = self._inversion
+        if isinstance(inverse, SingularMatrixError):
+            return None
+        return transposition.kernel_rows(*transposition.inverse_hint(self.cm, inverse))
 
     @lazy
     def _shape(self) -> transposition.TransposeResult:
-        return transposition.build_transpose(self.cm, self._class_hint())
+        return transposition.build_transpose(self.cm, lambda: self._class_hint)
 
     @lazy
     def mirror(self) -> MirrorPair:
-        """The transposed side, whose derived weights are the transposition's own.
+        """The transposed side, handed its weights and both its kernel bases.
 
         `build_transpose` takes each weight class's ray from the kernel of the
         transposed difference matrix, read off the basis `_class_hint` gives.
         It spans the kernel of the class's columns, in ascending order: the
         submatrix `derive_weights` would eliminate for that block, so its
         primitive positive ray is the same and is not solved for again.
+        Row c of tr.diff is column lam(c) of A = spec.diff (`nef_partition`),
+        so ker A has the dimension k of ker tr.diff, and the mirror's transposed
+        difference matrix is A Pi_lam, rows permuted: its kernel is ker A moved
+        by lam.
         """
-        mirror = MirrorPair(self._shape.tspec, origin=self)
-        mirror.weights = WeightSystem(self._shape.tspec.weights)
+        shape, basis = self._shape, self._kernel_basis
+        mirror = MirrorPair(shape.tspec)
+        mirror.weights = WeightSystem(shape.tspec.weights)
+        mirror._kernel_basis = tuple(zip(*shape.tspec.weights))
+        mirror._class_hint = None if basis is None else tuple(
+            basis[i - 1] for i in shape.lam.images)
         return mirror
 
     @lazy
@@ -192,8 +198,11 @@ class MirrorPair:
 
     @lazy
     def tr(self) -> transposition.TransposeResult:
-        return transposition.complete_transpose(self.cm, self._shape, self.mirror.cm,
-                                                self.rho, self.mirror.rho)
+        # rho before mirror: a spec without weights raises here, before the
+        # mirror would ask it for its kernel basis and solve for them again
+        shape, found = self._shape, self.rho
+        return transposition.complete_transpose(self.cm, shape, self.mirror.cm, found,
+                                                self.mirror.rho)
 
     @lazy
     def tweights(self) -> WeightSystem:

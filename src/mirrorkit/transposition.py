@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ci_model import Block, CayleyMatrix, CISpec, rays_by_class, SpecError, WeightSystem
 from .rational_linalg import integer_kernel, Matrix, PermutationMap
@@ -159,34 +159,22 @@ def kernel_rows(factor: Sequence[Sequence[int]], relations: tuple[tuple[int, ...
     return tuple(tuple(sum(map(mul, row, vec)) for vec in kernel) for row in factor)
 
 
-def mirror_hint(tr: TransposeResult, weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    """The rows of a basis of the double transpose's weight kernel: row p is the
-    spec's weights at lam(p), the old variable behind the p-th new monomial.
-
-    Row c of tr.diff is column lam(c) of the spec's A (`nef_partition` proves
-    it), so the double transpose's difference matrix (tr.tspec's, transposed,
-    rows permuted) is A Pi_lam with its rows permuted: its kernel is ker A
-    moved by lam.  Once tr exists, ker A has the dimension k of ker tr.diff,
-    and the spec's weights span it.
-    """
-    return tuple(tuple(w[i - 1] for w in weights.vectors) for i in tr.lam.images)
-
-
 def transpose_spec(spec: CISpec) -> TransposeResult:
     """Build the transposed specification with all permutation bookkeeping."""
     from .pipeline import MirrorPair
     return MirrorPair(spec).tr
 
 
-def build_transpose(cm: CayleyMatrix, basis: Sequence[Sequence[int]] | None = None
+def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | None = None
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
 
     Only the shape flags are set; `complete_transpose` adds the identities
     that need the transposed side's Cayley matrix and weights.  The weight
-    classes are read off basis, the rows of a basis of the weight kernel
-    (`inverse_hint`, `mirror_hint`), by `_weight_classes`, which eliminates
-    the transposed difference matrix only when no basis is given.
+    classes are read by `_weight_classes` off basis(), the rows of a basis of
+    the weight kernel (`inverse_hint`, or a mirror's handed basis), called
+    once the size multisets and nu have matched; the transposed difference
+    matrix is eliminated only when there is no basis.
     """
     spec = cm.spec
     L = cm.matrix.num
@@ -231,7 +219,7 @@ def build_transpose(cm: CayleyMatrix, basis: Sequence[Sequence[int]] | None = No
         for v in exps:
             diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
     diff = Matrix(tuple(diff_rows))
-    classes = _weight_classes(diff, k, basis)
+    classes = _weight_classes(diff, k, None if basis is None else basis())
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class

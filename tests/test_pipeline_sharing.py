@@ -22,6 +22,7 @@ from mirrorkit.ci_model import CISpec
 from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
+from mirrorkit.record import lazy
 
 from specgen import oracle_specs, singular_cayley_specs
 
@@ -93,8 +94,10 @@ def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
         monkeypatch, calls, fixtures_dir):
     # on every oracle spec that does not transpose, 116 of them in the weight
     # classes, the error is read off the kernel basis: nothing eliminates
-    # tr.diff or a block's columns of spec.diff, only [L | I] and the k x k
-    # relations M' (the spec's weights need M = 0 and no elimination)
+    # tr.diff or a block's columns of spec.diff, only [L | I] and, for the
+    # classes, the k x k relations M' (the spec's weights need M = 0 and no
+    # elimination); the other 24 fail on their block sizes before the basis
+    # is built, and eliminate [L | I] alone
     eliminated = []
     real = transposition._weight_classes
     monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis: (
@@ -110,10 +113,11 @@ def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
         if transpose.flags.get("transposable", True):
             continue
         failed += 1
-        in_classes += "weight" in transpose.notes[0]
+        classes = "weight" in transpose.notes[0]
+        in_classes += classes
         size, k = spec.total_rows, spec.k
         assert spec.n > k
-        assert sorted(shapes) == [(k, k, k), (size, size, 2 * size)]
+        assert sorted(shapes) == [(k, k, k)] * classes + [(size, size, 2 * size)]
     assert (failed, in_classes) == (140, 116)
     assert eliminated == []
     assert calls["derive_weights"] == 0
@@ -137,8 +141,9 @@ def test_a_singular_cayley_matrix_is_inverted_once(calls):
 
 
 def test_a_pair_is_freed_by_reference_counting():
-    # the mirror refers back to its origin weakly: no cycle keeps a run's
-    # inverse, forms and stage results alive until the cyclic collector runs
+    # the mirror holds no back-reference to its origin: no cycle keeps a
+    # run's inverse, forms and stage results alive until the cyclic collector
+    # runs
     pair = MirrorPair(generate_family(3))
     pair.tr2
     ref = weakref.ref(pair)
@@ -150,11 +155,34 @@ def test_a_pair_is_freed_by_reference_counting():
         gc.enable()
 
 
+@pytest.mark.parametrize("name", ["family_3", "example_6_1.json", "example_6_2.json"])
+def test_a_mirror_outlives_its_origin_with_its_bases(monkeypatch, fixtures_dir, name):
+    # the mirror is handed its bases when it is built, so with its origin gone
+    # it transposes to the same double transpose and eliminates nothing (a
+    # mirror that read its basis through its origin eliminated tr2.diff here)
+    spec = (generate_family(3) if name == "family_3"
+            else CISpec.load(fixtures_dir / name))
+    expected = MirrorPair(spec).tr2
+    pair = MirrorPair(spec)
+    mirror = pair.mirror
+    ref = weakref.ref(pair)
+    del pair
+    assert ref() is None
+    shapes = _count_eliminations(monkeypatch)
+    assert mirror.tr == expected
+    assert shapes == []
+
+
 def _withhold_the_kernel_bases(monkeypatch):
     # no weight kernel is read off L^-1 or the weights: derive_weights solves
-    # for the spec's weights and _weight_classes eliminates tr.diff on every side
+    # for the spec's weights, and with the spec's bases withheld, its own and
+    # the one its mirror is handed, _weight_classes eliminates tr.diff on
+    # every side
     monkeypatch.setattr(ci_model, "read_weights", lambda spec, inverse: None)
-    monkeypatch.setattr(MirrorPair, "_class_hint", lambda self: None)
+    for name in ("_class_hint", "_kernel_basis"):
+        withheld = lazy(lambda self: None)
+        withheld.__set_name__(MirrorPair, name)
+        monkeypatch.setattr(MirrorPair, name, withheld)
 
 
 def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_dir):

@@ -705,11 +705,13 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
     # (1) spec.diff C = M and (2) tr.diff H = M', each row of M repeated per
     # monomial of its block and each row of M' per index of its block, so
     # ker spec.diff = C ker M and ker tr.diff = H ker M' (C and H are
-    # injective): both have dimension k - rank M = k - rank M'.  (3) the
-    # double transpose's kernel is spanned by the k rows mirror_hint gives
+    # injective): both have dimension k - rank M = k - rank M'.  (3) once the
+    # transposition has a shape, that dimension is k, so M = M' = 0 and C is
+    # a basis of ker spec.diff: the mirror is handed C moved by lambda, and
+    # it spans the double transpose's kernel
     given = _record_bases(monkeypatch)
     specs = oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
-    transposed = short = 0
+    transposed = short = shaped = 0
     for spec in specs:
         pair = MirrorPair(spec)
         k, taus = spec.k, spec.taus
@@ -735,13 +737,45 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
                 == _repeated([m2[src - 1] for src in sources], sizes))
         assert len(integer_kernel(diff)) == dim == k - rank(Matrix(m2))
         transposed += 1
-        if mirror:
+        has_shape = not isinstance(_outcome(lambda: pair._shape), str)
+        assert bool(mirror) == has_shape
+        if has_shape:
+            assert not any(map(any, m)) and not any(map(any, m2))
             (diff2, _, basis2), = mirror
-            assert basis2 == transposition.mirror_hint(pair.tr, pair.weights)
+            assert basis2 == tuple(c[i - 1] for i in pair._shape.lam.images)
             assert not any(any(row) for row in (diff2 @ Matrix(basis2)).num)
             assert len(integer_kernel(diff2)) == rank(Matrix(basis2)) == k
+            shaped += 1
     # every oracle spec has weights; 100 random ones have a kernel below k
-    assert (len(specs), transposed, short) == (516, 489, 100)
+    assert (len(specs), transposed, short, shaped) == (516, 489, 100, 178)
+
+
+def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
+    # a spec may have a transposition shape but no weights: its mirror is still
+    # handed C moved by lambda, so nothing eliminates the mirror's classes
+    # (reading them through the spec's weights eliminated tr2.diff), and the
+    # double transpose's shape is the elimination's, or raises its message
+    without_basis = []
+    real = transposition._weight_classes
+    monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis=None: (
+        without_basis.append(basis is None)) or real(diff, k, basis))
+    seen = raised = 0
+    for spec in nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        if (isinstance(_outcome(lambda: pair._shape), str)
+                or not isinstance(_outcome(derive_weights, spec), str)):
+            continue
+        del without_basis[:]
+        tr2 = _outcome(lambda: pair.tr2)
+        assert without_basis == [False]
+        shape = _outcome(lambda: pair.mirror._shape)
+        assert shape == _outcome(transposition.build_transpose, build_cayley(pair.mirror.spec))
+        assert isinstance(tr2, str) == isinstance(shape, str)
+        if isinstance(tr2, str):
+            assert tr2 == shape
+        seen += 1
+        raised += isinstance(shape, str)
+    assert (seen, raised) == (4, 3)
 
 
 @pytest.mark.parametrize("entries", [[(0, 0)], [(4, 7)], [(-1, -1)], [(3, 9), (3, 2), (8, 0)]])
