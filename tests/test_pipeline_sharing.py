@@ -158,8 +158,7 @@ def test_a_pair_is_freed_by_reference_counting():
 @pytest.mark.parametrize("name", ["family_3", "example_6_1.json", "example_6_2.json"])
 def test_a_mirror_outlives_its_origin_with_its_bases(monkeypatch, fixtures_dir, name):
     # the mirror is handed its bases when it is built, so with its origin gone
-    # it transposes to the same double transpose and eliminates nothing (a
-    # mirror that read its basis through its origin eliminated tr2.diff here)
+    # it transposes to the same double transpose and eliminates nothing
     spec = (generate_family(3) if name == "family_3"
             else CISpec.load(fixtures_dir / name))
     expected = MirrorPair(spec).tr2

@@ -752,9 +752,8 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
 
 def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
     # a spec may have a transposition shape but no weights: its mirror is still
-    # handed C moved by lambda, so nothing eliminates the mirror's classes
-    # (reading them through the spec's weights eliminated tr2.diff), and the
-    # double transpose's shape is the elimination's, or raises its message
+    # handed C moved by lambda, so nothing eliminates the mirror's classes, and
+    # the double transpose's shape is the elimination's, or raises its message
     without_basis = []
     real = transposition._weight_classes
     monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis=None: (
