@@ -70,14 +70,15 @@ class MirrorPair:
     and holds no reference back, so no cycle outlives a run; sharing never
     depends on spec equality.  The one inverse L^-1 serves every side: k x k
     blocks of it give a basis C of the spec's weight kernel
-    (`ci_model.weight_hint`) and one of the transposition's
-    (`transposition.inverse_hint`), C moved by lambda is the double
-    transpose's, and the weights and weight classes of every side are the
-    classes of these bases.  So a run eliminates L and a k x k matrix, and
-    nothing else, on a nonsingular L.  `ci_model.derive_weights` runs only
-    on a singular L or to name the error of a spec without weights, and
+    (`ci_model.weight_hint`, where M = 0) and H of the transposition's
+    (`transposition.inverse_hint`, where M' = 0), C moved by lambda is the
+    double transpose's, and the weights and weight classes of every side are
+    the classes of these bases.  So a run eliminates [L | I], and nothing
+    else, on a nonsingular L.  `ci_model.derive_weights` runs only on a
+    singular L or to name the error of a spec without weights, and
     `build_transpose` eliminates only where no basis is known: on the spec's
-    side of a singular L, and on its mirror's when the spec has no weights.
+    side of a singular L or where M' != 0, to name the kernel's dimension,
+    and on its mirror's when a singular L's spec has no weights.
     """
 
     def __init__(self, spec: CISpec):
@@ -157,13 +158,15 @@ class MirrorPair:
     @lazy
     def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
         """The rows of a basis of the weight kernel `build_transpose` reads the classes
-        off, or None to eliminate: H·ker M' (`transposition.inverse_hint`), None
-        when L is singular.  A mirror is handed its own, its origin's
+        off, or None to eliminate: H (`transposition.inverse_hint`) when M' = 0;
+        None on a singular L, or when M' != 0 and the kernel, of dimension
+        k - rank M' < k, fails.  A mirror is handed its own, its origin's
         `_kernel_basis` moved by lambda."""
         inverse = self._inversion
         if isinstance(inverse, SingularMatrixError):
             return None
-        return transposition.kernel_rows(*transposition.inverse_hint(self.cm, inverse))
+        h, m = transposition.inverse_hint(self.cm, inverse)
+        return None if any(map(any, m)) else h
 
     @lazy
     def _shape(self) -> transposition.TransposeResult:

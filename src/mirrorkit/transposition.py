@@ -23,7 +23,6 @@ order.  Both paper examples reproduce verbatim under these rules.
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from typing import Callable, Sequence
 
 from .ci_model import Block, CayleyMatrix, CISpec, rays_by_class, SpecError, WeightSystem
@@ -142,6 +141,7 @@ def inverse_hint(cm: CayleyMatrix, inverse: Matrix
     ker tr.diff with block sums S over the monomial rows extends to a row
     vector u with u L = -sum_nu S_nu e_{s_nu}, so z = H(-S); conversely
     tr.diff H = M' (row J once per index of block J), and H c has block sums -c.
+    So H is a basis of ker tr.diff exactly when M' = 0.
     """
     n, k, den = cm.spec.n, cm.spec.k, inverse.den
     s_rows = inverse.num[n + 2 * k:n + 3 * k]
@@ -149,14 +149,6 @@ def inverse_hint(cm: CayleyMatrix, inverse: Matrix
     m = tuple(tuple(den * (j == nu) - row[a - 2] for nu, row in enumerate(s_rows))
               for j, a in enumerate(cm.a_indices))
     return h, m
-
-
-def kernel_rows(factor: Sequence[Sequence[int]], relations: tuple[tuple[int, ...], ...]
-                ) -> tuple[tuple[int, ...], ...]:
-    """The rows of factor·K, K an integer basis of ker relations (k x k, from
-    `inverse_hint`): the rows of a basis of factor·ker relations, factor injective."""
-    kernel = integer_kernel(Matrix(relations))
-    return tuple(tuple(sum(map(mul, row, vec)) for vec in kernel) for row in factor)
 
 
 def transpose_spec(spec: CISpec) -> TransposeResult:
@@ -172,7 +164,7 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
     Only the shape flags are set; `complete_transpose` adds the identities
     that need the transposed side's Cayley matrix and weights.  The weight
     classes are read by `_weight_classes` off basis(), the rows of a basis of
-    the weight kernel (`inverse_hint`, or a mirror's handed basis), called
+    the weight kernel (`inverse_hint`'s H, or a mirror's handed basis), called
     once the size multisets and nu have matched; the transposed difference
     matrix is eliminated only when there is no basis.
     """
@@ -339,7 +331,10 @@ def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
 
 
 def _lambda_v_identity(spec, lam, row_to_var) -> bool:
-    """Check lambda . V = TV with TV's column j read as block nu(j)'s index set."""
+    """Whether lambda . V = TV, n x k 0/1 matrices: row r of lambda . V is new monomial
+    r + 1, 1 at column j when lam[r] lies in block j's index set; row r of TV is new
+    variable r + 1, 1 at column j when it comes from a monomial row of block j.
+    nu is never read; `test_transpose_and_duality_flag_census` pins where it is false."""
     k = spec.k
     n = spec.n
     membership = {}

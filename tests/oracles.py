@@ -13,10 +13,12 @@ from operator import mul
 
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
+    Matrix,
     _canonical,
     _eliminate,
     _integer_row,
     _kernel_columns,
+    integer_kernel,
     rat_str,
 )
 
@@ -154,3 +156,11 @@ def vectors_proportional(u, v) -> bool:
             if u[i] * v[j] != u[j] * v[i]:
                 return False
     return True
+
+
+def kernel_rows(factor, relations):
+    """The rows of factor·K, K an integer basis of ker relations (k x k, from
+    `transposition.inverse_hint`): the rows of a basis of factor·ker relations,
+    factor injective.  The elimination of M' that H alone replaces where M' = 0."""
+    kernel = integer_kernel(Matrix(relations))
+    return tuple(tuple(sum(map(mul, row, vec)) for vec in kernel) for row in factor)

@@ -78,15 +78,15 @@ def _count_eliminations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("m", [5, 7, 12])
 def test_run_verify_eliminates_once(calls, monkeypatch, m):
-    # one elimination of [L | I] for the inverse, and otherwise only k x k
-    # ones: the kernel relations M' of the transposition's classes (k = 2);
-    # the spec's weights need M = 0, and the double transpose's classes, the
+    # one elimination of [L | I] for the inverse, and nothing else: the
+    # spec's weights need M = 0 and the transposition's classes M' = 0, each
+    # basis is then read off L^-1, and the double transpose's classes, the
     # other sides' weights and the dual vertices are read without one
     shapes = _count_eliminations(monkeypatch)
     spec = generate_family(m)
     run_verify(spec)
     size = spec.total_rows
-    assert sorted(shapes) == [(2, 2, 2), (size, size, 2 * size)]
+    assert shapes == [(size, size, 2 * size)]
     assert calls["derive_weights"] == 0
 
 
@@ -94,10 +94,9 @@ def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
         monkeypatch, calls, fixtures_dir):
     # on every oracle spec that does not transpose, 116 of them in the weight
     # classes, the error is read off the kernel basis: nothing eliminates
-    # tr.diff or a block's columns of spec.diff, only [L | I] and, for the
-    # classes, the k x k relations M' (the spec's weights need M = 0 and no
-    # elimination); the other 24 fail on their block sizes before the basis
-    # is built, and eliminate [L | I] alone
+    # tr.diff or a block's columns of spec.diff, only [L | I] (the spec's
+    # weights need M = 0, the classes' basis is H as M' = 0); the other 24
+    # fail on their block sizes before the basis is read
     eliminated = []
     real = transposition._weight_classes
     monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis: (
@@ -113,11 +112,10 @@ def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
         if transpose.flags.get("transposable", True):
             continue
         failed += 1
-        classes = "weight" in transpose.notes[0]
-        in_classes += classes
-        size, k = spec.total_rows, spec.k
-        assert spec.n > k
-        assert sorted(shapes) == [(k, k, k)] * classes + [(size, size, 2 * size)]
+        in_classes += "weight" in transpose.notes[0]
+        size = spec.total_rows
+        assert spec.n > spec.k
+        assert shapes == [(size, size, 2 * size)]
     assert (failed, in_classes) == (140, 116)
     assert eliminated == []
     assert calls["derive_weights"] == 0

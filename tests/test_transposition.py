@@ -39,7 +39,7 @@ from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.record import replace
 from mirrorkit.poincare import verify_duality
 
-from oracles import right_kernel, vectors_proportional
+from oracles import kernel_rows, right_kernel, vectors_proportional
 from specgen import direct_sum, generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 
 
@@ -615,13 +615,14 @@ def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
     assert sides == 152
 
 
-def _record_bases(monkeypatch) -> list:
-    """Record (diff, k, basis) of every _weight_classes call that is given a basis."""
+def _record_bases(monkeypatch, every: bool = False) -> list:
+    """Record (diff, k, basis) of every _weight_classes call that is given a basis,
+    or of every call when every is set."""
     given = []
     real = transposition._weight_classes
 
     def recording(diff, k, basis=None):
-        if basis is not None:
+        if every or basis is not None:
             given.append((diff, k, basis))
         return real(diff, k, basis)
 
@@ -672,9 +673,11 @@ def test_kernel_reads_raise_the_eliminations_messages(monkeypatch):
     # form reads give exactly what derive_weights and the elimination of
     # tr.diff give, message for message, and every message of theirs that a
     # nonsingular L can reach is reached ("block q owns no variables" needs an
-    # empty block range, whose y and s columns make L singular)
+    # empty block range, whose y and s columns make L singular).  The classes
+    # are given H exactly where M' = 0; elsewhere the kernel is below k and
+    # the elimination names its dimension
     real = transposition._weight_classes
-    given = _record_bases(monkeypatch)
+    given = _record_bases(monkeypatch, every=True)
     weight_seen, class_seen = set(), set()
     for spec in nonsingular_cayley_specs(300):
         pair = MirrorPair(spec)
@@ -687,8 +690,11 @@ def test_kernel_reads_raise_the_eliminations_messages(monkeypatch):
         outcomes = [(derived, weight_seen)]
         if given:  # the transposition reached its classes
             (diff, k, basis), = given
+            m2 = transposition.inverse_hint(pair.cm, pair.inverse)[1]
+            assert (basis is None) == any(map(any, m2))
             eliminated = _outcome(real, diff, k)
-            assert _outcome(real, diff, k, basis) == eliminated
+            if basis is not None:
+                assert _outcome(real, diff, k, basis) == eliminated
             outcomes.append((eliminated, class_seen))
         for outcome, seen in outcomes:
             if isinstance(outcome, str):
@@ -705,21 +711,24 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
     # (1) spec.diff C = M and (2) tr.diff H = M', each row of M repeated per
     # monomial of its block and each row of M' per index of its block, so
     # ker spec.diff = C ker M and ker tr.diff = H ker M' (C and H are
-    # injective): both have dimension k - rank M = k - rank M'.  (3) once the
-    # transposition has a shape, that dimension is k, so M = M' = 0 and C is
-    # a basis of ker spec.diff: the mirror is handed C moved by lambda, and
-    # it spans the double transpose's kernel
-    given = _record_bases(monkeypatch)
+    # injective): both have dimension k - rank M = k - rank M', so M = 0
+    # exactly when M' = 0, and the transposition is given H exactly then.
+    # (3) once the transposition has a shape, that dimension is k, so M = M'
+    # = 0 and C is a basis of ker spec.diff: the mirror is handed C moved by
+    # lambda, and it spans the double transpose's kernel
+    given = _record_bases(monkeypatch, every=True)
     specs = oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
-    transposed = short = shaped = 0
+    transposed = short = unhanded = shaped = 0
     for spec in specs:
         pair = MirrorPair(spec)
         k, taus = spec.k, spec.taus
         c, m = weight_hint(spec, pair.inverse)
         assert [tuple(row) for row in (spec.diff @ Matrix(c)).num] == _repeated(m, taus)
         dim = len(integer_kernel(spec.diff))
-        assert dim == k - rank(Matrix(m)) == len(transposition.kernel_rows(c, m)[0])
+        assert dim == k - rank(Matrix(m)) == len(kernel_rows(c, m)[0])
         short += dim < k
+        h, m2 = transposition.inverse_hint(pair.cm, pair.inverse)
+        assert any(map(any, m)) == any(map(any, m2))
         del given[:]
         try:
             pair.tr2
@@ -728,8 +737,11 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
         if not given:
             continue
         (diff, _, basis), *mirror = given
-        h, m2 = transposition.inverse_hint(pair.cm, pair.inverse)
-        assert basis == transposition.kernel_rows(h, m2)
+        if any(map(any, m2)):
+            assert basis is None
+            unhanded += 1
+        else:
+            assert basis == h == kernel_rows(h, m2)
         nu = transposition._choose_nu(taus, tuple(len(b.index_set) for b in spec.blocks))
         sources = sorted(range(1, k + 1), key=nu)
         sizes = [len(spec.blocks[src - 1].index_set) for src in sources]
@@ -746,8 +758,9 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
             assert not any(any(row) for row in (diff2 @ Matrix(basis2)).num)
             assert len(integer_kernel(diff2)) == rank(Matrix(basis2)) == k
             shaped += 1
-    # every oracle spec has weights; 100 random ones have a kernel below k
-    assert (len(specs), transposed, short, shaped) == (516, 489, 100, 178)
+    # every oracle spec has weights; 100 random ones have a kernel below k,
+    # and 98 of them reach their classes
+    assert (len(specs), transposed, short, unhanded, shaped) == (516, 489, 100, 98, 178)
 
 
 def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
