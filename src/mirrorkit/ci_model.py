@@ -217,10 +217,6 @@ class WeightSystem:
     vectors: tuple[tuple[int, ...], ...]
 
     @property
-    def k(self) -> int:
-        return len(self.vectors)
-
-    @property
     def diagonal(self) -> tuple[int, ...]:
         """Entry i = the weight of variable i under its owning block."""
         n = len(self.vectors[0])

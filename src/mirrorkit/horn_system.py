@@ -3,9 +3,8 @@
 The sign pattern of the z-coefficients of the linear forms splits the row
 index set per deformation variable; the positive side builds the left
 factor product, the negative side the right one, and the two degrees agree
-because the column sums vanish.  Operators stay in factored symbolic form;
-expansion into a theta-polynomial is available but capped, since factored
-form is canonical and the examples reach degree 21.
+because the column sums vanish.  Operators stay in factored symbolic form,
+which is canonical; the examples reach degree 21.
 
 A form contributes Delta*|c| factors to a side, one per shift j, that
 differ only in j.  A side is therefore stored as runs (coeffs, const, den,
@@ -13,22 +12,18 @@ count), one per form, in integers: the negated z-numerators and the
 constant numerator of the form's ZForm over its denominator.  A run stands
 for the factors (const + sum_q coeffs_q * theta_q) / den + j for j < count.
 Building an operator is O(forms), its degree is the sum of the counts, and
-its JSON formats each run's numerators once, with no Fraction; the text
-form and the expansion walk the runs shift by shift, as Fractions.  The
+its JSON and text are formatted from each run's integers.  The
 factor count of each side is bounded by ``FACTOR_COUNT_CAP``, checked in
 integers before any run is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
-from .rational_linalg import rat_str, ratio_str
+from .rational_linalg import ratio_str
 from .record import record
 
-EXPANSION_DEGREE_CAP = 64
 FACTOR_COUNT_CAP = 10**6
 
 
@@ -49,28 +44,25 @@ class FactorLimitError(HornError):
 Run = tuple[tuple[int, ...], int, int, int]
 
 
-def _shifted(runs: tuple[Run, ...]):
-    """(coeffs, const + j) as Fractions for every factor of the runs, in order."""
+def _runs_str(runs: tuple[Run, ...]) -> str:
+    """Every factor of the runs, in order, as (const + j + theta terms)."""
+    out = []
     for coeffs, const, den, count in runs:
-        cs = tuple(Fraction(c, den) for c in coeffs)
+        terms = []
+        for q, c in enumerate(coeffs, start=1):
+            if c:
+                mag = ratio_str(abs(c), den)
+                terms.append((c > 0, f"th{q}" if mag == "1" else f"{mag}*th{q}"))
         for j in range(count):
-            yield cs, Fraction(const + j * den, den)
-
-
-def _factor_str(coeffs: tuple[Fraction, ...], total: Fraction) -> str:
-    parts = []
-    if total or not any(coeffs):
-        parts.append(rat_str(total))
-    for q, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        mag = rat_str(abs(c))
-        body = f"th{q}" if mag == "1" else f"{mag}*th{q}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return "(" + " ".join(parts) + ")"
+            total = const + j * den
+            parts = [ratio_str(total, den)] if total or not terms else []
+            for positive, body in terms:
+                if not parts:
+                    parts.append(body if positive else f"-{body}")
+                else:
+                    parts.append(f"+ {body}" if positive else f"- {body}")
+            out.append("(" + " ".join(parts) + ")")
+    return "".join(out) or "1"
 
 
 def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
@@ -97,30 +89,8 @@ class HornOperator:
     def degrees(self) -> tuple[int, int]:
         return sum(r[3] for r in self.p_runs), sum(r[3] for r in self.q_runs)
 
-    def expand(self, side: str) -> dict[tuple[int, ...], Fraction]:
-        """Expanded theta-polynomial of one side; refuses degrees above the cap."""
-        degree = self.degrees[0 if side == "p" else 1]
-        if degree > EXPANSION_DEGREE_CAP:
-            raise HornError(f"degree {degree} exceeds expansion cap")
-        runs = self.p_runs if side == "p" else self.q_runs
-        k = len(runs[0][0]) if runs else 1
-        poly: dict[tuple[int, ...], Fraction] = {tuple(0 for _ in range(k)): Fraction(1)}
-        for coeffs, total in _shifted(runs):
-            term: dict[tuple[int, ...], Fraction] = {}
-            base = {tuple(0 for _ in range(k)): total}
-            for q, c in enumerate(coeffs):
-                if c:
-                    base[tuple(1 if i == q else 0 for i in range(k))] = c
-            for e1, c1 in poly.items():
-                for e2, c2 in base.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    term[e] = term.get(e, Fraction(0)) + c1 * c2
-            poly = {e: c for e, c in term.items() if c}
-        return poly
-
     def __str__(self) -> str:
-        p = "".join(_factor_str(*f) for f in _shifted(self.p_runs)) or "1"
-        qq = "".join(_factor_str(*f) for f in _shifted(self.q_runs)) or "1"
+        p, qq = _runs_str(self.p_runs), _runs_str(self.q_runs)
         power = f"^{self.delta_power}" if self.delta_power != 1 else ""
         return f"{p} - {self.variable}{self.q}{power} * {qq}"
 

@@ -15,9 +15,7 @@ inverse's denominator.  The sum rules, the classification, the Horn counts
 and the magic square compare those integers scaled to Delta.  A Gamma
 argument (ZForm, a form's xi()) is integer numerators over one denominator
 as well, so the plain and factorized products, their sort order and
-Theorem 3.1's contraction are integer arithmetic, and a verify run builds no
-Fraction: the Fraction views of both kinds of form exist for the callers
-that read them, and are built only then.
+Theorem 3.1's contraction are integer arithmetic.
 
 Gamma products are compared up to reflection: a denominator factor
 Gamma(1-x) and a numerator factor Gamma(x) differ by pi/sin(pi x), which is
@@ -29,10 +27,9 @@ compares multisets.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
-from .rational_linalg import _canonical, Matrix, rat_parse, ratio_str
+from .rational_linalg import _canonical, Matrix, ratio_str
 from .record import lazy, record
 from .transposition import TransposeResult
 
@@ -74,11 +71,10 @@ class ZForm:
 
     Kept as integer numerators ``num = (c_1, ..., c_k, c_0)`` over one
     positive denominator ``den``, canonical: gcd(den, every numerator) = 1,
-    so ``==`` and ``hash`` are structural.  Sums, scaling, reflection, the
-    sort order (sort_forms), str and JSON all work in these integers; the
-    Fraction views ``coeffs`` and ``const`` are built only when read.  The
+    so ``==`` and ``hash`` are structural.  Scaling, reflection, the sort
+    order (sort_forms), str and JSON all work in these integers.  The
     constructor expects canonical num and den; reduced cancels a common
-    factor and from_coeffs builds a form from rational coefficients.
+    factor.
     """
 
     num: tuple[int, ...]
@@ -91,26 +87,6 @@ class ZForm:
         if g > 1:
             return ZForm(tuple(x // g for x in num), den // g)
         return ZForm(num, den)
-
-    @staticmethod
-    def from_coeffs(coeffs, const) -> "ZForm":
-        """The form with these int or Fraction coefficients and constant."""
-        xs = (*coeffs, const)
-        den = math.lcm(*(x.denominator for x in xs))
-        return ZForm(tuple(x.numerator * (den // x.denominator) for x in xs), den)
-
-    @lazy
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num[:-1])
-
-    @lazy
-    def const(self) -> Fraction:
-        return Fraction(self.num[-1], self.den)
-
-    def __add__(self, other: "ZForm") -> "ZForm":
-        d = math.lcm(self.den, other.den)
-        a, b = d // self.den, d // other.den
-        return ZForm.reduced(tuple(a * x + b * y for x, y in zip(self.num, other.num)), d)
 
     def scale(self, p: int, q: int = 1) -> "ZForm":
         """(p/q) * self, for integers p and q > 0."""
@@ -150,11 +126,6 @@ class ZForm:
         return {"coeffs": [ratio_str(c, d) for c in self.num[:-1]],
                 "const": ratio_str(self.num[-1], d)}
 
-    @staticmethod
-    def from_json(data: dict) -> "ZForm":
-        return ZForm.from_coeffs(tuple(rat_parse(c) for c in data["coeffs"]),
-                                 rat_parse(data["const"]))
-
 
 def sort_forms(forms) -> tuple[ZForm, ...]:
     """The forms ordered by (const, coeffs) as rationals: compared as integer
@@ -179,24 +150,13 @@ class LinearForm:
     = 1, so ``den`` is the form's own denominator and ``==`` and ``hash``
     are structural.  The constant collects the +1 shifts attached to the i
     and zeta slots, so the base-point value (all i and zeta at zero) is
-    const + <z-part, z>.  The Fraction views (i_coeffs, zeta_coeffs,
-    z_coeffs, const, xi()) are built on first use, each once per form.
-    The constructor expects canonical num and den; from_coeffs builds a form
-    from rational coefficients.
+    const + <z-part, z>, its xi(), built once per form.  The constructor
+    expects canonical num and den.
     """
 
     num: tuple[int, ...]
     den: int
     k: int
-
-    @staticmethod
-    def from_coeffs(i_coeffs, zeta_coeffs, z_coeffs) -> "LinearForm":
-        """The form with these int or Fraction coefficients; const is their i and zeta sum."""
-        # over the LCM of the reduced denominators the numerators are already coprime to it
-        xs = (*i_coeffs, *zeta_coeffs, *z_coeffs)
-        den = math.lcm(*(x.denominator for x in xs))
-        return LinearForm(tuple(x.numerator * (den // x.denominator) for x in xs), den,
-                          len(z_coeffs))
 
     @property
     def n(self) -> int:
@@ -205,25 +165,6 @@ class LinearForm:
     def z_num(self, q: int) -> int:
         """The numerator of the z_q coefficient."""
         return self.num[len(self.num) - self.k + q - 1]
-
-    def _fractions(self, start: int, stop: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num[start:stop])
-
-    @lazy
-    def i_coeffs(self) -> tuple[Fraction, ...]:
-        return self._fractions(0, self.n)
-
-    @lazy
-    def zeta_coeffs(self) -> tuple[Fraction, ...]:
-        return self._fractions(self.n, self.n + 2 * self.k)
-
-    @property
-    def z_coeffs(self) -> tuple[Fraction, ...]:
-        return self._xi.coeffs
-
-    @property
-    def const(self) -> Fraction:
-        return self._xi.const
 
     @lazy
     def _xi(self) -> ZForm:
@@ -234,17 +175,6 @@ class LinearForm:
         """Specialization at i = 0, zeta = 0."""
         return self._xi
 
-    def denominator(self) -> int:
-        return self.den
-
-    def numerators(self, delta: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Integer vectors (A, B, D) with respect to a given common modulus."""
-        if delta % self.den:
-            raise MellinError(f"{delta} is not a common modulus")
-        v = [x * (delta // self.den) for x in self.num]
-        n, z = self.n, len(v) - self.k
-        return tuple(v[:n]), tuple(v[z:]), tuple(v[n:z])
-
     def to_json(self) -> dict:
         d, n, z = self.den, self.n, len(self.num) - self.k
         strs = [ratio_str(x, d) for x in self.num]
@@ -254,17 +184,6 @@ class LinearForm:
             "z_coeffs": strs[z:],
             "const": ratio_str(sum(self.num[:z]), d),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "LinearForm":
-        form = LinearForm.from_coeffs(
-            tuple(rat_parse(c) for c in data["i_coeffs"]),
-            tuple(rat_parse(c) for c in data["zeta_coeffs"]),
-            tuple(rat_parse(c) for c in data["z_coeffs"]),
-        )
-        if form.const != rat_parse(data["const"]):
-            raise MellinError("constant term inconsistent with coefficient sums")
-        return form
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +231,6 @@ class GammaProduct:
             "delta": self.delta,
             "note": self.note,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "GammaProduct":
-        return GammaProduct(
-            tuple(ZForm.from_json(f) for f in data["numerator"]),
-            tuple(ZForm.from_json(f) for f in data["denominator"]),
-            int(data["delta"]),
-            data.get("note", "up to a Delta-periodic factor"),
-        )
 
 
 def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
@@ -404,9 +314,6 @@ class SumRuleReport:
     @property
     def ok(self) -> bool:
         return all(self.checks.values())
-
-    def to_json(self) -> dict:
-        return {"checks": dict(self.checks), "ok": self.ok}
 
 
 def check_sum_rules(forms) -> SumRuleReport:

@@ -40,14 +40,13 @@ imposed; the matrix equation is the primary solve path.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import Matrix, rank
-from .record import lazy, record
+from .record import record
 from .transposition import TransposeResult
 
 
@@ -76,9 +75,6 @@ class MinkowskiReport:
     dim: int
     expected: int
     ok: bool
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "expected": self.expected, "ok": self.ok}
 
 
 def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
@@ -187,15 +183,6 @@ class NefPartitionData:
     j_indices: dict[tuple[int, int, int], int]   # (block l, vertex r, other block q) -> j_q
     flags: dict[str, bool]
     notes: tuple[str, ...]
-
-    @lazy
-    def duals(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Per block, its dual vertices (columns of P) as Fractions."""
-        return tuple(tuple(self.p_matrix.col(c) for c in cols) for cols in self.dual_idx)
-
-    @lazy
-    def sigma_dual_generators(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _with_block_axes(self.duals, self.p_matrix.rows, Fraction(0), Fraction(1))
 
     def to_json(self) -> dict:
         # the dual vertices and their generators are the columns of P's strings

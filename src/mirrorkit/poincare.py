@@ -62,10 +62,6 @@ class CyclotomicRatio:
                 ds.remove(pair)
         return CyclotomicRatio(k, tuple(ns), tuple(ds))
 
-    @staticmethod
-    def one(k: int) -> "CyclotomicRatio":
-        return CyclotomicRatio(k, (), ())
-
     def degree_per_variable(self) -> tuple[tuple[int, int], ...]:
         """(numerator degree, denominator degree) per variable."""
         out = []
@@ -95,14 +91,6 @@ class CyclotomicRatio:
     def to_json(self) -> dict:
         return {"k": self.k, "num": [list(p) for p in self.num],
                 "den": [list(p) for p in self.den]}
-
-    @staticmethod
-    def from_json(data: dict) -> "CyclotomicRatio":
-        return CyclotomicRatio.build(
-            int(data["k"]),
-            [(int(q), int(d)) for q, d in data["num"]],
-            [(int(q), int(d)) for q, d in data["den"]],
-        )
 
 
 # ---------------------------------------------------------------------------

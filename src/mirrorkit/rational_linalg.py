@@ -11,9 +11,7 @@ kept canonical: gcd(den, every entry) = 1, so ``den`` is the least common
 denominator of the entries and ``==`` and ``hash`` are structural.  Every
 matrix built from a specification is integral (den = 1); only inverses,
 kernels and solutions carry a denominator, and it is one small number
-(the modulus Delta for the Cayley inverse).  ``Fraction``s appear only in
-the entry view (``entries``, ``col``, ``m[i, j]``), built on first use for
-the callers that want rational entries.
+(the modulus Delta for the Cayley inverse).
 
 Elimination is fraction-free Gauss-Jordan on integer rows (Bareiss 1968;
 sympy's ``rref_den`` is the same idea): ``row <- a*row - b*pivot_row``,
@@ -41,11 +39,10 @@ the denominator is 1; a matrix is a list of rows of such strings.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .record import lazy, record
+from .record import record
 
 
 class RationalLinalgError(Exception):
@@ -64,18 +61,8 @@ class NotAPermutationError(RationalLinalgError):
     """The image sequence is not a bijection on {1..size}."""
 
 
-def rat_str(x: Fraction | int) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def rat_parse(s: str | int) -> Fraction:
-    return Fraction(s)
-
-
 def ratio_str(p: int, q: int) -> str:
-    """rat_str of p/q for q > 0, without building a Fraction."""
+    """p/q for q > 0 in lowest terms, as "p/q", or "p" when the denominator is 1."""
     if p == 0:
         return "0"
     g = math.gcd(p, q)
@@ -90,7 +77,7 @@ class Matrix:
 
     The constructor takes num and den as given and expects them canonical
     (den > 0, gcd(den, every entry) = 1); integer rows with den = 1 always
-    are.  from_rows builds a matrix from int or Fraction rows.
+    are.  from_rows builds a matrix from int rows.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -105,20 +92,14 @@ class Matrix:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[Fraction | int]]) -> "Matrix":
-        """Int rows are kept as they are, Fraction entries are scaled by the LCM of
-        the denominators, and anything else (float, bool, str) raises TypeError."""
+    def from_rows(rows: Iterable[Iterable[int]]) -> "Matrix":
+        """Int rows, kept as they are; any other entry (Fraction, float, bool, str)
+        raises TypeError."""
         num = tuple(map(tuple, rows))
-        kinds = set(map(type, chain.from_iterable(num)))
-        if kinds <= {int}:
-            return Matrix(num)
-        if not kinds <= {int, Fraction}:
-            x = next(x for x in chain.from_iterable(num) if type(x) not in (int, Fraction))
-            raise TypeError(
-                f"matrix entry must be an int or a Fraction, got {type(x).__name__} {x!r}")
-        den = math.lcm(*(x.denominator for x in chain.from_iterable(num)))
-        return Matrix(tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                            for row in num), den)
+        if not set(map(type, chain.from_iterable(num))) <= {int}:
+            x = next(x for x in chain.from_iterable(num) if type(x) is not int)
+            raise TypeError(f"matrix entry must be an int, got {type(x).__name__} {x!r}")
+        return Matrix(num)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -133,19 +114,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.num[0]) if self.num else 0
-
-    @lazy
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, built on first use."""
-        d = self.den
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
-
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
-        i, j = idx
-        return self.entries[i][j]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -225,13 +193,6 @@ class PermutationMap:
 
     def to_json(self) -> list[int]:
         return list(self.images)
-
-
-def _integer_row(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """(d*xs as integers, d) with d the LCM of the denominators of xs."""
-    xs = list(xs)
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -343,6 +304,6 @@ def integer_kernel(m: Matrix) -> list[tuple[int, ...]]:
     return [vec for _, vec in _kernel_columns(m)]
 
 
-def primitive_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, keeping the sign pattern."""
-    return tuple(_primitive(_integer_row(v)[0]))
+def primitive_integer_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries, keeping the sign pattern."""
+    return tuple(_primitive(list(v)))

@@ -151,12 +151,6 @@ def inverse_hint(cm: CayleyMatrix, inverse: Matrix
     return h, m
 
 
-def transpose_spec(spec: CISpec) -> TransposeResult:
-    """Build the transposed specification with all permutation bookkeeping."""
-    from .pipeline import MirrorPair
-    return MirrorPair(spec).tr
-
-
 def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | None = None
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
@@ -385,12 +379,6 @@ def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
                    for b in spec.blocks)
     weights = None if spec.weights is None else tuple(map(remap, spec.weights))
     return CISpec(n=spec.n, k=spec.k, blocks=blocks, weights=weights)
-
-
-def check_involution(spec: CISpec) -> bool:
-    """True when transposing twice returns the spec up to recorded permutations."""
-    from .pipeline import MirrorPair
-    return MirrorPair(spec).involutive
 
 
 def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:

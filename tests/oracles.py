@@ -2,7 +2,16 @@
 
 The program works in integer numerators over one denominator; these
 helpers give the same results as Fractions, so tests can compare them with
-sympy and with hand-computed values.
+sympy and with hand-computed values:
+
+* a `Matrix`'s entries (`entries`, `entry`, `column`), and `fraction_matrix`,
+  a matrix from rows that hold Fractions;
+* a `LinearForm`'s coefficients (`i_coeffs`, `zeta_coeffs`, `z_coeffs`), a
+  `ZForm`'s (`coeffs`, `constant`), and `linear_form` and `zform`, which build
+  each from int or Fraction values;
+* a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
+* `rat_str` and `integer_row` for Fractions, and the eliminations and
+  Fraction arithmetic the program's closed forms replaced.
 """
 
 import math
@@ -11,16 +20,95 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
+from mirrorkit.mellin import LinearForm, ZForm
+from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
     Matrix,
     _canonical,
     _eliminate,
-    _integer_row,
     _kernel_columns,
     integer_kernel,
-    rat_str,
 )
+
+
+def rat_str(x):
+    """A Fraction or int as "p/q", or "p" when the denominator is 1."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def integer_row(xs):
+    """(d*xs as integers, d) with d the LCM of the denominators of xs."""
+    xs = list(xs)
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def fraction_matrix(rows):
+    """The Matrix of int or Fraction rows: the entries over the LCM of their denominators."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(x.denominator for x in chain.from_iterable(rows)))
+    return Matrix(tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                        for row in rows), den)
+
+
+def entries(m):
+    """The entries of a Matrix as Fractions."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.num)
+
+
+def entry(m, i, j):
+    return Fraction(m.num[i][j], m.den)
+
+
+def column(m, j):
+    return tuple(Fraction(row[j], m.den) for row in m.num)
+
+
+def zform(coeffs, const):
+    """The ZForm with these int or Fraction coefficients and constant."""
+    num, den = integer_row((*coeffs, const))
+    return ZForm(tuple(num), den)
+
+
+def coeffs(z):
+    """A ZForm's coefficients c_1..c_k as Fractions."""
+    return tuple(Fraction(c, z.den) for c in z.num[:-1])
+
+
+def constant(z):
+    """A ZForm's constant c_0 as a Fraction."""
+    return Fraction(z.num[-1], z.den)
+
+
+def linear_form(i_coeffs, zeta_coeffs, z_coeffs):
+    """The LinearForm with these int or Fraction coefficients (its constant is
+    their i and zeta sum)."""
+    num, den = integer_row((*i_coeffs, *zeta_coeffs, *z_coeffs))
+    return LinearForm(tuple(num), den, len(z_coeffs))
+
+
+def i_coeffs(form):
+    return tuple(Fraction(x, form.den) for x in form.num[:form.n])
+
+
+def zeta_coeffs(form):
+    return tuple(Fraction(x, form.den) for x in form.num[form.n:len(form.num) - form.k])
+
+
+def z_coeffs(form):
+    return coeffs(form.xi())
+
+
+def duals(nef):
+    """Per block, its dual vertices (columns of P) as Fractions."""
+    return tuple(tuple(column(nef.p_matrix, c) for c in cols) for cols in nef.dual_idx)
+
+
+def sigma_dual_generators(nef):
+    return _with_block_axes(duals(nef), nef.p_matrix.rows, Fraction(0), Fraction(1))
 
 
 def right_kernel(m):
@@ -45,7 +133,7 @@ def solve_den(m, rhs_cols):
     aug = []
     for i, row in enumerate(m.num):
         # num x = den * b; row i scaled by the LCM e of its right-hand denominators
-        rhs, e = _integer_row(b[i] for b in rhs_cols)
+        rhs, e = integer_row(b[i] for b in rhs_cols)
         aug.append([x * e for x in row] + [m.den * y for y in rhs])
     r, pivots = _eliminate(aug, n)
     d = math.lcm(*(aug[i][pcol] for i, pcol in enumerate(pivots)))
@@ -86,12 +174,6 @@ def support_phi(deltas, q, y):
     return -min(sum(a * b for a, b in zip(v, y)) for v in deltas[q - 1].vertices)
 
 
-def reduced_numerators(form):
-    """(A, B, D, d) of a LinearForm over its own denominator; gcd of all entries is 1."""
-    a, b, dd = form.numerators(form.den)
-    return a, b, dd, form.den
-
-
 def is_involution(p):
     """True when the PermutationMap p is its own inverse."""
     return all(p.images[j - 1] == i + 1 for i, j in enumerate(p.images))
@@ -105,6 +187,15 @@ class FractionZForm:
 
     coeffs: tuple[Fraction, ...]
     const: Fraction
+
+    @staticmethod
+    def of(z):
+        """The oracle form with a ZForm's value."""
+        return FractionZForm(coeffs(z), constant(z))
+
+    def integer(self):
+        """The ZForm with this value."""
+        return zform(self.coeffs, self.const)
 
     def __add__(self, other):
         return FractionZForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),

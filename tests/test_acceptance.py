@@ -30,14 +30,9 @@ from mirrorkit.poincare import (
     verify_duality,
 )
 from mirrorkit.rational_linalg import Matrix, invert
-from mirrorkit.transposition import (
-    NoInvolutiveNuError,
-    NoValidShapeError,
-    check_involution,
-    transpose_spec,
-)
+from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import support_phi
+from oracles import FractionZForm, duals, i_coeffs, support_phi, z_coeffs, zform
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 
@@ -66,7 +61,7 @@ def test_criterion_1_golden_matrices(spec_6_1, spec_6_2):
 def _theorem_products(spec):
     cm = build_cayley(spec)
     forms = solve_xi(cm, invert(cm.matrix))
-    tr = transpose_spec(spec)
+    tr = MirrorPair(spec).tr
     tweights = derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tweights)
     lemma = lemma_form(cm, forms)
@@ -78,7 +73,7 @@ def test_criterion_2_mellin_forms(spec_6_1, spec_6_2):
     """Gamma-argument multisets match the printed closed forms exactly."""
     # original 6.2: Gamma(xi)^3 Gamma(2 xi)^2 / Gamma(7 xi), xi = (1-z)/7
     rep, product, lemma, tr = _theorem_products(spec_6_2)
-    xi = ZForm.from_coeffs((F(-1, 7),), F(1, 7))
+    xi = zform((F(-1, 7),), F(1, 7))
     assert sort_forms(product.numerator) == sort_forms([xi] * 3 + [xi.scale(2)] * 2)
     assert sort_forms(product.denominator) == sort_forms([xi.scale(7)])
     assert rep.identity_holds and rep.reduces_to_lemma_form
@@ -87,7 +82,7 @@ def test_criterion_2_mellin_forms(spec_6_1, spec_6_2):
     # transposed 6.2: Gamma(3 xi) Gamma(2 xi)^2 Gamma(7 xi)^2 / Gamma(21 xi),
     # xi = (1-z)/21
     rep_t, product_t, lemma_t, _ = _theorem_products(tr.tspec)
-    xi_t = ZForm.from_coeffs((F(-1, 21),), F(1, 21))
+    xi_t = zform((F(-1, 21),), F(1, 21))
     assert sort_forms(product_t.numerator) == sort_forms(
         [xi_t.scale(3)] + [xi_t.scale(2)] * 2 + [xi_t.scale(7)] * 2)
     assert sort_forms(product_t.denominator) == sort_forms([xi_t.scale(21)])
@@ -95,10 +90,10 @@ def test_criterion_2_mellin_forms(spec_6_1, spec_6_2):
 
     # 6.1: Gamma(xi1)^3 Gamma(xi2)^4 / (Gamma(3 xi1 + xi2) Gamma(3 xi2))
     rep1, product1, lemma1, _ = _theorem_products(spec_6_1)
-    xi1 = ZForm.from_coeffs((F(-1, 3), F(1, 9)), F(2, 9))
-    xi2 = ZForm.from_coeffs((F(0), F(-1, 3)), F(1, 3))
+    xi1 = zform((F(-1, 3), F(1, 9)), F(2, 9))
+    xi2 = zform((F(0), F(-1, 3)), F(1, 3))
     assert sort_forms(product1.numerator) == sort_forms([xi1] * 3 + [xi2] * 4)
-    three_xi1_plus_xi2 = xi1.scale(3) + xi2
+    three_xi1_plus_xi2 = (FractionZForm.of(xi1.scale(3)) + FractionZForm.of(xi2)).integer()
     assert sort_forms(product1.denominator) == sort_forms(
         [three_xi1_plus_xi2, xi2.scale(3)])
     assert gamma_equal(product1, lemma1)
@@ -147,15 +142,15 @@ def test_criterion_4_property_suite():
 
 def test_criterion_5_involution(spec_6_1, spec_6_2):
     """Double transposition returns the spec, on the examples and random specs."""
-    assert check_involution(spec_6_1)
-    assert check_involution(spec_6_2)
+    assert MirrorPair(spec_6_1).involutive
+    assert MirrorPair(spec_6_2).involutive
     count = 0
     for spec in generate_valid_specs(200):
         try:
-            transpose_spec(spec)
+            MirrorPair(spec).tr
         except (NoValidShapeError, NoInvolutiveNuError):
             continue
-        assert check_involution(spec), spec
+        assert MirrorPair(spec).involutive, spec
         count += 1
     report(f"criterion 5: involution on both examples and {count} random mirrors")
 
@@ -163,21 +158,21 @@ def test_criterion_5_involution(spec_6_1, spec_6_2):
 def test_criterion_6_nef_partition(spec_6_1, quadric):
     """Dual partition solves with nonnegative cone pairings and Kronecker phi."""
     for spec in (quadric, spec_6_1):
-        tr = transpose_spec(spec)
+        tr = MirrorPair(spec).tr
         nef = solve_dual_partition(spec, tr, derive_weights(spec), derive_weights(tr.tspec))
         assert nef.flags["minkowski_dim"]
         assert nef.flags["cone_pairings_nonnegative"]
         assert nef.flags["phi_kronecker"]
-        for l, grp in enumerate(nef.duals, start=1):
+        for l, grp in enumerate(duals(nef), start=1):
             for m in grp:
                 for q in range(1, spec.k + 1):
                     assert support_phi(nef.deltas, q, m) == (1 if q == l else 0)
         deltas = build_deltas(spec, derive_weights(spec))
         assert minkowski_dim(deltas, expected=spec.n - spec.k).ok
     # quadric oracle, solved by hand in one dimension
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     nef_q = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
-    assert nef_q.duals == (((F(1), F(0)), (F(-1), F(0))),)
+    assert duals(nef_q) == (((F(1), F(0)), (F(-1), F(0))),)
     report("criterion 6: nef partitions on the quadric and 6.1")
 
 
@@ -191,8 +186,8 @@ def test_criterion_7_magic_square(spec_6_1):
     for q, pairs in rep.witnesses.items():
         qq = rep.assignments[q]
         for b, i in pairs:
-            assert forms[b - 1].z_coeffs[q - 1] == \
-                forms[spec_6_1.a(qq) - 1].i_coeffs[i - 1]
+            assert z_coeffs(forms[b - 1])[q - 1] == \
+                i_coeffs(forms[spec_6_1.a(qq) - 1])[i - 1]
     report("criterion 7: magic-square witness bijection on 6.1")
 
 

@@ -18,6 +18,7 @@ from mirrorkit.ci_model import (
 from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
 
+from oracles import entries
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 
@@ -156,7 +157,7 @@ def test_build_cayley_6_2_printed_matrix(spec_6_2):
 def test_build_cayley_quadric_rows(quadric):
     # direct construction oracle from the block layout
     cm = build_cayley(quadric)
-    assert [[int(x) for x in row] for row in cm.matrix.entries] == [
+    assert [[int(x) for x in row] for row in entries(cm.matrix)] == [
         [2, 0, 1, 0, 0],
         [0, 2, 1, 0, 0],
         [0, 0, 1, 0, 1],

@@ -212,9 +212,10 @@ def test_console_script_prints_what_the_module_prints():
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # the value classes are defined without code generation (mirrorkit.record):
-    # importing dataclasses pulls in inspect, dis, ast and tokenize at start-up
-    result = run_python("-c", "import sys, mirrorkit.cli; "
-                              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # importing dataclasses pulls in inspect, dis, ast and tokenize at start-up;
+    # the program works in integers, so fractions (and with it decimal and numbers) stays out
+    result = run_python("-c", "import sys, mirrorkit.cli; print(sorted({'dataclasses', "
+                              "'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
     assert result.returncode == 0
     assert result.stdout == "[]\n"
 

@@ -37,9 +37,18 @@ from mirrorkit.rational_linalg import (
     pivot_columns,
     rank,
 )
-from mirrorkit.transposition import NoValidShapeError, TranspositionError, transpose_spec
+from mirrorkit.transposition import NoValidShapeError, TranspositionError
 
-from oracles import solve_den, support_phi
+from oracles import (
+    column,
+    duals,
+    entries,
+    i_coeffs,
+    sigma_dual_generators,
+    solve_den,
+    support_phi,
+    z_coeffs,
+)
 from specgen import generate_valid_specs, oracle_specs, singular_cayley_specs
 
 F = Fraction
@@ -299,20 +308,20 @@ def test_closed_form_refuses_data_that_does_not_certify(spec_6_1):
 
 def _fraction_flags(spec, nef):
     """Oracle for the pairing flags: the clauses evaluated on the rational vertices."""
-    a_rows = difference_matrix(spec).entries
+    a_rows = entries(difference_matrix(spec))
     flags = {
         "phi_kronecker": all(
             -min(sum(F(a) * b for a, b in zip(v, m)) for v in nef.deltas[q - 1].vertices)
             == (1 if q == l else 0)
-            for l, grp in enumerate(nef.duals, start=1) for m in grp
+            for l, grp in enumerate(duals(nef), start=1) for m in grp
             for q in range(1, spec.k + 1)),
         "cone_pairings_nonnegative": all(
             sum(F(a) * b for a, b in zip(v, m)) >= 0
-            for v in nef.sigma_generators for m in nef.sigma_dual_generators),
+            for v in nef.sigma_generators for m in sigma_dual_generators(nef)),
     }
     off, own, cross = True, True, True
     j_indices = {}
-    for l, grp in enumerate(nef.duals, start=1):
+    for l, grp in enumerate(duals(nef), start=1):
         for r, m in enumerate(grp, start=1):
             for q in range(1, spec.k + 1):
                 vals = [sum(a * b for a, b in zip(a_rows[spec.b(q - 1) + j], m))
@@ -481,7 +490,7 @@ def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, 
         p = nef.p_matrix
         for c, col in enumerate(zip(*p.num)):
             assert _integral_representative_exists(col, p.den, pair.weights) == \
-                _shift_exists_by_search(p.col(c), pair.weights)
+                _shift_exists_by_search(column(p, c), pair.weights)
     assert reached == 75
     # hand-built columns: c = 1/2 shifts (1/2, 0) to (1, 1); nothing shifts (1/2, 1/2)
     w = WeightSystem(((1, 2),))
@@ -505,9 +514,9 @@ def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, 
 def test_solve_dual_partition_quadric(quadric):
     # one-dimensional hand solve: the pairing of (1,-1) with m must be the
     # transposed difference row, giving m = (1,0) and (-1,0) in the section
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
-    assert nef.duals == (((F(1), F(0)), (F(-1), F(0))),)
+    assert duals(nef) == (((F(1), F(0)), (F(-1), F(0))),)
     assert nef.flags["phi_kronecker"]
     assert nef.flags["cone_pairings_nonnegative"]
     assert nef.flags["minkowski_dim"]
@@ -516,7 +525,7 @@ def test_solve_dual_partition_quadric(quadric):
 
 
 def test_solve_dual_partition_6_1(spec_6_1):
-    tr = transpose_spec(spec_6_1)
+    tr = MirrorPair(spec_6_1).tr
     nef = solve_dual_partition(spec_6_1, tr, derive_weights(spec_6_1), derive_weights(tr.tspec))
     assert nef.flags["phi_kronecker"]
     assert nef.flags["cone_pairings_nonnegative"]
@@ -524,7 +533,7 @@ def test_solve_dual_partition_6_1(spec_6_1):
     assert nef.flags["integral_P_section"]
     # phi evaluations re-checked through the public evaluator
     deltas = nef.deltas
-    for l, grp in enumerate(nef.duals, start=1):
+    for l, grp in enumerate(duals(nef), start=1):
         for m in grp:
             for q in range(1, spec_6_1.k + 1):
                 assert support_phi(deltas, q, m) == (1 if q == l else 0)
@@ -540,7 +549,7 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
         exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
     assert minkowski_dim(build_deltas(spec, weights), expected=2).dim == 1
     for other in (fermat, quadric):
-        tr = transpose_spec(other)
+        tr = MirrorPair(other).tr
         with pytest.raises(UnsolvableError, match="Minkowski sum has dimension 1, expected 2"):
             solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
 
@@ -548,7 +557,7 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
 def test_solve_dual_partition_guard(spec_6_1, spec_6_2, quadric):
     # mismatched transposition data fails the closed form's certificate and is
     # rejected: on the block sizes, or on a target that A does not reproduce
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     with pytest.raises(UnsolvableError) as exc:
         solve_dual_partition(spec_6_2, tr, derive_weights(spec_6_2), derive_weights(tr.tspec))
     assert str(exc.value) == "transposed block sizes do not mirror the original order"
@@ -569,11 +578,11 @@ def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
         exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
     fermat = CISpec(n=3, k=1, blocks=(Block(
         exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
-    cases = [(spec, transpose_spec(fermat), WeightSystem(((1, 1, 1),)),
+    cases = [(spec, MirrorPair(fermat).tr, WeightSystem(((1, 1, 1),)),
               "Minkowski sum has dimension 1, expected 2"),
-             (spec, transpose_spec(quadric), WeightSystem(((1, 1, 1),)),
+             (spec, MirrorPair(quadric).tr, WeightSystem(((1, 1, 1),)),
               "Minkowski sum has dimension 1, expected 2"),
-             (spec_6_2, transpose_spec(quadric), derive_weights(spec_6_2),
+             (spec_6_2, MirrorPair(quadric).tr, derive_weights(spec_6_2),
               "transposed block sizes do not mirror the original order")]
     for spec, tr, weights, message in cases:
         with pytest.raises(UnsolvableError) as exc:
@@ -582,9 +591,9 @@ def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
 
 
 def test_cone_generators_quadric(quadric):
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
-    sigma, sigma_dual = nef.sigma_generators, nef.sigma_dual_generators
+    sigma, sigma_dual = nef.sigma_generators, sigma_dual_generators(nef)
     assert sigma == ((0, 0, 1), (1, -1, 1), (-1, 1, 1))
     assert sigma_dual[0] == (F(0), F(0), F(1))
     # unit pairing of the apex generators
@@ -592,9 +601,9 @@ def test_cone_generators_quadric(quadric):
 
 
 def test_cone_pairings_6_1(spec_6_1):
-    tr = transpose_spec(spec_6_1)
+    tr = MirrorPair(spec_6_1).tr
     nef = solve_dual_partition(spec_6_1, tr, derive_weights(spec_6_1), derive_weights(tr.tspec))
-    sigma, sigma_dual = nef.sigma_generators, nef.sigma_dual_generators
+    sigma, sigma_dual = nef.sigma_generators, sigma_dual_generators(nef)
     for v in sigma:
         for m in sigma_dual:
             assert sum(F(a) * b for a, b in zip(v, m)) >= 0
@@ -602,13 +611,13 @@ def test_cone_pairings_6_1(spec_6_1):
 
 def test_torus_embedding(quadric, spec_6_2):
     assert difference_matrix(quadric) == Matrix.from_rows([[1, -1], [-1, 1]])
-    rows = difference_matrix(spec_6_2).entries
+    rows = entries(difference_matrix(spec_6_2))
     deltas = build_deltas(spec_6_2, derive_weights(spec_6_2))
     assert sorted(tuple(int(x) for x in r) for r in rows) == \
         sorted(deltas[0].vertices[1:])
     # identity-difference block gives zero rows
     spec = _indicator_spec()
-    assert all(not any(r) for r in difference_matrix(spec).entries)
+    assert all(not any(r) for r in entries(difference_matrix(spec)))
 
 
 def test_magic_square_6_1(spec_6_1):
@@ -621,8 +630,8 @@ def test_magic_square_6_1(spec_6_1):
         qq = report.assignments[q]
         seen = set()
         for b, i in pairs:
-            assert forms[b - 1].z_coeffs[q - 1] == \
-                forms[spec_6_1.a(qq) - 1].i_coeffs[i - 1]
+            assert z_coeffs(forms[b - 1])[q - 1] == \
+                i_coeffs(forms[spec_6_1.a(qq) - 1])[i - 1]
             assert i not in seen
             seen.add(i)
         assert seen == set(range(1, spec_6_1.n + 1))
@@ -633,8 +642,8 @@ def test_magic_square_quadric_brute_force(quadric):
     forms = solve_xi(cm, invert(cm.matrix))
     report = magic_square_check(cm, forms)
     # oracle: brute force over the two candidate bijections
-    p = [forms[b - 1].z_coeffs[0] for b in cm.i_lambda]
-    w = [forms[quadric.a(1) - 1].i_coeffs[i] for i in range(quadric.n)]
+    p = [z_coeffs(forms[b - 1])[0] for b in cm.i_lambda]
+    w = [i_coeffs(forms[quadric.a(1) - 1])[i] for i in range(quadric.n)]
     feasible = any(all(p[b] == w[sigma[b]] for b in range(2))
                    for sigma in permutations(range(2)))
     assert feasible
@@ -645,14 +654,14 @@ def test_magic_square_multiset_mismatch(spec_6_2):
     cm = build_cayley(spec_6_2)
     forms = solve_xi(cm, invert(cm.matrix))
     # direct multiset comparison oracle
-    p = sorted(forms[b - 1].z_coeffs[0] for b in cm.i_lambda)
-    w = sorted(forms[spec_6_2.a(1) - 1].i_coeffs)
+    p = sorted(z_coeffs(forms[b - 1])[0] for b in cm.i_lambda)
+    w = sorted(i_coeffs(forms[spec_6_2.a(1) - 1]))
     assert p != w
     assert not magic_square_check(cm, forms).found
 
 
 def test_nef_json(quadric):
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     nef = solve_dual_partition(quadric, tr, derive_weights(quadric), derive_weights(tr.tspec))
     data = nef.to_json()
     assert data["P"] == [["1", "-1"], ["0", "0"]]

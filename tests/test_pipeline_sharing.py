@@ -24,6 +24,7 @@ from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.record import lazy
 
+from oracles import constant, z_coeffs
 from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
@@ -358,10 +359,10 @@ def test_horn_factors_of_one_form_share_its_data(m):
         for rows, runs in ((plus, op.p_runs), (minus, op.q_runs)):
             assert len(runs) == len(rows)
             for a, (coeffs, const, den, count) in zip(rows, runs):
-                assert count == abs(int(forms[a - 1].z_coeffs[op.q - 1] * delta))
+                assert count == abs(int(z_coeffs(forms[a - 1])[op.q - 1] * delta))
                 xi = forms[a - 1].xi()
                 assert (const, den) == (xi.num[-1], xi.den)
-                assert Fraction(const, den) == forms[a - 1].const
+                assert Fraction(const, den) == constant(xi)
                 shared.setdefault(a, set()).add(id(coeffs))
     assert shared and all(len(ids) == 1 for ids in shared.values())
 
@@ -396,3 +397,19 @@ def test_horn_builds_the_monodromy_ratio_once(monkeypatch, fixtures_dir, fmt):
         assert cli.main(["horn", "--input", str(fixtures_dir / "example_6_1.json"),
                          "--format", fmt]) == 0
     assert len(built) == 1
+
+
+def test_a_double_transpose_that_is_not_home_is_a_soft_failure(monkeypatch, fixtures_dir):
+    # no fixture or oracle spec reaches this branch: every double transpose returns home
+    path = str(fixtures_dir / "example_6_1.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["poincare", "--strict", "--input", path]) == 0
+    monkeypatch.setattr(MirrorPair, "block_match", None)
+    report = run_verify(CISpec.load(path))
+    assert "transpose: double transposition does not return home" in report.soft_failures
+    duality = next(stage for stage in report.stages if stage.name == "duality")
+    assert duality.flags["M_Y = PO_Xbar"] is False
+    assert duality.flags["PO_Xbar = P_A_X"] is False
+    assert "double transposition did not recover the original blocks" in duality.notes
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["poincare", "--strict", "--input", path]) == 2

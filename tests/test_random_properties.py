@@ -15,13 +15,9 @@ from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import ZForm, check_sum_rules, classify_forms, compute_delta, solve_xi
 from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import Matrix, invert
-from mirrorkit.transposition import (
-    NoInvolutiveNuError,
-    NoValidShapeError,
-    check_involution,
-    transpose_spec,
-)
+from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
+from oracles import z_coeffs
 from specgen import generate_valid_specs
 
 SPECS = generate_valid_specs(200)
@@ -70,8 +66,8 @@ def test_horn_degree_balance():
         delta = compute_delta(forms)
         for q in range(1, spec.k + 1):
             plus, minus, _ = index_partition(forms, q)
-            pos = sum(int(forms[a - 1].z_coeffs[q - 1] * delta) for a in plus)
-            neg = -sum(int(forms[a - 1].z_coeffs[q - 1] * delta) for a in minus)
+            pos = sum(int(z_coeffs(forms[a - 1])[q - 1] * delta) for a in plus)
+            neg = -sum(int(z_coeffs(forms[a - 1])[q - 1] * delta) for a in minus)
             assert pos == neg > 0
         for op in horn_operators(spec, forms):
             assert op.degrees[0] == op.degrees[1]
@@ -81,11 +77,11 @@ def test_involution_where_transposable():
     transposable = 0
     for spec in SPECS:
         try:
-            tr = transpose_spec(spec)
+            tr = MirrorPair(spec).tr
         except (NoValidShapeError, NoInvolutiveNuError):
             continue
         transposable += 1
-        assert check_involution(spec), spec
+        assert MirrorPair(spec).involutive, spec
         # shape preservation: the transposed index sets still partition
         aggregate = sorted(i for blk in tr.tspec.blocks for i in blk.index_set)
         assert aggregate == list(range(1, spec.n + 1))
@@ -95,7 +91,7 @@ def test_involution_where_transposable():
 def test_transposed_weights_are_block_supported():
     for spec in SPECS:
         try:
-            tr = transpose_spec(spec)
+            tr = MirrorPair(spec).tr
         except (NoValidShapeError, NoInvolutiveNuError):
             continue
         w = derive_weights(tr.tspec)

@@ -13,12 +13,22 @@ from mirrorkit.rational_linalg import (
     invert,
     primitive_integer_vector,
     rank,
-    rat_parse,
-    rat_str,
     ratio_str,
 )
 
-from oracles import is_involution, right_kernel, solve_den, solve_many, vectors_proportional
+from oracles import (
+    column,
+    entries,
+    entry,
+    fraction_matrix,
+    integer_row,
+    is_involution,
+    rat_str,
+    right_kernel,
+    solve_den,
+    solve_many,
+    vectors_proportional,
+)
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction
@@ -26,7 +36,7 @@ F = Fraction
 
 def _mul_vector(m, v):
     """m v in Fractions, entry by entry: the oracle for a solution or kernel vector."""
-    return tuple(sum((a * F(b) for a, b in zip(row, v)), F(0)) for row in m.entries)
+    return tuple(sum((a * F(b) for a, b in zip(row, v)), F(0)) for row in entries(m))
 
 
 def _integer_rows(data):
@@ -136,16 +146,16 @@ def test_solve_errors():
 ])
 def test_rank_small(rows, expected):
     m = Matrix.from_rows(rows)
-    assert rank(m) == expected == _rank_by_minors(m.entries)
+    assert rank(m) == expected == _rank_by_minors(entries(m))
 
 
 def test_rank_row_permutation_invariant():
     rng = random.Random(7)
     for _ in range(25):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(5)]
-        base = rank(Matrix.from_rows(rows))
+        base = rank(fraction_matrix(rows))
         rng.shuffle(rows)
-        assert rank(Matrix.from_rows(rows)) == base
+        assert rank(fraction_matrix(rows)) == base
 
 
 def test_lcm_of_denominators():
@@ -154,8 +164,8 @@ def test_lcm_of_denominators():
     assert matrix_from_json(L_13_INV).den == 27
     assert Matrix.from_rows([[1, 2], [3, 4]]).den == 1
     # normalized matrix needs no further scaling
-    scaled = Matrix.from_rows([[x * 147 for x in row]
-                               for row in matrix_from_json(L_8_INV).entries])
+    scaled = fraction_matrix([[x * 147 for x in row]
+                              for row in entries(matrix_from_json(L_8_INV))])
     assert scaled.den == 1
     assert scaled.num == matrix_from_json(L_8_INV).num
 
@@ -165,7 +175,7 @@ def test_invert_random_roundtrip():
     done = 0
     while done < 20:
         n = rng.randint(1, 6)
-        m = Matrix.from_rows([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        m = fraction_matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                for _ in range(n)] for _ in range(n)])
         try:
             inv = invert(m)
@@ -223,8 +233,8 @@ def test_solve_many_random_columns():
         assert got == [solve_many(m, [b])[0] for b in rhs]
         assert got[-1] is not None
         for x, b in zip(got, rhs):
-            consistent = rank(Matrix.from_rows([list(r) + [v] for r, v in
-                                                zip(m.entries, b)])) == rank(m)
+            consistent = rank(fraction_matrix([list(r) + [v] for r, v in
+                                               zip(entries(m), b)])) == rank(m)
             assert (x is not None) == consistent
             if x is not None:
                 assert _mul_vector(m, x) == tuple(F(v) for v in b)
@@ -274,7 +284,7 @@ def _check_invert_and_rank_against_sympy(cases):
     sympy = pytest.importorskip("sympy")
     singular = 0
     for _, data in cases:
-        m = Matrix.from_rows(data)
+        m = fraction_matrix(data)
         ref = sympy.Matrix(data)
         assert rank(m) == ref.rank()
         if ref.det() == 0:
@@ -283,7 +293,7 @@ def _check_invert_and_rank_against_sympy(cases):
                 invert(m)
         else:
             inv = ref.inv()
-            assert invert(m) == Matrix.from_rows(
+            assert invert(m) == fraction_matrix(
                 [[_sympy_fraction(x) for x in inv.row(i)] for i in range(inv.rows)])
     assert singular >= 5
 
@@ -301,7 +311,7 @@ def _check_right_kernel_against_sympy(cases):
     for _, data in cases:
         ref = [tuple(_sympy_fraction(x) for x in v) for v in sympy.Matrix(data).nullspace()]
         # both take one vector per free column, with a 1 there and 0 at other free columns
-        assert right_kernel(Matrix.from_rows(data)) == ref
+        assert right_kernel(fraction_matrix(data)) == ref
 
 
 def test_solve_many_matches_sympy():
@@ -320,7 +330,7 @@ def _check_solve_many_against_sympy(cases, max_den):
         rhs = [[F(rng.randint(-5, 5), rng.randint(1, max_den) if max_den > 1 else 1)
                 for _ in range(rows)] for _ in range(3)]
         ref = sympy.Matrix(data)
-        for b, got in zip(rhs, solve_many(Matrix.from_rows(data), rhs)):
+        for b, got in zip(rhs, solve_many(fraction_matrix(data), rhs)):
             try:
                 sol, params = ref.gauss_jordan_solve(sympy.Matrix(b))
             except ValueError:
@@ -500,12 +510,12 @@ def test_matmul_matches_fraction_product():
              for _ in range(inner)]
         if rng.random() < 0.3:
             b[rng.randrange(inner)] = [rng.randint(-3, 3) for _ in range(cols)]  # int entries
-        got = Matrix.from_rows(a) @ Matrix.from_rows(b)
+        got = fraction_matrix(a) @ fraction_matrix(b)
         naive = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(inner)), F(0))
                             for j in range(cols)) for i in range(rows))
-        assert got == Matrix.from_rows(naive)   # canonical num / den
-        assert got.entries == naive
-        assert all(isinstance(x, F) for row in got.entries for x in row)
+        assert got == fraction_matrix(naive)   # canonical num / den
+        assert entries(got) == naive
+        assert all(isinstance(x, F) for row in entries(got) for x in row)
 
 
 def test_matmul_empty_shapes():
@@ -519,7 +529,8 @@ def test_matmul_empty_shapes():
 
 
 def test_primitive_and_proportional():
-    assert primitive_integer_vector([Fraction(2, 3), Fraction(4, 3)]) == (1, 2)
+    assert primitive_integer_vector(integer_row([Fraction(2, 3), Fraction(4, 3)])[0]) == (1, 2)
+    assert primitive_integer_vector([4, -6, 0]) == (2, -3, 0)
     assert vectors_proportional([Fraction(1), Fraction(2)], [Fraction(3), Fraction(6)])
     assert not vectors_proportional([Fraction(1), Fraction(2)], [Fraction(3), Fraction(5)])
     assert not vectors_proportional([Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)])
@@ -546,30 +557,32 @@ def test_rational_serialization():
     assert rat_str(5) == "5" and rat_str(0) == "0"
     assert all(ratio_str(p, q) == rat_str(Fraction(p, q))
                for p in range(-13, 14) for q in range(1, 13))
-    assert rat_parse("19/147") == Fraction(19, 147)
     m = matrix_from_json(L_8_INV)
     assert matrix_from_json(m.to_json()) == m
     assert m.to_json() == [[str(x) for x in row] for row in L_8_INV]
 
 
 def test_from_rows_gives_integer_rows_over_the_least_denominator():
+    # Fraction rows are the oracle's (fraction_matrix); from_rows takes int rows only
     rows = [[F(3, 7), 2], [0, F(-1, 14)]]
-    m = Matrix.from_rows(rows)
+    with pytest.raises(TypeError, match="must be an int, got Fraction"):
+        Matrix.from_rows(rows)
+    m = fraction_matrix(rows)
     assert (m.num, m.den) == (((6, 28), (0, -1)), 14)
-    assert m.entries == ((F(3, 7), F(2)), (F(0), F(-1, 14)))   # the view equals the input
-    assert m[1, 1] == F(-1, 14) and m.col(0) == (F(3, 7), 0)
+    assert entries(m) == ((F(3, 7), F(2)), (F(0), F(-1, 14)))   # the view equals the input
+    assert entry(m, 1, 1) == F(-1, 14) and column(m, 0) == (F(3, 7), 0)
     ints = [[1, -2], [3, 0]]
     assert Matrix.from_rows(ints).num == ((1, -2), (3, 0)) and Matrix.from_rows(ints).den == 1
     # equal rationals, however written, give equal matrices and hashes
-    same = Matrix.from_rows([[F(6, 14), F(4, 2)], [F(0, 5), F(2, -28)]])
+    same = fraction_matrix([[F(6, 14), F(4, 2)], [F(0, 5), F(2, -28)]])
     assert same == m and hash(same) == hash(m)
-    assert Matrix.from_rows([[F(2), 4]]) == Matrix.from_rows([[2, 4]])
-    assert Matrix.from_rows([[F(1, 2)]]) != Matrix.from_rows([[F(1, 3)]])
+    assert fraction_matrix([[F(2), 4]]) == Matrix.from_rows([[2, 4]])
+    assert fraction_matrix([[F(1, 2)]]) != fraction_matrix([[F(1, 3)]])
     rng = random.Random(3)
     for _ in range(200):
         data = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)] for _ in range(2)]
-        m = Matrix.from_rows(data)
-        assert m.entries == tuple(map(tuple, data))
+        m = fraction_matrix(data)
+        assert entries(m) == tuple(map(tuple, data))
         assert m.den == math.lcm(*(x.denominator for row in data for x in row))
         assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
         assert all(type(x) is int for row in m.num for x in row)
@@ -601,7 +614,7 @@ def test_kernel_and_solution_denominators():
     m = Matrix.from_rows([[2, 4, 1], [0, 3, 3]])
     # integer_kernel is right_kernel scaled to coprime integers, positive at the free column
     for vec, ints in zip(right_kernel(m), integer_kernel(m)):
-        assert primitive_integer_vector(vec) == ints
+        assert primitive_integer_vector(integer_row(vec)[0]) == ints
     rhs = [[1, 1], [F(1, 2), 0], [2, 7]]
     cols, den, r = solve_den(m, rhs)
     solutions = solve_many(m, rhs)
@@ -616,9 +629,12 @@ def test_kernel_and_solution_denominators():
 
 
 def test_from_rows_cayley_entries_are_fractions(spec_6_1, spec_6_2, quadric):
+    # a Cayley matrix is int rows over 1; its entries read as Fractions in the oracle view
     from mirrorkit.ci_model import build_cayley
     for spec in (spec_6_1, spec_6_2, quadric):
-        assert all(type(e) is Fraction for row in build_cayley(spec).matrix.entries for e in row)
+        m = build_cayley(spec).matrix
+        assert m.den == 1 and all(type(e) is int for row in m.num for e in row)
+        assert all(type(e) is Fraction for row in entries(m) for e in row)
 
 
 @pytest.mark.parametrize("entry", [0.5, True, False, "1", 1.0])

@@ -31,27 +31,33 @@ from mirrorkit.transposition import (
     NoInvolutiveNuError,
     NoValidShapeError,
     apply_variable_permutation,
-    check_involution,
     find_rho,
-    transpose_spec,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.record import replace
 from mirrorkit.poincare import verify_duality
 
-from oracles import kernel_rows, right_kernel, vectors_proportional
+from oracles import (
+    entries,
+    entry,
+    fraction_matrix,
+    integer_row,
+    kernel_rows,
+    right_kernel,
+    vectors_proportional,
+)
 from specgen import direct_sum, generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
-    tr = transpose_spec(spec_6_1)
+    tr = MirrorPair(spec_6_1).tr
     assert tr.tspec.blocks == spec_6_1.blocks  # the mirror equals the original
     assert tr.nu.images == (2, 1)
     assert tr.nu_star @ tr.nu_star == Matrix.identity(2)
 
 
 def test_transpose_6_2_printed_mirror(spec_6_2):
-    tr = transpose_spec(spec_6_2)
+    tr = MirrorPair(spec_6_2).tr
     blk = tr.tspec.blocks[0]
     assert blk.exponents == (
         (7, 0, 0, 0, 0),
@@ -65,7 +71,7 @@ def test_transpose_6_2_printed_mirror(spec_6_2):
 
 
 def test_transpose_quadric_identity_maps(quadric):
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     assert tr.tspec.blocks == quadric.blocks
     assert tr.nu.images == (1,)
     assert tr.lam.images == (1, 2)
@@ -74,13 +80,13 @@ def test_transpose_quadric_identity_maps(quadric):
 
 def test_transposed_spec_validates(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric):
-        assert validate(transpose_spec(spec).tspec).ok
+        assert validate(MirrorPair(spec).tr.tspec).ok
 
 
 def test_permuted_transpose_identity(spec_6_1, spec_6_2, quadric):
     # the new Cayley matrix is entrywise a row/column permuted transpose
     for spec in (spec_6_1, spec_6_2, quadric):
-        tr = transpose_spec(spec)
+        tr = MirrorPair(spec).tr
         cm = build_cayley(spec)
         tcm = build_cayley(tr.tspec)
         n, k = spec.n, spec.k
@@ -98,25 +104,25 @@ def test_permuted_transpose_identity(spec_6_1, spec_6_2, quadric):
             old_row_of_col.append(spec.a(tr.block_sources[q - 1]))
         for r in range(cm.size):
             for c in range(cm.size):
-                assert tcm.matrix[r, c] == \
-                    cm.matrix[old_row_of_col[c] - 1, old_col_of_row[r] - 1]
+                assert entry(tcm.matrix, r, c) == \
+                    entry(cm.matrix, old_row_of_col[c] - 1, old_col_of_row[r] - 1)
 
 
 def test_row_multiset_equals_column_multiset(spec_6_1, spec_6_2):
     # transposition permutes entries, never alters them
     for spec in (spec_6_1, spec_6_2):
-        tr = transpose_spec(spec)
+        tr = MirrorPair(spec).tr
         cm = build_cayley(spec)
         tcm = build_cayley(tr.tspec)
-        rows = sorted(sorted(row) for row in tcm.matrix.entries)
-        cols = sorted(sorted(col) for col in cm.matrix.transpose().entries)
+        rows = sorted(sorted(row) for row in entries(tcm.matrix))
+        cols = sorted(sorted(col) for col in entries(cm.matrix.transpose()))
         assert rows == cols
 
 
 def test_involution(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric):
-        assert check_involution(spec)
-    assert check_involution(generate_family(4))
+        assert MirrorPair(spec).involutive
+    assert MirrorPair(generate_family(4)).involutive
 
 
 def test_no_valid_shape():
@@ -127,18 +133,18 @@ def test_no_valid_shape():
         Block(exponents=((0, 0, 2, 0), (0, 0, 0, 2)), index_set=(2, 3, 4)),
     ))
     with pytest.raises(NoValidShapeError):
-        transpose_spec(spec)
+        MirrorPair(spec).tr
 
 
 def test_symmetry_conditions_quadric(quadric):
-    tr = transpose_spec(quadric)
+    tr = MirrorPair(quadric).tr
     assert tr.rho.images == (1, 2)
     assert tr.condition_flags["rho_symmetric_3_11"]
     assert tr.condition_flags["t_rho_symmetric_3_11T"]
 
 
 def test_symmetry_conditions_6_1_nu_twisted(spec_6_1):
-    tr = transpose_spec(spec_6_1)
+    tr = MirrorPair(spec_6_1).tr
     assert find_rho(spec_6_1, derive_weights(spec_6_1))[1] == (2, 1)
     assert "rho pairs index sets with permuted block ranges" in tr.notes
     assert tr.condition_flags["rho_symmetric_3_11"]
@@ -480,7 +486,7 @@ def test_family_m2_computed_outcome():
 
 
 def test_transpose_json(spec_6_2):
-    tr = transpose_spec(spec_6_2)
+    tr = MirrorPair(spec_6_2).tr
     data = tr.to_json()
     again = CISpec.from_json(data["tspec"])
     assert again == tr.tspec
@@ -510,14 +516,14 @@ def _weight_classes_padded(diff, k):
             f"weight kernel splits into {len(classes)} support groups, expected {k}")
     result = []
     for cls in classes:
-        constraints = [list(row) for row in diff.entries]
+        constraints = [list(row) for row in entries(diff)]
         for i in range(n):
             if i not in cls:
                 constraints.append([Fraction(int(j == i)) for j in range(n)])
-        sub = right_kernel(Matrix.from_rows(constraints))
+        sub = right_kernel(fraction_matrix(constraints))
         if len(sub) != 1:
             raise NoValidShapeError("support group does not carry a unique weight ray")
-        gen = primitive_integer_vector(sub[0])
+        gen = primitive_integer_vector(integer_row(sub[0])[0])
         vals = [gen[i] for i in cls]
         if all(v < 0 for v in vals):
             vals = [-v for v in vals]
