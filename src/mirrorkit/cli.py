@@ -181,13 +181,8 @@ def _render_verify_text(report, out) -> None:
             out.write(f"    {'+' if value else '-'} {name}\n")
         for note in stage.notes:
             out.write(f"    note: {note}\n")
-        if stage.name == "mellin-plain" and "display" in stage.payload:
-            out.write(f"    {stage.payload['display']}\n")
-        if stage.name == "mellin-factorized" and "display" in stage.payload:
-            out.write(f"    {stage.payload['symbolic']}\n")
-            for q, form in enumerate(stage.payload["xi_forms"], start=1):
-                out.write(f"       xi^({q}) = {form}\n")
-            out.write(f"    {stage.payload['display']}\n")
+        for line in stage.text:
+            out.write(f"    {line}\n")
     if report.soft_failures:
         out.write("soft failures:\n")
         for item in report.soft_failures:

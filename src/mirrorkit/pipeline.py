@@ -1,16 +1,20 @@
 """Verification pipeline: every stage in order, one consolidated report.
 
-Hard checks are construction identities (structure, matrix inversion, sum
-rules, the special-form shapes, degree equality): their failure means the
-input or the build is broken.  The factorization and symmetry conditions
-are sufficient hypotheses, not necessary ones, so they are soft flags; the
-duality chain and supplied-weight consistency are soft as well, since a
-bad annotation should be reported, not crash the run.  Strict mode turns
-soft failures into a nonzero exit.
-
 Every stage reads one MirrorPair, which builds each derived object and
 stage result of a run once, on first use; `run_verify` and the CLI commands
 are views of one pair, and `soft_failures` is their one soft-failure rule.
+
+`run_verify` validates the spec and checks L L^-1 = I, where an exception is
+an internal error, then runs `STAGES` in order.  An entry (name, builder,
+needs, errors, flag) is a whole stage.  `builder(pair, order)` returns the
+`Stage`, not ok when a construction identity fails (sum rules, form shapes,
+degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
+stage is left out when a stage in `needs` raised.  An exception in `errors`
+fails it in place: hard with flag None, the stage not ok; soft otherwise, as
+the stage checks a sufficient hypothesis such as factorizability, the stage
+ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  The
+report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
+failure.  To add a stage, add its builder and its entry.
 """
 
 from __future__ import annotations
@@ -322,6 +326,7 @@ class Stage:
     flags: dict[str, bool] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
+    text: list[str] = field(default_factory=list)   # verify's text lines, not in to_json
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "flags": dict(self.flags),
@@ -353,128 +358,122 @@ class PipelineReport:
         }
 
 
+def _transpose(pair: MirrorPair, order: int):
+    tr = pair.tr
+    home = [] if pair.involutive else ["transpose: double transposition does not return home"]
+    return Stage("transpose", True, dict(tr.condition_flags), list(tr.notes), tr.to_json()), home
+
+
+def _forms(pair: MirrorPair, order: int):
+    forms = pair.forms
+    sums, tags = mellin.check_sum_rules(forms), mellin.classify_forms(pair.cm, forms)
+    return Stage("forms", sums.ok, dict(sums.checks),
+                 payload={"delta": mellin.compute_delta(forms),
+                          "forms": [f.to_json() for f in forms],
+                          "xi": [str(f.xi()) for f in forms], "tags": list(tags)}), ()
+
+
+def _mellin_plain(pair: MirrorPair, order: int):
+    lemma = pair.lemma
+    display = str(lemma)
+    return Stage("mellin-plain", True, payload={"product": lemma.to_json(), "display": display},
+                 text=[display]), ()
+
+
+def _mellin_factorized(pair: MirrorPair, order: int):
+    xi, (t31, product) = pair.xi, pair.theorem31
+    flags = {"factorizable": True, **{name: bool(value) for name, value in t31.to_json().items()
+                                      if name not in ("block_to_z", "symbolic")}}
+    display, xi_forms = str(product), [str(f) for f in xi.xi_forms]
+    stage = Stage("mellin-factorized", True, flags,
+                  payload={"xi_factorization": xi.to_json(), "product": product.to_json(),
+                           "display": display, "symbolic": t31.symbolic, "xi_forms": xi_forms,
+                           "block_to_z": t31.block_to_z},
+                  text=[t31.symbolic, *(f"   xi^({q}) = {form}"
+                                        for q, form in enumerate(xi_forms, start=1)), display])
+    return stage, ([] if t31.reduces_to_lemma_form
+                   else ["mellin: factorized product does not reduce to the plain one"])
+
+
+def _horn(pair: MirrorPair, order: int):
+    ops = pair.horn
+    degrees = [op.degrees for op in ops]
+    return Stage("horn", all(p == q for p, q in degrees),
+                 payload={"operators": [op.to_json() for op in ops], "degrees": degrees}), ()
+
+
+def _char_polys(pair: MirrorPair, order: int):
+    pairs = pair.char_polys
+    return Stage("char-polys", all(len(p.at_zero) == len(p.at_infinity) for p in pairs),
+                 payload={"pairs": [p.to_json() for p in pairs]}), ()
+
+
+def _duality(pair: MirrorPair, order: int):
+    duality = pair.duality
+    payload = duality.to_json()
+    if pair.spec.k == 1:
+        payload["structure_series"] = poincare.series_coefficients_1d(
+            poincare.series_expand(pair.structure_ratio, order), order)
+    return Stage("duality", True, dict(duality.identities), list(duality.notes), payload), ()
+
+
+def _nef(pair: MirrorPair, order: int):
+    nef = pair.nef
+    return Stage("nef", True, dict(nef.flags), list(nef.notes), nef.to_json()), ()
+
+
+def _magic_square(pair: MirrorPair, order: int):
+    # found/not-found is a property report, not a condition flag: absence is a
+    # fact about the spec, not a failed hypothesis
+    magic = pair.magic
+    return Stage("magic-square", True, {"found": magic.found}, payload=magic.to_json()), ()
+
+
+# (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring)
+STAGES = (
+    ("transpose", _transpose, (), (transposition.TranspositionError,), "transposable"),
+    ("forms", _forms, (), (mellin.ClassificationFailureError,), None),
+    ("mellin-plain", _mellin_plain, (), (mellin.LemmaShapeViolationError,), None),
+    ("mellin-factorized", _mellin_factorized, ("transpose", "mellin-plain"),
+     (mellin.NotFactorizableError, mellin.IdentityViolatedError, ci_model.SpecError),
+     "factorizable"),
+    ("horn", _horn, (), (horn_system.HornError,), None),
+    ("char-polys", _char_polys, ("transpose",), (), None),
+    ("duality", _duality, ("transpose",), (), None),
+    ("nef", _nef, ("transpose",), (nef_partition.NefError,), "solvable"),
+    ("magic-square", _magic_square, (), (), None),
+)
+
+
 def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
     """Run the whole chain; never raises for spec-level problems."""
-    stages: list[Stage] = []
-    soft: list[str] = []
-    hard_ok = True
-
     pair = MirrorPair(spec)
     report = ci_model.validate(spec, pair)
-    stages.append(Stage("validate", report.hard_ok, flags=dict(report.checks),
-                        notes=list(report.notes), payload=report.to_json()))
+    stages = [Stage("validate", report.hard_ok, dict(report.checks), list(report.notes),
+                    report.to_json())]
     if not report.hard_ok:
-        return PipelineReport(stages, False, soft)
-    soft += soft_failures("validate", report.checks)
+        return PipelineReport(stages, False, [])
+    soft = soft_failures("validate", report.checks)
 
     try:
         cm = pair.cm
         inv_ok = (cm.matrix @ pair.inverse) == Matrix.identity(cm.size)
         stages.append(Stage("cayley", inv_ok, payload=cm.to_json()))
-        hard_ok &= inv_ok
     except Exception as exc:  # construction must not fail on a valid spec
-        return PipelineReport(stages, hard_ok, soft, internal_error=str(exc))
+        return PipelineReport(stages, True, soft, internal_error=str(exc))
 
-    tr = None
-    try:
-        tr = pair.tr
-        stages.append(Stage("transpose", True, flags=dict(tr.condition_flags),
-                            notes=list(tr.notes), payload=tr.to_json()))
-        soft += soft_failures("transpose", tr.condition_flags)
-        if not pair.involutive:
-            soft.append("transpose: double transposition does not return home")
-    except transposition.TranspositionError as exc:
-        stages.append(Stage("transpose", True, flags={"transposable": False},
-                            notes=[str(exc)]))
-        soft.append(f"transpose: {exc}")
-
-    forms = pair.forms
-    sums = mellin.check_sum_rules(forms)
-    try:
-        tags = mellin.classify_forms(cm, forms)
-        stages.append(Stage("forms", sums.ok, flags=dict(sums.checks),
-                            payload={"delta": mellin.compute_delta(forms),
-                                     "forms": [f.to_json() for f in forms],
-                                     "xi": [str(f.xi()) for f in forms],
-                                     "tags": list(tags)}))
-        hard_ok &= sums.ok
-    except mellin.ClassificationFailureError as exc:
-        stages.append(Stage("forms", False, notes=[str(exc)]))
-        hard_ok = False
-
-    try:
-        lemma = pair.lemma
-        stages.append(Stage("mellin-plain", True,
-                            payload={"product": lemma.to_json(), "display": str(lemma)}))
-    except mellin.LemmaShapeViolationError as exc:
-        lemma = None
-        stages.append(Stage("mellin-plain", False, notes=[str(exc)]))
-        hard_ok = False
-
-    if tr is not None and lemma is not None:
+    raised: set[str] = set()
+    for name, build, needs, errors, flag in STAGES:
+        if raised.intersection(needs):
+            continue
         try:
-            xi, (t31, theorem_product) = pair.xi, pair.theorem31
-            flags = {"factorizable": True, **t31.to_json()}
-            flags.pop("block_to_z")
-            flags.pop("symbolic")
-            stages.append(Stage(
-                "mellin-factorized", True, flags={k: bool(v) for k, v in flags.items()},
-                payload={"xi_factorization": xi.to_json(),
-                         "product": theorem_product.to_json(),
-                         "display": str(theorem_product),
-                         "symbolic": t31.symbolic,
-                         "xi_forms": [str(f) for f in xi.xi_forms],
-                         "block_to_z": t31.block_to_z}))
-            if not t31.reduces_to_lemma_form:
-                soft.append("mellin: factorized product does not reduce to the plain one")
-        except (mellin.NotFactorizableError, mellin.IdentityViolatedError,
-                ci_model.SpecError) as exc:
-            stages.append(Stage("mellin-factorized", True,
-                                flags={"factorizable": False}, notes=[str(exc)]))
-            soft.append(f"mellin: {exc}")
+            stage, extra = build(pair, order)
+            soft += soft_failures(name, stage.flags) if name in SOFT_FLAGS else []
+        except errors as exc:
+            raised.add(name)
+            stage = Stage(name, flag is not None, {flag: False} if flag else {}, [str(exc)])
+            extra = [f"{name.split('-')[0]}: {exc}"] if flag else []
+        stages.append(stage)
+        soft += extra
 
-    try:
-        ops = pair.horn
-        degrees = [op.degrees for op in ops]
-        degree_ok = all(p == q for p, q in degrees)
-        stages.append(Stage("horn", degree_ok,
-                            payload={"operators": [op.to_json() for op in ops],
-                                     "degrees": degrees}))
-        hard_ok &= degree_ok
-    except horn_system.HornError as exc:
-        stages.append(Stage("horn", False, notes=[str(exc)]))
-        hard_ok = False
-
-    if tr is not None:
-        pairs = pair.char_polys
-        chi_ok = all(len(p.at_zero) == len(p.at_infinity) for p in pairs)
-        stages.append(Stage("char-polys", chi_ok,
-                            payload={"pairs": [p.to_json() for p in pairs]}))
-        hard_ok &= chi_ok
-
-        duality = pair.duality
-        stages.append(Stage("duality", True, flags=dict(duality.identities),
-                            notes=list(duality.notes),
-                            payload=duality.to_json()))
-        soft += soft_failures("duality", duality.identities)
-
-        if spec.k == 1:
-            stages[-1].payload["structure_series"] = poincare.series_coefficients_1d(
-                poincare.series_expand(pair.structure_ratio, order), order)
-
-        try:
-            nef = pair.nef
-            stages.append(Stage("nef", True, flags=dict(nef.flags),
-                                notes=list(nef.notes), payload=nef.to_json()))
-            soft += soft_failures("nef", nef.flags)
-        except nef_partition.NefError as exc:
-            stages.append(Stage("nef", True, flags={"solvable": False}, notes=[str(exc)]))
-            soft.append(f"nef: {exc}")
-
-    # found/not-found is a property report, not a condition flag: absence is a
-    # fact about the spec, not a failed hypothesis
-    magic = pair.magic
-    stages.append(Stage("magic-square", True, flags={"found": magic.found},
-                        payload=magic.to_json()))
-
-    return PipelineReport(stages, hard_ok, soft)
+    return PipelineReport(stages, all(s.ok for s in stages), soft)
