@@ -187,7 +187,7 @@ def _render_verify_text(report, out) -> None:
         out.write("soft failures:\n")
         for item in report.soft_failures:
             out.write(f"  - {item}\n")
-    if not report.hard_ok:
+    if report.internal_error or not report.hard_ok:
         out.write("verdict: FAIL\n")
     elif report.soft_failures:
         out.write("verdict: PASS (with soft failures)\n")
@@ -201,6 +201,8 @@ def _cmd_verify(pair, args, out):
         _dump(report.to_json(), out)
     else:
         _render_verify_text(report, out)
+    if report.internal_error:
+        sys.stderr.write(f"internal inconsistency: {report.internal_error}\n")
     return report.exit_code(args.strict)
 
 

@@ -12,7 +12,8 @@ degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
 stage is left out when a stage in `needs` raised.  An exception in `errors`
 fails it in place: hard with flag None, the stage not ok; soft otherwise, as
 the stage checks a sufficient hypothesis such as factorizability, the stage
-ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  The
+ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  A
+`transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
 """
@@ -469,6 +470,8 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         try:
             stage, extra = build(pair, order)
             soft += soft_failures(name, stage.flags) if name in SOFT_FLAGS else []
+        except transposition.InternalInvariantError as exc:
+            return PipelineReport(stages, all(s.ok for s in stages), soft, str(exc))
         except errors as exc:
             raised.add(name)
             stage = Stage(name, flag is not None, {flag: False} if flag else {}, [str(exc)])

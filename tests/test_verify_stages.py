@@ -7,6 +7,8 @@ property calls is patched to raise the stage's declared error.  Every other
 stage must read exactly as in the run without the failure.
 """
 
+import json
+
 import pytest
 
 from mirrorkit import ci_model, cli, horn_system, mellin, nef_partition, pipeline, transposition
@@ -39,12 +41,12 @@ def _blocks(text: str) -> tuple[dict[str, list[str]], list[str]]:
     return blocks, []
 
 
-def _case(id, target, error, stage, json, text, soft, hard_ok, codes, left_out=()):
+def _case(id, target, error, stage, stage_json, text, soft, hard_ok, codes, left_out=()):
     """target, a (module, name), is patched to raise error.  stage is the stage that
-    fails (None: the run ends before it), json its to_json(), and text its verify
+    fails (None: the run ends before it), stage_json its to_json(), and text its verify
     lines with the lines after the last stage; codes are exit_code(False) and
     exit_code(True), and left_out the stages that the run no longer reaches."""
-    return pytest.param(target, error, stage, json, text, soft, hard_ok, codes, left_out, id=id)
+    return pytest.param(target, error, stage, stage_json, text, soft, hard_ok, codes, left_out, id=id)
 
 
 CASES = [
@@ -96,14 +98,19 @@ CASES = [
           ["nef: A_section P = T is inconsistent"], True, (0, 2)),
     # the Cayley check ends the run: every exception there is an internal error
     _case("cayley", (pipeline.Matrix, "identity"), RuntimeError("no identity"), None, None,
-          ([], ["verdict: PASS"]), [], True, (3, 3), STAGES[1:]),
+          ([], ["verdict: FAIL"]), [], True, (3, 3), STAGES[1:]),
+    # an InternalInvariantError is a TranspositionError, but no soft failure:
+    # from any stage it ends the run, as it fails `mirrorkit transpose`
+    _case("internal-invariant", (transposition, "complete_transpose"),
+          transposition.InternalInvariantError("transpose mismatch at new entry (1,2)"), None,
+          None, ([], ["verdict: FAIL"]), [], True, (3, 3), STAGES[2:]),
 ]
 
 
-@pytest.mark.parametrize("target, error, stage, json, text, soft, hard_ok, codes, left_out",
+@pytest.mark.parametrize("target, error, stage, stage_json, text, soft, hard_ok, codes, left_out",
                          CASES)
 def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, target, error,
-                                             stage, json, text, soft, hard_ok, codes,
+                                             stage, stage_json, text, soft, hard_ok, codes,
                                              left_out):
     clean = run_verify(quadric)
     assert cli.main(["verify", "--input", QUADRIC]) == 0
@@ -114,7 +121,7 @@ def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, targe
     assert [s.name for s in report.stages] == [s for s in STAGES if s not in left_out]
     built = {s.name: s.to_json() for s in clean.stages}
     assert [s.to_json() for s in report.stages] == [
-        json if s.name == stage else built[s.name] for s in report.stages]
+        stage_json if s.name == stage else built[s.name] for s in report.stages]
     assert report.soft_failures == soft
     assert report.hard_ok is hard_ok
     assert report.internal_error == (None if codes[0] != 3 else str(error))
@@ -127,5 +134,10 @@ def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, targe
     assert blocks == {s.name: (lines if s.name == stage else clean_blocks[s.name])
                       for s in report.stages}
     assert after == tail
-    assert err == ""
+    assert err == ("" if report.internal_error is None
+                   else f"internal inconsistency: {report.internal_error}\n")
+    assert cli.main(["verify", "--input", QUADRIC, "--format", "json"]) == codes[0]
+    out, json_err = capsys.readouterr()
+    assert out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert json_err == err
     assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == codes[1]
