@@ -46,7 +46,8 @@ def _case(id, target, error, stage, stage_json, text, soft, hard_ok, codes, left
     fails (None: the run ends before it), stage_json its to_json(), and text its verify
     lines with the lines after the last stage; codes are exit_code(False) and
     exit_code(True), and left_out the stages that the run no longer reaches."""
-    return pytest.param(target, error, stage, stage_json, text, soft, hard_ok, codes, left_out, id=id)
+    return pytest.param(target, error, stage, stage_json, text, soft, hard_ok, codes, left_out,
+                        id=id)
 
 
 CASES = [
