@@ -269,6 +269,9 @@ def _main(argv) -> int:
     except transposition.InternalInvariantError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
+    except mellin.LemmaShapeViolationError as exc:   # a hard `mellin-plain` failure in verify
+        sys.stderr.write(f"plain Gamma product breaks its shape: {exc}\n")
+        return pipeline.EXIT_INVALID
     except (transposition.TranspositionError, mellin.MellinError,
             nef_partition.NefError) as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")

@@ -46,8 +46,8 @@ class InternalInvariantError(TranspositionError):
     """A construction identity that must hold was violated (implementation bug)."""
 
 
-# find_rho's answer: (rho, pi block pairing, whether the weighted rho is symmetric)
-RhoFound = tuple[PermutationMap, tuple[int, ...], bool]
+# find_rho's answer: (rho, pi block pairing)
+RhoFound = tuple[PermutationMap, tuple[int, ...]]
 
 
 @record
@@ -167,7 +167,6 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
     n, k = spec.n, spec.k
     taus = spec.taus
     tilde_taus = tuple(len(b.index_set) for b in spec.blocks)
-    notes: list[str] = []
     flags: dict[str, bool] = {}
 
     flags["size_multisets_1_11"] = sorted(taus) == sorted(tilde_taus)
@@ -252,7 +251,7 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
     return TransposeResult(
         tspec=tspec, nu=nu, nu_star=nu.matrix(), lam=PermutationMap(tuple(lam)),
         row_to_var=row_to_var, block_sources=block_sources, diff=diff,
-        rho=None, t_rho=None, condition_flags=flags, notes=tuple(notes),
+        rho=None, t_rho=None, condition_flags=flags, notes=(),
     )
 
 
@@ -281,9 +280,11 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
         flags["t_rho_symmetric_3_11T"] = False
         notes.append("no permutation maps index sets onto weight supports")
     else:
-        rho, pi, flags["rho_symmetric_3_11"] = found
+        rho, pi = found
         t_rho = t_found[0] if t_found else None
-        flags["t_rho_symmetric_3_11T"] = t_found[2] if t_found else False
+        # find_rho pairs only equal weights, so each rho it returns is symmetric
+        flags["rho_symmetric_3_11"] = True
+        flags["t_rho_symmetric_3_11T"] = t_found is not None
         if pi != tuple(range(1, spec.k + 1)):
             notes.append("rho pairs index sets with permuted block ranges")
     return replace(tr, rho=rho, t_rho=t_rho, condition_flags=flags, notes=tuple(notes))
@@ -382,72 +383,43 @@ def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
 
 
 def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:
-    """Search an involution rho mapping each index set onto a block's variable range.
+    """An involution rho mapping each index set onto a block's variable range.
 
-    Returns (rho images, pi block pairing, symmetric) or None.  Tries the
-    size-compatible block pairings in lexicographic order, so the identity
-    first, and stops at the first that admits a rho; the pairings are
-    generated one at a time, never all k! of them.
+    Returns (rho images, pi block pairing) or None.  Tries the size-compatible
+    block pairings in lexicographic order, so the identity first, and stops
+    at the first that admits a rho; the pairings are generated one at a time,
+    never all k! of them.  rho pairs only variables of equal weight, so G*rho
+    is symmetric by construction (condition (3.11)).
     """
     diag = weights.diagonal
+    range_of = {j: q for q in range(1, spec.k + 1) for j in spec.block_range(q)}
     for pi in itertools.permutations(range(1, spec.k + 1)):
         if all(len(blk.index_set) == spec.taus[p - 1] for blk, p in zip(spec.blocks, pi)):
-            rho = _involution_matching(spec.n, _allowed_images(spec, pi, diag))
+            target = {i: p for blk, p in zip(spec.blocks, pi) for i in blk.index_set}
+            rho = _class_matching([(range_of[i], target[i], diag[i - 1])
+                                   for i in range(1, spec.n + 1)])
             if rho is not None:
-                return PermutationMap(rho), pi, _weighted_symmetric(rho, diag)
+                return PermutationMap(rho), pi
     return None
 
 
-def _allowed_images(spec: CISpec, pi: tuple[int, ...],
-                    diag: tuple[int, ...]) -> dict[int, set[int]]:
-    """allowed[i] under the block pairing pi: the j of i's weight in i's target range
-    (the range of block pi[q] for i in block q's index set) whose target range holds i.
+def _class_matching(keys: Sequence[tuple[int, int, int]]) -> tuple[int, ...] | None:
+    """An involution pairing each i with a j whose key is i's with range and target
+    swapped, or None; keys[i-1] = (range, target range, weight).
 
-    The sets come from one index of the variables by (range, target range, weight).
+    Variables of one key form a class.  Where range = target each member is
+    fixed; any other class needs a partner class (target, range, weight) of
+    its size, and its m-th member is paired with the partner's m-th.  That is
+    the first involution found by placing each i in ascending order.
     """
-    target = {i: p for blk, p in zip(spec.blocks, pi) for i in blk.index_set}
-    range_of = {j: q for q in range(1, spec.k + 1) for j in spec.block_range(q)}
-    index: dict[tuple[int, int, int], set[int]] = {}
-    for j, r in range_of.items():
-        index.setdefault((r, target[j], diag[j - 1]), set()).add(j)
-    return {i: index.get((target[i], range_of[i], diag[i - 1]), set())
-            for i in range(1, spec.n + 1)}
-
-
-def _weighted_symmetric(rho: tuple[int, ...], diag: tuple[int, ...]) -> bool:
-    """Whether G*rho is symmetric, G = diag(diag), for an involution rho (1-based images).
-
-    Entry (i, j) of G*rho is diag[i] when rho(j) = i and 0 otherwise; as rho
-    is an involution, that holds exactly when rho pairs only equal weights.
-    """
-    return all(diag[r - 1] == g for r, g in zip(rho, diag))
-
-
-def _involution_matching(n: int, allowed: dict[int, set[int]]) -> tuple[int, ...] | None:
-    """First involution, depth first, with each i placed in ascending order as a
-    fixed point or paired with an unplaced j in allowed[i] that allows i back.
-
-    The backtracking keeps an explicit stack, so n is not bounded by the
-    interpreter's recursion limit.
-    """
-    images: dict[int, int] = {}
-    stack = []  # per open variable: (i, iterator over its untried images)
-    i = 1
-    while True:
-        while i in images:
-            i += 1
-        if i > n:
-            return tuple(images[x] for x in range(1, n + 1))
-        stack.append((i, iter(sorted(allowed[i]))))
-        while stack:
-            i, untried = stack[-1]
-            images.pop(images.pop(i, i), None)  # undo i's previous choice, if any
-            j = next((j for j in untried if j == i or (j not in images and i in allowed[j])),
-                     None)
-            if j is not None:
-                images[i], images[j] = j, i
-                break
-            stack.pop()
-        else:
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(keys, start=1):
+        classes.setdefault(key, []).append(i)
+    images = [0] * len(keys)
+    for (r, t, w), members in classes.items():
+        partners = members if r == t else classes.get((t, r, w), [])
+        if len(partners) != len(members):
             return None
-        i += 1
+        for i, j in zip(members, partners):
+            images[i - 1] = j
+    return tuple(images)

@@ -167,7 +167,8 @@ def test_t_rho_is_the_mirror_rho():
 
 
 def _involution_matching_recursive(n, allowed):
-    """Oracle: the recursive backtracking the iterative matching replaced."""
+    """Oracle: the first involution by recursive backtracking, each i placed in
+    ascending order as a fixed point or paired with a j in allowed[i] that allows i."""
     images = {}
 
     def place(i):
@@ -195,29 +196,52 @@ def _involution_matching_recursive(n, allowed):
     return None
 
 
+def _allowed_by_keys(keys):
+    """allowed[i]: the j whose (range, target, weight) key is i's with range and target swapped."""
+    return {i: {j for j, other in enumerate(keys, start=1) if other == (t, r, w)}
+            for i, (r, t, w) in enumerate(keys, start=1)}
+
+
 def test_involution_matching_matches_the_recursive_search():
+    # class-structured keys, as find_rho builds them: up to 3 ranges and 2 weights
     rng = random.Random(7)
-    found = missing = 0
-    for _ in range(2000):
-        n = rng.randint(1, 7)
-        allowed = {i: {j for j in range(1, n + 1) if rng.random() < 0.35}
-                   for i in range(1, n + 1)}
-        expected = _involution_matching_recursive(n, allowed)
-        assert transposition._involution_matching(n, allowed) == expected
+    found = missing = paired = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        ranges, weights = rng.randint(1, 3), rng.randint(1, 2)
+        keys = [(rng.randint(1, ranges), rng.randint(1, ranges), rng.randint(1, weights))
+                for _ in range(n)]
+        expected = _involution_matching_recursive(n, _allowed_by_keys(keys))
+        assert transposition._class_matching(keys) == expected
         found += expected is not None
         missing += expected is None
-    assert found > 100 and missing > 100
+        paired += expected is not None and expected != tuple(range(1, n + 1))
+    assert found > 100 and missing > 100 and paired > 100
+
+
+def test_class_matching_is_linear_where_a_class_is_one_short():
+    # one class of m variables against a partner class of m + 1, n = 2001: the
+    # recursive search explores every partial matching before it gives up
+    m = 1000
+    keys = [(1, 2, 1)] * m + [(2, 1, 1)] * (m + 1)
+    start = time.perf_counter()
+    assert transposition._class_matching(keys) is None
+    # equal classes, and one fixed point, are zipped in order
+    keys[-1] = (1, 1, 1)
+    assert transposition._class_matching(keys) == (
+        tuple(range(m + 1, 2 * m + 1)) + tuple(range(1, m + 1)) + (2 * m + 1,))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_rho_on_a_thousand_variables():
-    # one Fermat block x_i^1010 over all 1010 variables: one backtracking
-    # level per variable, past the interpreter's default recursion limit
+    # one Fermat block x_i^1010 over all 1010 variables: one class of 1010
+    # fixed points
     n = 1010
     spec = CISpec(n=n, k=1, blocks=(Block(
         exponents=tuple(tuple(n if j == i else 0 for j in range(n)) for i in range(n)),
         index_set=tuple(range(1, n + 1))),))
-    rho, pi, symmetric = find_rho(spec, WeightSystem(((1,) * n,)))
-    assert rho.is_identity() and pi == (1,) and symmetric
+    rho, pi = find_rho(spec, WeightSystem(((1,) * n,)))
+    assert rho.is_identity() and pi == (1,)
 
 
 def test_find_rho_generates_one_pairing_on_eight_quadrics(fixtures_dir, monkeypatch):
@@ -233,9 +257,9 @@ def test_find_rho_generates_one_pairing_on_eight_quadrics(fixtures_dir, monkeypa
             yield pi
 
     monkeypatch.setattr(transposition, "itertools", SimpleNamespace(permutations=counted))
-    rho, pi, symmetric = find_rho(spec, derive_weights(spec))
+    rho, pi = find_rho(spec, derive_weights(spec))
     assert pi == tuple(range(1, 9)) and len(generated) == 1
-    assert rho.is_identity() and symmetric
+    assert rho.is_identity()
 
 
 def _allowed_by_scan(spec, pi, diag):
@@ -249,8 +273,10 @@ def _allowed_by_scan(spec, pi, diag):
 
 def test_allowed_images_match_the_scan_and_rho_the_sorted_search(fixtures_dir):
     # on both sides of every transposable spec, under every size-compatible
-    # pairing; the first pairing that admits a rho, with the pairings sorted
-    # identity first and then lexicographically, is the one find_rho returns
+    # pairing, the class construction gives the rho or None of the recursive
+    # search over the scanned allowed sets; the first pairing that admits a
+    # rho, with the pairings sorted identity first and then lexicographically,
+    # is the one find_rho returns, with that rho
     checked = 0
     for spec in oracle_specs(fixtures_dir):
         pair = MirrorPair(spec)
@@ -265,13 +291,16 @@ def test_allowed_images_match_the_scan_and_rho_the_sorted_search(fixtures_dir):
                                if all(len(s.blocks[q - 1].index_set) == s.taus[pi[q - 1] - 1]
                                       for q in identity)),
                               key=lambda p: (p != identity, p))
+            range_of = {j: q for q in identity for j in s.block_range(q)}
             first = None
             for pi in pairings:
-                expected = _allowed_by_scan(s, pi, diag)
-                assert transposition._allowed_images(s, pi, diag) == expected
-                if first is None and transposition._involution_matching(s.n, expected):
-                    first = pi
-            assert (side.rho and side.rho[1]) == first
+                target = {i: p for blk, p in zip(s.blocks, pi) for i in blk.index_set}
+                rho = transposition._class_matching(
+                    [(range_of[i], target[i], diag[i - 1]) for i in range(1, s.n + 1)])
+                assert rho == _involution_matching_recursive(s.n, _allowed_by_scan(s, pi, diag))
+                if first is None and rho is not None:
+                    first = rho, pi
+            assert (side.rho and (side.rho[0].images, side.rho[1])) == first
             checked += 1
     assert checked == 152  # both sides of the 76 transposable specs
 
@@ -284,23 +313,6 @@ def _g_rho_symmetric(rho, diag):
     return g_rho == g_rho.transpose()
 
 
-def test_weighted_symmetric_matches_the_matrix_test():
-    rng = random.Random(13)
-    seen = set()
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        rho = list(range(1, n + 1))
-        for a, b in zip(order[::2][:rng.randint(0, n // 2)], order[1::2]):
-            rho[a - 1], rho[b - 1] = b, a
-        diag = tuple(rng.randint(1, 3) for _ in range(n))
-        expected = _g_rho_symmetric(tuple(rho), diag)
-        assert transposition._weighted_symmetric(tuple(rho), diag) == expected
-        seen.add(expected)
-    assert seen == {True, False}
-
-
 def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
     checked = 0
     for spec in oracle_specs(fixtures_dir):
@@ -309,10 +321,14 @@ def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
             pair.tr
         except transposition.TranspositionError:
             continue
+        flags = pair.tr.condition_flags
+        assert flags["rho_symmetric_3_11"] == (pair.rho is not None)
+        assert flags["t_rho_symmetric_3_11T"] == (pair.rho is not None
+                                                  and pair.mirror.rho is not None)
         for side in (pair, pair.mirror):
+            # find_rho pairs only equal weights, which makes G*rho symmetric (3.11)
             if side.rho is not None:
-                rho, _, symmetric = side.rho
-                assert symmetric == _g_rho_symmetric(rho.images, side.weights.diagonal)
+                assert _g_rho_symmetric(side.rho[0].images, side.weights.diagonal)
                 checked += 1
     assert checked == 152  # both sides of the 76 transposable specs
 
