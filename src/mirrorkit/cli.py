@@ -116,19 +116,18 @@ def _cmd_mellin(pair, args, out):
 def _cmd_horn(pair, args, out):
     ops, pairs = pair.horn, pair.char_polys
     tw, tq = pair.tweights, pair.tcharges
-    restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
-                  for q in range(1, pair.spec.k + 1)]
     sym = horn_system.symmetry_report(pair.effective_weights, pair.charges, tw, tq)
     m_function = poincare.poincare_structure(tw, tq)
-    data = {
-        "operators": [op.to_json() for op in ops],
-        "char_polys": [p.to_json() for p in pairs],
-        "restricted_operators": restricted,
-        "m_function": m_function.to_json(),
-        "symmetry": sym.to_json(),
-    }
     if args.format == "json":
-        _dump(data, out)
+        restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
+                      for q in range(1, pair.spec.k + 1)]
+        _dump({
+            "operators": [op.to_json() for op in ops],
+            "char_polys": [p.to_json() for p in pairs],
+            "restricted_operators": restricted,
+            "m_function": m_function.to_json(),
+            "symmetry": sym.to_json(),
+        }, out)
     else:
         for op in ops:
             out.write(f"L_{op.q}: degrees {op.degrees}\n  {op}\n")

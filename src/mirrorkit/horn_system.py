@@ -12,9 +12,10 @@ count), one per form, in integers: the negated z-numerators and the
 constant numerator of the form's ZForm over its denominator.  A run stands
 for the factors (const + sum_q coeffs_q * theta_q) / den + j for j < count.
 Building an operator is O(forms), its degree is the sum of the counts, and
-its JSON and text are formatted from each run's integers.  The
-factor count of each side is bounded by ``FACTOR_COUNT_CAP``, checked in
-integers before any run is built.
+its JSON and text are formatted once per distinct run of a side.  The JSON
+payload is read-only: a run's factor dicts share one coeffs dict, and equal
+runs of a side share their factor dicts.  The factor count of each side is
+bounded by ``FACTOR_COUNT_CAP``, checked in integers before any run is built.
 """
 
 from __future__ import annotations
@@ -45,33 +46,43 @@ Run = tuple[tuple[int, ...], int, int, int]
 
 
 def _runs_str(runs: tuple[Run, ...]) -> str:
-    """Every factor of the runs, in order, as (const + j + theta terms)."""
-    out = []
-    for coeffs, const, den, count in runs:
-        terms = []
-        for q, c in enumerate(coeffs, start=1):
-            if c:
-                mag = ratio_str(abs(c), den)
-                terms.append((c > 0, f"th{q}" if mag == "1" else f"{mag}*th{q}"))
-        for j in range(count):
-            total = const + j * den
-            parts = [ratio_str(total, den)] if total or not terms else []
-            for positive, body in terms:
-                if not parts:
-                    parts.append(body if positive else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if positive else f"- {body}")
-            out.append("(" + " ".join(parts) + ")")
+    """Every factor of the runs, in order, as (const + j + theta terms); each
+    distinct run is rendered once."""
+    out, seen = [], {}
+    for run in runs:
+        if run not in seen:
+            coeffs, const, den, count = run
+            terms = []
+            for q, c in enumerate(coeffs, start=1):
+                if c:
+                    mag = ratio_str(abs(c), den)
+                    terms.append((c > 0, f"th{q}" if mag == "1" else f"{mag}*th{q}"))
+            factors = []
+            for j in range(count):
+                total = const + j * den
+                parts = [ratio_str(total, den)] if total or not terms else []
+                for positive, body in terms:
+                    if not parts:
+                        parts.append(body if positive else f"-{body}")
+                    else:
+                        parts.append(f"+ {body}" if positive else f"- {body}")
+                factors.append("(" + " ".join(parts) + ")")
+            seen[run] = "".join(factors)
+        out.append(seen[run])
     return "".join(out) or "1"
 
 
 def _runs_json(runs: tuple[Run, ...]) -> list[dict]:
-    """One dict per factor; each run's coefficients and constant are formatted once."""
-    out = []
-    for coeffs, const, den, count in runs:
-        cj = {f"th{q}": ratio_str(c, den) for q, c in enumerate(coeffs, start=1) if c}
-        cs = ratio_str(const, den)
-        out.extend({"coeffs": dict(cj), "const": cs, "shift": j} for j in range(count))
+    """One read-only dict per factor: a run's factors share one coeffs dict, and
+    an equal run later in the runs reuses the first one's factor dicts."""
+    out, seen = [], {}
+    for run in runs:
+        if run not in seen:
+            coeffs, const, den, count = run
+            cj = {f"th{q}": ratio_str(c, den) for q, c in enumerate(coeffs, start=1) if c}
+            cs = ratio_str(const, den)
+            seen[run] = [{"coeffs": cj, "const": cs, "shift": j} for j in range(count)]
+        out += seen[run]
     return out
 
 

@@ -150,9 +150,14 @@ def test_horn_operators_match_per_factor_construction(spec_6_1, spec_6_2, quadri
             js = op.to_json()
             assert js == ref_json
             assert str(op) == ref_str
-            # every factor gets a dict of its own
-            dicts = [f["coeffs"] for f in js["p_factors"] + js["q_factors"]]
-            assert len({id(d) for d in dicts}) == len(dicts)
+            # the factors of one run share one coeffs dict, and an equal run
+            # later on the same side reuses the first one's factor dicts
+            for runs, factors in ((op.p_runs, js["p_factors"]), (op.q_runs, js["q_factors"])):
+                start, first = 0, {}
+                for run in runs:
+                    chunk, start = factors[start:start + run[3]], start + run[3]
+                    assert len({id(f["coeffs"]) for f in chunk}) == 1
+                    assert all(a is b for a, b in zip(first.setdefault(run, chunk), chunk))
 
 
 def test_horn_factor_count_guard(quadric, monkeypatch):

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from mirrorkit import ci_model, cli, nef_partition, poincare, rational_linalg, transposition
+from mirrorkit import (ci_model, cli, nef_partition, pipeline, poincare, rational_linalg,
+                       transposition)
 from mirrorkit.ci_model import CISpec
 from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import compute_delta
@@ -365,6 +366,34 @@ def test_horn_factors_of_one_form_share_its_data(m):
                 assert Fraction(const, den) == constant(xi)
                 shared.setdefault(a, set()).add(id(coeffs))
     assert shared and all(len(ids) == 1 for ids in shared.values())
+
+
+@pytest.mark.parametrize("name", ["derived_quadric", "example_6_1", "example_6_2",
+                                  "corrupted_weights", "family_3", "family_7"])
+def test_no_reader_mutates_a_shared_payload(monkeypatch, fixtures_dir, tmp_path, name):
+    # a Horn payload shares one coeffs dict among a run's factors and one factor
+    # list between equal runs, and Stage.to_json hands out the stage's own
+    # payload: the CLI views must leave a report's payloads as they were built
+    if name.startswith("family_"):
+        spec = generate_family(int(name.split("_")[1]))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec.to_json()))
+    else:
+        path = fixtures_dir / f"{name}.json"
+        spec = CISpec.load(path)
+    report = run_verify(spec)
+    assert report.internal_error is None
+    monkeypatch.setattr(pipeline, "run_verify", lambda spec, order: report)
+    tree = report.to_json()
+    snapshot = json.dumps(tree, sort_keys=True)
+    outputs = []
+    for argv in (["verify"], ["verify", "--format", "json"], ["horn", "--format", "json"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main([*argv, "--input", str(path)]) in (0, 2)
+        outputs.append(out.getvalue())
+    assert json.loads(outputs[1]) == json.loads(snapshot)   # the CLI rendered this report
+    assert json.dumps(tree, sort_keys=True) == snapshot
+    assert json.dumps(report.to_json(), sort_keys=True) == snapshot
 
 
 def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir):
