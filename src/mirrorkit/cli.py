@@ -119,7 +119,7 @@ def _cmd_horn(pair, args, out):
     sym = horn_system.symmetry_report(pair.effective_weights, pair.charges, tw, tq)
     m_function = poincare.poincare_structure(tw, tq)
     if args.format == "json":
-        restricted = [horn_system.restricted_operator(tw, tq, q).restricted.to_json()
+        restricted = [horn_system.restricted_operator(tw, tq, q).to_json()
                       for q in range(1, pair.spec.k + 1)]
         _dump({
             "operators": [op.to_json() for op in ops],

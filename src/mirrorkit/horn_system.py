@@ -160,23 +160,13 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
                  for q, (p_side, q_side) in enumerate(sides, start=1))
 
 
-@record
-class RestrictedOperator:
-    """Single-variable restriction together with the full multi-variable form."""
-
-    nu: int
-    restricted: HornOperator
-    full: HornOperator
-
-
 def restricted_operator(tweights: WeightSystem, tcharges: ChargeMatrix,
-                        nu: int) -> RestrictedOperator:
+                        nu: int) -> HornOperator:
     """Operator annihilating the inverse transform, restricted to one torus axis.
 
     Left factors run over the transposed weight entries g: (-g*theta + r)
     for r < g.  Right factors run over the per-block charges c under weight
-    nu: (c*theta - r) for r < c, with theta contracted against the full
-    charge row in the unrestricted version.  Each factor is a run of one.
+    nu: (c*theta - r) for r < c.  Each factor is a run of one.
     """
     k = tcharges.k
 
@@ -185,19 +175,8 @@ def restricted_operator(tweights: WeightSystem, tcharges: ChargeMatrix,
 
     left = tuple((axis(-g), r, 1, 1)
                  for g in tweights.support_values(nu) for r in range(g))
-    right_restricted = []
-    right_full = []
-    for q in range(1, k + 1):
-        c = tcharges.entries[q - 1][nu - 1]
-        row = tcharges.entries[q - 1]
-        for r in range(c):
-            right_restricted.append((axis(c), -r, 1, 1))
-            right_full.append((row, -r, 1, 1))
-    return RestrictedOperator(
-        nu=nu,
-        restricted=HornOperator(nu, left, tuple(right_restricted), 1, variable="t"),
-        full=HornOperator(nu, left, tuple(right_full), 1, variable="t"),
-    )
+    right = tuple((axis(c), -r, 1, 1) for c in tcharges.column(nu) for r in range(c))
+    return HornOperator(nu, left, right, 1, variable="t")
 
 
 @record

@@ -99,16 +99,16 @@ def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def build_deltas(spec: CISpec, weights: WeightSystem) -> tuple[LatticePolytope, ...]:
-    """One polytope per block: the origin plus the shifted monomials."""
+    """One polytope per block: the origin plus the block's distinct rows of A,
+    the shifted monomials."""
     basis = _kernel_basis(weights)
+    a_rows = spec.diff.num
     out = []
-    for blk in spec.blocks:
-        ind = blk.indicator(spec.n)
-        pts: list[tuple[int, ...]] = [tuple(0 for _ in range(spec.n))]
-        for v in blk.exponents:
-            shifted = tuple(a - b for a, b in zip(v, ind))
-            if shifted not in pts:
-                pts.append(shifted)
+    for q in range(len(spec.blocks)):
+        pts: list[tuple[int, ...]] = [(0,) * spec.n]
+        for row in a_rows[spec.b(q):spec.b(q + 1)]:
+            if row not in pts:
+                pts.append(row)
         out.append(LatticePolytope(spec.n, tuple(pts), basis))
     return tuple(out)
 
@@ -203,37 +203,6 @@ class NefPartitionData:
         }
 
 
-def _integral_representative_exists(col: Sequence[int], scale: int,
-                                    weights: WeightSystem) -> bool:
-    """Can col / scale be shifted by real multiples of the weight vectors into Z^n?
-
-    Supports are disjoint, so each block asks on its own support whether
-    some real c makes every c * g_i + col_i / scale an integer.  Then
-    c * scale * g_i is an integer for each i, hence so is c * scale * h for
-    h = gcd(g_i): c = x / (h * scale) with x an integer, and the question
-    is whether the congruences (g_i / h) x = -col_i (mod scale) have a
-    common solution.  Each is solved by gcd and the solutions are merged
-    by the Chinese remainder theorem.
-    """
-    for vec in weights.vectors:
-        h = math.gcd(*vec)
-        r, modulus = 0, 1   # the x solving the congruences so far: r mod modulus
-        for g, y in zip(vec, col):
-            if not g:
-                continue
-            d = math.gcd(g // h, scale)
-            if y % d:
-                return False
-            m = scale // d
-            x = -y // d * pow(g // h // d, -1, m) % m   # this congruence: x mod m
-            e = math.gcd(modulus, m)
-            if (x - r) % e:
-                return False
-            step = (x - r) // e * pow(modulus // e, -1, m // e) % (m // e)
-            r, modulus = r + modulus * step, modulus // e * m
-    return True
-
-
 def coordinate_section(weights: WeightSystem) -> list[int]:
     """Lowest-index standard basis vectors completing the weights to a basis.
 
@@ -326,16 +295,12 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
         raise UnsolvableError("pairing matrix does not reproduce the target")
     # the certificate makes rank A = rank tr.diff = n - k
     flags["minkowski_dim"] = True
-    p_int, scale = list(zip(*p_matrix.num)), p_matrix.den
-
-    flags["integral_P_section"] = scale == 1
-    # with scale 1 every column is its own integral representative
-    flags["integral_P_exists"] = scale == 1 or all(
-        _integral_representative_exists(col, scale, weights) for col in p_int)
+    flags["integral_P_section"] = p_matrix.den == 1
+    # each column is e_j or e_j - w_q / w_q[j]; adding w_q / w_q[j] makes it e_j
+    flags["integral_P_exists"] = True
     if not flags["integral_P_section"]:
         notes.append("dual vertices are not integral in the chosen section"
-                     + ("" if not flags["integral_P_exists"]
-                        else "; integral representatives exist modulo the weight lines"))
+                     "; integral representatives exist modulo the weight lines")
 
     # dual vertices of block l are the columns of the transposed block sourced
     # from l: that block's monomials are the transposed polynomials realizing

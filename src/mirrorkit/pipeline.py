@@ -330,6 +330,8 @@ class Stage:
     text: list[str] = field(default_factory=list)   # verify's text lines, not in to_json
 
     def to_json(self) -> dict:
+        """Fresh flags and notes, but the stage's own payload, not a copy: treat
+        the tree as read-only (`test_no_reader_mutates_a_shared_payload`)."""
         return {"name": self.name, "ok": self.ok, "flags": dict(self.flags),
                 "notes": list(self.notes), "payload": self.payload}
 
@@ -351,6 +353,8 @@ class PipelineReport:
         return EXIT_OK
 
     def to_json(self) -> dict:
+        """The stages' `to_json` trees: they share the report's payloads, so the
+        result is read-only (`test_no_reader_mutates_a_shared_payload`)."""
         return {
             "stages": [s.to_json() for s in self.stages],
             "hard_ok": self.hard_ok,

@@ -98,7 +98,7 @@ class CyclotomicRatio:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: Poly, b: Poly, k: int, order: int | None = None) -> Poly:
+def _poly_mul(a: Poly, b: Poly, order: int | None = None) -> Poly:
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -121,7 +121,7 @@ def _factor_poly(q: int, d: int, k: int) -> Poly:
 def _expand_product(factors, k: int, order: int | None = None) -> Poly:
     poly: Poly = {tuple(0 for _ in range(k)): 1}
     for q, d in factors:
-        poly = _poly_mul(poly, _factor_poly(q, d, k), k, order)
+        poly = _poly_mul(poly, _factor_poly(q, d, k), order)
     return poly
 
 
@@ -162,7 +162,7 @@ def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:
         while m * d <= order:
             geo[tuple(m * d if i == q - 1 else 0 for i in range(k))] = 1
             m += 1
-        poly = _poly_mul(poly, geo, k, order)
+        poly = _poly_mul(poly, geo, order)
     return poly
 
 

@@ -186,8 +186,7 @@ def test_restricted_operator_quadric(quadric):
     tw = derive_weights(tr.tspec)
     tq = charges(tr.tspec, tw)
     op = restricted_operator(tw, tq, 1)
-    assert op.restricted.degrees == (2, 2)
-    assert op.full.degrees == (2, 2)
+    assert op.degrees == (2, 2)
 
 
 def test_restricted_operator_6_2(spec_6_2):
@@ -197,15 +196,18 @@ def test_restricted_operator_6_2(spec_6_2):
     op = restricted_operator(tw, tq, 1)
     # transposed weights (1,1,1,2,2): degree 7 on both sides
     assert sum(tw.support_values(1)) == 7
-    assert op.restricted.degrees == (7, 7)
+    assert op.degrees == (7, 7)
 
 
-def test_restricted_equals_full_for_k1(quadric):
-    tr = MirrorPair(quadric).tr
-    tw = derive_weights(tr.tspec)
-    tq = charges(tr.tspec, tw)
-    op = restricted_operator(tw, tq, 1)
-    assert op.restricted == op.full
+@pytest.mark.parametrize("name", ["example_6_1", "family_3"])
+def test_restricted_operator_two_variables(name, spec_6_1):
+    pair = MirrorPair(spec_6_1 if name == "example_6_1" else generate_family(3))
+    ops = [restricted_operator(pair.tweights, pair.tcharges, q) for q in (1, 2)]
+    assert [op.degrees for op in ops] == [(4, 4), (3, 3)]
+    for q, op in enumerate(ops, start=1):
+        # every right factor is restricted to the axis of t_q
+        for coeffs, *_ in op.q_runs:
+            assert [i for i, c in enumerate(coeffs, start=1) if c] == [q]
 
 
 def test_char_polys_quadric(quadric):

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +18,6 @@ from mirrorkit.nef_partition import (
     NefError,
     UnsolvableError,
     _closed_form_duals,
-    _integral_representative_exists,
     _kernel_basis,
     build_deltas,
     coordinate_section,
@@ -463,8 +461,9 @@ def test_pairing_flags_phi_not_kronecker():
 
 
 def _shift_exists_by_search(col, weights):
-    """Oracle for _integral_representative_exists on a Fraction column: per block,
-    one period of the finest admissible step c searched exhaustively."""
+    """Can the Fraction column be shifted by real multiples of the weight
+    vectors into Z^n?  Per block, one period of the finest admissible step c
+    searched exhaustively."""
     for vec in weights.vectors:
         support = [(g, col[i]) for i, g in enumerate(vec) if g]
         if all(p.denominator == 1 for _, p in support):
@@ -478,7 +477,10 @@ def _shift_exists_by_search(col, weights):
 
 def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, quadric,
                                                              corrupted):
-    reached = 0
+    # why integral_P_exists is True by construction: column c of P is e_j,
+    # j = lambda(c) - 1, or e_j - w_q / w_q[j] where j is the last support
+    # position of w_q, so adding w_q / w_q[j] in that case gives e_j
+    reached = shifted = 0
     for spec in SEEDED + [generate_family(2)] + FAMILIES + [spec_6_1, spec_6_2, quadric,
                                                             corrupted]:
         pair = MirrorPair(spec)
@@ -487,28 +489,17 @@ def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, 
         except (TranspositionError, NefError):
             continue
         reached += 1
-        p = nef.p_matrix
-        for c, col in enumerate(zip(*p.num)):
-            assert _integral_representative_exists(col, p.den, pair.weights) == \
-                _shift_exists_by_search(column(p, c), pair.weights)
-    assert reached == 75
-    # hand-built columns: c = 1/2 shifts (1/2, 0) to (1, 1); nothing shifts (1/2, 1/2)
-    w = WeightSystem(((1, 2),))
-    assert _integral_representative_exists((1, 0), 2, w)
-    assert not _integral_representative_exists((1, 1), 2, w)
-    rng = random.Random(17)
-    outcomes = set()
-    for _ in range(400):
-        n = rng.randint(1, 5)
-        cut = rng.randint(0, n)
-        vectors = tuple(tuple(rng.randint(1, 6) if lo <= i < hi else 0 for i in range(n))
-                        for lo, hi in ((0, cut), (cut, n)) if hi > lo)
-        scale = rng.randint(1, 12)
-        col = tuple(rng.randint(-15, 15) for _ in range(n))
-        got = _integral_representative_exists(col, scale, WeightSystem(vectors))
-        assert got == _shift_exists_by_search([F(x, scale) for x in col], WeightSystem(vectors))
-        outcomes.add(got)
-    assert outcomes == {True, False}
+        assert nef.flags["integral_P_exists"]
+        p, vectors = nef.p_matrix, pair.weights.vectors
+        for c, lam_c in enumerate(pair.tr.lam.images):
+            col, j = column(p, c), lam_c - 1
+            assert _shift_exists_by_search(col, pair.weights)
+            w = next(w for w in vectors if w[j])
+            last = max(i for i, g in enumerate(w) if g)
+            shift = F(1, w[j]) if j == last else 0
+            assert [x + shift * g for x, g in zip(col, w)] == [int(i == j) for i in range(spec.n)]
+            shifted += any(x.denominator > 1 for x in col)
+    assert reached == 75 and shifted >= 1
 
 
 def test_solve_dual_partition_quadric(quadric):
