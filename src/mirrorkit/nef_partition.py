@@ -203,6 +203,11 @@ class NefPartitionData:
         }
 
 
+def _last_support(weights: WeightSystem) -> dict[int, tuple[int, ...]]:
+    """Each weight vector, keyed by the last position of its support."""
+    return {max(i for i, g in enumerate(w) if g): w for w in weights.vectors}
+
+
 def coordinate_section(weights: WeightSystem) -> list[int]:
     """Lowest-index standard basis vectors completing the weights to a basis.
 
@@ -211,7 +216,7 @@ def coordinate_section(weights: WeightSystem) -> list[int]:
     covered, and the supports are disjoint: the completion is every
     position except the last of each weight vector's support.
     """
-    last = {max(i for i, g in enumerate(vec) if g) for vec in weights.vectors}
+    last = _last_support(weights)
     return [i for i in range(len(weights.vectors[0])) if i not in last]
 
 
@@ -228,7 +233,7 @@ def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Ma
         return None
     if any(sum(map(mul, row, w)) for w in weights.vectors for row in a_rows):
         return None
-    last = {max(i for i, g in enumerate(w) if g): w for w in weights.vectors}
+    last = _last_support(weights)
     scale = math.lcm(*(w[j] // math.gcd(*w) for j, w in last.items()))
     cols = []
     for j in (i - 1 for i in lam):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
 from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
-from .rational_linalg import invert, Matrix, SingularMatrixError
+from .rational_linalg import invert, is_inverse, Matrix, SingularMatrixError
 from .record import field, lazy, record
 
 EXIT_OK = 0
@@ -462,8 +462,7 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     try:
         cm = pair.cm
-        inv_ok = (cm.matrix @ pair.inverse) == Matrix.identity(cm.size)
-        stages.append(Stage("cayley", inv_ok, payload=cm.to_json()))
+        stages.append(Stage("cayley", is_inverse(cm.matrix, pair.inverse), payload=cm.to_json()))
     except Exception as exc:  # construction must not fail on a valid spec
         return PipelineReport(stages, True, soft, internal_error=str(exc))
 

@@ -30,17 +30,20 @@ adding ``x * other_row_j`` over the nonzero entries x = row[j] of the left
 row, so a zero entry costs nothing: the same integers as the dense dot
 products, for less work on the sparse Cayley matrix (about three nonzeros
 a row against its dense inverse), put over the product of the two
-denominators.
+denominators.  ``is_inverse`` decides a @ b == I with the same rows and no
+product matrix: row i of the integer product must be a.den * b.den * e_i,
+and the first row that is not ends the check.
 
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
-the denominator is 1; a matrix is a list of rows of such strings.
+the denominator is 1; a matrix is a list of rows of such strings, made with
+``str`` when the matrix is integral.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .record import record
 
@@ -124,22 +127,14 @@ class Matrix:
         return Matrix(tuple(zip(*self.num)), self.den) if self.num else self
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = [0] * other.cols
-        num = []
-        for row in self.num:
-            acc = zero
-            for x, other_row in zip(row, other.num):
-                if x:
-                    acc = [a + x * y for a, y in zip(acc, other_row)]
-            num.append(tuple(acc))
-        return _canonical(tuple(num), self.den * other.den)
+        _check_product(self, other)
+        return _canonical(tuple(map(tuple, _product_rows(self, other))), self.den * other.den)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
+        if self.den == 1:
+            return [[str(x) for x in row] for row in self.num]
         return [[ratio_str(x, self.den) for x in row] for row in self.num]
 
     def __str__(self) -> str:
@@ -147,6 +142,40 @@ class Matrix:
         widths = [max(len(row[j]) for row in cells) for j in range(self.cols)] if cells else []
         return "\n".join("[ " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]"
                          for row in cells)
+
+
+def _check_product(a: Matrix, b: Matrix) -> None:
+    if a.cols != b.rows:
+        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+
+
+def _product_rows(a: Matrix, b: Matrix) -> Iterator[list[int]]:
+    """Each row of the integer product a.num @ b.num, formed over the nonzero
+    entries of a's row (module docstring); a zero row is one shared list."""
+    zero = [0] * b.cols
+    for row in a.num:
+        acc = zero
+        for x, b_row in zip(row, b.num):
+            if x:
+                acc = ([x * y for y in b_row] if acc is zero
+                       else [s + x * y for s, y in zip(acc, b_row)])
+        yield acc
+
+
+def is_inverse(a: Matrix, b: Matrix) -> bool:
+    """Whether a @ b is the identity of a's size, decided in integers row by row.
+
+    The canonical product is the identity exactly when the integer product
+    of the numerators is a.den * b.den times it: row i must be
+    a.den * b.den * e_i, and the first row that is not decides.  Raises
+    DimensionMismatchError wherever ``a @ b`` does.
+    """
+    _check_product(a, b)
+    n, den = a.rows, a.den * b.den
+    if b.cols != n:
+        return False
+    return all(row[i] == den and row.count(0) == n - 1
+               for i, row in enumerate(_product_rows(a, b)))
 
 
 def _canonical(num: tuple[tuple[int, ...], ...], den: int) -> Matrix:
@@ -254,14 +283,19 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatchError("can only invert a square matrix")
     n = m.rows
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
+    aug = [list(row) + [0] * n for row in m.num]
+    for i, row in enumerate(aug):
+        row[n + i] = 1
     rank, _ = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError("matrix is singular")
     # the pivots are the diagonal; (num/den)^-1 = den * num^-1
     d = math.lcm(*(aug[i][i] for i in range(n)))
-    return _canonical(tuple(tuple(x * (m.den * d // aug[i][i]) for x in aug[i][n:])
-                            for i in range(n)), d)
+    num = []
+    for i, row in enumerate(aug):
+        scale = m.den * d // row[i]
+        num.append(tuple(row[n:]) if scale == 1 else tuple(x * scale for x in row[n:]))
+    return _canonical(tuple(num), d)
 
 
 def pivot_columns(m: Matrix) -> list[int]:

@@ -1,7 +1,8 @@
 """Property test: every `--input` command survives fuzzed spec-shaped JSON.
 
-Each document starts from a fixture or a small valid spec and takes a few
-mutations (an exponent, index set, count or weight changed, a block
+Each document starts from a fixture, a small valid spec or a direct sum of
+3 to 6 quadrics (many block pairings to try, k x k nu and lambda) and takes a
+few mutations (an exponent, index set, count or weight changed, a block
 dropped or duplicated), then sometimes a key removed or one value
 replaced by a value of the wrong type.  Each command also gets a drawn
 `--order`: a small one, or one just above the series term cap for two or
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from mirrorkit import cli  # noqa: E402
 from mirrorkit.pipeline import generate_family  # noqa: E402
@@ -34,8 +35,9 @@ FIXTURES = Path(__file__).parent.parent / "src" / "mirrorkit" / "fixtures"
 
 
 QUADRIC = json.loads((FIXTURES / "derived_quadric.json").read_text())
+SUMS = [direct_sum(*[QUADRIC] * k) for k in range(3, 7)]   # k = 3..6 blocks
 BASES = ([json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
-         + [generate_family(2).to_json(), direct_sum(QUADRIC, QUADRIC, QUADRIC)]
+         + [generate_family(2).to_json()] + SUMS
          + [spec.to_json() for spec in generate_valid_specs(200)[:8]])
 COMMANDS = [c for c in cli.COMMANDS if c != "family"]
 JUNK = st.sampled_from([None, True, 1.5, "1", [], {}, -1, 0])
@@ -128,6 +130,10 @@ def spec_documents(draw):
 @settings(max_examples=80, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec_documents(), st.sampled_from(["text", "json"]), ORDERS)
+# the draws need not reach every direct sum, so each command runs those with k > 3
+@example(SUMS[1], "text", 8)
+@example(SUMS[2], "json", 3)
+@example(SUMS[3], "text", 2)
 def test_every_command_exits_0_to_3_on_fuzzed_specs(data, fmt, order):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"

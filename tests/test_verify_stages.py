@@ -4,7 +4,8 @@ No spec of `tests/output_snapshot.py` makes forms, mellin-plain,
 mellin-factorized, horn, nef or the Cayley check fail, so each failure is
 forced here on the quadric: the module function that the stage's `MirrorPair`
 property calls is patched to raise the stage's declared error.  Every other
-stage must read exactly as in the run without the failure.
+stage must read exactly as in the run without the failure.  A wrong L^-1 is
+forced the same way, by patching `invert` to return one with an entry changed.
 """
 
 import json
@@ -98,7 +99,7 @@ CASES = [
             "verdict: PASS (with soft failures)"]),
           ["nef: A_section P = T is inconsistent"], True, (0, 2)),
     # the Cayley check ends the run: every exception there is an internal error
-    _case("cayley", (pipeline.Matrix, "identity"), RuntimeError("no identity"), None, None,
+    _case("cayley", (pipeline, "is_inverse"), RuntimeError("no certificate"), None, None,
           ([], ["verdict: FAIL"]), [], True, (3, 3), STAGES[1:]),
     # an InternalInvariantError is a TranspositionError, but no soft failure:
     # from any stage it ends the run, as it fails `mirrorkit transpose`
@@ -142,3 +143,58 @@ def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, targe
     assert out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     assert json_err == err
     assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == codes[1]
+
+
+# entries of the quadric's L^-1 that neither the weights nor the kernel bases
+# read, so the run reaches the check.  Only the forms read them: the forms and
+# the plain Gamma product then fail in place, on their declared errors, as no
+# form has its pattern; mellin-factorized, which needs mellin-plain, is left
+# out; horn is built from the wrong forms; every other stage reads as before
+@pytest.mark.parametrize("bumped, den_factor, form", [
+    pytest.param((0, 2), 1, 3, id="off-diagonal"),
+    pytest.param((3, 3), 1, 4, id="diagonal"),
+    pytest.param(None, 2, None, id="denominator"),
+])
+def test_a_wrong_inverse_fails_the_cayley_stage(monkeypatch, capsys, quadric, bumped,
+                                                den_factor, form):
+    clean = run_verify(quadric)
+    assert cli.main(["verify", "--input", QUADRIC]) == 0
+    clean_blocks, _ = _blocks(capsys.readouterr().out)
+
+    inverse = pipeline.invert(pipeline.MirrorPair(quadric).cm.matrix)
+    num = [list(row) for row in inverse.num]
+    if bumped is not None:
+        num[bumped[0]][bumped[1]] += 1
+    wrong = pipeline.Matrix(tuple(map(tuple, num)), den_factor * inverse.den)
+    assert wrong != inverse
+    monkeypatch.setattr(pipeline, "invert", lambda m: wrong)
+
+    report = run_verify(quadric)
+    stages = {s.name: s for s in report.stages}
+    assert list(stages) == [s for s in STAGES if s != "mellin-factorized"]
+    built = {s.name: s.to_json() for s in clean.stages}
+    assert built["cayley"]["ok"] is True
+    assert stages["cayley"].to_json() == {**built["cayley"], "ok": False}
+    for name in ("forms", "mellin-plain"):
+        assert stages[name].ok is False and len(stages[name].notes) == 1
+    if form is not None:
+        assert stages["forms"].notes == [f"form {form} matches no pattern"]
+        assert stages["mellin-plain"].notes == [f"row {form}: expected z1"]
+    same = [name for name in stages if name not in ("cayley", "forms", "mellin-plain", "horn")]
+    assert {name: stages[name].to_json() for name in same} == {name: built[name] for name in same}
+    assert report.soft_failures == clean.soft_failures
+    assert report.hard_ok is False
+    assert report.internal_error is None
+    assert (report.exit_code(False), report.exit_code(True)) == (1, 1)
+
+    assert cli.main(["verify", "--input", QUADRIC]) == 1
+    out, err = capsys.readouterr()
+    blocks, after = _blocks(out)
+    assert blocks["cayley"] == ["[FAIL] cayley"]
+    assert {name: blocks[name] for name in same} == {name: clean_blocks[name] for name in same}
+    assert after[-1] == "verdict: FAIL"
+    assert err == ""
+    assert cli.main(["verify", "--input", QUADRIC, "--format", "json"]) == 1
+    assert capsys.readouterr().out == json.dumps(report.to_json(), indent=2,
+                                                 sort_keys=True) + "\n"
+    assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == 1
