@@ -35,8 +35,7 @@ product matrix: row i of the integer product must be a.den * b.den * e_i,
 and the first row that is not ends the check.
 
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
-the denominator is 1; a matrix is a list of rows of such strings, made with
-``str`` when the matrix is integral.
+the denominator is 1; a matrix is a list of rows of such strings.
 """
 
 from __future__ import annotations
@@ -133,8 +132,6 @@ class Matrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
-        if self.den == 1:
-            return [[str(x) for x in row] for row in self.num]
         return [[ratio_str(x, self.den) for x in row] for row in self.num]
 
     def __str__(self) -> str:
@@ -157,8 +154,7 @@ def _product_rows(a: Matrix, b: Matrix) -> Iterator[list[int]]:
         acc = zero
         for x, b_row in zip(row, b.num):
             if x:
-                acc = ([x * y for y in b_row] if acc is zero
-                       else [s + x * y for s, y in zip(acc, b_row)])
+                acc = [s + x * y for s, y in zip(acc, b_row)]
         yield acc
 
 
@@ -283,19 +279,14 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatchError("can only invert a square matrix")
     n = m.rows
-    aug = [list(row) + [0] * n for row in m.num]
-    for i, row in enumerate(aug):
-        row[n + i] = 1
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
     rank, _ = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError("matrix is singular")
     # the pivots are the diagonal; (num/den)^-1 = den * num^-1
     d = math.lcm(*(aug[i][i] for i in range(n)))
-    num = []
-    for i, row in enumerate(aug):
-        scale = m.den * d // row[i]
-        num.append(tuple(row[n:]) if scale == 1 else tuple(x * scale for x in row[n:]))
-    return _canonical(tuple(num), d)
+    return _canonical(tuple(tuple(x * (m.den * d // aug[i][i]) for x in aug[i][n:])
+                            for i in range(n)), d)
 
 
 def pivot_columns(m: Matrix) -> list[int]:
