@@ -279,14 +279,14 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatchError("can only invert a square matrix")
     n = m.rows
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
+    aug = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.num)]
     rank, _ = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError("matrix is singular")
     # the pivots are the diagonal; (num/den)^-1 = den * num^-1
     d = math.lcm(*(aug[i][i] for i in range(n)))
-    return _canonical(tuple(tuple(x * (m.den * d // aug[i][i]) for x in aug[i][n:])
-                            for i in range(n)), d)
+    scale = [m.den * d // aug[i][i] for i in range(n)]
+    return _canonical(tuple(tuple([x * s for x in row[n:]]) for row, s in zip(aug, scale)), d)
 
 
 def pivot_columns(m: Matrix) -> list[int]:
