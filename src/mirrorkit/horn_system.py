@@ -20,6 +20,8 @@ bounded by ``FACTOR_COUNT_CAP``, checked in integers before any run is built.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import ratio_str
@@ -202,11 +204,8 @@ class CharPolyPair:
 
     def factored(self, side: str) -> str:
         exps = self.zero_exponents if side == "zero" else self.infinity_exponents
-        grouped: dict[int, int] = {}
-        for d in exps:
-            grouped[d] = grouped.get(d, 0) + 1
         return " ".join(f"(1-λ^{d})" + (f"^{m}" if m > 1 else "")
-                        for d, m in sorted(grouped.items())) or "1"
+                        for d, m in sorted(Counter(exps).items())) or "1"
 
     def to_json(self) -> dict:
         return {

@@ -27,6 +27,7 @@ compares multisets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import _canonical, Matrix, ratio_str
@@ -191,16 +192,6 @@ class LinearForm:
 # ---------------------------------------------------------------------------
 
 
-def _grouped(forms) -> list[tuple[ZForm, int]]:
-    out: list[tuple[ZForm, int]] = []
-    for f in sort_forms(forms):
-        if out and out[-1][0] == f:
-            out[-1] = (f, out[-1][1] + 1)
-        else:
-            out.append((f, 1))
-    return out
-
-
 @record
 class GammaProduct:
     """Product of Gamma factors, canonical up to the periodic reflection ambiguity."""
@@ -208,7 +199,6 @@ class GammaProduct:
     numerator: tuple[ZForm, ...]
     denominator: tuple[ZForm, ...]
     delta: int
-    note: str = "up to a Delta-periodic factor"
 
     def canonical_multiset(self) -> tuple[ZForm, ...]:
         """All arguments as numerator factors, denominators reflected through 1-x."""
@@ -218,7 +208,7 @@ class GammaProduct:
         def side(forms):
             return "*".join(
                 f"Gamma({f})" + (f"^{m}" if m > 1 else "")
-                for f, m in _grouped(forms)) or "1"
+                for f, m in Counter(sort_forms(forms)).items()) or "1"
         num = side(self.numerator)
         if not self.denominator:
             return num
@@ -229,7 +219,7 @@ class GammaProduct:
             "numerator": [f.to_json() for f in self.numerator],
             "denominator": [f.to_json() for f in self.denominator],
             "delta": self.delta,
-            "note": self.note,
+            "note": "up to a Delta-periodic factor",
         }
 
 
@@ -435,10 +425,7 @@ def _symbolic_product(xi: "XiFactorization", contraction) -> str:
 
     parts = []
     for q, factors in enumerate(xi.factors, start=1):
-        grouped: dict[int, int] = {}
-        for c in factors:
-            grouped[c] = grouped.get(c, 0) + 1
-        for c, m in sorted(grouped.items()):
+        for c, m in sorted(Counter(factors).items()):
             parts.append(f"Gamma({sym(c, q)})" + (f"^{m}" if m > 1 else ""))
     dens = []
     for row in contraction:
@@ -476,7 +463,8 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
         used.add(match)
         block_to_z.append(match)
 
-    matches_nu_inverse = tuple(block_to_z) == tr.nu.inverse().images
+    # _choose_nu builds nu as an involution, so nu^-1 = nu
+    matches_nu_inverse = tuple(block_to_z) == tr.nu.images
 
     numerator = []
     for xi_nu, factors in zip(xi.xi_forms, xi.factors):

@@ -10,10 +10,10 @@ determined modulo the weight lines, so a deterministic coordinate section
 (lowest-index standard basis vectors completing the weights to a basis)
 pins the representatives.  The weights have disjoint supports, so that
 section has a closed form, every position but the last of each support
-(``coordinate_section``), and the solution is unique when the section has
-the rank of A: the weights lie in ker A, so the last column of each support
-depends on the others, and A's nonzero rows span the Minkowski sum, whose
-dimension is therefore the rank of A.
+(``_last_support`` finds the last ones), and the solution is unique when
+the section has the rank of A: the weights lie in ker A, so the last
+column of each support depends on the others, and A's nonzero rows span
+the Minkowski sum, whose dimension is therefore the rank of A.
 
 No elimination is needed to find P.  T is A with its columns permuted by
 lambda, T[i][c] = A[i][lambda(c) - 1] (the proof is in
@@ -70,13 +70,6 @@ class LatticePolytope:
                 "kernel_basis": [list(v) for v in self.kernel_basis]}
 
 
-@record
-class MinkowskiReport:
-    dim: int
-    expected: int
-    ok: bool
-
-
 def _kernel_basis(weights: WeightSystem) -> tuple[tuple[int, ...], ...]:
     """The basis `integer_kernel` gives of the weights' kernel, in closed form.
 
@@ -113,12 +106,10 @@ def build_deltas(spec: CISpec, weights: WeightSystem) -> tuple[LatticePolytope, 
     return tuple(out)
 
 
-def minkowski_dim(deltas, expected: int | None = None) -> MinkowskiReport:
+def minkowski_dim(deltas) -> int:
     """Rank of the span of all vertices; equality with n - k is the sum condition."""
     rows = [v for d in deltas for v in d.vertices if any(v)]
-    dim = rank(Matrix.from_rows(rows)) if rows else 0
-    exp = expected if expected is not None else dim
-    return MinkowskiReport(dim=dim, expected=exp, ok=(dim == exp))
+    return rank(Matrix.from_rows(rows)) if rows else 0
 
 
 def pairing_flags(t_rows, taus: Sequence[int], dual_idx: Sequence[Sequence[int]]
@@ -208,18 +199,6 @@ def _last_support(weights: WeightSystem) -> dict[int, tuple[int, ...]]:
     return {max(i for i, g in enumerate(w) if g): w for w in weights.vectors}
 
 
-def coordinate_section(weights: WeightSystem) -> list[int]:
-    """Lowest-index standard basis vectors completing the weights to a basis.
-
-    Adding e_i in index order, e_i is dependent on the weights and the
-    earlier choices exactly when some weight vector's support would be
-    covered, and the supports are disjoint: the completion is every
-    position except the last of each weight vector's support.
-    """
-    last = _last_support(weights)
-    return [i for i in range(len(weights.vectors[0])) if i not in last]
-
-
 def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Matrix | None:
     """P in the coordinate section, read off lambda and the weights
     (`solve_dual_partition`); None unless row c of tr.diff is column lambda(c)
@@ -255,7 +234,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     prescribed by the transposed difference matrix: T[i][c] is entry (c, i)
     of tr.diff, whose columns are the original variables.  Solutions are
     taken in the fixed coordinate section, every position but the last of
-    each weight support (`coordinate_section`); integrality is reported,
+    each weight support (`_last_support`); integrality is reported,
     not required.  weights and tweights are the derived weights of spec and
     of tr.tspec.
 
@@ -292,7 +271,7 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     # once A * P == T holds, every pairing below is an entry of T
     p_matrix = _closed_form_duals(a_rows, tr, weights)
     if p_matrix is None:
-        dim = minkowski_dim(deltas).dim
+        dim = minkowski_dim(deltas)
         if dim != n - k:
             raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
         if tr.tspec.taus != spec.taus:

@@ -54,13 +54,11 @@ class CyclotomicRatio:
     @staticmethod
     def build(k: int, num: Iterable[tuple[int, int]],
               den: Iterable[tuple[int, int]]) -> "CyclotomicRatio":
-        ns = sorted((q, d) for q, d in num if d)
-        ds = sorted((q, d) for q, d in den if d)
-        for pair in list(ns):
-            if pair in ds:
-                ns.remove(pair)
-                ds.remove(pair)
-        return CyclotomicRatio(k, tuple(ns), tuple(ds))
+        ns = Counter((q, d) for q, d in num if d)
+        ds = Counter((q, d) for q, d in den if d)
+        common = ns & ds
+        return CyclotomicRatio(k, tuple(sorted((ns - common).elements())),
+                               tuple(sorted((ds - common).elements())))
 
     def degree_per_variable(self) -> tuple[tuple[int, int], ...]:
         """(numerator degree, denominator degree) per variable."""
@@ -77,12 +75,9 @@ class CyclotomicRatio:
         def side(factors):
             if not factors:
                 return "1"
-            grouped: dict[tuple[int, int], int] = {}
-            for q, d in factors:
-                grouped[(q, d)] = grouped.get((q, d), 0) + 1
             var = (lambda q: "t" if self.k == 1 else f"t{q}")
             parts = []
-            for (q, d), m in sorted(grouped.items()):
+            for (q, d), m in sorted(Counter(factors).items()):
                 body = f"(1-{var(q)}^{d})" if d != 1 else f"(1-{var(q)})"
                 parts.append(body + (f"^{m}" if m > 1 else ""))
             return "".join(parts)

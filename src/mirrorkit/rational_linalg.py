@@ -25,14 +25,12 @@ copied when a = 1): the same arithmetic as the dense update, so the same
 rows, for less work on the sparse Cayley and difference matrices and on
 the identity half of ``[num | I]``.  Inverses, solutions and kernel
 vectors are read off the result over the LCM of the pivots and then
-reduced to canonical form.  A product forms each row of integers by
-adding ``x * other_row_j`` over the nonzero entries x = row[j] of the left
-row, so a zero entry costs nothing: the same integers as the dense dot
-products, for less work on the sparse Cayley matrix (about three nonzeros
-a row against its dense inverse), put over the product of the two
-denominators.  ``is_inverse`` decides a @ b == I with the same rows and no
-product matrix: row i of the integer product must be a.den * b.den * e_i,
-and the first row that is not ends the check.
+reduced to canonical form.  No matrix product is formed: ``is_inverse``
+decides whether a times b is the identity one row of the integer product
+at a time, each formed by adding ``x * b_row_j`` over the nonzero entries
+x = row[j] of a's row, so a zero entry costs nothing (the sparse Cayley
+matrix has about three nonzeros a row against its dense inverse).  Row i
+must be a.den * b.den * e_i, and the first row that is not ends the check.
 
 Serialization convention: a rational prints as ``"p/q"``, or ``"p"`` when
 the denominator is 1; a matrix is a list of rows of such strings.
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .record import record
 
@@ -103,10 +101,6 @@ class Matrix:
             raise TypeError(f"matrix entry must be an int, got {type(x).__name__} {x!r}")
         return Matrix(num)
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -125,10 +119,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.num)), self.den) if self.num else self
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        _check_product(self, other)
-        return _canonical(tuple(map(tuple, _product_rows(self, other))), self.den * other.den)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
@@ -141,37 +131,29 @@ class Matrix:
                          for row in cells)
 
 
-def _check_product(a: Matrix, b: Matrix) -> None:
+def is_inverse(a: Matrix, b: Matrix) -> bool:
+    """Whether a times b is the identity of a's size, decided in integers row by row.
+
+    The canonical product is the identity exactly when the integer product
+    of the numerators is a.den * b.den times it: row i, formed over the
+    nonzero entries of a's row, must be a.den * b.den * e_i, and the first
+    row that is not decides.  Raises DimensionMismatchError when
+    a.cols != b.rows.
+    """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-
-
-def _product_rows(a: Matrix, b: Matrix) -> Iterator[list[int]]:
-    """Each row of the integer product a.num @ b.num, formed over the nonzero
-    entries of a's row (module docstring); a zero row is one shared list."""
-    zero = [0] * b.cols
-    for row in a.num:
+    n, den = a.rows, a.den * b.den
+    if b.cols != n:
+        return False
+    zero = [0] * n
+    for i, row in enumerate(a.num):
         acc = zero
         for x, b_row in zip(row, b.num):
             if x:
                 acc = [s + x * y for s, y in zip(acc, b_row)]
-        yield acc
-
-
-def is_inverse(a: Matrix, b: Matrix) -> bool:
-    """Whether a @ b is the identity of a's size, decided in integers row by row.
-
-    The canonical product is the identity exactly when the integer product
-    of the numerators is a.den * b.den times it: row i must be
-    a.den * b.den * e_i, and the first row that is not decides.  Raises
-    DimensionMismatchError wherever ``a @ b`` does.
-    """
-    _check_product(a, b)
-    n, den = a.rows, a.den * b.den
-    if b.cols != n:
-        return False
-    return all(row[i] == den and row.count(0) == n - 1
-               for i, row in enumerate(_product_rows(a, b)))
+        if acc[i] != den or acc.count(0) != n - 1:
+            return False
+    return True
 
 
 def _canonical(num: tuple[tuple[int, ...], ...], den: int) -> Matrix:
@@ -200,12 +182,6 @@ class PermutationMap:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def inverse(self) -> "PermutationMap":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return PermutationMap(tuple(inv))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.size + 1))

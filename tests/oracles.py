@@ -10,6 +10,8 @@ sympy and with hand-computed values:
   `ZForm`'s (`coeffs`, `constant`), and `linear_form` and `zform`, which build
   each from int or Fraction values;
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
+* `dense_matmul` and `identity`, the matrix product and unit matrix the
+  program never forms;
 * `rat_str` and `integer_row` for Fractions, and the eliminations and
   Fraction arithmetic the program's closed forms replaced.
 """
@@ -161,11 +163,16 @@ def solve_many(m, rhs_cols):
 
 
 def dense_matmul(a, b):
-    """a @ b as every column's dot product with every row, zeros included: the
-    product `Matrix.__matmul__` forms over the nonzero entries only."""
+    """The matrix product a b as every column's dot product with every row,
+    zeros included: the rows `is_inverse` forms over the nonzero entries only."""
     cols = list(zip(*b.num))
     num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.num)
     return _canonical(num, a.den * b.den)
+
+
+def identity(n):
+    """The n x n identity Matrix."""
+    return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def support_phi(deltas, q, y):

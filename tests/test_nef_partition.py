@@ -20,7 +20,6 @@ from mirrorkit.nef_partition import (
     _closed_form_duals,
     _kernel_basis,
     build_deltas,
-    coordinate_section,
     magic_square_check,
     minkowski_dim,
     pairing_flags,
@@ -39,6 +38,7 @@ from mirrorkit.transposition import NoValidShapeError, TranspositionError
 
 from oracles import (
     column,
+    dense_matmul,
     duals,
     entries,
     i_coeffs,
@@ -90,16 +90,14 @@ def test_build_deltas_indicator_block_is_origin():
 
 def test_minkowski_dim(quadric, spec_6_2):
     for spec, expected in ((quadric, 1), (spec_6_2, 4)):
-        deltas = build_deltas(spec, derive_weights(spec))
-        report = minkowski_dim(deltas, expected=spec.n - spec.k)
-        assert report.dim == expected and report.ok
+        dim = minkowski_dim(build_deltas(spec, derive_weights(spec)))
+        assert dim == expected == spec.n - spec.k
 
 
 def test_minkowski_dim_degenerate_flagged():
     # repeated directions span too little
     poly = LatticePolytope(3, ((0, 0, 0), (1, -1, 0), (2, -2, 0)), ())
-    report = minkowski_dim([poly], expected=2)
-    assert report.dim == 1 and not report.ok
+    assert minkowski_dim([poly]) == 1   # a full sum would span 2
 
 
 def test_support_phi_quadric(quadric):
@@ -129,10 +127,27 @@ def _greedy_section(n, k, weights):
     return chosen
 
 
+def _section(pair):
+    """The coordinate section of the run's nef solve: the nonzero rows of its P.
+
+    Row j of P is zero exactly when j is the last support position of a
+    weight vector (`_closed_form_duals`), and the section is every other
+    position.
+    """
+    return [j for j, row in enumerate(pair.nef.p_matrix.num) if any(row)]
+
+
 def test_section_indices_match_greedy_completion():
+    checked = 0
     for spec in FAMILIES + SEEDED:
-        weights = derive_weights(spec)
-        assert coordinate_section(weights) == _greedy_section(spec.n, spec.k, weights)
+        pair = MirrorPair(spec)
+        try:
+            section = _section(pair)
+        except TranspositionError:
+            continue
+        assert section == _greedy_section(spec.n, spec.k, pair.weights)
+        checked += 1
+    assert checked == 70
 
 
 def _pivot_section(kernel_basis):
@@ -145,11 +160,8 @@ def _pivot_section(kernel_basis):
 
 
 def test_coordinate_section_is_the_pivot_columns_of_the_kernel_basis(fixtures_dir):
-    specs = oracle_specs(fixtures_dir)
-    for spec in specs:
-        weights = derive_weights(spec)
-        assert coordinate_section(weights) == _pivot_section(_kernel_basis(weights))
-    assert len(specs) == 216
+    for _, pair in _nef_sides(fixtures_dir):
+        assert _section(pair) == _pivot_section(_kernel_basis(pair.weights))
 
 
 def test_kernel_basis_is_the_integer_kernel_of_the_weights(fixtures_dir):
@@ -197,17 +209,13 @@ def test_nef_target_is_the_transpositions_matrix(fixtures_dir):
 def test_solve_rank_is_the_minkowski_dimension(fixtures_dir):
     # the rank of the sectioned solve, with or without the nef target, is
     # the dimension minkowski_dim finds by its own elimination
-    for spec in oracle_specs(fixtures_dir):
-        pair = MirrorPair(spec)
-        try:
-            target = pair.tr.diff.num
-        except TranspositionError:
-            target = ()
-        section = coordinate_section(pair.weights)
+    for spec, pair in _nef_sides(fixtures_dir):
+        section = _section(pair)
         a_cols = Matrix(tuple(tuple(row[j] for j in section)
                               for row in difference_matrix(spec).num))
-        dim = minkowski_dim(build_deltas(spec, pair.weights)).dim
-        assert solve_den(a_cols, target)[2] == dim == spec.n - spec.k
+        dim = minkowski_dim(build_deltas(spec, pair.weights))
+        for target in (pair.tr.diff.num, ()):
+            assert solve_den(a_cols, target)[2] == dim == spec.n - spec.k
 
 
 def test_every_side_of_a_transposition_has_rank_n_minus_k(fixtures_dir):
@@ -227,7 +235,7 @@ def test_every_side_of_a_transposition_has_rank_n_minus_k(fixtures_dir):
         assert rank(tr.diff) == rank(pair.tr2.diff) == spec.n - spec.k
         for side, weights in ((spec, pair.weights), (tr.tspec, pair.tweights),
                               (tspec2, WeightSystem(tspec2.weights))):
-            dim = minkowski_dim(build_deltas(side, weights)).dim
+            dim = minkowski_dim(build_deltas(side, weights))
             assert rank(side.diff) == dim == side.n - side.k
         transposed += 1
     assert transposed == 76 + len(singular_cayley_specs())
@@ -259,7 +267,7 @@ def test_closed_form_duals_are_the_solved_ones(fixtures_dir):
     # the closed form against one elimination of [A_section | T]: the same
     # integer columns over the same least common denominator
     for spec, pair in _nef_sides(fixtures_dir):
-        section = coordinate_section(pair.weights)
+        section = _section(pair)
         a_rows = difference_matrix(spec).num
         sols, scale, dim = solve_den(
             Matrix(tuple(tuple(row[j] for j in section) for row in a_rows)), pair.tr.diff.num)
@@ -351,7 +359,7 @@ def test_integer_pairings_match_rational_evaluation():
         flags, j_indices = _fraction_flags(spec, nef)
         assert {name: nef.flags[name] for name in flags} == flags
         assert nef.j_indices == j_indices
-        assert nef.pairings == difference_matrix(spec) @ nef.p_matrix
+        assert nef.pairings == dense_matmul(difference_matrix(spec), nef.p_matrix)
         checked += 1
         non_integral += not nef.flags["integral_P_section"]
     assert checked >= 50 and non_integral >= 1
@@ -538,7 +546,7 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
     weights = WeightSystem(((1, 1, 1),))
     fermat = CISpec(n=3, k=1, blocks=(Block(
         exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
-    assert minkowski_dim(build_deltas(spec, weights), expected=2).dim == 1
+    assert minkowski_dim(build_deltas(spec, weights)) == 1
     for other in (fermat, quadric):
         tr = MirrorPair(other).tr
         with pytest.raises(UnsolvableError, match="Minkowski sum has dimension 1, expected 2"):

@@ -92,20 +92,6 @@ def test_run_verify_eliminates_once(calls, monkeypatch, m):
     assert calls["derive_weights"] == 0
 
 
-@pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_forms_no_product_matrix(monkeypatch, m):
-    # L L^-1 = I is decided row by row (`rational_linalg.is_inverse`): the
-    # run builds neither the product matrix nor the identity it compared with
-    used = []
-    monkeypatch.setattr(rational_linalg.Matrix, "__matmul__",
-                        lambda a, b: used.append("__matmul__"))
-    monkeypatch.setattr(rational_linalg.Matrix, "identity",
-                        staticmethod(lambda n: used.append("identity")))
-    report = run_verify(generate_family(m))
-    assert report.stages[1].name == "cayley" and report.stages[1].ok
-    assert used == []
-
-
 def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
         monkeypatch, calls, fixtures_dir):
     # on every oracle spec that does not transpose, 116 of them in the weight

@@ -14,10 +14,10 @@ from mirrorkit.ci_model import build_cayley, derive_weights, charges
 from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.mellin import ZForm, check_sum_rules, classify_forms, compute_delta, solve_xi
 from mirrorkit.pipeline import MirrorPair
-from mirrorkit.rational_linalg import Matrix, invert
+from mirrorkit.rational_linalg import invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import z_coeffs
+from oracles import dense_matmul, identity, z_coeffs
 from specgen import generate_valid_specs
 
 SPECS = generate_valid_specs(200)
@@ -31,8 +31,8 @@ def test_inverse_identity_everywhere():
     for spec in SPECS:
         cm = build_cayley(spec)
         inv = invert(cm.matrix)
-        assert cm.matrix @ inv == Matrix.identity(cm.size)
-        assert inv @ cm.matrix == Matrix.identity(cm.size)
+        assert dense_matmul(cm.matrix, inv) == identity(cm.size)
+        assert dense_matmul(inv, cm.matrix) == identity(cm.size)
 
 
 def test_column_sums_and_global_relation():
@@ -116,5 +116,4 @@ def test_minkowski_dimension_bounded():
     from mirrorkit.nef_partition import build_deltas, minkowski_dim
     for spec in SPECS:
         deltas = build_deltas(spec, derive_weights(spec))
-        report = minkowski_dim(deltas, expected=spec.n - spec.k)
-        assert report.dim <= spec.n - spec.k
+        assert minkowski_dim(deltas) <= spec.n - spec.k

@@ -20,7 +20,9 @@ from oracles import (
     column,
     entries,
     entry,
+    dense_matmul,
     fraction_matrix,
+    identity,
     integer_row,
     is_involution,
     rat_str,
@@ -80,20 +82,20 @@ def _rank_by_minors(rows):
 
 
 def test_invert_identity():
-    assert invert(Matrix.identity(5)) == Matrix.identity(5)
+    assert invert(identity(5)) == identity(5)
 
 
 def test_invert_printed_8x8():
     m = Matrix.from_rows(L_8)
     expected = matrix_from_json(L_8_INV)
-    assert m @ expected == Matrix.identity(8)  # the transcription itself
+    assert dense_matmul(m, expected) == identity(8)  # the transcription itself
     assert invert(m) == expected
 
 
 def test_invert_printed_13x13():
     m = Matrix.from_rows(L_13)
     expected = matrix_from_json(L_13_INV)
-    assert m @ expected == Matrix.identity(13)
+    assert dense_matmul(m, expected) == identity(13)
     assert invert(m) == expected
 
 
@@ -106,8 +108,8 @@ def test_invert_quadric_cayley_multiplies_back():
         [0, 0, 0, 1, 0],
     ])
     inv = invert(m)
-    assert m @ inv == Matrix.identity(5)
-    assert inv @ m == Matrix.identity(5)
+    assert dense_matmul(m, inv) == identity(5)
+    assert dense_matmul(inv, m) == identity(5)
 
 
 def test_invert_singular():
@@ -116,7 +118,7 @@ def test_invert_singular():
 
 
 def test_solve_identity():
-    assert solve_many(Matrix.identity(3), [[1, 2, 3]]) == [(1, 2, 3)]
+    assert solve_many(identity(3), [[1, 2, 3]]) == [(1, 2, 3)]
 
 
 def test_solve_quadric_transpose_per_z_coefficient():
@@ -136,7 +138,7 @@ def test_solve_quadric_transpose_per_z_coefficient():
 def test_solve_errors():
     assert solve_many(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == [None]
     with pytest.raises(DimensionMismatchError):
-        solve_many(Matrix.identity(2), [[1, 2, 3]])
+        solve_many(identity(2), [[1, 2, 3]])
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -181,8 +183,8 @@ def test_invert_random_roundtrip():
             inv = invert(m)
         except SingularMatrixError:
             continue
-        assert m @ inv == Matrix.identity(n)
-        assert inv @ m == Matrix.identity(n)
+        assert dense_matmul(m, inv) == identity(n)
+        assert dense_matmul(inv, m) == identity(n)
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         [x] = solve_many(m, [rhs])
         assert _mul_vector(m, x) == tuple(rhs)
@@ -510,22 +512,12 @@ def test_matmul_matches_fraction_product():
              for _ in range(inner)]
         if rng.random() < 0.3:
             b[rng.randrange(inner)] = [rng.randint(-3, 3) for _ in range(cols)]  # int entries
-        got = fraction_matrix(a) @ fraction_matrix(b)
+        got = dense_matmul(fraction_matrix(a), fraction_matrix(b))
         naive = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(inner)), F(0))
                             for j in range(cols)) for i in range(rows))
         assert got == fraction_matrix(naive)   # canonical num / den
         assert entries(got) == naive
         assert all(isinstance(x, F) for row in entries(got) for x in row)
-
-
-def test_matmul_empty_shapes():
-    # a matrix without rows has no columns either, so these are all the empty shapes
-    empty = Matrix(())
-    assert empty @ empty == empty
-    assert Matrix(((), ())) @ empty == Matrix(((), ()))
-    assert Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[], []]) == Matrix(((),))
-    with pytest.raises(DimensionMismatchError):
-        Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[1, 2]])
 
 
 def test_primitive_and_proportional():
@@ -542,8 +534,7 @@ def test_permutation_map():
     assert p(1) == 2 and p(3) == 3
     assert is_involution(p) and not p.is_identity()
     assert not is_involution(PermutationMap((2, 3, 1)))
-    assert p.inverse() == p
-    assert p.matrix() @ p.matrix() == Matrix.identity(3)
+    assert dense_matmul(p.matrix(), p.matrix()) == identity(3)
     with pytest.raises(NotAPermutationError):
         PermutationMap((1, 1, 3))
     with pytest.raises(NotAPermutationError):
@@ -607,7 +598,7 @@ def test_invert_of_a_cayley_matrix_builds_no_fraction(monkeypatch, spec_6_1, spe
         assert count == 1
         monkeypatch.undo()
         count = 0
-        assert matrix @ inverse == Matrix.identity(matrix.rows)
+        assert dense_matmul(matrix, inverse) == identity(matrix.rows)
 
 
 def test_kernel_and_solution_denominators():
@@ -623,7 +614,7 @@ def test_kernel_and_solution_denominators():
     assert r == rank(m) == 2
     # the third value is the rank of m, whatever the right-hand sides
     assert solve_den(Matrix.from_rows([[1, 1], [1, 1]]), [[1, 0]]) == ([None], 1, 1)
-    assert solve_den(Matrix.identity(2), [[2, 4]]) == ([(2, 4)], 1, 2)
+    assert solve_den(identity(2), [[2, 4]]) == ([(2, 4)], 1, 2)
     # the pivot 2 does not survive into the denominator of x = (1, 0)
     assert solve_den(Matrix.from_rows([[2, 1]]), [[2]]) == ([(1, 0)], 1, 1)
 

@@ -198,3 +198,15 @@ def test_a_wrong_inverse_fails_the_cayley_stage(monkeypatch, capsys, quadric, bu
     assert capsys.readouterr().out == json.dumps(report.to_json(), indent=2,
                                                  sort_keys=True) + "\n"
     assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["transpose", "mellin", "horn", "poincare", "nef"])
+def test_a_command_ends_on_an_internal_invariant_error(monkeypatch, capsys, command, fmt):
+    # every command that needs the transposition stops on its entrywise check
+    # as `verify` does: exit 3, nothing on stdout, one line on stderr
+    message = "transpose mismatch at new entry (1,2)"
+    monkeypatch.setattr(transposition, "_verify_permuted_transpose",
+                        _raising(transposition.InternalInvariantError(message)))
+    assert cli.main([command, "--input", QUADRIC, "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", f"internal inconsistency: {message}\n")
