@@ -132,8 +132,8 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
 
     Form a with z-coefficients z_a contributes the run of factors
     const_a + j - <z_a, theta> for j < Delta*|z_aq|, counted in integers as
-    |z_aq numerator| * (Delta / den_a); every side's count is checked
-    against FACTOR_COUNT_CAP before any run is built.
+    |z_aq numerator|, as every form is over Delta; every side's count is
+    checked against FACTOR_COUNT_CAP before any run is built.
     """
     delta = compute_delta(forms)
     sides = []
@@ -143,8 +143,7 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
             raise DegenerateOperatorError(f"variable {q}: empty sign class")
         counts = []
         for name, rows in (("p", plus), ("q", minus)):
-            side = [(a, abs(forms[a - 1].z_num(q)) * (delta // forms[a - 1].den))
-                    for a in rows]
+            side = [(a, abs(forms[a - 1].z_num(q))) for a in rows]
             total = sum(b for _, b in side)
             if total > FACTOR_COUNT_CAP:
                 raise FactorLimitError(f"variable {q}: {total} {name}-factors "

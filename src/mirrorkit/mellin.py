@@ -9,10 +9,10 @@ per block, and the factorized one expressed through the transposed weight
 data) as exact argument-multiset identities.
 
 A form is a column of the inverse, which is integer rows over one
-denominator: the form keeps that column's integer numerators over its own
-least denominator, and Delta, the LCM of the form denominators, is the
-inverse's denominator.  The sum rules, the classification, the Horn counts
-and the magic square compare those integers scaled to Delta.  A Gamma
+denominator: the form keeps that column's integer numerators as they are,
+over the inverse's denominator, which is Delta.  Every form of a run shares
+it, so the sum rules, the classification, the Horn counts and the magic
+square compare the numerators themselves.  A Gamma
 argument (ZForm, a form's xi()) is integer numerators over one denominator
 as well, so the plain and factorized products, their sort order and
 Theorem 3.1's contraction are integer arithmetic.
@@ -147,12 +147,12 @@ class LinearForm:
 
     Coefficients are read off a column of the inverse Cayley matrix and kept
     as integer numerators ``num`` over one positive denominator ``den``, in
-    the column's order (i | zeta | z), canonical: gcd(den, every numerator)
-    = 1, so ``den`` is the form's own denominator and ``==`` and ``hash``
-    are structural.  The constant collects the +1 shifts attached to the i
-    and zeta slots, so the base-point value (all i and zeta at zero) is
-    const + <z-part, z>, its xi(), built once per form.  The constructor
-    expects canonical num and den.
+    the column's order (i | zeta | z), not reduced: ``den`` is the inverse's
+    denominator Delta, shared by every form of a run, so two forms compare
+    by their numerators alone.  The constant collects the +1 shifts attached
+    to the i and zeta slots, so the base-point value (all i and zeta at
+    zero) is const + <z-part, z>, its xi(), built once per form and
+    canonical (ZForm.reduced).
     """
 
     num: tuple[int, ...]
@@ -233,22 +233,21 @@ def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
 
 
 def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> tuple[LinearForm, ...]:
-    """One form per matrix row, read off the integer columns of the inverse."""
+    """One form per matrix row: the integer columns of the inverse over its denominator."""
     k, d = cm.spec.k, inverse.den
-    forms = []
-    for col in zip(*inverse.num):
-        g = math.gcd(d, *col)
-        forms.append(LinearForm(tuple(x // g for x in col) if g > 1 else col, d // g, k))
-    return tuple(forms)
+    return tuple(LinearForm(col, d, k) for col in zip(*inverse.num))
 
 
 def compute_delta(forms) -> int:
-    """Smallest positive integer clearing every denominator of every form.
+    """Delta, the one denominator of the forms (the inverse's, for `solve_xi`'s).
 
-    For the forms of an inverse this is the inverse's denominator.
+    Raises MellinError when the denominators differ: the numerators of such
+    a tuple are not comparable.
     """
-    return math.lcm(*(f.den for f in forms))
-
+    delta = forms[0].den
+    if any(f.den != delta for f in forms):
+        raise MellinError(f"forms over different denominators {sorted({f.den for f in forms})}")
+    return delta
 
 
 def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
@@ -309,12 +308,12 @@ class SumRuleReport:
 def check_sum_rules(forms) -> SumRuleReport:
     """Column sums of the inverse vanish and the forms sum to zeta_1+..+zeta_2k+2k.
 
-    Compared in integers over the common modulus Delta: the sums are 0, Delta
-    and 2k * Delta.
+    Compared in integers over the common modulus Delta: the numerator sums
+    are 0, Delta and 2k * Delta.
     """
     n, k = forms[0].n, forms[0].k
     delta = compute_delta(forms)
-    sums = [sum(col) for col in zip(*([x * (delta // f.den) for x in f.num] for f in forms))]
+    sums = [sum(col) for col in zip(*(f.num for f in forms))]
     z0 = n + 2 * k
     checks = {}
     checks["i_column_sums_vanish"] = not any(sums[:n])

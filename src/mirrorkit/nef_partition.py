@@ -339,13 +339,12 @@ def magic_square_check(cm: CayleyMatrix, forms) -> MagicSquareReport:
     spec = cm.spec
     k, n = spec.k, spec.n
     i_lam = cm.i_lambda
-    delta = compute_delta(forms)
+    compute_delta(forms)   # raises unless the numerators share one denominator
 
     def witness(q, qq):
-        # the coefficients compared as numerators over the common modulus delta
-        pvals = sorted((forms[b - 1].z_num(q) * (delta // forms[b - 1].den), b) for b in i_lam)
-        wform = forms[spec.a(qq) - 1]
-        wvals = sorted((x * (delta // wform.den), i) for i, x in enumerate(wform.num[:n], start=1))
+        # the coefficients compared as numerators over the common modulus Delta
+        pvals = sorted((forms[b - 1].z_num(q), b) for b in i_lam)
+        wvals = sorted((x, i) for i, x in enumerate(forms[spec.a(qq) - 1].num[:n], start=1))
         if [v for v, _ in pvals] != [v for v, _ in wvals]:
             return None
         return tuple((b, i) for (_, b), (_, i) in zip(pvals, wvals))

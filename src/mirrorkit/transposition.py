@@ -103,15 +103,16 @@ def _choose_nu(taus: tuple[int, ...], tilde_taus: tuple[int, ...]) -> Permutatio
     return PermutationMap(tuple(images))
 
 
-def _weight_classes(diff: Matrix, k: int, basis: Sequence[Sequence[int]] | None = None
+def _weight_classes(diff: Matrix | None, k: int, basis: Sequence[Sequence[int]] | None = None
                     ) -> list[tuple[list[int], tuple[int, ...]]]:
     """Partition columns of `diff` into k groups each carrying a positive kernel vector.
 
     Returns (0-based positions, primitive positive weights) per group, or raises
     NoValidShapeError when the kernel does not decompose that way.  basis holds
     the rows of a basis of ker diff, one per column; diff is eliminated only
-    when none is given.  Each check reads the kernel, whichever basis: its
-    dimension, its zero coordinates, its classes and their rays' signs.
+    when none is given, and is not read (it may be None) when one is.  Each
+    check reads the kernel, whichever basis: its dimension, its zero
+    coordinates, its classes and their rays' signs.
     """
     if basis is None:
         kernel = integer_kernel(diff)
@@ -151,6 +152,28 @@ def inverse_hint(cm: CayleyMatrix, inverse: Matrix
     return h, m
 
 
+def _transposed_rows(cm: CayleyMatrix, block_sources: tuple[int, ...]) -> tuple[list, Matrix]:
+    """Per block position, (monomial columns, their raw exponents, raw index set),
+    and the transposed difference matrix of those exponents minus the index sets.
+
+    A raw position is the index of an old monomial row in cm.i_lambda, ascending;
+    a raw exponent is an x-column of L restricted to those rows.
+    """
+    L, raw_vars = cm.matrix.num, cm.i_lambda
+    raw_index = {row: i for i, row in enumerate(raw_vars)}
+    blocks, diff_rows = [], []
+    for src in block_sources:
+        cols = cm.spec.blocks[src - 1].index_set
+        exps = [tuple(L[row - 1][c - 1] for row in raw_vars) for c in cols]
+        # the new index set: the source block's monomial rows
+        iset = [raw_index[row] for row in cm.spec.monomial_rows(src)]
+        members = set(iset)
+        ind = [int(i in members) for i in range(len(raw_vars))]
+        diff_rows.extend(tuple(a - b for a, b in zip(v, ind)) for v in exps)
+        blocks.append((cols, exps, iset))
+    return blocks, Matrix(tuple(diff_rows))
+
+
 def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | None = None
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
@@ -159,11 +182,12 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
     that need the transposed side's Cayley matrix and weights.  The weight
     classes are read by `_weight_classes` off basis(), the rows of a basis of
     the weight kernel (`inverse_hint`'s H, or a mirror's handed basis), called
-    once the size multisets and nu have matched; the transposed difference
-    matrix is eliminated only when there is no basis.
+    once the size multisets and nu have matched.  Given a basis, the classes
+    are read first and the transposed blocks and difference matrix
+    (`_transposed_rows`) are built only once they succeed; without one, the
+    difference matrix is built first and eliminated.
     """
     spec = cm.spec
-    L = cm.matrix.num
     n, k = spec.n, spec.k
     taus = spec.taus
     tilde_taus = tuple(len(b.index_set) for b in spec.blocks)
@@ -175,36 +199,15 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
             f"monomial counts {taus} and index-set sizes {tilde_taus} differ as multisets")
 
     nu = _choose_nu(taus, tilde_taus)
-    position_of = {j: nu(j) for j in range(1, k + 1)}
-    block_sources = tuple(sorted(position_of, key=lambda j: position_of[j]))
+    block_sources = tuple(sorted(range(1, k + 1), key=nu))  # position q -> old block
 
-    raw_vars = list(cm.i_lambda)  # old monomial rows, ascending; raw position = index
-    raw_index = {row: i for i, row in enumerate(raw_vars)}
-
-    # raw exponents of the new monomials: column i of L restricted to monomial rows
-    def raw_monomial(col: int) -> tuple[int, ...]:
-        return tuple(L[row - 1][col - 1] for row in raw_vars)
-
-    new_blocks_raw = []  # per position: (source block, monomial columns, raw exponents)
-    for q in range(1, k + 1):
-        src = block_sources[q - 1]
-        cols = list(spec.blocks[src - 1].index_set)
-        new_blocks_raw.append((src, cols, [raw_monomial(c) for c in cols]))
-
-    # index sets in raw coordinates: the source block's monomial rows
-    raw_index_sets = [
-        [raw_index[row] for row in spec.monomial_rows(src)]
-        for src, _, _ in new_blocks_raw
-    ]
-
-    diff_rows = []
-    for (src, cols, exps), iset in zip(new_blocks_raw, raw_index_sets):
-        members = set(iset)
-        ind = [int(i in members) for i in range(n)]
-        for v in exps:
-            diff_rows.append(tuple(a - b for a, b in zip(v, ind)))
-    diff = Matrix(tuple(diff_rows))
-    classes = _weight_classes(diff, k, None if basis is None else basis())
+    given = None if basis is None else basis()
+    if given is None:
+        new_blocks_raw, diff = _transposed_rows(cm, block_sources)
+        classes = _weight_classes(diff, k, given)
+    else:  # a spec whose read fails builds no rows
+        classes = _weight_classes(None, k, given)
+        new_blocks_raw, diff = _transposed_rows(cm, block_sources)
 
     # assign one class to each block position, matching sizes; ties broken by
     # the smallest raw position in the class
@@ -239,7 +242,7 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
 
     tblocks = []
     lam: list[int] = []
-    for (src, cols, exps), iset in zip(new_blocks_raw, raw_index_sets):
+    for cols, exps, iset in new_blocks_raw:
         tblocks.append(Block(
             exponents=tuple(relabel(v) for v in exps),
             index_set=tuple(sorted(var_map[i] for i in iset)),
@@ -247,7 +250,7 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
         lam.extend(cols)
     tspec = CISpec(n=n, k=k, blocks=tuple(tblocks), weights=tuple(weights))
 
-    row_to_var = tuple(sorted((row, var_map[raw_index[row]]) for row in raw_vars))
+    row_to_var = tuple((row, var_map[i]) for i, row in enumerate(cm.i_lambda))
     return TransposeResult(
         tspec=tspec, nu=nu, nu_star=nu.matrix(), lam=PermutationMap(tuple(lam)),
         row_to_var=row_to_var, block_sources=block_sources, diff=diff,

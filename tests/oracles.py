@@ -8,7 +8,8 @@ sympy and with hand-computed values:
   a matrix from rows that hold Fractions;
 * a `LinearForm`'s coefficients (`i_coeffs`, `zeta_coeffs`, `z_coeffs`), a
   `ZForm`'s (`coeffs`, `constant`), and `linear_form` and `zform`, which build
-  each from int or Fraction values;
+  each from int or Fraction values, and `over_one_denominator`, which puts
+  a tuple of forms over one denominator, as `solve_xi` gives them;
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
@@ -90,6 +91,12 @@ def linear_form(i_coeffs, zeta_coeffs, z_coeffs):
     their i and zeta sum)."""
     num, den = integer_row((*i_coeffs, *zeta_coeffs, *z_coeffs))
     return LinearForm(tuple(num), den, len(z_coeffs))
+
+
+def over_one_denominator(forms):
+    """The forms, each over the LCM of their denominators."""
+    d = math.lcm(*(f.den for f in forms))
+    return tuple(LinearForm(tuple(x * (d // f.den) for x in f.num), d, f.k) for f in forms)
 
 
 def i_coeffs(form):

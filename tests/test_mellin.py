@@ -20,6 +20,8 @@ from mirrorkit.mellin import (
     sort_forms,
     verify_theorem_31,
 )
+from mirrorkit.horn_system import horn_operators
+from mirrorkit.nef_partition import magic_square_check
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.rational_linalg import Matrix, invert
 
@@ -34,6 +36,7 @@ from oracles import (
     i_coeffs,
     identity,
     linear_form,
+    over_one_denominator,
     z_coeffs,
     zeta_coeffs,
     zform,
@@ -119,10 +122,31 @@ def test_compute_delta(spec_6_1, spec_6_2, quadric):
         assert compute_delta(solve_xi(cm, invert(cm.matrix))) == expected
 
 
-def test_reduced_numerators(spec_6_2):
-    for form in MirrorPair(spec_6_2).forms:
-        assert math.gcd(*form.num) == 1
-        assert form.den in (1, 3, 7, 21, 49, 147)
+def test_forms_are_the_inverse_columns_over_its_denominator(spec_6_2):
+    # no per-form gcd: form a is column a of L^-1's numerators over Delta = 147,
+    # and its xi() is still reduced
+    pair = MirrorPair(spec_6_2)
+    for a, form in enumerate(pair.forms):
+        assert form.num == tuple(row[a] for row in pair.inverse.num)
+        assert form.den == pair.inverse.den == 147
+        assert form.xi().den in (1, 3, 7, 21, 49, 147)
+        assert math.gcd(form.xi().den, *form.xi().num) == 1
+
+
+def test_compute_delta_raises_on_forms_over_different_denominators(quadric):
+    # the numerators of forms over different denominators are not comparable:
+    # compute_delta, and every check that sums or compares them, raises
+    cm = build_cayley(quadric)
+    forms = list(MirrorPair(quadric).forms)
+    assert compute_delta(forms) == 4
+    f = forms[0]
+    forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
+    assert forms[0].den == 12
+    for check in (compute_delta, check_sum_rules, lambda fs: horn_operators(quadric, fs),
+                  lambda fs: magic_square_check(cm, fs)):
+        with pytest.raises(mellin.MellinError, match=r"^forms over different denominators \[4, 12\]$"):
+            check(tuple(forms))
+    assert compute_delta(over_one_denominator(forms)) == 12
 
 
 def test_classify_forms(spec_6_1, spec_6_2, quadric):
@@ -210,10 +234,10 @@ def test_classify_rejects_a_fractional_pure_z_form(quadric):
     # an s-row form must be exactly z_nu; z_nu / 2 has the shape but not the value
     cm = build_cayley(quadric)
     forms = list(MirrorPair(quadric).forms)
-    assert forms[2] == linear_form((0, 0), (0, 0), (1,))
+    assert over_one_denominator((forms[2], linear_form((0, 0), (0, 0), (1,))))[1] == forms[2]
     forms[2] = linear_form((0, 0), (0, 0), (F(1, 2),))
     with pytest.raises(mellin.ClassificationFailureError, match="form 3 matches no pattern"):
-        classify_forms(cm, tuple(forms))
+        classify_forms(cm, over_one_denominator(forms))
 
 
 def test_classify_rejects_zero_form(quadric):
@@ -337,9 +361,9 @@ def test_integer_forms_match_the_fraction_oracle():
                 (col[:n], col[n:n + 2 * k], col[n + 2 * k:])
             assert constant(form.xi()) == sum(col[:n + 2 * k])
             assert form.xi() == zform(col[n + 2 * k:], sum(col[:n + 2 * k]))
-            assert form.den == math.lcm(*(x.denominator for x in col))
-            assert math.gcd(form.den, *form.num) == 1
-            assert form == linear_form(col[:n], col[n:n + 2 * k], col[n + 2 * k:])
+            assert (form.num, form.den) == (tuple(row[a] for row in inverse.num), inverse.den)
+            oracle = linear_form(col[:n], col[n:n + 2 * k], col[n + 2 * k:])
+            assert over_one_denominator((form, oracle))[1] == form
         assert compute_delta(forms) == inverse.den
         cols = [column(inverse, a) for a in range(len(forms))]
         assert check_sum_rules(forms).checks == {
@@ -356,11 +380,11 @@ def test_sum_rules_fail_on_a_doctored_form(quadric):
     forms = list(MirrorPair(quadric).forms)
     f = forms[0]
     forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
-    assert check_sum_rules(tuple(forms)).checks == {
+    assert check_sum_rules(over_one_denominator(forms)).checks == {
         "i_column_sums_vanish": True, "z_column_sums_vanish": False,
         "zeta_column_sums_one": True, "constants_sum_2k": True}
     forms[0] = linear_form((i_coeffs(f)[0] + 1, *i_coeffs(f)[1:]), zeta_coeffs(f), z_coeffs(f))
-    assert check_sum_rules(tuple(forms)).checks == {
+    assert check_sum_rules(over_one_denominator(forms)).checks == {
         "i_column_sums_vanish": False, "z_column_sums_vanish": True,
         "zeta_column_sums_one": True, "constants_sum_2k": False}
 

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -639,19 +640,71 @@ def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
     assert sides == 152
 
 
+def _built_diff(cm):
+    """The transposed difference matrix build_transpose builds for cm, by its helper."""
+    spec = cm.spec
+    nu = transposition._choose_nu(spec.taus, tuple(len(b.index_set) for b in spec.blocks))
+    return transposition._transposed_rows(cm, tuple(sorted(range(1, spec.k + 1), key=nu)))[1]
+
+
 def _record_bases(monkeypatch, every: bool = False) -> list:
     """Record (diff, k, basis) of every _weight_classes call that is given a basis,
-    or of every call when every is set."""
-    given = []
-    real = transposition._weight_classes
+    or of every call when every is set.  Given a basis, build_transpose reads the
+    classes before it builds diff, so diff is built here from the Cayley
+    matrix of the build_transpose call, with the same helper."""
+    given, cms = [], []
+    real_build, real = transposition.build_transpose, transposition._weight_classes
+
+    def building(cm, basis=None):
+        cms.append(cm)
+        return real_build(cm, basis)
 
     def recording(diff, k, basis=None):
         if every or basis is not None:
-            given.append((diff, k, basis))
+            given.append((_built_diff(cms[-1]) if diff is None else diff, k, basis))
         return real(diff, k, basis)
 
+    monkeypatch.setattr(transposition, "build_transpose", building)
     monkeypatch.setattr(transposition, "_weight_classes", recording)
     return given
+
+
+def test_weight_classes_are_read_before_the_transposed_rows(monkeypatch, fixtures_dir):
+    # given a basis, build_transpose reads the weight classes off it before it
+    # builds the transposed blocks and diff: where the read fails it raises the
+    # elimination's message and builds none; where it succeeds, and with no
+    # basis, it builds them once, and the result is the elimination's
+    built = []
+    real = transposition._transposed_rows
+    monkeypatch.setattr(transposition, "_transposed_rows",
+                        lambda *args: built.append(args) or real(*args))
+    messages = []
+    transposed = 0
+    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        hint = pair._class_hint
+        del built[:]
+        eliminated = _outcome(transposition.build_transpose, pair.cm)
+        assert len(built) <= 1
+        if hint is None or not built:   # no basis, or no shape before the classes
+            continue
+        diff = real(*built[0])[1]
+        del built[:]
+        read = _outcome(transposition.build_transpose, pair.cm, lambda: hint)
+        assert read == eliminated
+        classes = _outcome(transposition._weight_classes, None, spec.k, hint)
+        assert classes == _outcome(transposition._weight_classes, diff, spec.k)
+        if isinstance(classes, str):
+            assert built == [] and read == classes
+            messages.append(re.sub(r"\d+", "N", classes))
+        else:
+            assert len(built) == 1
+            transposed += not isinstance(read, str)
+    assert Counter(messages) == {
+        "NoValidShapeError: variable N carries no weight": 172,
+        "NoValidShapeError: no positive weight vector on a support group": 34,
+        "NoValidShapeError: weight kernel splits into N support groups, expected N": 7}
+    assert transposed == 178
 
 
 def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
