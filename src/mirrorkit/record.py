@@ -26,7 +26,7 @@ five methods are closures over the class's field names and compile nothing.
 That is still cheap next to ``dataclasses``, which compiles six methods a
 class through ``exec``, about 1 ms a class, and whose import pulls in
 ``inspect``: one function takes about 50 to 150 us to compile, some 3 ms
-for the 25 classes of ``mirrorkit``.  Start-up is the whole reason this
+for the 24 classes of ``mirrorkit``.  Start-up is the whole reason this
 module exists: every ``mirrorkit`` process defines these classes before it
 reads its input.
 

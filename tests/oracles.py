@@ -10,6 +10,9 @@ sympy and with hand-computed values:
   `ZForm`'s (`coeffs`, `constant`), and `linear_form` and `zform`, which build
   each from int or Fraction values, and `over_one_denominator`, which puts
   a tuple of forms over one denominator, as `solve_xi` gives them;
+* the forms' four column sums (`column_sums`) and the three-pattern
+  classifier (`classify_by_pattern`), which the run proves from L's shape
+  and the certified L L^-1 = I instead of computing;
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
@@ -23,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from mirrorkit.mellin import LinearForm, ZForm
+from mirrorkit.mellin import ClassificationFailureError, LinearForm, ZForm, compute_delta
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
@@ -97,6 +100,57 @@ def over_one_denominator(forms):
     """The forms, each over the LCM of their denominators."""
     d = math.lcm(*(f.den for f in forms))
     return tuple(LinearForm(tuple(x * (d // f.den) for x in f.num), d, f.k) for f in forms)
+
+
+def column_sums(forms):
+    """The sum rules, per name, from the column sums of the forms over their
+    one denominator Delta: the i and z numerator sums 0, the zeta sums Delta,
+    and the constants 2k * Delta."""
+    n, k = forms[0].n, forms[0].k
+    delta = compute_delta(forms)
+    sums = [sum(col) for col in zip(*(f.num for f in forms))]
+    z0 = n + 2 * k
+    return {"i_column_sums_vanish": not any(sums[:n]),
+            "z_column_sums_vanish": not any(sums[z0:]),
+            "zeta_column_sums_one": all(x == delta for x in sums[n:z0]),
+            "constants_sum_2k": sum(sums[:z0]) == 2 * k * delta}
+
+
+def classify_by_pattern(cm, forms):
+    """Tag each form by the first structural pattern it matches, a (pure z_nu),
+    b (zeta_{2nu-1} + zeta_{2nu} - z_nu) or c (each z_l against -zeta_{2l-1}
+    only), and raise ClassificationFailureError when a form matches none or
+    its tag is not its row kind's."""
+    k = cm.spec.k
+    tags = []
+    for a, form in enumerate(forms, start=1):
+        _, kind, _ = cm.row_labels[a - 1]
+        num, one = form.num, form.den
+        z0 = len(num) - k          # the z numerators are num[z0:]
+        zeta = num[form.n:z0]
+        if not any(num):
+            raise ClassificationFailureError(f"form {a} is identically zero")
+        tag = None
+        if not any(num[:z0]) and [c for c in num[z0:] if c] == [one]:
+            tag = "a"
+        for nu in range(1, k + 1):
+            zc = [0] * k
+            zc[nu - 1] = -one
+            zetac = [0] * (2 * k)
+            zetac[2 * nu - 2] = zetac[2 * nu - 1] = one
+            if tag is None and list(num[z0:]) == zc and list(zeta) == zetac:
+                tag = "b"
+        if tag is None and all(zeta[2 * l - 1] == 0 and zeta[2 * l - 2] == -num[z0 + l - 1]
+                               for l in range(1, k + 1)):
+            tag = "c"
+        if tag is None:
+            raise ClassificationFailureError(f"form {a} matches no pattern")
+        expected = {"s-row": "a", "constant-row": "b", "monomial": "c", "product-row": "c"}[kind]
+        if tag != expected:
+            raise ClassificationFailureError(
+                f"form {a} tagged {tag} but its row kind {kind} requires {expected}")
+        tags.append(tag)
+    return tuple(tags)
 
 
 def i_coeffs(form):

@@ -1,6 +1,8 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -10,7 +12,7 @@ from mirrorkit.mellin import (
     GammaProduct,
     NotFactorizableError,
     ZForm,
-    check_sum_rules,
+    XiFactorization,
     classify_forms,
     compute_delta,
     factorize_xi,
@@ -24,9 +26,12 @@ from mirrorkit.horn_system import horn_operators
 from mirrorkit.nef_partition import magic_square_check
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.rational_linalg import Matrix, invert
+from mirrorkit.transposition import TranspositionError
 
 from oracles import (
     FractionZForm,
+    classify_by_pattern,
+    column_sums,
     column,
     constant,
     dense_matmul,
@@ -42,6 +47,7 @@ from oracles import (
     zform,
 )
 from paper_data import L_8_INV, L_13_INV, matrix_from_json
+from specgen import nonsingular_cayley_specs, oracle_specs
 
 F = Fraction
 
@@ -142,7 +148,7 @@ def test_compute_delta_raises_on_forms_over_different_denominators(quadric):
     f = forms[0]
     forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
     assert forms[0].den == 12
-    for check in (compute_delta, check_sum_rules, lambda fs: horn_operators(quadric, fs),
+    for check in (compute_delta, column_sums, lambda fs: horn_operators(quadric, fs),
                   lambda fs: magic_square_check(cm, fs)):
         with pytest.raises(mellin.MellinError, match=r"^forms over different denominators \[4, 12\]$"):
             check(tuple(forms))
@@ -175,8 +181,7 @@ def test_check_sum_rules_against_printed_inverse(spec_6_1, spec_6_2):
             assert sum(entry(inv, j, a) for a in range(inv.cols)) == 0
         for q in range(k):
             assert sum(entry(inv, n + 2 * k + q, a) for a in range(inv.cols)) == 0
-        report = check_sum_rules(MirrorPair(spec).forms)
-        assert report.ok
+        assert all(column_sums(MirrorPair(spec).forms).values())
 
 
 def test_lemma_form_quadric(quadric):
@@ -231,12 +236,14 @@ def test_factorize_xi_unequal_ratios():
 
 
 def test_classify_rejects_a_fractional_pure_z_form(quadric):
-    # an s-row form must be exactly z_nu; z_nu / 2 has the shape but not the value
+    # a constant-row form's z part must be exactly -z_nu; -z_nu / 2 has the
+    # shape but not the value (the s-row forms are z_nu by the certificate)
     cm = build_cayley(quadric)
     forms = list(MirrorPair(quadric).forms)
-    assert over_one_denominator((forms[2], linear_form((0, 0), (0, 0), (1,))))[1] == forms[2]
-    forms[2] = linear_form((0, 0), (0, 0), (F(1, 2),))
-    with pytest.raises(mellin.ClassificationFailureError, match="form 3 matches no pattern"):
+    f = forms[4]
+    assert cm.row_labels[4][1] == "constant-row" and z_coeffs(f) == (-1,)
+    forms[4] = linear_form(i_coeffs(f), zeta_coeffs(f), (F(-1, 2),))
+    with pytest.raises(mellin.ClassificationFailureError, match="form 5 matches no pattern"):
         classify_forms(cm, over_one_denominator(forms))
 
 
@@ -245,19 +252,27 @@ def test_classify_rejects_zero_form(quadric):
     cm = build_cayley(quadric)
     forms = list(solve_xi(cm, invert(cm.matrix)))
     k = quadric.k
-    forms[0] = linear_form((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k)
-    with pytest.raises(ClassificationFailureError):
-        classify_forms(cm, tuple(forms))
+    zero = linear_form((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k)
+    forms[0], constant_row = zero, list(forms)
+    constant_row[4] = zero
+    with pytest.raises(ClassificationFailureError, match="form 1 is identically zero"):
+        classify_by_pattern(cm, tuple(forms))
+    with pytest.raises(ClassificationFailureError, match="form 5 matches no pattern"):
+        classify_forms(cm, tuple(constant_row))
 
 
 def test_lemma_shape_violation(quadric):
+    # corrupt the product or the constant row's form so that its base-point
+    # value is no longer z_1 or 1 - z_1 (the s-row's form is z_1 by the
+    # certified inverse, so lemma_form does not check it)
     from mirrorkit.mellin import LemmaShapeViolationError
     cm = build_cayley(quadric)
-    forms = list(solve_xi(cm, invert(cm.matrix)))
-    # corrupt the s-row form so its base-point value is no longer z_1
-    forms[2] = linear_form(i_coeffs(forms[2]), zeta_coeffs(forms[2]), (F(1, 2),))
-    with pytest.raises(LemmaShapeViolationError):
-        lemma_form(cm, tuple(forms))
+    for a, message in ((4, "row 4: expected z1"), (5, "row 5: expected 1 - z1")):
+        forms = list(solve_xi(cm, invert(cm.matrix)))
+        f = forms[a - 1]
+        forms[a - 1] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] / 2,))
+        with pytest.raises(LemmaShapeViolationError, match=f"^{message}$"):
+            lemma_form(cm, over_one_denominator(forms))
 
 
 def test_theorem_identity_violated(quadric):
@@ -366,7 +381,7 @@ def test_integer_forms_match_the_fraction_oracle():
             assert over_one_denominator((form, oracle))[1] == form
         assert compute_delta(forms) == inverse.den
         cols = [column(inverse, a) for a in range(len(forms))]
-        assert check_sum_rules(forms).checks == {
+        assert column_sums(forms) == {
             "i_column_sums_vanish": all(sum(c[j] for c in cols) == 0 for j in range(n)),
             "z_column_sums_vanish": all(sum(c[n + 2 * k + q] for c in cols) == 0
                                         for q in range(k)),
@@ -375,18 +390,95 @@ def test_integer_forms_match_the_fraction_oracle():
         }
 
 
-def test_sum_rules_fail_on_a_doctored_form(quadric):
-    # the integer sums see a change that keeps every other form
+def test_column_sums_fail_on_a_doctored_form(quadric):
+    # the oracle's integer sums see a change that keeps every other form
     forms = list(MirrorPair(quadric).forms)
     f = forms[0]
     forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
-    assert check_sum_rules(over_one_denominator(forms)).checks == {
+    assert column_sums(over_one_denominator(forms)) == {
         "i_column_sums_vanish": True, "z_column_sums_vanish": False,
         "zeta_column_sums_one": True, "constants_sum_2k": True}
     forms[0] = linear_form((i_coeffs(f)[0] + 1, *i_coeffs(f)[1:]), zeta_coeffs(f), z_coeffs(f))
-    assert check_sum_rules(over_one_denominator(forms)).checks == {
+    assert column_sums(over_one_denominator(forms)) == {
         "i_column_sums_vanish": False, "z_column_sums_vanish": True,
         "zeta_column_sums_one": True, "constants_sum_2k": False}
+
+
+def test_sum_rules_fail_on_a_doctored_form(monkeypatch, quadric):
+    # the sum rules are proved from L v = 1, v the indicator of the y columns:
+    # a Cayley matrix whose row 1 gave its y entry to row 2 ends run_verify,
+    # right after validation, as an internal error
+    cm = build_cayley(quadric)
+    mellin.check_y_rows(cm)
+    num = [list(row) for row in cm.matrix.num]
+    y1 = quadric.n
+    assert num[0][y1] == num[1][y1] == 1
+    num[0][y1], num[1][y1] = 0, 2
+    moved = ci_model.CayleyMatrix(Matrix(tuple(map(tuple, num))), cm.row_labels,
+                                  cm.col_labels, cm.a_indices, cm.i_lambda, quadric)
+    message = "Cayley row 1 does not have one 1 among the y columns"
+    with pytest.raises(mellin.MellinError, match=f"^{message}$"):
+        mellin.check_y_rows(moved)
+    validate = ci_model.validate
+
+    def validate_then_move(spec, pair):
+        report = validate(spec, pair)
+        pair.cm = moved
+        return report
+
+    monkeypatch.setattr(ci_model, "validate", validate_then_move)
+    report = run_verify(quadric)
+    assert [s.name for s in report.stages] == ["validate"]
+    assert report.internal_error == message
+    assert (report.exit_code(False), report.exit_code(True)) == (3, 3)
+
+
+def test_a_doctored_factor_does_not_reduce_to_the_plain_product(spec_6_2):
+    # Theorem 3.1's numerator must be the multiset of the monomial forms: one
+    # factor 1 of xi^(1) made 2 keeps the set of factors and the contraction
+    # identity, but the product no longer reduces to the plain one
+    pair = MirrorPair(spec_6_2)
+    xi, lemma = pair.xi, pair.lemma
+    assert pair.theorem31[0].reduces_to_lemma_form
+    assert xi.factors == ((1, 1, 1, 2, 2),)
+    doctored = XiFactorization(xi.xi_forms, ((1, 1, 2, 2, 2),), xi.row_groups, xi.p_tilde)
+    report, product = verify_theorem_31(pair.tr, doctored, pair.forms, pair.tcharges, lemma)
+    assert report.identity_holds and report.block_to_z == pair.theorem31[0].block_to_z
+    assert set(product.numerator) == set(pair.theorem31[1].numerator)
+    assert not report.reduces_to_lemma_form and not gamma_equal(product, lemma)
+
+
+def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
+    # the premises of the proofs that replaced run-time checks, on the oracle
+    # set and 300 nonsingular specs: every row of L has one 1 among the y
+    # columns (the sum rules), the three-pattern oracle gives the row kinds'
+    # tags, and raises where the constant-row check raises, with its message
+    # (the classification), and factorize_xi's row groups are cm.i_lambda (the
+    # numerator of Theorem 3.1)
+    def tags(classify, cm, forms):
+        try:
+            return classify(cm, forms)
+        except mellin.ClassificationFailureError as exc:
+            return str(exc)
+
+    counts = Counter()
+    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        cm, forms = pair.cm, pair.forms
+        n, k = spec.n, spec.k
+        assert all(sum(row[n:n + 2 * k]) == cm.matrix.den for row in cm.matrix.num)
+        assert all(column_sums(forms).values())
+        tagged = tags(classify_forms, cm, forms)
+        assert tagged == tags(classify_by_pattern, cm, forms)
+        counts["unclassified"] += isinstance(tagged, str)
+        try:
+            xi = pair.xi
+        except (TranspositionError, NotFactorizableError, ci_model.SpecError):
+            counts["not factorized"] += 1
+            continue
+        assert sorted(chain.from_iterable(xi.row_groups)) == list(cm.i_lambda)
+        counts["factorized"] += 1
+    assert counts == {"factorized": 174, "not factorized": 342, "unclassified": 100}
 
 
 def test_run_verify_builds_no_fraction(monkeypatch):

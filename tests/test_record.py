@@ -163,7 +163,7 @@ def test_generated_init_leaves_the_instance_dict_alone():
     import mirrorkit.cli  # noqa: F401  (defines every value class)
     classes = {obj for name, mod in list(sys.modules.items()) if name.startswith("mirrorkit.")
                for obj in vars(mod).values() if isinstance(obj, type) and "_fields" in vars(obj)}
-    assert len(classes) == 25
+    assert len(classes) == 24
     for cls in [*classes, *RECORD.values()]:
         assert "__dict__" not in cls.__init__.__code__.co_names
 
