@@ -16,9 +16,9 @@ output is dropped, with no traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import ci_model, horn_system, mellin, nef_partition, pipeline, poincare, transposition
 from .ci_model import CISpec
@@ -26,10 +26,107 @@ from .rational_linalg import SingularMatrixError
 
 EXIT_BROKEN_PIPE = 141
 
+# `_dump` writes its pending parts once this many have gathered
+DUMP_CHUNK = 16384
 
-def _dump(data: dict, out) -> None:
-    json.dump(data, out, indent=2, sort_keys=True)
-    out.write("\n")
+
+def _dump(data, out) -> None:
+    """Write data as `json.dump(data, out, indent=2, sort_keys=True)` does, then "\n".
+
+    The bytes are the same, and so is every TypeError.  But json.dump
+    calls `out.write` once per token (15,043 times for Example 6.2's
+    report), and into an unbuffered stdout each call is a write into the
+    pipe.  Here a walker gathers the text in parts, and once a container
+    ends with DUMP_CHUNK parts pending it writes them as one string.  So a
+    report takes a few writes, and the text held besides the tree is one
+    chunk and at most one flat list.  A cyclic tree, which no `to_json`
+    builds, raises RecursionError instead of json's ValueError.
+    """
+    parts: list[str] = []
+    _emit(data, "\n", parts, out, {})
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _emit(value, newline: str, parts: list[str], out, heads: dict[str, str]) -> None:
+    """Append value's JSON text to parts, newline + "  " indenting its items.
+
+    heads caches the encoded '"key": ' of each string key seen so far.
+    """
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):   # json's order, and its TypeError
+            head = sep + (heads.get(key) or _json_head(key, heads))
+            sep = "," + inner
+            text = _json_scalar(item)
+            if text is None:
+                parts.append(head)
+                _emit(item, inner, parts, out, heads)
+            else:
+                parts.append(head + text)
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            text = _json_scalar(item)
+            if text is None:
+                parts.append(sep)
+                _emit(item, inner, parts, out, heads)
+            else:
+                parts.append(sep + text)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        text = _json_scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            "is not JSON serializable")
+        parts.append(text)
+    if len(parts) >= DUMP_CHUNK:
+        out.write("".join(parts))
+        parts.clear()
+
+
+def _json_scalar(value) -> str | None:
+    """The JSON text of a str, None, bool, int or float, as json writes it; None
+    for anything else.  Subclasses of int and float read as their base values."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _json_head(key, heads: dict[str, str]) -> str:
+    """'"key": ' for a dict key, converted to a string as json converts it;
+    string keys are cached in heads."""
+    if isinstance(key, str):
+        head = heads[key] = _json_str(key) + ": "
+        return head
+    if isinstance(key, (int, float)) or key is None:   # bool is an int
+        return _json_str(_json_scalar(key)) + ": "
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _write_flags(flags: dict[str, bool], out) -> None:

@@ -5,8 +5,10 @@ stage result of a run once, on first use; `run_verify` and the CLI commands
 are views of one pair, and `soft_failures` is their one soft-failure rule.
 
 `run_verify` validates the spec, checks L's y columns (`mellin.check_y_rows`)
-and L L^-1 = I, where an exception is an internal error and a failed check
-ends the run, as every later stage reads L^-1, then runs `STAGES` in order.
+and L L^-1 = I (`MirrorPair.certified`), where an exception is an internal
+error and a failed check ends the run, as every later stage reads L^-1, then
+runs `STAGES` in order.  A CLI command that reads the forms without `verify`
+meets a failed L L^-1 = I as the forms' InternalInvariantError.
 An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
 order)` returns the `Stage`, not ok when a construction identity fails
 (degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
@@ -111,7 +113,18 @@ class MirrorPair:
         return inverse
 
     @lazy
+    def certified(self) -> bool:
+        """Whether L L^-1 = I (`rational_linalg.is_inverse`), decided once per run:
+        the cayley stage reports it, and `forms` reads it."""
+        return is_inverse(self.cm.matrix, self.inverse)
+
+    @lazy
     def forms(self) -> tuple[mellin.LinearForm, ...]:
+        """The forms, the columns of L^-1 (`mellin.solve_xi`).  Every reader of
+        them relies on L L^-1 = I, so they raise
+        `transposition.InternalInvariantError` when it fails."""
+        if not self.certified:
+            raise transposition.InternalInvariantError("L L^-1 is not the identity")
         return mellin.solve_xi(self.cm, self.inverse)
 
     @lazy
@@ -467,7 +480,7 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
     try:
         cm = pair.cm
         mellin.check_y_rows(cm)
-        stages.append(Stage("cayley", is_inverse(cm.matrix, pair.inverse), payload=cm.to_json()))
+        stages.append(Stage("cayley", pair.certified, payload=cm.to_json()))
     except Exception as exc:  # construction must not fail on a valid spec
         return PipelineReport(stages, True, soft, internal_error=str(exc))
     if not stages[-1].ok:     # every later stage reads L^-1

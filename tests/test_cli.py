@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mirrorkit import cli, horn_system, mellin, poincare
+from mirrorkit.ci_model import CISpec
 from mirrorkit.pipeline import generate_family, run_verify, soft_failures
 from specgen import oracle_specs
 
@@ -360,20 +361,53 @@ def test_python_m_mirrorkit_runs_the_cli():
     assert result.stdout == run_cli("family", "--m", "3").stdout
 
 
+class WriteRecorder(io.StringIO):
+    """A text stream that keeps the length of every `write`."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def recorded_json(*argv) -> WriteRecorder:
+    """What `mirrorkit <argv> --format json` writes to stdout, write by write."""
+    out = WriteRecorder()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return out
+
+
+def test_a_json_report_takes_a_few_writes():
+    # json.dump with indent set writes once per token, 15,043 times for this
+    # report, and into an unbuffered stdout each write is a write into the pipe
+    out = recorded_json("verify", "--input", fixture("example_6_2.json"))
+    assert len(out.writes) <= 4
+    report = run_verify(CISpec.load(fixture("example_6_2.json")))
+    assert out.getvalue() == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
 def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
-    # `mirrorkit verify --format json ... | head -1`: the report (about 0.6 MB)
-    # is far larger than a pipe holds, so the writer meets the closed pipe
-    path = tmp_path / "family_7.json"
-    path.write_text(json.dumps(generate_family(7).to_json()))
+    # `mirrorkit verify --format json ... | head -c N`: the report (about 1.4 MB)
+    # is written in several chunks, each far larger than a pipe holds, and the
+    # reader closes the pipe in the middle of the second
+    path = tmp_path / "family_12.json"
+    path.write_text(json.dumps(generate_family(12).to_json()))
+    expected = recorded_json("verify", "--input", str(path))
+    assert len(expected.writes) >= 3
+    head = expected.writes[0] + expected.writes[1] // 2
     child = subprocess.Popen(
         [sys.executable, "-m", "mirrorkit", "verify", "--format", "json", "--input", str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT, env=child_env())
-    first = child.stdout.readline()
+    first = child.stdout.read(head)
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
     assert child.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
-    assert first == b"{\n"
+    assert first == expected.getvalue()[:head].encode("ascii")
     assert err == b""
 
 

@@ -30,7 +30,7 @@ from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
-            (transposition, "build_transpose"))
+            (rational_linalg, "is_inverse"), (transposition, "build_transpose"))
 
 
 @pytest.fixture
@@ -60,6 +60,8 @@ def test_run_verify_builds_each_object_once(calls):
     assert calls["build_cayley"] == 3
     assert calls["derive_weights"] == 0
     assert calls["invert"] == 1
+    # the cayley stage and the forms read one certificate of L L^-1 = I
+    assert calls["is_inverse"] == 1
     # the spec's difference matrix, once for its weights and the nef solve; the
     # nef target is the transposition's own matrix
     assert calls["difference_matrix"] == 1
@@ -284,6 +286,7 @@ def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
         assert cli.main([command, "--input", str(fixtures_dir / "example_6_1.json")]) == 0
     assert calls["build_cayley"] <= bound
     assert calls["derive_weights"] <= bound
+    assert calls["is_inverse"] == (command == "mellin")   # only mellin reads the forms
 
 
 @pytest.mark.parametrize("m", [3, 7, 12])

@@ -145,6 +145,18 @@ def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, targe
     assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == codes[1]
 
 
+def _invert_wrongly(monkeypatch, quadric, bumped, den_factor) -> None:
+    """Patch `pipeline.invert` to return the quadric's L^-1 with the entry at bumped
+    raised by one (None: none) and its denominator multiplied by den_factor."""
+    inverse = pipeline.invert(pipeline.MirrorPair(quadric).cm.matrix)
+    num = [list(row) for row in inverse.num]
+    if bumped is not None:
+        num[bumped[0]][bumped[1]] += 1
+    wrong = pipeline.Matrix(tuple(map(tuple, num)), den_factor * inverse.den)
+    assert wrong != inverse
+    monkeypatch.setattr(pipeline, "invert", lambda m: wrong)
+
+
 # entries of the quadric's L^-1 that neither the weights nor the kernel bases
 # read, so the run reaches the check.  A failed check ends the run after the
 # cayley stage, as every later stage reads L^-1: validate reads as before
@@ -158,14 +170,7 @@ def test_a_wrong_inverse_fails_the_cayley_stage(monkeypatch, capsys, quadric, bu
     clean = run_verify(quadric)
     assert cli.main(["verify", "--input", QUADRIC]) == 0
     clean_blocks, _ = _blocks(capsys.readouterr().out)
-
-    inverse = pipeline.invert(pipeline.MirrorPair(quadric).cm.matrix)
-    num = [list(row) for row in inverse.num]
-    if bumped is not None:
-        num[bumped[0]][bumped[1]] += 1
-    wrong = pipeline.Matrix(tuple(map(tuple, num)), den_factor * inverse.den)
-    assert wrong != inverse
-    monkeypatch.setattr(pipeline, "invert", lambda m: wrong)
+    _invert_wrongly(monkeypatch, quadric, bumped, den_factor)
 
     report = run_verify(quadric)
     built = {s.name: s.to_json() for s in clean.stages}
@@ -187,6 +192,22 @@ def test_a_wrong_inverse_fails_the_cayley_stage(monkeypatch, capsys, quadric, bu
     assert capsys.readouterr().out == json.dumps(report.to_json(), indent=2,
                                                  sort_keys=True) + "\n"
     assert cli.main(["verify", "--input", QUADRIC, "--strict"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["mellin", "horn", "nef"])
+@pytest.mark.parametrize("bumped, den_factor", [((0, 2), 1), (None, 2)],
+                         ids=["off-diagonal", "denominator"])
+def test_a_wrong_inverse_stops_the_commands_that_read_the_forms(monkeypatch, capsys, quadric,
+                                                                command, fmt, bumped,
+                                                                den_factor):
+    # the forms are the columns of L^-1: a command that reads them without
+    # `verify` meets the failed L L^-1 = I as an internal inconsistency
+    assert cli.main([command, "--input", QUADRIC, "--format", fmt]) == 0
+    capsys.readouterr()
+    _invert_wrongly(monkeypatch, quadric, bumped, den_factor)
+    assert cli.main([command, "--input", QUADRIC, "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", "internal inconsistency: L L^-1 is not the identity\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
