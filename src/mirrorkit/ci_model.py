@@ -31,6 +31,13 @@ from .rational_linalg import (
 )
 from .record import field, lazy, record
 
+# `poincare.series_expand` refuses an order whose term-count estimate
+# C(order + k, k) exceeds this.  An expansion costs about its term count times
+# the order: 2000 terms at k = 1 take about 6 s with CPython 3.11 on a 2-core
+# x86-64 VM.  It is defined here, and not in `poincare`, so that the CLI's help
+# can state it without loading `poincare`.
+SERIES_TERM_CAP = 2000
+
 
 class SpecError(Exception):
     """Base class for specification-level failures."""

@@ -11,6 +11,11 @@ specification, 2 under --strict a soft failure `verify` lists for the stage
 status a shell shows for a process that SIGPIPE ended) the reader closed
 stdout before the output was written, as `| head` does: the rest of the
 output is dropped, with no traceback.
+
+The stage modules load where a command first reads them (`pipeline.StageModule`):
+`cayley`, `validate`, `weights`, `family` and `--help` load none, `transpose`
+loads `transposition`, and `verify` loads all five.  The `except` chain of
+`_main` names their errors through `pipeline.raisable`, which loads nothing.
 """
 
 from __future__ import annotations
@@ -20,9 +25,14 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import ci_model, horn_system, mellin, nef_partition, pipeline, poincare, transposition
+from . import ci_model, pipeline
 from .ci_model import CISpec
+from .pipeline import raisable, StageModule
 from .rational_linalg import SingularMatrixError
+
+horn_system = StageModule("horn_system", globals())
+mellin = StageModule("mellin", globals())
+poincare = StageModule("poincare", globals())
 
 EXIT_BROKEN_PIPE = 141
 
@@ -330,7 +340,7 @@ def _main(argv) -> int:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--order", type=int, default=8,
                         help="series expansion order (default 8); at most "
-                             f"{poincare.SERIES_TERM_CAP} terms, C(N+k, k)")
+                             f"{ci_model.SERIES_TERM_CAP} terms, C(N+k, k)")
     parser.add_argument("--strict", action="store_true",
                         help="condition-flag failures abort instead of annotating")
     parser.add_argument("--m", type=int, default=3,
@@ -362,23 +372,23 @@ def _main(argv) -> int:
 
     try:
         return HANDLERS[args.command](pipeline.MirrorPair(spec), args, sys.stdout)
-    except transposition.InternalInvariantError as exc:
+    except raisable("transposition.InternalInvariantError") as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
-    except mellin.LemmaShapeViolationError as exc:   # a hard `mellin-plain` failure in verify
+    except raisable("mellin.LemmaShapeViolationError") as exc:   # hard `mellin-plain` in verify
         sys.stderr.write(f"plain Gamma product breaks its shape: {exc}\n")
         return pipeline.EXIT_INVALID
-    except (transposition.TranspositionError, mellin.MellinError,
-            nef_partition.NefError) as exc:
+    except raisable("transposition.TranspositionError", "mellin.MellinError",
+                    "nef_partition.NefError") as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return pipeline.EXIT_SOFT_FAILURE
     except (ci_model.SpecError, SingularMatrixError) as exc:
         sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
-    except horn_system.HornError as exc:
+    except raisable("horn_system.HornError") as exc:
         sys.stderr.write(f"cannot build the Horn operators: {exc}\n")
         return pipeline.EXIT_INVALID
-    except poincare.PoincareError as exc:
+    except raisable("poincare.PoincareError") as exc:
         sys.stderr.write(f"cannot expand the series: {exc}\n")
         return pipeline.EXIT_INVALID
 

@@ -33,7 +33,6 @@ from collections import Counter
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import _canonical, Matrix, ratio_str
 from .record import lazy, record
-from .transposition import TransposeResult
 
 
 class MellinError(Exception):

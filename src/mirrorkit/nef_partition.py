@@ -47,7 +47,6 @@ from .ci_model import CayleyMatrix, CISpec, WeightSystem
 from .mellin import compute_delta
 from .rational_linalg import Matrix, rank
 from .record import record
-from .transposition import TransposeResult
 
 
 class NefError(Exception):

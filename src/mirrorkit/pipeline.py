@@ -12,21 +12,80 @@ meets a failed L L^-1 = I as the forms' InternalInvariantError.
 An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
 order)` returns the `Stage`, not ok when a construction identity fails
 (degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
-stage is left out when a stage in `needs` raised.  An exception in `errors`
-fails it in place: hard with flag None, the stage not ok; soft otherwise, as
-the stage checks a sufficient hypothesis such as factorizability, the stage
-ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  A
+stage is left out when a stage in `needs` raised.  An exception of a class
+`errors` names ("module.Class", read by `raisable`) fails it in place: hard
+with flag None, the stage not ok; soft otherwise, as the stage checks a
+sufficient hypothesis such as factorizability, the stage ok with `flag` false
+and the soft failure "<name up to a '-'>: <error>".  A
 `transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
+
+Only `ci_model`, `rational_linalg` and `record` load with this module.  The
+stage modules, `transposition`, `mellin`, `horn_system`, `poincare` and
+`nef_partition`, load on first use: each name is a `StageModule`, here and in
+`cli`, until its first attribute read imports the module and rebinds the name
+to it.  So a process compiles only the stage modules its command reads, and
+`verify` reads them all.
 """
 
 from __future__ import annotations
 
-from . import ci_model, horn_system, mellin, nef_partition, poincare, transposition
+import importlib
+import sys
+
+from . import ci_model
 from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
 from .rational_linalg import invert, is_inverse, Matrix, SingularMatrixError
 from .record import field, lazy, record
+
+
+class StageModule:
+    """A stage module's global name until the name's first attribute read.
+
+    That read imports the module through `importlib.import_module`, whose
+    per-module lock makes a concurrent first reader wait until the module has
+    run, and binds the module itself to the name in `namespace`, so every later
+    read is a plain global.
+    """
+
+    __slots__ = ("_name", "_namespace")
+
+    def __init__(self, name: str, namespace: dict):
+        self._name, self._namespace = name, namespace
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(f"{__package__}.{self._name}")
+        self._namespace[self._name] = module
+        return getattr(module, attr)
+
+
+# raisable's answers that name every class: they cannot change any more
+_RAISABLE: dict[tuple[str, ...], tuple[type, ...]] = {}
+
+
+def raisable(*names: str) -> tuple[type, ...]:
+    """The classes named "module.Class" whose module has run, for an `except`.
+
+    A class of a stage module that has not run cannot have been raised, so the
+    tuple catches what the named classes would, and loads no module.
+    """
+    classes = _RAISABLE.get(names)
+    if classes is None:
+        found = [getattr(sys.modules.get(f"{__package__}.{module}"), cls, None)
+                 for module, _, cls in (name.partition(".") for name in names)]
+        # None also while another thread runs the module
+        classes = tuple(cls for cls in found if cls is not None)
+        if len(classes) == len(names):
+            _RAISABLE[names] = classes
+    return classes
+
+
+horn_system = StageModule("horn_system", globals())
+mellin = StageModule("mellin", globals())
+nef_partition = StageModule("nef_partition", globals())
+poincare = StageModule("poincare", globals())
+transposition = StageModule("transposition", globals())
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -451,18 +510,19 @@ def _magic_square(pair: MirrorPair, order: int):
     return Stage("magic-square", True, {"found": magic.found}, payload=magic.to_json()), ()
 
 
-# (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring)
+# (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring);
+# the errors are named "module.Class" (`raisable`)
 STAGES = (
-    ("transpose", _transpose, (), (transposition.TranspositionError,), "transposable"),
-    ("forms", _forms, (), (mellin.ClassificationFailureError,), None),
-    ("mellin-plain", _mellin_plain, (), (mellin.LemmaShapeViolationError,), None),
+    ("transpose", _transpose, (), ("transposition.TranspositionError",), "transposable"),
+    ("forms", _forms, (), ("mellin.ClassificationFailureError",), None),
+    ("mellin-plain", _mellin_plain, (), ("mellin.LemmaShapeViolationError",), None),
     ("mellin-factorized", _mellin_factorized, ("transpose", "mellin-plain"),
-     (mellin.NotFactorizableError, mellin.IdentityViolatedError, ci_model.SpecError),
+     ("mellin.NotFactorizableError", "mellin.IdentityViolatedError", "ci_model.SpecError"),
      "factorizable"),
-    ("horn", _horn, (), (horn_system.HornError,), None),
+    ("horn", _horn, (), ("horn_system.HornError",), None),
     ("char-polys", _char_polys, ("transpose",), (), None),
     ("duality", _duality, ("transpose",), (), None),
-    ("nef", _nef, ("transpose",), (nef_partition.NefError,), "solvable"),
+    ("nef", _nef, ("transpose",), ("nef_partition.NefError",), "solvable"),
     ("magic-square", _magic_square, (), (), None),
 )
 
@@ -493,9 +553,9 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         try:
             stage, extra = build(pair, order)
             soft += soft_failures(name, stage.flags) if name in SOFT_FLAGS else []
-        except transposition.InternalInvariantError as exc:
+        except raisable("transposition.InternalInvariantError") as exc:
             return PipelineReport(stages, all(s.ok for s in stages), soft, str(exc))
-        except errors as exc:
+        except raisable(*errors) as exc:
             raised.add(name)
             stage = Stage(name, flag is not None, {flag: False} if flag else {}, [str(exc)])
             extra = [f"{name.split('-')[0]}: {exc}"] if flag else []

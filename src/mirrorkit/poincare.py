@@ -19,16 +19,11 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from .ci_model import ChargeMatrix, WeightSystem
+from .ci_model import ChargeMatrix, SERIES_TERM_CAP, WeightSystem
 from .record import record
 
 
 Poly = dict[tuple[int, ...], int]  # exponent vector -> integer coefficient
-
-# series_expand refuses an order whose term-count estimate C(order + k, k)
-# exceeds this.  An expansion costs about its term count times the order:
-# 2000 terms at k = 1 take about 6 s with CPython 3.11 on a 2-core x86-64 VM.
-SERIES_TERM_CAP = 2000
 
 
 class PoincareError(Exception):

@@ -27,8 +27,10 @@ That is still cheap next to ``dataclasses``, which compiles six methods a
 class through ``exec``, about 1 ms a class, and whose import pulls in
 ``inspect``: one function takes about 50 to 150 us to compile, some 3 ms
 for the 24 classes of ``mirrorkit``.  Start-up is the whole reason this
-module exists: every ``mirrorkit`` process defines these classes before it
-reads its input.
+module exists: every ``mirrorkit`` process defines the classes of the modules
+it loads before it reads its input.  The stage modules load on first use
+(``pipeline.StageModule``), so ``cayley`` defines the 10 classes of
+``ci_model``, ``rational_linalg`` and ``pipeline``, and ``verify`` all 24.
 
 ``__init__`` sets each field with ``object.__setattr__(self, name, value)``
 and never reads or writes ``self.__dict__``, and the code must keep it so.

@@ -3,8 +3,8 @@
     python tests/mutation_census.py
 
 For every comparison, boolean operator and `raise` in the functions of
-`TARGETS` (the check functions of `mellin` and `pipeline.run_verify`) it
-makes one mutant:
+`TARGETS` (the check functions of `mellin`, `pipeline.run_verify` and the
+checks of `transposition`) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
   not in, is and is not);
@@ -42,6 +42,8 @@ TARGETS = {
     "mellin": ("compute_delta", "check_y_rows", "classify_forms", "lemma_form",
                "factorize_xi", "verify_theorem_31", "gamma_equal"),
     "pipeline": ("run_verify",),
+    "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
+                      "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching"),
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,

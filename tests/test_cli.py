@@ -27,10 +27,10 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_python(*args, text=True):
+def run_python(*args, text=True, timeout=None):
     """`python <args>` in a child process that imports this checkout's src/."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=text, cwd=PKG_ROOT, env=child_env())
+                          text=text, cwd=PKG_ROOT, env=child_env(), timeout=timeout)
 
 
 def run_module(module, *args):
@@ -215,10 +215,107 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # the value classes are defined without code generation (mirrorkit.record):
     # importing dataclasses pulls in inspect, dis, ast and tokenize at start-up;
     # the program works in integers, so fractions (and with it decimal and numbers) stays out
+    # (a second line): the stage modules load on first use, and the import runs none
     result = run_python("-c", "import sys, mirrorkit.cli; print(sorted({'dataclasses', "
-                              "'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+                              "'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules))); "
+                              "print(sorted(m for m in sys.modules if m.startswith('mirrorkit.')))")
     assert result.returncode == 0
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n" + repr(sorted(f"mirrorkit.{m}" for m in ALWAYS_RUN)) + "\n"
+
+
+# the modules every command runs, and the stage modules (`pipeline.StageModule`)
+# each --input command runs besides
+ALWAYS_RUN = ("ci_model", "cli", "pipeline", "rational_linalg", "record")
+STAGE_MODULES = {
+    "validate": (), "weights": (), "cayley": (),
+    "transpose": ("transposition",),
+    "poincare": ("transposition", "poincare"),
+    "mellin": ("transposition", "mellin"),
+    "nef": ("transposition", "mellin", "nef_partition"),
+    "horn": ("transposition", "mellin", "horn_system", "poincare"),
+    "verify": ("transposition", "mellin", "horn_system", "poincare", "nef_partition"),
+}
+# the console script's `main`, then, last on stderr, the mirrorkit modules that ran
+MODULE_PROBE = ("import sys\n"
+                "from mirrorkit.cli import main\n"
+                "try:\n"
+                "    code = main(sys.argv[1:])\n"
+                "finally:\n"
+                "    sys.stderr.write('\\n' + ' '.join(sorted(\n"
+                "        m for m in sys.modules if m.startswith('mirrorkit.'))))\n"
+                "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv, stage_modules", [
+    *(((command, "--input", fixture("example_6_2.json")), modules)
+      for command, modules in STAGE_MODULES.items()),
+    (("family", "--m", "3"), ()), (("--help",), ())])
+def test_each_command_runs_only_its_stage_modules(argv, stage_modules):
+    # each stage module compiles in a process that reads it, and only there
+    result = run_python("-c", MODULE_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    ran = result.stderr.rsplit("\n", 1)[-1].split()
+    assert ran == sorted(f"mirrorkit.{m}" for m in (*ALWAYS_RUN, *stage_modules))
+
+
+# eight threads make their first `run_verify` calls at once, in a process that
+# has run no stage module; prints the stage modules loaded before, the number of
+# threads still running after the joins, then each thread's report or error
+CONCURRENT_FIRST_USE = """
+import json, sys, threading
+from mirrorkit import pipeline
+from mirrorkit.ci_model import CISpec
+
+spec = CISpec.load(sys.argv[1])
+print(sorted(m for m in sys.modules if m.startswith("mirrorkit.")))
+barrier, results = threading.Barrier(8, timeout=60), [None] * 8
+
+def first_use(i):
+    try:
+        barrier.wait()
+        results[i] = pipeline.run_verify(spec).to_json()
+    except BaseException as exc:
+        results[i] = repr(exc)
+
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(8)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)   # switch threads often, in the modules' code too
+try:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+print(sum(thread.is_alive() for thread in threads))
+print(json.dumps(results))
+"""
+
+
+def test_concurrent_first_use_of_the_stage_modules():
+    path = fixture("example_6_1.json")
+    result = run_python("-c", CONCURRENT_FIRST_USE, path, timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded, running, reports = result.stdout.splitlines()
+    assert loaded == repr(sorted(f"mirrorkit.{m}" for m in ALWAYS_RUN if m != "cli"))
+    assert running == "0"
+    expected = json.loads(json.dumps(run_verify(CISpec.load(path)).to_json()))
+    assert json.loads(reports) == [expected] * 8
+
+
+# `mirrorkit --help` at 80 columns (CPython 3.11's argparse layout); it states
+# SERIES_TERM_CAP, which `ci_model` defines for `poincare`, and FAMILY_M_MAX
+HELP_SHA256 = "7ba9dcba1f047b382c5dd7af38209e42db222d2170e566db470268ce9739c5f1"
+
+
+def test_help_text_is_pinned():
+    result = subprocess.run([sys.executable, "-m", "mirrorkit", "--help"], capture_output=True,
+                            cwd=PKG_ROOT, env=dict(child_env(), COLUMNS="80"))
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == HELP_SHA256
+    text = result.stdout.decode()
+    assert f"at most {poincare.SERIES_TERM_CAP}\n" in text and poincare.SERIES_TERM_CAP == 2000
+    assert text.endswith("command, 1 to 200\n")
 
 
 def test_missing_input_is_an_error():
@@ -276,6 +373,24 @@ def test_singular_cayley_matrix_no_traceback(tmp_path):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("invalid specification:")
+
+
+# monomial counts (2,2) against index-set sizes (1,3): no mirror shape exists
+UNTRANSPOSABLE = {"n": 4, "k": 2,
+                  "blocks": [{"exponents": [[0, 0, 1, 0], [0, 0, 0, 2]], "index_set": [3]},
+                             {"exponents": [[2, 0, 0, 1], [1, 1, 0, 1]], "index_set": [1, 2, 4]}]}
+
+
+@pytest.mark.parametrize("spec", [SINGULAR_CAYLEY, UNTRANSPOSABLE])
+def test_a_fresh_process_exits_as_one_with_every_module_loaded(tmp_path, spec):
+    # cli._main's except chain names stage-module classes that a fresh process
+    # has not loaded (`pipeline.raisable`); this process has loaded them all
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for command in STAGE_MODULES:
+        result = run_module("mirrorkit", command, "--input", str(path))
+        in_process = run_in_process(command, "--input", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == in_process, command
 
 
 def test_horn_factor_limit_exit_one(monkeypatch):

@@ -7,6 +7,7 @@ evaluated annotations, where those of ``src`` are strings.
 """
 
 import dataclasses
+import importlib
 import inspect
 import sys
 from functools import cached_property
@@ -160,7 +161,10 @@ def test_keywords_after_a_factory_field_left_out():
 
 
 def test_generated_init_leaves_the_instance_dict_alone():
-    import mirrorkit.cli  # noqa: F401  (defines every value class)
+    # the modules that define the value classes: `import mirrorkit.cli` loads the
+    # stage modules only on first use (`pipeline.StageModule`)
+    for name in ("cli", "horn_system", "mellin", "nef_partition", "poincare", "transposition"):
+        importlib.import_module(f"mirrorkit.{name}")
     classes = {obj for name, mod in list(sys.modules.items()) if name.startswith("mirrorkit.")
                for obj in vars(mod).values() if isinstance(obj, type) and "_fields" in vars(obj)}
     assert len(classes) == 24

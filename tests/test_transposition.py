@@ -139,6 +139,21 @@ def test_no_valid_shape():
         MirrorPair(spec).tr
 
 
+def test_weight_classes_that_fit_no_block_size():
+    # the size multisets match and nu exists, and the weight kernel splits into
+    # two positive classes, but of sizes 1 and 3 against tau = (2, 2)
+    spec = CISpec(n=4, k=2, blocks=(
+        Block(exponents=((1, 0, 0, 1), (0, 1, 0, 0)), index_set=(1, 4)),
+        Block(exponents=((1, 0, 1, 0), (0, 1, 1, 1)), index_set=(2, 3)),
+    ))
+    pair = MirrorPair(spec)
+    assert pair._class_hint == ((-2, 1), (0, -1), (0, -1), (0, -1))
+    for basis in (None, lambda: pair._class_hint):
+        with pytest.raises(NoValidShapeError,
+                           match="no variable group of size 2 left for block position 1"):
+            transposition.build_transpose(pair.cm, basis)
+
+
 def test_symmetry_conditions_quadric(quadric):
     tr = MirrorPair(quadric).tr
     assert tr.rho.images == (1, 2)
