@@ -201,7 +201,7 @@ def _cmd_mellin(pair, args, out):
     pair.tr   # the transposition's errors come first
     lemma, xi, (t31, product) = pair.lemma, pair.xi, pair.theorem31
     data = {
-        "delta": mellin.compute_delta(pair.forms),
+        "delta": pair.inverse.den,
         "plain_product": lemma.to_json(),
         "factorized_product": product.to_json(),
         "theorem": t31.to_json(),

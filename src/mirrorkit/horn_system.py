@@ -4,7 +4,8 @@ The sign pattern of the z-coefficients of the linear forms splits the row
 index set per deformation variable; the positive side builds the left
 factor product, the negative side the right one, and the two degrees agree
 because the column sums vanish.  Operators stay in factored symbolic form,
-which is canonical; the examples reach degree 21.
+which is canonical; the examples reach degree 21.  The sign classes and the
+factor counts of z_q are read off row q of S (`mellin.Forms`).
 
 A form contributes Delta*|c| factors to a side, one per shift j, that
 differ only in j.  A side is therefore stored as runs (coeffs, const, den,
@@ -23,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
-from .mellin import compute_delta
 from .rational_linalg import ratio_str
 from .record import record
 
@@ -117,33 +117,32 @@ class HornOperator:
         }
 
 
-def index_partition(forms, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Row indices split by the sign of the z_q coefficient."""
+def index_partition(forms: Forms, q: int) -> tuple[tuple[int, ...], ...]:
+    """Row indices split by the sign of the z_q coefficient: by S row q."""
     plus, minus, zero = [], [], []
-    for a, form in enumerate(forms, start=1):
-        c = form.z_num(q)
+    for a, c in enumerate(forms.s_rows[q - 1], start=1):
         (plus if c > 0 else minus if c < 0 else zero).append(a)
     return tuple(plus), tuple(minus), tuple(zero)
 
 
-def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
+def horn_operators(spec: CISpec, forms: Forms) -> tuple[HornOperator, ...]:
     """One operator per deformation variable, factors counted by the integer
     z-numerators with respect to the global modulus.
 
     Form a with z-coefficients z_a contributes the run of factors
     const_a + j - <z_a, theta> for j < Delta*|z_aq|, counted in integers as
-    |z_aq numerator|, as every form is over Delta; every side's count is
-    checked against FACTOR_COUNT_CAP before any run is built.
+    |z_aq numerator| = |S[q - 1][a - 1]|, as every form is over Delta; every
+    side's count is checked against FACTOR_COUNT_CAP before any run is built.
     """
-    delta = compute_delta(forms)
     sides = []
     for q in range(1, spec.k + 1):
         plus, minus, _ = index_partition(forms, q)
         if not plus or not minus:
             raise DegenerateOperatorError(f"variable {q}: empty sign class")
+        row = forms.s_rows[q - 1]
         counts = []
         for name, rows in (("p", plus), ("q", minus)):
-            side = [(a, abs(forms[a - 1].z_num(q))) for a in rows]
+            side = [(a, abs(row[a - 1])) for a in rows]
             total = sum(b for _, b in side)
             if total > FACTOR_COUNT_CAP:
                 raise FactorLimitError(f"variable {q}: {total} {name}-factors "
@@ -152,12 +151,12 @@ def horn_operators(spec: CISpec, forms) -> tuple[HornOperator, ...]:
         sides.append(counts)
     # per form, its run without the count: (negated z-numerators, const numerator, den)
     heads = [(tuple(-c for c in xi.num[:-1]), xi.num[-1], xi.den)
-             for xi in (form.xi() for form in forms)]
+             for xi in map(forms.xi, range(1, len(forms) + 1))]
 
     def runs(side) -> tuple[Run, ...]:
         return tuple((*heads[a - 1], b) for a, b in side)
 
-    return tuple(HornOperator(q, runs(p_side), runs(q_side), delta)
+    return tuple(HornOperator(q, runs(p_side), runs(q_side), forms.den)
                  for q, (p_side, q_side) in enumerate(sides, start=1))
 
 

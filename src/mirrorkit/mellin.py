@@ -2,21 +2,20 @@
 
 Inverting the Cayley matrix turns the period integral's Mellin transform
 into a product of Gamma factors with affine-linear arguments, one per
-matrix row.  This module solves for those forms, normalizes them by the
-integrality modulus Delta, proves the structural sum rules and checks the
-constant rows' forms (`check_y_rows`, `classify_forms`), and verifies the
-two closed-form Gamma products (the plain one with a Gamma(z) prefactor
-per block, and the factorized one expressed through the transposed weight
-data) as exact argument-multiset identities.
+matrix row.  This module reads those forms off the inverse, proves the
+structural sum rules and checks the constant rows' forms (`check_y_rows`,
+`classify_forms`), and verifies the two closed-form Gamma products (the
+plain one with a Gamma(z) prefactor per block, and the factorized one
+expressed through the transposed weight data) as exact argument-multiset
+identities.
 
-A form is a column of the inverse, which is integer rows over one
-denominator: the form keeps that column's integer numerators as they are,
-over the inverse's denominator, which is Delta.  Every form of a run shares
-it, so the classification, the Horn counts and the magic square compare
-the numerators themselves.  A Gamma
-argument (ZForm, a form's xi()) is integer numerators over one denominator
-as well, so the plain and factorized products, their sort order and
-Theorem 3.1's contraction are integer arithmetic.
+The forms are the columns of the inverse, integer rows over one
+denominator, Delta.  `solve_xi` returns one view of that matrix (`Forms`),
+no object per form: the classification, the plain product's shape checks,
+the Horn counts and the magic square compare its integer entries.  A Gamma
+argument (ZForm, a form's xi) is integer numerators over one denominator
+too, so the plain and factorized products, their sort order and Theorem
+3.1's contraction are integer arithmetic.
 
 Gamma products are compared up to reflection: a denominator factor
 Gamma(1-x) and a numerator factor Gamma(x) differ by pi/sin(pi x), which is
@@ -142,49 +141,57 @@ def sort_forms(forms) -> tuple[ZForm, ...]:
 
 
 @record
-class LinearForm:
-    """One affine form with formal arguments i_1..i_n, z_1..z_k, zeta_1..zeta_2k.
-
-    Coefficients are read off a column of the inverse Cayley matrix and kept
-    as integer numerators ``num`` over one positive denominator ``den``, in
-    the column's order (i | zeta | z), not reduced: ``den`` is the inverse's
-    denominator Delta, shared by every form of a run, so two forms compare
-    by their numerators alone.  The constant collects the +1 shifts attached
-    to the i and zeta slots, so the base-point value (all i and zeta at
-    zero) is const + <z-part, z>, its xi(), built once per form and
-    canonical (ZForm.reduced).
+class Forms:
+    """The forms of a run: form a is column a of L^-1 = inverse, its i, zeta and z
+    coefficients over ``den``, Delta, which every form shares.  ``s_rows`` (S,
+    the last k rows) holds the z-numerators, ``constants`` each column's sum
+    over the i and zeta rows (the +1 shifts of those slots), ``xi_nums[a - 1]``
+    form a's z and constant numerators, and ``xi(a)``, form a at i = zeta = 0,
+    their ZForm, built on first read and shared by equal columns (42% of the
+    columns of a `random-small` deck repeat an earlier one's).
     """
 
-    num: tuple[int, ...]
-    den: int
+    inverse: Matrix
     k: int
 
-    @property
-    def n(self) -> int:
-        return len(self.num) - 3 * self.k
+    def __len__(self) -> int:
+        return self.inverse.cols
 
-    def z_num(self, q: int) -> int:
-        """The numerator of the z_q coefficient."""
-        return self.num[len(self.num) - self.k + q - 1]
+    @property
+    def den(self) -> int:
+        return self.inverse.den
 
     @lazy
-    def _xi(self) -> ZForm:
-        z = len(self.num) - self.k
-        return ZForm.reduced((*self.num[z:], sum(self.num[:z])), self.den)
+    def s_rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.inverse.num[self.inverse.rows - self.k:]
 
-    def xi(self) -> ZForm:
-        """Specialization at i = 0, zeta = 0."""
-        return self._xi
+    @lazy
+    def constants(self) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*self.inverse.num[:self.inverse.rows - self.k])))
 
-    def to_json(self) -> dict:
-        d, n, z = self.den, self.n, len(self.num) - self.k
-        strs = [ratio_str(x, d) for x in self.num]
-        return {
-            "i_coeffs": strs[:n],
-            "zeta_coeffs": strs[n:z],
-            "z_coeffs": strs[z:],
-            "const": ratio_str(sum(self.num[:z]), d),
-        }
+    @lazy
+    def xi_nums(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.s_rows, self.constants))
+
+    @lazy
+    def _xi(self) -> dict[tuple[int, ...], ZForm]:
+        return {}
+
+    def xi(self, a: int) -> ZForm:
+        nums = self.xi_nums[a - 1]
+        xi = self._xi.get(nums)
+        if xi is None:
+            xi = self._xi[nums] = ZForm.reduced(nums, self.inverse.den)
+        return xi
+
+    def to_json(self) -> list[dict]:
+        """Per form, its coefficient strings, the column of the inverse's
+        strings split (i | zeta | z), and its constant."""
+        d, z = self.den, self.inverse.rows - self.k
+        n = z - 2 * self.k
+        return [{"i_coeffs": list(col[:n]), "zeta_coeffs": list(col[n:z]),
+                 "z_coeffs": list(col[z:]), "const": ratio_str(c, d)}
+                for col, c in zip(zip(*self.inverse.to_json()), self.constants)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +239,9 @@ def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> tuple[LinearForm, ...]:
-    """One form per matrix row: the integer columns of the inverse over its denominator."""
-    k, d = cm.spec.k, inverse.den
-    return tuple(LinearForm(col, d, k) for col in zip(*inverse.num))
-
-
-def compute_delta(forms) -> int:
-    """Delta, the one denominator of the forms (the inverse's, for `solve_xi`'s).
-
-    Raises MellinError when the denominators differ: the numerators of such
-    a tuple are not comparable.
-    """
-    delta = forms[0].den
-    if any(f.den != delta for f in forms):
-        raise MellinError(f"forms over different denominators {sorted({f.den for f in forms})}")
-    return delta
+def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> Forms:
+    """One form per matrix row: the view of the inverse's columns over its denominator."""
+    return Forms(inverse, cm.spec.k)
 
 
 def check_y_rows(cm: CayleyMatrix) -> None:
@@ -264,7 +258,7 @@ def check_y_rows(cm: CayleyMatrix) -> None:
             raise MellinError(f"Cayley row {r} does not have one 1 among the y columns")
 
 
-def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
+def classify_forms(cm: CayleyMatrix, forms: Forms) -> tuple[str, ...]:
     """Each form's pattern, read off its row kind, once the constant rows' are checked.
 
     s-rows give the pure form z_nu (type a); constant rows carry zeta_{2nu-1}
@@ -276,33 +270,33 @@ def classify_forms(cm: CayleyMatrix, forms) -> tuple[str, ...]:
     zeta_{2l} = [a is block l's constant row].  So only the z part of a
     constant row's form is open, and it raises unless that is -z_nu.
     """
-    k = cm.spec.k
+    k, d = cm.spec.k, forms.den
     for nu, a in enumerate(cm.a_indices, start=1):
-        form = forms[a - 1]
-        if form.num[-k:] != tuple(-form.den if q == nu else 0 for q in range(1, k + 1)):
+        if forms.xi_nums[a - 1][:k] != tuple(-d if q == nu else 0 for q in range(1, k + 1)):
             raise ClassificationFailureError(f"form {a} matches no pattern")
     tag = {"s-row": "a", "constant-row": "b", "monomial": "c", "product-row": "c"}
     return tuple(tag[kind] for _, kind, _ in cm.row_labels)
 
 
-def lemma_form(cm: CayleyMatrix, forms) -> GammaProduct:
+def lemma_form(cm: CayleyMatrix, forms: Forms) -> GammaProduct:
     """The plain Gamma product: Gamma(z_nu) per block times Gamma(xi_j) over monomial rows.
 
     Requires each block's product and constant-row forms to be z_nu and
-    1 - z_nu (its s-row's is z_nu by the certified L L^-1 = I, `classify_forms`).
+    1 - z_nu (its s-row's is z_nu by the certified L L^-1 = I, `classify_forms`):
+    over Delta, the numerators (Delta e_nu, 0) and (-Delta e_nu, Delta).
     """
     spec = cm.spec
-    k = spec.k
+    k, d = spec.k, forms.den
     for nu in range(1, k + 1):
         a = spec.a(nu)
-        z_nu = ZForm.z(nu, k)
-        if forms[a - 2].xi() != z_nu:
+        unit = tuple(d if q == nu else 0 for q in range(1, k + 1))
+        if forms.xi_nums[a - 2] != (*unit, 0):
             raise LemmaShapeViolationError(a - 1, f"expected z{nu}")
-        if forms[a - 1].xi() != z_nu.reflect():
+        if forms.xi_nums[a - 1] != (*(-x for x in unit), d):
             raise LemmaShapeViolationError(a, f"expected 1 - z{nu}")
     numerator = [ZForm.z(nu, k) for nu in range(1, k + 1)]
-    numerator.extend(forms[j - 1].xi() for j in cm.i_lambda)
-    return GammaProduct(sort_forms(numerator), (), compute_delta(forms))
+    numerator.extend(map(forms.xi, cm.i_lambda))
+    return GammaProduct(sort_forms(numerator), (), d)
 
 
 @record
@@ -323,12 +317,14 @@ class XiFactorization:
         }
 
 
-def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactorization:
+def factorize_xi(tr: TransposeResult, forms: Forms, tweights: WeightSystem) -> XiFactorization:
     """Group the monomial-row forms by the transposed blocks and factor them.
 
     The form of matrix row a must equal (transposed weight of its image
     variable) times a common form xi^(nu), where nu is the transposed block
-    whose variable range receives the row.
+    whose variable range receives the row: the base row's form over its factor
+    defines xi^(nu), and every form is over Delta, so row r with factor c must
+    have base_factor * xi_nums[r - 1] = c * xi_nums[base - 1].
     """
     tsp = tr.tspec
     diag = tweights.diagonal
@@ -341,12 +337,13 @@ def factorize_xi(tr: TransposeResult, forms, tweights: WeightSystem) -> XiFactor
         group_rows = tuple(r for _, r in rows)
         factors = tuple(diag[v - 1] for v, _ in rows)
         base_row, base_factor = group_rows[0], factors[0]
-        xi_nu = forms[base_row - 1].xi().scale(1, base_factor)
-        for r, c in zip(group_rows[1:], factors[1:]):   # the base row defines xi_nu
-            if forms[r - 1].xi() != xi_nu.scale(c):
+        nums = forms.xi_nums
+        base = nums[base_row - 1]
+        for r, c in zip(group_rows[1:], factors[1:]):
+            if [base_factor * x for x in nums[r - 1]] != [c * x for x in base]:
                 raise NotFactorizableError(
                     r, f"form is not {c} times the common form of block {q}")
-        xi_forms.append(xi_nu)
+        xi_forms.append(ZForm.reduced(base, forms.den * base_factor))
         factor_lists.append(factors)
         row_groups.append(group_rows)
 
@@ -393,7 +390,7 @@ def _symbolic_product(xi: "XiFactorization", contraction) -> str:
     return "*".join(parts) + " / [" + "*".join(dens) + "]"
 
 
-def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: ChargeMatrix,
+def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms: Forms, tq: ChargeMatrix,
                       lemma: GammaProduct) -> tuple[Theorem31Report, GammaProduct]:
     """Check the charge contraction identity and emit the factorized Gamma product.
 
@@ -403,9 +400,9 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     must equal 1 - z_m for some m, bijectively.  The resulting product of
     Gamma((weight) * xi^(nu)) over all transposed weight entries divided by
     the k contraction Gammas must reduce to the plain product by reflection
-    alone.  Its numerator is the multiset of the xi() of `cm.i_lambda`, which
+    alone.  Its numerator is the multiset of the xi of `cm.i_lambda`, which
     `build_transpose` maps one to one onto the variables the transposed blocks
-    partition (the row groups), as `factorize_xi` checked each row's xi()
+    partition (the row groups), as `factorize_xi` checked each row's xi
     equal to its factor times xi^(nu).
     """
     k = tr.tspec.k
@@ -432,8 +429,7 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms, tq: Charg
     for xi_nu, factors in zip(xi.xi_forms, xi.factors):
         numerator.extend(xi_nu.scale(c) for c in factors)
     denominator = [ZForm.one_minus_z(m, k) for m in block_to_z]
-    product = GammaProduct(sort_forms(numerator), sort_forms(denominator),
-                           compute_delta(forms))
+    product = GammaProduct(sort_forms(numerator), sort_forms(denominator), forms.den)
 
     report = Theorem31Report(
         identity_holds=True,

@@ -44,7 +44,6 @@ from operator import mul
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
-from .mellin import compute_delta
 from .rational_linalg import Matrix, rank
 from .record import record
 
@@ -326,24 +325,25 @@ class MagicSquareReport:
         }
 
 
-def magic_square_check(cm: CayleyMatrix, forms) -> MagicSquareReport:
+def magic_square_check(cm: CayleyMatrix, forms: Forms) -> MagicSquareReport:
     """Match the z-coefficients over monomial rows against a constant-row column.
 
     For each deformation variable q, look for a constant row whose variable
     coefficients form the same multiset as the z_q coefficients of the
     monomial-row forms; a witness bijection is produced by sorted matching.
     The natural pairing q -> q is tried first, and the assignment across
-    all q must be one-to-one.
+    all q must be one-to-one.  Both sides are entries of L^-1 over Delta: S
+    row q at the monomial rows, and the x-rows at the constant row's column.
     """
     spec = cm.spec
     k, n = spec.k, spec.n
     i_lam = cm.i_lambda
-    compute_delta(forms)   # raises unless the numerators share one denominator
+    x_rows = forms.inverse.num[:n]
 
     def witness(q, qq):
-        # the coefficients compared as numerators over the common modulus Delta
-        pvals = sorted((forms[b - 1].z_num(q), b) for b in i_lam)
-        wvals = sorted((x, i) for i, x in enumerate(forms[spec.a(qq) - 1].num[:n], start=1))
+        s_row, a = forms.s_rows[q - 1], spec.a(qq) - 1
+        pvals = sorted((s_row[b - 1], b) for b in i_lam)
+        wvals = sorted((row[a], i) for i, row in enumerate(x_rows, start=1))
         if [v for v, _ in pvals] != [v for v, _ in wvals]:
             return None
         return tuple((b, i) for (_, b), (_, i) in zip(pvals, wvals))

@@ -3,6 +3,8 @@
 Every stage reads one MirrorPair, which builds each derived object and
 stage result of a run once, on first use; `run_verify` and the CLI commands
 are views of one pair, and `soft_failures` is their one soft-failure rule.
+The forms are one view of L^-1 (`mellin.Forms`), built once per run, that
+every stage reading them shares; the forms stage renders its payload from it.
 
 `run_verify` validates the spec, checks L's y columns (`mellin.check_y_rows`)
 and L L^-1 = I (`MirrorPair.certified`), where an exception is an internal
@@ -178,10 +180,10 @@ class MirrorPair:
         return is_inverse(self.cm.matrix, self.inverse)
 
     @lazy
-    def forms(self) -> tuple[mellin.LinearForm, ...]:
-        """The forms, the columns of L^-1 (`mellin.solve_xi`).  Every reader of
-        them relies on L L^-1 = I, so they raise
-        `transposition.InternalInvariantError` when it fails."""
+    def forms(self) -> mellin.Forms:
+        """The forms, one view of the columns of L^-1 (`mellin.solve_xi`) that
+        every stage reads.  Every reader of them relies on L L^-1 = I, so they
+        raise `transposition.InternalInvariantError` when it fails."""
         if not self.certified:
             raise transposition.InternalInvariantError("L L^-1 is not the identity")
         return mellin.solve_xi(self.cm, self.inverse)
@@ -448,10 +450,11 @@ def _forms(pair: MirrorPair, order: int):
     # the sum rules hold by `mellin.check_y_rows` and the certified L L^-1 = I
     sums = dict.fromkeys(("i_column_sums_vanish", "z_column_sums_vanish",
                           "zeta_column_sums_one", "constants_sum_2k"), True)
-    return Stage("forms", True, sums,
-                 payload={"delta": mellin.compute_delta(forms),
-                          "forms": [f.to_json() for f in forms],
-                          "xi": [str(f.xi()) for f in forms], "tags": list(tags)}), ()
+    text = {}   # columns with equal numerators share one xi, rendered once
+    xi = [text.get(nums) or text.setdefault(nums, str(forms.xi(a)))
+          for a, nums in enumerate(forms.xi_nums, start=1)]
+    return Stage("forms", True, sums, payload={"delta": forms.den, "forms": forms.to_json(),
+                                               "xi": xi, "tags": list(tags)}), ()
 
 
 def _mellin_plain(pair: MirrorPair, order: int):

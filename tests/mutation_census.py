@@ -3,8 +3,9 @@
     python tests/mutation_census.py
 
 For every comparison, boolean operator and `raise` in the functions of
-`TARGETS` (the check functions of `mellin`, `pipeline.run_verify` and the
-checks of `transposition`) it makes one mutant:
+`TARGETS` (the check functions of `mellin`, the readers of the forms in
+`horn_system` and `nef_partition`, `pipeline.run_verify` and the checks of
+`transposition`) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
   not in, is and is not);
@@ -39,8 +40,10 @@ TIMEOUT_S = 600
 WORKERS = 2
 
 TARGETS = {
-    "mellin": ("compute_delta", "check_y_rows", "classify_forms", "lemma_form",
+    "mellin": ("check_y_rows", "classify_forms", "lemma_form",
                "factorize_xi", "verify_theorem_31", "gamma_equal"),
+    "horn_system": ("horn_operators",),
+    "nef_partition": ("magic_square_check",),
     "pipeline": ("run_verify",),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
                       "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching"),

@@ -6,10 +6,13 @@ sympy and with hand-computed values:
 
 * a `Matrix`'s entries (`entries`, `entry`, `column`), and `fraction_matrix`,
   a matrix from rows that hold Fractions;
+* `LinearForm`, one form as its own object, the per-column oracle of the
+  view `mellin.solve_xi` gives: `columns` splits a view into them, and
+  `with_column` builds the view of a copy of L^-1 with one column doctored;
 * a `LinearForm`'s coefficients (`i_coeffs`, `zeta_coeffs`, `z_coeffs`), a
   `ZForm`'s (`coeffs`, `constant`), and `linear_form` and `zform`, which build
   each from int or Fraction values, and `over_one_denominator`, which puts
-  a tuple of forms over one denominator, as `solve_xi` gives them;
+  a tuple of forms over one denominator, as the view holds them;
 * the forms' four column sums (`column_sums`) and the three-pattern
   classifier (`classify_by_pattern`), which the run proves from L's shape
   and the certified L L^-1 = I instead of computing;
@@ -26,7 +29,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from mirrorkit.mellin import ClassificationFailureError, LinearForm, ZForm, compute_delta
+from mirrorkit.mellin import ClassificationFailureError, Forms, ZForm
+from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
@@ -89,6 +93,55 @@ def constant(z):
     return Fraction(z.num[-1], z.den)
 
 
+@dataclass(frozen=True)
+class LinearForm:
+    """One affine form with formal arguments i_1..i_n, z_1..z_k, zeta_1..zeta_2k.
+
+    Its coefficients are integer numerators ``num`` over one positive
+    denominator ``den``, in the order (i | zeta | z) of a column of the
+    inverse Cayley matrix, not reduced.  The constant collects the +1 shifts
+    attached to the i and zeta slots, so the base-point value (all i and
+    zeta at zero) is const + <z-part, z>, its xi().
+    """
+
+    num: tuple
+    den: int
+    k: int
+
+    @property
+    def n(self):
+        return len(self.num) - 3 * self.k
+
+    def z_num(self, q):
+        """The numerator of the z_q coefficient."""
+        return self.num[len(self.num) - self.k + q - 1]
+
+    def xi(self):
+        """Specialization at i = 0, zeta = 0."""
+        z = len(self.num) - self.k
+        return ZForm.reduced((*self.num[z:], sum(self.num[:z])), self.den)
+
+    def to_json(self):
+        d, n, z = self.den, self.n, len(self.num) - self.k
+        strs = [ratio_str(x, d) for x in self.num]
+        return {"i_coeffs": strs[:n], "zeta_coeffs": strs[n:z], "z_coeffs": strs[z:],
+                "const": ratio_str(sum(self.num[:z]), d)}
+
+
+def columns(forms):
+    """The LinearForms of a `mellin.Forms` view: one per column of its inverse."""
+    return tuple(LinearForm(col, forms.den, forms.k) for col in zip(*forms.inverse.num))
+
+
+def with_column(forms, a, form):
+    """The view of a copy of the forms' inverse whose column a is the LinearForm
+    form, every column over the LCM of the denominators."""
+    cols = list(columns(forms))
+    cols[a - 1] = form
+    cols = over_one_denominator(cols)
+    return Forms(_canonical(tuple(zip(*(f.num for f in cols))), cols[0].den), forms.k)
+
+
 def linear_form(i_coeffs, zeta_coeffs, z_coeffs):
     """The LinearForm with these int or Fraction coefficients (its constant is
     their i and zeta sum)."""
@@ -103,12 +156,12 @@ def over_one_denominator(forms):
 
 
 def column_sums(forms):
-    """The sum rules, per name, from the column sums of the forms over their
-    one denominator Delta: the i and z numerator sums 0, the zeta sums Delta,
-    and the constants 2k * Delta."""
-    n, k = forms[0].n, forms[0].k
-    delta = compute_delta(forms)
-    sums = [sum(col) for col in zip(*(f.num for f in forms))]
+    """The sum rules, per name, from the column sums of the view's forms over
+    their one denominator Delta: the i and z numerator sums 0, the zeta sums
+    Delta, and the constants 2k * Delta."""
+    k, delta = forms.k, forms.den
+    n = len(forms) - 3 * k
+    sums = [sum(col) for col in zip(*(f.num for f in columns(forms)))]
     z0 = n + 2 * k
     return {"i_column_sums_vanish": not any(sums[:n]),
             "z_column_sums_vanish": not any(sums[z0:]),
@@ -117,13 +170,13 @@ def column_sums(forms):
 
 
 def classify_by_pattern(cm, forms):
-    """Tag each form by the first structural pattern it matches, a (pure z_nu),
+    """Tag each form of the view by the first structural pattern it matches, a (pure z_nu),
     b (zeta_{2nu-1} + zeta_{2nu} - z_nu) or c (each z_l against -zeta_{2l-1}
     only), and raise ClassificationFailureError when a form matches none or
     its tag is not its row kind's."""
     k = cm.spec.k
     tags = []
-    for a, form in enumerate(forms, start=1):
+    for a, form in enumerate(columns(forms), start=1):
         _, kind, _ = cm.row_labels[a - 1]
         num, one = form.num, form.den
         z0 = len(num) - k          # the z numerators are num[z0:]

@@ -11,7 +11,6 @@ from mirrorkit.ci_model import build_cayley, charges, derive_weights
 from mirrorkit.horn_system import horn_operators
 from mirrorkit.mellin import (
     ZForm,
-    compute_delta,
     factorize_xi,
     gamma_equal,
     lemma_form,
@@ -31,8 +30,8 @@ from mirrorkit.poincare import (
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import (FractionZForm, column_sums, dense_matmul, duals, i_coeffs, identity,
-                     support_phi, z_coeffs, zform)
+from oracles import (FractionZForm, column_sums, columns, dense_matmul, duals, i_coeffs,
+                     identity, support_phi, z_coeffs, zform)
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 
@@ -132,9 +131,9 @@ def test_criterion_4_property_suite():
         for nu in range(1, spec.k + 1):
             a = spec.a(nu)
             z_nu = ZForm.z(nu, spec.k)
-            assert forms[a - 3].xi() == z_nu
-            assert forms[a - 2].xi() == z_nu
-            assert forms[a - 1].xi() == z_nu.reflect()
+            assert forms.xi(a - 2) == z_nu
+            assert forms.xi(a - 1) == z_nu
+            assert forms.xi(a) == z_nu.reflect()
         for op in horn_operators(spec, forms):
             assert op.degrees[0] == op.degrees[1]
     report("criterion 4: 200-spec property suite, zero failures")
@@ -186,8 +185,8 @@ def test_criterion_7_magic_square(spec_6_1):
     for q, pairs in rep.witnesses.items():
         qq = rep.assignments[q]
         for b, i in pairs:
-            assert z_coeffs(forms[b - 1])[q - 1] == \
-                i_coeffs(forms[spec_6_1.a(qq) - 1])[i - 1]
+            assert z_coeffs(columns(forms)[b - 1])[q - 1] == \
+                i_coeffs(columns(forms)[spec_6_1.a(qq) - 1])[i - 1]
     report("criterion 7: magic-square witness bijection on 6.1")
 
 

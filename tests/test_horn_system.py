@@ -16,11 +16,12 @@ from mirrorkit.horn_system import (
     restricted_operator,
     symmetry_report,
 )
-from mirrorkit.mellin import compute_delta
+from mirrorkit.mellin import Forms
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import CyclotomicRatio, poincare_structure, ratio_equal
+from mirrorkit.rational_linalg import Matrix
 
-from oracles import constant, entry, linear_form, rat_str, z_coeffs
+from oracles import columns, constant, entry, rat_str, z_coeffs
 from paper_data import L_8_INV, matrix_from_json
 from specgen import generate_valid_specs
 
@@ -49,13 +50,13 @@ def test_index_partition_zero_class(spec_6_1):
 def test_horn_degrees_match(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric):
         forms = MirrorPair(spec).forms
-        delta = compute_delta(forms)
+        delta, cols = forms.den, columns(forms)
         for op in horn_operators(spec, forms):
             degp, degq = op.degrees
             assert degp == degq
             assert op.delta_power == delta
             # degree equals the positive-side numerator sum
-            expected = sum(int(z_coeffs(forms[a - 1])[op.q - 1] * delta)
+            expected = sum(int(z_coeffs(cols[a - 1])[op.q - 1] * delta)
                            for a in index_partition(forms, op.q)[0])
             assert degp == expected
 
@@ -75,8 +76,8 @@ def test_horn_factor_shape(quadric):
 
 def test_horn_degenerate_guard():
     # a form set with an empty negative class cannot occur for valid specs;
-    # feed a doctored list to exercise the guard
-    forms = (linear_form((), (Fraction(0), Fraction(0)), (Fraction(1),)),)
+    # feed a doctored inverse, one column (0, 0 | 1), to exercise the guard
+    forms = Forms(Matrix(((0,), (0,), (1,))), 1)
     with pytest.raises(DegenerateOperatorError):
         horn_operators(type("S", (), {"k": 1})(), forms)
 
@@ -119,13 +120,13 @@ def _factors(runs):
 def _per_factor_operators(spec, forms):
     """Reference: every factor negates its form's z-coefficients afresh, and
     the operator's JSON and text format every factor on its own."""
-    delta = compute_delta(forms)
+    delta, cols = forms.den, columns(forms)
     ops = []
     for q in range(1, spec.k + 1):
         plus, minus, _ = index_partition(forms, q)
-        sides = [[_Factor(tuple(-c for c in z_coeffs(forms[a - 1])),
-                          constant(forms[a - 1].xi()), j)
-                  for a in rows for j in range(abs(int(z_coeffs(forms[a - 1])[q - 1] * delta)))]
+        sides = [[_Factor(tuple(-c for c in z_coeffs(cols[a - 1])),
+                          constant(cols[a - 1].xi()), j)
+                  for a in rows for j in range(abs(int(z_coeffs(cols[a - 1])[q - 1] * delta)))]
                  for rows in (plus, minus)]
         p, qq = ("".join(str(f) for f in side) or "1" for side in sides)
         text = f"{p} - s{q}{f'^{delta}' if delta != 1 else ''} * {qq}"

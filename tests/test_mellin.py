@@ -14,7 +14,6 @@ from mirrorkit.mellin import (
     ZForm,
     XiFactorization,
     classify_forms,
-    compute_delta,
     factorize_xi,
     gamma_equal,
     lemma_form,
@@ -22,8 +21,6 @@ from mirrorkit.mellin import (
     sort_forms,
     verify_theorem_31,
 )
-from mirrorkit.horn_system import horn_operators
-from mirrorkit.nef_partition import magic_square_check
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import TranspositionError
@@ -33,6 +30,7 @@ from oracles import (
     classify_by_pattern,
     column_sums,
     column,
+    columns,
     constant,
     dense_matmul,
     entries,
@@ -42,6 +40,7 @@ from oracles import (
     identity,
     linear_form,
     over_one_denominator,
+    with_column,
     z_coeffs,
     zeta_coeffs,
     zform,
@@ -59,7 +58,7 @@ def zf(consts, *coeffs):
 def test_solve_xi_quadric(quadric):
     # hand solution of the five scalar equations
     forms = MirrorPair(quadric).forms
-    assert [f.xi() for f in forms] == [
+    assert [forms.xi(a) for a in range(1, len(forms) + 1)] == [
         zf(F(1, 2), F(-1, 2)), zf(F(1, 2), F(-1, 2)), zf(0, 1), zf(0, 1), zf(1, -1)]
 
 
@@ -69,9 +68,9 @@ def test_solve_xi_6_1_printed_forms(spec_6_1):
     # -(z1-1)/3 + (z2-1)/9, not -(z1-1)/3 + z2/9
     xi1 = zf(F(2, 9), F(-1, 3), F(1, 9))
     xi2 = zf(F(1, 3), 0, F(-1, 3))
-    assert forms[1].xi() == xi1
-    assert forms[0].xi() == xi2
-    assert [forms[a - 1].xi() for a in (8, 9, 10)] == [xi2] * 3
+    assert forms.xi(2) == xi1
+    assert forms.xi(1) == xi2
+    assert [forms.xi(a) for a in (8, 9, 10)] == [xi2] * 3
 
 
 def test_forms_match_printed_inverse(spec_6_1, spec_6_2):
@@ -79,7 +78,7 @@ def test_forms_match_printed_inverse(spec_6_1, spec_6_2):
         forms = MirrorPair(spec).forms
         inv = matrix_from_json(printed)
         n, k = spec.n, spec.k
-        for a, form in enumerate(forms, start=1):
+        for a, form in enumerate(columns(forms), start=1):
             col = column(inv, a - 1)
             assert i_coeffs(form) == col[:n]
             assert zeta_coeffs(form) == col[n:n + 2 * k]
@@ -91,9 +90,9 @@ def test_sum_at_base_point(spec_6_1, spec_6_2, quadric):
     # all z-dependence cancelling
     for spec in (spec_6_1, spec_6_2, quadric):
         forms = MirrorPair(spec).forms
-        total = FractionZForm.of(forms[0].xi())
-        for f in forms[1:]:
-            total = total + FractionZForm.of(f.xi())
+        total = FractionZForm.of(forms.xi(1))
+        for a in range(2, len(forms) + 1):
+            total = total + FractionZForm.of(forms.xi(a))
         assert total.integer() == zform(tuple(F(0) for _ in range(spec.k)), F(2 * spec.k))
 
 
@@ -107,7 +106,7 @@ def test_resubstitution_identity(spec_6_1, spec_6_2, quadric):
             total = FractionZForm((F(0),) * k, F(0))
             for a in range(cm.size):
                 assert entry(cm.matrix, a, c) == cm.matrix.num[a][c]   # an integral matrix
-                total = total + FractionZForm.of(forms[a].xi().scale(cm.matrix.num[a][c]))
+                total = total + FractionZForm.of(forms.xi(a + 1).scale(cm.matrix.num[a][c]))
             if c < n + 2 * k:
                 assert total.integer() == zform(tuple(F(0) for _ in range(k)), F(1))
             else:
@@ -125,34 +124,20 @@ def test_compute_delta(spec_6_1, spec_6_2, quadric):
             for x in row:
                 d = d * x.denominator // math.gcd(d, x.denominator)
         assert d == expected
-        assert compute_delta(solve_xi(cm, invert(cm.matrix))) == expected
+        assert solve_xi(cm, invert(cm.matrix)).den == expected
 
 
 def test_forms_are_the_inverse_columns_over_its_denominator(spec_6_2):
     # no per-form gcd: form a is column a of L^-1's numerators over Delta = 147,
     # and its xi() is still reduced
     pair = MirrorPair(spec_6_2)
-    for a, form in enumerate(pair.forms):
+    assert pair.forms.inverse is pair.inverse and pair.forms.den == 147
+    for a, form in enumerate(columns(pair.forms)):
         assert form.num == tuple(row[a] for row in pair.inverse.num)
         assert form.den == pair.inverse.den == 147
+        assert pair.forms.xi(a + 1) == form.xi()
         assert form.xi().den in (1, 3, 7, 21, 49, 147)
         assert math.gcd(form.xi().den, *form.xi().num) == 1
-
-
-def test_compute_delta_raises_on_forms_over_different_denominators(quadric):
-    # the numerators of forms over different denominators are not comparable:
-    # compute_delta, and every check that sums or compares them, raises
-    cm = build_cayley(quadric)
-    forms = list(MirrorPair(quadric).forms)
-    assert compute_delta(forms) == 4
-    f = forms[0]
-    forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
-    assert forms[0].den == 12
-    for check in (compute_delta, column_sums, lambda fs: horn_operators(quadric, fs),
-                  lambda fs: magic_square_check(cm, fs)):
-        with pytest.raises(mellin.MellinError, match=r"^forms over different denominators \[4, 12\]$"):
-            check(tuple(forms))
-    assert compute_delta(over_one_denominator(forms)) == 12
 
 
 def test_classify_forms(spec_6_1, spec_6_2, quadric):
@@ -168,8 +153,8 @@ def test_classify_forms(spec_6_1, spec_6_2, quadric):
 def test_s_row_forms_are_pure(spec_6_1):
     # the s-row columns of the printed inverse are unit vectors at the z slots
     forms = MirrorPair(spec_6_1).forms
-    assert forms[4].xi() == zf(0, 1, 0)   # a^1 - 2 = 5
-    assert forms[10].xi() == zf(0, 0, 1)  # a^2 - 2 = 11
+    assert forms.xi(5) == zf(0, 1, 0)   # a^1 - 2 = 5
+    assert forms.xi(11) == zf(0, 0, 1)  # a^2 - 2 = 11
 
 
 def test_check_sum_rules_against_printed_inverse(spec_6_1, spec_6_2):
@@ -228,37 +213,35 @@ def test_factorize_xi_unequal_ratios():
     from mirrorkit.ci_model import CISpec
     quadric = CISpec.load("src/mirrorkit/fixtures/derived_quadric.json")
     tr = MirrorPair(quadric).tr
-    forms = list(MirrorPair(quadric).forms)
-    broken = linear_form(i_coeffs(forms[0]), zeta_coeffs(forms[0]), (F(1, 3),))
-    forms[0] = broken
+    forms = MirrorPair(quadric).forms
+    f = columns(forms)[0]
+    broken = with_column(forms, 1, linear_form(i_coeffs(f), zeta_coeffs(f), (F(1, 3),)))
     with pytest.raises(NotFactorizableError):
-        factorize_xi(tr, tuple(forms), derive_weights(tr.tspec))
+        factorize_xi(tr, broken, derive_weights(tr.tspec))
 
 
 def test_classify_rejects_a_fractional_pure_z_form(quadric):
     # a constant-row form's z part must be exactly -z_nu; -z_nu / 2 has the
     # shape but not the value (the s-row forms are z_nu by the certificate)
     cm = build_cayley(quadric)
-    forms = list(MirrorPair(quadric).forms)
-    f = forms[4]
+    forms = MirrorPair(quadric).forms
+    f = columns(forms)[4]
     assert cm.row_labels[4][1] == "constant-row" and z_coeffs(f) == (-1,)
-    forms[4] = linear_form(i_coeffs(f), zeta_coeffs(f), (F(-1, 2),))
+    doctored = with_column(forms, 5, linear_form(i_coeffs(f), zeta_coeffs(f), (F(-1, 2),)))
     with pytest.raises(mellin.ClassificationFailureError, match="form 5 matches no pattern"):
-        classify_forms(cm, over_one_denominator(forms))
+        classify_forms(cm, doctored)
 
 
 def test_classify_rejects_zero_form(quadric):
     from mirrorkit.mellin import ClassificationFailureError
     cm = build_cayley(quadric)
-    forms = list(solve_xi(cm, invert(cm.matrix)))
+    forms = solve_xi(cm, invert(cm.matrix))
     k = quadric.k
     zero = linear_form((F(0),) * quadric.n, (F(0),) * (2 * k), (F(0),) * k)
-    forms[0], constant_row = zero, list(forms)
-    constant_row[4] = zero
     with pytest.raises(ClassificationFailureError, match="form 1 is identically zero"):
-        classify_by_pattern(cm, tuple(forms))
+        classify_by_pattern(cm, with_column(forms, 1, zero))
     with pytest.raises(ClassificationFailureError, match="form 5 matches no pattern"):
-        classify_forms(cm, tuple(constant_row))
+        classify_forms(cm, with_column(forms, 5, zero))
 
 
 def test_lemma_shape_violation(quadric):
@@ -267,12 +250,13 @@ def test_lemma_shape_violation(quadric):
     # certified inverse, so lemma_form does not check it)
     from mirrorkit.mellin import LemmaShapeViolationError
     cm = build_cayley(quadric)
+    forms = solve_xi(cm, invert(cm.matrix))
     for a, message in ((4, "row 4: expected z1"), (5, "row 5: expected 1 - z1")):
-        forms = list(solve_xi(cm, invert(cm.matrix)))
-        f = forms[a - 1]
-        forms[a - 1] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] / 2,))
+        f = columns(forms)[a - 1]
+        doctored = with_column(forms, a, linear_form(i_coeffs(f), zeta_coeffs(f),
+                                                     (z_coeffs(f)[0] / 2,)))
         with pytest.raises(LemmaShapeViolationError, match=f"^{message}$"):
-            lemma_form(cm, over_one_denominator(forms))
+            lemma_form(cm, doctored)
 
 
 def test_theorem_identity_violated(quadric):
@@ -370,16 +354,16 @@ def test_integer_forms_match_the_fraction_oracle():
         pair = MirrorPair(spec)
         inverse, forms = pair.inverse, pair.forms
         n, k = spec.n, spec.k
-        for a, form in enumerate(forms):
+        for a, form in enumerate(columns(forms)):
             col = column(inverse, a)
             assert (i_coeffs(form), zeta_coeffs(form), z_coeffs(form)) == \
                 (col[:n], col[n:n + 2 * k], col[n + 2 * k:])
-            assert constant(form.xi()) == sum(col[:n + 2 * k])
-            assert form.xi() == zform(col[n + 2 * k:], sum(col[:n + 2 * k]))
+            assert constant(forms.xi(a + 1)) == sum(col[:n + 2 * k])
+            assert forms.xi(a + 1) == zform(col[n + 2 * k:], sum(col[:n + 2 * k]))
             assert (form.num, form.den) == (tuple(row[a] for row in inverse.num), inverse.den)
             oracle = linear_form(col[:n], col[n:n + 2 * k], col[n + 2 * k:])
             assert over_one_denominator((form, oracle))[1] == form
-        assert compute_delta(forms) == inverse.den
+        assert forms.den == inverse.den
         cols = [column(inverse, a) for a in range(len(forms))]
         assert column_sums(forms) == {
             "i_column_sums_vanish": all(sum(c[j] for c in cols) == 0 for j in range(n)),
@@ -392,14 +376,17 @@ def test_integer_forms_match_the_fraction_oracle():
 
 def test_column_sums_fail_on_a_doctored_form(quadric):
     # the oracle's integer sums see a change that keeps every other form
-    forms = list(MirrorPair(quadric).forms)
-    f = forms[0]
-    forms[0] = linear_form(i_coeffs(f), zeta_coeffs(f), (z_coeffs(f)[0] + F(1, 3),))
-    assert column_sums(over_one_denominator(forms)) == {
+    forms = MirrorPair(quadric).forms
+    f = columns(forms)[0]
+    doctored = with_column(forms, 1, linear_form(i_coeffs(f), zeta_coeffs(f),
+                                                 (z_coeffs(f)[0] + F(1, 3),)))
+    assert doctored.den == 12
+    assert column_sums(doctored) == {
         "i_column_sums_vanish": True, "z_column_sums_vanish": False,
         "zeta_column_sums_one": True, "constants_sum_2k": True}
-    forms[0] = linear_form((i_coeffs(f)[0] + 1, *i_coeffs(f)[1:]), zeta_coeffs(f), z_coeffs(f))
-    assert column_sums(over_one_denominator(forms)) == {
+    doctored = with_column(forms, 1, linear_form((i_coeffs(f)[0] + 1, *i_coeffs(f)[1:]),
+                                                 zeta_coeffs(f), z_coeffs(f)))
+    assert column_sums(doctored) == {
         "i_column_sums_vanish": False, "z_column_sums_vanish": True,
         "zeta_column_sums_one": True, "constants_sum_2k": False}
 

@@ -38,6 +38,7 @@ from mirrorkit.transposition import NoValidShapeError, TranspositionError
 
 from oracles import (
     column,
+    columns,
     dense_matmul,
     duals,
     entries,
@@ -629,8 +630,8 @@ def test_magic_square_6_1(spec_6_1):
         qq = report.assignments[q]
         seen = set()
         for b, i in pairs:
-            assert z_coeffs(forms[b - 1])[q - 1] == \
-                i_coeffs(forms[spec_6_1.a(qq) - 1])[i - 1]
+            assert z_coeffs(columns(forms)[b - 1])[q - 1] == \
+                i_coeffs(columns(forms)[spec_6_1.a(qq) - 1])[i - 1]
             assert i not in seen
             seen.add(i)
         assert seen == set(range(1, spec_6_1.n + 1))
@@ -641,8 +642,8 @@ def test_magic_square_quadric_brute_force(quadric):
     forms = solve_xi(cm, invert(cm.matrix))
     report = magic_square_check(cm, forms)
     # oracle: brute force over the two candidate bijections
-    p = [z_coeffs(forms[b - 1])[0] for b in cm.i_lambda]
-    w = [i_coeffs(forms[quadric.a(1) - 1])[i] for i in range(quadric.n)]
+    p = [z_coeffs(columns(forms)[b - 1])[0] for b in cm.i_lambda]
+    w = [i_coeffs(columns(forms)[quadric.a(1) - 1])[i] for i in range(quadric.n)]
     feasible = any(all(p[b] == w[sigma[b]] for b in range(2))
                    for sigma in permutations(range(2)))
     assert feasible
@@ -653,8 +654,8 @@ def test_magic_square_multiset_mismatch(spec_6_2):
     cm = build_cayley(spec_6_2)
     forms = solve_xi(cm, invert(cm.matrix))
     # direct multiset comparison oracle
-    p = sorted(z_coeffs(forms[b - 1])[0] for b in cm.i_lambda)
-    w = sorted(i_coeffs(forms[spec_6_2.a(1) - 1]))
+    p = sorted(z_coeffs(columns(forms)[b - 1])[0] for b in cm.i_lambda)
+    w = sorted(i_coeffs(columns(forms)[spec_6_2.a(1) - 1]))
     assert p != w
     assert not magic_square_check(cm, forms).found
 

@@ -17,20 +17,20 @@ from pathlib import Path
 
 import pytest
 
-from mirrorkit import (ci_model, cli, nef_partition, pipeline, poincare, rational_linalg,
-                       transposition)
+from mirrorkit import (ci_model, cli, mellin, nef_partition, pipeline, poincare,
+                       rational_linalg, transposition)
 from mirrorkit.ci_model import CISpec
 from mirrorkit.horn_system import horn_operators, index_partition
-from mirrorkit.mellin import compute_delta
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.record import lazy
 
-from oracles import constant, z_coeffs
+from oracles import columns, constant, z_coeffs
 from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
-            (rational_linalg, "is_inverse"), (transposition, "build_transpose"))
+            (rational_linalg, "is_inverse"), (transposition, "build_transpose"),
+            (mellin, "solve_xi"))
 
 
 @pytest.fixture
@@ -60,8 +60,10 @@ def test_run_verify_builds_each_object_once(calls):
     assert calls["build_cayley"] == 3
     assert calls["derive_weights"] == 0
     assert calls["invert"] == 1
-    # the cayley stage and the forms read one certificate of L L^-1 = I
+    # the cayley stage and the forms read one certificate of L L^-1 = I, and
+    # every stage that reads the forms reads one view of L^-1
     assert calls["is_inverse"] == 1
+    assert calls["solve_xi"] == 1
     # the spec's difference matrix, once for its weights and the nef solve; the
     # nef target is the transposition's own matrix
     assert calls["difference_matrix"] == 1
@@ -280,13 +282,23 @@ def test_each_stage_is_wired_once(name):
     assert len(calls) == 1 and calls[0][0] == "pipeline.py", calls
 
 
-@pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3)])
+@pytest.mark.parametrize("name", ["corrupted_weights", "derived_quadric", "example_6_1",
+                                  "example_6_2"])
+def test_run_verify_reads_one_view_of_the_forms(calls, fixtures_dir, name):
+    report = run_verify(CISpec.load(fixtures_dir / f"{name}.json"))
+    assert [s.name for s in report.stages][2:5] == ["transpose", "forms", "mellin-plain"]
+    assert calls["solve_xi"] == calls["is_inverse"] == 1
+
+
+@pytest.mark.parametrize("command, bound", [("mellin", 2), ("poincare", 3), ("horn", 2),
+                                            ("nef", 2)])
 def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command, "--input", str(fixtures_dir / "example_6_1.json")]) == 0
     assert calls["build_cayley"] <= bound
     assert calls["derive_weights"] <= bound
-    assert calls["is_inverse"] == (command == "mellin")   # only mellin reads the forms
+    # poincare reads no form; the others read one view of L^-1, certified once
+    assert calls["is_inverse"] == calls["solve_xi"] == (command != "poincare")
 
 
 @pytest.mark.parametrize("m", [3, 7, 12])
@@ -356,15 +368,15 @@ def test_horn_factors_of_one_form_share_its_data(m):
     # denominator of its xi()
     spec = generate_family(m)
     forms = MirrorPair(spec).forms
-    delta = compute_delta(forms)
+    delta, cols = forms.den, columns(forms)
     shared: dict[int, set] = {}
     for op in horn_operators(spec, forms):
         plus, minus, _ = index_partition(forms, op.q)
         for rows, runs in ((plus, op.p_runs), (minus, op.q_runs)):
             assert len(runs) == len(rows)
             for a, (coeffs, const, den, count) in zip(rows, runs):
-                assert count == abs(int(z_coeffs(forms[a - 1])[op.q - 1] * delta))
-                xi = forms[a - 1].xi()
+                assert count == abs(int(z_coeffs(cols[a - 1])[op.q - 1] * delta))
+                xi = cols[a - 1].xi()
                 assert (const, den) == (xi.num[-1], xi.den)
                 assert Fraction(const, den) == constant(xi)
                 shared.setdefault(a, set()).add(id(coeffs))

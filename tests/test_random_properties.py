@@ -12,12 +12,12 @@ import pytest
 
 from mirrorkit.ci_model import build_cayley, derive_weights, charges
 from mirrorkit.horn_system import horn_operators, index_partition
-from mirrorkit.mellin import ZForm, classify_forms, compute_delta, solve_xi
+from mirrorkit.mellin import ZForm, classify_forms, solve_xi
 from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import classify_by_pattern, column_sums, dense_matmul, identity, z_coeffs
+from oracles import classify_by_pattern, column_sums, columns, dense_matmul, identity, z_coeffs
 from specgen import generate_valid_specs
 
 SPECS = generate_valid_specs(200)
@@ -49,9 +49,9 @@ def test_special_form_shapes():
         for nu in range(1, spec.k + 1):
             a = spec.a(nu)
             z_nu = ZForm.z(nu, spec.k)
-            assert forms[a - 3].xi() == z_nu
-            assert forms[a - 2].xi() == z_nu
-            assert forms[a - 1].xi() == z_nu.reflect()
+            assert forms.xi(a - 2) == z_nu
+            assert forms.xi(a - 1) == z_nu
+            assert forms.xi(a) == z_nu.reflect()
 
 
 def test_classification_never_fails():
@@ -64,11 +64,11 @@ def test_classification_never_fails():
 def test_horn_degree_balance():
     for spec in SPECS:
         forms = MirrorPair(spec).forms
-        delta = compute_delta(forms)
+        delta, cols = forms.den, columns(forms)
         for q in range(1, spec.k + 1):
             plus, minus, _ = index_partition(forms, q)
-            pos = sum(int(z_coeffs(forms[a - 1])[q - 1] * delta) for a in plus)
-            neg = -sum(int(z_coeffs(forms[a - 1])[q - 1] * delta) for a in minus)
+            pos = sum(int(z_coeffs(cols[a - 1])[q - 1] * delta) for a in plus)
+            neg = -sum(int(z_coeffs(cols[a - 1])[q - 1] * delta) for a in minus)
             assert pos == neg > 0
         for op in horn_operators(spec, forms):
             assert op.degrees[0] == op.degrees[1]
