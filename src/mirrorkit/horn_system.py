@@ -133,6 +133,11 @@ def horn_operators(spec: CISpec, forms: Forms) -> tuple[HornOperator, ...]:
     const_a + j - <z_a, theta> for j < Delta*|z_aq|, counted in integers as
     |z_aq numerator| = |S[q - 1][a - 1]|, as every form is over Delta; every
     side's count is checked against FACTOR_COUNT_CAP before any run is built.
+
+    On a certified L^-1, P and Q have equal degree: `check_y_rows` and
+    L L^-1 = I give L^-1 1 = v, the indicator of the y columns, so every
+    s-row of L^-1 sums to 0.  S row q is such a row, so its positive entries
+    sum to minus its negative ones, and those are the two sides' counts.
     """
     sides = []
     for q in range(1, spec.k + 1):

@@ -201,7 +201,11 @@ class Forms:
 
 @record
 class GammaProduct:
-    """Product of Gamma factors, canonical up to the periodic reflection ambiguity."""
+    """Product of Gamma factors, canonical up to the periodic reflection ambiguity.
+
+    Each side is sorted (`sort_forms`), as `lemma_form` and
+    `verify_theorem_31` build them, so `__str__` renders it in order.
+    """
 
     numerator: tuple[ZForm, ...]
     denominator: tuple[ZForm, ...]
@@ -215,7 +219,7 @@ class GammaProduct:
         def side(forms):
             return "*".join(
                 f"Gamma({f})" + (f"^{m}" if m > 1 else "")
-                for f, m in Counter(sort_forms(forms)).items()) or "1"
+                for f, m in Counter(forms).items()) or "1"
         num = side(self.numerator)
         if not self.denominator:
             return num

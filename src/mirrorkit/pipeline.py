@@ -13,12 +13,12 @@ runs `STAGES` in order.  A CLI command that reads the forms without `verify`
 meets a failed L L^-1 = I as the forms' InternalInvariantError.
 An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
 order)` returns the `Stage`, not ok when a construction identity fails
-(degree equality), and its soft failures beyond its failed `SOFT_FLAGS`.  The
-stage is left out when a stage in `needs` raised.  An exception of a class
-`errors` names ("module.Class", read by `raisable`) fails it in place: hard
-with flag None, the stage not ok; soft otherwise, as the stage checks a
-sufficient hypothesis such as factorizability, the stage ok with `flag` false
-and the soft failure "<name up to a '-'>: <error>".  A
+(the char-polys degree equality), and its soft failures beyond its failed
+`SOFT_FLAGS`.  The stage is left out when a stage in `needs` raised.  An
+exception of a class `errors` names ("module.Class", read by `raisable`)
+fails it in place: hard with flag None, the stage not ok; soft otherwise, as
+the stage checks a sufficient hypothesis such as factorizability, the stage
+ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  A
 `transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
@@ -134,20 +134,20 @@ class MirrorPair:
     A property that raises is not cached, so reading it again raises again;
     only the inversion of L holds a failure, so that a singular L is
     eliminated once whichever reader comes first.  The transposed side is
-    itself a MirrorPair (`mirror`), which holds the objects of the double
-    transpose.  It is handed its weights and kernel bases when it is built
-    and holds no reference back, so no cycle outlives a run; sharing never
-    depends on spec equality.  The one inverse L^-1 serves every side: k x k
-    blocks of it give a basis C of the spec's weight kernel
+    itself a MirrorPair (`mirror`), handed its weights when it is built; it
+    builds its Cayley matrix and rho for the transposition's checks, holds no
+    reference back, so no cycle outlives a run, and is never transposed: the
+    double transpose is read off the first transposition (`recovered_data`).
+    Sharing never depends on spec equality.  The one inverse L^-1 serves
+    both sides: k x k blocks of it give a basis C of the spec's weight kernel
     (`ci_model.weight_hint`, where M = 0) and H of the transposition's
-    (`transposition.inverse_hint`, where M' = 0), C moved by lambda is the
-    double transpose's, and the weights and weight classes of every side are
-    the classes of these bases.  So a run eliminates [L | I], and nothing
-    else, on a nonsingular L.  `ci_model.derive_weights` runs only on a
-    singular L or to name the error of a spec without weights, and
-    `build_transpose` eliminates only where no basis is known: on the spec's
-    side of a singular L or where M' != 0, to name the kernel's dimension,
-    and on its mirror's when a singular L's spec has no weights.
+    (`transposition.inverse_hint`, where M' = 0), and the weights and weight
+    classes of both sides are the classes of these bases.  So a run
+    eliminates [L | I], and nothing else, on a nonsingular L.
+    `ci_model.derive_weights` runs only on a singular L or to name the error
+    of a spec without weights, and `build_transpose` eliminates only where no
+    basis is known: on a singular L or where M' != 0, to name the kernel's
+    dimension.
     """
 
     def __init__(self, spec: CISpec):
@@ -222,26 +222,11 @@ class MirrorPair:
         return poincare.poincare_structure(self.effective_weights, self.charges)
 
     @lazy
-    def _kernel_basis(self) -> tuple[tuple[int, ...], ...] | None:
-        """The rows of a basis of ker spec.diff, one per variable, once `_shape` exists:
-        C (`ci_model.weight_hint`) on a nonsingular L, as M = 0 then (`mirror`),
-        else the derived weights' rows, None without weights.  A mirror is handed
-        its tspec.weights' rows, so the double transpose never inverts its L."""
-        inverse = self._inversion
-        if not isinstance(inverse, SingularMatrixError):
-            return ci_model.weight_hint(self.spec, inverse)[0]
-        try:
-            return tuple(zip(*self.weights.vectors))
-        except ci_model.SpecError:
-            return None
-
-    @lazy
     def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
         """The rows of a basis of the weight kernel `build_transpose` reads the classes
         off, or None to eliminate: H (`transposition.inverse_hint`) when M' = 0;
         None on a singular L, or when M' != 0 and the kernel, of dimension
-        k - rank M' < k, fails.  A mirror is handed its own, its origin's
-        `_kernel_basis` moved by lambda."""
+        k - rank M' < k, fails."""
         inverse = self._inversion
         if isinstance(inverse, SingularMatrixError):
             return None
@@ -254,24 +239,17 @@ class MirrorPair:
 
     @lazy
     def mirror(self) -> MirrorPair:
-        """The transposed side, handed its weights and both its kernel bases.
+        """The transposed side, handed its weights: it builds only what the
+        transposition's checks read, its Cayley matrix and its rho.
 
         `build_transpose` takes each weight class's ray from the kernel of the
         transposed difference matrix, read off the basis `_class_hint` gives.
         It spans the kernel of the class's columns, in ascending order: the
         submatrix `derive_weights` would eliminate for that block, so its
         primitive positive ray is the same and is not solved for again.
-        Row c of tr.diff is column lam(c) of A = spec.diff (`nef_partition`),
-        so ker A has the dimension k of ker tr.diff, and the mirror's transposed
-        difference matrix is A Pi_lam, rows permuted: its kernel is ker A moved
-        by lam.
         """
-        shape, basis = self._shape, self._kernel_basis
-        mirror = MirrorPair(shape.tspec)
-        mirror.weights = WeightSystem(shape.tspec.weights)
-        mirror._kernel_basis = tuple(zip(*shape.tspec.weights))
-        mirror._class_hint = None if basis is None else tuple(
-            basis[i - 1] for i in shape.lam.images)
+        mirror = MirrorPair(self._shape.tspec)
+        mirror.weights = WeightSystem(mirror.spec.weights)
         return mirror
 
     @lazy
@@ -302,44 +280,47 @@ class MirrorPair:
         return ci_model.charges(self.tr.tspec, self.tweights)
 
     @lazy
-    def tr2(self) -> transposition.TransposeResult:
-        return self.mirror.tr
+    def recovered_data(self) -> tuple[WeightSystem, ChargeMatrix]:
+        """The double transpose's weights in the original block order, and their
+        charges: the derived weights in the order pi (`transposition.home_order`),
+        for the duality check to compare with the annotated grading data.
 
-    @lazy
-    def sigma(self) -> tuple[int, ...]:
-        return transposition.double_transpose_relabel(self.spec, self.tr, self.tr2)
-
-    @lazy
-    def recovered(self) -> CISpec:
-        """The double transpose, blocks and weights relabelled onto the original variables."""
-        return transposition.apply_variable_permutation(self.tr2.tspec, self.sigma)
-
-    @lazy
-    def block_match(self) -> tuple[int, ...] | None:
-        """Per original block, the first unused recovered block with its exponents and
-        index set; None when some block has none (the double transpose is not home)."""
-        match: list[int] = []
-        for blk in self.spec.blocks:
-            key = (sorted(blk.exponents), tuple(blk.index_set))
-            m = next((m for m, rblk in enumerate(self.recovered.blocks) if m not in match
-                      and (sorted(rblk.exponents), rblk.index_set) == key), None)
-            if m is None:
-                return None
-            match.append(m)
-        return tuple(match)
-
-    @property
-    def involutive(self) -> bool:
-        return self.block_match is not None
-
-    @lazy
-    def recovered_data(self) -> tuple[WeightSystem, ChargeMatrix] | None:
-        """The double transpose's weights in the original block order, and their charges:
-        the grading data rebuilt independently, for the duality check to compare."""
-        if self.block_match is None:
-            return None
-        weights = WeightSystem(tuple(self.recovered.weights[m] for m in self.block_match))
-        return weights, ci_model.charges(self.spec, weights)
+        This is what transposing tr.tspec again, relabelling it onto the spec's
+        variables and matching its blocks to the spec's gives, so no second
+        transposition is built.  With tau and tilde_tau the spec's block and
+        index-set sizes, and Y = tr.tspec:
+        - Blocks.  nu is an involution with tau_nu(j) = tilde_tau_j, so
+          tilde_tau_nu(j) = tau_j.  Y's block q is the spec's block nu(q)
+          transposed: tilde_tau_nu(q) = tau_q monomials, an index set of
+          tau_nu(q) = tilde_tau_q.  So Y's sizes are the spec's, `_choose_nu`
+          picks the same nu for Y, and the double transpose's block q is Y's
+          block nu(q), which is the spec's block nu(nu(q)) = q.
+        - Entries.  `_verify_permuted_transpose` certified that Y's Cayley
+          matrix is L transposed with rows and columns permuted, so
+          transposing it again gives L with rows and columns permuted.  Y's
+          monomial r + 1 (raw position r of Y's transposition) is the spec's
+          variable lam(r + 1); relabelled so, block q of the double transpose
+          has block q's exponents and index set, and the first unused
+          matching block of each spec block is its own: the match is the
+          identity.
+        - Weights.  Y's transposed difference matrix is A = spec.diff with
+          columns moved by lam and rows permuted (`nef_partition`: row c of
+          tr.diff is column lam(c) of A), so its kernel is ker A moved by lam.
+          ker A has the dimension k of ker tr.diff, so the derived weights span
+          it and its classes are the spec's block ranges with their rays.  So
+          Y's weight classes group raw position r by the block whose range
+          holds lam(r + 1), with that block's ray: positive, k of them, of the
+          sizes tau, and Y transposes.  `build_transpose` takes the classes by
+          their smallest raw position and gives block position q the first
+          unused one of Y's tau_q variables, which is pi(q); relabelled,
+          position q carries block pi(q)'s derived weights.
+        pi differs from the identity only where equal block sizes meet lam
+        out of order, which is why the weights are not simply the derived ones.
+        """
+        spec = self.spec
+        weights = WeightSystem(tuple(self.weights.vectors[q - 1]
+                                     for q in transposition.home_order(spec, self.tr)))
+        return weights, ci_model.charges(spec, weights)
 
     # the stage results, wired here once for run_verify and the CLI commands
     @lazy
@@ -369,8 +350,13 @@ class MirrorPair:
 
     @lazy
     def duality(self) -> poincare.DualityReport:
-        return poincare.verify_duality(self.tweights, self.tcharges, self.structure_ratio,
-                                       self.recovered_data)
+        """M_Y = PO_Xbar compares P_A of the recovered data with `structure_ratio`,
+        P_A of the annotated data; where the two data are one, it is that ratio
+        compared with itself, so P_A is not built again."""
+        recovered = self.recovered_data
+        m_y = (self.structure_ratio if recovered == (self.effective_weights, self.charges)
+               else poincare.poincare_structure(*recovered))
+        return poincare.verify_duality(self.tweights, self.tcharges, self.structure_ratio, m_y)
 
     @lazy
     def nef(self) -> nef_partition.NefPartitionData:
@@ -440,8 +426,7 @@ class PipelineReport:
 
 def _transpose(pair: MirrorPair, order: int):
     tr = pair.tr
-    home = [] if pair.involutive else ["transpose: double transposition does not return home"]
-    return Stage("transpose", True, dict(tr.condition_flags), list(tr.notes), tr.to_json()), home
+    return Stage("transpose", True, dict(tr.condition_flags), list(tr.notes), tr.to_json()), ()
 
 
 def _forms(pair: MirrorPair, order: int):
@@ -480,10 +465,10 @@ def _mellin_factorized(pair: MirrorPair, order: int):
 
 
 def _horn(pair: MirrorPair, order: int):
+    # P and Q have equal degree on a certified inverse (`horn_operators`)
     ops = pair.horn
-    degrees = [op.degrees for op in ops]
-    return Stage("horn", all(p == q for p, q in degrees),
-                 payload={"operators": [op.to_json() for op in ops], "degrees": degrees}), ()
+    return Stage("horn", True, payload={"operators": [op.to_json() for op in ops],
+                                        "degrees": [op.degrees for op in ops]}), ()
 
 
 def _char_polys(pair: MirrorPair, order: int):

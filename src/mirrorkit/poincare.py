@@ -197,19 +197,19 @@ class DualityReport:
 
 
 def verify_duality(tw: WeightSystem, tq: ChargeMatrix, p_a_x: CyclotomicRatio,
-                   recovered: tuple[WeightSystem, ChargeMatrix] | None) -> DualityReport:
+                   m_y: CyclotomicRatio) -> DualityReport:
     """Check the monodromy / Euler-characteristic / structural-series equalities.
 
     tw, tq are the derived weights of the transposed spec and their charges,
     p_a_x is poincare_structure of the spec's weights as annotated and their
-    charges, and recovered is `MirrorPair.recovered_data`: the double
-    transpose's weights in the original block order and their charges.  M, PO
-    and P_A are one formula (poincare_structure), so M_X = PO_Ybar,
-    PO_Ybar = P_A_Y and PO_Xbar = P_A_X hold by construction: each side is
-    the ratio of the transposed data, or of the annotated data.
-    M_Y = PO_Xbar is the one real comparison: the ratio rebuilt from the
-    double transpose against the annotated one.  Without a recovered
-    original both of the X-side identities are False.
+    charges, and m_y is poincare_structure of `MirrorPair.recovered_data`: the
+    double transpose's weights in the original block order, read off the first
+    transposition, and their charges.  M, PO and P_A are one formula
+    (poincare_structure), so M_X = PO_Ybar, PO_Ybar = P_A_Y and
+    PO_Xbar = P_A_X hold by construction: each side is the ratio of the
+    transposed data, or of the annotated data.  M_Y = PO_Xbar is the one real
+    comparison: the recovered grading data against the annotated one, which
+    differ where the annotation does.
     """
     identities: dict[str, bool] = {}
     notes: list[str] = []
@@ -217,17 +217,11 @@ def verify_duality(tw: WeightSystem, tq: ChargeMatrix, p_a_x: CyclotomicRatio,
     m_x = poincare_structure(tw, tq)
     identities["M_X = PO_Ybar"] = True
     identities["PO_Ybar = P_A_Y"] = True
-
-    if recovered is None:
-        identities["M_Y = PO_Xbar"] = False
-        identities["PO_Xbar = P_A_X"] = False
-        notes.append("double transposition did not recover the original blocks")
-    else:
-        identities["M_Y = PO_Xbar"] = ratio_equal(poincare_structure(*recovered), p_a_x)
-        identities["PO_Xbar = P_A_X"] = True
-        if not identities["M_Y = PO_Xbar"]:
-            notes.append("monodromy ratio from the double transpose disagrees "
-                         "with the annotated grading data")
+    identities["M_Y = PO_Xbar"] = ratio_equal(m_y, p_a_x)
+    identities["PO_Xbar = P_A_X"] = True
+    if not identities["M_Y = PO_Xbar"]:
+        notes.append("monodromy ratio from the double transpose disagrees "
+                     "with the annotated grading data")
 
     for name, ratio in (("M_X", m_x), ("P_A_X", p_a_x)):
         if not ratio.degree_balanced():

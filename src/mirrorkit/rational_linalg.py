@@ -122,7 +122,10 @@ class Matrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
-        return [[ratio_str(x, self.den) for x in row] for row in self.num]
+        """Each entry as `ratio_str`, rendered once per distinct numerator."""
+        den = self.den
+        text = {x: ratio_str(x, den) for x in set().union(*self.num)}
+        return [list(map(text.__getitem__, row)) for row in self.num]
 
     def __str__(self) -> str:
         cells = self.to_json()

@@ -354,35 +354,22 @@ def _lambda_v_identity(spec, lam, row_to_var) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def double_transpose_relabel(spec: CISpec, tr: TransposeResult,
-                             tr2: TransposeResult) -> tuple[int, ...]:
-    """sigma[p-1] = original variable recovered at position p of tr2.tspec."""
-    tspec = tr.tspec
-    i_lam = list(tspec.i_lambda())
-    var_to_row2 = {v: r for r, v in tr2.row_to_var}
-    sigma = []
-    for p in range(1, spec.n + 1):
-        row = var_to_row2[p]                    # monomial row of tspec
-        mono_pos = i_lam.index(row) + 1         # its position among tspec monomials
-        sigma.append(tr.lam(mono_pos))          # the original variable it came from
-    return tuple(sigma)
+def home_order(spec: CISpec, tr: TransposeResult) -> tuple[int, ...]:
+    """pi: per block position q of the double transpose, the spec block whose
+    weights it carries once relabelled (`pipeline.MirrorPair.recovered_data`).
 
-
-def apply_variable_permutation(spec: CISpec, sigma: tuple[int, ...]) -> CISpec:
-    """Relabel variable p as sigma[p-1], in the blocks and in the weights if any.
-
-    Blocks and weight vectors keep their order; only the variables move.
+    The blocks are taken in the order of their first variable in lam, and
+    position q takes the first unused one with tr.tspec.taus[q - 1] variables,
+    the rule by which `build_transpose` assigns the transposed spec's classes.
     """
-    def remap(vec):
-        out = [0] * spec.n
-        for p, val in enumerate(vec, start=1):
-            out[sigma[p - 1] - 1] = val
-        return tuple(out)
-    blocks = tuple(Block(exponents=tuple(remap(v) for v in b.exponents),
-                         index_set=tuple(sorted(sigma[i - 1] for i in b.index_set)))
-                   for b in spec.blocks)
-    weights = None if spec.weights is None else tuple(map(remap, spec.weights))
-    return CISpec(n=spec.n, k=spec.k, blocks=blocks, weights=weights)
+    block_of = {i: q for q in range(1, spec.k + 1) for i in spec.block_range(q)}
+    unused = list(dict.fromkeys(block_of[i] for i in tr.lam.images))
+    order = []
+    for tau in tr.tspec.taus:
+        q = next(q for q in unused if spec.taus[q - 1] == tau)
+        unused.remove(q)
+        order.append(q)
+    return tuple(order)
 
 
 def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:

@@ -4,8 +4,8 @@
 
 For every comparison, boolean operator and `raise` in the functions of
 `TARGETS` (the check functions of `mellin`, the readers of the forms in
-`horn_system` and `nef_partition`, `pipeline.run_verify` and the checks of
-`transposition`) it makes one mutant:
+`horn_system` and `nef_partition`, `pipeline.run_verify`, the checks of
+`transposition` and its `home_order`) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
   not in, is and is not);
@@ -46,7 +46,8 @@ TARGETS = {
     "nef_partition": ("magic_square_check",),
     "pipeline": ("run_verify",),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
-                      "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching"),
+                      "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching",
+                      "home_order"),
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,

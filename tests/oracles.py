@@ -19,6 +19,10 @@ sympy and with hand-computed values:
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
+* the double transpose a run no longer builds (`double_transpose`), relabelled
+  onto the spec's variables (`recovered`) and matched to its blocks
+  (`block_match`, `recovered_data`, `involutive`): the oracle of
+  `MirrorPair.recovered_data`, which reads it off the first transposition;
 * `rat_str` and `integer_row` for Fractions, and the eliminations and
   Fraction arithmetic the program's closed forms replaced.
 """
@@ -29,12 +33,16 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
+from mirrorkit import transposition
+from mirrorkit.ci_model import (Block, build_cayley, charges, CISpec, SpecError, weight_hint,
+                                 WeightSystem)
 from mirrorkit.mellin import ClassificationFailureError, Forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
     Matrix,
+    SingularMatrixError,
     _canonical,
     _eliminate,
     _kernel_columns,
@@ -376,3 +384,99 @@ def kernel_rows(factor, relations):
     factor injective.  The elimination of M' that H alone replaces where M' = 0."""
     kernel = integer_kernel(Matrix(relations))
     return tuple(tuple(sum(map(mul, row, vec)) for vec in kernel) for row in factor)
+
+
+def kernel_basis(pair):
+    """The rows of a basis of ker spec.diff, one per variable: C
+    (`ci_model.weight_hint`) on a nonsingular L, else the derived weights'
+    rows; None without weights."""
+    inverse = pair._inversion
+    if not isinstance(inverse, SingularMatrixError):
+        return weight_hint(pair.spec, inverse)[0]
+    try:
+        return tuple(zip(*pair.weights.vectors))
+    except SpecError:
+        return None
+
+
+def double_transpose(pair):
+    """tr.tspec transposed and checked in full, the second transposition a run
+    reads off the first: `build_transpose` of the mirror's Cayley matrix, its
+    classes read off the spec's kernel basis moved by lambda, and
+    `complete_transpose` with a third Cayley matrix and the mirror's and the
+    double transpose's rho.  Needs only the spec's transposition shape."""
+    shape, basis = pair._shape, kernel_basis(pair)
+    mirror = pair.mirror
+    hint = None if basis is None else tuple(basis[i - 1] for i in shape.lam.images)
+    shape2 = transposition.build_transpose(mirror.cm, lambda: hint)
+    found = mirror.rho
+    tspec2 = shape2.tspec
+    return transposition.complete_transpose(
+        mirror.cm, shape2, build_cayley(tspec2), found,
+        transposition.find_rho(tspec2, WeightSystem(tspec2.weights)))
+
+
+def double_transpose_relabel(spec, tr, tr2):
+    """sigma[p-1] = original variable recovered at position p of tr2.tspec."""
+    i_lam = list(tr.tspec.i_lambda())
+    var_to_row2 = {v: r for r, v in tr2.row_to_var}
+    sigma = []
+    for p in range(1, spec.n + 1):
+        row = var_to_row2[p]                    # monomial row of tspec
+        mono_pos = i_lam.index(row) + 1         # its position among tspec monomials
+        sigma.append(tr.lam(mono_pos))          # the original variable it came from
+    return tuple(sigma)
+
+
+def apply_variable_permutation(spec, sigma):
+    """Relabel variable p as sigma[p-1], in the blocks and in the weights if any.
+
+    Blocks and weight vectors keep their order; only the variables move.
+    """
+    def remap(vec):
+        out = [0] * spec.n
+        for p, val in enumerate(vec, start=1):
+            out[sigma[p - 1] - 1] = val
+        return tuple(out)
+    blocks = tuple(Block(exponents=tuple(remap(v) for v in b.exponents),
+                         index_set=tuple(sorted(sigma[i - 1] for i in b.index_set)))
+                   for b in spec.blocks)
+    weights = None if spec.weights is None else tuple(map(remap, spec.weights))
+    return CISpec(n=spec.n, k=spec.k, blocks=blocks, weights=weights)
+
+
+def recovered(pair, tr2=None):
+    """The double transpose (tr2, else `double_transpose`) with its blocks and
+    weights relabelled onto the spec's variables."""
+    tr2 = double_transpose(pair) if tr2 is None else tr2
+    return apply_variable_permutation(tr2.tspec, double_transpose_relabel(pair.spec, pair.tr, tr2))
+
+
+def block_match(spec, rec):
+    """Per block of spec, the 0-based index of the first unused block of rec with its
+    exponents (as a set) and index set; None when some block has none (rec is not
+    spec: the double transpose is not home)."""
+    match = []
+    for blk in spec.blocks:
+        key = (sorted(blk.exponents), tuple(blk.index_set))
+        m = next((m for m, rblk in enumerate(rec.blocks) if m not in match
+                  and (sorted(rblk.exponents), rblk.index_set) == key), None)
+        if m is None:
+            return None
+        match.append(m)
+    return tuple(match)
+
+
+def recovered_data(spec, rec):
+    """rec's weights in spec's block order (`block_match`) and their charges, or
+    None when rec is not home."""
+    match = block_match(spec, rec)
+    if match is None:
+        return None
+    weights = WeightSystem(tuple(rec.weights[m] for m in match))
+    return weights, charges(spec, weights)
+
+
+def involutive(pair):
+    """Whether the double transpose returns home."""
+    return block_match(pair.spec, recovered(pair)) is not None

@@ -31,7 +31,7 @@ from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
 from oracles import (FractionZForm, column_sums, columns, dense_matmul, duals, i_coeffs,
-                     identity, support_phi, z_coeffs, zform)
+                     identity, involutive, support_phi, z_coeffs, zform)
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 
@@ -107,12 +107,12 @@ def test_criterion_3_duality(spec_6_1, spec_6_2, quadric, corrupted):
         t0 = time.monotonic()
         pair = MirrorPair(spec)
         rep = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                             pair.recovered_data)
+                             poincare_structure(*pair.recovered_data))
         assert rep.ok, rep
         assert time.monotonic() - t0 < 1.0
     pair = MirrorPair(corrupted)
     bad = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                         pair.recovered_data)
+                         poincare_structure(*pair.recovered_data))
     assert not bad.ok
     assert not bad.identities["M_Y = PO_Xbar"]  # the violated identity, named
     report("criterion 3: duality on 6.2, 6.1, quadric, family m=3,4,5 + negative control")
@@ -141,15 +141,15 @@ def test_criterion_4_property_suite():
 
 def test_criterion_5_involution(spec_6_1, spec_6_2):
     """Double transposition returns the spec, on the examples and random specs."""
-    assert MirrorPair(spec_6_1).involutive
-    assert MirrorPair(spec_6_2).involutive
+    assert involutive(MirrorPair(spec_6_1))
+    assert involutive(MirrorPair(spec_6_2))
     count = 0
     for spec in generate_valid_specs(200):
         try:
             MirrorPair(spec).tr
         except (NoValidShapeError, NoInvolutiveNuError):
             continue
-        assert MirrorPair(spec).involutive, spec
+        assert involutive(MirrorPair(spec)), spec
         count += 1
     report(f"criterion 5: involution on both examples and {count} random mirrors")
 

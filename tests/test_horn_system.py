@@ -23,7 +23,7 @@ from mirrorkit.rational_linalg import Matrix
 
 from oracles import columns, constant, entry, rat_str, z_coeffs
 from paper_data import L_8_INV, matrix_from_json
-from specgen import generate_valid_specs
+from specgen import generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 
 
 def test_index_partition_quadric(quadric):
@@ -59,6 +59,22 @@ def test_horn_degrees_match(spec_6_1, spec_6_2, quadric):
             expected = sum(int(z_coeffs(cols[a - 1])[op.q - 1] * delta)
                            for a in index_partition(forms, op.q)[0])
             assert degp == expected
+
+
+def test_p_and_q_have_equal_degree_on_a_certified_inverse(fixtures_dir):
+    # the proof in horn_operators: on a certified L^-1 every s-row sums to 0,
+    # its positive entries count P's factors and its negative ones Q's, and it
+    # is nonzero, so both sides are nonempty
+    operators = 0
+    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        assert pair.certified
+        forms = pair.forms
+        assert all(sum(row) == 0 and any(row) for row in forms.s_rows)
+        for op in horn_operators(spec, forms):
+            assert op.degrees[0] == op.degrees[1] > 0
+            operators += 1
+    assert operators == 779
 
 
 def test_horn_factor_shape(quadric):

@@ -468,6 +468,33 @@ def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
     assert counts == {"factorized": 174, "not factorized": 342, "unclassified": 100}
 
 
+def test_every_gamma_product_is_sorted_on_both_sides(fixtures_dir):
+    # GammaProduct.__str__ renders each side in its stored order: every product
+    # lemma_form and verify_theorem_31 build on the oracle set is sorted on
+    # both sides, so the text is the one a re-sort would give
+    def display(forms):
+        return "*".join(f"Gamma({f})" + (f"^{m}" if m > 1 else "")
+                        for f, m in Counter(sort_forms(forms)).items()) or "1"
+
+    counts = Counter()
+    for spec in oracle_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        products = [("lemma", pair.lemma)]
+        try:
+            products.append(("theorem31", pair.theorem31[1]))
+        except (mellin.MellinError, ci_model.SpecError):
+            pass
+        for name, product in products:
+            for side in (product.numerator, product.denominator):
+                assert side == sort_forms(side)
+            text = display(product.numerator)
+            if product.denominator:
+                text += f" / [{display(product.denominator)}]"
+            assert str(product) == text
+            counts[name] += 1
+    assert counts == {"lemma": 216, "theorem31": 76}
+
+
 def test_run_verify_builds_no_fraction(monkeypatch):
     # the forms, both Gamma products, Theorem 3.1 and the Horn runs are
     # integer numerators over one denominator; no Fraction anywhere in a run

@@ -40,6 +40,7 @@ from oracles import (
     column,
     columns,
     dense_matmul,
+    double_transpose,
     duals,
     entries,
     i_coeffs,
@@ -232,8 +233,9 @@ def test_every_side_of_a_transposition_has_rank_n_minus_k(fixtures_dir):
             tr = pair.tr
         except TranspositionError:
             continue
-        tspec2 = pair.tr2.tspec
-        assert rank(tr.diff) == rank(pair.tr2.diff) == spec.n - spec.k
+        tr2 = double_transpose(pair)
+        tspec2 = tr2.tspec
+        assert rank(tr.diff) == rank(tr2.diff) == spec.n - spec.k
         for side, weights in ((spec, pair.weights), (tr.tspec, pair.tweights),
                               (tspec2, WeightSystem(tspec2.weights))):
             dim = minkowski_dim(build_deltas(side, weights))

@@ -24,12 +24,13 @@ from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.record import lazy
 
-from oracles import columns, constant, z_coeffs
+from oracles import columns, constant, double_transpose, z_coeffs
 from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
             (rational_linalg, "is_inverse"), (transposition, "build_transpose"),
+            (transposition, "complete_transpose"), (transposition, "find_rho"),
             (mellin, "solve_xi"))
 
 
@@ -54,10 +55,10 @@ def calls(monkeypatch) -> Counter:
 def test_run_verify_builds_each_object_once(calls):
     run_verify(generate_family(5))
     # validation reads the run's pair, which builds one Cayley matrix per side
-    # (spec, mirror, double transpose) and one inverse; the spec's weights are
-    # read off the inverse, the other sides take theirs from the transposition
-    assert calls["build_transpose"] == 2
-    assert calls["build_cayley"] == 3
+    # (spec, mirror) and one inverse; the spec's weights are read off the
+    # inverse, the mirror takes its own from the transposition
+    assert calls["build_transpose"] == 1
+    assert calls["build_cayley"] == 2
     assert calls["derive_weights"] == 0
     assert calls["invert"] == 1
     # the cayley stage and the forms read one certificate of L L^-1 = I, and
@@ -149,7 +150,7 @@ def test_a_pair_is_freed_by_reference_counting():
     # run's inverse, forms and stage results alive until the cyclic collector
     # runs
     pair = MirrorPair(generate_family(3))
-    pair.tr2
+    pair.duality
     ref = weakref.ref(pair)
     gc.disable()
     try:
@@ -161,31 +162,34 @@ def test_a_pair_is_freed_by_reference_counting():
 
 @pytest.mark.parametrize("name", ["family_3", "example_6_1.json", "example_6_2.json"])
 def test_a_mirror_outlives_its_origin_with_its_bases(monkeypatch, fixtures_dir, name):
-    # the mirror is handed its bases when it is built, so with its origin gone
-    # it transposes to the same double transpose and eliminates nothing
+    # the mirror is handed its weights when it is built, so with its origin
+    # gone it builds what the transposition's checks read and eliminates
+    # nothing; transposed, it gives the double transpose, eliminating only its
+    # own [L | I] for its classes
     spec = (generate_family(3) if name == "family_3"
             else CISpec.load(fixtures_dir / name))
-    expected = MirrorPair(spec).tr2
+    expected = double_transpose(MirrorPair(spec))
     pair = MirrorPair(spec)
     mirror = pair.mirror
     ref = weakref.ref(pair)
     del pair
     assert ref() is None
     shapes = _count_eliminations(monkeypatch)
-    assert mirror.tr == expected
+    mirror.cm, mirror.rho
     assert shapes == []
+    assert mirror.tr == expected
+    size = spec.total_rows
+    assert shapes == [(size, size, 2 * size)]
 
 
 def _withhold_the_kernel_bases(monkeypatch):
-    # no weight kernel is read off L^-1 or the weights: derive_weights solves
-    # for the spec's weights, and with the spec's bases withheld, its own and
-    # the one its mirror is handed, _weight_classes eliminates tr.diff on
-    # every side
+    # no weight kernel is read off L^-1: derive_weights solves for the spec's
+    # weights, and with the spec's basis H withheld, _weight_classes
+    # eliminates tr.diff
     monkeypatch.setattr(ci_model, "read_weights", lambda spec, inverse: None)
-    for name in ("_class_hint", "_kernel_basis"):
-        withheld = lazy(lambda self: None)
-        withheld.__set_name__(MirrorPair, name)
-        monkeypatch.setattr(MirrorPair, name, withheld)
+    withheld = lazy(lambda self: None)
+    withheld.__set_name__(MirrorPair, "_class_hint")
+    monkeypatch.setattr(MirrorPair, "_class_hint", withheld)
 
 
 def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_dir):
@@ -213,11 +217,9 @@ def test_run_verify_is_unchanged_when_no_read_certifies(monkeypatch, fixtures_di
 
 
 def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch, tmp_path):
-    # a spec with a singular L still transposes, and its double transpose
-    # reads its weight classes off the spec's weights, bounded by the spec's
-    # transposition and not by L^-1: the transpose and poincare output is the
-    # same as with every kernel basis withheld, and only the spec's side
-    # eliminates for its classes
+    # a spec with a singular L still transposes: the transpose and poincare
+    # output is the same as with every kernel basis withheld, and only the
+    # spec's side eliminates for its classes, as no run transposes the mirror
     paths = []
     for i, spec in enumerate(singular_cayley_specs()):
         path = tmp_path / f"singular_{i}.json"
@@ -241,30 +243,26 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
                     eliminated[command] += len(calls) - before
         return runs, eliminated
 
-    # one elimination per run, for the spec's classes: transpose builds no
-    # double transpose, and poincare reads its classes
+    # one elimination per run, for the spec's classes, with the basis H or
+    # without: a singular L has none to read
     read, eliminated = outputs()
     assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
     _withhold_the_kernel_bases(monkeypatch)
     refused, eliminated = outputs()
     assert refused == read
-    assert eliminated == {"transpose": 2 * len(paths), "poincare": 4 * len(paths)}
+    assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
 
 
-@pytest.mark.parametrize("m", [5, 7, 12])
-def test_run_verify_searches_rho_three_times(monkeypatch, m):
-    # one search per side (spec, mirror, double transpose): the mirror's rho
-    # is the spec's t_rho
-    searched = []
-    real = transposition.find_rho
-
-    def counted(spec, weights):
-        searched.append(spec)
-        return real(spec, weights)
-
-    monkeypatch.setattr(transposition, "find_rho", counted)
-    run_verify(generate_family(m))
-    assert len(searched) == 3
+@pytest.mark.parametrize("name", ["example_6_2.json", "family_5", "family_7", "family_12"])
+def test_run_verify_builds_each_construction_once(calls, fixtures_dir, name):
+    # one transposition per run: the spec's and its mirror's Cayley matrices
+    # and rho (the mirror's is the spec's t_rho), one shape and one check of
+    # it; the double transpose is read off the first transposition
+    spec = (CISpec.load(fixtures_dir / name) if name.endswith(".json")
+            else generate_family(int(name.split("_")[1])))
+    assert run_verify(spec).hard_ok
+    assert [calls[f] for f in ("build_cayley", "build_transpose", "complete_transpose",
+                               "find_rho")] == [2, 1, 1, 2]
 
 
 STAGE_FUNCTIONS = ("lemma_form", "factorize_xi", "verify_theorem_31", "horn_operators",
@@ -412,8 +410,10 @@ def test_no_reader_mutates_a_shared_payload(monkeypatch, fixtures_dir, tmp_path,
 
 
 def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir):
-    # the transposed data, the annotated data (read by the duality check and
-    # the one-block series) and the double transpose: three ratios, not four
+    # the transposed data and the annotated data (read by the duality check and
+    # the one-block series); the double transpose's data is the annotated data
+    # on example 6.2, so its ratio is that one, and only the corrupted
+    # fixture's, which differs, is built: two ratios, or three
     built = []
     real = poincare.poincare_structure
 
@@ -423,6 +423,9 @@ def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir)
 
     monkeypatch.setattr(poincare, "poincare_structure", counted)
     run_verify(CISpec.load(fixtures_dir / "example_6_2.json"))
+    assert len(built) == 2
+    del built[:]
+    run_verify(CISpec.load(fixtures_dir / "corrupted_weights.json"))
     assert len(built) == 3
 
 
@@ -443,17 +446,3 @@ def test_horn_builds_the_monodromy_ratio_once(monkeypatch, fixtures_dir, fmt):
     assert len(built) == 1
 
 
-def test_a_double_transpose_that_is_not_home_is_a_soft_failure(monkeypatch, fixtures_dir):
-    # no fixture or oracle spec reaches this branch: every double transpose returns home
-    path = str(fixtures_dir / "example_6_1.json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["poincare", "--strict", "--input", path]) == 0
-    monkeypatch.setattr(MirrorPair, "block_match", None)
-    report = run_verify(CISpec.load(path))
-    assert "transpose: double transposition does not return home" in report.soft_failures
-    duality = next(stage for stage in report.stages if stage.name == "duality")
-    assert duality.flags["M_Y = PO_Xbar"] is False
-    assert duality.flags["PO_Xbar = P_A_X"] is False
-    assert "double transposition did not recover the original blocks" in duality.notes
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["poincare", "--strict", "--input", path]) == 2

@@ -233,14 +233,14 @@ def test_verify_duality_positive_cases(spec_6_1, spec_6_2, quadric):
                  generate_family(3), generate_family(4), generate_family(5)):
         pair = MirrorPair(spec)
         report = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                pair.recovered_data)
+                                poincare_structure(*pair.recovered_data))
         assert report.ok, (spec, report)
 
 
 def test_verify_duality_corrupted_weights(corrupted):
     pair = MirrorPair(corrupted)
     report = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                            pair.recovered_data)
+                            poincare_structure(*pair.recovered_data))
     assert not report.ok
     assert not report.identities["M_Y = PO_Xbar"]
 

@@ -17,7 +17,8 @@ from mirrorkit.pipeline import MirrorPair
 from mirrorkit.rational_linalg import invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import classify_by_pattern, column_sums, columns, dense_matmul, identity, z_coeffs
+from oracles import (classify_by_pattern, column_sums, columns, dense_matmul, identity,
+                     involutive, z_coeffs)
 from specgen import generate_valid_specs
 
 SPECS = generate_valid_specs(200)
@@ -82,7 +83,7 @@ def test_involution_where_transposable():
         except (NoValidShapeError, NoInvolutiveNuError):
             continue
         transposable += 1
-        assert MirrorPair(spec).involutive, spec
+        assert involutive(MirrorPair(spec)), spec
         # shape preservation: the transposed index sets still partition
         aggregate = sorted(i for blk in tr.tspec.blocks for i in blk.index_set)
         assert aggregate == list(range(1, spec.n + 1))

@@ -31,6 +31,8 @@ from oracles import (
     solve_many,
     vectors_proportional,
 )
+from mirrorkit.ci_model import build_cayley
+from mirrorkit.pipeline import generate_family
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 
 F = Fraction
@@ -551,6 +553,21 @@ def test_rational_serialization():
     m = matrix_from_json(L_8_INV)
     assert matrix_from_json(m.to_json()) == m
     assert m.to_json() == [[str(x) for x in row] for row in L_8_INV]
+
+
+def test_to_json_renders_each_distinct_entry_as_its_cell_would(spec_6_2):
+    # each distinct numerator is rendered once and shared by its cells: the
+    # strings are the per-cell ratio_str, on inverses with repeated entries,
+    # random matrices and the empty ones
+    rng = random.Random(7)
+    matrices = [invert(build_cayley(spec).matrix)
+                for spec in (spec_6_2, generate_family(3), generate_family(7))]
+    matrices += [Matrix(tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(3)),
+                        rng.randint(1, 12)) for _ in range(50)]
+    matrices += [Matrix(()), Matrix(((), ()))]
+    for m in matrices:
+        assert m.to_json() == [[ratio_str(x, m.den) for x in row] for row in m.num]
+    assert len({x for row in matrices[2].num for x in row}) == 10
 
 
 def test_from_rows_gives_integer_rows_over_the_least_denominator():

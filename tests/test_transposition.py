@@ -31,25 +31,32 @@ from mirrorkit.rational_linalg import (
 from mirrorkit.transposition import (
     NoInvolutiveNuError,
     NoValidShapeError,
-    apply_variable_permutation,
     find_rho,
 )
-from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.record import replace
-from mirrorkit.poincare import verify_duality
+from mirrorkit.poincare import poincare_structure, verify_duality
 
 from oracles import (
+    apply_variable_permutation,
+    block_match,
     dense_matmul,
+    double_transpose,
+    double_transpose_relabel,
     entries,
     entry,
     fraction_matrix,
     identity,
     integer_row,
+    involutive,
     kernel_rows,
+    recovered,
+    recovered_data,
     right_kernel,
     vectors_proportional,
 )
-from specgen import direct_sum, generate_valid_specs, nonsingular_cayley_specs, oracle_specs
+from specgen import (direct_sum, generate_valid_specs, nonsingular_cayley_specs, oracle_specs,
+                     random_cayley_spec, singular_cayley_specs)
 
 
 def test_transpose_6_1_self_transposed(spec_6_1):
@@ -124,8 +131,8 @@ def test_row_multiset_equals_column_multiset(spec_6_1, spec_6_2):
 
 def test_involution(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric):
-        assert MirrorPair(spec).involutive
-    assert MirrorPair(generate_family(4)).involutive
+        assert involutive(MirrorPair(spec))
+    assert involutive(MirrorPair(generate_family(4)))
 
 
 def test_no_valid_shape():
@@ -179,7 +186,7 @@ def test_t_rho_is_the_mirror_rho():
         except transposition.TranspositionError:
             continue
         assert tr.t_rho == find_rho(tr.tspec, derive_weights(tr.tspec))[0]
-        assert pair.tr2.rho == tr.t_rho
+        assert double_transpose(pair).rho == tr.t_rho
         differ += tr.rho != tr.t_rho
     assert differ == 8
 
@@ -388,16 +395,16 @@ def _recovered_original_data(spec, recovered, sigma, rec_weights):
     return weights, charges(spec, weights)
 
 
-def _assert_block_match_agrees(pair, rec_spec):
-    """involutive and recovered_data against the oracles, for pair.recovered
-    set to rec_spec (a double transpose before relabelling)."""
-    pair.recovered = apply_variable_permutation(rec_spec, pair.sigma)
-    pair.__dict__.pop("block_match", None)
-    pair.__dict__.pop("recovered_data", None)
-    assert pair.involutive == (_canonical_key(pair.recovered) == _canonical_key(pair.spec))
-    assert pair.recovered_data == _recovered_original_data(
-        pair.spec, pair.recovered, pair.sigma, WeightSystem(rec_spec.weights))
-    assert (pair.recovered_data is None) == (not pair.involutive)
+def _assert_block_match_agrees(pair, tr2, rec_spec):
+    """The oracle's block match and recovered data against the test's own, for
+    the double transpose tr2's relabelling applied to rec_spec; returns the match."""
+    sigma = double_transpose_relabel(pair.spec, pair.tr, tr2)
+    rec = apply_variable_permutation(rec_spec, sigma)
+    match, data = block_match(pair.spec, rec), recovered_data(pair.spec, rec)
+    assert (match is not None) == (_canonical_key(rec) == _canonical_key(pair.spec))
+    assert data == _recovered_original_data(pair.spec, rec, sigma, WeightSystem(rec_spec.weights))
+    assert (data is None) == (match is None)
+    return match
 
 
 def test_block_match_agrees_with_the_block_key_and_recovered_data(fixtures_dir):
@@ -405,25 +412,25 @@ def test_block_match_agrees_with_the_block_key_and_recovered_data(fixtures_dir):
     for spec in oracle_specs(fixtures_dir):
         pair = MirrorPair(spec)
         try:
-            tspec2 = pair.tr2.tspec
+            tr2 = double_transpose(pair)
         except transposition.TranspositionError:
             continue
+        tspec2 = tr2.tspec
         transposable += 1
-        assert pair.involutive
-        _assert_block_match_agrees(pair, tspec2)
+        assert involutive(pair)
+        _assert_block_match_agrees(pair, tr2, tspec2)
         if spec.k < 2:
             continue
         # the same double transpose with its blocks and weights listed in reverse,
         # and with the index sets of two blocks swapped
-        _assert_block_match_agrees(pair, CISpec(
+        match = _assert_block_match_agrees(pair, tr2, CISpec(
             n=spec.n, k=spec.k, blocks=tspec2.blocks[::-1], weights=tspec2.weights[::-1]))
-        reordered += pair.block_match == tuple(range(spec.k - 1, -1, -1))
+        reordered += match == tuple(range(spec.k - 1, -1, -1))
         first, last = tspec2.blocks[0], tspec2.blocks[-1]
         swapped = (Block(first.exponents, last.index_set),) + tspec2.blocks[1:-1] + (
             Block(last.exponents, first.index_set),)
-        _assert_block_match_agrees(pair, CISpec(
-            n=spec.n, k=spec.k, blocks=swapped, weights=tspec2.weights))
-        broken += not pair.involutive
+        broken += _assert_block_match_agrees(pair, tr2, CISpec(
+            n=spec.n, k=spec.k, blocks=swapped, weights=tspec2.weights)) is None
     assert transposable == 76 and reordered > 0 and broken > 0
 
 
@@ -446,6 +453,56 @@ def _no_rho_spec() -> CISpec:
         Block(exponents=((0, 0, 1, 0), (0, 0, 0, 2)), index_set=(3,)),
         Block(exponents=((2, 0, 0, 1), (1, 1, 0, 1)), index_set=(1, 2, 4)),
     ))
+
+
+# the smallest spec whose double transpose carries the derived weights out of
+# order: x2 with index set {2}, then x1 with index set {1}; lam lists x2 first
+PI_SWAPPED = CISpec(n=2, k=2, blocks=(Block(exponents=((0, 1),), index_set=(2,)),
+                                      Block(exponents=((1, 0),), index_set=(1,))))
+
+
+def test_recovered_data_carries_the_weights_in_the_order_pi():
+    pair = MirrorPair(PI_SWAPPED)
+    assert pair.weights.vectors == ((1, 0), (0, 1))
+    assert transposition.home_order(PI_SWAPPED, pair.tr) == (2, 1)
+    weights, qm = pair.recovered_data
+    assert weights.vectors == ((0, 1), (1, 0))
+    assert (weights, qm) == recovered_data(PI_SWAPPED, recovered(pair))
+    # the recovered grading is not the derived one in order, and every duality
+    # identity holds
+    duality = next(s for s in run_verify(PI_SWAPPED).stages if s.name == "duality")
+    assert all(duality.flags.values())
+
+
+def _closed_form_specs(fixtures_dir):
+    """The oracle set, the first 300 nonsingular random specs, every 10th of 1000
+    seeded random_cayley_spec draws with k <= 3, the families m = 1..30 (every
+    third above the oracle set's 12), the pi != id spec and the singular-L specs."""
+    draws = (random_cayley_spec(random.Random(30000 + i), 3, 3) for i in range(0, 1000, 10))
+    return (oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
+            + [spec for spec in draws if spec is not None]
+            + [generate_family(m) for m in range(13, 31, 3)]
+            + [PI_SWAPPED] + singular_cayley_specs())
+
+
+def test_recovered_data_is_the_double_transpose(fixtures_dir):
+    # the double transpose a run no longer builds, relabelled and matched block
+    # by block (oracles.recovered_data), is the derived weights in the order pi
+    # with their charges, on every spec that transposes; the singular-L specs
+    # are read through pair.tr without validate, as `mirrorkit transpose` does
+    transposed = permuted = 0
+    for spec in _closed_form_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        try:
+            pair.tr
+        except SpecError:
+            continue
+        rec = recovered(pair)
+        assert block_match(spec, rec) == tuple(range(spec.k))
+        assert pair.recovered_data == recovered_data(spec, rec)
+        transposed += 1
+        permuted += pair.recovered_data[0] != pair.weights
+    assert (transposed, permuted) == (202, 20)
 
 
 def test_no_rho(quadric):
@@ -628,7 +685,7 @@ def test_transpose_and_duality_flag_census(spec_6_1, spec_6_2, quadric, corrupte
                 continue
             reached += 1
             flags.update(verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                        pair.recovered_data).identities)
+                                        poincare_structure(*pair.recovered_data)).identities)
             for flag, value in flags.items():
                 counts.setdefault(flag, [0, 0])[value] += 1
         assert (reached, {f: tuple(c) for f, c in counts.items()}) == TRANSPOSE_FLAG_CENSUS[name]
@@ -734,7 +791,7 @@ def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
         pair = MirrorPair(spec)
         assert read_weights(spec, pair.inverse) == derive_weights(spec) == pair.weights
         try:
-            pair.tr2
+            double_transpose(pair)
         except transposition.TranspositionError:
             continue
         tspec = pair.mirror.spec
@@ -806,8 +863,9 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
     # injective): both have dimension k - rank M = k - rank M', so M = 0
     # exactly when M' = 0, and the transposition is given H exactly then.
     # (3) once the transposition has a shape, that dimension is k, so M = M'
-    # = 0 and C is a basis of ker spec.diff: the mirror is handed C moved by
-    # lambda, and it spans the double transpose's kernel
+    # = 0 and C is a basis of ker spec.diff: C moved by lambda, which the
+    # oracle double transpose reads its classes off, spans its kernel, the
+    # step of the proof in MirrorPair.recovered_data
     given = _record_bases(monkeypatch, every=True)
     specs = oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
     transposed = short = unhanded = shaped = 0
@@ -823,7 +881,7 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
         assert any(map(any, m)) == any(map(any, m2))
         del given[:]
         try:
-            pair.tr2
+            double_transpose(pair)
         except SpecError:
             pass
         if not given:
@@ -856,9 +914,9 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
 
 
 def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
-    # a spec may have a transposition shape but no weights: its mirror is still
-    # handed C moved by lambda, so nothing eliminates the mirror's classes, and
-    # the double transpose's shape is the elimination's, or raises its message
+    # a spec may have a transposition shape but no weights: the oracle double
+    # transpose still reads its classes off C moved by lambda, so nothing
+    # eliminates them, and its shape is the elimination's, or raises its message
     without_basis = []
     real = transposition._weight_classes
     monkeypatch.setattr(transposition, "_weight_classes", lambda diff, k, basis=None: (
@@ -870,7 +928,7 @@ def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
                 or not isinstance(_outcome(derive_weights, spec), str)):
             continue
         del without_basis[:]
-        tr2 = _outcome(lambda: pair.tr2)
+        tr2 = _outcome(lambda: double_transpose(pair))
         assert without_basis == [False]
         shape = _outcome(lambda: pair.mirror._shape)
         assert shape == _outcome(transposition.build_transpose, build_cayley(pair.mirror.spec))
