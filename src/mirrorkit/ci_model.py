@@ -623,14 +623,9 @@ def validate(spec: CISpec, pair=None) -> ValidationReport:
     effective = supplied if supplied is not None else derived
     if effective is not None:
         qm = pair.charges
-        cy_ok = True
-        for q in range(1, spec.k + 1):
-            lhs = sum(qm.column(q))
-            rhs = sum(effective.vectors[q - 1])
-            if lhs != rhs:
-                cy_ok = False
-                notes.append(f"anticanonical balance fails for block {q}: {lhs} != {rhs}")
-        checks["calabi_yau"] = cy_ok
+        notes.extend(f"anticanonical balance fails for block {q}: {lhs} != {rhs}"
+                     for q, lhs, rhs in pair.unbalanced)
+        checks["calabi_yau"] = not pair.unbalanced
     else:
         checks["calabi_yau"] = False
         qm = None

@@ -375,9 +375,6 @@ def _main(argv) -> int:
     except raisable("transposition.InternalInvariantError") as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
-    except raisable("mellin.LemmaShapeViolationError") as exc:   # hard `mellin-plain` in verify
-        sys.stderr.write(f"plain Gamma product breaks its shape: {exc}\n")
-        return pipeline.EXIT_INVALID
     except raisable("transposition.TranspositionError", "mellin.MellinError",
                     "nef_partition.NefError") as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")

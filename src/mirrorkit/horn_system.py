@@ -2,9 +2,10 @@
 
 The sign pattern of the z-coefficients of the linear forms splits the row
 index set per deformation variable; the positive side builds the left
-factor product, the negative side the right one, and the two degrees agree
-because the column sums vanish.  Operators stay in factored symbolic form,
-which is canonical; the examples reach degree 21.  The sign classes and the
+factor product, the negative side the right one, neither is empty, and the
+two degrees agree because the column sums vanish (`horn_operators`).
+Operators stay in factored symbolic form, which is canonical; the examples
+reach degree 21.  The sign classes and the
 factor counts of z_q are read off row q of S (`mellin.Forms`).
 
 A form contributes Delta*|c| factors to a side, one per shift j, that
@@ -32,10 +33,6 @@ FACTOR_COUNT_CAP = 10**6
 
 class HornError(Exception):
     pass
-
-
-class DegenerateOperatorError(HornError):
-    """A variable with an empty positive or negative index side."""
 
 
 class FactorLimitError(HornError):
@@ -134,16 +131,16 @@ def horn_operators(spec: CISpec, forms: Forms) -> tuple[HornOperator, ...]:
     |z_aq numerator| = |S[q - 1][a - 1]|, as every form is over Delta; every
     side's count is checked against FACTOR_COUNT_CAP before any run is built.
 
-    On a certified L^-1, P and Q have equal degree: `check_y_rows` and
-    L L^-1 = I give L^-1 1 = v, the indicator of the y columns, so every
-    s-row of L^-1 sums to 0.  S row q is such a row, so its positive entries
-    sum to minus its negative ones, and those are the two sides' counts.
+    On a certified L^-1, P and Q have equal degree and neither is empty:
+    `check_y_rows` and L L^-1 = I give L^-1 1 = v, the indicator of the y
+    columns, so every s-row of L^-1 sums to 0.  S row q is such a row, so
+    its positive entries sum to minus its negative ones, and those are the
+    two sides' counts; it holds Delta at block q's s-row, whose form is z_q
+    (`mellin.classify_forms`), so neither side is empty.
     """
     sides = []
     for q in range(1, spec.k + 1):
         plus, minus, _ = index_partition(forms, q)
-        if not plus or not minus:
-            raise DegenerateOperatorError(f"variable {q}: empty sign class")
         row = forms.s_rows[q - 1]
         counts = []
         for name, rows in (("p", plus), ("q", minus)):
@@ -223,7 +220,14 @@ def char_polys(tweights: WeightSystem, tcharges: ChargeMatrix, q: int) -> CharPo
     """Both polynomials for grading q: weights at the origin, charges at infinity.
 
     Zero charges contribute no factor (their block is invisible to this
-    grading); the degrees still agree because charges and weights balance.
+    grading).  The two have equal degree, so the char-polys stage is ok
+    without comparing them: tweights are the class rays of a basis of
+    ker tr.diff (`transposition.build_transpose`, on a certified L^-1 or by
+    elimination), and a k-dimensional kernel whose rows split into k
+    proportional classes holds each class's ray.  So every monomial of
+    transposed block j pairs with weight vector q as ind_j does, block j's
+    charge is <ind_j, tw_q>, and as the index sets partition the variables
+    the charges of column q sum to sum(tw_q), the degree at the origin.
     """
     zero_exps = tuple(tweights.support_values(q))
     inf_exps = tuple(c for c in tcharges.column(q) if c)

@@ -2,17 +2,18 @@
 
 Inverting the Cayley matrix turns the period integral's Mellin transform
 into a product of Gamma factors with affine-linear arguments, one per
-matrix row.  This module reads those forms off the inverse, proves the
-structural sum rules and checks the constant rows' forms (`check_y_rows`,
-`classify_forms`), and verifies the two closed-form Gamma products (the
-plain one with a Gamma(z) prefactor per block, and the factorized one
-expressed through the transposed weight data) as exact argument-multiset
-identities.
+matrix row.  This module reads those forms off the inverse, checks the y
+columns of L (`check_y_rows`), proves the structural sum rules, the form
+classification (`classify_forms`) and the plain product's shape
+(`lemma_form`) from that check, the certified L L^-1 = I and the weights,
+and verifies the two closed-form Gamma products (the plain one with a
+Gamma(z) prefactor per block, and the factorized one expressed through the
+transposed weight data) as exact argument-multiset identities.
 
 The forms are the columns of the inverse, integer rows over one
 denominator, Delta.  `solve_xi` returns one view of that matrix (`Forms`),
-no object per form: the classification, the plain product's shape checks,
-the Horn counts and the magic square compare its integer entries.  A Gamma
+no object per form: the plain product, the Horn counts and the magic
+square read its integer entries.  A Gamma
 argument (ZForm, a form's xi) is integer numerators over one denominator
 too, so the plain and factorized products, their sort order and Theorem
 3.1's contraction are integer arithmetic.
@@ -36,16 +37,6 @@ from .record import lazy, record
 
 class MellinError(Exception):
     pass
-
-
-class ClassificationFailureError(MellinError):
-    """A form matches no structural pattern; the spec or construction is broken."""
-
-
-class LemmaShapeViolationError(MellinError):
-    def __init__(self, index: int, message: str):
-        super().__init__(f"row {index}: {message}")
-        self.index = index
 
 
 class NotFactorizableError(MellinError):
@@ -262,8 +253,8 @@ def check_y_rows(cm: CayleyMatrix) -> None:
             raise MellinError(f"Cayley row {r} does not have one 1 among the y columns")
 
 
-def classify_forms(cm: CayleyMatrix, forms: Forms) -> tuple[str, ...]:
-    """Each form's pattern, read off its row kind, once the constant rows' are checked.
+def classify_forms(cm: CayleyMatrix) -> tuple[str, ...]:
+    """Each form's pattern, read off its row kind.
 
     s-rows give the pure form z_nu (type a); constant rows carry zeta_{2nu-1}
     + zeta_{2nu} - z_nu (type b); monomial and product rows pair each z_l
@@ -271,13 +262,15 @@ def classify_forms(cm: CayleyMatrix, forms: Forms) -> tuple[str, ...]:
     row a (L L^-1 = I is certified): column s_nu of L is the unit at block
     nu's s-row, whose form is then z_nu; the s-rows y_{2l-1} + s_l give
     zeta_{2l-1} = -z_l on every other row, and the constant rows y_{2l} give
-    zeta_{2l} = [a is block l's constant row].  So only the z part of a
-    constant row's form is open, and it raises unless that is -z_nu.
+    zeta_{2l} = [a is block l's constant row].  That leaves the z part of
+    the constant row a(nu)'s form, -zeta_{2j-1} in z_j: over Delta, -Delta
+    e_nu plus column nu of `ci_model.weight_hint`'s M, which is -Delta e_nu
+    as M = 0 wherever the spec has weights (`ci_model.read_weights`; a
+    nonsingular L without M = 0 has a kernel of dimension k - rank M < k,
+    and `derive_weights` raises).  Every reader of the tags and of the plain
+    product has read the weights first: `validate` before the forms stage,
+    `mirrorkit mellin` through the transposition's rho.
     """
-    k, d = cm.spec.k, forms.den
-    for nu, a in enumerate(cm.a_indices, start=1):
-        if forms.xi_nums[a - 1][:k] != tuple(-d if q == nu else 0 for q in range(1, k + 1)):
-            raise ClassificationFailureError(f"form {a} matches no pattern")
     tag = {"s-row": "a", "constant-row": "b", "monomial": "c", "product-row": "c"}
     return tuple(tag[kind] for _, kind, _ in cm.row_labels)
 
@@ -285,22 +278,22 @@ def classify_forms(cm: CayleyMatrix, forms: Forms) -> tuple[str, ...]:
 def lemma_form(cm: CayleyMatrix, forms: Forms) -> GammaProduct:
     """The plain Gamma product: Gamma(z_nu) per block times Gamma(xi_j) over monomial rows.
 
-    Requires each block's product and constant-row forms to be z_nu and
-    1 - z_nu (its s-row's is z_nu by the certified L L^-1 = I, `classify_forms`):
-    over Delta, the numerators (Delta e_nu, 0) and (-Delta e_nu, Delta).
+    Each block's s-row, product-row and constant-row forms are z_nu, z_nu
+    and 1 - z_nu, so they add nothing but the prefactor and a reflected
+    pair.  The s-row's is z_nu by the certified L L^-1 = I, the other two by
+    M = 0, as the spec has weights (`classify_forms`), and by the index sets
+    partitioning the variables.  Column a(nu) of L^-1 has y_{2j} =
+    delta_{j nu} (the constant rows), y_{2j-1} = delta_{j nu} (M = 0) and
+    s = -e_nu (the s-rows); the product rows give its x-part x
+    ind_j . x = -delta_{j nu}, so sum x = -1 and its constant is -1 + 2 = 1.
+    The vector (-x, y_odd = -e_nu, y_even = 0, s = e_nu) satisfies every row
+    of L against e_{a(nu) - 1}, so it is column a(nu) - 1: the form z_nu,
+    of constant 1 - 1 = 0.
     """
-    spec = cm.spec
-    k, d = spec.k, forms.den
-    for nu in range(1, k + 1):
-        a = spec.a(nu)
-        unit = tuple(d if q == nu else 0 for q in range(1, k + 1))
-        if forms.xi_nums[a - 2] != (*unit, 0):
-            raise LemmaShapeViolationError(a - 1, f"expected z{nu}")
-        if forms.xi_nums[a - 1] != (*(-x for x in unit), d):
-            raise LemmaShapeViolationError(a, f"expected 1 - z{nu}")
+    k = cm.spec.k
     numerator = [ZForm.z(nu, k) for nu in range(1, k + 1)]
     numerator.extend(map(forms.xi, cm.i_lambda))
-    return GammaProduct(sort_forms(numerator), (), d)
+    return GammaProduct(sort_forms(numerator), (), forms.den)
 
 
 @record

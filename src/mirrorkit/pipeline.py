@@ -12,13 +12,17 @@ error and a failed check ends the run, as every later stage reads L^-1, then
 runs `STAGES` in order.  A CLI command that reads the forms without `verify`
 meets a failed L L^-1 = I as the forms' InternalInvariantError.
 An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
-order)` returns the `Stage`, not ok when a construction identity fails
-(the char-polys degree equality), and its soft failures beyond its failed
-`SOFT_FLAGS`.  The stage is left out when a stage in `needs` raised.  An
-exception of a class `errors` names ("module.Class", read by `raisable`)
-fails it in place: hard with flag None, the stage not ok; soft otherwise, as
-the stage checks a sufficient hypothesis such as factorizability, the stage
-ok with `flag` false and the soft failure "<name up to a '-'>: <error>".  A
+order)` returns the `Stage`, ok, and its soft failures beyond its failed
+`SOFT_FLAGS`.  A verdict that the run's settled facts decide is proved at
+its stage function, not checked: the forms' classification and the plain
+product's shape by the weights (`mellin.classify_forms`), the char-polys
+degrees and the M_X balance by the transposed weights
+(`horn_system.char_polys`).  The stage is left out when a stage in `needs`
+raised.  An exception of a class `errors` names ("module.Class", read by
+`raisable`) fails it in place: hard with flag None, the stage not ok (`horn`
+at its factor cap); soft otherwise, as the stage checks a sufficient
+hypothesis such as factorizability, the stage ok with `flag` false and the
+soft failure "<name up to a '-'>: <error>".  A
 `transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
@@ -176,7 +180,7 @@ class MirrorPair:
     @lazy
     def certified(self) -> bool:
         """Whether L L^-1 = I (`rational_linalg.is_inverse`), decided once per run:
-        the cayley stage reports it, and `forms` reads it."""
+        the cayley stage reports it, and `forms` and `_class_hint` read it."""
         return is_inverse(self.cm.matrix, self.inverse)
 
     @lazy
@@ -217,6 +221,17 @@ class MirrorPair:
         return ci_model.charges(self.spec, self.effective_weights)
 
     @lazy
+    def unbalanced(self) -> tuple[tuple[int, int, int], ...]:
+        """(q, charges, weights) for each block q where the sum of column q of the
+        charges is not the sum of effective weight vector q: where the
+        anticanonical balance (`validate`'s calabi_yau) fails, and where P_A
+        (`structure_ratio`, whose degrees in t_q these sums are, up to factors
+        it cancels from both sides) is not degree-balanced."""
+        qm, w = self.charges, self.effective_weights
+        sums = ((q, sum(qm.column(q)), sum(w.vectors[q - 1])) for q in range(1, self.spec.k + 1))
+        return tuple((q, lhs, rhs) for q, lhs, rhs in sums if lhs != rhs)
+
+    @lazy
     def structure_ratio(self) -> poincare.CyclotomicRatio:
         """The structural series P_A of the effective weights and their charges."""
         return poincare.poincare_structure(self.effective_weights, self.charges)
@@ -224,11 +239,14 @@ class MirrorPair:
     @lazy
     def _class_hint(self) -> tuple[tuple[int, ...], ...] | None:
         """The rows of a basis of the weight kernel `build_transpose` reads the classes
-        off, or None to eliminate: H (`transposition.inverse_hint`) when M' = 0;
-        None on a singular L, or when M' != 0 and the kernel, of dimension
-        k - rank M' < k, fails."""
+        off, or None to eliminate: H (`transposition.inverse_hint`) when
+        L L^-1 = I is certified and M' = 0; None on a singular L, on an
+        uncertified L^-1, or when M' != 0 and the kernel, of dimension
+        k - rank M' < k, fails.  H is a basis of ker tr.diff only on a correct
+        L^-1, and the char-polys and duality proofs read the transposed
+        weights as its rays (`horn_system.char_polys`)."""
         inverse = self._inversion
-        if isinstance(inverse, SingularMatrixError):
+        if isinstance(inverse, SingularMatrixError) or not self.certified:
             return None
         h, m = transposition.inverse_hint(self.cm, inverse)
         return None if any(map(any, m)) else h
@@ -317,10 +335,11 @@ class MirrorPair:
         pi differs from the identity only where equal block sizes meet lam
         out of order, which is why the weights are not simply the derived ones.
         """
-        spec = self.spec
         weights = WeightSystem(tuple(self.weights.vectors[q - 1]
-                                     for q in transposition.home_order(spec, self.tr)))
-        return weights, ci_model.charges(spec, weights)
+                                     for q in transposition.home_order(self.spec, self.tr)))
+        if weights == self.effective_weights:
+            return weights, self.charges
+        return weights, ci_model.charges(self.spec, weights)
 
     # the stage results, wired here once for run_verify and the CLI commands
     @lazy
@@ -334,9 +353,8 @@ class MirrorPair:
 
     @lazy
     def theorem31(self) -> tuple[mellin.Theorem31Report, mellin.GammaProduct]:
-        """Theorem 3.1's report and the factorized product; a plain-product error comes first."""
-        lemma = self.lemma
-        return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges, lemma)
+        """Theorem 3.1's report and the factorized product."""
+        return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges, self.lemma)
 
     @lazy
     def horn(self) -> tuple[horn_system.HornOperator, ...]:
@@ -356,7 +374,7 @@ class MirrorPair:
         recovered = self.recovered_data
         m_y = (self.structure_ratio if recovered == (self.effective_weights, self.charges)
                else poincare.poincare_structure(*recovered))
-        return poincare.verify_duality(self.tweights, self.tcharges, self.structure_ratio, m_y)
+        return poincare.verify_duality(self.structure_ratio, m_y, not self.unbalanced)
 
     @lazy
     def nef(self) -> nef_partition.NefPartitionData:
@@ -431,7 +449,7 @@ def _transpose(pair: MirrorPair, order: int):
 
 def _forms(pair: MirrorPair, order: int):
     forms = pair.forms
-    tags = mellin.classify_forms(pair.cm, forms)
+    tags = mellin.classify_forms(pair.cm)
     # the sum rules hold by `mellin.check_y_rows` and the certified L L^-1 = I
     sums = dict.fromkeys(("i_column_sums_vanish", "z_column_sums_vanish",
                           "zeta_column_sums_one", "constants_sum_2k"), True)
@@ -472,9 +490,9 @@ def _horn(pair: MirrorPair, order: int):
 
 
 def _char_polys(pair: MirrorPair, order: int):
-    pairs = pair.char_polys
-    return Stage("char-polys", all(len(p.at_zero) == len(p.at_infinity) for p in pairs),
-                 payload={"pairs": [p.to_json() for p in pairs]}), ()
+    # each pair's two polynomials have equal degree (`horn_system.char_polys`)
+    return Stage("char-polys", True,
+                 payload={"pairs": [p.to_json() for p in pair.char_polys]}), ()
 
 
 def _duality(pair: MirrorPair, order: int):
@@ -502,9 +520,9 @@ def _magic_square(pair: MirrorPair, order: int):
 # the errors are named "module.Class" (`raisable`)
 STAGES = (
     ("transpose", _transpose, (), ("transposition.TranspositionError",), "transposable"),
-    ("forms", _forms, (), ("mellin.ClassificationFailureError",), None),
-    ("mellin-plain", _mellin_plain, (), ("mellin.LemmaShapeViolationError",), None),
-    ("mellin-factorized", _mellin_factorized, ("transpose", "mellin-plain"),
+    ("forms", _forms, (), (), None),
+    ("mellin-plain", _mellin_plain, (), (), None),
+    ("mellin-factorized", _mellin_factorized, ("transpose",),
      ("mellin.NotFactorizableError", "mellin.IdentityViolatedError", "ci_model.SpecError"),
      "factorizable"),
     ("horn", _horn, (), ("horn_system.HornError",), None),

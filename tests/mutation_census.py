@@ -4,7 +4,8 @@
 
 For every comparison, boolean operator and `raise` in the functions of
 `TARGETS` (the check functions of `mellin`, the readers of the forms in
-`horn_system` and `nef_partition`, `pipeline.run_verify`, the checks of
+`horn_system` and `nef_partition`, `horn_system.char_polys` and
+`poincare.verify_duality`, `pipeline.run_verify`, the checks of
 `transposition` and its `home_order`) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
@@ -40,10 +41,10 @@ TIMEOUT_S = 600
 WORKERS = 2
 
 TARGETS = {
-    "mellin": ("check_y_rows", "classify_forms", "lemma_form",
-               "factorize_xi", "verify_theorem_31", "gamma_equal"),
-    "horn_system": ("horn_operators",),
+    "mellin": ("check_y_rows", "factorize_xi", "verify_theorem_31", "gamma_equal"),
+    "horn_system": ("horn_operators", "char_polys"),
     "nef_partition": ("magic_square_check",),
+    "poincare": ("verify_duality",),
     "pipeline": ("run_verify",),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
                       "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching",

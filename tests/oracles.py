@@ -16,6 +16,13 @@ sympy and with hand-computed values:
 * the forms' four column sums (`column_sums`) and the three-pattern
   classifier (`classify_by_pattern`), which the run proves from L's shape
   and the certified L L^-1 = I instead of computing;
+* the checks the run proves instead of making, each with its own error:
+  the constant rows' forms (`check_constant_rows`, ClassificationFailureError)
+  and the plain product's shape (`check_lemma_shape`,
+  LemmaShapeViolationError), which the weights decide, the Horn sides'
+  sign classes (`check_horn_sides`, DegenerateOperatorError), and the degree
+  balance of a ratio (`degree_balanced`), which the transposed side's
+  char-polys and M_X have by their weights;
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
@@ -36,7 +43,7 @@ from operator import mul
 from mirrorkit import transposition
 from mirrorkit.ci_model import (Block, build_cayley, charges, CISpec, SpecError, weight_hint,
                                  WeightSystem)
-from mirrorkit.mellin import ClassificationFailureError, Forms, ZForm
+from mirrorkit.mellin import Forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
@@ -175,6 +182,58 @@ def column_sums(forms):
             "z_column_sums_vanish": not any(sums[z0:]),
             "zeta_column_sums_one": all(x == delta for x in sums[n:z0]),
             "constants_sum_2k": sum(sums[:z0]) == 2 * k * delta}
+
+
+class ClassificationFailureError(Exception):
+    """A form matches no structural pattern."""
+
+
+class LemmaShapeViolationError(Exception):
+    def __init__(self, index: int, message: str):
+        super().__init__(f"row {index}: {message}")
+        self.index = index
+
+
+class DegenerateOperatorError(Exception):
+    """A variable with an empty positive or negative index side."""
+
+
+def check_constant_rows(cm, forms):
+    """Raise ClassificationFailureError unless the z part of each constant row
+    a(nu)'s form is -z_nu: the one pattern `mellin.classify_forms` does not
+    read off L's shape, proved from the weights' M = 0 instead."""
+    k, d = cm.spec.k, forms.den
+    for nu, a in enumerate(cm.a_indices, start=1):
+        if forms.xi_nums[a - 1][:k] != tuple(-d if q == nu else 0 for q in range(1, k + 1)):
+            raise ClassificationFailureError(f"form {a} matches no pattern")
+
+
+def check_lemma_shape(cm, forms):
+    """Raise LemmaShapeViolationError unless each block's product-row and
+    constant-row forms are z_nu and 1 - z_nu, as `mellin.lemma_form` proves."""
+    k, d = cm.spec.k, forms.den
+    for nu in range(1, k + 1):
+        a = cm.spec.a(nu)
+        unit = tuple(d if q == nu else 0 for q in range(1, k + 1))
+        if forms.xi_nums[a - 2] != (*unit, 0):
+            raise LemmaShapeViolationError(a - 1, f"expected z{nu}")
+        if forms.xi_nums[a - 1] != (*(-x for x in unit), d):
+            raise LemmaShapeViolationError(a, f"expected 1 - z{nu}")
+
+
+def check_horn_sides(forms):
+    """Raise DegenerateOperatorError unless every S row has a positive and a
+    negative entry: both sides of each Horn operator (`horn_operators`)."""
+    for q, row in enumerate(forms.s_rows, start=1):
+        if not (any(c > 0 for c in row) and any(c < 0 for c in row)):
+            raise DegenerateOperatorError(f"variable {q}: empty sign class")
+
+
+def degree_balanced(ratio):
+    """Whether a CyclotomicRatio has equal numerator and denominator degree in
+    each variable."""
+    return all(sum(d for v, d in ratio.num if v == q) == sum(d for v, d in ratio.den if v == q)
+               for q in range(1, ratio.k + 1))
 
 
 def classify_by_pattern(cm, forms):

@@ -106,13 +106,13 @@ def test_criterion_3_duality(spec_6_1, spec_6_2, quadric, corrupted):
     for spec in cases:
         t0 = time.monotonic()
         pair = MirrorPair(spec)
-        rep = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                             poincare_structure(*pair.recovered_data))
+        rep = verify_duality(pair.structure_ratio, poincare_structure(*pair.recovered_data),
+                             not pair.unbalanced)
         assert rep.ok, rep
         assert time.monotonic() - t0 < 1.0
     pair = MirrorPair(corrupted)
-    bad = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                         poincare_structure(*pair.recovered_data))
+    bad = verify_duality(pair.structure_ratio, poincare_structure(*pair.recovered_data),
+                         not pair.unbalanced)
     assert not bad.ok
     assert not bad.identities["M_Y = PO_Xbar"]  # the violated identity, named
     report("criterion 3: duality on 6.2, 6.1, quadric, family m=3,4,5 + negative control")

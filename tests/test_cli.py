@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorkit import cli, horn_system, mellin, poincare
+from mirrorkit import cli, horn_system, poincare
 from mirrorkit.ci_model import CISpec
 from mirrorkit.pipeline import generate_family, run_verify, soft_failures
 from specgen import oracle_specs
@@ -403,19 +403,6 @@ def test_horn_factor_limit_exit_one(monkeypatch):
                     "variable 1: 8 p-factors exceed the cap of 7\n")
     code, out, _ = run_in_process("verify", "--input", fixture("derived_quadric.json"))
     assert code == 1 and "8 p-factors exceed the cap of 7" in out
-
-
-def test_mellin_shape_violation_exit_one(monkeypatch):
-    # a plain Gamma product that breaks its shape is a hard failure, as in verify
-    def violated(*args):
-        raise mellin.LemmaShapeViolationError(1, "expected z1")
-
-    monkeypatch.setattr(mellin, "lemma_form", violated)
-    for strict in ((), ("--strict",)):
-        assert run_in_process("mellin", "--input", fixture("derived_quadric.json"), *strict) == \
-            (1, "", "plain Gamma product breaks its shape: row 1: expected z1\n")
-    code, out, _ = run_in_process("verify", "--input", fixture("derived_quadric.json"))
-    assert code == 1 and "row 1: expected z1" in out
 
 
 def test_series_term_limit_exit_one(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from mirrorkit import horn_system
 from mirrorkit.ci_model import ChargeMatrix, WeightSystem, charges, derive_weights
 from mirrorkit.horn_system import (
-    DegenerateOperatorError,
     FactorLimitError,
     HornError,
     char_polys,
@@ -21,7 +20,8 @@ from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import CyclotomicRatio, poincare_structure, ratio_equal
 from mirrorkit.rational_linalg import Matrix
 
-from oracles import columns, constant, entry, rat_str, z_coeffs
+from oracles import (check_horn_sides, columns, constant, DegenerateOperatorError, entry,
+                     rat_str, z_coeffs)
 from paper_data import L_8_INV, matrix_from_json
 from specgen import generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 
@@ -64,13 +64,18 @@ def test_horn_degrees_match(spec_6_1, spec_6_2, quadric):
 def test_p_and_q_have_equal_degree_on_a_certified_inverse(fixtures_dir):
     # the proof in horn_operators: on a certified L^-1 every s-row sums to 0,
     # its positive entries count P's factors and its negative ones Q's, and it
-    # is nonzero, so both sides are nonempty
+    # is nonzero, so both sides are nonempty: the sign-class check the oracle
+    # keeps (`check_horn_sides`) passes, as it fails on a doctored inverse,
+    # one column (0, 0 | 1)
+    with pytest.raises(DegenerateOperatorError, match="variable 1: empty sign class"):
+        check_horn_sides(Forms(Matrix(((0,), (0,), (1,))), 1))
     operators = 0
     for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
         pair = MirrorPair(spec)
         assert pair.certified
         forms = pair.forms
         assert all(sum(row) == 0 and any(row) for row in forms.s_rows)
+        check_horn_sides(forms)
         for op in horn_operators(spec, forms):
             assert op.degrees[0] == op.degrees[1] > 0
             operators += 1
@@ -88,14 +93,6 @@ def test_horn_factor_shape(quadric):
     # the expanded side's leading coefficient is 1, and its constant term 0
     assert math.prod(f.coeffs[0] for f in factors) == 1
     assert math.prod(f.const + f.shift for f in factors) == 0
-
-
-def test_horn_degenerate_guard():
-    # a form set with an empty negative class cannot occur for valid specs;
-    # feed a doctored inverse, one column (0, 0 | 1), to exercise the guard
-    forms = Forms(Matrix(((0,), (0,), (1,))), 1)
-    with pytest.raises(DegenerateOperatorError):
-        horn_operators(type("S", (), {"k": 1})(), forms)
 
 
 @dataclass(frozen=True)

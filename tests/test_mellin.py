@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -22,16 +23,22 @@ from mirrorkit.mellin import (
     verify_theorem_31,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
+from mirrorkit.poincare import poincare_structure
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import TranspositionError
 
 from oracles import (
+    ClassificationFailureError,
     FractionZForm,
+    LemmaShapeViolationError,
+    check_constant_rows,
+    check_lemma_shape,
     classify_by_pattern,
     column_sums,
     column,
     columns,
     constant,
+    degree_balanced,
     dense_matmul,
     entries,
     entry,
@@ -46,7 +53,7 @@ from oracles import (
     zform,
 )
 from paper_data import L_8_INV, L_13_INV, matrix_from_json
-from specgen import nonsingular_cayley_specs, oracle_specs
+from specgen import nonsingular_cayley_specs, oracle_specs, random_cayley_spec
 
 F = Fraction
 
@@ -147,7 +154,8 @@ def test_classify_forms(spec_6_1, spec_6_2, quadric):
         (spec_6_1, ("c",) * 4 + ("a", "c", "b") + ("c",) * 3 + ("a", "c", "b")),
     ):
         cm = build_cayley(spec)
-        assert classify_forms(cm, solve_xi(cm, invert(cm.matrix))) == expected
+        assert classify_forms(cm) == expected
+        assert classify_by_pattern(cm, solve_xi(cm, invert(cm.matrix))) == expected
 
 
 def test_s_row_forms_are_pure(spec_6_1):
@@ -228,12 +236,12 @@ def test_classify_rejects_a_fractional_pure_z_form(quadric):
     f = columns(forms)[4]
     assert cm.row_labels[4][1] == "constant-row" and z_coeffs(f) == (-1,)
     doctored = with_column(forms, 5, linear_form(i_coeffs(f), zeta_coeffs(f), (F(-1, 2),)))
-    with pytest.raises(mellin.ClassificationFailureError, match="form 5 matches no pattern"):
-        classify_forms(cm, doctored)
+    for check in (check_constant_rows, classify_by_pattern):
+        with pytest.raises(ClassificationFailureError, match="form 5 matches no pattern"):
+            check(cm, doctored)
 
 
 def test_classify_rejects_zero_form(quadric):
-    from mirrorkit.mellin import ClassificationFailureError
     cm = build_cayley(quadric)
     forms = solve_xi(cm, invert(cm.matrix))
     k = quadric.k
@@ -241,14 +249,14 @@ def test_classify_rejects_zero_form(quadric):
     with pytest.raises(ClassificationFailureError, match="form 1 is identically zero"):
         classify_by_pattern(cm, with_column(forms, 1, zero))
     with pytest.raises(ClassificationFailureError, match="form 5 matches no pattern"):
-        classify_forms(cm, with_column(forms, 5, zero))
+        check_constant_rows(cm, with_column(forms, 5, zero))
 
 
 def test_lemma_shape_violation(quadric):
     # corrupt the product or the constant row's form so that its base-point
     # value is no longer z_1 or 1 - z_1 (the s-row's form is z_1 by the
-    # certified inverse, so lemma_form does not check it)
-    from mirrorkit.mellin import LemmaShapeViolationError
+    # certified inverse, so the check does not read it); lemma_form proves the
+    # shape from the weights, so the oracle's check_lemma_shape makes it
     cm = build_cayley(quadric)
     forms = solve_xi(cm, invert(cm.matrix))
     for a, message in ((4, "row 4: expected z1"), (5, "row 5: expected 1 - z1")):
@@ -256,7 +264,7 @@ def test_lemma_shape_violation(quadric):
         doctored = with_column(forms, a, linear_form(i_coeffs(f), zeta_coeffs(f),
                                                      (z_coeffs(f)[0] / 2,)))
         with pytest.raises(LemmaShapeViolationError, match=f"^{message}$"):
-            lemma_form(cm, doctored)
+            check_lemma_shape(cm, doctored)
 
 
 def test_theorem_identity_violated(quadric):
@@ -309,20 +317,6 @@ def test_theorem_31_reads_the_charges_and_plain_product_it_is_given(monkeypatch)
     monkeypatch.setattr(mellin, "charges", rebuilt, raising=False)
     monkeypatch.setattr(ci_model, "charges", rebuilt)
     assert verify_theorem_31(tr, xi, forms, tq, lemma) == expected
-
-
-def test_run_verify_skips_theorem_31_without_a_plain_product(monkeypatch, quadric):
-    # a broken plain product is a hard failure; the factorized stage, which
-    # compares against it, is left out instead of raising
-    def broken(cm, forms):
-        raise mellin.LemmaShapeViolationError(1, "expected z1")
-
-    monkeypatch.setattr(mellin, "lemma_form", broken)
-    report = run_verify(quadric)
-    names = [s.name for s in report.stages]
-    assert not report.hard_ok
-    assert "mellin-plain" in names and "mellin-factorized" not in names
-    assert "duality" in names
 
 
 def test_gamma_reflection_normalization():
@@ -437,35 +431,66 @@ def test_a_doctored_factor_does_not_reduce_to_the_plain_product(spec_6_2):
 
 def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
     # the premises of the proofs that replaced run-time checks, on the oracle
-    # set and 300 nonsingular specs: every row of L has one 1 among the y
-    # columns (the sum rules), the three-pattern oracle gives the row kinds'
-    # tags, and raises where the constant-row check raises, with its message
-    # (the classification), and factorize_xi's row groups are cm.i_lambda (the
-    # numerator of Theorem 3.1)
-    def tags(classify, cm, forms):
+    # set, 300 nonsingular specs and a seeded sample of random_cayley_spec:
+    # - every row of L has one 1 among the y columns (the sum rules);
+    # - the checks the weights decide (the constant rows' forms and the plain
+    #   product's shape, in the oracles) fail exactly where weight_hint's M is
+    #   not 0, and so never on a spec with weights (where M = 0); where they
+    #   pass, the three-pattern oracle gives the row kinds' tags.  A spec
+    #   without weights can have M = 0 (its kernel's classes are not its
+    #   blocks, or not positive): no reader of the forms reaches it;
+    # - where the transposition resolves, it read its classes off the basis H
+    #   of the certified L^-1, and the char-polys degrees and M_X balance;
+    # - factorize_xi's row groups are cm.i_lambda (Theorem 3.1's numerator)
+    def failure(check, cm, forms):
         try:
-            return classify(cm, forms)
-        except mellin.ClassificationFailureError as exc:
+            check(cm, forms)
+        except (ClassificationFailureError, LemmaShapeViolationError) as exc:
             return str(exc)
 
+    sample = (random_cayley_spec(random.Random(40000 + i), 3, 3) for i in range(100))
     counts = Counter()
-    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
+    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300) + [
+            spec for spec in sample if spec is not None]:
         pair = MirrorPair(spec)
         cm, forms = pair.cm, pair.forms
         n, k = spec.n, spec.k
         assert all(sum(row[n:n + 2 * k]) == cm.matrix.den for row in cm.matrix.num)
         assert all(column_sums(forms).values())
-        tagged = tags(classify_forms, cm, forms)
-        assert tagged == tags(classify_by_pattern, cm, forms)
-        counts["unclassified"] += isinstance(tagged, str)
+        try:
+            pair.weights
+            weighted = True
+        except ci_model.SpecError:
+            weighted = False
+        m_zero = not any(map(any, ci_model.weight_hint(spec, pair.inverse)[1]))
+        assert m_zero or not weighted
+        unclassified = failure(check_constant_rows, cm, forms)
+        assert (unclassified is None) == (failure(check_lemma_shape, cm, forms) is None) == m_zero
+        if unclassified is None:
+            assert classify_forms(cm) == classify_by_pattern(cm, forms)
+        else:
+            with pytest.raises(ClassificationFailureError, match=f"^{unclassified}$"):
+                classify_by_pattern(cm, forms)
+        if not weighted:
+            counts["no weights, M = 0" if m_zero else "no weights, M != 0"] += 1
+            continue
+        try:
+            pair.tr
+        except TranspositionError:
+            counts["not transposed"] += 1
+            continue
+        assert pair._class_hint is not None
+        assert all(len(p.at_zero) == len(p.at_infinity) for p in pair.char_polys)
+        assert degree_balanced(poincare_structure(pair.tweights, pair.tcharges))
         try:
             xi = pair.xi
-        except (TranspositionError, NotFactorizableError, ci_model.SpecError):
+        except (NotFactorizableError, ci_model.SpecError):
             counts["not factorized"] += 1
             continue
         assert sorted(chain.from_iterable(xi.row_groups)) == list(cm.i_lambda)
         counts["factorized"] += 1
-    assert counts == {"factorized": 174, "not factorized": 342, "unclassified": 100}
+    assert counts == {"no weights, M != 0": 111, "no weights, M = 0": 51,
+                      "not transposed": 201, "factorized": 186}
 
 
 def test_every_gamma_product_is_sorted_on_both_sides(fixtures_dir):

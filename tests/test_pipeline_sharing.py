@@ -27,7 +27,7 @@ from mirrorkit.record import lazy
 from oracles import columns, constant, double_transpose, z_coeffs
 from specgen import oracle_specs, singular_cayley_specs
 
-BUILDERS = ((ci_model, "build_cayley"), (ci_model, "derive_weights"),
+BUILDERS = ((ci_model, "build_cayley"), (ci_model, "charges"), (ci_model, "derive_weights"),
             (ci_model, "difference_matrix"), (rational_linalg, "invert"),
             (rational_linalg, "is_inverse"), (transposition, "build_transpose"),
             (transposition, "complete_transpose"), (transposition, "find_rho"),
@@ -95,6 +95,22 @@ def test_run_verify_eliminates_once(calls, monkeypatch, m):
     size = spec.total_rows
     assert shapes == [(size, size, 2 * size)]
     assert calls["derive_weights"] == 0
+
+
+def test_the_kernel_basis_is_read_only_off_a_certified_inverse(monkeypatch, quadric):
+    # H is a basis of ker tr.diff only on a correct L^-1, and the char-polys
+    # and duality proofs rest on it: an uncertified L^-1 gives no basis, so
+    # build_transpose eliminates, as on a singular L
+    pair = MirrorPair(quadric)
+    assert pair._class_hint == transposition.inverse_hint(pair.cm, pair.inverse)[0]
+    num = [list(row) for row in pair.inverse.num]
+    num[0][2] += 1   # an x-row entry: H and M' read only the s-rows
+    wrong = pipeline.Matrix(tuple(map(tuple, num)), pair.inverse.den)
+    monkeypatch.setattr(pipeline, "invert", lambda m: wrong)
+    pair = MirrorPair(quadric)
+    assert not pair.certified
+    assert not any(map(any, transposition.inverse_hint(pair.cm, pair.inverse)[1]))
+    assert pair._class_hint is None
 
 
 def test_run_verify_on_a_spec_that_does_not_transpose_eliminates_no_kernel(
@@ -253,7 +269,8 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
     assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
 
 
-@pytest.mark.parametrize("name", ["example_6_2.json", "family_5", "family_7", "family_12"])
+@pytest.mark.parametrize("name", ["example_6_1.json", "example_6_2.json", "family_5", "family_7",
+                                  "family_12"])
 def test_run_verify_builds_each_construction_once(calls, fixtures_dir, name):
     # one transposition per run: the spec's and its mirror's Cayley matrices
     # and rho (the mirror's is the spec's t_rho), one shape and one check of
@@ -263,6 +280,9 @@ def test_run_verify_builds_each_construction_once(calls, fixtures_dir, name):
     assert run_verify(spec).hard_ok
     assert [calls[f] for f in ("build_cayley", "build_transpose", "complete_transpose",
                                "find_rho")] == [2, 1, 1, 2]
+    # the spec's and the transposed side's charges: the double transpose's
+    # weights are the effective ones here, so it reads the spec's
+    assert calls["charges"] == 2
 
 
 STAGE_FUNCTIONS = ("lemma_form", "factorize_xi", "verify_theorem_31", "horn_operators",
@@ -295,8 +315,10 @@ def test_cli_views_share_the_chain(calls, fixtures_dir, command, bound):
         assert cli.main([command, "--input", str(fixtures_dir / "example_6_1.json")]) == 0
     assert calls["build_cayley"] <= bound
     assert calls["derive_weights"] <= bound
-    # poincare reads no form; the others read one view of L^-1, certified once
-    assert calls["is_inverse"] == calls["solve_xi"] == (command != "poincare")
+    # each certifies L L^-1 = I once, poincare for the kernel basis H it reads
+    # off L^-1 (`_class_hint`); it reads no form, the others one view of L^-1
+    assert calls["is_inverse"] == 1
+    assert calls["solve_xi"] == (command != "poincare")
 
 
 @pytest.mark.parametrize("m", [3, 7, 12])
@@ -410,10 +432,11 @@ def test_no_reader_mutates_a_shared_payload(monkeypatch, fixtures_dir, tmp_path,
 
 
 def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir):
-    # the transposed data and the annotated data (read by the duality check and
-    # the one-block series); the double transpose's data is the annotated data
-    # on example 6.2, so its ratio is that one, and only the corrupted
-    # fixture's, which differs, is built: two ratios, or three
+    # the annotated data's (read by the duality check and the one-block
+    # series); the double transpose's data is the annotated data on example
+    # 6.2, so its ratio is that one, and only the corrupted fixture's, which
+    # differs, is built: one ratio, or two.  The transposed data's, M_X, is
+    # balanced by its weights (`horn_system.char_polys`) and not built
     built = []
     real = poincare.poincare_structure
 
@@ -423,10 +446,10 @@ def test_run_verify_builds_each_cyclotomic_ratio_once(monkeypatch, fixtures_dir)
 
     monkeypatch.setattr(poincare, "poincare_structure", counted)
     run_verify(CISpec.load(fixtures_dir / "example_6_2.json"))
-    assert len(built) == 2
+    assert len(built) == 1
     del built[:]
     run_verify(CISpec.load(fixtures_dir / "corrupted_weights.json"))
-    assert len(built) == 3
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

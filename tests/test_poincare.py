@@ -13,6 +13,8 @@ from mirrorkit.poincare import (
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 
+from oracles import degree_balanced
+
 
 def brute_force_weighted_count(weights, order):
     """Independent oracle: number of monomials of each weighted degree."""
@@ -222,25 +224,36 @@ def test_series_coefficients_nonnegative(spec_6_1, spec_6_2, quadric):
         assert all(c >= 0 for c in table.values())
 
 
-def test_degree_balance(spec_6_1, spec_6_2, quadric):
-    for spec in (spec_6_1, spec_6_2, quadric):
-        w = derive_weights(spec)
-        assert poincare_structure(w, charges(spec, w)).degree_balanced()
+def test_degree_balance(spec_6_1, spec_6_2, quadric, corrupted):
+    # MirrorPair.unbalanced is P_A's degree balance: its blocks are the
+    # variables where structure_ratio's numerator and denominator degrees
+    # differ, and by as much as its two sums
+    unbalanced = []
+    for spec in (spec_6_1, spec_6_2, quadric, corrupted):
+        pair = MirrorPair(spec)
+        ratio = pair.structure_ratio
+        gaps = {q: sum(d for v, d in ratio.num if v == q) - sum(d for v, d in ratio.den if v == q)
+                for q in range(1, spec.k + 1)}
+        assert {q: lhs - rhs for q, lhs, rhs in pair.unbalanced} == {
+            q: gap for q, gap in gaps.items() if gap}
+        assert degree_balanced(ratio) == (not pair.unbalanced)
+        unbalanced.append(pair.unbalanced)
+    assert unbalanced == [(), (), (), ((1, 21, 22),)]
 
 
 def test_verify_duality_positive_cases(spec_6_1, spec_6_2, quadric):
     for spec in (spec_6_1, spec_6_2, quadric,
                  generate_family(3), generate_family(4), generate_family(5)):
         pair = MirrorPair(spec)
-        report = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                poincare_structure(*pair.recovered_data))
+        report = verify_duality(pair.structure_ratio, poincare_structure(*pair.recovered_data),
+                                not pair.unbalanced)
         assert report.ok, (spec, report)
 
 
 def test_verify_duality_corrupted_weights(corrupted):
     pair = MirrorPair(corrupted)
-    report = verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                            poincare_structure(*pair.recovered_data))
+    report = verify_duality(pair.structure_ratio, poincare_structure(*pair.recovered_data),
+                            not pair.unbalanced)
     assert not report.ok
     assert not report.identities["M_Y = PO_Xbar"]
 

@@ -684,8 +684,8 @@ def test_transpose_and_duality_flag_census(spec_6_1, spec_6_2, quadric, corrupte
             except transposition.TranspositionError:
                 continue
             reached += 1
-            flags.update(verify_duality(pair.tweights, pair.tcharges, pair.structure_ratio,
-                                        poincare_structure(*pair.recovered_data)).identities)
+            flags.update(verify_duality(pair.structure_ratio, poincare_structure(*pair.recovered_data),
+                                        not pair.unbalanced).identities)
             for flag, value in flags.items():
                 counts.setdefault(flag, [0, 0])[value] += 1
         assert (reached, {f: tuple(c) for f, c in counts.items()}) == TRANSPOSE_FLAG_CENSUS[name]

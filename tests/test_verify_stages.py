@@ -1,11 +1,13 @@
 """Each stage's failure branch in `run_verify`, and what `verify` prints for it.
 
-No spec of `tests/output_snapshot.py` makes forms, mellin-plain,
-mellin-factorized, horn, nef or the Cayley check fail, so each failure is
-forced here on the quadric: the module function that the stage's `MirrorPair`
-property calls is patched to raise the stage's declared error.  Every other
-stage must read exactly as in the run without the failure.  A wrong L^-1 is
-forced the same way, by patching `invert` to return one with an entry changed.
+No spec of `tests/output_snapshot.py` makes mellin-factorized, horn, nef or
+the Cayley check fail, so each failure is forced here on the quadric: the
+module function that the stage's `MirrorPair` property calls is patched to
+raise the stage's declared error, or, for horn, its factor cap is lowered
+below the quadric's count.  Every other stage must read exactly as in the run
+without the failure.  A wrong L^-1 is forced by patching `invert` to return
+one with an entry changed.  (forms and mellin-plain cannot fail: the weights
+decide them, `mellin.classify_forms`.)
 """
 
 import json
@@ -43,12 +45,18 @@ def _blocks(text: str) -> tuple[dict[str, list[str]], list[str]]:
 
 
 def _case(id, target, error, stage, stage_json, text, soft, hard_ok, codes, left_out=()):
-    """target, a (module, name), is patched to raise error.  stage is the stage that
-    fails (None: the run ends before it), stage_json its to_json(), and text its verify
-    lines with the lines after the last stage; codes are exit_code(False) and
-    exit_code(True), and left_out the stages that the run no longer reaches."""
-    return pytest.param(target, error, stage, stage_json, text, soft, hard_ok, codes, left_out,
+    """target, a (module, name), is patched to raise error, or a (module, name,
+    value) is patched to value, where error is the message the run then meets.
+    stage is the stage that fails (None: the run ends before it), stage_json its
+    to_json(), and text its verify lines with the lines after the last stage;
+    codes are exit_code(False) and exit_code(True), and left_out the stages that
+    the run no longer reaches."""
+    patch = target if len(target) == 3 else (*target, _raising(error))
+    return pytest.param(patch, error, stage, stage_json, text, soft, hard_ok, codes, left_out,
                         id=id)
+
+
+CAPPED = "variable 1: 8 p-factors exceed the cap of 7"   # the quadric's operator has 8
 
 
 CASES = [
@@ -60,18 +68,6 @@ CASES = [
            ["soft failures:", "  - transpose: no block shape",
             "verdict: PASS (with soft failures)"]),
           ["transpose: no block shape"], True, (0, 2), AFTER_TRANSPOSE),
-    _case("forms", (mellin, "classify_forms"),
-          mellin.ClassificationFailureError("form 2 matches no pattern"), "forms",
-          {"name": "forms", "ok": False, "flags": {},
-           "notes": ["form 2 matches no pattern"], "payload": {}},
-          (["[FAIL] forms", "    note: form 2 matches no pattern"], ["verdict: FAIL"]),
-          [], False, (1, 1)),
-    _case("mellin-plain", (mellin, "lemma_form"),
-          mellin.LemmaShapeViolationError(1, "expected z1"), "mellin-plain",
-          {"name": "mellin-plain", "ok": False, "flags": {},
-           "notes": ["row 1: expected z1"], "payload": {}},
-          (["[FAIL] mellin-plain", "    note: row 1: expected z1"], ["verdict: FAIL"]),
-          [], False, (1, 1), ("mellin-factorized",)),
     *(_case(f"mellin-factorized-{id}", target, error, "mellin-factorized",
             {"name": "mellin-factorized", "ok": True, "flags": {"factorizable": False},
              "notes": [str(error)], "payload": {}},
@@ -84,11 +80,9 @@ CASES = [
           ("identity", (mellin, "verify_theorem_31"),
            mellin.IdentityViolatedError(1, "the Gamma identity fails")),
           ("spec", (mellin, "factorize_xi"), ci_model.SpecError("no weights"))]),
-    _case("horn", (horn_system, "horn_operators"),
-          horn_system.DegenerateOperatorError("variable 1 has an empty side"), "horn",
-          {"name": "horn", "ok": False, "flags": {},
-           "notes": ["variable 1 has an empty side"], "payload": {}},
-          (["[FAIL] horn", "    note: variable 1 has an empty side"], ["verdict: FAIL"]),
+    _case("horn", (horn_system, "FACTOR_COUNT_CAP", 7), CAPPED, "horn",
+          {"name": "horn", "ok": False, "flags": {}, "notes": [CAPPED], "payload": {}},
+          (["[FAIL] horn", f"    note: {CAPPED}"], ["verdict: FAIL"]),
           [], False, (1, 1)),
     _case("nef", (nef_partition, "solve_dual_partition"),
           nef_partition.UnsolvableError("A_section P = T is inconsistent"), "nef",
@@ -109,16 +103,16 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("target, error, stage, stage_json, text, soft, hard_ok, codes, left_out",
+@pytest.mark.parametrize("patch, error, stage, stage_json, text, soft, hard_ok, codes, left_out",
                          CASES)
-def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, target, error,
+def test_a_failed_stage_is_reported_in_place(monkeypatch, capsys, quadric, patch, error,
                                              stage, stage_json, text, soft, hard_ok, codes,
                                              left_out):
     clean = run_verify(quadric)
     assert cli.main(["verify", "--input", QUADRIC]) == 0
     clean_blocks, _ = _blocks(capsys.readouterr().out)
 
-    monkeypatch.setattr(*target, _raising(error))
+    monkeypatch.setattr(*patch)
     report = run_verify(quadric)
     assert [s.name for s in report.stages] == [s for s in STAGES if s not in left_out]
     built = {s.name: s.to_json() for s in clean.stages}
