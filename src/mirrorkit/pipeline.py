@@ -11,18 +11,20 @@ and L L^-1 = I (`MirrorPair.certified`), where an exception is an internal
 error and a failed check ends the run, as every later stage reads L^-1, then
 runs `STAGES` in order.  A CLI command that reads the forms without `verify`
 meets a failed L L^-1 = I as the forms' InternalInvariantError.
-An entry (name, builder, needs, errors, flag) is a whole stage.  `builder(pair,
-order)` returns the `Stage`, ok, and its soft failures beyond its failed
-`SOFT_FLAGS`.  A verdict that the run's settled facts decide is proved at
-its stage function, not checked: the forms' classification and the plain
-product's shape by the weights (`mellin.classify_forms`), the char-polys
+An entry (name, builder, needs, errors, flag) is a whole stage.
+`builder(pair, order)` returns the ok `Stage`.  A verdict that the run's
+settled facts decide is proved at its stage function, not checked: the
+forms' classification and the plain product's shape by the weights
+(`mellin.classify_forms`), Theorem 3.1's factorization, contraction and
+reduction by the weights, the certified L^-1 and M' = 0
+(`mellin.factorize_xi`, `mellin.verify_theorem_31`), the char-polys
 degrees and the M_X balance by the transposed weights
 (`horn_system.char_polys`).  The stage is left out when a stage in `needs`
 raised.  An exception of a class `errors` names ("module.Class", read by
 `raisable`) fails it in place: hard with flag None, the stage not ok (`horn`
 at its factor cap); soft otherwise, as the stage checks a sufficient
-hypothesis such as factorizability, the stage ok with `flag` false and the
-soft failure "<name up to a '-'>: <error>".  A
+hypothesis (`transpose`, `nef`), the stage ok with `flag` false and the
+soft failure "<name>: <error>".  A
 `transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
@@ -354,7 +356,7 @@ class MirrorPair:
     @lazy
     def theorem31(self) -> tuple[mellin.Theorem31Report, mellin.GammaProduct]:
         """Theorem 3.1's report and the factorized product."""
-        return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges, self.lemma)
+        return mellin.verify_theorem_31(self.tr, self.xi, self.forms, self.tcharges)
 
     @lazy
     def horn(self) -> tuple[horn_system.HornOperator, ...]:
@@ -444,7 +446,7 @@ class PipelineReport:
 
 def _transpose(pair: MirrorPair, order: int):
     tr = pair.tr
-    return Stage("transpose", True, dict(tr.condition_flags), list(tr.notes), tr.to_json()), ()
+    return Stage("transpose", True, dict(tr.condition_flags), list(tr.notes), tr.to_json())
 
 
 def _forms(pair: MirrorPair, order: int):
@@ -457,42 +459,41 @@ def _forms(pair: MirrorPair, order: int):
     xi = [text.get(nums) or text.setdefault(nums, str(forms.xi(a)))
           for a, nums in enumerate(forms.xi_nums, start=1)]
     return Stage("forms", True, sums, payload={"delta": forms.den, "forms": forms.to_json(),
-                                               "xi": xi, "tags": list(tags)}), ()
+                                               "xi": xi, "tags": list(tags)})
 
 
 def _mellin_plain(pair: MirrorPair, order: int):
     lemma = pair.lemma
     display = str(lemma)
     return Stage("mellin-plain", True, payload={"product": lemma.to_json(), "display": display},
-                 text=[display]), ()
+                 text=[display])
 
 
 def _mellin_factorized(pair: MirrorPair, order: int):
     xi, (t31, product) = pair.xi, pair.theorem31
-    flags = {"factorizable": True, **{name: bool(value) for name, value in t31.to_json().items()
-                                      if name not in ("block_to_z", "symbolic")}}
+    # Theorem 3.1 holds by construction (`mellin.factorize_xi`, `verify_theorem_31`)
+    flags = dict.fromkeys(("factorizable", "identity_holds", "matches_nu_inverse",
+                           "reduces_to_lemma_form"), True)
     display, xi_forms = str(product), [str(f) for f in xi.xi_forms]
-    stage = Stage("mellin-factorized", True, flags,
-                  payload={"xi_factorization": xi.to_json(), "product": product.to_json(),
-                           "display": display, "symbolic": t31.symbolic, "xi_forms": xi_forms,
-                           "block_to_z": t31.block_to_z},
-                  text=[t31.symbolic, *(f"   xi^({q}) = {form}"
-                                        for q, form in enumerate(xi_forms, start=1)), display])
-    return stage, ([] if t31.reduces_to_lemma_form
-                   else ["mellin: factorized product does not reduce to the plain one"])
+    return Stage("mellin-factorized", True, flags,
+                 payload={"xi_factorization": xi.to_json(), "product": product.to_json(),
+                          "display": display, "symbolic": t31.symbolic, "xi_forms": xi_forms,
+                          "block_to_z": t31.block_to_z},
+                 text=[t31.symbolic, *(f"   xi^({q}) = {form}"
+                                       for q, form in enumerate(xi_forms, start=1)), display])
 
 
 def _horn(pair: MirrorPair, order: int):
     # P and Q have equal degree on a certified inverse (`horn_operators`)
     ops = pair.horn
     return Stage("horn", True, payload={"operators": [op.to_json() for op in ops],
-                                        "degrees": [op.degrees for op in ops]}), ()
+                                        "degrees": [op.degrees for op in ops]})
 
 
 def _char_polys(pair: MirrorPair, order: int):
     # each pair's two polynomials have equal degree (`horn_system.char_polys`)
     return Stage("char-polys", True,
-                 payload={"pairs": [p.to_json() for p in pair.char_polys]}), ()
+                 payload={"pairs": [p.to_json() for p in pair.char_polys]})
 
 
 def _duality(pair: MirrorPair, order: int):
@@ -501,19 +502,19 @@ def _duality(pair: MirrorPair, order: int):
     if pair.spec.k == 1:
         payload["structure_series"] = poincare.series_coefficients_1d(
             poincare.series_expand(pair.structure_ratio, order), order)
-    return Stage("duality", True, dict(duality.identities), list(duality.notes), payload), ()
+    return Stage("duality", True, dict(duality.identities), list(duality.notes), payload)
 
 
 def _nef(pair: MirrorPair, order: int):
     nef = pair.nef
-    return Stage("nef", True, dict(nef.flags), list(nef.notes), nef.to_json()), ()
+    return Stage("nef", True, dict(nef.flags), list(nef.notes), nef.to_json())
 
 
 def _magic_square(pair: MirrorPair, order: int):
     # found/not-found is a property report, not a condition flag: absence is a
     # fact about the spec, not a failed hypothesis
     magic = pair.magic
-    return Stage("magic-square", True, {"found": magic.found}, payload=magic.to_json()), ()
+    return Stage("magic-square", True, {"found": magic.found}, payload=magic.to_json())
 
 
 # (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring);
@@ -522,9 +523,7 @@ STAGES = (
     ("transpose", _transpose, (), ("transposition.TranspositionError",), "transposable"),
     ("forms", _forms, (), (), None),
     ("mellin-plain", _mellin_plain, (), (), None),
-    ("mellin-factorized", _mellin_factorized, ("transpose",),
-     ("mellin.NotFactorizableError", "mellin.IdentityViolatedError", "ci_model.SpecError"),
-     "factorizable"),
+    ("mellin-factorized", _mellin_factorized, ("transpose",), (), None),
     ("horn", _horn, (), ("horn_system.HornError",), None),
     ("char-polys", _char_polys, ("transpose",), (), None),
     ("duality", _duality, ("transpose",), (), None),
@@ -557,15 +556,14 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         if raised.intersection(needs):
             continue
         try:
-            stage, extra = build(pair, order)
+            stage = build(pair, order)
             soft += soft_failures(name, stage.flags) if name in SOFT_FLAGS else []
         except raisable("transposition.InternalInvariantError") as exc:
             return PipelineReport(stages, all(s.ok for s in stages), soft, str(exc))
         except raisable(*errors) as exc:
             raised.add(name)
             stage = Stage(name, flag is not None, {flag: False} if flag else {}, [str(exc)])
-            extra = [f"{name.split('-')[0]}: {exc}"] if flag else []
+            soft += [f"{name}: {exc}"] if flag else []
         stages.append(stage)
-        soft += extra
 
     return PipelineReport(stages, all(s.ok for s in stages), soft)

@@ -4,9 +4,10 @@
 
 For every comparison, boolean operator and `raise` in the functions of
 `TARGETS` (the check functions of `mellin`, the readers of the forms in
-`horn_system` and `nef_partition`, `horn_system.char_polys` and
-`poincare.verify_duality`, `pipeline.run_verify`, the checks of
-`transposition` and its `home_order`) it makes one mutant:
+`horn_system` and `nef_partition`, `poincare.verify_duality`,
+`pipeline.run_verify` and the `MirrorPair` properties that gate the kernel
+basis, balance the charges and reuse them, the checks of `transposition` and
+its `home_order`) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
   not in, is and is not);
@@ -19,8 +20,12 @@ README.md and pyproject.toml, with only the mutated function re-printed
 it (`pytest -x`), two mutants at a time (WORKERS).  A mutant whose tests
 fail or time out is killed.  A survivor is run again on the whole suite,
 so that a test elsewhere that kills it is found.  The unmutated copy must
-pass first.  The file name keeps pytest from collecting it; it needs only
-the standard library and pytest.
+pass first.  A target is a module-level function or a "Class.method" name
+(a property too); one that does not resolve, or that has no mutation site,
+is an error, so a target whose checks were proved away must leave `TARGETS`
+(`test_mutation_census.py` checks this without running a mutant).  The
+file name keeps pytest from collecting it; it needs only the standard
+library and pytest.
 """
 
 import ast
@@ -41,11 +46,12 @@ TIMEOUT_S = 600
 WORKERS = 2
 
 TARGETS = {
-    "mellin": ("check_y_rows", "factorize_xi", "verify_theorem_31", "gamma_equal"),
-    "horn_system": ("horn_operators", "char_polys"),
+    "mellin": ("check_y_rows", "factorize_xi"),
+    "horn_system": ("horn_operators",),
     "nef_partition": ("magic_square_check",),
     "poincare": ("verify_duality",),
-    "pipeline": ("run_verify",),
+    "pipeline": ("run_verify", "MirrorPair._class_hint", "MirrorPair.unbalanced",
+                 "MirrorPair.recovered_data"),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
                       "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching",
                       "home_order"),
@@ -96,15 +102,27 @@ class Mutator(ast.NodeTransformer):
 
 
 def _function(tree, name):
-    return next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == name)
+    """The FunctionDef of name, "function" or "Class.method", in the module's tree."""
+    node = tree
+    for part in name.split("."):
+        node = next((child for child in node.body
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     and child.name == part), None)
+        if node is None:
+            raise LookupError(f"{name}: no such definition")
+    if not isinstance(node, ast.FunctionDef):
+        raise LookupError(f"{name}: not a function")
+    return node
 
 
 def sites(module, function):
-    """The (line, mutation) of each mutation site of module.function."""
+    """The (line, mutation) of each mutation site of module.function; raises
+    LookupError when it does not resolve or has none."""
     source = (PACKAGE / f"{module}.py").read_text()
     mutator = Mutator()
     mutator.visit(_function(ast.parse(source), function))
+    if not mutator.sites:
+        raise LookupError(f"{module}.{function}: no mutation site")
     return mutator.sites
 
 

@@ -20,9 +20,13 @@ sympy and with hand-computed values:
   the constant rows' forms (`check_constant_rows`, ClassificationFailureError)
   and the plain product's shape (`check_lemma_shape`,
   LemmaShapeViolationError), which the weights decide, the Horn sides'
-  sign classes (`check_horn_sides`, DegenerateOperatorError), and the degree
+  sign classes (`check_horn_sides`, DegenerateOperatorError), the degree
   balance of a ratio (`degree_balanced`), which the transposed side's
-  char-polys and M_X have by their weights;
+  char-polys and M_X have by their weights, and Theorem 3.1's factorization
+  (`check_factorization`, NotFactorizableError), contraction (`contraction`,
+  IdentityViolatedError) and reduction (`gamma_equal` of the products'
+  `canonical_multiset`), which the weights, the certified L^-1 and M' = 0
+  decide (`mellin.factorize_xi`, `mellin.verify_theorem_31`);
 * a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
@@ -43,7 +47,7 @@ from operator import mul
 from mirrorkit import transposition
 from mirrorkit.ci_model import (Block, build_cayley, charges, CISpec, SpecError, weight_hint,
                                  WeightSystem)
-from mirrorkit.mellin import Forms, ZForm
+from mirrorkit.mellin import Forms, sort_forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.rational_linalg import (
@@ -227,6 +231,65 @@ def check_horn_sides(forms):
     for q, row in enumerate(forms.s_rows, start=1):
         if not (any(c > 0 for c in row) and any(c < 0 for c in row)):
             raise DegenerateOperatorError(f"variable {q}: empty sign class")
+
+
+class NotFactorizableError(Exception):
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+
+
+class IdentityViolatedError(Exception):
+    def __init__(self, q: int, message: str):
+        super().__init__(f"block {q}: {message}")
+        self.q = q
+
+
+def check_factorization(tr, forms, tweights):
+    """Raise NotFactorizableError unless each monomial row's form is its
+    transposed weight c times the common form of its transposed block: row r
+    with factor c against the block's base row with factor c_base,
+    c_base * xi_nums[r - 1] = c * xi_nums[base - 1]."""
+    diag = tweights.diagonal
+    for q in range(1, tr.tspec.k + 1):
+        rng = set(tr.tspec.block_range(q))
+        rows = sorted((v, r) for r, v in tr.row_to_var if v in rng)
+        (v0, base), nums = rows[0], forms.xi_nums
+        for v, r in rows[1:]:
+            c = diag[v - 1]
+            if [diag[v0 - 1] * x for x in nums[r - 1]] != [c * x for x in nums[base - 1]]:
+                raise NotFactorizableError(
+                    r, f"form is not {c} times the common form of block {q}")
+
+
+def contraction(tr, xi, tq):
+    """Per transposed block q, the m with sum_nu tq[q][nu] xi^(nu) = 1 - z_m, each m
+    used once; raise IdentityViolatedError when a block has none."""
+    k = tr.tspec.k
+    den = math.lcm(*(f.den for f in xi.xi_forms))
+    scaled = [[x * (den // f.den) for x in f.num] for f in xi.xi_forms]
+    block_to_z = []
+    for q in range(1, k + 1):
+        row = tq.entries[q - 1]
+        d = ZForm.reduced(tuple(sum(t * v[i] for t, v in zip(row, scaled))
+                                for i in range(k + 1)), den)
+        match = next((m for m in range(1, k + 1)
+                      if m not in block_to_z and d == ZForm.one_minus_z(m, k)), None)
+        if match is None:
+            raise IdentityViolatedError(q, f"contraction gives {d}, not of the form 1 - z_m")
+        block_to_z.append(match)
+    return tuple(block_to_z)
+
+
+def canonical_multiset(product):
+    """A GammaProduct's arguments as numerator factors, denominators reflected
+    through 1 - x."""
+    return sort_forms((*product.numerator, *(d.reflect() for d in product.denominator)))
+
+
+def gamma_equal(a, b):
+    """Whether two GammaProducts agree up to reflection."""
+    return canonical_multiset(a) == canonical_multiset(b)
 
 
 def degree_balanced(ratio):

@@ -12,7 +12,6 @@ from mirrorkit.horn_system import horn_operators
 from mirrorkit.mellin import (
     ZForm,
     factorize_xi,
-    gamma_equal,
     lemma_form,
     solve_xi,
     sort_forms,
@@ -30,8 +29,8 @@ from mirrorkit.poincare import (
 from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
-from oracles import (FractionZForm, column_sums, columns, dense_matmul, duals, i_coeffs,
-                     identity, involutive, support_phi, z_coeffs, zform)
+from oracles import (FractionZForm, column_sums, columns, dense_matmul, duals, gamma_equal,
+                     i_coeffs, identity, involutive, support_phi, z_coeffs, zform)
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 
@@ -64,7 +63,7 @@ def _theorem_products(spec):
     tweights = derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tweights)
     lemma = lemma_form(cm, forms)
-    rep, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tweights), lemma)
+    rep, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tweights))
     return rep, product, lemma, tr
 
 

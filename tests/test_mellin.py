@@ -11,12 +11,10 @@ from mirrorkit import ci_model, mellin
 from mirrorkit.ci_model import build_cayley, charges, derive_weights
 from mirrorkit.mellin import (
     GammaProduct,
-    NotFactorizableError,
     ZForm,
     XiFactorization,
     classify_forms,
     factorize_xi,
-    gamma_equal,
     lemma_form,
     solve_xi,
     sort_forms,
@@ -25,24 +23,29 @@ from mirrorkit.mellin import (
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.poincare import poincare_structure
 from mirrorkit.rational_linalg import Matrix, invert
-from mirrorkit.transposition import TranspositionError
+from mirrorkit.transposition import inverse_hint, TranspositionError
 
 from oracles import (
     ClassificationFailureError,
     FractionZForm,
+    IdentityViolatedError,
     LemmaShapeViolationError,
+    NotFactorizableError,
     check_constant_rows,
+    check_factorization,
     check_lemma_shape,
     classify_by_pattern,
     column_sums,
     column,
     columns,
     constant,
+    contraction,
     degree_balanced,
     dense_matmul,
     entries,
     entry,
     fraction_matrix,
+    gamma_equal,
     i_coeffs,
     identity,
     linear_form,
@@ -217,15 +220,17 @@ def test_factorize_xi_6_2(spec_6_2):
 
 
 def test_factorize_xi_unequal_ratios():
-    # doctoring one monomial form breaks the proportionality
+    # doctoring one monomial form breaks the proportionality that
+    # factorize_xi proves and the oracle checks
     from mirrorkit.ci_model import CISpec
     quadric = CISpec.load("src/mirrorkit/fixtures/derived_quadric.json")
     tr = MirrorPair(quadric).tr
     forms = MirrorPair(quadric).forms
+    check_factorization(tr, forms, derive_weights(tr.tspec))
     f = columns(forms)[0]
     broken = with_column(forms, 1, linear_form(i_coeffs(f), zeta_coeffs(f), (F(1, 3),)))
     with pytest.raises(NotFactorizableError):
-        factorize_xi(tr, broken, derive_weights(tr.tspec))
+        check_factorization(tr, broken, derive_weights(tr.tspec))
 
 
 def test_classify_rejects_a_fractional_pure_z_form(quadric):
@@ -268,24 +273,26 @@ def test_lemma_shape_violation(quadric):
 
 
 def test_theorem_identity_violated(quadric):
-    from mirrorkit.mellin import IdentityViolatedError, XiFactorization
+    # a common form scaled by 1/3 contracts to (1 - z)/3, not to 1 - z_m:
+    # verify_theorem_31 proves the contraction, and the oracle checks it
     tr = MirrorPair(quadric).tr
     forms = MirrorPair(quadric).forms
+    tq = charges(tr.tspec, derive_weights(tr.tspec))
     good = factorize_xi(tr, forms, derive_weights(tr.tspec))
+    assert contraction(tr, good, tq) == tr.block_sources
     bad = XiFactorization((good.xi_forms[0].scale(1, 3),), good.factors,
-                          good.row_groups, None)
+                          good.row_groups, good.p_tilde)
     with pytest.raises(IdentityViolatedError):
-        verify_theorem_31(tr, bad, forms, charges(tr.tspec, derive_weights(tr.tspec)),
-                          lemma_form(build_cayley(quadric), forms))
+        contraction(tr, bad, tq)
 
 
 def test_theorem_quadric(quadric):
     tr = MirrorPair(quadric).tr
     forms, tw = MirrorPair(quadric).forms, derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tw)
-    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw),
-                                        lemma_form(build_cayley(quadric), forms))
+    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw))
     assert report.identity_holds and report.reduces_to_lemma_form
+    assert gamma_equal(product, lemma_form(build_cayley(quadric), forms))
     # Gamma(xi)^2 / Gamma(2 xi) with xi = (1-z)/2
     assert list(product.numerator) == [zf(F(1, 2), F(-1, 2))] * 2
     assert list(product.denominator) == [zf(1, -1)]
@@ -295,20 +302,21 @@ def test_theorem_6_1_denominators(spec_6_1):
     tr = MirrorPair(spec_6_1).tr
     forms, tw = MirrorPair(spec_6_1).forms, derive_weights(tr.tspec)
     xi = factorize_xi(tr, forms, tw)
-    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw),
-                                        lemma_form(build_cayley(spec_6_1), forms))
+    report, product = verify_theorem_31(tr, xi, forms, charges(tr.tspec, tw))
     assert report.identity_holds
     assert report.matches_nu_inverse
+    assert report.block_to_z == contraction(tr, xi, charges(tr.tspec, tw)) == tr.nu.images
     # 3 xi^(1) + xi^(2) = 1 - z1 and 3 xi^(2) = 1 - z2
     assert sort_forms(product.denominator) == sort_forms([zf(1, -1, 0), zf(1, 0, -1)])
 
 
 def test_theorem_31_reads_the_charges_and_plain_product_it_is_given(monkeypatch):
+    # it reads the charges it is given, and no plain product: the reduction
+    # to it is proved, not compared
     pair = MirrorPair(generate_family(5))
     tr, forms, tq = pair.tr, pair.forms, pair.tcharges
     xi = factorize_xi(tr, forms, pair.tweights)
-    lemma = lemma_form(pair.cm, forms)
-    expected = verify_theorem_31(tr, xi, forms, tq, lemma)
+    expected = verify_theorem_31(tr, xi, forms, tq)
 
     def rebuilt(*args):
         raise AssertionError("verify_theorem_31 rebuilt what it was handed")
@@ -316,7 +324,7 @@ def test_theorem_31_reads_the_charges_and_plain_product_it_is_given(monkeypatch)
     monkeypatch.setattr(mellin, "lemma_form", rebuilt)
     monkeypatch.setattr(mellin, "charges", rebuilt, raising=False)
     monkeypatch.setattr(ci_model, "charges", rebuilt)
-    assert verify_theorem_31(tr, xi, forms, tq, lemma) == expected
+    assert verify_theorem_31(tr, xi, forms, tq) == expected
 
 
 def test_gamma_reflection_normalization():
@@ -417,16 +425,17 @@ def test_sum_rules_fail_on_a_doctored_form(monkeypatch, quadric):
 def test_a_doctored_factor_does_not_reduce_to_the_plain_product(spec_6_2):
     # Theorem 3.1's numerator must be the multiset of the monomial forms: one
     # factor 1 of xi^(1) made 2 keeps the set of factors and the contraction
-    # identity, but the product no longer reduces to the plain one
+    # identity, but the product no longer reduces to the plain one (the
+    # oracles: verify_theorem_31 proves both for the factors it is built from)
     pair = MirrorPair(spec_6_2)
     xi, lemma = pair.xi, pair.lemma
-    assert pair.theorem31[0].reduces_to_lemma_form
+    assert pair.theorem31[0].reduces_to_lemma_form and gamma_equal(pair.theorem31[1], lemma)
     assert xi.factors == ((1, 1, 1, 2, 2),)
     doctored = XiFactorization(xi.xi_forms, ((1, 1, 2, 2, 2),), xi.row_groups, xi.p_tilde)
-    report, product = verify_theorem_31(pair.tr, doctored, pair.forms, pair.tcharges, lemma)
-    assert report.identity_holds and report.block_to_z == pair.theorem31[0].block_to_z
+    report, product = verify_theorem_31(pair.tr, doctored, pair.forms, pair.tcharges)
+    assert contraction(pair.tr, doctored, pair.tcharges) == pair.theorem31[0].block_to_z
     assert set(product.numerator) == set(pair.theorem31[1].numerator)
-    assert not report.reduces_to_lemma_form and not gamma_equal(product, lemma)
+    assert not gamma_equal(product, lemma)
 
 
 def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
@@ -440,8 +449,14 @@ def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
     #   without weights can have M = 0 (its kernel's classes are not its
     #   blocks, or not positive): no reader of the forms reaches it;
     # - where the transposition resolves, it read its classes off the basis H
-    #   of the certified L^-1, and the char-polys degrees and M_X balance;
-    # - factorize_xi's row groups are cm.i_lambda (Theorem 3.1's numerator)
+    #   of the certified L^-1 (M' = 0), and the char-polys degrees and M_X
+    #   balance;
+    # - there, Theorem 3.1 as factorize_xi and verify_theorem_31 prove it: the
+    #   oracles' factorization and contraction hold, every product-row
+    #   constant is 0 and every monomial-row xi vanishes at z = 1, so
+    #   xi^(nu) = p_tilde . (1 - z), the contraction is block_sources, which
+    #   is nu's images, the row groups partition cm.i_lambda and the product
+    #   reduces to the plain one
     def failure(check, cm, forms):
         try:
             check(cm, forms)
@@ -479,15 +494,21 @@ def test_the_proofs_premises_hold_on_the_oracle_set(fixtures_dir):
         except TranspositionError:
             counts["not transposed"] += 1
             continue
-        assert pair._class_hint is not None
+        h, m_prime = inverse_hint(cm, pair.inverse)
+        assert pair.certified and not any(map(any, m_prime)) and pair._class_hint == h
         assert all(len(p.at_zero) == len(p.at_infinity) for p in pair.char_polys)
         assert degree_balanced(poincare_structure(pair.tweights, pair.tcharges))
-        try:
-            xi = pair.xi
-        except (NotFactorizableError, ci_model.SpecError):
-            counts["not factorized"] += 1
-            continue
+        tr, xi, (report, product) = pair.tr, pair.xi, pair.theorem31
+        check_factorization(tr, forms, pair.tweights)
+        assert not any(forms.constants[spec.a(nu) - 2] for nu in range(1, k + 1))
+        assert not any(sum(forms.xi_nums[r - 1]) for r in cm.i_lambda)
+        p_tilde = xi.p_tilde
+        assert [ZForm.reduced((*(-x for x in row), sum(row)), p_tilde.den)
+                for row in p_tilde.num] == list(xi.xi_forms)
+        assert (report.block_to_z == contraction(tr, xi, pair.tcharges) == tr.block_sources
+                == tr.nu.images)
         assert sorted(chain.from_iterable(xi.row_groups)) == list(cm.i_lambda)
+        assert gamma_equal(product, pair.lemma)
         counts["factorized"] += 1
     assert counts == {"no weights, M != 0": 111, "no weights, M = 0": 51,
                       "not transposed": 201, "factorized": 186}

@@ -407,8 +407,9 @@ def test_horn_factors_of_one_form_share_its_data(m):
                                   "corrupted_weights", "family_3", "family_7"])
 def test_no_reader_mutates_a_shared_payload(monkeypatch, fixtures_dir, tmp_path, name):
     # a Horn payload shares one coeffs dict among a run's factors and one factor
-    # list between equal runs, and Stage.to_json hands out the stage's own
-    # payload: the CLI views must leave a report's payloads as they were built
+    # list between equal runs, a Gamma product one dict among its equal
+    # factors, and Stage.to_json hands out the stage's own payload: the CLI
+    # views must leave a report's payloads as they were built
     if name.startswith("family_"):
         spec = generate_family(int(name.split("_")[1]))
         path = tmp_path / f"{name}.json"
@@ -421,6 +422,11 @@ def test_no_reader_mutates_a_shared_payload(monkeypatch, fixtures_dir, tmp_path,
     monkeypatch.setattr(pipeline, "run_verify", lambda spec, order: report)
     tree = report.to_json()
     snapshot = json.dumps(tree, sort_keys=True)
+    payloads = {stage["name"]: stage["payload"] for stage in tree["stages"]}
+    for stage in ("mellin-plain", "mellin-factorized"):
+        product = payloads[stage]["product"]
+        factors = product["numerator"] + product["denominator"]
+        assert len({id(f) for f in factors}) == len({json.dumps(f) for f in factors})
     outputs = []
     for argv in (["verify"], ["verify", "--format", "json"], ["horn", "--format", "json"]):
         with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -1,20 +1,21 @@
 """Each stage's failure branch in `run_verify`, and what `verify` prints for it.
 
-No spec of `tests/output_snapshot.py` makes mellin-factorized, horn, nef or
-the Cayley check fail, so each failure is forced here on the quadric: the
-module function that the stage's `MirrorPair` property calls is patched to
-raise the stage's declared error, or, for horn, its factor cap is lowered
-below the quadric's count.  Every other stage must read exactly as in the run
-without the failure.  A wrong L^-1 is forced by patching `invert` to return
-one with an entry changed.  (forms and mellin-plain cannot fail: the weights
-decide them, `mellin.classify_forms`.)
+No spec of `tests/output_snapshot.py` makes horn, nef or the Cayley check
+fail, so each failure is forced here on the quadric: the module function that
+the stage's `MirrorPair` property calls is patched to raise the stage's
+declared error, or, for horn, its factor cap is lowered below the quadric's
+count.  Every other stage must read exactly as in the run without the
+failure.  A wrong L^-1 is forced by patching `invert` to return one with an
+entry changed.  (forms, mellin-plain and mellin-factorized cannot fail: the
+weights decide the first two, `mellin.classify_forms`, and the weights, the
+certified L^-1 and M' = 0 the third, `mellin.factorize_xi`.)
 """
 
 import json
 
 import pytest
 
-from mirrorkit import ci_model, cli, horn_system, mellin, nef_partition, pipeline, transposition
+from mirrorkit import cli, horn_system, nef_partition, pipeline, transposition
 from mirrorkit.pipeline import run_verify
 
 from conftest import FIXTURES
@@ -68,18 +69,6 @@ CASES = [
            ["soft failures:", "  - transpose: no block shape",
             "verdict: PASS (with soft failures)"]),
           ["transpose: no block shape"], True, (0, 2), AFTER_TRANSPOSE),
-    *(_case(f"mellin-factorized-{id}", target, error, "mellin-factorized",
-            {"name": "mellin-factorized", "ok": True, "flags": {"factorizable": False},
-             "notes": [str(error)], "payload": {}},
-            (["[ok] mellin-factorized", "    - factorizable", f"    note: {error}"],
-             ["soft failures:", f"  - mellin: {error}", "verdict: PASS (with soft failures)"]),
-            [f"mellin: {error}"], True, (0, 2))
-      for id, target, error in [
-          ("not-factorizable", (mellin, "factorize_xi"),
-           mellin.NotFactorizableError(2, "no xi")),
-          ("identity", (mellin, "verify_theorem_31"),
-           mellin.IdentityViolatedError(1, "the Gamma identity fails")),
-          ("spec", (mellin, "factorize_xi"), ci_model.SpecError("no weights"))]),
     _case("horn", (horn_system, "FACTOR_COUNT_CAP", 7), CAPPED, "horn",
           {"name": "horn", "ok": False, "flags": {}, "notes": [CAPPED], "payload": {}},
           (["[FAIL] horn", f"    note: {CAPPED}"], ["verdict: FAIL"]),

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mirrorkit.mellin import GammaProduct, ZForm, sort_forms  # noqa: E402
 
-from oracles import FractionZForm, coeffs, constant  # noqa: E402
+from oracles import canonical_multiset, coeffs, constant, FractionZForm  # noqa: E402
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=24)
 # few values, so that sorting meets equal constants and equal forms
@@ -54,7 +54,7 @@ def test_sort_forms_is_the_fraction_key_order(data):
     numerator, denominator = forms[::2], forms[1::2]
     product = GammaProduct(tuple(f.integer() for f in numerator),
                            tuple(f.integer() for f in denominator), 1)
-    assert product.canonical_multiset() == tuple(
+    assert canonical_multiset(product) == tuple(
         f.integer() for f in sorted(numerator + [d.reflect() for d in denominator],
                                     key=FractionZForm.sort_key))
 
