@@ -375,8 +375,7 @@ def _main(argv) -> int:
     except raisable("transposition.InternalInvariantError") as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
-    except raisable("transposition.TranspositionError", "mellin.MellinError",
-                    "nef_partition.NefError") as exc:
+    except raisable("transposition.TranspositionError", "mellin.MellinError") as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return pipeline.EXIT_SOFT_FAILURE
     except (ci_model.SpecError, SingularMatrixError) as exc:

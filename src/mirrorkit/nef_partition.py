@@ -2,28 +2,21 @@
 
 Shifting each block's monomials by its product indicator puts the block
 polytopes into the common weight-kernel sublattice; their Minkowski sum
-should fill it.  The dual vertices P solve A * P = T: the pairing of the
-original difference vectors (the rows of A) against the dual vertices must
-reproduce the transposed difference matrix, which the transposition built
-(``TransposeResult.diff``, T its transpose).  The solution is only
-determined modulo the weight lines, so a deterministic coordinate section
-(lowest-index standard basis vectors completing the weights to a basis)
-pins the representatives.  The weights have disjoint supports, so that
-section has a closed form, every position but the last of each support
-(``_last_support`` finds the last ones), and the solution is unique when
-the section has the rank of A: the weights lie in ker A, so the last
-column of each support depends on the others, and A's nonzero rows span
-the Minkowski sum, whose dimension is therefore the rank of A.
+should fill it.  The dual vertices P solve A * P = T (Batyrev-Borisov
+1996): the pairings of the original difference vectors (the rows of A)
+with the dual vertices reproduce the transposed difference matrix
+(``TransposeResult.diff``, T its transpose).  P is pinned modulo the
+weight lines by a coordinate section, every position but the last of each
+weight support (``_last_support``).
 
-No elimination is needed to find P.  T is A with its columns permuted by
-lambda, T[i][c] = A[i][lambda(c) - 1] (the proof is in
-``solve_dual_partition``), so A * Pi_lambda = T for lambda's permutation
-matrix, and P is Pi_lambda moved into the section along the weight lines:
-column c is e_j, j = lambda(c) - 1, or e_j - w_q / w_q[j] when j is the last
-support position of w_q.  The identity and ker A are certified entry by
-entry, and the identity also proves the rank n - k that makes P the one
-solution in the section (``solve_dual_partition``); only another spec's
-data fails the certificate, and the stage then raises.
+No elimination is needed.  T is A with its columns permuted by lambda, so
+column c of P is e_j, j = lambda(c) - 1, moved into the section along a
+weight line (``_closed_form_duals``).  Its certificate, that identity and
+the weights in ker A, holds on every spec's own transposition and proves
+the rank n - k that makes P the one solution in the section
+(``solve_dual_partition``).  A failed clause is a construction bug, a
+`transposition.InternalInvariantError` naming it; the stage has no other
+failure.
 
 Once A * P == T holds, every pairing of a difference row with a dual
 vertex is an entry of T, so the pairing conditions are lookups in T
@@ -44,16 +37,9 @@ from operator import mul
 from typing import Sequence
 
 from .ci_model import CayleyMatrix, CISpec, WeightSystem
-from .rational_linalg import Matrix, rank
+from .rational_linalg import Matrix
 from .record import record
-
-
-class NefError(Exception):
-    pass
-
-
-class UnsolvableError(NefError):
-    """The dual-vertex matrix equation is inconsistent."""
+from .transposition import InternalInvariantError
 
 
 @record
@@ -102,12 +88,6 @@ def build_deltas(spec: CISpec, weights: WeightSystem) -> tuple[LatticePolytope, 
                 pts.append(row)
         out.append(LatticePolytope(spec.n, tuple(pts), basis))
     return tuple(out)
-
-
-def minkowski_dim(deltas) -> int:
-    """Rank of the span of all vertices; equality with n - k is the sum condition."""
-    rows = [v for d in deltas for v in d.vertices if any(v)]
-    return rank(Matrix.from_rows(rows)) if rows else 0
 
 
 def pairing_flags(t_rows, taus: Sequence[int], dual_idx: Sequence[Sequence[int]]
@@ -197,19 +177,21 @@ def _last_support(weights: WeightSystem) -> dict[int, tuple[int, ...]]:
     return {max(i for i, g in enumerate(w) if g): w for w in weights.vectors}
 
 
-def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Matrix | None:
+def _closed_form_duals(a_rows, tr: TransposeResult, weights: WeightSystem) -> Matrix:
     """P in the coordinate section, read off lambda and the weights
-    (`solve_dual_partition`); None unless row c of tr.diff is column lambda(c)
-    of A and every weight vector lies in ker A.  That identity makes
-    rank A = rank tr.diff = n - k, so A_section has full column rank and P
-    is the one solution of A * P = T in the section.
+    (`solve_dual_partition`), once its certificate holds: row c of tr.diff is
+    column lambda(c) of A, and every weight vector lies in ker A.  That
+    identity makes rank A = rank tr.diff = n - k, so A_section has full
+    column rank and P is the one solution of A * P = T in the section.  A
+    failed clause raises InternalInvariantError naming it.
     """
     lam = tr.lam.images
     a_cols = list(zip(*a_rows))
     if len(lam) != len(a_cols) or tr.diff.num != tuple(a_cols[i - 1] for i in lam):
-        return None
+        raise InternalInvariantError("nef certificate: row c of tr.diff is not column "
+                                     "lambda(c) of A")
     if any(sum(map(mul, row, w)) for w in weights.vectors for row in a_rows):
-        return None
+        raise InternalInvariantError("nef certificate: a weight vector is not in ker A")
     last = _last_support(weights)
     scale = math.lcm(*(w[j] // math.gcd(*w) for j, w in last.items()))
     cols = []
@@ -254,9 +236,13 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     rank of tr.diff, which is n - k because `build_transpose` returns only a
     transposition whose weight kernel has dimension k (`_weight_classes`
     checks it on an exact basis: read off L^-1, handed to a mirror as the
-    spec's kernel basis moved by lambda, or eliminated).  Only data of
-    another spec fails the certificate, and the stage then raises: on the
-    Minkowski dimension first, then on the block sizes, then on the target.
+    spec's kernel basis moved by lambda, or eliminated).  So the flag
+    `minkowski_dim` is True.  On the spec's own transposition and derived
+    weights both clauses of the certificate hold: the first is the identity
+    above, and each derived weight vector pairs every difference row to 0
+    (`ci_model.derive_weights`), so it lies in ker A.  Only another spec's
+    data fails one, and `_closed_form_duals` raises InternalInvariantError
+    naming it.
     """
     n, k = spec.n, spec.k
     notes: list[str] = []
@@ -266,16 +252,9 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     a_rows = spec.diff.num
     pairings = tr.diff.transpose()   # entry (i, c): new monomial c at original variable i
 
-    # once A * P == T holds, every pairing below is an entry of T
+    # once A * P == T holds, every pairing below is an entry of T, and
+    # rank A = rank tr.diff = n - k
     p_matrix = _closed_form_duals(a_rows, tr, weights)
-    if p_matrix is None:
-        dim = minkowski_dim(deltas)
-        if dim != n - k:
-            raise UnsolvableError(f"Minkowski sum has dimension {dim}, expected {n - k}")
-        if tr.tspec.taus != spec.taus:
-            raise UnsolvableError("transposed block sizes do not mirror the original order")
-        raise UnsolvableError("pairing matrix does not reproduce the target")
-    # the certificate makes rank A = rank tr.diff = n - k
     flags["minkowski_dim"] = True
     flags["integral_P_section"] = p_matrix.den == 1
     # each column is e_j or e_j - w_q / w_q[j]; adding w_q / w_q[j] makes it e_j

@@ -19,12 +19,14 @@ forms' classification and the plain product's shape by the weights
 reduction by the weights, the certified L^-1 and M' = 0
 (`mellin.factorize_xi`, `mellin.verify_theorem_31`), the char-polys
 degrees and the M_X balance by the transposed weights
-(`horn_system.char_polys`).  The stage is left out when a stage in `needs`
-raised.  An exception of a class `errors` names ("module.Class", read by
-`raisable`) fails it in place: hard with flag None, the stage not ok (`horn`
-at its factor cap); soft otherwise, as the stage checks a sufficient
-hypothesis (`transpose`, `nef`), the stage ok with `flag` false and the
-soft failure "<name>: <error>".  A
+(`horn_system.char_polys`), the nef dual vertices' certificate by the
+transposition (`nef_partition.solve_dual_partition`), and M_Y = PO_Xbar by
+unique factorization (`poincare.verify_duality`).  The stage is left out
+when a stage in `needs` raised.  An exception of a class `errors` names
+("module.Class", read by `raisable`) fails it in place: hard with flag
+None, the stage not ok (`horn` at its factor cap); soft otherwise, as the
+stage checks a sufficient hypothesis (`transpose`, the one soft stage), the
+stage ok with `flag` false and the soft failure "<name>: <error>".  A
 `transposition.InternalInvariantError` ends the run as an internal error.  The
 report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
 failure.  To add a stage, add its builder and its entry.
@@ -381,7 +383,7 @@ class MirrorPair:
     @lazy
     def nef(self) -> nef_partition.NefPartitionData:
         """The dual vertices in closed form: the transposition proves the rank
-        they need (`nef_partition.solve_dual_partition`)."""
+        they need and their certificate (`nef_partition.solve_dual_partition`)."""
         return nef_partition.solve_dual_partition(self.spec, self.tr, self.weights, self.tweights)
 
     @lazy
@@ -527,7 +529,7 @@ STAGES = (
     ("horn", _horn, (), ("horn_system.HornError",), None),
     ("char-polys", _char_polys, ("transpose",), (), None),
     ("duality", _duality, ("transpose",), (), None),
-    ("nef", _nef, ("transpose",), ("nef_partition.NefError",), "solvable"),
+    ("nef", _nef, ("transpose",), (), None),
     ("magic-square", _magic_square, (), (), None),
 )
 

@@ -5,8 +5,9 @@ series of the classical quotient shape prod (1 - t^{charge}) over
 prod (1 - t^{weight}); the Euler-characteristic generating function and the
 monodromy ratio M are that same product over the transposed data, so
 ``poincare_structure`` builds all three.  Ratios live here as multisets of
-(variable, exponent) factors, with equality decided by exact
-cross-multiplied polynomial expansion after cancelling common factors.
+(variable, exponent) factors, cancelled to a canonical record; on ratios
+whose exponents are all >= 1, as every `poincare_structure` is, equal
+records are exactly equal rational functions (`verify_duality`).
 
 A charge of zero contributes no factor: such a pairing couples a block to a
 grading it does not touch, and the product formula skips it (the degree
@@ -104,22 +105,6 @@ def _expand_product(factors, k: int, order: int | None = None) -> Poly:
     return poly
 
 
-def ratio_equal(a: CyclotomicRatio, b: CyclotomicRatio) -> bool:
-    """Exact equality as rational functions via cross-multiplied expansion.
-
-    A factor (1 - t_q^d) with d != 0 is a nonzero element of an integral
-    domain, so the factors a.num + b.den and b.num + a.den have in common
-    are cancelled before expanding.  Zero exponents are never cancelled.
-    """
-    if a.k != b.k:
-        raise PoincareError("variable counts differ")
-    left = Counter(tuple(a.num) + tuple(b.den))
-    right = Counter(tuple(b.num) + tuple(a.den))
-    common = Counter({f: m for f, m in (left & right).items() if f[1]})
-    return (_expand_product((left - common).elements(), a.k)
-            == _expand_product((right - common).elements(), a.k))
-
-
 def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:
     """Power-series coefficients of r up to total degree `order`, exact integers.
 
@@ -202,9 +187,26 @@ def verify_duality(p_a_x: CyclotomicRatio, m_y: CyclotomicRatio,
     differ where the annotation does.  M_X, the ratio of the transposed data,
     is degree-balanced in each variable, as column q of its charges sums to
     its weight vector q (`horn_system.char_polys`), so it is not built.
+
+    M_Y = PO_Xbar is decided as `m_y == p_a_x`, by unique factorization:
+    - 1 - t^d = -prod over n | d of Phi_n(t), so prod_d (1 - t_q^d)^(m_d) is
+      +-prod_n Phi_n(t_q)^(e_n), with e_n the sum of m_d over d with n | d.
+    - The Phi_n(t_q) are distinct irreducibles of Z[t_1..t_k], so the rational
+      function fixes every e_n.  At the largest d with m_d != 0, e_d = m_d,
+      and by descending induction it fixes every net exponent m_d in every
+      variable.
+    - `CyclotomicRatio.build` cancels what num and den share, so each factor
+      sits on one side, as often as its net exponent says, and both sides are
+      sorted.  So two built ratios whose exponents are all >= 1 are equal
+      functions exactly when they are equal records.
+    - Both sides are `poincare_structure` of grading data: charges, which pair
+      nonnegative exponents with nonnegative weights (build drops the zeros),
+      and weights, >= 1 on their supports.  So both meet that premise.
+    Without it the records can differ on one function:
+    (1 - t^-1)(1 - t^-3) / (1 - t^-2)^2 = (1 - t)(1 - t^3) / (1 - t^2)^2.
     """
     identities = {"M_X = PO_Ybar": True, "PO_Ybar = P_A_Y": True,
-                  "M_Y = PO_Xbar": ratio_equal(m_y, p_a_x), "PO_Xbar = P_A_X": True}
+                  "M_Y = PO_Xbar": m_y == p_a_x, "PO_Xbar = P_A_X": True}
     notes = []
     if not identities["M_Y = PO_Xbar"]:
         notes.append("monodromy ratio from the double transpose disagrees "

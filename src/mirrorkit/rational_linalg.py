@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
 Everything in this package reduces to linear algebra over the rationals:
-inverting the Cayley matrix, solving for the linear forms, kernel
-computations for weight systems and dual polytopes.  All of it must be
-exact -- denominators like 147 compound under elimination and no float
+inverting the Cayley matrix, whose columns are the linear forms, and the
+kernels of weight systems where no inverse gives them; the dual polytopes
+and the rank they need are closed forms (`nef_partition`).  All of it must
+be exact -- denominators like 147 compound under elimination and no float
 mode exists -- and every operation returns fresh immutable values.
 
 A matrix is integer rows ``num`` over one positive denominator ``den``,
@@ -266,17 +267,6 @@ def invert(m: Matrix) -> Matrix:
     d = math.lcm(*(aug[i][i] for i in range(n)))
     scale = [m.den * d // aug[i][i] for i in range(n)]
     return _canonical(tuple(tuple([x * s for x in row[n:]]) for row, s in zip(aug, scale)), d)
-
-
-def pivot_columns(m: Matrix) -> list[int]:
-    """Lowest-index columns of m that are linearly independent (the pivots)."""
-    work = [list(row) for row in m.num]
-    _, pivots = _eliminate(work, m.cols)
-    return pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(pivot_columns(m))
 
 
 def _kernel_columns(m: Matrix) -> list[tuple[int, tuple[int, ...]]]:

@@ -4,7 +4,8 @@
 
 For every comparison, boolean operator and `raise` in the functions of
 `TARGETS` (the check functions of `mellin`, the readers of the forms in
-`horn_system` and `nef_partition`, `poincare.verify_duality`,
+`horn_system` and `nef_partition`, the nef certificate
+`nef_partition._closed_form_duals`, `poincare.verify_duality`,
 `pipeline.run_verify` and the `MirrorPair` properties that gate the kernel
 basis, balance the charges and reuse them, the checks of `transposition` and
 its `home_order`) it makes one mutant:
@@ -48,7 +49,7 @@ WORKERS = 2
 TARGETS = {
     "mellin": ("check_y_rows", "factorize_xi"),
     "horn_system": ("horn_operators",),
-    "nef_partition": ("magic_square_check",),
+    "nef_partition": ("magic_square_check", "_closed_form_duals"),
     "poincare": ("verify_duality",),
     "pipeline": ("run_verify", "MirrorPair._class_hint", "MirrorPair.unbalanced",
                  "MirrorPair.recovered_data"),

@@ -27,7 +27,11 @@ sympy and with hand-computed values:
   IdentityViolatedError) and reduction (`gamma_equal` of the products'
   `canonical_multiset`), which the weights, the certified L^-1 and M' = 0
   decide (`mellin.factorize_xi`, `mellin.verify_theorem_31`);
-* a nef stage's dual vertices (`duals`, `sigma_dual_generators`);
+* a nef stage's dual vertices (`duals`, `sigma_dual_generators`), and the
+  rank, pivot columns and Minkowski dimension (`rank`, `pivot_columns`,
+  `minkowski_dim`) that the nef certificate proves instead of computing;
+* `ratio_equal`, equality of two CyclotomicRatios as rational functions by
+  expansion, which `verify_duality` decides as `==` by unique factorization;
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
 * the double transpose a run no longer builds (`double_transpose`), relabelled
@@ -39,6 +43,7 @@ sympy and with hand-computed values:
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -50,6 +55,7 @@ from mirrorkit.ci_model import (Block, build_cayley, charges, CISpec, SpecError,
 from mirrorkit.mellin import Forms, sort_forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
+from mirrorkit.poincare import _expand_product, PoincareError
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
     Matrix,
@@ -292,6 +298,23 @@ def gamma_equal(a, b):
     return canonical_multiset(a) == canonical_multiset(b)
 
 
+def ratio_equal(a, b):
+    """Exact equality of two CyclotomicRatios as rational functions, by
+    cross-multiplied expansion: the oracle of `verify_duality`'s `==`.
+
+    A factor (1 - t_q^d) with d != 0 is a nonzero element of an integral
+    domain, so the factors a.num + b.den and b.num + a.den have in common
+    are cancelled before expanding.  Zero exponents are never cancelled.
+    """
+    if a.k != b.k:
+        raise PoincareError("variable counts differ")
+    left = Counter(tuple(a.num) + tuple(b.den))
+    right = Counter(tuple(b.num) + tuple(a.den))
+    common = Counter({f: m for f, m in (left & right).items() if f[1]})
+    return (_expand_product((left - common).elements(), a.k)
+            == _expand_product((right - common).elements(), a.k))
+
+
 def degree_balanced(ratio):
     """Whether a CyclotomicRatio has equal numerator and denominator degree in
     each variable."""
@@ -355,6 +378,25 @@ def duals(nef):
 
 def sigma_dual_generators(nef):
     return _with_block_axes(duals(nef), nef.p_matrix.rows, Fraction(0), Fraction(1))
+
+
+def pivot_columns(m):
+    """Lowest-index columns of a Matrix that are linearly independent (the pivots)."""
+    work = [list(row) for row in m.num]
+    _, pivots = _eliminate(work, m.cols)
+    return pivots
+
+
+def rank(m):
+    return len(pivot_columns(m))
+
+
+def minkowski_dim(deltas):
+    """Rank of the span of all the polytopes' vertices: the dimension of their
+    Minkowski sum, n - k on every side of a transposition, which the nef
+    certificate proves instead of computing."""
+    rows = [v for d in deltas for v in d.vertices if any(v)]
+    return rank(Matrix.from_rows(rows)) if rows else 0
 
 
 def right_kernel(m):

@@ -17,8 +17,7 @@ from mirrorkit.mellin import (
     sort_forms,
     verify_theorem_31,
 )
-from mirrorkit.nef_partition import magic_square_check, minkowski_dim, build_deltas, \
-    solve_dual_partition
+from mirrorkit.nef_partition import magic_square_check, build_deltas, solve_dual_partition
 from mirrorkit.pipeline import MirrorPair, generate_family
 from mirrorkit.poincare import (
     poincare_structure,
@@ -30,7 +29,8 @@ from mirrorkit.rational_linalg import Matrix, invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
 from oracles import (FractionZForm, column_sums, columns, dense_matmul, duals, gamma_equal,
-                     i_coeffs, identity, involutive, support_phi, z_coeffs, zform)
+                     i_coeffs, identity, involutive, minkowski_dim, support_phi, z_coeffs,
+                     zform)
 from paper_data import L_8, L_8_INV, L_13, L_13_INV, matrix_from_json
 from specgen import generate_valid_specs
 

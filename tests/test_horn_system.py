@@ -17,11 +17,11 @@ from mirrorkit.horn_system import (
 )
 from mirrorkit.mellin import Forms
 from mirrorkit.pipeline import MirrorPair, generate_family
-from mirrorkit.poincare import CyclotomicRatio, poincare_structure, ratio_equal
+from mirrorkit.poincare import CyclotomicRatio, poincare_structure
 from mirrorkit.rational_linalg import Matrix
 
 from oracles import (check_horn_sides, columns, constant, DegenerateOperatorError, entry,
-                     rat_str, z_coeffs)
+                     rat_str, ratio_equal, z_coeffs)
 from paper_data import L_8_INV, matrix_from_json
 from specgen import generate_valid_specs, nonsingular_cayley_specs, oracle_specs
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,17 +12,15 @@ from mirrorkit.ci_model import (
     build_cayley,
     derive_weights,
     difference_matrix,
+    validate,
 )
 from mirrorkit.mellin import solve_xi
 from mirrorkit.nef_partition import (
     LatticePolytope,
-    NefError,
-    UnsolvableError,
     _closed_form_duals,
     _kernel_basis,
     build_deltas,
     magic_square_check,
-    minkowski_dim,
     pairing_flags,
     solve_dual_partition,
 )
@@ -31,10 +30,8 @@ from mirrorkit.rational_linalg import (
     Matrix,
     integer_kernel,
     invert,
-    pivot_columns,
-    rank,
 )
-from mirrorkit.transposition import NoValidShapeError, TranspositionError
+from mirrorkit.transposition import InternalInvariantError, NoValidShapeError, TranspositionError
 
 from oracles import (
     column,
@@ -44,12 +41,16 @@ from oracles import (
     duals,
     entries,
     i_coeffs,
+    minkowski_dim,
+    pivot_columns,
+    rank,
     sigma_dual_generators,
     solve_den,
     support_phi,
     z_coeffs,
 )
-from specgen import generate_valid_specs, oracle_specs, singular_cayley_specs
+from specgen import (generate_valid_specs, nonsingular_cayley_specs, oracle_specs,
+                     random_cayley_spec, singular_cayley_specs)
 
 F = Fraction
 
@@ -258,6 +259,36 @@ def _nef_sides(fixtures_dir):
     return sides
 
 
+def _certificate_specs(fixtures_dir):
+    """The oracle set (with the families m = 1..12), the first 300 nonsingular
+    random specs, 300 seeded random_cayley_spec draws with k <= 3 and the
+    families m = 13..20."""
+    draws = (random_cayley_spec(random.Random(44000 + i), 3, 3) for i in range(300))
+    return (oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300)
+            + [spec for spec in draws if spec is not None]
+            + [generate_family(m) for m in range(13, 21)])
+
+
+def test_dual_vertices_solve_a_p_equals_t(fixtures_dir):
+    # the nef-partition duality A * P = T, in integers over P.den, on every
+    # spec whose run reaches the nef stage: the property the closed form's
+    # certificate proves, checked on its output
+    reached = 0
+    for spec in _certificate_specs(fixtures_dir):
+        pair = MirrorPair(spec)
+        if not validate(spec, pair).hard_ok:
+            continue
+        try:
+            p = pair.nef.p_matrix
+        except TranspositionError:
+            continue
+        a_p = dense_matmul(spec.diff, Matrix(p.num))
+        assert a_p.num == tuple(tuple(p.den * t for t in row)
+                                for row in pair.tr.diff.transpose().num)
+        reached += 1
+    assert reached == 213
+
+
 def test_target_is_the_difference_matrix_with_columns_permuted_by_lambda(fixtures_dir):
     # T[i][c] = A[i][lambda(c) - 1], against the transported oracle as well
     for spec, pair in _nef_sides(fixtures_dir):
@@ -298,18 +329,26 @@ def test_integral_section_exactly_when_the_last_support_weights_are_one(fixtures
     assert outcomes == {True, False}
 
 
+ROW_CLAUSE = "nef certificate: row c of tr.diff is not column lambda(c) of A"
+KER_CLAUSE = "nef certificate: a weight vector is not in ker A"
+
+
 def test_closed_form_refuses_data_that_does_not_certify(spec_6_1):
-    # a target other than A with permuted columns, or weights outside ker A
+    # a target other than A with permuted columns, or weights outside ker A:
+    # an internal error naming the clause
     pair = MirrorPair(spec_6_1)
     tr, weights, a_rows = pair.tr, pair.weights, spec_6_1.diff.num
-    assert _closed_form_duals(a_rows, tr, weights) is not None
+    assert isinstance(_closed_form_duals(a_rows, tr, weights), Matrix)
     num = [list(row) for row in tr.diff.num]
     num[0][0] += 1
-    assert _closed_form_duals(a_rows, replace(tr, diff=Matrix(tuple(map(tuple, num)))),
-                              weights) is None
+    with pytest.raises(InternalInvariantError) as exc:
+        _closed_form_duals(a_rows, replace(tr, diff=Matrix(tuple(map(tuple, num)))), weights)
+    assert str(exc.value) == ROW_CLAUSE
     w = [list(v) for v in weights.vectors]
     w[0][0] += 1
-    assert _closed_form_duals(a_rows, tr, WeightSystem(tuple(map(tuple, w)))) is None
+    with pytest.raises(InternalInvariantError) as exc:
+        _closed_form_duals(a_rows, tr, WeightSystem(tuple(map(tuple, w))))
+    assert str(exc.value) == KER_CLAUSE
     # P does not depend on how the weight lines are scaled
     doubled = WeightSystem(tuple(tuple(2 * g for g in v) for v in weights.vectors))
     assert _closed_form_duals(a_rows, tr, doubled) == _closed_form_duals(a_rows, tr, weights)
@@ -404,7 +443,7 @@ def test_nef_flag_census(spec_6_1, spec_6_2, quadric, corrupted):
             pair = MirrorPair(spec)
             try:
                 nef = solve_dual_partition(spec, pair.tr, pair.weights, pair.tweights)
-            except (TranspositionError, NefError):
+            except TranspositionError:
                 continue
             reached += 1
             for flag, value in nef.flags.items():
@@ -497,7 +536,7 @@ def test_integral_representative_closed_form_matches_search(spec_6_1, spec_6_2, 
         pair = MirrorPair(spec)
         try:
             nef = solve_dual_partition(spec, pair.tr, pair.weights, pair.tweights)
-        except (TranspositionError, NefError):
+        except TranspositionError:
             continue
         reached += 1
         assert nef.flags["integral_P_exists"]
@@ -542,8 +581,9 @@ def test_solve_dual_partition_6_1(spec_6_1):
 
 
 def test_degenerate_minkowski_sum_is_rejected_first(quadric):
-    # the difference rows (1,-1,0), (-1,1,0), 0 span one dimension, not n - k = 2;
-    # the Minkowski check comes before the block-size check
+    # the difference rows (1,-1,0), (-1,1,0), 0 span one dimension, not n - k = 2:
+    # no transposition of this spec exists, and another spec's transposition
+    # fails the certificate's first clause, an internal error
     spec = CISpec(n=3, k=1, blocks=(Block(
         exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
     weights = WeightSystem(((1, 1, 1),))
@@ -552,44 +592,43 @@ def test_degenerate_minkowski_sum_is_rejected_first(quadric):
     assert minkowski_dim(build_deltas(spec, weights)) == 1
     for other in (fermat, quadric):
         tr = MirrorPair(other).tr
-        with pytest.raises(UnsolvableError, match="Minkowski sum has dimension 1, expected 2"):
+        with pytest.raises(InternalInvariantError) as exc:
             solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
+        assert str(exc.value) == ROW_CLAUSE
 
 
 def test_solve_dual_partition_guard(spec_6_1, spec_6_2, quadric):
-    # mismatched transposition data fails the closed form's certificate and is
-    # rejected: on the block sizes, or on a target that A does not reproduce
+    # mismatched transposition data fails the closed form's certificate, an
+    # internal error naming the clause: the quadric's transposition for
+    # example 6.2 (other block sizes), or a target A does not reproduce
     tr = MirrorPair(quadric).tr
-    with pytest.raises(UnsolvableError) as exc:
+    with pytest.raises(InternalInvariantError) as exc:
         solve_dual_partition(spec_6_2, tr, derive_weights(spec_6_2), derive_weights(tr.tspec))
-    assert str(exc.value) == "transposed block sizes do not mirror the original order"
+    assert str(exc.value) == ROW_CLAUSE
     pair = MirrorPair(spec_6_1)
     num = [list(row) for row in pair.tr.diff.num]
     num[0][0] += 1
     tr = replace(pair.tr, diff=Matrix(tuple(map(tuple, num))))
-    with pytest.raises(UnsolvableError) as exc:
+    with pytest.raises(InternalInvariantError) as exc:
         solve_dual_partition(spec_6_1, tr, pair.weights, WeightSystem(tr.tspec.weights))
-    assert str(exc.value) == "pairing matrix does not reproduce the target"
+    assert str(exc.value) == ROW_CLAUSE
 
 
 def test_nonsingular_callers_meet_the_same_errors(spec_6_2, quadric):
     # no caller vouches for L any more: on mismatched data every caller meets
-    # the messages a caller that did not vouch met, on the Minkowski dimension
-    # first, then the block sizes
+    # the internal error of the clause that fails, whatever the Minkowski
+    # dimension or the block sizes
     spec = CISpec(n=3, k=1, blocks=(Block(
         exponents=((2, 0, 1), (0, 2, 1), (1, 1, 1)), index_set=(1, 2, 3)),))
     fermat = CISpec(n=3, k=1, blocks=(Block(
         exponents=((3, 0, 0), (0, 3, 0), (0, 0, 3)), index_set=(1, 2, 3)),))
-    cases = [(spec, MirrorPair(fermat).tr, WeightSystem(((1, 1, 1),)),
-              "Minkowski sum has dimension 1, expected 2"),
-             (spec, MirrorPair(quadric).tr, WeightSystem(((1, 1, 1),)),
-              "Minkowski sum has dimension 1, expected 2"),
-             (spec_6_2, MirrorPair(quadric).tr, derive_weights(spec_6_2),
-              "transposed block sizes do not mirror the original order")]
-    for spec, tr, weights, message in cases:
-        with pytest.raises(UnsolvableError) as exc:
+    cases = [(spec, MirrorPair(fermat).tr, WeightSystem(((1, 1, 1),))),
+             (spec, MirrorPair(quadric).tr, WeightSystem(((1, 1, 1),))),
+             (spec_6_2, MirrorPair(quadric).tr, derive_weights(spec_6_2))]
+    for spec, tr, weights in cases:
+        with pytest.raises(InternalInvariantError) as exc:
             solve_dual_partition(spec, tr, weights, WeightSystem(tr.tspec.weights))
-        assert str(exc.value) == message
+        assert str(exc.value) == ROW_CLAUSE
 
 
 def test_cone_generators_quadric(quadric):

@@ -6,14 +6,13 @@ from mirrorkit.poincare import (
     _expand_product,
     CyclotomicRatio,
     poincare_structure,
-    ratio_equal,
     series_coefficients_1d,
     series_expand,
     verify_duality,
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 
-from oracles import degree_balanced
+from oracles import degree_balanced, ratio_equal
 
 
 def brute_force_weighted_count(weights, order):
@@ -151,13 +150,16 @@ def _duality_ratio_pair(spec):
 
 
 def test_ratio_equal_matches_uncancelled_expansion_on_duality_ratios(corrupted):
+    # verify_duality's `==` agrees with both expansions
     for m in range(3, 13):
         a, b = _duality_ratio_pair(generate_family(m))
         assert ratio_equal(a, b) is True
         assert _uncancelled_ratio_equal(a, b)
+        assert a == b
     a, b = _duality_ratio_pair(corrupted)
     assert ratio_equal(a, b) is False
     assert not _uncancelled_ratio_equal(a, b)
+    assert a != b
 
 
 def test_series_expand_geometric():

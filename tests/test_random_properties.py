@@ -18,7 +18,7 @@ from mirrorkit.rational_linalg import invert
 from mirrorkit.transposition import NoInvolutiveNuError, NoValidShapeError
 
 from oracles import (classify_by_pattern, column_sums, columns, dense_matmul, identity,
-                     involutive, z_coeffs)
+                     involutive, minkowski_dim, z_coeffs)
 from specgen import generate_valid_specs
 
 SPECS = generate_valid_specs(200)
@@ -115,7 +115,7 @@ def test_charges_nonnegative_and_cy():
 def test_minkowski_dimension_bounded():
     # the shifted polytopes live in the weight kernel, so the span can never
     # exceed n - k; equality is the sum condition, not guaranteed
-    from mirrorkit.nef_partition import build_deltas, minkowski_dim
+    from mirrorkit.nef_partition import build_deltas
     for spec in SPECS:
         deltas = build_deltas(spec, derive_weights(spec))
         assert minkowski_dim(deltas) <= spec.n - spec.k

@@ -12,7 +12,6 @@ from mirrorkit.rational_linalg import (
     SingularMatrixError,
     invert,
     primitive_integer_vector,
-    rank,
     ratio_str,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     identity,
     integer_row,
     is_involution,
+    rank,
     rat_str,
     right_kernel,
     solve_den,

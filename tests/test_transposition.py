@@ -26,7 +26,6 @@ from mirrorkit.rational_linalg import (
     Matrix,
     integer_kernel,
     primitive_integer_vector,
-    rank,
 )
 from mirrorkit.transposition import (
     NoInvolutiveNuError,
@@ -50,6 +49,7 @@ from oracles import (
     integer_row,
     involutive,
     kernel_rows,
+    rank,
     recovered,
     recovered_data,
     right_kernel,

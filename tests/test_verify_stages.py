@@ -4,11 +4,14 @@ No spec of `tests/output_snapshot.py` makes horn, nef or the Cayley check
 fail, so each failure is forced here on the quadric: the module function that
 the stage's `MirrorPair` property calls is patched to raise the stage's
 declared error, or, for horn, its factor cap is lowered below the quadric's
-count.  Every other stage must read exactly as in the run without the
-failure.  A wrong L^-1 is forced by patching `invert` to return one with an
-entry changed.  (forms, mellin-plain and mellin-factorized cannot fail: the
+count, or, for nef, its certificate is handed a doctored transposition.
+Every other stage must read exactly as in the run without the failure.  A
+wrong L^-1 is forced by patching `invert` to return one with an entry
+changed.  (forms, mellin-plain and mellin-factorized cannot fail: the
 weights decide the first two, `mellin.classify_forms`, and the weights, the
-certified L^-1 and M' = 0 the third, `mellin.factorize_xi`.)
+certified L^-1 and M' = 0 the third, `mellin.factorize_xi`.  nef fails only
+as an internal error: the transposition proves its certificate,
+`nef_partition.solve_dual_partition`.)
 """
 
 import json
@@ -17,6 +20,8 @@ import pytest
 
 from mirrorkit import cli, horn_system, nef_partition, pipeline, transposition
 from mirrorkit.pipeline import run_verify
+from mirrorkit.rational_linalg import Matrix
+from mirrorkit.record import replace
 
 from conftest import FIXTURES
 
@@ -58,6 +63,20 @@ def _case(id, target, error, stage, stage_json, text, soft, hard_ok, codes, left
 
 
 CAPPED = "variable 1: 8 p-factors exceed the cap of 7"   # the quadric's operator has 8
+ROW_CLAUSE = "nef certificate: row c of tr.diff is not column lambda(c) of A"
+
+
+def _doctored_certificate():
+    """`nef_partition._closed_form_duals`, handed the transposition with one
+    entry of tr.diff raised by one, so its first clause fails."""
+    closed_form_duals = nef_partition._closed_form_duals
+
+    def doctored(a_rows, tr, weights):
+        num = [list(row) for row in tr.diff.num]
+        num[0][0] += 1
+        return closed_form_duals(a_rows, replace(tr, diff=Matrix(tuple(map(tuple, num)))),
+                                 weights)
+    return doctored
 
 
 CASES = [
@@ -73,14 +92,6 @@ CASES = [
           {"name": "horn", "ok": False, "flags": {}, "notes": [CAPPED], "payload": {}},
           (["[FAIL] horn", f"    note: {CAPPED}"], ["verdict: FAIL"]),
           [], False, (1, 1)),
-    _case("nef", (nef_partition, "solve_dual_partition"),
-          nef_partition.UnsolvableError("A_section P = T is inconsistent"), "nef",
-          {"name": "nef", "ok": True, "flags": {"solvable": False},
-           "notes": ["A_section P = T is inconsistent"], "payload": {}},
-          (["[ok] nef", "    - solvable", "    note: A_section P = T is inconsistent"],
-           ["soft failures:", "  - nef: A_section P = T is inconsistent",
-            "verdict: PASS (with soft failures)"]),
-          ["nef: A_section P = T is inconsistent"], True, (0, 2)),
     # the Cayley check ends the run: every exception there is an internal error
     _case("cayley", (pipeline, "is_inverse"), RuntimeError("no certificate"), None, None,
           ([], ["verdict: FAIL"]), [], True, (3, 3), STAGES[1:]),
@@ -89,6 +100,10 @@ CASES = [
     _case("internal-invariant", (transposition, "complete_transpose"),
           transposition.InternalInvariantError("transpose mismatch at new entry (1,2)"), None,
           None, ([], ["verdict: FAIL"]), [], True, (3, 3), STAGES[2:]),
+    # so is a failed nef certificate, the stage's one failure
+    _case("internal-invariant-nef", (nef_partition, "_closed_form_duals", _doctored_certificate()),
+          ROW_CLAUSE, None, None, ([], ["verdict: FAIL"]), [], True, (3, 3),
+          ("nef", "magic-square")),
 ]
 
 
@@ -191,6 +206,14 @@ def test_a_wrong_inverse_stops_the_commands_that_read_the_forms(monkeypatch, cap
     _invert_wrongly(monkeypatch, quadric, bumped, den_factor)
     assert cli.main([command, "--input", QUADRIC, "--format", fmt]) == 3
     assert capsys.readouterr() == ("", "internal inconsistency: L L^-1 is not the identity\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nef_ends_on_a_failed_certificate(monkeypatch, capsys, fmt):
+    # the nef command meets a failed certificate as `verify` does: exit 3
+    monkeypatch.setattr(nef_partition, "_closed_form_duals", _doctored_certificate())
+    assert cli.main(["nef", "--input", QUADRIC, "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", f"internal inconsistency: {ROW_CLAUSE}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
