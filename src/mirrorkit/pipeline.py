@@ -142,15 +142,15 @@ class MirrorPair:
     A property that raises is not cached, so reading it again raises again;
     only the inversion of L holds a failure, so that a singular L is
     eliminated once whichever reader comes first.  The transposed side is
-    itself a MirrorPair (`mirror`), handed its weights when it is built; it
-    builds its Cayley matrix and rho for the transposition's checks, holds no
-    reference back, so no cycle outlives a run, and is never transposed: the
-    double transpose is read off the first transposition (`recovered_data`).
-    Sharing never depends on spec equality.  The one inverse L^-1 serves
-    both sides: k x k blocks of it give a basis C of the spec's weight kernel
-    (`ci_model.weight_hint`, where M = 0) and H of the transposition's
-    (`transposition.inverse_hint`, where M' = 0), and the weights and weight
-    classes of both sides are the classes of these bases.  So a run
+    data the run already holds: tr.tspec, its weights (`tweights`) and t_rho
+    (`tr`).  Its Cayley matrix is never built, as the transposition's check
+    reads only tspec's exponent rows and index sets, and it is never
+    transposed: the double transpose is read off the first transposition
+    (`recovered_data`).  Sharing never depends on spec equality.  The one
+    inverse L^-1 serves both sides: k x k blocks of it give a basis C of the
+    spec's weight kernel (`ci_model.weight_hint`, where M = 0) and H of the
+    transposition's (`transposition.inverse_hint`, where M' = 0), and the
+    weights and weight classes of both sides are the classes of these bases.  So a run
     eliminates [L | I], and nothing else, on a nonsingular L.
     `ci_model.derive_weights` runs only on a singular L or to name the error
     of a spec without weights, and `build_transpose` eliminates only where no
@@ -260,42 +260,27 @@ class MirrorPair:
         return transposition.build_transpose(self.cm, lambda: self._class_hint)
 
     @lazy
-    def mirror(self) -> MirrorPair:
-        """The transposed side, handed its weights: it builds only what the
-        transposition's checks read, its Cayley matrix and its rho.
+    def rho(self) -> transposition.RhoFound | None:
+        """`find_rho` of the spec and its derived weights; tr.tspec's is t_rho."""
+        return transposition.find_rho(self.spec, self.weights)
+
+    @lazy
+    def tr(self) -> transposition.TransposeResult:
+        return transposition.complete_transpose(self.cm, self._shape, self.rho)
+
+    @lazy
+    def tweights(self) -> WeightSystem:
+        """The derived weights of the transposed spec: its own weights, not solved for.
 
         `build_transpose` takes each weight class's ray from the kernel of the
         transposed difference matrix, read off the basis `_class_hint` gives.
         It spans the kernel of the class's columns, in ascending order: the
         submatrix `derive_weights` would eliminate for that block, so its
-        primitive positive ray is the same and is not solved for again.
+        primitive positive ray is the same.  They are handed out only once the
+        transposition is checked, so a reader meets the transposition's
+        errors first.
         """
-        mirror = MirrorPair(self._shape.tspec)
-        mirror.weights = WeightSystem(mirror.spec.weights)
-        return mirror
-
-    @lazy
-    def rho(self) -> transposition.RhoFound | None:
-        """`find_rho` of the spec and its derived weights; the mirror's is t_rho."""
-        return transposition.find_rho(self.spec, self.weights)
-
-    @lazy
-    def tr(self) -> transposition.TransposeResult:
-        # rho before mirror: a spec without weights raises here, before the
-        # mirror would ask it for its kernel basis and solve for them again
-        shape, found = self._shape, self.rho
-        return transposition.complete_transpose(self.cm, shape, self.mirror.cm, found,
-                                                self.mirror.rho)
-
-    @lazy
-    def tweights(self) -> WeightSystem:
-        """The derived weights of the transposed spec.
-
-        They are handed out only once the transposition is checked, so a
-        reader meets the transposition's errors first.
-        """
-        self.tr
-        return self.mirror.weights
+        return WeightSystem(self.tr.tspec.weights)
 
     @lazy
     def tcharges(self) -> ChargeMatrix:
@@ -317,14 +302,15 @@ class MirrorPair:
           tau_nu(q) = tilde_tau_q.  So Y's sizes are the spec's, `_choose_nu`
           picks the same nu for Y, and the double transpose's block q is Y's
           block nu(q), which is the spec's block nu(nu(q)) = q.
-        - Entries.  `_verify_permuted_transpose` certified that Y's Cayley
-          matrix is L transposed with rows and columns permuted, so
-          transposing it again gives L with rows and columns permuted.  Y's
-          monomial r + 1 (raw position r of Y's transposition) is the spec's
-          variable lam(r + 1); relabelled so, block q of the double transpose
-          has block q's exponents and index set, and the first unused
-          matching block of each spec block is its own: the match is the
-          identity.
+        - Entries.  `_verify_permuted_transpose` certified Y's exponent rows
+          and index sets against L, and `build_cayley`'s layout fixes the
+          rest, so Y's Cayley matrix is L transposed with rows and columns
+          permuted, and transposing it again gives L with rows and columns
+          permuted.  Y's monomial r + 1 (raw position r of Y's transposition)
+          is the spec's variable lam(r + 1); relabelled so, block q of the
+          double transpose has block q's exponents and index set, and the
+          first unused matching block of each spec block is its own: the
+          match is the identity.
         - Weights.  Y's transposed difference matrix is A = spec.diff with
           columns moved by lam and rows permuted (`nef_partition`: row c of
           tr.diff is column lam(c) of A), so its kernel is ker A moved by lam.

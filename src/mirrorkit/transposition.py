@@ -178,14 +178,14 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
 
-    Only the shape flags are set; `complete_transpose` adds the identities
-    that need the transposed side's Cayley matrix and weights.  The weight
-    classes are read by `_weight_classes` off basis(), the rows of a basis of
-    the weight kernel (`inverse_hint`'s H, or a mirror's handed basis), called
-    once the size multisets and nu have matched.  Given a basis, the classes
-    are read first and the transposed blocks and difference matrix
-    (`_transposed_rows`) are built only once they succeed; without one, the
-    difference matrix is built first and eliminated.
+    Only the shape flags are set; `complete_transpose` checks the rest and
+    adds rho and t_rho.  The weight classes are read by `_weight_classes` off
+    basis(), the rows of a basis of the weight kernel (`inverse_hint`'s H, or
+    any basis a caller holds), called once the size multisets and nu have
+    matched.  Given a basis, the classes are read first and the transposed
+    blocks and difference matrix (`_transposed_rows`) are built only once
+    they succeed; without one, the difference matrix is built first and
+    eliminated.
     """
     spec = cm.spec
     n, k = spec.n, spec.k
@@ -258,19 +258,19 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
     )
 
 
-def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
-                       found: RhoFound | None, t_found: RhoFound | None) -> TransposeResult:
+def complete_transpose(cm: CayleyMatrix, tr: TransposeResult,
+                       found: RhoFound | None) -> TransposeResult:
     """Check the construction identities of `build_transpose` and attach rho / t_rho.
 
-    tcm is the Cayley matrix of tr.tspec; found and t_found are `find_rho` of
-    the spec and of tr.tspec, each with its derived weights.
+    found is `find_rho` of the spec and its derived weights; t_rho is `find_rho`
+    of tr.tspec and its weights, searched only when found is not None.
     """
     spec = cm.spec
-    _verify_permuted_transpose(cm, tcm, tr.row_to_var, tr.block_sources)
+    _verify_permuted_transpose(cm, tr.tspec, tr.row_to_var, tr.block_sources)
     flags = dict(tr.condition_flags)
     # _choose_nu pairs the images two at a time or raises NoInvolutiveNuError
     flags["involution_nu"] = True
-    # the entrywise check raises unless the new matrix is the row/column permuted
+    # the check raises unless the new matrix is the row/column permuted
     # transpose, which implies both identities: its monomial rows are the old
     # monomial columns, selected by lambda
     flags["row_multiset_identity"] = True
@@ -284,6 +284,7 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
         notes.append("no permutation maps index sets onto weight supports")
     else:
         rho, pi = found
+        t_found = find_rho(tr.tspec, WeightSystem(tr.tspec.weights))
         t_rho = t_found[0] if t_found else None
         # find_rho pairs only equal weights, so each rho it returns is symmetric
         flags["rho_symmetric_3_11"] = True
@@ -293,39 +294,48 @@ def complete_transpose(cm: CayleyMatrix, tr: TransposeResult, tcm: CayleyMatrix,
     return replace(tr, rho=rho, t_rho=t_rho, condition_flags=flags, notes=tuple(notes))
 
 
-def _verify_permuted_transpose(cm: CayleyMatrix, tcm: CayleyMatrix,
+def _verify_permuted_transpose(cm: CayleyMatrix, tspec: CISpec,
                                row_to_var: tuple[tuple[int, int], ...],
                                block_sources: tuple[int, ...]) -> None:
-    """Entrywise check: the new Cayley matrix is a row/column permuted transpose."""
-    spec = cm.spec
-    n, k = spec.n, spec.k
+    """Check that B = `build_cayley(tspec)`, not built, is L transposed with its
+    rows and columns permuted, on the entries of B that carry data; raise
+    InternalInvariantError naming B's first wrong entry, row-major, 1-based.
+
+    With l = block_sources[q - 1], B's rows of block q are L's columns of l:
+    its monomial rows the columns c of l's index set in order (one exponent
+    row each, by `_transposed_rows`), its s-term, product and constant rows
+    y_{2l}, y_{2l-1} and s_l.  B's columns are L's rows: variable p the
+    monomial row that row_to_var maps to p, and y_{2q-1}, y_{2q} and s_q l's
+    product, s-term and constant rows.  `build_cayley`'s layout settles every
+    entry outside B's x columns in its monomial and product rows:
+    - at (y_{2q-1}, y_{2q}, s_q), B's s-term, product and constant rows of
+      block q read [1, 0, 1], [0, 1, 0] and [0, 1, 0]; at (y_{2l}, y_{2l-1},
+      s_l), L's product, s-term and constant rows of block l read [1, 0, 0],
+      [0, 1, 1] and [1, 0, 0], the transpose; across two blocks both are zero;
+    - among the y and s columns a monomial row of B is 1 at y_{2q-1} alone;
+      at its column c, L's product rows are 1 only for block l, the one index
+      set holding c, and L's s-term and constant rows are zero;
+    - B's s-term and constant rows are zero on the x columns, as L's monomial
+      rows are at y_{2l} and s_l.
+    What is left is data: the exponent row of c in tspec's block q must be
+    column c of L read at the rows row_to_var maps, and the index set of
+    block q the variables whose rows are l's monomial rows, where L's column
+    y_{2l-1} is 1.  They are compared in B's row order, so the first mismatch
+    is the one a comparison of all of B with L names.
+    """
+    spec, num = cm.spec, cm.matrix.num
     var_to_row = {v: r for r, v in row_to_var}
-
-    # new row index -> old column index (in matrix coordinates)
-    old_col_of_row: list[int] = []
-    for q in range(1, k + 1):
-        src = block_sources[q - 1]
-        for c in spec.blocks[src - 1].index_set:
-            old_col_of_row.append(c)
-        old_col_of_row.append(n + 2 * src)        # s-term row from old y_{2 src}
-        old_col_of_row.append(n + 2 * src - 1)    # product row from old y_{2 src - 1}
-        old_col_of_row.append(n + 2 * k + src)    # constant row from old s_src
-
-    # new column index -> old row index
-    old_row_of_col: list[int] = [var_to_row[p] for p in range(1, n + 1)]
-    for q in range(1, k + 1):
-        a = spec.a(block_sources[q - 1])
-        old_row_of_col.extend([a - 1, a - 2])     # y_{2q-1}, y_{2q}
-    for q in range(1, k + 1):
-        old_row_of_col.append(spec.a(block_sources[q - 1]))  # s_q
-
-    size = spec.total_rows
-    old, new = cm.matrix.num, tcm.matrix.num
-    for r in range(size):
-        for c in range(size):
-            if new[r][c] != old[old_row_of_col[c] - 1][old_col_of_row[r] - 1]:
-                raise InternalInvariantError(
-                    f"transpose mismatch at new entry ({r + 1},{c + 1})")
+    rows = [var_to_row[p] for p in range(1, tspec.n + 1)]  # L's row of each new variable
+    for q, (l, blk) in enumerate(zip(block_sources, tspec.blocks), start=1):
+        own = set(spec.monomial_rows(l))
+        cols = spec.blocks[l - 1].index_set
+        expected = [*(tuple(num[r - 1][c - 1] for r in rows) for c in cols),
+                    tuple(int(r in own) for r in rows)]
+        at = [*tspec.monomial_rows(q), tspec.a(q) - 1]  # B's rows of the two, 1-based
+        for r, want, got in zip(at, expected, (*blk.exponents, blk.indicator(tspec.n))):
+            if got != want:
+                c = next(c for c, (x, y) in enumerate(zip(got, want), start=1) if x != y)
+                raise InternalInvariantError(f"transpose mismatch at new entry ({r},{c})")
 
 
 def _lambda_v_identity(spec, lam, row_to_var) -> bool:

@@ -54,8 +54,8 @@ TARGETS = {
     "pipeline": ("run_verify", "MirrorPair._class_hint", "MirrorPair.unbalanced",
                  "MirrorPair.recovered_data"),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
-                      "_verify_permuted_transpose", "_lambda_v_identity", "_class_matching",
-                      "home_order"),
+                      "complete_transpose", "_verify_permuted_transpose", "_lambda_v_identity",
+                      "_class_matching", "home_order"),
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,

@@ -34,7 +34,10 @@ sympy and with hand-computed values:
   expansion, which `verify_duality` decides as `==` by unique factorization;
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
-* the double transpose a run no longer builds (`double_transpose`), relabelled
+* the transposed side a run no longer builds as a MirrorPair (`mirror_side`),
+  the entrywise comparison of its Cayley matrix with L that a run makes on the
+  data alone (`permuted_transpose_mismatch`), and the double transpose a run
+  no longer builds (`double_transpose`), relabelled
   onto the spec's variables (`recovered`) and matched to its blocks
   (`block_match`, `recovered_data`, `involutive`): the oracle of
   `MirrorPair.recovered_data`, which reads it off the first transposition;
@@ -55,6 +58,7 @@ from mirrorkit.ci_model import (Block, build_cayley, charges, CISpec, SpecError,
 from mirrorkit.mellin import Forms, sort_forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
+from mirrorkit.pipeline import MirrorPair
 from mirrorkit.poincare import _expand_product, PoincareError
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
@@ -563,21 +567,70 @@ def kernel_basis(pair):
         return None
 
 
+def permuted_transpose_mismatch(cm, tcm, row_to_var, block_sources):
+    """The message "transpose mismatch at new entry (r,c)" for the first entry,
+    row-major and 1-based, where tcm is not L transposed with its rows and
+    columns permuted as a transposition's bookkeeping says, or None: every
+    entry compared, the oracle of `transposition._verify_permuted_transpose`,
+    which reads only the data."""
+    spec = cm.spec
+    n, k = spec.n, spec.k
+    var_to_row = {v: r for r, v in row_to_var}
+
+    # new row index -> old column index (in matrix coordinates)
+    old_col_of_row: list[int] = []
+    for q in range(1, k + 1):
+        src = block_sources[q - 1]
+        for c in spec.blocks[src - 1].index_set:
+            old_col_of_row.append(c)
+        old_col_of_row.append(n + 2 * src)        # s-term row from old y_{2 src}
+        old_col_of_row.append(n + 2 * src - 1)    # product row from old y_{2 src - 1}
+        old_col_of_row.append(n + 2 * k + src)    # constant row from old s_src
+
+    # new column index -> old row index
+    old_row_of_col: list[int] = [var_to_row[p] for p in range(1, n + 1)]
+    for q in range(1, k + 1):
+        a = spec.a(block_sources[q - 1])
+        old_row_of_col.extend([a - 1, a - 2])     # y_{2q-1}, y_{2q}
+    for q in range(1, k + 1):
+        old_row_of_col.append(spec.a(block_sources[q - 1]))  # s_q
+
+    size = spec.total_rows
+    old, new = cm.matrix.num, tcm.matrix.num
+    for r in range(size):
+        for c in range(size):
+            if new[r][c] != old[old_row_of_col[c] - 1][old_col_of_row[r] - 1]:
+                return f"transpose mismatch at new entry ({r + 1},{c + 1})"
+    return None
+
+
+def mirror_side(pair):
+    """The transposed side as its own MirrorPair, handed `pair.tweights`: what a
+    run no longer builds, for the tests that read its Cayley matrix or rho."""
+    mirror = MirrorPair(pair.tr.tspec)
+    mirror.weights = pair.tweights
+    return mirror
+
+
 def double_transpose(pair):
     """tr.tspec transposed and checked in full, the second transposition a run
-    reads off the first: `build_transpose` of the mirror's Cayley matrix, its
-    classes read off the spec's kernel basis moved by lambda, and
-    `complete_transpose` with a third Cayley matrix and the mirror's and the
-    double transpose's rho.  Needs only the spec's transposition shape."""
+    reads off the first: `build_transpose` of tr.tspec's Cayley matrix, built
+    here, its classes read off the spec's kernel basis moved by lambda,
+    `complete_transpose` with tr.tspec's rho, and a third Cayley matrix
+    compared with it entry by entry (`permuted_transpose_mismatch`).  Needs
+    only the spec's transposition shape."""
     shape, basis = pair._shape, kernel_basis(pair)
-    mirror = pair.mirror
+    tspec = shape.tspec
+    tcm = build_cayley(tspec)
     hint = None if basis is None else tuple(basis[i - 1] for i in shape.lam.images)
-    shape2 = transposition.build_transpose(mirror.cm, lambda: hint)
-    found = mirror.rho
-    tspec2 = shape2.tspec
-    return transposition.complete_transpose(
-        mirror.cm, shape2, build_cayley(tspec2), found,
-        transposition.find_rho(tspec2, WeightSystem(tspec2.weights)))
+    shape2 = transposition.build_transpose(tcm, lambda: hint)
+    found = transposition.find_rho(tspec, WeightSystem(tspec.weights))
+    tr2 = transposition.complete_transpose(tcm, shape2, found)
+    mismatch = permuted_transpose_mismatch(tcm, build_cayley(tr2.tspec), tr2.row_to_var,
+                                           tr2.block_sources)
+    if mismatch:
+        raise transposition.InternalInvariantError(mismatch)
+    return tr2
 
 
 def double_transpose_relabel(spec, tr, tr2):

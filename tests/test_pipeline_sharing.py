@@ -24,7 +24,7 @@ from mirrorkit.horn_system import horn_operators, index_partition
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.record import lazy
 
-from oracles import columns, constant, double_transpose, z_coeffs
+from oracles import columns, constant, double_transpose, mirror_side, z_coeffs
 from specgen import oracle_specs, singular_cayley_specs
 
 BUILDERS = ((ci_model, "build_cayley"), (ci_model, "charges"), (ci_model, "derive_weights"),
@@ -54,11 +54,11 @@ def calls(monkeypatch) -> Counter:
 
 def test_run_verify_builds_each_object_once(calls):
     run_verify(generate_family(5))
-    # validation reads the run's pair, which builds one Cayley matrix per side
-    # (spec, mirror) and one inverse; the spec's weights are read off the
-    # inverse, the mirror takes its own from the transposition
+    # validation reads the run's pair, which builds one Cayley matrix, the
+    # spec's, and one inverse; the spec's weights are read off the inverse,
+    # the transposed spec's come with the transposition
     assert calls["build_transpose"] == 1
-    assert calls["build_cayley"] == 2
+    assert calls["build_cayley"] == 1
     assert calls["derive_weights"] == 0
     assert calls["invert"] == 1
     # the cayley stage and the forms read one certificate of L L^-1 = I, and
@@ -162,9 +162,8 @@ def test_a_singular_cayley_matrix_is_inverted_once(calls):
 
 
 def test_a_pair_is_freed_by_reference_counting():
-    # the mirror holds no back-reference to its origin: no cycle keeps a
-    # run's inverse, forms and stage results alive until the cyclic collector
-    # runs
+    # nothing a pair builds refers back to it: no cycle keeps a run's
+    # inverse, forms and stage results alive until the cyclic collector runs
     pair = MirrorPair(generate_family(3))
     pair.duality
     ref = weakref.ref(pair)
@@ -178,15 +177,15 @@ def test_a_pair_is_freed_by_reference_counting():
 
 @pytest.mark.parametrize("name", ["family_3", "example_6_1.json", "example_6_2.json"])
 def test_a_mirror_outlives_its_origin_with_its_bases(monkeypatch, fixtures_dir, name):
-    # the mirror is handed its weights when it is built, so with its origin
-    # gone it builds what the transposition's checks read and eliminates
-    # nothing; transposed, it gives the double transpose, eliminating only its
-    # own [L | I] for its classes
+    # a run builds no MirrorPair of tr.tspec; the oracle's (`mirror_side`) is
+    # handed its weights, so with its origin gone it builds its Cayley matrix
+    # and rho eliminating nothing, and transposed, it gives the double
+    # transpose, eliminating only its own [L | I] for its classes
     spec = (generate_family(3) if name == "family_3"
             else CISpec.load(fixtures_dir / name))
     expected = double_transpose(MirrorPair(spec))
     pair = MirrorPair(spec)
-    mirror = pair.mirror
+    mirror = mirror_side(pair)
     ref = weakref.ref(pair)
     del pair
     assert ref() is None
@@ -269,17 +268,18 @@ def test_singular_cayley_output_is_unchanged_when_no_read_certifies(monkeypatch,
     assert eliminated == {"transpose": 2 * len(paths), "poincare": 2 * len(paths)}
 
 
-@pytest.mark.parametrize("name", ["example_6_1.json", "example_6_2.json", "family_5", "family_7",
-                                  "family_12"])
+@pytest.mark.parametrize("name", ["example_6_1.json", "example_6_2.json", "derived_quadric.json",
+                                  "family_5", "family_7", "family_12"])
 def test_run_verify_builds_each_construction_once(calls, fixtures_dir, name):
-    # one transposition per run: the spec's and its mirror's Cayley matrices
-    # and rho (the mirror's is the spec's t_rho), one shape and one check of
-    # it; the double transpose is read off the first transposition
+    # one transposition per run: the spec's Cayley matrix, one shape and one
+    # check of it, which reads tr.tspec's data and builds no Cayley matrix of
+    # it, and two rho (the spec's and t_rho); the double transpose is read off
+    # the first transposition
     spec = (CISpec.load(fixtures_dir / name) if name.endswith(".json")
             else generate_family(int(name.split("_")[1])))
     assert run_verify(spec).hard_ok
     assert [calls[f] for f in ("build_cayley", "build_transpose", "complete_transpose",
-                               "find_rho")] == [2, 1, 1, 2]
+                               "find_rho")] == [1, 1, 1, 2]
     # the spec's and the transposed side's charges: the double transpose's
     # weights are the effective ones here, so it reads the spec's
     assert calls["charges"] == 2

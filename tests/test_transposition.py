@@ -49,6 +49,8 @@ from oracles import (
     integer_row,
     involutive,
     kernel_rows,
+    mirror_side,
+    permuted_transpose_mismatch,
     rank,
     recovered,
     recovered_data,
@@ -309,7 +311,7 @@ def test_allowed_images_match_the_scan_and_rho_the_sorted_search(fixtures_dir):
             pair.tr
         except transposition.TranspositionError:
             continue
-        for side in (pair, pair.mirror):
+        for side in (pair, mirror_side(pair)):
             s, diag = side.spec, side.weights.diagonal
             identity = tuple(range(1, s.k + 1))
             pairings = sorted((pi for pi in itertools.permutations(identity)
@@ -348,9 +350,10 @@ def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
             continue
         flags = pair.tr.condition_flags
         assert flags["rho_symmetric_3_11"] == (pair.rho is not None)
+        mirror = mirror_side(pair)
         assert flags["t_rho_symmetric_3_11T"] == (pair.rho is not None
-                                                  and pair.mirror.rho is not None)
-        for side in (pair, pair.mirror):
+                                                  and mirror.rho is not None)
+        for side in (pair, mirror):
             # find_rho pairs only equal weights, which makes G*rho symmetric (3.11)
             if side.rho is not None:
                 assert _g_rho_symmetric(side.rho[0].images, side.weights.diagonal)
@@ -511,9 +514,8 @@ def test_no_rho(quadric):
     assert find_rho(spec, derive_weights(spec)) is None
     # without a rho on the spec's side, both symmetry flags fail and say why
     pair = MirrorPair(quadric)
-    tr = transposition.complete_transpose(pair.cm, transposition.build_transpose(pair.cm),
-                                          pair.mirror.cm, None, pair.mirror.rho)
-    assert pair.mirror.rho is not None
+    tr = transposition.complete_transpose(pair.cm, transposition.build_transpose(pair.cm), None)
+    assert mirror_side(pair).rho is not None
     assert tr.rho is None and tr.t_rho is None
     assert not tr.condition_flags["rho_symmetric_3_11"]
     assert not tr.condition_flags["t_rho_symmetric_3_11T"]
@@ -706,8 +708,8 @@ def test_transposed_sides_take_the_weights_derive_weights_finds(fixtures_dir):
             except transposition.TranspositionError:
                 break
             assert derive_weights(tspec) == WeightSystem(tspec.weights)
-            pair = pair.mirror
-            assert pair.weights == WeightSystem(tspec.weights)
+            assert pair.tweights == WeightSystem(tspec.weights)
+            pair = mirror_side(pair)
             sides += 1
     assert sides == 152
 
@@ -794,7 +796,7 @@ def test_certified_reads_match_the_eliminations(monkeypatch, fixtures_dir):
             double_transpose(pair)
         except transposition.TranspositionError:
             continue
-        tspec = pair.mirror.spec
+        tspec = pair.tr.tspec
         assert read_weights(tspec, MirrorPair(tspec).inverse) == derive_weights(tspec)
         mirrors += 1
     outcomes = [(_outcome(real, diff, k, basis), _outcome(real, diff, k))
@@ -930,8 +932,9 @@ def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
         del without_basis[:]
         tr2 = _outcome(lambda: double_transpose(pair))
         assert without_basis == [False]
-        shape = _outcome(lambda: pair.mirror._shape)
-        assert shape == _outcome(transposition.build_transpose, build_cayley(pair.mirror.spec))
+        tspec = pair._shape.tspec
+        shape = _outcome(lambda: MirrorPair(tspec)._shape)
+        assert shape == _outcome(transposition.build_transpose, build_cayley(tspec))
         assert isinstance(tr2, str) == isinstance(shape, str)
         if isinstance(tr2, str):
             assert tr2 == shape
@@ -940,18 +943,50 @@ def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
     assert (seen, raised) == (4, 3)
 
 
-@pytest.mark.parametrize("entries", [[(0, 0)], [(4, 7)], [(-1, -1)], [(3, 9), (3, 2), (8, 0)]])
-def test_a_corrupted_mirror_cayley_matrix_names_its_first_mismatch(spec_6_1, entries):
-    # the mirror's Cayley matrix moved by one at some 0-based (r, c): the
-    # permuted-transpose check names the first in row-major order, 1-based
-    pair = MirrorPair(spec_6_1)
-    tcm = pair.mirror.cm
-    num = [list(row) for row in tcm.matrix.num]
-    entries = [(r % tcm.size, c % tcm.size) for r, c in entries]
-    for r, c in entries:
-        num[r][c] += 1
-    pair.mirror.cm = replace(tcm, matrix=Matrix(tuple(map(tuple, num))))
-    r, c = min(entries)
-    with pytest.raises(transposition.InternalInvariantError,
-                       match=rf"^transpose mismatch at new entry \({r + 1},{c + 1}\)$"):
-        pair.tr
+def _corruptions(tspec, rng):
+    """Seeded one-entry corruptions of a transposed spec that `build_cayley`
+    accepts: six exponents raised by one, and, with two blocks or more, four
+    indices each moved to another block's index set."""
+    blocks = list(tspec.blocks)
+    for _ in range(6):
+        q = rng.randrange(tspec.k)
+        m, p = rng.randrange(len(blocks[q].exponents)), rng.randrange(tspec.n)
+        exps = [list(v) for v in blocks[q].exponents]
+        exps[m][p] += 1
+        yield replace(tspec, blocks=(*blocks[:q], replace(blocks[q], exponents=tuple(
+            map(tuple, exps))), *blocks[q + 1:]))
+    for _ in range(4 if tspec.k > 1 else 0):
+        q, l = rng.sample(range(tspec.k), 2)
+        i = rng.choice(blocks[q].index_set)
+        moved = list(blocks)
+        moved[q] = replace(blocks[q], index_set=tuple(j for j in blocks[q].index_set if j != i))
+        moved[l] = replace(blocks[l], index_set=tuple(sorted((*blocks[l].index_set, i))))
+        if moved[q].index_set:
+            yield replace(tspec, blocks=tuple(moved))
+
+
+def test_the_data_check_names_the_entrywise_comparisons_first_mismatch(fixtures_dir):
+    # on every spec of the oracle set and nonsingular_cayley_specs(300) that
+    # transposes, the whole Cayley matrix of tr.tspec is L transposed and
+    # permuted; on seeded corruptions of tr.tspec the check, which reads only
+    # its exponent rows and index sets, names the entrywise comparison's
+    # first mismatch
+    rng = random.Random(46)
+    specs = corrupted = 0
+    for spec in oracle_specs(fixtures_dir) + nonsingular_cayley_specs(300):
+        pair = MirrorPair(spec)
+        try:
+            tr = pair.tr
+        except SpecError:   # no transposition, or no weights for rho
+            continue
+        args = tr.row_to_var, tr.block_sources
+        assert permuted_transpose_mismatch(pair.cm, build_cayley(tr.tspec), *args) is None
+        for bad in _corruptions(tr.tspec, rng):
+            expected = permuted_transpose_mismatch(pair.cm, build_cayley(bad), *args)
+            assert expected is not None
+            with pytest.raises(transposition.InternalInvariantError) as raised:
+                transposition._verify_permuted_transpose(pair.cm, bad, *args)
+            assert str(raised.value) == expected
+            corrupted += 1
+        specs += 1
+    assert (specs, corrupted) == (174, 1094)
