@@ -943,6 +943,49 @@ def test_a_mirror_of_a_spec_without_weights_reads_its_classes(monkeypatch):
     assert (seen, raised) == (4, 3)
 
 
+@pytest.mark.parametrize("entries", [[(0, 0)], [(4, 7)], [(-1, -1)], [(3, 9), (3, 2), (8, 0)]])
+def test_a_corrupted_mirror_cayley_matrix_names_its_first_mismatch(spec_6_1, entries):
+    # the mirror's Cayley matrix, build_cayley(tr.tspec), moved by one at some
+    # 0-based (r, c): the entrywise comparison names the first in row-major
+    # order, 1-based. Those of the entries that carry data (an exponent: a
+    # monomial row, an x column) moved in tr.tspec instead: the data check names
+    # the first of them, as the comparison does on that spec's Cayley matrix;
+    # the others are build_cayley's layout, which no spec can move
+    pair = MirrorPair(spec_6_1)
+    tr = pair.tr
+    tspec, args = tr.tspec, (tr.row_to_var, tr.block_sources)
+    tcm = build_cayley(tspec)
+    num = [list(row) for row in tcm.matrix.num]
+    entries = [(r % tcm.size, c % tcm.size) for r, c in entries]
+    for r, c in entries:
+        num[r][c] += 1
+    r, c = min(entries)
+    assert permuted_transpose_mismatch(
+        pair.cm, replace(tcm, matrix=Matrix(tuple(map(tuple, num)))), *args
+    ) == f"transpose mismatch at new entry ({r + 1},{c + 1})"
+
+    transposition._verify_permuted_transpose(pair.cm, tspec, *args)
+    blocks = [[list(v) for v in blk.exponents] for blk in tspec.blocks]
+    data = []
+    for r, c in entries:
+        for q in range(1, tspec.k + 1):
+            if r + 1 in tspec.monomial_rows(q) and c < tspec.n:
+                blocks[q - 1][tspec.monomial_rows(q).index(r + 1)][c] += 1
+                data.append((r, c))
+    # spec_6_1's mirror: 0-based rows 4-6 and 10-12 are s-term, product and constant rows
+    assert [e in data for e in entries] == [c < tspec.n and r not in (4, 5, 6, 10, 11, 12)
+                                            for r, c in entries]
+    if not data:
+        return
+    bad = replace(tspec, blocks=tuple(replace(blk, exponents=tuple(map(tuple, exps)))
+                                      for blk, exps in zip(tspec.blocks, blocks)))
+    r, c = min(data)
+    message = f"transpose mismatch at new entry ({r + 1},{c + 1})"
+    assert permuted_transpose_mismatch(pair.cm, build_cayley(bad), *args) == message
+    with pytest.raises(transposition.InternalInvariantError, match=rf"^{re.escape(message)}$"):
+        transposition._verify_permuted_transpose(pair.cm, bad, *args)
+
+
 def _corruptions(tspec, rng):
     """Seeded one-entry corruptions of a transposed spec that `build_cayley`
     accepts: six exponents raised by one, and, with two blocks or more, four
