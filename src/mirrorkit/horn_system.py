@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .ci_model import ChargeMatrix, CISpec, WeightSystem
+from .poincare import one_variable_series
 from .rational_linalg import ratio_str
 from .record import record
 
@@ -192,16 +193,6 @@ class CharPolyPair:
     zero_exponents: tuple[int, ...]
     infinity_exponents: tuple[int, ...]
 
-    @staticmethod
-    def _poly(exponents) -> tuple[int, ...]:
-        coeffs = [1]
-        for d in exponents:
-            nxt = coeffs + [0] * d
-            for i, c in enumerate(coeffs):
-                nxt[i + d] -= c
-            coeffs = nxt
-        return tuple(coeffs)
-
     def factored(self, side: str) -> str:
         exps = self.zero_exponents if side == "zero" else self.infinity_exponents
         return " ".join(f"(1-λ^{d})" + (f"^{m}" if m > 1 else "")
@@ -234,8 +225,9 @@ def char_polys(tweights: WeightSystem, tcharges: ChargeMatrix, q: int) -> CharPo
     pair = CharPolyPair(
         q=q,
         chi=sum(zero_exps),
-        at_zero=CharPolyPair._poly(zero_exps),
-        at_infinity=CharPolyPair._poly(inf_exps),
+        # each full product prod (1 - lambda^d), to its degree sum(d)
+        at_zero=tuple(one_variable_series(zero_exps, (), sum(zero_exps))),
+        at_infinity=tuple(one_variable_series(inf_exps, (), sum(inf_exps))),
         zero_exponents=zero_exps,
         infinity_exponents=inf_exps,
     )

@@ -389,7 +389,7 @@ def verify_theorem_31(tr: TransposeResult, xi: XiFactorization, forms: Forms,
       c in the index set of src = tr.block_sources[q-1].  By the
       factorization, sum_nu tq[q][nu] xi^(nu) = sum_r E[r][c] xi_r, whose
       z_mu coefficient is -delta_{mu src} and constant 1: it is 1 - z_src.
-      block_sources is sorted by nu, an involution, so it is nu's images.
+      block_sources is nu's images (`transposition.build_transpose`).
     - Reduction.  By the factorization the numerator is the xi of the rows
       `cm.i_lambda`, which the row groups partition, and the reflected
       denominator is z_1, ..., z_k: together the plain product's multiset

@@ -27,7 +27,8 @@ T[i, c] + delta and delta.
 
 The per-vertex equality clauses printed alongside the matrix equation are
 internally inconsistent, so they are validated and reported rather than
-imposed; the matrix equation is the primary solve path.
+imposed; P itself is read off in closed form, and A * P == T is its
+certificate.
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ def solve_dual_partition(spec: CISpec, tr: TransposeResult, weights: WeightSyste
     proves it: the rows of tr.diff are the columns of A, so rank A is the
     rank of tr.diff, which is n - k because `build_transpose` returns only a
     transposition whose weight kernel has dimension k (`_weight_classes`
-    checks it on an exact basis: read off L^-1, handed to a mirror as the
-    spec's kernel basis moved by lambda, or eliminated).  So the flag
+    checks it on an exact basis: H read off the certified L^-1 where M' = 0
+    (`pipeline.MirrorPair._class_hint`), or eliminated).  So the flag
     `minkowski_dim` is True.  On the spec's own transposition and derived
     weights both clauses of the certificate hold: the first is the identity
     above, and each derived weight vector pairs every difference row to 0

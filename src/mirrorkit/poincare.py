@@ -7,7 +7,9 @@ monodromy ratio M are that same product over the transposed data, so
 ``poincare_structure`` builds all three.  Ratios live here as multisets of
 (variable, exponent) factors, cancelled to a canonical record; on ratios
 whose exponents are all >= 1, as every `poincare_structure` is, equal
-records are exactly equal rational functions (`verify_duality`).
+records are exactly equal rational functions (`verify_duality`).  Each factor
+involves one variable, so a ratio's power series is a product of
+one-variable series (`series_expand`).
 
 A charge of zero contributes no factor: such a pairing couples a block to a
 grading it does not touch, and the product formula skips it (the degree
@@ -22,9 +24,6 @@ from typing import Iterable
 
 from .ci_model import ChargeMatrix, SERIES_TERM_CAP, WeightSystem
 from .record import record
-
-
-Poly = dict[tuple[int, ...], int]  # exponent vector -> integer coefficient
 
 
 class PoincareError(Exception):
@@ -74,60 +73,66 @@ class CyclotomicRatio:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers
+# power series
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: Poly, b: Poly, order: int | None = None) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if order is not None and sum(e) > order:
-                continue
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+def one_variable_series(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
+    """Coefficients 0..order of prod (1 - t^d), d in num, over prod (1 - t^d),
+    d in den: exact integers, every exponent >= 0 and every den exponent >= 1.
 
-
-def _factor_poly(q: int, d: int, k: int) -> Poly:
-    """The polynomial 1 - t_q^d, which is zero when d == 0."""
-    if d == 0:
-        return {}
-    zero = tuple(0 for _ in range(k))
-    e = tuple(d if i == q - 1 else 0 for i in range(k))
-    return {zero: 1, e: -1}
-
-
-def _expand_product(factors, k: int, order: int | None = None) -> Poly:
-    poly: Poly = {tuple(0 for _ in range(k)): 1}
-    for q, d in factors:
-        poly = _poly_mul(poly, _factor_poly(q, d, k), order)
-    return poly
+    Multiplying by 1 - t^d is c[i] -= c[i - d] with i descending, so each
+    c[i - d] is read before it changes; 1 - t^0 = 0 makes the zero series.
+    Dividing by 1 - t^d is multiplying by 1 + t^d + t^2d + ..., which is
+    c[i] += c[i - d] with i ascending, so each c[i - d] already holds the
+    quotient.  Each factor costs O(order).
+    """
+    c = [1] + [0] * order
+    for d in num:
+        if d == 0:
+            return [0] * (order + 1)
+        for i in range(order, d - 1, -1):
+            c[i] -= c[i - d]
+    for d in den:
+        for i in range(d, order + 1):
+            c[i] += c[i - d]
+    return c
 
 
 def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:
-    """Power-series coefficients of r up to total degree `order`, exact integers.
+    """Power-series coefficients of r up to total degree `order`, exact integers,
+    keyed by exponent vector; only the nonzero ones.
 
     The monomials of total degree <= order in k variables, C(order + k, k)
     of them, bound the term count; above SERIES_TERM_CAP it raises
     SeriesLimitError before expanding anything.
+
+    Every factor (1 - t_q^d) involves one variable, so r = prod_q f_q(t_q),
+    f_q the ratio of variable q's factors, and the coefficient of
+    t_1^e_1 ... t_k^e_k in r is the product over q of the coefficient of
+    t^e_q in f_q (`one_variable_series`).  Each e_q <= order on a monomial
+    of total degree <= order, so each f_q is needed only to `order`.  The
+    dict is these products, nonzero, over the monomials of total degree
+    <= order: term by term the expansion of all of r's factors multiplied
+    out in k variables at once and truncated at `order`.  The work is
+    O(order) per factor and O(1) per monomial, so the term cap bounds it.
     """
     if any(d < 1 for _, d in r.den):
         raise NotExpandableError("denominator factor with exponent < 1")
+    if any(d < 0 for _, d in r.num):
+        raise NotExpandableError("numerator factor with exponent < 0")
     k = r.k
     terms = math.comb(order + k, k)
     if terms > SERIES_TERM_CAP:
         raise SeriesLimitError(f"order {order} in {k} variable(s) allows {terms} series terms, "
                                f"above the cap of {SERIES_TERM_CAP}")
-    poly = _expand_product(r.num, k, order)
-    for q, d in r.den:
-        geo: Poly = {}
-        m = 0
-        while m * d <= order:
-            geo[tuple(m * d if i == q - 1 else 0 for i in range(k))] = 1
-            m += 1
-        poly = _poly_mul(poly, geo, order)
-    return poly
+    series = {(): 1}
+    for q in range(1, k + 1):
+        f = one_variable_series((d for v, d in r.num if v == q),
+                                (d for v, d in r.den if v == q), order)
+        series = {e + (i,): c * f[i] for e, c in series.items()
+                  for i in range(order - sum(e) + 1) if f[i]}
+    return series
 
 
 def series_coefficients_1d(table: dict[tuple[int, ...], int], order: int) -> list[int]:

@@ -199,7 +199,7 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
             f"monomial counts {taus} and index-set sizes {tilde_taus} differ as multisets")
 
     nu = _choose_nu(taus, tilde_taus)
-    block_sources = tuple(sorted(range(1, k + 1), key=nu))  # position q -> old block
+    block_sources = nu.images   # position q -> old block nu^-1(q), which is nu(q)
 
     given = None if basis is None else basis()
     if given is None:

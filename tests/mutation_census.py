@@ -5,7 +5,8 @@
 For every comparison, boolean operator and `raise` in the functions of
 `TARGETS` (the check functions of `mellin`, the readers of the forms in
 `horn_system` and `nef_partition`, the nef certificate
-`nef_partition._closed_form_duals`, `poincare.verify_duality`,
+`nef_partition._closed_form_duals`, `poincare.verify_duality` and the
+series expansion (`series_expand`, `one_variable_series`),
 `pipeline.run_verify` and the `MirrorPair` properties that gate the kernel
 basis, balance the charges and reuse them, the checks of `transposition` and
 its `home_order`) it makes one mutant:
@@ -50,7 +51,7 @@ TARGETS = {
     "mellin": ("check_y_rows", "factorize_xi"),
     "horn_system": ("horn_operators",),
     "nef_partition": ("magic_square_check", "_closed_form_duals"),
-    "poincare": ("verify_duality",),
+    "poincare": ("verify_duality", "series_expand", "one_variable_series"),
     "pipeline": ("run_verify", "MirrorPair._class_hint", "MirrorPair.unbalanced",
                  "MirrorPair.recovered_data"),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",

@@ -31,7 +31,10 @@ sympy and with hand-computed values:
   rank, pivot columns and Minkowski dimension (`rank`, `pivot_columns`,
   `minkowski_dim`) that the nef certificate proves instead of computing;
 * `ratio_equal`, equality of two CyclotomicRatios as rational functions by
-  expansion, which `verify_duality` decides as `==` by unique factorization;
+  expansion, which `verify_duality` decides as `==` by unique factorization,
+  on the sparse multivariate product (`_poly_mul`, `_factor_poly`,
+  `_expand_product`) that also gives `truncated_expansion`, the oracle of
+  `poincare.series_expand`, and the full products of the char-polys;
 * `dense_matmul` and `identity`, the matrix product and unit matrix the
   program never forms;
 * the transposed side a run no longer builds as a MirrorPair (`mirror_side`),
@@ -59,7 +62,7 @@ from mirrorkit.mellin import Forms, sort_forms, ZForm
 from mirrorkit.rational_linalg import ratio_str
 from mirrorkit.nef_partition import _with_block_axes
 from mirrorkit.pipeline import MirrorPair
-from mirrorkit.poincare import _expand_product, PoincareError
+from mirrorkit.poincare import PoincareError
 from mirrorkit.rational_linalg import (
     DimensionMismatchError,
     Matrix,
@@ -300,6 +303,49 @@ def canonical_multiset(product):
 def gamma_equal(a, b):
     """Whether two GammaProducts agree up to reflection."""
     return canonical_multiset(a) == canonical_multiset(b)
+
+
+def _poly_mul(a, b, order=None):
+    """The product of two polynomials, dicts exponent vector -> coefficient,
+    without the terms of total degree above order; only nonzero terms."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if order is not None and sum(e) > order:
+                continue
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _factor_poly(q, d, k):
+    """The polynomial 1 - t_q^d, which is zero when d == 0."""
+    if d == 0:
+        return {}
+    zero = tuple(0 for _ in range(k))
+    e = tuple(d if i == q - 1 else 0 for i in range(k))
+    return {zero: 1, e: -1}
+
+
+def _expand_product(factors, k, order=None):
+    """prod (1 - t_q^d) over the factors (q, d), truncated at total degree order."""
+    poly = {tuple(0 for _ in range(k)): 1}
+    for q, d in factors:
+        poly = _poly_mul(poly, _factor_poly(q, d, k), order)
+    return poly
+
+
+def truncated_expansion(ratio, order):
+    """A CyclotomicRatio's power series to total degree order, multiplied out
+    over k variables at once: each denominator factor is its geometric
+    series, truncated at order."""
+    k = ratio.k
+    poly = _expand_product(ratio.num, k, order)
+    for q, d in ratio.den:
+        geo = {tuple(m * d if i == q - 1 else 0 for i in range(k)): 1
+               for m in range(order // d + 1)}
+        poly = _poly_mul(poly, geo, order)
+    return poly
 
 
 def ratio_equal(a, b):

@@ -5,8 +5,9 @@ Each document starts from a fixture, a small valid spec or a direct sum of
 few mutations (an exponent, index set, count or weight changed, a block
 dropped or duplicated), then sometimes a key removed or one value
 replaced by a value of the wrong type.  Each command also gets a drawn
-`--order`: a small one, or one just above the series term cap for two or
-three variables, which `poincare` must refuse before expanding anything.
+`--order`: a small one, the largest one the series term cap allows for one
+to three variables, or one just above the cap for two or three variables,
+which `poincare` must refuse before expanding anything.
 Whatever the result, each command must return an exit code in 0-3 and
 raise nothing, and a refused expansion is one line on stderr and exit 1.
 The search is derandomized and bounded, so the test is deterministic.
@@ -51,11 +52,13 @@ def _largest_order(k: int) -> int:
     return order
 
 
-# small orders, and the boundary of the term cap for k = 2 and 3 (61 and 20
-# today): the orders just above it are refused before any expansion runs,
-# and at k = 1 they are still cheap
+# small orders, and the boundary of the term cap for k = 1, 2 and 3 (1999,
+# 61 and 20 today): the largest order the cap allows expands in about a
+# millisecond, as the cap bounds the work (`poincare.series_expand`), and
+# the orders just above it for k = 2 and 3 are refused before any expansion
 ORDERS = st.one_of(st.integers(0, 8),
-                   st.sampled_from([_largest_order(k) + d for k in (2, 3) for d in (1, 2)]))
+                   st.sampled_from([_largest_order(k) for k in (1, 2, 3)]
+                                   + [_largest_order(k) + d for k in (2, 3) for d in (1, 2)]))
 
 
 def _set_exponent(draw, data):
@@ -151,6 +154,7 @@ def test_every_command_exits_0_to_3_on_fuzzed_specs(data, fmt, order):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(BASES), ORDERS)
+@example(SUMS[0], _largest_order(3))   # the draws need not pair k = 3 with its largest order
 def test_poincare_refuses_exactly_the_orders_past_the_term_cap(data, order):
     # on the unmutated (valid) documents exit 1 can only be the refusal, and it
     # comes exactly when C(order + k, k) exceeds the cap, before any expansion

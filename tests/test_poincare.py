@@ -1,9 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
-from mirrorkit.ci_model import ChargeMatrix, WeightSystem, charges, derive_weights
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mirrorkit.ci_model import ChargeMatrix, CISpec, WeightSystem, charges, derive_weights
 from mirrorkit.poincare import (
-    _expand_product,
     CyclotomicRatio,
     poincare_structure,
     series_coefficients_1d,
@@ -12,7 +15,9 @@ from mirrorkit.poincare import (
 )
 from mirrorkit.pipeline import MirrorPair, generate_family
 
-from oracles import degree_balanced, ratio_equal
+from oracles import _expand_product, degree_balanced, ratio_equal, truncated_expansion
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mirrorkit" / "fixtures"
 
 
 def brute_force_weighted_count(weights, order):
@@ -187,6 +192,14 @@ def test_series_expand_rejects_degenerate_denominator():
         series_expand(bad, 3)
 
 
+def test_series_expand_rejects_a_negative_numerator_exponent():
+    # 1 - t^-1 has a term below the constant one, so it is no power series
+    from mirrorkit.poincare import NotExpandableError
+    bad = CyclotomicRatio(2, ((1, 2), (2, -1)), ((1, 1),))  # bypasses canonical construction
+    with pytest.raises(NotExpandableError, match="numerator factor with exponent < 0"):
+        series_expand(bad, 3)
+
+
 def test_series_expand_term_cap(monkeypatch):
     import pytest
     from mirrorkit import poincare
@@ -198,7 +211,7 @@ def test_series_expand_term_cap(monkeypatch):
     assert series_coefficients_1d(series_expand(k1, 44), 44) == [1, 2] + [2] * 43   # C(45, 1)
     assert len(series_expand(k2, 8)) == 45                        # C(10, 2) = 45 terms
     expanded = []
-    monkeypatch.setattr(poincare, "_poly_mul", lambda *args: expanded.append(args))
+    monkeypatch.setattr(poincare, "one_variable_series", lambda *args: expanded.append(args))
     with pytest.raises(poincare.SeriesLimitError,
                        match=r"order 45 in 1 variable\(s\) allows 46 series terms, "
                              r"above the cap of 45"):
@@ -206,6 +219,37 @@ def test_series_expand_term_cap(monkeypatch):
     with pytest.raises(poincare.SeriesLimitError, match="order 9 in 2 variable"):
         series_expand(k2, 9)
     assert expanded == []   # refused before any product was taken
+
+
+@st.composite
+def hand_built_ratios(draw):
+    """A CyclotomicRatio in 0-3 variables as given, not built: numerator
+    exponents from 0, repeated and shared factors kept."""
+    k = draw(st.integers(0, 3))
+    if k == 0:
+        return CyclotomicRatio(0, (), ())
+    num = draw(st.lists(st.tuples(st.integers(1, k), st.integers(0, 6)), max_size=5))
+    den = draw(st.lists(st.tuples(st.integers(1, k), st.integers(1, 6)), max_size=5))
+    return CyclotomicRatio(k, tuple(num), tuple(den))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(hand_built_ratios(), st.integers(0, 12))
+def test_series_expand_is_the_truncated_multivariate_expansion(ratio, order):
+    # the product of the one-variable series against the sparse product over
+    # all k variables at once
+    assert series_expand(ratio, order) == truncated_expansion(ratio, order)
+
+
+@pytest.mark.parametrize("spec", [
+    *(CISpec.load(path) for path in sorted(FIXTURES.glob("*.json"))),
+    *(generate_family(m) for m in range(1, 7))])
+def test_char_polys_are_the_full_products(spec):
+    for p in MirrorPair(spec).char_polys:
+        for exps, coeffs in ((p.zero_exponents, p.at_zero),
+                             (p.infinity_exponents, p.at_infinity)):
+            full = _expand_product([(1, d) for d in exps], 1)
+            assert coeffs == tuple(full.get((i,), 0) for i in range(sum(exps) + 1))
 
 
 def test_series_expand_6_2_matches_enumeration(spec_6_2):

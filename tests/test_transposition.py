@@ -349,6 +349,10 @@ def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
         except transposition.TranspositionError:
             continue
         flags = pair.tr.condition_flags
+        # nu is an involution, so position q's source block, nu^-1(q), is nu(q)
+        nu = pair.tr.nu
+        assert all(nu(nu(q)) == q for q in range(1, spec.k + 1))
+        assert pair.tr.block_sources == nu.images
         assert flags["rho_symmetric_3_11"] == (pair.rho is not None)
         mirror = mirror_side(pair)
         assert flags["t_rho_symmetric_3_11T"] == (pair.rho is not None
