@@ -285,10 +285,6 @@ class CayleyMatrix:
     i_lambda: tuple[int, ...]
     spec: CISpec = field(repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
     def to_json(self) -> dict:
         return {
             "matrix": self.matrix.to_json(),
@@ -553,7 +549,7 @@ def _structure_problems(spec: CISpec) -> list[tuple[str, str]]:
         problems.append(("tau_sum", f"k={spec.k} but {len(spec.blocks)} blocks given"))
     if sum(spec.taus) != spec.n:
         problems.append(("tau_sum", f"sum of block sizes {sum(spec.taus)} != n={spec.n}"))
-    seen: set[int] = set()
+    seen: dict[int, int] = {}   # index -> the first block that lists it
     for q, blk in enumerate(spec.blocks, start=1):
         if not blk.index_set:
             problems.append(("partition", f"block {q}: empty index set"))
@@ -561,8 +557,9 @@ def _structure_problems(spec: CISpec) -> list[tuple[str, str]]:
             if not 1 <= i <= spec.n:
                 problems.append(("partition", f"block {q}: index {i} out of range"))
             if i in seen:
-                problems.append(("partition", f"index {i} appears in two index sets"))
-            seen.add(i)
+                problems.append(("partition", f"block {q}: index {i} repeated" if seen[i] == q
+                                 else f"index {i} appears in two index sets"))
+            seen.setdefault(i, q)
         for v in blk.exponents:
             if len(v) != spec.n:
                 problems.append(("exponent_shape",

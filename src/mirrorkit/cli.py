@@ -31,7 +31,6 @@ from .pipeline import raisable, StageModule
 from .rational_linalg import SingularMatrixError
 
 horn_system = StageModule("horn_system", globals())
-mellin = StageModule("mellin", globals())
 poincare = StageModule("poincare", globals())
 
 EXIT_BROKEN_PIPE = 141
@@ -375,7 +374,7 @@ def _main(argv) -> int:
     except raisable("transposition.InternalInvariantError") as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
-    except raisable("transposition.TranspositionError", "mellin.MellinError") as exc:
+    except raisable("transposition.TranspositionError") as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return pipeline.EXIT_SOFT_FAILURE
     except (ci_model.SpecError, SingularMatrixError) as exc:

@@ -32,10 +32,7 @@ from collections import Counter
 from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
 from .rational_linalg import _canonical, Matrix, ratio_str
 from .record import lazy, record
-
-
-class MellinError(Exception):
-    pass
+from .transposition import InternalInvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def solve_xi(cm: CayleyMatrix, inverse: Matrix) -> Forms:
 
 
 def check_y_rows(cm: CayleyMatrix) -> None:
-    """Raise MellinError unless L v = 1, v the indicator of the y columns.
+    """Raise InternalInvariantError unless L v = 1, v the indicator of the y columns.
 
     `build_cayley` puts one 1 among the y columns of each row.  Then, as
     L L^-1 = I is certified, L^-1 1 = v: summed over the forms (the columns
@@ -232,7 +229,8 @@ def check_y_rows(cm: CayleyMatrix) -> None:
     n, k, m = cm.spec.n, cm.spec.k, cm.matrix
     for r, row in enumerate(m.num, start=1):
         if sum(row[n:n + 2 * k]) != m.den:
-            raise MellinError(f"Cayley row {r} does not have one 1 among the y columns")
+            raise InternalInvariantError(
+                f"Cayley row {r} does not have one 1 among the y columns")
 
 
 def classify_forms(cm: CayleyMatrix) -> tuple[str, ...]:

@@ -320,8 +320,10 @@ class MirrorPair:
           holds lam(r + 1), with that block's ray: positive, k of them, of the
           sizes tau, and Y transposes.  `build_transpose` takes the classes by
           their smallest raw position and gives block position q the first
-          unused one of Y's tau_q variables, which is pi(q); relabelled,
-          position q carries block pi(q)'s derived weights.
+          unused one of Y's tau_q variables (`transposition._size_first`),
+          which is pi(q): `home_order` applies that function to the blocks
+          in lam's order; relabelled, position q carries block pi(q)'s
+          derived weights.
         pi differs from the identity only where equal block sizes meet lam
         out of order, which is why the weights are not simply the derived ones.
         """

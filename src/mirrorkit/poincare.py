@@ -101,7 +101,7 @@ def one_variable_series(num: Iterable[int], den: Iterable[int], order: int) -> l
 
 def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:
     """Power-series coefficients of r up to total degree `order`, exact integers,
-    keyed by exponent vector; only the nonzero ones.
+    keyed by exponent vector; only the nonzero ones, none below order 0.
 
     The monomials of total degree <= order in k variables, C(order + k, k)
     of them, bound the term count; above SERIES_TERM_CAP it raises
@@ -121,6 +121,8 @@ def series_expand(r: CyclotomicRatio, order: int) -> dict[tuple[int, ...], int]:
         raise NotExpandableError("denominator factor with exponent < 1")
     if any(d < 0 for _, d in r.num):
         raise NotExpandableError("numerator factor with exponent < 0")
+    if order < 0:
+        return {}
     k = r.k
     terms = math.comb(order + k, k)
     if terms > SERIES_TERM_CAP:

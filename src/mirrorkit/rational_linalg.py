@@ -184,9 +184,6 @@ class PermutationMap:
     def size(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.size + 1))
 

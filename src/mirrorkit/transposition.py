@@ -23,7 +23,7 @@ order.  Both paper examples reproduce verbatim under these rules.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ci_model import Block, CayleyMatrix, CISpec, rays_by_class, SpecError, WeightSystem
 from .rational_linalg import integer_kernel, Matrix, PermutationMap
@@ -54,21 +54,24 @@ RhoFound = tuple[PermutationMap, tuple[int, ...]]
 class TransposeResult:
     tspec: CISpec
     nu: PermutationMap             # nu(j) = position of old block j in the new order
-    nu_star: Matrix                # k x k permutation matrix, column j = e_{nu(j)}
     lam: PermutationMap            # lam(r) = old column feeding new monomial r
     row_to_var: tuple[tuple[int, int], ...]  # (old matrix row, new variable position)
-    block_sources: tuple[int, ...]  # position q -> old block index
     diff: Matrix                   # new difference rows over the old monomial rows, ascending
     rho: PermutationMap | None
     t_rho: PermutationMap | None
     condition_flags: dict[str, bool]
     notes: tuple[str, ...]
 
+    @property
+    def block_sources(self) -> tuple[int, ...]:
+        """Position q -> old block nu^-1(q), which is nu(q) as nu is an involution."""
+        return self.nu.images
+
     def to_json(self) -> dict:
         return {
             "tspec": self.tspec.to_json(),
             "nu": self.nu.to_json(),
-            "nu_star": self.nu_star.to_json(),
+            "nu_star": self.nu.matrix().to_json(),  # column j = e_{nu(j)}
             "lambda": self.lam.to_json(),
             "row_to_var": [list(p) for p in self.row_to_var],
             "block_sources": list(self.block_sources),
@@ -174,6 +177,21 @@ def _transposed_rows(cm: CayleyMatrix, block_sources: tuple[int, ...]) -> tuple[
     return blocks, Matrix(tuple(diff_rows))
 
 
+def _size_first(candidates: Iterable[int], size: Callable[[int], int],
+                sizes: Sequence[int]) -> list[int]:
+    """Per position q, the first candidate left of size sizes[q - 1], up to the
+    first position none fits: the one rule by which `build_transpose` places
+    weight classes and `home_order` spec blocks (`MirrorPair.recovered_data`)."""
+    left, picks = list(candidates), []
+    for want in sizes:
+        pick = next((c for c in left if size(c) == want), None)
+        if pick is None:
+            break
+        left.remove(pick)
+        picks.append(pick)
+    return picks
+
+
 def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | None = None
                     ) -> TransposeResult:
     """The transposed specification and its permutation bookkeeping, unchecked.
@@ -199,28 +217,22 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
             f"monomial counts {taus} and index-set sizes {tilde_taus} differ as multisets")
 
     nu = _choose_nu(taus, tilde_taus)
-    block_sources = nu.images   # position q -> old block nu^-1(q), which is nu(q)
 
     given = None if basis is None else basis()
     if given is None:
-        new_blocks_raw, diff = _transposed_rows(cm, block_sources)
+        new_blocks_raw, diff = _transposed_rows(cm, nu.images)
         classes = _weight_classes(diff, k, given)
     else:  # a spec whose read fails builds no rows
         classes = _weight_classes(None, k, given)
-        new_blocks_raw, diff = _transposed_rows(cm, block_sources)
+        new_blocks_raw, diff = _transposed_rows(cm, nu.images)
 
-    # assign one class to each block position, matching sizes; ties broken by
-    # the smallest raw position in the class
-    unassigned = sorted(range(k), key=lambda c: classes[c][0][0])
-    assigned: list[int] = []
-    for q in range(1, k + 1):
-        want = taus[q - 1]
-        pick = next((c for c in unassigned if len(classes[c][0]) == want), None)
-        if pick is None:
-            raise NoValidShapeError(
-                f"no variable group of size {want} left for block position {q}")
-        assigned.append(pick)
-        unassigned.remove(pick)
+    # one class per block position by `_size_first`, the classes ordered by
+    # their smallest raw position
+    assigned = _size_first(sorted(range(k), key=lambda c: classes[c][0][0]),
+                           lambda c: len(classes[c][0]), taus)
+    if len(assigned) < k:   # position len(assigned) + 1 found none
+        raise NoValidShapeError(f"no variable group of size {taus[len(assigned)]} left "
+                                f"for block position {len(assigned) + 1}")
 
     var_map = [0] * n  # raw position -> new 1-based position
     weights = []
@@ -252,9 +264,8 @@ def build_transpose(cm: CayleyMatrix, basis: Callable[[], Sequence | None] | Non
 
     row_to_var = tuple((row, var_map[i]) for i, row in enumerate(cm.i_lambda))
     return TransposeResult(
-        tspec=tspec, nu=nu, nu_star=nu.matrix(), lam=PermutationMap(tuple(lam)),
-        row_to_var=row_to_var, block_sources=block_sources, diff=diff,
-        rho=None, t_rho=None, condition_flags=flags, notes=(),
+        tspec=tspec, nu=nu, lam=PermutationMap(tuple(lam)), row_to_var=row_to_var,
+        diff=diff, rho=None, t_rho=None, condition_flags=flags, notes=(),
     )
 
 
@@ -366,20 +377,11 @@ def _lambda_v_identity(spec, lam, row_to_var) -> bool:
 
 def home_order(spec: CISpec, tr: TransposeResult) -> tuple[int, ...]:
     """pi: per block position q of the double transpose, the spec block whose
-    weights it carries once relabelled (`pipeline.MirrorPair.recovered_data`).
-
-    The blocks are taken in the order of their first variable in lam, and
-    position q takes the first unused one with tr.tspec.taus[q - 1] variables,
-    the rule by which `build_transpose` assigns the transposed spec's classes.
-    """
+    weights it carries once relabelled (`pipeline.MirrorPair.recovered_data`):
+    `_size_first` of the blocks, in the order of their first variable in lam."""
     block_of = {i: q for q in range(1, spec.k + 1) for i in spec.block_range(q)}
-    unused = list(dict.fromkeys(block_of[i] for i in tr.lam.images))
-    order = []
-    for tau in tr.tspec.taus:
-        q = next(q for q in unused if spec.taus[q - 1] == tau)
-        unused.remove(q)
-        order.append(q)
-    return tuple(order)
+    first_seen = dict.fromkeys(block_of[i] for i in tr.lam.images)
+    return tuple(_size_first(first_seen, lambda q: spec.taus[q - 1], tr.tspec.taus))
 
 
 def find_rho(spec: CISpec, weights: WeightSystem) -> RhoFound | None:

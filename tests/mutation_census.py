@@ -9,7 +9,7 @@ For every comparison, boolean operator and `raise` in the functions of
 series expansion (`series_expand`, `one_variable_series`),
 `pipeline.run_verify` and the `MirrorPair` properties that gate the kernel
 basis, balance the charges and reuse them, the checks of `transposition` and
-its `home_order`) it makes one mutant:
+`_size_first`, its block-assignment rule) it makes one mutant:
 
 * one comparison operator negated (== and !=, < and >=, > and <=, in and
   not in, is and is not);
@@ -56,7 +56,7 @@ TARGETS = {
                  "MirrorPair.recovered_data"),
     "transposition": ("_choose_nu", "_weight_classes", "build_transpose",
                       "complete_transpose", "_verify_permuted_transpose", "_lambda_v_identity",
-                      "_class_matching", "home_order"),
+                      "_class_matching", "_size_first"),
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,

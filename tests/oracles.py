@@ -687,7 +687,7 @@ def double_transpose_relabel(spec, tr, tr2):
     for p in range(1, spec.n + 1):
         row = var_to_row2[p]                    # monomial row of tspec
         mono_pos = i_lam.index(row) + 1         # its position among tspec monomials
-        sigma.append(tr.lam(mono_pos))          # the original variable it came from
+        sigma.append(tr.lam.images[mono_pos - 1])  # the original variable it came from
     return tuple(sigma)
 
 

@@ -124,7 +124,7 @@ def test_criterion_4_property_suite():
     for spec in specs:
         cm = build_cayley(spec)
         inv = invert(cm.matrix)
-        assert dense_matmul(cm.matrix, inv) == identity(cm.size)
+        assert dense_matmul(cm.matrix, inv) == identity(cm.matrix.rows)
         forms = solve_xi(cm, inv)
         assert all(column_sums(forms).values())
         for nu in range(1, spec.k + 1):

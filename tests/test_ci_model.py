@@ -41,6 +41,7 @@ def test_validate_overlapping_index_sets():
 @pytest.mark.parametrize("defect, check, note", [
     ("negative exponent", "exponent_shape", "block 1: negative exponent"),
     ("index out of range", "partition", "block 1: index 3 out of range"),
+    ("repeated index", "partition", "block 1: index 1 repeated"),
     ("k != block count", "tau_sum", "k=2 but 1 blocks given"),
 ])
 def test_validate_single_defect_fails_only_its_check(quadric, defect, check, note):
@@ -50,6 +51,8 @@ def test_validate_single_defect_fails_only_its_check(quadric, defect, check, not
             Block(exponents=((2, -1), blk.exponents[1]), index_set=blk.index_set),)),
         "index out of range": CISpec(n=2, k=1, blocks=(
             Block(exponents=blk.exponents, index_set=(1, 3)),)),
+        "repeated index": CISpec(n=2, k=1, blocks=(
+            Block(exponents=blk.exponents, index_set=(1, 1)),)),
         "k != block count": CISpec(n=2, k=2, blocks=quadric.blocks),
     }[defect]
     report = validate(spec)

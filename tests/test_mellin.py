@@ -23,7 +23,7 @@ from mirrorkit.mellin import (
 from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 from mirrorkit.poincare import poincare_structure
 from mirrorkit.rational_linalg import Matrix, invert
-from mirrorkit.transposition import inverse_hint, TranspositionError
+from mirrorkit.transposition import InternalInvariantError, inverse_hint, TranspositionError
 
 from oracles import (
     ClassificationFailureError,
@@ -112,9 +112,9 @@ def test_resubstitution_identity(spec_6_1, spec_6_2, quadric):
         cm = build_cayley(spec)
         forms = solve_xi(cm, invert(cm.matrix))
         n, k = spec.n, spec.k
-        for c in range(cm.size):
+        for c in range(cm.matrix.rows):
             total = FractionZForm((F(0),) * k, F(0))
-            for a in range(cm.size):
+            for a in range(cm.matrix.rows):
                 assert entry(cm.matrix, a, c) == cm.matrix.num[a][c]   # an integral matrix
                 total = total + FractionZForm.of(forms.xi(a + 1).scale(cm.matrix.num[a][c]))
             if c < n + 2 * k:
@@ -128,7 +128,7 @@ def test_compute_delta(spec_6_1, spec_6_2, quadric):
     for spec, expected in ((spec_6_2, 147), (spec_6_1, 27), (quadric, 4)):
         cm = build_cayley(spec)
         inv = invert(cm.matrix)
-        assert dense_matmul(cm.matrix, inv) == identity(cm.size)
+        assert dense_matmul(cm.matrix, inv) == identity(cm.matrix.rows)
         d = 1
         for row in entries(inv):
             for x in row:
@@ -406,7 +406,7 @@ def test_sum_rules_fail_on_a_doctored_form(monkeypatch, quadric):
     moved = ci_model.CayleyMatrix(Matrix(tuple(map(tuple, num))), cm.row_labels,
                                   cm.col_labels, cm.a_indices, cm.i_lambda, quadric)
     message = "Cayley row 1 does not have one 1 among the y columns"
-    with pytest.raises(mellin.MellinError, match=f"^{message}$"):
+    with pytest.raises(InternalInvariantError, match=f"^{message}$"):
         mellin.check_y_rows(moved)
     validate = ci_model.validate
 
@@ -528,7 +528,7 @@ def test_every_gamma_product_is_sorted_on_both_sides(fixtures_dir):
         products = [("lemma", pair.lemma)]
         try:
             products.append(("theorem31", pair.theorem31[1]))
-        except (mellin.MellinError, ci_model.SpecError):
+        except ci_model.SpecError:
             pass
         for name, product in products:
             for side in (product.numerator, product.denominator):

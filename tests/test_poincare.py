@@ -13,7 +13,7 @@ from mirrorkit.poincare import (
     series_expand,
     verify_duality,
 )
-from mirrorkit.pipeline import MirrorPair, generate_family
+from mirrorkit.pipeline import MirrorPair, generate_family, run_verify
 
 from oracles import _expand_product, degree_balanced, ratio_equal, truncated_expansion
 
@@ -198,6 +198,33 @@ def test_series_expand_rejects_a_negative_numerator_exponent():
     bad = CyclotomicRatio(2, ((1, 2), (2, -1)), ((1, 1),))  # bypasses canonical construction
     with pytest.raises(NotExpandableError, match="numerator factor with exponent < 0"):
         series_expand(bad, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_negative_order_gives_the_empty_series(k):
+    # no monomial has a total degree below 0, however far below -k the order is
+    from mirrorkit.poincare import NotExpandableError
+    ratio = CyclotomicRatio.build(k, [(q, 2) for q in range(1, k + 1)],
+                                  [(q, 1) for q in range(1, k + 1)])
+    for order in range(-1, -(k + 3), -1):
+        assert series_expand(ratio, order) == {}
+        assert series_coefficients_1d(series_expand(ratio, order), order) == []
+    # the two exponent checks still come first, the denominator's before the numerator's
+    with pytest.raises(NotExpandableError, match="denominator factor with exponent < 1"):
+        series_expand(CyclotomicRatio(k, ((1, -1),), ((1, 0),)), -(k + 2))
+    with pytest.raises(NotExpandableError, match="numerator factor with exponent < 0"):
+        series_expand(CyclotomicRatio(k, ((1, -1),), ((1, 1),)), -(k + 2))
+
+
+@pytest.mark.parametrize("name", ["example_6_2.json", "derived_quadric.json"])
+def test_run_verify_at_a_negative_order_is_the_order_minus_one_report(name):
+    # a one-block run expands its structure series in the duality stage
+    spec = CISpec.load(FIXTURES / name)
+    expected = run_verify(spec, order=-1).to_json()
+    (duality,) = (stage for stage in expected["stages"] if stage["name"] == "duality")
+    assert duality["payload"]["structure_series"] == []
+    for order in (-2, -5):
+        assert run_verify(spec, order=order).to_json() == expected
 
 
 def test_series_expand_term_cap(monkeypatch):

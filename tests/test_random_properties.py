@@ -32,8 +32,8 @@ def test_inverse_identity_everywhere():
     for spec in SPECS:
         cm = build_cayley(spec)
         inv = invert(cm.matrix)
-        assert dense_matmul(cm.matrix, inv) == identity(cm.size)
-        assert dense_matmul(inv, cm.matrix) == identity(cm.size)
+        assert dense_matmul(cm.matrix, inv) == identity(cm.matrix.rows)
+        assert dense_matmul(inv, cm.matrix) == identity(cm.matrix.rows)
 
 
 def test_column_sums_and_global_relation():

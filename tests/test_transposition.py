@@ -65,7 +65,7 @@ def test_transpose_6_1_self_transposed(spec_6_1):
     tr = MirrorPair(spec_6_1).tr
     assert tr.tspec.blocks == spec_6_1.blocks  # the mirror equals the original
     assert tr.nu.images == (2, 1)
-    assert dense_matmul(tr.nu_star, tr.nu_star) == identity(2)
+    assert dense_matmul(tr.nu.matrix(), tr.nu.matrix()) == identity(2)
 
 
 def test_transpose_6_2_printed_mirror(spec_6_2):
@@ -114,8 +114,8 @@ def test_permuted_transpose_identity(spec_6_1, spec_6_2, quadric):
             old_row_of_col.extend([a - 1, a - 2])
         for q in range(1, k + 1):
             old_row_of_col.append(spec.a(tr.block_sources[q - 1]))
-        for r in range(cm.size):
-            for c in range(cm.size):
+        for r in range(cm.matrix.rows):
+            for c in range(cm.matrix.rows):
                 assert entry(tcm.matrix, r, c) == \
                     entry(cm.matrix, old_row_of_col[c] - 1, old_col_of_row[r] - 1)
 
@@ -351,7 +351,7 @@ def test_find_rho_symmetric_flag_matches_the_matrix_test(fixtures_dir):
         flags = pair.tr.condition_flags
         # nu is an involution, so position q's source block, nu^-1(q), is nu(q)
         nu = pair.tr.nu
-        assert all(nu(nu(q)) == q for q in range(1, spec.k + 1))
+        assert all(nu.images[nu.images[q - 1] - 1] == q for q in range(1, spec.k + 1))
         assert pair.tr.block_sources == nu.images
         assert flags["rho_symmetric_3_11"] == (pair.rho is not None)
         mirror = mirror_side(pair)
@@ -722,7 +722,7 @@ def _built_diff(cm):
     """The transposed difference matrix build_transpose builds for cm, by its helper."""
     spec = cm.spec
     nu = transposition._choose_nu(spec.taus, tuple(len(b.index_set) for b in spec.blocks))
-    return transposition._transposed_rows(cm, tuple(sorted(range(1, spec.k + 1), key=nu)))[1]
+    return transposition._transposed_rows(cm, nu.images)[1]
 
 
 def _record_bases(monkeypatch, every: bool = False) -> list:
@@ -899,7 +899,7 @@ def test_kernel_bases_satisfy_their_relations(monkeypatch, fixtures_dir):
         else:
             assert basis == h == kernel_rows(h, m2)
         nu = transposition._choose_nu(taus, tuple(len(b.index_set) for b in spec.blocks))
-        sources = sorted(range(1, k + 1), key=nu)
+        sources = nu.images   # nu is an involution: position q holds block nu(q)
         sizes = [len(spec.blocks[src - 1].index_set) for src in sources]
         assert ([tuple(row) for row in dense_matmul(diff, Matrix(h)).num]
                 == _repeated([m2[src - 1] for src in sources], sizes))
@@ -960,7 +960,7 @@ def test_a_corrupted_mirror_cayley_matrix_names_its_first_mismatch(spec_6_1, ent
     tspec, args = tr.tspec, (tr.row_to_var, tr.block_sources)
     tcm = build_cayley(tspec)
     num = [list(row) for row in tcm.matrix.num]
-    entries = [(r % tcm.size, c % tcm.size) for r, c in entries]
+    entries = [(r % tcm.matrix.rows, c % tcm.matrix.rows) for r, c in entries]
     for r, c in entries:
         num[r][c] += 1
     r, c = min(entries)
