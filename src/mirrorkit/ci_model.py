@@ -39,6 +39,7 @@ from .record import field, lazy, record
 SERIES_TERM_CAP = 2000
 
 
+# the error classes, through PoincareError, that `cli._main` maps to exit codes
 class SpecError(Exception):
     """Base class for specification-level failures."""
 
@@ -53,6 +54,22 @@ class NoPositiveSolutionError(SpecError):
 
 class AmbiguousWeightsError(SpecError):
     """The weight solution space has dimension > 1; refusing to guess."""
+
+
+class TranspositionError(SpecError):
+    pass
+
+
+class InternalInvariantError(TranspositionError):
+    """A construction identity that must hold was violated (implementation bug)."""
+
+
+class HornError(Exception):
+    pass
+
+
+class PoincareError(Exception):
+    pass
 
 
 def _invalid(path: str, expected: str, value) -> SpecInvalidError:

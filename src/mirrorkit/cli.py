@@ -15,7 +15,7 @@ output is dropped, with no traceback.
 The stage modules load where a command first reads them (`pipeline.StageModule`):
 `cayley`, `validate`, `weights`, `family` and `--help` load none, `transpose`
 loads `transposition`, and `verify` loads all five.  The `except` chain of
-`_main` names their errors through `pipeline.raisable`, which loads nothing.
+`_main` names their errors' base classes, which `ci_model` defines.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from . import ci_model, pipeline
 from .ci_model import CISpec
-from .pipeline import raisable, StageModule
+from .pipeline import StageModule
 from .rational_linalg import SingularMatrixError
 
 horn_system = StageModule("horn_system", globals())
@@ -371,19 +371,19 @@ def _main(argv) -> int:
 
     try:
         return HANDLERS[args.command](pipeline.MirrorPair(spec), args, sys.stdout)
-    except raisable("transposition.InternalInvariantError") as exc:
+    except ci_model.InternalInvariantError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return pipeline.EXIT_INTERNAL
-    except raisable("transposition.TranspositionError") as exc:
+    except ci_model.TranspositionError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return pipeline.EXIT_SOFT_FAILURE
     except (ci_model.SpecError, SingularMatrixError) as exc:
         sys.stderr.write(f"invalid specification: {exc}\n")
         return pipeline.EXIT_INVALID
-    except raisable("horn_system.HornError") as exc:
+    except ci_model.HornError as exc:
         sys.stderr.write(f"cannot build the Horn operators: {exc}\n")
         return pipeline.EXIT_INVALID
-    except raisable("poincare.PoincareError") as exc:
+    except ci_model.PoincareError as exc:
         sys.stderr.write(f"cannot expand the series: {exc}\n")
         return pipeline.EXIT_INVALID
 

@@ -24,16 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .ci_model import ChargeMatrix, CISpec, WeightSystem
+from .ci_model import ChargeMatrix, CISpec, HornError, WeightSystem
 from .poincare import one_variable_series
 from .rational_linalg import ratio_str
 from .record import record
 
 FACTOR_COUNT_CAP = 10**6
-
-
-class HornError(Exception):
-    pass
 
 
 class FactorLimitError(HornError):

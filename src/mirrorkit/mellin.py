@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .ci_model import CayleyMatrix, ChargeMatrix, WeightSystem
+from .ci_model import CayleyMatrix, ChargeMatrix, InternalInvariantError, WeightSystem
 from .rational_linalg import _canonical, Matrix, ratio_str
 from .record import lazy, record
-from .transposition import InternalInvariantError
 
 
 # ---------------------------------------------------------------------------

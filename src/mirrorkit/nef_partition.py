@@ -15,7 +15,7 @@ weight line (``_closed_form_duals``).  Its certificate, that identity and
 the weights in ker A, holds on every spec's own transposition and proves
 the rank n - k that makes P the one solution in the section
 (``solve_dual_partition``).  A failed clause is a construction bug, a
-`transposition.InternalInvariantError` naming it; the stage has no other
+`ci_model.InternalInvariantError` naming it; the stage has no other
 failure.
 
 Once A * P == T holds, every pairing of a difference row with a dual
@@ -37,10 +37,9 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .ci_model import CayleyMatrix, CISpec, WeightSystem
+from .ci_model import CayleyMatrix, CISpec, InternalInvariantError, WeightSystem
 from .rational_linalg import Matrix
 from .record import record
-from .transposition import InternalInvariantError
 
 
 @record

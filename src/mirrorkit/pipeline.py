@@ -22,30 +22,31 @@ degrees and the M_X balance by the transposed weights
 (`horn_system.char_polys`), the nef dual vertices' certificate by the
 transposition (`nef_partition.solve_dual_partition`), and M_Y = PO_Xbar by
 unique factorization (`poincare.verify_duality`).  The stage is left out
-when a stage in `needs` raised.  An exception of a class `errors` names
-("module.Class", read by `raisable`) fails it in place: hard with flag
-None, the stage not ok (`horn` at its factor cap); soft otherwise, as the
-stage checks a sufficient hypothesis (`transpose`, the one soft stage), the
-stage ok with `flag` false and the soft failure "<name>: <error>".  A
-`transposition.InternalInvariantError` ends the run as an internal error.  The
-report is hard_ok when every stage is ok; strict mode exits nonzero on a soft
-failure.  To add a stage, add its builder and its entry.
+when a stage in `needs` raised.  An exception of a class in `errors`
+fails it in place: hard with flag None, the stage not ok (`horn` at its
+factor cap); soft otherwise, as the stage checks a sufficient hypothesis
+(`transpose`, the one soft stage), the stage ok with `flag` false and the
+soft failure "<name>: <error>".  An InternalInvariantError ends the run as
+an internal error.  The report is hard_ok when every stage is ok; strict
+mode exits nonzero on a soft failure.  To add a stage, add its builder and
+its entry.
 
 Only `ci_model`, `rational_linalg` and `record` load with this module.  The
 stage modules, `transposition`, `mellin`, `horn_system`, `poincare` and
 `nef_partition`, load on first use: each name is a `StageModule`, here and in
 `cli`, until its first attribute read imports the module and rebinds the name
 to it.  So a process compiles only the stage modules its command reads, and
-`verify` reads them all.
+`verify` reads them all.  The error classes that `STAGES` and `cli` name load
+with this module, from `ci_model` and `rational_linalg`.
 """
 
 from __future__ import annotations
 
 import importlib
-import sys
 
 from . import ci_model
-from .ci_model import Block, CayleyMatrix, ChargeMatrix, CISpec, WeightSystem
+from .ci_model import (Block, CayleyMatrix, ChargeMatrix, CISpec, HornError,
+                       InternalInvariantError, TranspositionError, WeightSystem)
 from .rational_linalg import invert, is_inverse, Matrix, SingularMatrixError
 from .record import field, lazy, record
 
@@ -68,27 +69,6 @@ class StageModule:
         module = importlib.import_module(f"{__package__}.{self._name}")
         self._namespace[self._name] = module
         return getattr(module, attr)
-
-
-# raisable's answers that name every class: they cannot change any more
-_RAISABLE: dict[tuple[str, ...], tuple[type, ...]] = {}
-
-
-def raisable(*names: str) -> tuple[type, ...]:
-    """The classes named "module.Class" whose module has run, for an `except`.
-
-    A class of a stage module that has not run cannot have been raised, so the
-    tuple catches what the named classes would, and loads no module.
-    """
-    classes = _RAISABLE.get(names)
-    if classes is None:
-        found = [getattr(sys.modules.get(f"{__package__}.{module}"), cls, None)
-                 for module, _, cls in (name.partition(".") for name in names)]
-        # None also while another thread runs the module
-        classes = tuple(cls for cls in found if cls is not None)
-        if len(classes) == len(names):
-            _RAISABLE[names] = classes
-    return classes
 
 
 horn_system = StageModule("horn_system", globals())
@@ -191,9 +171,9 @@ class MirrorPair:
     def forms(self) -> mellin.Forms:
         """The forms, one view of the columns of L^-1 (`mellin.solve_xi`) that
         every stage reads.  Every reader of them relies on L L^-1 = I, so they
-        raise `transposition.InternalInvariantError` when it fails."""
+        raise InternalInvariantError when it fails."""
         if not self.certified:
-            raise transposition.InternalInvariantError("L L^-1 is not the identity")
+            raise InternalInvariantError("L L^-1 is not the identity")
         return mellin.solve_xi(self.cm, self.inverse)
 
     @lazy
@@ -507,14 +487,13 @@ def _magic_square(pair: MirrorPair, order: int):
     return Stage("magic-square", True, {"found": magic.found}, payload=magic.to_json())
 
 
-# (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring);
-# the errors are named "module.Class" (`raisable`)
+# (name, builder, needs, errors, flag): the stages after the Cayley check (module docstring)
 STAGES = (
-    ("transpose", _transpose, (), ("transposition.TranspositionError",), "transposable"),
+    ("transpose", _transpose, (), (TranspositionError,), "transposable"),
     ("forms", _forms, (), (), None),
     ("mellin-plain", _mellin_plain, (), (), None),
     ("mellin-factorized", _mellin_factorized, ("transpose",), (), None),
-    ("horn", _horn, (), ("horn_system.HornError",), None),
+    ("horn", _horn, (), (HornError,), None),
     ("char-polys", _char_polys, ("transpose",), (), None),
     ("duality", _duality, ("transpose",), (), None),
     ("nef", _nef, ("transpose",), (), None),
@@ -548,9 +527,9 @@ def run_verify(spec: CISpec, order: int = 8) -> PipelineReport:
         try:
             stage = build(pair, order)
             soft += soft_failures(name, stage.flags) if name in SOFT_FLAGS else []
-        except raisable("transposition.InternalInvariantError") as exc:
+        except InternalInvariantError as exc:
             return PipelineReport(stages, all(s.ok for s in stages), soft, str(exc))
-        except raisable(*errors) as exc:
+        except errors as exc:
             raised.add(name)
             stage = Stage(name, flag is not None, {flag: False} if flag else {}, [str(exc)])
             soft += [f"{name}: {exc}"] if flag else []

@@ -22,12 +22,8 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from .ci_model import ChargeMatrix, SERIES_TERM_CAP, WeightSystem
+from .ci_model import ChargeMatrix, PoincareError, SERIES_TERM_CAP, WeightSystem
 from .record import record
-
-
-class PoincareError(Exception):
-    pass
 
 
 class NotExpandableError(PoincareError):

@@ -25,13 +25,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence
 
-from .ci_model import Block, CayleyMatrix, CISpec, rays_by_class, SpecError, WeightSystem
+from .ci_model import (Block, CayleyMatrix, CISpec, InternalInvariantError, rays_by_class,
+                       TranspositionError, WeightSystem)
 from .rational_linalg import integer_kernel, Matrix, PermutationMap
 from .record import record, replace
-
-
-class TranspositionError(SpecError):
-    pass
 
 
 class NoValidShapeError(TranspositionError):
@@ -40,10 +37,6 @@ class NoValidShapeError(TranspositionError):
 
 class NoInvolutiveNuError(TranspositionError):
     """Every shape-valid block matching fails the involution requirement."""
-
-
-class InternalInvariantError(TranspositionError):
-    """A construction identity that must hold was violated (implementation bug)."""
 
 
 # find_rho's answer: (rho, pi block pairing)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from mirrorkit import ci_model, horn_system, pipeline, poincare, transposition
 from mirrorkit.ci_model import (
     AmbiguousWeightsError,
     Block,
@@ -242,3 +243,22 @@ def test_row_labels(quadric):
     cm = build_cayley(quadric)
     kinds = [lbl[1] for lbl in cm.row_labels]
     assert kinds == ["monomial", "monomial", "s-row", "product-row", "constant-row"]
+
+
+def test_the_exit_code_errors_are_one_hierarchy_in_ci_model():
+    # `cli._main` and `pipeline.STAGES` name these classes, defined once in ci_model
+    assert transposition.TranspositionError is ci_model.TranspositionError
+    assert transposition.InternalInvariantError is ci_model.InternalInvariantError
+    assert horn_system.HornError is ci_model.HornError
+    assert poincare.PoincareError is ci_model.PoincareError
+    for cls, base in [(ci_model.TranspositionError, ci_model.SpecError),
+                      (ci_model.InternalInvariantError, ci_model.TranspositionError),
+                      (transposition.NoValidShapeError, ci_model.TranspositionError),
+                      (transposition.NoInvolutiveNuError, ci_model.TranspositionError),
+                      (horn_system.FactorLimitError, ci_model.HornError),
+                      (poincare.NotExpandableError, ci_model.PoincareError),
+                      (poincare.SeriesLimitError, ci_model.PoincareError)]:
+        assert issubclass(cls, base), cls
+    for name, _, _, errors, _ in pipeline.STAGES:
+        assert type(errors) is tuple, name
+        assert all(isinstance(cls, type) and issubclass(cls, Exception) for cls in errors), name

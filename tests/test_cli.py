@@ -381,16 +381,35 @@ UNTRANSPOSABLE = {"n": 4, "k": 2,
                              {"exponents": [[2, 0, 0, 1], [1, 1, 0, 1]], "index_set": [1, 2, 4]}]}
 
 
+def fresh_and_in_process(*args):
+    """(exit code, stdout, stderr) of `python -m mirrorkit <args>`, and of `cli.main`."""
+    result = run_module("mirrorkit", *args)
+    return (result.returncode, result.stdout, result.stderr), run_in_process(*args)
+
+
+# cli._main's except chain catches the stage modules' errors by their base
+# classes in `ci_model`: a fresh process has loaded only the stage modules its
+# command reads, and this process has loaded them all
 @pytest.mark.parametrize("spec", [SINGULAR_CAYLEY, UNTRANSPOSABLE])
 def test_a_fresh_process_exits_as_one_with_every_module_loaded(tmp_path, spec):
-    # cli._main's except chain names stage-module classes that a fresh process
-    # has not loaded (`pipeline.raisable`); this process has loaded them all
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     for command in STAGE_MODULES:
-        result = run_module("mirrorkit", command, "--input", str(path))
-        in_process = run_in_process(command, "--input", str(path))
-        assert (result.returncode, result.stdout, result.stderr) == in_process, command
+        fresh, in_process = fresh_and_in_process(command, "--input", str(path))
+        assert fresh == in_process, command
+
+
+def test_a_fresh_process_meets_the_horn_and_series_caps_as_one(tmp_path):
+    family = tmp_path / "family_81.json"
+    family.write_text(run_in_process("family", "--m", "81")[1])
+    fresh, in_process = fresh_and_in_process("horn", "--input", str(family))
+    assert fresh == in_process == (1, "", "cannot build the Horn operators: variable 1: "
+                                          "1062882 p-factors exceed the cap of 1000000\n")
+    fresh, in_process = fresh_and_in_process(
+        "poincare", "--input", fixture("example_6_2.json"), "--order", "5000")
+    assert fresh == in_process == (1, "", "cannot expand the series: order 5000 in 1 "
+                                          "variable(s) allows 5001 series terms, above the "
+                                          "cap of 2000\n")
 
 
 def test_horn_factor_limit_exit_one(monkeypatch):
